@@ -11,8 +11,7 @@ from nirb.fem import assemble, norms, ritz_projection
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import TriMesh, build_structured, interpolate_field
-from nirb.models import (BrusselatorProblem, HeatProblem, manufactured_f,
-                         manufactured_u)
+from nirb.models import BrusselatorProblem, manufactured_f, manufactured_u
 from nirb.pipeline import (AnalyticReference, Discretization, ErrorReport,
                            OfflineArtifacts, OnlineResult, convergence_study,
                            discretize, evaluate_errors, leave_one_out,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticReference", "BrusselatorProblem", "Discretization",
     "ErrorReport", "FieldTrajectory",
-    "HeatProblem", "OfflineArtifacts", "OnlineResult", "RectificationTensor",
+    "OfflineArtifacts", "OnlineResult", "RectificationTensor",
     "ReducedBasis", "StudyConfig", "TimeGrid", "TriMesh",
     "apply_rectification", "assemble", "brusselator_trajectory",
     "build_rectification", "build_structured", "convergence_study",

@@ -124,10 +124,7 @@ def cmd_errors(args):
     artifacts = pipeline.load_artifacts(config)
     param = _parse_param(config, args.mu)
     ctx = artifacts.context()
-    try:
-        fine_traj = pipeline.solve_fine(config, ctx.fine, param)
-    except RuntimeError as exc:
-        raise CliError("solver-failure", str(exc)) from exc
+    fine_traj = pipeline.solve_fine(config, ctx.fine, param)
     coarse_traj = pipeline.solve_coarse(config, ctx.coarse, param,
                                         fine=ctx.fine)
     lifted = pipeline.lift_coarse(coarse_traj, artifacts.fine_mesh,
@@ -166,10 +163,7 @@ def cmd_errors(args):
 
 def cmd_loo(args):
     config = _read_config(args.config)
-    try:
-        report = pipeline.leave_one_out(config)
-    except RuntimeError as exc:
-        raise CliError("solver-failure", str(exc)) from exc
+    report = pipeline.leave_one_out(config)
     outdir = _outdir(config)
     csv_path = os.path.join(outdir, "loo.csv")
     io.write_csv(csv_path, report.csv_rows())
@@ -185,10 +179,7 @@ def cmd_loo(args):
 def cmd_study(args):
     config = _read_config(args.config)
     coupling = args.coupling or config.study_coupling
-    try:
-        report = pipeline.convergence_study(config, coupling)
-    except RuntimeError as exc:
-        raise CliError("solver-failure", str(exc)) from exc
+    report = pipeline.convergence_study(config, coupling)
     outdir = _outdir(config)
     csv_path = os.path.join(outdir, f"study_{coupling}.csv")
     io.write_csv(csv_path, report.csv_rows())

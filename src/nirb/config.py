@@ -97,9 +97,6 @@ class StudyConfig:
     # solvers
     cg_tol: float = 1e-10
     newton_tol: float = 1e-10
-    # initial data for heat windows with t0 > 0 at parameters without a
-    # closed form: scheme of the fine presolve of [0, t0] started from zero
-    presolve: str = "implicit_euler"
 
     # studies
     study_levels: tuple = (8, 16, 32)
@@ -107,7 +104,6 @@ class StudyConfig:
 
     strict_bounds: bool = True
     output_dir: str = "out"
-    seed: int = 0
 
     def validate(self):
         if self.problem not in ("heat", "brusselator"):
@@ -129,8 +125,6 @@ class StudyConfig:
             raise ValueError(f"unknown rb_algorithm {self.rb_algorithm!r}")
         if self.delta_mode not in ("relative", "absolute"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
-        if self.presolve != "implicit_euler":
-            raise ValueError(f"unknown presolve scheme {self.presolve!r}")
         if self.delta_value < 0:
             raise ValueError("delta_value must be nonnegative")
         if self.problem == "heat":

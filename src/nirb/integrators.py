@@ -115,13 +115,6 @@ def _scaled_residual_norm(res, lumped2):
     return np.sqrt((res * res / lumped2).sum())
 
 
-def _params_abc(params):
-    """Accept (a, b, alpha) tuples and problem objects interchangeably."""
-    if hasattr(params, "alpha"):
-        return params.a, params.b, params.alpha
-    return params[0], params[1], params[2]
-
-
 def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
                             krylov_tol=1e-12):
     """One implicit-Euler step of the stacked two-species system solved by
@@ -132,7 +125,7 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
     the exact derivative of that quadrature (coefficient-weighted mass
     blocks), so convergence is quadratic.  The iteration stops when the
     mass-scaled residual drops below ``tol`` (absolute)."""
-    a, b, alpha = _params_abc(params)
+    a, b, alpha = params
     n = forms.n_dofs
     state = np.asarray(state, dtype=float)
     if state.shape != (2 * n,):
@@ -193,7 +186,7 @@ def brusselator_step_rk2(forms, params, state, dt):
     """One explicit midpoint step of the mass-lumped semi-discrete system
     u' = R(u) - alpha * M_lumped^{-1} K u.  The caller keeps dt below the
     diffusion stability bound; a non-finite result raises immediately."""
-    a, b, alpha = _params_abc(params)
+    a, b, alpha = params
     n = forms.n_dofs
     K = forms.stiffness
     lumped = forms.lumped_mass()
@@ -239,9 +232,5 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
                 f"step {k} (t={times[k]:.6g}) of the {scheme} march failed: {exc}"
             ) from exc
         values[k] = u
-    if hasattr(params, "alpha"):
-        label = (params.a, params.b, params.alpha)
-    else:
-        label = tuple(params)
     return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
-                           parameter=label, n_fields=2)
+                           parameter=tuple(params), n_fields=2)

@@ -22,7 +22,7 @@ from nirb.reduced_basis import ReducedBasis
 
 MAGIC = b"NIRB"
 TRAJ_MAGIC = b"NTRJ"
-VERSION = 1
+VERSION = 2
 
 ARTIFACT_BLOCKS = ("fine mesh", "coarse mesh", "fine grid", "coarse grid",
                    "basis", "rectification", "config")

@@ -1,5 +1,5 @@
 """Self-contained linear algebra kernels: symmetric CSR storage, Krylov
-solvers, a cyclic Jacobi eigensolver, a Gram-matrix SVD, and regularized
+solvers, a cyclic Jacobi eigensolver, Cholesky factorization, and regularized
 normal-equation solves.  Dense matrices are plain numpy arrays."""
 
 from __future__ import annotations
@@ -335,66 +335,6 @@ def sym_eig(G):
     lam = np.diag(A).copy()
     order = np.argsort(lam, kind="stable")
     return lam[order], V[:, order]
-
-
-def svd(M):
-    """Singular value decomposition via the Gram matrix of the smaller
-    dimension: M = U diag(s) Vt with orthonormal columns and s descending.
-
-    Thin factors are returned (k = min(m, n) columns)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix contains non-finite entries")
-    m, n = M.shape
-    if m < n:
-        U, s, Vt = svd(M.T)
-        return Vt.T, s, U.T
-    G = M.T @ M
-    lam, W = sym_eig(G)
-    lam = lam[::-1]
-    W = W[:, ::-1]
-    s = np.sqrt(np.clip(lam, 0.0, None))
-    U = np.zeros((m, n))
-    cut = 1e-14 * s[0] if s[0] > 0 else 0.0
-    for i in range(n):
-        if s[i] > cut:
-            U[:, i] = M @ W[:, i] / s[i]
-    _complete_columns(U, first_empty=int((s > cut).sum()))
-    _mgs(U)
-    return U, s, W.T
-
-
-def _complete_columns(U, first_empty):
-    """Fill trailing zero columns with an orthonormal completion."""
-    m, k = U.shape
-    cand = 0
-    for j in range(first_empty, k):
-        while cand < m:
-            v = np.zeros(m)
-            v[cand] = 1.0
-            cand += 1
-            for i in range(j):
-                v -= (U[:, i] @ v) * U[:, i]
-            nrm = _norm2(v)
-            if nrm > 0.5:
-                U[:, j] = v / nrm
-                break
-        else:
-            raise ValueError("could not complete an orthonormal set")
-
-
-def _mgs(U):
-    """In-place modified Gram-Schmidt (two passes) on the columns of U."""
-    k = U.shape[1]
-    for _ in range(2):
-        for j in range(k):
-            for i in range(j):
-                U[:, j] -= (U[:, i] @ U[:, j]) * U[:, i]
-            nrm = _norm2(U[:, j])
-            if nrm > 0:
-                U[:, j] /= nrm
 
 
 def cholesky_factor(G):

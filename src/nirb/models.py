@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MU_RANGE = (0.5, 9.5)
-
 
 def manufactured_u(t, x, y):
     """Closed-form solution of the unit-diffusivity heat problem: a polynomial
@@ -32,23 +30,6 @@ def manufactured_grad(t, x, y):
     dX = 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
     dY = 2.0 * y * (1.0 - y) * (1.0 - 2.0 * y)
     return 10.0 * t * dX * Y, 10.0 * t * X * dY
-
-
-@dataclass(frozen=True)
-class HeatProblem:
-    """du/dt - mu * Laplace(u) = f on the unit square, zero Dirichlet data.
-
-    The source is the manufactured one above for every mu, so mu = 1 has the
-    closed-form solution.  Runs start from u = 0 at t = 0; a study window
-    [t0, T] with t0 > 0 is reached either analytically (mu = 1) or by
-    pre-solving [0, t0]."""
-
-    mu: float
-    t0: float = 1.0
-    T: float = 2.0
-
-    def in_range(self):
-        return MU_RANGE[0] <= self.mu <= MU_RANGE[1]
 
 
 @dataclass(frozen=True)
@@ -87,14 +68,11 @@ class BrusselatorProblem:
 
 
 def brusselator_rhs(params, u1, u2):
-    """Pointwise reaction terms; params is (a, b, alpha) or a problem object.
+    """Pointwise reaction terms for params = (a, b, alpha).
 
     The sum of the two rates is a - u1, which pins the total-mass budget and
     is handy as a consistency check."""
-    if hasattr(params, "a"):
-        a, b = params.a, params.b
-    else:
-        a, b = params[0], params[1]
+    a, b = params[0], params[1]
     auto = u1 ** 2 * u2
     r1 = a + auto - (b + 1.0) * u1
     r2 = b * u1 - auto

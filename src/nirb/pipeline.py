@@ -8,7 +8,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,32 +18,13 @@ from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import build_structured, interpolate_field
 from nirb.rectification import (apply_rectification, build_rectification,
-                                coarse_to_fine_coefficients)
+                                coarse_to_fine_coefficients, lift_coarse)
 from nirb.reduced_basis import (coefficients, greedy, h1_reorthogonalize,
-                                hierarchical_pod, mass_inner, pod_greedy,
-                                reconstruct)
-from nirb.time_interp import quadratic_time_interp
+                                hierarchical_pod, pod_greedy, reconstruct)
 
 log = logging.getLogger(__name__)
 
 ARTIFACT_FILE = "artifacts.nirb"
-
-
-def worker_count(n_items):
-    """Number of parallel workers: min(items, NIRB_THREADS or cpu count)."""
-    env = os.environ.get("NIRB_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(n_items, cap))
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded across items when allowed."""
-    items = list(items)
-    workers = worker_count(len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -141,17 +121,17 @@ def solve_coarse(config, disc, param, fine=None):
 
 
 def _solve_sweep(config, disc, params, which, fine=None):
-    """Solve every training parameter, in parallel, as an ordered dict."""
-
-    def one(p):
+    """Solve every training parameter in order, as an ordered dict."""
+    out = {}
+    for p in params:
         try:
             if which == "fine":
-                return solve_fine(config, disc, p)
-            return solve_coarse(config, disc, p, fine)
+                out[p] = solve_fine(config, disc, p)
+            else:
+                out[p] = solve_coarse(config, disc, p, fine)
         except (RuntimeError, ValueError) as exc:
             raise RuntimeError(f"{which} solve failed at parameter {p}: {exc}") from exc
-
-    return dict(zip(params, parallel_map(one, params)))
+    return out
 
 
 def build_basis(config, trajectories, forms):
@@ -168,6 +148,21 @@ def build_basis(config, trajectories, forms):
     if config.h1_reorthonormalize:
         basis = h1_reorthogonalize(basis, forms)
     return basis
+
+
+def fit(config, fine_trajs, coarse_trajs, fine):
+    """Basis and rectification maps fitted on matched training runs;
+    returns (basis, tensor)."""
+    basis = build_basis(config, fine_trajs, fine.forms)
+    log.info("basis built: N=%d from %d training parameters", basis.N,
+             len(fine_trajs))
+    if config.delta_mode == "relative":
+        delta, delta_factor = None, config.delta_value
+    else:
+        delta, delta_factor = config.delta_value, 0.0
+    tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
+                                 fine.grid, delta=delta, delta_factor=delta_factor)
+    return basis, tensor
 
 
 @dataclass
@@ -201,9 +196,9 @@ class OfflineArtifacts:
         if self.tensor.n_times != self.fine_grid.steps + 1:
             raise ValueError(f"{self.tensor.n_times} rectification maps for "
                              f"{self.fine_grid.steps + 1} fine time knots")
-        for g in (self.coarse_grid,):
-            if g.t0 != self.fine_grid.t0 or g.T != self.fine_grid.T:
-                raise ValueError("fine and coarse grids span different windows")
+        if (self.coarse_grid.t0 != self.fine_grid.t0
+                or self.coarse_grid.T != self.fine_grid.T):
+            raise ValueError("fine and coarse grids span different windows")
         if self.basis.modes.shape[1] != self.basis.n_fields * self.fine_mesh.n_nodes:
             raise ValueError("basis width does not match the fine mesh")
         return self
@@ -221,37 +216,20 @@ class OfflineArtifacts:
         return self._ctx
 
 
-def offline(config, fine_trajs=None, coarse_trajs=None, persist=True):
-    """Offline stage: fine snapshots, basis, coarse snapshots, rectification.
+def offline(config, persist=True):
+    """Offline stage: fine snapshots, coarse snapshots, basis, rectification.
 
-    Precomputed trajectory dicts may be passed to reuse solves across
-    repeated builds (leave-one-out, basis-size sweeps); only the configured
-    training parameters are taken from them.  With persist=True the artifact
-    file and the coarse training trajectories land in config.output_dir."""
+    With persist=True the artifact file and the coarse training trajectories
+    land in config.output_dir."""
     config.validate()
     fine, coarse = discretize(config)
     params = config.training_parameters()
     if not params:
         raise ValueError("empty training set")
 
-    if fine_trajs is None:
-        fine_trajs = _solve_sweep(config, fine, params, "fine")
-    else:
-        fine_trajs = {p: fine_trajs[p] for p in params}
-    if coarse_trajs is None:
-        coarse_trajs = _solve_sweep(config, coarse, params, "coarse", fine=fine)
-    else:
-        coarse_trajs = {p: coarse_trajs[p] for p in params}
-
-    basis = build_basis(config, fine_trajs, fine.forms)
-    log.info("basis built: N=%d from %d training parameters", basis.N, len(params))
-
-    if config.delta_mode == "relative":
-        delta, delta_factor = None, config.delta_value
-    else:
-        delta, delta_factor = config.delta_value, 0.0
-    tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
-                                 fine.grid, delta=delta, delta_factor=delta_factor)
+    fine_trajs = _solve_sweep(config, fine, params, "fine")
+    coarse_trajs = _solve_sweep(config, coarse, params, "coarse", fine=fine)
+    basis, tensor = fit(config, fine_trajs, coarse_trajs, fine)
 
     artifacts = OfflineArtifacts(
         config=config, fine_mesh=fine.mesh, coarse_mesh=coarse.mesh,
@@ -292,8 +270,7 @@ def param_key(config, param):
     return (float(a), float(b), float(alpha))
 
 
-def online(artifacts, param, mode="rectified", coarse_traj=None,
-           strict_bounds=None):
+def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, time and space lifting,
     projection onto the modes, optional rectification, reconstruction.
 
@@ -303,10 +280,9 @@ def online(artifacts, param, mode="rectified", coarse_traj=None,
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
     key = param_key(config, param)
-    strict = config.strict_bounds if strict_bounds is None else strict_bounds
     if not config.parameter_in_bounds(key):
         message = f"parameter {key} is outside the configured bounds"
-        if strict:
+        if config.strict_bounds:
             raise ValueError(message)
         log.warning(message)
 
@@ -331,23 +307,6 @@ def online(artifacts, param, mode="rectified", coarse_traj=None,
     return OnlineResult(parameter=key, mode=mode, trajectory=trajectory,
                         coefficients=coeffs, seconds_coarse=seconds_coarse,
                         seconds_reconstruct=seconds_reconstruct)
-
-
-def lift_coarse(coarse_traj, fine_mesh, fine_grid):
-    """Coarse trajectory carried to the fine discretization: quadratic time
-    interpolation, then componentwise P1 interpolation in space."""
-    lifted = quadratic_time_interp(coarse_traj, fine_grid)
-    src = lifted.mesh
-    if src is fine_mesh or (src.n_nodes == fine_mesh.n_nodes
-                            and np.array_equal(src.nodes, fine_mesh.nodes)):
-        values = lifted.values
-    else:
-        values = np.concatenate(
-            [interpolate_field(src, p, fine_mesh) for p in lifted.split_fields()],
-            axis=-1)
-    return FieldTrajectory(mesh=fine_mesh, grid=fine_grid, values=values,
-                           parameter=coarse_traj.parameter,
-                           n_fields=coarse_traj.n_fields)
 
 
 @dataclass
@@ -547,33 +506,21 @@ def leave_one_out(config):
 
     basis_full = build_basis(config, fine_trajs, fine.forms)
 
-    def held_out(k):
-        rest = [p for p in params if p != params[k]]
-        sub_fine = {p: fine_trajs[p] for p in rest}
-        sub_coarse = {p: coarse_trajs[p] for p in rest}
-        basis = build_basis(config, sub_fine, fine.forms)
-        if config.delta_mode == "relative":
-            delta, factor = None, config.delta_value
-        else:
-            delta, factor = config.delta_value, 0.0
-        tensor = build_rectification(sub_fine, sub_coarse, basis, fine.forms,
-                                     fine.grid, delta=delta, delta_factor=factor)
-        coeffs = coarse_to_fine_coefficients(coarse_trajs[params[k]], basis,
-                                             fine.forms, fine.grid)
-        coeffs = apply_rectification(tensor, coeffs)
+    rows = []
+    for p in params:
+        rest = [q for q in params if q != p]
+        basis, tensor = fit(config, {q: fine_trajs[q] for q in rest},
+                            {q: coarse_trajs[q] for q in rest}, fine)
+        coeffs = apply_rectification(tensor, coarse_to_fine_coefficients(
+            coarse_trajs[p], basis, fine.forms, fine.grid))
         traj = FieldTrajectory(mesh=fine.mesh, grid=fine.grid,
                                values=reconstruct(basis, coeffs),
-                               parameter=params[k], n_fields=basis.n_fields)
-        return evaluate_errors(traj, fine_trajs[params[k]], fine.forms).rel_energy
-
-    rect_errors = parallel_map(held_out, range(len(params)))
-
-    rows = []
-    for k, p in enumerate(params):
+                               parameter=p, n_fields=basis.n_fields)
+        rect_en = evaluate_errors(traj, fine_trajs[p], fine.forms).rel_energy
         _, proj_en = projection_errors(basis_full, fine.forms, fine_trajs[p])
         lifted = lift_coarse(coarse_trajs[p], fine.mesh, fine.grid)
         coarse_en = evaluate_errors(lifted, fine_trajs[p], fine.forms).rel_energy
-        rows.append(LooRow(parameter=p, rectified=rect_errors[k],
+        rows.append(LooRow(parameter=p, rectified=rect_en,
                            projection=proj_en, coarse=coarse_en))
 
     energy = "h10" if config.problem == "heat" else "h1"

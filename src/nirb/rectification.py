@@ -1,5 +1,6 @@
-"""Per-time-index rectification: small regularized least-squares maps that
-send coarse-solution coefficients to fine-solution coefficients."""
+"""Lifting of coarse trajectories to the fine discretization, and the
+per-time-index rectification: small regularized least-squares maps that send
+lifted coarse coefficients to fine-solution coefficients."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nirb.integrators import FieldTrajectory
 from nirb.linalg import dominant_eigenvalue, solve_regularized_normal
 from nirb.mesh import interpolate_field
-from nirb.reduced_basis import block_matvec
+from nirb.reduced_basis import coefficients
 from nirb.time_interp import quadratic_time_interp
 
 
@@ -37,22 +39,28 @@ class RectificationTensor:
         return self.matrices.shape[0]
 
 
-def coarse_to_fine_coefficients(coarse_traj, basis, forms, fine_grid):
-    """Coefficients of a coarse trajectory after lifting it to the fine
-    discretization: quadratic time interpolation, P1 interpolation onto the
-    basis mesh componentwise, then L2 projection onto the modes."""
+def lift_coarse(coarse_traj, fine_mesh, fine_grid):
+    """Coarse trajectory carried to the fine discretization: quadratic time
+    interpolation, then componentwise P1 interpolation in space."""
     lifted = quadratic_time_interp(coarse_traj, fine_grid)
-    same_mesh = lifted.mesh is basis.mesh or (
-        lifted.mesh.n_nodes == basis.mesh.n_nodes
-        and np.array_equal(lifted.mesh.nodes, basis.mesh.nodes))
-    if same_mesh:
+    src = lifted.mesh
+    if src is fine_mesh or (src.n_nodes == fine_mesh.n_nodes
+                            and np.array_equal(src.nodes, fine_mesh.nodes)):
         values = lifted.values
     else:
-        parts = [interpolate_field(lifted.mesh, p, basis.mesh)
-                 for p in lifted.split_fields()]
-        values = np.concatenate(parts, axis=-1)
-    weighted = block_matvec(forms.mass, basis.modes, basis.n_fields)
-    return values @ weighted.T
+        values = np.concatenate(
+            [interpolate_field(src, p, fine_mesh) for p in lifted.split_fields()],
+            axis=-1)
+    return FieldTrajectory(mesh=fine_mesh, grid=fine_grid, values=values,
+                           parameter=coarse_traj.parameter,
+                           n_fields=coarse_traj.n_fields)
+
+
+def coarse_to_fine_coefficients(coarse_traj, basis, forms, fine_grid):
+    """Coefficients of a coarse trajectory after lifting it to the basis
+    mesh and the fine grid, by L2 projection onto the modes."""
+    lifted = lift_coarse(coarse_traj, basis.mesh, fine_grid)
+    return coefficients(basis, forms, lifted.values)
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
@@ -74,12 +82,12 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
         raise ValueError("fine and coarse training parameter sets differ")
     if basis.N == 0:
         raise ValueError("cannot rectify with an empty basis")
-    weighted = block_matvec(forms.mass, basis.modes, basis.n_fields)
 
     A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], basis, forms,
                                               fine_grid) for p in fine_keys],
                  axis=1)  # (n_times, k, N)
-    B = np.stack([fine_trajs[p].values @ weighted.T for p in fine_keys], axis=1)
+    B = np.stack([coefficients(basis, forms, fine_trajs[p].values)
+                  for p in fine_keys], axis=1)
 
     n_times = fine_grid.steps + 1
     N = basis.N

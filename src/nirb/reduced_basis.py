@@ -55,32 +55,37 @@ def l2_norms(forms, U, n_fields=1):
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def pod(snapshots, forms, keep, n_fields=1):
-    """Proper orthogonal decomposition in the L2 inner product.
+def pod(snapshots, forms, keep, n_fields=1, inner="l2"):
+    """Proper orthogonal decomposition in the L2 or H1 inner product.
 
-    ``keep`` is either a mode count (int) or a relative singular value
-    threshold (float): directions with sigma_i / sigma_1 > keep survive.
-    Returns (modes, singular_values); an all-zero snapshot set yields zero
+    ``keep`` is either a mode count (int), further limited by the numerical
+    rank (sigma_i / sigma_1 > 1e-12), or a relative singular value threshold
+    (float): directions with sigma_i / sigma_1 > keep survive, at least one.
+    Returns (modes, singular_values) with the modes orthonormal in the chosen
+    inner product up to eigensolver accuracy; callers that need exact L2
+    orthonormality re-orthogonalize.  An all-zero snapshot set yields zero
     modes with a warning."""
+    if inner not in ("l2", "h1"):
+        raise ValueError(f"unknown inner product {inner!r}")
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ValueError(f"need a (k, d) snapshot array, got shape {S.shape}")
-    G = S @ block_matvec(forms.mass, S, n_fields).T
-    lam, W = sym_eig(0.5 * (G + G.T))
+    W = block_matvec(forms.mass, S, n_fields)
+    if inner == "h1":
+        W = W + block_matvec(forms.stiffness, S, n_fields)
+    G = S @ W.T
+    lam, V = sym_eig(0.5 * (G + G.T))
     lam = lam[::-1]
-    W = W[:, ::-1]
+    V = V[:, ::-1]
     sig = np.sqrt(np.clip(lam, 0.0, None))
     if sig[0] == 0.0:
         log.warning("POD of an all-zero snapshot set: returning zero modes")
         return np.zeros((0, S.shape[1])), sig
     if isinstance(keep, (int, np.integer)):
-        k = min(int(keep), int((sig > 0).sum()))
+        k = min(int(keep), int((sig > 1e-12 * sig[0]).sum()))
     else:
-        k = int((sig > keep * sig[0]).sum())
-    k = max(k, 1)
-    modes = (W[:, :k].T @ S) / sig[:k, None]
-    _mass_mgs(modes, None, forms, n_fields)
-    return modes, sig
+        k = max(1, int((sig > keep * sig[0]).sum()))
+    return (V[:, :k].T @ S) / sig[:k, None], sig
 
 
 def _mass_mgs(cands, against, forms, n_fields, drop_tol=None):
@@ -129,8 +134,8 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
 
     first = int(np.argmax(norm_inf))
     selected = [first]
-    modes, sig = pod(items[first][1].values, forms, pod_tol, n_fields)
-    modes = modes[:n_max]
+    modes, _ = pod(items[first][1].values, forms, pod_tol, n_fields)
+    modes = _mass_mgs(modes[:n_max], None, forms, n_fields)
     picks = [(items[first][0], modes.shape[0])]
 
     while modes.shape[0] < n_max:
@@ -151,8 +156,8 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
         U = items[k][1].values
         resid = U - mass_inner(forms, U, modes, n_fields) @ modes
         new, _ = pod(resid, forms, pod_tol, n_fields)
-        new = new[:n_max - modes.shape[0]]
-        new = _mass_mgs(new.copy(), modes, forms, n_fields, drop_tol=1e-10)
+        new = _mass_mgs(new[:n_max - modes.shape[0]], None, forms, n_fields)
+        new = _mass_mgs(new, modes, forms, n_fields, drop_tol=1e-10)
         if new.shape[0] == 0:
             log.warning("residual POD at parameter %s produced no new modes",
                         items[k][0])
@@ -226,27 +231,6 @@ def greedy(trajectories, forms, tol, n_max):
                     "residual_history": history}, n_fields=n_fields)
 
 
-def _gram_modes(S, forms, n_fields, inner, keep):
-    """POD of one snapshot block in the chosen inner product.
-
-    Returns (modes, sigma) with the modes orthonormal in that product and
-    sigma the singular values; ``keep`` caps the count, further limited by
-    the numerical rank."""
-    S = np.asarray(S, dtype=float)
-    W = block_matvec(forms.mass, S, n_fields)
-    if inner == "h1":
-        W = W + block_matvec(forms.stiffness, S, n_fields)
-    G = S @ W.T
-    lam, V = sym_eig(0.5 * (G + G.T))
-    lam = lam[::-1]
-    V = V[:, ::-1]
-    sig = np.sqrt(np.clip(lam, 0.0, None))
-    if sig[0] == 0.0:
-        return np.zeros((0, S.shape[1])), sig
-    k = min(int(keep), int((sig > 1e-12 * sig[0]).sum()))
-    return (V[:, :k].T @ S) / sig[:k, None], sig
-
-
 def hierarchical_pod(trajectories, forms, n_max, inner="h1", chunk=384):
     """One POD over every snapshot of every training trajectory.
 
@@ -269,8 +253,6 @@ def hierarchical_pod(trajectories, forms, n_max, inner="h1", chunk=384):
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
-    if inner not in ("l2", "h1"):
-        raise ValueError(f"unknown inner product {inner!r}")
     n_fields = items[0][1].n_fields
 
     blocks = []
@@ -284,7 +266,7 @@ def hierarchical_pod(trajectories, forms, n_max, inner="h1", chunk=384):
         total_in = sum(b.shape[0] for b in blocks)
         reps = []
         for block in blocks:
-            modes, sig = _gram_modes(block, forms, n_fields, inner, n_max)
+            modes, sig = pod(block, forms, n_max, n_fields, inner)
             reps.append(modes * sig[:modes.shape[0], None])
         rows = np.vstack(reps)
         levels.append(int(rows.shape[0]))
@@ -295,9 +277,7 @@ def hierarchical_pod(trajectories, forms, n_max, inner="h1", chunk=384):
             break
         blocks = [rows[s:s + chunk] for s in range(0, rows.shape[0], chunk)]
 
-    modes, _ = _gram_modes(rows, forms, n_fields, inner, n_max)
-    if modes.shape[0] == 0:
-        log.warning("hierarchical POD of an all-zero snapshot set")
+    modes, _ = pod(rows, forms, n_max, n_fields, inner)
     modes = _mass_mgs(modes, None, forms, n_fields)
     return ReducedBasis(
         mesh=items[0][1].mesh, modes=modes, eigenvalues=None,

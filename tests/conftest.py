@@ -27,3 +27,15 @@ def dirichlet_forms_4(unit_mesh_4):
 def mass_gram(forms, U, V):
     """Plain L2 Gram matrix of stacked single-field rows, for checks."""
     return U @ np.stack([forms.mass.matvec(v) for v in V]).T
+
+
+@pytest.fixture(scope="session")
+def small_heat_text():
+    """Config text of a small heat study: 8^2/4^2 meshes, 8/4 steps and four
+    training values of mu."""
+    return ("problem = heat\n"
+            "train_mu = 0.5,3.0,6.0,9.5\n"
+            "fine_nx = 8\n"
+            "coarse_nx = 4\n"
+            "fine_steps = 8\n"
+            "coarse_steps = 4\n")

@@ -1,0 +1,97 @@
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nirb.config import StudyConfig
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                   allow_infinity=False)
+positive = st.integers(min_value=1, max_value=512)
+text = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_/.-",
+               min_size=1, max_size=20)
+
+
+@st.composite
+def heat_configs(draw):
+    mu_min = draw(st.floats(min_value=1e-3, max_value=10.0))
+    mu_max = draw(st.floats(min_value=mu_min, max_value=100.0))
+    train = draw(st.lists(st.floats(min_value=mu_min, max_value=mu_max),
+                          min_size=1, max_size=6))
+    x0, y0 = draw(finite), draw(finite)
+    t0 = draw(st.floats(min_value=0.0, max_value=10.0))
+    return StudyConfig(
+        problem="heat",
+        domain=(x0, x0 + draw(st.floats(min_value=1e-3, max_value=10.0)),
+                y0, y0 + draw(st.floats(min_value=1e-3, max_value=10.0))),
+        t0=t0, T=t0 + draw(st.floats(min_value=1e-3, max_value=10.0)),
+        mu_min=mu_min, mu_max=mu_max, train_mu=tuple(train),
+        test_mu=draw(finite),
+        train_a=tuple(draw(st.lists(finite, max_size=3))),
+        fine_nx=draw(positive), fine_ny=draw(st.integers(0, 512)),
+        coarse_nx=draw(positive), coarse_ny=draw(st.integers(0, 512)),
+        fine_steps=draw(positive),
+        coarse_steps=draw(st.integers(min_value=2, max_value=512)),
+        rb_algorithm=draw(st.sampled_from(["pod_greedy", "greedy", "pod"])),
+        n_max=draw(positive),
+        pod_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
+        greedy_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
+        h1_reorthonormalize=draw(st.booleans()),
+        delta_mode=draw(st.sampled_from(["relative", "absolute"])),
+        delta_value=draw(st.floats(min_value=0.0, max_value=1.0)),
+        cg_tol=draw(st.floats(min_value=1e-16, max_value=1e-2)),
+        study_levels=tuple(draw(st.lists(positive, max_size=4))),
+        study_coupling=draw(st.sampled_from(["2h", "sqrt"])),
+        strict_bounds=draw(st.booleans()),
+        output_dir=draw(text))
+
+
+@st.composite
+def brusselator_configs(draw):
+    return StudyConfig(
+        problem="brusselator", t0=0.0,
+        T=draw(st.floats(min_value=1e-3, max_value=10.0)),
+        train_a=tuple(draw(st.lists(st.floats(2.0, 4.0), min_size=1,
+                                    max_size=3))),
+        train_b=tuple(draw(st.lists(st.floats(1.0, 4.0), min_size=1,
+                                    max_size=3))),
+        train_alpha=tuple(draw(st.lists(st.floats(0.001, 0.05), min_size=1,
+                                        max_size=3))),
+        test_a=draw(finite), test_b=draw(finite), test_alpha=draw(finite),
+        newton_tol=draw(st.floats(min_value=1e-16, max_value=1e-2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(heat_configs(), brusselator_configs()))
+def test_text_round_trip(config):
+    config.validate()
+    assert StudyConfig.from_text(config.to_text()) == config
+
+
+def test_defaults_round_trip():
+    config = StudyConfig()
+    assert StudyConfig.from_text(config.to_text()) == config
+
+
+@pytest.mark.parametrize("line", ["seed = 0", "presolve = implicit_euler",
+                                  "no_such_key = 1"])
+def test_unknown_keys_rejected(line):
+    with pytest.raises(ValueError, match="unknown configuration key"):
+        StudyConfig.from_text(line + "\n")
+
+
+@pytest.mark.parametrize("edit", [
+    {"problem": "wave"}, {"T": 0.5}, {"coarse_steps": 1}, {"n_max": 0},
+    {"rb_algorithm": "svd"}, {"delta_mode": "scaled"},
+    {"delta_value": -1.0}, {"train_mu": ()}, {"train_mu": (12.0,)},
+])
+def test_invalid_values_rejected(edit):
+    with pytest.raises(ValueError):
+        dataclasses.replace(StudyConfig(), **edit).validate()
+
+
+def test_mesh_counts_fall_back_to_x():
+    config = StudyConfig(fine_nx=12, fine_ny=0, coarse_nx=6, coarse_ny=3)
+    assert config.mesh_counts("fine") == (12, 12)
+    assert config.mesh_counts("coarse") == (6, 3)

@@ -204,8 +204,8 @@ class TestTrajectory:
         p = models.BrusselatorProblem(3.0, 2.0, 0.01)
         state0 = p.initial_state(neumann_8x8.mesh)
         traj = integrators.brusselator_trajectory(
-            neumann_8x8, p, state0, integrators.TimeGrid(0.0, 0.1, 2),
-            scheme="rk2")
+            neumann_8x8, (3.0, 2.0, 0.01), state0,
+            integrators.TimeGrid(0.0, 0.1, 2), scheme="rk2")
         u1, u2 = traj.split_fields()
         n = neumann_8x8.n_dofs
         assert u1.shape == (3, n) and u2.shape == (3, n)
@@ -217,5 +217,5 @@ class TestTrajectory:
         state0 = p.initial_state(neumann_8x8.mesh)
         with pytest.raises(ValueError):
             integrators.brusselator_trajectory(
-                neumann_8x8, p, state0, integrators.TimeGrid(0.0, 0.1, 1),
-                scheme="leapfrog")
+                neumann_8x8, (3.0, 2.0, 0.01), state0,
+                integrators.TimeGrid(0.0, 0.1, 1), scheme="leapfrog")

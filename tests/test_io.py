@@ -1,0 +1,106 @@
+import struct
+
+import numpy as np
+import pytest
+
+from nirb import io, pipeline
+from nirb.config import StudyConfig
+from nirb.integrators import FieldTrajectory, TimeGrid
+
+
+@pytest.fixture(scope="module")
+def saved(small_heat_text, tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("artifacts")
+    config = StudyConfig.from_text(small_heat_text + f"output_dir = {outdir}\n")
+    artifacts = pipeline.offline(config, persist=True)
+    return config, artifacts, outdir / pipeline.ARTIFACT_FILE
+
+
+def _copy_with(path, tmp_path, edit):
+    data = bytearray(path.read_bytes())
+    edit(data)
+    out = tmp_path / "edited.nirb"
+    out.write_bytes(bytes(data))
+    return str(out)
+
+
+class TestArtifacts:
+    def test_round_trip_is_bit_exact(self, saved):
+        config, artifacts, path = saved
+        loaded = io.load_artifacts(str(path))
+        assert loaded.config == config
+        for name in ("fine_mesh", "coarse_mesh"):
+            a, b = getattr(artifacts, name), getattr(loaded, name)
+            assert np.array_equal(a.nodes, b.nodes)
+            assert np.array_equal(a.triangles, b.triangles)
+            assert np.array_equal(a.boundary_mask, b.boundary_mask)
+            assert (a.h, a.nx, a.ny, tuple(a.domain)) \
+                == (b.h, b.nx, b.ny, tuple(b.domain))
+        assert loaded.fine_grid == artifacts.fine_grid
+        assert loaded.coarse_grid == artifacts.coarse_grid
+        assert np.array_equal(loaded.basis.modes, artifacts.basis.modes)
+        assert np.array_equal(loaded.basis.eigenvalues,
+                              artifacts.basis.eigenvalues)
+        assert loaded.basis.n_fields == artifacts.basis.n_fields
+        assert np.array_equal(loaded.tensor.matrices, artifacts.tensor.matrices)
+        assert np.array_equal(loaded.tensor.deltas, artifacts.tensor.deltas)
+        assert loaded.tensor.params == artifacts.tensor.params
+        assert loaded.tensor.delta_mode == artifacts.tensor.delta_mode
+        assert loaded.tensor.delta_value == artifacts.tensor.delta_value
+
+        mu = 4.5
+        want = pipeline.online(artifacts, mu).coefficients
+        got = pipeline.online(loaded, mu).coefficients
+        assert np.array_equal(got, want)
+
+    def test_flipped_payload_byte_is_corrupt(self, saved, tmp_path):
+        _, _, path = saved
+        # header (8 bytes), then the first block's length word; flip a byte
+        # inside the fine mesh payload so only its checksum can notice
+        def flip(data):
+            data[8 + 4 + 40] ^= 0x01
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_artifacts(_copy_with(path, tmp_path, flip))
+        assert err.value.slug == "corrupt-artifacts"
+        assert "checksum" in str(err.value)
+
+    def test_version_one_is_a_mismatch(self, saved, tmp_path):
+        _, _, path = saved
+
+        def downgrade(data):
+            data[4:8] = struct.pack("<I", 1)
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_artifacts(_copy_with(path, tmp_path, downgrade))
+        assert err.value.slug == "version-mismatch"
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_artifacts(str(tmp_path / "absent.nirb"))
+        assert err.value.slug == "missing-artifacts"
+
+
+class TestTrajectory:
+    def test_round_trip_is_exact(self, saved, tmp_path):
+        config, artifacts, _ = saved
+        ctx = artifacts.context()
+        traj = pipeline.solve_coarse(config, ctx.coarse, 2.0, fine=ctx.fine)
+        path = str(tmp_path / "t.traj")
+        io.save_trajectory(path, traj)
+        back = io.load_trajectory(path)
+        assert np.array_equal(back.values, traj.values)
+        assert np.array_equal(back.mesh.nodes, traj.mesh.nodes)
+        assert back.grid == traj.grid
+        assert back.parameter == traj.parameter
+        assert back.n_fields == traj.n_fields
+
+    def test_tuple_parameter_round_trip(self, tmp_path, unit_mesh_4):
+        values = np.arange(3 * 2 * unit_mesh_4.n_nodes, dtype=float) / 7.0
+        traj = FieldTrajectory(mesh=unit_mesh_4, grid=TimeGrid(0.0, 1.0, 2),
+                               values=values.reshape(3, -1),
+                               parameter=(3.0, 2.0, 0.008), n_fields=2)
+        path = str(tmp_path / "t.traj")
+        io.save_trajectory(path, traj)
+        back = io.load_trajectory(path)
+        assert np.array_equal(back.values, traj.values)
+        assert back.parameter == (3.0, 2.0, 0.008)
+        assert back.n_fields == 2

@@ -139,37 +139,6 @@ class TestSymEig:
             linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestSVD:
-    def test_diagonal(self):
-        _, s, _ = linalg.svd(np.diag([3.0, 1.0]))
-        assert s == pytest.approx([3.0, 1.0])
-
-    def test_rank_one_outer(self, rng):
-        u = rng.standard_normal(6)
-        u *= 2.0 / np.linalg.norm(u)
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        _, s, _ = linalg.svd(np.outer(u, v))
-        assert s[0] == pytest.approx(2.0)
-        assert np.abs(s[1:]).max() <= 1e-12
-
-    def test_degenerate_two_by_two(self):
-        M = np.array([[1.0, 1.0], [0.0, 0.0]])
-        U, s, Vt = linalg.svd(M)
-        assert s == pytest.approx([np.sqrt(2.0), 0.0], abs=1e-12)
-        assert U @ np.diag(s) @ Vt == pytest.approx(M, abs=1e-12)
-
-    def test_random_matches_oracle(self, rng):
-        for shape in ((8, 5), (5, 8), (6, 6)):
-            M = rng.standard_normal(shape)
-            U, s, Vt = linalg.svd(M)
-            assert s == pytest.approx(np.linalg.svd(M)[1], abs=1e-9)
-            assert U @ np.diag(s) @ Vt == pytest.approx(M, abs=1e-9)
-            k = min(shape)
-            assert U.T @ U == pytest.approx(np.eye(k), abs=1e-9)
-            assert Vt @ Vt.T == pytest.approx(np.eye(k), abs=1e-9)
-
-
 class TestCholesky:
     def test_factor_and_solve(self, rng):
         G = random_spd(rng, 7)

@@ -49,14 +49,6 @@ class TestManufactured:
                                    / (2 * eps), abs=1e-6)
 
 
-class TestHeatProblem:
-    def test_range(self):
-        assert models.HeatProblem(mu=0.5).in_range()
-        assert models.HeatProblem(mu=9.5).in_range()
-        assert not models.HeatProblem(mu=0.4).in_range()
-        assert not models.HeatProblem(mu=10.0).in_range()
-
-
 class TestBrusselatorProblem:
     def test_fixed_point(self):
         p = models.BrusselatorProblem(3.0, 2.0, 0.008)
@@ -106,10 +98,6 @@ class TestBrusselatorRhs:
         u2 = rng.uniform(0.0, 4.0, 25)
         r1, r2 = models.brusselator_rhs((2.5, 3.0, 0.02), u1, u2)
         assert r1 + r2 == pytest.approx(2.5 - u1, abs=1e-12)
-
-    def test_accepts_problem_object(self):
-        p = models.BrusselatorProblem(3.0, 2.0, 0.008)
-        assert models.brusselator_rhs(p, 1.0, 2.0) == pytest.approx((2.0, 0.0))
 
     def test_ode_attracts_to_fixed_point(self):
         # Midpoint integration of the pure reaction system from a perturbed

@@ -1,0 +1,115 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nirb import fem, mesh, pipeline
+from nirb import reduced_basis as rb
+from nirb.config import StudyConfig
+from nirb.integrators import FieldTrajectory, TimeGrid
+from nirb.rectification import (apply_rectification, build_rectification,
+                                coarse_to_fine_coefficients, lift_coarse)
+
+
+@pytest.fixture(scope="module")
+def study(small_heat_text):
+    config = StudyConfig.from_text(small_heat_text)
+    return config, pipeline.offline(config, persist=False)
+
+
+class TestLeaveOneOut:
+    def test_rows_match_offline_without_the_parameter(self, study):
+        # Every held-out row is the rectified online error of an offline
+        # build on the remaining parameters, measured against the fine solve.
+        config, _ = study
+        report = pipeline.leave_one_out(config)
+        params = config.training_parameters()
+        assert [r.parameter for r in report.rows] == params
+        for k, mu in enumerate(params):
+            rest = tuple(p for p in config.train_mu if p != mu)
+            sub = dataclasses.replace(config, train_mu=rest)
+            artifacts = pipeline.offline(sub, persist=False)
+            ctx = artifacts.context()
+            fine = pipeline.solve_fine(sub, ctx.fine, mu)
+            result = pipeline.online(artifacts, mu)
+            want = pipeline.evaluate_errors(result.trajectory, fine,
+                                            ctx.fine.forms).rel_energy
+            assert report.rows[k].rectified == pytest.approx(want, abs=1e-12)
+        assert report.max_rectified == max(r.rectified for r in report.rows)
+
+
+class TestHeldOutOrdering:
+    def test_rectified_below_plain_below_coarse(self, study):
+        config, artifacts = study
+        ctx = artifacts.context()
+        mu = 4.5
+        assert mu not in config.training_parameters()
+        fine = pipeline.solve_fine(config, ctx.fine, mu)
+        coarse = pipeline.solve_coarse(config, ctx.coarse, mu, fine=ctx.fine)
+        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid)
+
+        def err(traj):
+            return pipeline.evaluate_errors(traj, fine, ctx.fine.forms).rel_energy
+
+        plain = pipeline.online(artifacts, mu, mode="plain", coarse_traj=coarse)
+        rect = pipeline.online(artifacts, mu, coarse_traj=coarse)
+        assert err(rect.trajectory) < err(plain.trajectory) < err(lifted)
+
+
+class TestLift:
+    def test_projected_lift_is_the_coefficient_map(self, study):
+        config, artifacts = study
+        ctx = artifacts.context()
+        coarse = pipeline.solve_coarse(config, ctx.coarse, 2.0, fine=ctx.fine)
+        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid)
+        assert lifted.values.shape == (ctx.fine.grid.steps + 1,
+                                       ctx.fine.mesh.n_nodes)
+        want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
+        got = coarse_to_fine_coefficients(coarse, artifacts.basis,
+                                          ctx.fine.forms, ctx.fine.grid)
+        assert np.array_equal(got, want)
+
+
+class TestRectification:
+    def test_exact_reproduction_with_square_training_set(self, rng):
+        # With k = N training runs and delta = 0 every per-time-index system
+        # is square and nonsingular, so the maps send the lifted coarse
+        # coefficients of each run exactly to its fine coefficients.
+        fine_mesh = mesh.build_structured(8, 8)
+        coarse_mesh = mesh.build_structured(4, 4)
+        forms = fem.assemble(fine_mesh, bc="neumann_natural")
+        fine_grid = TimeGrid(0.0, 1.0, 8)
+        coarse_grid = TimeGrid(0.0, 1.0, 4)
+        params = [1.0, 2.0, 3.0]
+        fine_trajs = {p: FieldTrajectory(
+            mesh=fine_mesh, grid=fine_grid, parameter=p,
+            values=rng.standard_normal((9, fine_mesh.n_nodes)))
+            for p in params}
+        coarse_trajs = {p: FieldTrajectory(
+            mesh=coarse_mesh, grid=coarse_grid, parameter=p,
+            values=rng.standard_normal((5, coarse_mesh.n_nodes)))
+            for p in params}
+        snaps = np.vstack([t.values for t in fine_trajs.values()])
+        modes, _ = rb.pod(snaps, forms, 3)
+        basis = rb.ReducedBasis(mesh=fine_mesh, modes=modes)
+
+        tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
+                                     fine_grid, delta=0.0)
+        assert tensor.delta_mode == "absolute"
+        assert np.all(tensor.deltas == 0.0)
+        for p in params:
+            lifted = coarse_to_fine_coefficients(coarse_trajs[p], basis, forms,
+                                                 fine_grid)
+            got = apply_rectification(tensor, lifted)
+            want = rb.coefficients(basis, forms, fine_trajs[p].values)
+            assert np.abs(got - want).max() <= 1e-10
+
+    def test_mismatched_training_sets_rejected(self, study):
+        config, artifacts = study
+        ctx = artifacts.context()
+        fine = {1.0: pipeline.solve_fine(config, ctx.fine, 1.0)}
+        coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0,
+                                             fine=ctx.fine)}
+        with pytest.raises(ValueError, match="differ"):
+            build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
+                                ctx.fine.grid)
