@@ -98,12 +98,11 @@ def cmd_online(args):
     print(f"trajectory written to {traj_path}")
 
     if config.problem == "heat" and float(result.parameter) == 1.0:
-        forms = artifacts.context().fine.forms
         report = pipeline.evaluate_errors(
             result.trajectory,
             pipeline.AnalyticReference(models.manufactured_u,
                                        models.manufactured_grad),
-            forms)
+            artifacts.fine.forms)
         rows = [["t", "err_l2", f"err_{report.energy_norm}"]]
         times = result.trajectory.grid.times()
         for k, t in enumerate(times):
@@ -123,15 +122,14 @@ def cmd_errors(args):
     config = _read_config(args.config)
     artifacts = pipeline.load_artifacts(config)
     param = _parse_param(config, args.mu)
-    ctx = artifacts.context()
-    fine_traj = pipeline.solve_fine(config, ctx.fine, param)
-    coarse_traj = pipeline.solve_coarse(config, ctx.coarse, param,
-                                        fine=ctx.fine)
-    lifted = pipeline.lift_coarse(coarse_traj, artifacts.fine_mesh,
-                                  artifacts.fine_grid)
+    fine = artifacts.fine
+    fine_traj = pipeline.solve_fine(config, fine, param)
+    coarse_traj = pipeline.solve_coarse(config, artifacts.coarse, param,
+                                        fine=fine)
+    lifted = pipeline.lift_coarse(coarse_traj, fine.mesh, fine.grid)
 
     reports = {"coarse": pipeline.evaluate_errors(lifted, fine_traj,
-                                                  ctx.fine.forms)}
+                                                  fine.forms)}
     for mode, name in (("plain", "nirb"), ("rectified", "rect")):
         try:
             result = pipeline.online(artifacts, param, mode=mode,
@@ -139,12 +137,12 @@ def cmd_errors(args):
         except ValueError as exc:
             raise CliError("bad-parameter", str(exc)) from exc
         reports[name] = pipeline.evaluate_errors(result.trajectory, fine_traj,
-                                                 ctx.fine.forms)
+                                                 fine.forms)
 
     energy = reports["coarse"].energy_norm
     rows = [["t"] + [f"err_{m}_{n}" for m in ("coarse", "nirb", "rect")
                      for n in ("l2", energy)]]
-    times = artifacts.fine_grid.times()
+    times = fine.grid.times()
     for k, t in enumerate(times):
         row = [t]
         for m in ("coarse", "nirb", "rect"):

@@ -35,16 +35,29 @@ def triangle_geometry(mesh):
 
 @dataclass
 class AssembledForms:
-    """Assembled bilinear forms for one mesh plus the data needed to rebuild
-    coefficient-weighted mass matrices without re-sorting indices."""
+    """Assembled bilinear forms for one mesh plus its quadrature geometry.
+
+    ``areas``, ``b`` and ``c`` are the element areas and P1 gradient
+    coefficients of ``triangle_geometry``; ``mid_x`` and ``mid_y`` are the
+    edge-midpoint coordinates, shape (n_tris, 3) in midpoint order 01, 12,
+    20.  ``_scatter`` maps element-matrix entries to positions of the shared
+    sparsity pattern, so coefficient-weighted mass matrices need no re-sort,
+    and ``_edge_nodes`` lists the vertex each midpoint load contribution
+    lands on (edge 01 of every triangle, then 12, then 20, each vertex pair
+    in turn), so a load vector is one ``bincount``."""
 
     mesh: object
     mass: SparseSym
     stiffness: SparseSym
     free_dofs: np.ndarray
     bc: str
-    _scatter: np.ndarray = field(repr=False, default=None)   # (n_tris, 3, 3)
-    _areas: np.ndarray = field(repr=False, default=None)
+    areas: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    mid_x: np.ndarray = field(repr=False)
+    mid_y: np.ndarray = field(repr=False)
+    _scatter: np.ndarray = field(repr=False)      # (n_tris, 3, 3)
+    _edge_nodes: np.ndarray = field(repr=False)   # (6 n_tris,)
     _cache: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -64,10 +77,8 @@ class AssembledForms:
     def lumped_mass(self):
         """Row sums of the mass matrix (the nodal area shares)."""
         if "lumped" not in self._cache:
-            counts = np.diff(self.mass.indptr)
             self._cache["lumped"] = np.add.reduceat(
                 self.mass.vals, self.mass.indptr[:-1])
-            assert self._cache["lumped"].size == counts.size
         return self._cache["lumped"]
 
     def weighted_mass(self, midpoint_coeffs):
@@ -75,7 +86,7 @@ class AssembledForms:
         midpoints of every triangle (shape (n_tris, 3), midpoint order
         01, 12, 20).  Shares the pattern of ``mass``."""
         cw = np.asarray(midpoint_coeffs, dtype=float)
-        scale = self._areas / 12.0
+        scale = self.areas / 12.0
         blocks = (np.multiply.outer(cw[:, 0] * scale, _P01)
                   + np.multiply.outer(cw[:, 1] * scale, _P12)
                   + np.multiply.outer(cw[:, 2] * scale, _P20))
@@ -117,42 +128,39 @@ def assemble(mesh, bc="dirichlet_zero"):
         free = np.flatnonzero(~mesh.boundary_mask)
     else:
         free = np.arange(mesh.n_nodes)
+    p = mesh.nodes[tri]
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(), tri[:, [1, 2]].ravel(),
+                                 tri[:, [2, 0]].ravel()])
     return AssembledForms(mesh=mesh, mass=mass, stiffness=stiffness,
-                          free_dofs=free, bc=bc,
+                          free_dofs=free, bc=bc, areas=areas, b=b, c=c,
+                          mid_x=mids[..., 0], mid_y=mids[..., 1],
                           _scatter=scatter.reshape(n_tris, 3, 3),
-                          _areas=areas)
+                          _edge_nodes=edge_nodes)
 
 
-def load_from_midpoint_values(mesh, values, areas=None):
+def load_from_midpoint_values(forms, values):
     """Weak load vector from integrand values at the edge midpoints.
 
     values has shape (n_tris, 3) in midpoint order 01, 12, 20.  Each midpoint
     carries weight area/3 and the two adjacent P1 basis functions take value
     1/2 there."""
-    if areas is None:
-        areas, _, _ = triangle_geometry(mesh)
-    tri = mesh.triangles
-    w = (areas / 6.0)[:, None] * np.asarray(values, dtype=float)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, tri[:, [0, 1]], w[:, [0]])
-    np.add.at(out, tri[:, [1, 2]], w[:, [1]])
-    np.add.at(out, tri[:, [2, 0]], w[:, [2]])
-    return out
+    w = (forms.areas / 6.0)[:, None] * np.asarray(values, dtype=float)
+    return np.bincount(forms._edge_nodes,
+                       weights=np.repeat(w.T, 2, axis=1).ravel(),
+                       minlength=forms.n_dofs)
 
 
-def load_vector(mesh, f, t):
+def load_vector(forms, f, t):
     """Assemble b_i = integral of f(t, x, y) * phi_i with the three-midpoint
     rule (exact for quadratic integrands)."""
-    p = mesh.nodes[mesh.triangles]
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))
-    fv = np.asarray(f(t, mids[..., 0], mids[..., 1]), dtype=float)
-    fv = np.broadcast_to(fv, mids.shape[:2])
+    mx, my = forms.mid_x, forms.mid_y
+    fv = np.broadcast_to(np.asarray(f(t, mx, my), dtype=float), mx.shape)
     if not np.isfinite(fv).all():
         k, q = np.argwhere(~np.isfinite(fv))[0]
-        xq, yq = mids[k, q]
         raise ValueError(
-            f"source term is not finite at t={t}, (x, y)=({xq}, {yq})")
-    return load_from_midpoint_values(mesh, fv)
+            f"source term is not finite at t={t}, (x, y)=({mx[k, q]}, {my[k, q]})")
+    return load_from_midpoint_values(forms, fv)
 
 
 def norms(forms, v):
@@ -174,14 +182,8 @@ def difference_norms(forms, u_nodal, u_fn, grad_fn, t):
     structured meshes (the discrete field is supercloser to the interpolant
     than to the function), so the comparison is made under quadrature.
     Returns (err_l2, err_h1, ref_l2, ref_h1)."""
-    mesh = forms.mesh
-    cache = forms._cache
-    if "quad_geom" not in cache:
-        areas, b, c = triangle_geometry(mesh)
-        p = mesh.nodes[mesh.triangles]
-        mids = 0.5 * (p + np.roll(p, -1, axis=1))
-        cache["quad_geom"] = (areas, b, c, mids[..., 0], mids[..., 1])
-    areas, b, c, mx, my = cache["quad_geom"]
+    areas, b, c = forms.areas, forms.b, forms.c
+    mx, my = forms.mid_x, forms.mid_y
     w = areas / 3.0
 
     uh_mid = forms.midpoint_values(u_nodal)
@@ -189,7 +191,7 @@ def difference_norms(forms, u_nodal, u_fn, grad_fn, t):
     err_l2 = np.sqrt((w[:, None] * (uh_mid - u_mid) ** 2).sum())
     ref_l2 = np.sqrt((w[:, None] * u_mid ** 2).sum())
 
-    ue = np.asarray(u_nodal)[mesh.triangles]
+    ue = np.asarray(u_nodal)[forms.mesh.triangles]
     gxh = (ue * b).sum(1) / (2.0 * areas)
     gyh = (ue * c).sum(1) / (2.0 * areas)
     gx, gy = grad_fn(t, mx, my)
@@ -214,18 +216,16 @@ def ritz_projection(forms, u, cg_tol=1e-12):
             raise ValueError(f"nodal field has shape {u.shape}, expected ({forms.n_dofs},)")
         g = forms.stiffness.matvec(u)
     elif callable(u):
-        areas, b, c = triangle_geometry(forms.mesh)
-        p = forms.mesh.nodes[forms.mesh.triangles]
-        mids = 0.5 * (p + np.roll(p, -1, axis=1))
-        gx, gy = u(mids[..., 0], mids[..., 1])
-        gx = np.broadcast_to(np.asarray(gx, dtype=float), mids.shape[:2])
-        gy = np.broadcast_to(np.asarray(gy, dtype=float), mids.shape[:2])
+        gx, gy = u(forms.mid_x, forms.mid_y)
+        gx = np.broadcast_to(np.asarray(gx, dtype=float), forms.mid_x.shape)
+        gy = np.broadcast_to(np.asarray(gy, dtype=float), forms.mid_x.shape)
         # grad(phi_i) is constant per element: (b_i, c_i) / (2 A), and each
         # midpoint carries weight A/3, so the element contribution is
         # (sum_q gx_q) b_i / 6 + (sum_q gy_q) c_i / 6.
-        contrib = (gx.sum(axis=1)[:, None] * b + gy.sum(axis=1)[:, None] * c) / 6.0
-        g = np.zeros(forms.n_dofs)
-        np.add.at(g, forms.mesh.triangles.ravel(), contrib.ravel())
+        contrib = (gx.sum(axis=1)[:, None] * forms.b
+                   + gy.sum(axis=1)[:, None] * forms.c) / 6.0
+        g = np.bincount(forms.mesh.triangles.ravel(), weights=contrib.ravel(),
+                        minlength=forms.n_dofs)
     else:
         raise TypeError("u must be a nodal array or a gradient callable")
     out = np.zeros(forms.n_dofs)

@@ -100,7 +100,7 @@ def _heat_march(forms, mu, f, u0, grid, cg_tol, scheme):
         t_src = times[k] if scheme == "euler" else times[k] - 0.5 * dt
         rhs = rhs_mat.matvec(uf)
         if f is not None:
-            rhs = rhs + dt * load_vector(forms.mesh, f, t_src)[free]
+            rhs = rhs + dt * load_vector(forms, f, t_src)[free]
         try:
             uf, _ = cg_solve(lhs, rhs, tol=cg_tol, x0=uf)
         except ConvergenceError as exc:
@@ -140,9 +140,9 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
         m2 = forms.midpoint_values(u2)
         r1, r2 = brusselator_rhs((a, b, alpha), m1, m2)
         g1 = diff.matvec(u1) - M.matvec(state[:n]) / dt \
-            - load_from_midpoint_values(forms.mesh, r1, areas=forms._areas)
+            - load_from_midpoint_values(forms, r1)
         g2 = diff.matvec(u2) - M.matvec(state[n:]) / dt \
-            - load_from_midpoint_values(forms.mesh, r2, areas=forms._areas)
+            - load_from_midpoint_values(forms, r2)
         return np.concatenate([g1, g2]), m1, m2
 
     u = state.copy()

@@ -4,7 +4,13 @@ Artifact and trajectory files are little-endian throughout: a four-byte
 magic, a u32 format version, then a fixed sequence of blocks, each framed as
 u32 payload length, payload, u32 CRC-32 of the payload.  Loads verify every
 checksum and fail naming the offending section; writes go through a
-temporary file and an atomic rename."""
+temporary file and an atomic rename.
+
+An artifact file holds three blocks: the study config, the reduced basis
+and the rectification maps.  The meshes, time grids and assembled forms are
+not stored: loading rebuilds them from the config with
+``pipeline.discretize``.  A trajectory file holds its mesh, its time grid
+and the values."""
 
 from __future__ import annotations
 
@@ -22,10 +28,9 @@ from nirb.reduced_basis import ReducedBasis
 
 MAGIC = b"NIRB"
 TRAJ_MAGIC = b"NTRJ"
-VERSION = 2
+VERSION = 3
 
-ARTIFACT_BLOCKS = ("fine mesh", "coarse mesh", "fine grid", "coarse grid",
-                   "basis", "rectification", "config")
+ARTIFACT_BLOCKS = ("config", "basis", "rectification")
 TRAJ_BLOCKS = ("mesh", "grid", "values")
 
 
@@ -238,33 +243,22 @@ def decode_config(buf):
 
 
 def save_artifacts(path, artifacts):
-    _write_file(path, MAGIC, [
-        encode_mesh(artifacts.fine_mesh),
-        encode_mesh(artifacts.coarse_mesh),
-        encode_grid(artifacts.fine_grid),
-        encode_grid(artifacts.coarse_grid),
-        encode_basis(artifacts.basis),
-        encode_tensor(artifacts.tensor),
-        encode_config(artifacts.config),
-    ])
+    _write_file(path, MAGIC, [encode_config(artifacts.config),
+                              encode_basis(artifacts.basis),
+                              encode_tensor(artifacts.tensor)])
 
 
 def load_artifacts(path):
-    from nirb.pipeline import OfflineArtifacts
+    from nirb.pipeline import OfflineArtifacts, discretize
 
     blocks = _read_file(path, MAGIC, ARTIFACT_BLOCKS, "artifact")
-    fine_mesh = decode_mesh(blocks[0], "fine mesh")
-    coarse_mesh = decode_mesh(blocks[1], "coarse mesh")
-    fine_grid = decode_grid(blocks[2], "fine grid")
-    coarse_grid = decode_grid(blocks[3], "coarse grid")
-    basis = decode_basis(blocks[4], fine_mesh)
-    tensor = decode_tensor(blocks[5])
-    config = decode_config(blocks[6])
+    config = decode_config(blocks[0])
+    fine, coarse = discretize(config)
+    basis = decode_basis(blocks[1], fine.mesh)
+    tensor = decode_tensor(blocks[2])
     try:
-        return OfflineArtifacts(config=config, fine_mesh=fine_mesh,
-                                coarse_mesh=coarse_mesh, fine_grid=fine_grid,
-                                coarse_grid=coarse_grid, basis=basis,
-                                tensor=tensor).validate()
+        return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
+                                fine=fine, coarse=coarse).validate()
     except ValueError as exc:
         raise ArtifactError("corrupt-artifacts",
                             f"inconsistent artifact contents: {exc}") from exc

@@ -32,14 +32,13 @@ class SparseSym:
     these invariants are checked on construction unless ``check=False``.
     """
 
-    __slots__ = ("n", "indptr", "indices", "vals", "symmetric", "_diag")
+    __slots__ = ("n", "indptr", "indices", "vals", "_diag")
 
     def __init__(self, n, indptr, indices, vals, check=True):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=float)
-        self.symmetric = True
         self._diag = None
         if self.n < 1:
             raise ValueError("matrix dimension must be at least 1")

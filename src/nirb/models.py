@@ -40,7 +40,6 @@ class BrusselatorProblem:
     a: float
     b: float
     alpha: float
-    T: float = 5.0
 
     A_RANGE = (2.0, 4.0)
     B_RANGE = (1.0, 4.0)
@@ -55,10 +54,6 @@ class BrusselatorProblem:
         return (self.A_RANGE[0] <= self.a <= self.A_RANGE[1]
                 and self.B_RANGE[0] <= self.b <= self.B_RANGE[1]
                 and self.ALPHA_RANGE[0] <= self.alpha <= self.ALPHA_RANGE[1])
-
-    @property
-    def fixed_point(self):
-        return self.a, self.b / self.a
 
     def initial_state(self, mesh):
         """Stacked nodal initial data (2 + y/4, 1 + 4x/5)."""

@@ -8,7 +8,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class Discretization:
 
 
 def discretize(config):
-    """Build the fine and coarse discretizations of a study."""
+    """Build the fine and coarse discretizations of a study: the only code
+    that builds meshes, grids and forms and picks the boundary condition."""
     bc = "dirichlet_zero" if config.problem == "heat" else "neumann_natural"
     out = []
     for which in ("fine", "coarse"):
@@ -166,61 +167,44 @@ def fit(config, fine_trajs, coarse_trajs, fine):
 
 
 @dataclass
-class OnlineContext:
-    """Assembled forms for both meshes, rebuilt from persisted artifacts."""
+class OfflineArtifacts:
+    """Everything the online stage needs: the study config, the reduced
+    basis, the rectification maps, and the fine and coarse discretizations.
 
+    The discretizations are what ``discretize(config)`` builds; only the
+    config, the basis and the maps are persisted, and loading rebuilds the
+    rest from the config."""
+
+    config: object
+    basis: object
+    tensor: object
     fine: Discretization
     coarse: Discretization
 
+    @property
+    def fine_mesh(self):
+        return self.fine.mesh
 
-@dataclass
-class OfflineArtifacts:
-    """Everything the online stage needs, plus a config echo.
-
-    The context (assembled matrices) is derived data: it is rebuilt on demand
-    after loading from disk and never persisted."""
-
-    config: object
-    fine_mesh: object
-    coarse_mesh: object
-    fine_grid: TimeGrid
-    coarse_grid: TimeGrid
-    basis: object
-    tensor: object
-    _ctx: OnlineContext = field(default=None, repr=False, compare=False)
+    def context(self):
+        """The discretizations, as an object with ``.fine`` and ``.coarse``."""
+        return self
 
     def validate(self):
         if self.basis.N != self.tensor.N:
             raise ValueError(f"basis has {self.basis.N} modes but the "
                              f"rectification maps are {self.tensor.N}-dimensional")
-        if self.tensor.n_times != self.fine_grid.steps + 1:
+        if self.tensor.n_times != self.fine.grid.steps + 1:
             raise ValueError(f"{self.tensor.n_times} rectification maps for "
-                             f"{self.fine_grid.steps + 1} fine time knots")
-        if (self.coarse_grid.t0 != self.fine_grid.t0
-                or self.coarse_grid.T != self.fine_grid.T):
-            raise ValueError("fine and coarse grids span different windows")
-        if self.basis.modes.shape[1] != self.basis.n_fields * self.fine_mesh.n_nodes:
+                             f"{self.fine.grid.steps + 1} fine time knots")
+        if self.basis.modes.shape[1] != self.basis.n_fields * self.fine.mesh.n_nodes:
             raise ValueError("basis width does not match the fine mesh")
         return self
-
-    def context(self):
-        if self._ctx is None:
-            bc = ("dirichlet_zero" if self.config.problem == "heat"
-                  else "neumann_natural")
-            self._ctx = OnlineContext(
-                fine=Discretization(self.fine_mesh, assemble(self.fine_mesh, bc),
-                                    self.fine_grid),
-                coarse=Discretization(self.coarse_mesh,
-                                      assemble(self.coarse_mesh, bc),
-                                      self.coarse_grid))
-        return self._ctx
 
 
 def offline(config, persist=True):
     """Offline stage: fine snapshots, coarse snapshots, basis, rectification.
 
-    With persist=True the artifact file and the coarse training trajectories
-    land in config.output_dir."""
+    With persist=True the artifact file lands in config.output_dir."""
     config.validate()
     fine, coarse = discretize(config)
     params = config.training_parameters()
@@ -230,19 +214,12 @@ def offline(config, persist=True):
     fine_trajs = _solve_sweep(config, fine, params, "fine")
     coarse_trajs = _solve_sweep(config, coarse, params, "coarse", fine=fine)
     basis, tensor = fit(config, fine_trajs, coarse_trajs, fine)
-
-    artifacts = OfflineArtifacts(
-        config=config, fine_mesh=fine.mesh, coarse_mesh=coarse.mesh,
-        fine_grid=fine.grid, coarse_grid=coarse.grid, basis=basis,
-        tensor=tensor, _ctx=OnlineContext(fine=fine, coarse=coarse)).validate()
-
+    artifacts = OfflineArtifacts(config=config, basis=basis, tensor=tensor,
+                                 fine=fine, coarse=coarse).validate()
     if persist:
-        outdir = config.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        io.save_artifacts(os.path.join(outdir, ARTIFACT_FILE), artifacts)
-        for i, p in enumerate(params):
-            io.save_trajectory(os.path.join(outdir, f"coarse_{i:03d}.traj"),
-                               coarse_trajs[p])
+        os.makedirs(config.output_dir, exist_ok=True)
+        io.save_artifacts(os.path.join(config.output_dir, ARTIFACT_FILE),
+                          artifacts)
     return artifacts
 
 
@@ -286,20 +263,19 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
             raise ValueError(message)
         log.warning(message)
 
-    ctx = artifacts.context()
+    fine = artifacts.fine
     t_start = time.perf_counter()
     if coarse_traj is None:
-        coarse_traj = solve_coarse(config, ctx.coarse, key, fine=ctx.fine)
+        coarse_traj = solve_coarse(config, artifacts.coarse, key, fine=fine)
     seconds_coarse = time.perf_counter() - t_start
 
     t_start = time.perf_counter()
     coeffs = coarse_to_fine_coefficients(coarse_traj, artifacts.basis,
-                                         ctx.fine.forms, artifacts.fine_grid)
+                                         fine.forms, fine.grid)
     if mode == "rectified":
         coeffs = apply_rectification(artifacts.tensor, coeffs)
     values = reconstruct(artifacts.basis, coeffs)
-    trajectory = FieldTrajectory(mesh=artifacts.fine_mesh,
-                                 grid=artifacts.fine_grid, values=values,
+    trajectory = FieldTrajectory(mesh=fine.mesh, grid=fine.grid, values=values,
                                  parameter=key, n_fields=artifacts.basis.n_fields)
     seconds_reconstruct = time.perf_counter() - t_start
     log.info("online %s at %s: coarse solve %.3fs, reconstruction %.3fs",
@@ -315,7 +291,7 @@ class ErrorReport:
 
     The energy norm is the H1 seminorm for Dirichlet problems and the full
     H1 norm for Neumann ones; multi-component fields combine their species
-    in quadrature and also report per-species relatives."""
+    in quadrature."""
 
     parameter: object
     energy_norm: str
@@ -323,41 +299,36 @@ class ErrorReport:
     rel_energy: float
     l2_curve: np.ndarray
     energy_curve: np.ndarray
-    ref_l2_sup: float
-    ref_energy_sup: float
-    field_rel_l2: tuple = ()
-    field_rel_energy: tuple = ()
 
 
 @dataclass(frozen=True)
 class AnalyticReference:
-    """Closed-form reference u(t, x, y), optionally with its gradient.
+    """Closed-form reference u(t, x, y) with its gradient grad(t, x, y).
 
-    With the gradient supplied, error norms integrate the continuous
-    difference by the midpoint rule.  Without it the reference is sampled
-    at the nodes, which on structured meshes measures the superconvergent
-    distance to the interpolant instead of the O(h) energy error, so prefer
-    passing the gradient whenever rates matter."""
+    Error norms integrate the continuous difference by the midpoint rule;
+    sampling the reference at the nodes would measure the superconvergent
+    distance to the interpolant instead of the O(h) energy error."""
 
     u: object
-    grad: object = None
+    grad: object
 
-    def __call__(self, t, x, y):
-        return self.u(t, x, y)
+
+def energy_norm(forms):
+    """Name of the energy norm of a form set: 'h10' (the H1 seminorm) under
+    Dirichlet conditions, 'h1' (the full H1 norm) under Neumann ones."""
+    return "h10" if forms.bc == "dirichlet_zero" else "h1"
 
 
 def _norm_curves(forms, values, n_fields, energy):
-    """Per-knot (L2, energy) curves of stacked fields, combined and split."""
-    parts = np.split(np.asarray(values, dtype=float), n_fields, axis=-1)
-    l2_f, en_f = [], []
-    for p in parts:
-        l2, h1 = norms(forms, p)
-        l2_f.append(l2)
-        en_f.append(np.sqrt(l2 ** 2 + h1 ** 2) if energy == "h1" else h1)
-    l2_f = np.stack(l2_f)
-    en_f = np.stack(en_f)
-    return (np.sqrt((l2_f ** 2).sum(0)), np.sqrt((en_f ** 2).sum(0)),
-            l2_f, en_f)
+    """Per-knot (L2, energy) curves of stacked fields, species combined in
+    quadrature."""
+    l2sq = ensq = 0.0
+    for part in np.split(np.asarray(values, dtype=float), n_fields, axis=-1):
+        l2, h1 = norms(forms, part)
+        en = np.sqrt(l2 ** 2 + h1 ** 2) if energy == "h1" else h1
+        l2sq = l2sq + l2 ** 2
+        ensq = ensq + en ** 2
+    return np.sqrt(l2sq), np.sqrt(ensq)
 
 
 def _rel(err_sup, ref_sup):
@@ -369,39 +340,25 @@ def _rel(err_sup, ref_sup):
 def evaluate_errors(candidate, reference, forms):
     """Relative sup-in-time errors of a trajectory against a reference.
 
-    The reference is another trajectory on the same mesh and grid, or a
-    callable u(t, x, y) sampled at the nodes (single-component only).
-    Relative errors divide the sup-in-time error by the sup-in-time
-    reference norm, so a uniformly scaled candidate c = (1+s) u reports s
-    exactly in every norm."""
+    The reference is another trajectory on the same mesh and grid, or an
+    ``AnalyticReference`` (single-component candidates only).  Relative
+    errors divide the sup-in-time error by the sup-in-time reference norm,
+    so a uniformly scaled candidate c = (1+s) u reports s exactly in every
+    norm."""
     n_fields = candidate.n_fields
-    if callable(reference):
+    energy = energy_norm(forms)
+    if isinstance(reference, AnalyticReference):
         if n_fields != 1:
             raise ValueError("analytic references support single fields only")
-        grad = getattr(reference, "grad", None)
-        if grad is not None:
-            energy = "h10" if forms.bc == "dirichlet_zero" else "h1"
-            rows = [difference_norms(forms, candidate.values[k], reference,
-                                     grad, t)
-                    for k, t in enumerate(candidate.grid.times())]
-            el2, eh1, rl2, rh1 = (np.asarray(v) for v in zip(*rows))
-            if energy == "h1":
-                een = np.sqrt(el2 ** 2 + eh1 ** 2)
-                ren = np.sqrt(rl2 ** 2 + rh1 ** 2)
-            else:
-                een, ren = eh1, rh1
-            rel_l2 = _rel(el2.max(), rl2.max())
-            rel_en = _rel(een.max(), ren.max())
-            return ErrorReport(
-                parameter=candidate.parameter if candidate.parameter
-                is not None else "analytic",
-                energy_norm=energy, rel_l2=rel_l2, rel_energy=rel_en,
-                l2_curve=el2, energy_curve=een,
-                ref_l2_sup=float(rl2.max()), ref_energy_sup=float(ren.max()),
-                field_rel_l2=(rel_l2,), field_rel_energy=(rel_en,))
-        x, y = candidate.mesh.nodes[:, 0], candidate.mesh.nodes[:, 1]
-        ref_values = np.stack([reference(t, x, y)
-                               for t in candidate.grid.times()])
+        rows = [difference_norms(forms, candidate.values[k], reference.u,
+                                 reference.grad, t)
+                for k, t in enumerate(candidate.grid.times())]
+        err_l2, err_h1, ref_l2, ref_h1 = (np.asarray(v) for v in zip(*rows))
+        if energy == "h1":
+            err_en = np.sqrt(err_l2 ** 2 + err_h1 ** 2)
+            ref_en = np.sqrt(ref_l2 ** 2 + ref_h1 ** 2)
+        else:
+            err_en, ref_en = err_h1, ref_h1
         ref_param = "analytic"
     else:
         if reference.mesh.n_nodes != candidate.mesh.n_nodes:
@@ -412,14 +369,10 @@ def evaluate_errors(candidate, reference, forms):
             raise ValueError("candidate and reference time grids differ")
         if reference.n_fields != n_fields:
             raise ValueError("candidate and reference field counts differ")
-        ref_values = reference.values
+        err_l2, err_en = _norm_curves(forms, candidate.values - reference.values,
+                                      n_fields, energy)
+        ref_l2, ref_en = _norm_curves(forms, reference.values, n_fields, energy)
         ref_param = reference.parameter
-
-    energy = "h10" if forms.bc == "dirichlet_zero" else "h1"
-    err_l2, err_en, err_l2_f, err_en_f = _norm_curves(
-        forms, candidate.values - ref_values, n_fields, energy)
-    ref_l2, ref_en, ref_l2_f, ref_en_f = _norm_curves(
-        forms, ref_values, n_fields, energy)
 
     return ErrorReport(
         parameter=candidate.parameter if candidate.parameter is not None
@@ -427,12 +380,7 @@ def evaluate_errors(candidate, reference, forms):
         energy_norm=energy,
         rel_l2=_rel(err_l2.max(), ref_l2.max()),
         rel_energy=_rel(err_en.max(), ref_en.max()),
-        l2_curve=err_l2, energy_curve=err_en,
-        ref_l2_sup=float(ref_l2.max()), ref_energy_sup=float(ref_en.max()),
-        field_rel_l2=tuple(_rel(e.max(), r.max())
-                           for e, r in zip(err_l2_f, ref_l2_f)),
-        field_rel_energy=tuple(_rel(e.max(), r.max())
-                               for e, r in zip(err_en_f, ref_en_f)))
+        l2_curve=err_l2, energy_curve=err_en)
 
 
 def projection_errors(basis, forms, traj):
@@ -445,14 +393,12 @@ def projection_errors(basis, forms, traj):
     return report.rel_l2, report.rel_energy
 
 
-def heat_reference(config, fine, param, fine_traj=None):
+def heat_reference(config, param, fine_traj):
     """Reference trajectory for error reporting: the closed-form solution
     when it applies (mu = 1), otherwise the fine solve itself."""
     if config.problem == "heat" and float(param) == 1.0:
         return AnalyticReference(models.manufactured_u, models.manufactured_grad)
-    if fine_traj is not None:
-        return fine_traj
-    return solve_fine(config, fine, param)
+    return fine_traj
 
 
 @dataclass
@@ -523,8 +469,7 @@ def leave_one_out(config):
         rows.append(LooRow(parameter=p, rectified=rect_en,
                            projection=proj_en, coarse=coarse_en))
 
-    energy = "h10" if config.problem == "heat" else "h1"
-    return LooReport(energy_norm=energy, rows=rows,
+    return LooReport(energy_norm=energy_norm(fine.forms), rows=rows,
                      max_rectified=max(r.rectified for r in rows),
                      max_projection=max(r.projection for r in rows),
                      max_coarse=max(r.coarse for r in rows))
@@ -621,34 +566,34 @@ def convergence_study(config, coupling=None):
         raise ValueError("empty mesh ladder")
     test_param = config.test_parameter()
     levels = []
-    energy = "h10" if config.problem == "heat" else "h1"
 
     for n in config.study_levels:
         cfg = level_config(config, n, coupling)
         artifacts = offline(cfg, persist=False)
-        ctx = artifacts.context()
-        fine_traj = solve_fine(cfg, ctx.fine, test_param)
-        reference = heat_reference(cfg, ctx.fine, test_param, fine_traj)
-        coarse_traj = solve_coarse(cfg, ctx.coarse, test_param, fine=ctx.fine)
+        fine, coarse = artifacts.fine, artifacts.coarse
+        energy = energy_norm(fine.forms)
+        fine_traj = solve_fine(cfg, fine, test_param)
+        reference = heat_reference(cfg, test_param, fine_traj)
+        coarse_traj = solve_coarse(cfg, coarse, test_param, fine=fine)
 
         errors = {}
-        if callable(reference):
-            rep = evaluate_errors(fine_traj, reference, ctx.fine.forms)
+        if isinstance(reference, AnalyticReference):
+            rep = evaluate_errors(fine_traj, reference, fine.forms)
             errors["fine", "l2"], errors["fine", "energy"] = rep.rel_l2, rep.rel_energy
         else:
             errors["fine", "l2"] = errors["fine", "energy"] = 0.0
-        lifted = lift_coarse(coarse_traj, artifacts.fine_mesh, artifacts.fine_grid)
-        rep = evaluate_errors(lifted, reference, ctx.fine.forms)
+        lifted = lift_coarse(coarse_traj, fine.mesh, fine.grid)
+        rep = evaluate_errors(lifted, reference, fine.forms)
         errors["coarse", "l2"], errors["coarse", "energy"] = rep.rel_l2, rep.rel_energy
         for mode, name in (("plain", "nirb"), ("rectified", "rect")):
             result = online(artifacts, test_param, mode=mode,
                             coarse_traj=coarse_traj)
-            rep = evaluate_errors(result.trajectory, reference, ctx.fine.forms)
+            rep = evaluate_errors(result.trajectory, reference, fine.forms)
             errors[name, "l2"], errors[name, "energy"] = rep.rel_l2, rep.rel_energy
 
-        levels.append(StudyLevel(n=n, h=ctx.fine.mesh.h, H=ctx.coarse.mesh.h,
-                                 dt_fine=ctx.fine.grid.dt,
-                                 dt_coarse=ctx.coarse.grid.dt, errors=errors))
+        levels.append(StudyLevel(n=n, h=fine.mesh.h, H=coarse.mesh.h,
+                                 dt_fine=fine.grid.dt,
+                                 dt_coarse=coarse.grid.dt, errors=errors))
         log.info("level %d done: rect %s error %.3e", n, energy,
                  errors["rect", "energy"])
 

@@ -1,0 +1,44 @@
+"""The names the benchmark harness reaches in ``nirb``.
+
+The benchmark's tracer skips a missing target and counts it as absent
+instead of failing, so a deletion or rename inside ``nirb`` would only show
+as a changed ``trace.absent``; these tests make it fail here instead."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from nirb import pipeline
+from nirb.config import StudyConfig
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def _tracer_targets():
+    # dataclasses resolve their module through sys.modules while the
+    # module body runs, so register it before executing it
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("target", _tracer_targets(),
+                         ids=lambda t: f"{t.module}.{t.attr}")
+def test_trace_target_resolves(target):
+    module = importlib.import_module(target.module)
+    assert callable(getattr(module, target.attr, None))
+
+
+def test_artifacts_expose_the_discretizations(small_heat_text, tmp_path):
+    config = StudyConfig.from_text(small_heat_text + f"output_dir = {tmp_path}\n")
+    built = pipeline.offline(config, persist=True)
+    for artifacts in (built, pipeline.load_artifacts(config)):
+        ctx = artifacts.context()
+        assert ctx.fine.mesh is artifacts.fine_mesh
+        assert ctx.fine.mesh.n_nodes > ctx.coarse.mesh.n_nodes
+        assert ctx.fine.grid.steps == config.fine_steps
+        assert ctx.coarse.grid.steps == config.coarse_steps

@@ -70,13 +70,13 @@ def test_lumped_mass_partition(neumann_forms_4):
     assert np.all(lump > 0.0)
 
 
-def test_load_vector_constant_forcing(unit_mesh_4):
-    b = fem.load_vector(unit_mesh_4, lambda t, x, y: np.ones_like(x), 0.0)
+def test_load_vector_constant_forcing(neumann_forms_4):
+    b = fem.load_vector(neumann_forms_4, lambda t, x, y: np.ones_like(x), 0.0)
     assert b.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_load_vector_zero_forcing(unit_mesh_4):
-    b = fem.load_vector(unit_mesh_4, lambda t, x, y: np.zeros_like(x), 0.0)
+def test_load_vector_zero_forcing(neumann_forms_4):
+    b = fem.load_vector(neumann_forms_4, lambda t, x, y: np.zeros_like(x), 0.0)
     assert np.abs(b).max() == 0.0
 
 
@@ -84,7 +84,7 @@ def test_load_vector_affine_matches_mass(unit_mesh_4, neumann_forms_4):
     # The three-midpoint rule integrates quadratics exactly, so for an affine
     # f the load equals M f_nodal entrywise.
     f = lambda t, x, y: 2.0 * x - y + 0.5
-    b = fem.load_vector(unit_mesh_4, f, 0.0)
+    b = fem.load_vector(neumann_forms_4, f, 0.0)
     fn = f(0.0, unit_mesh_4.nodes[:, 0], unit_mesh_4.nodes[:, 1])
     assert b == pytest.approx(neumann_forms_4.mass.matvec(fn), abs=1e-13)
 
@@ -110,7 +110,7 @@ def test_load_from_midpoint_values_consistent(unit_mesh_4, neumann_forms_4):
     # with the assembled mass matrix because both use degree-2 exact rules.
     g = unit_mesh_4.nodes[:, 0] * 2.0 + 1.0
     vals = neumann_forms_4.midpoint_values(g)
-    b = fem.load_from_midpoint_values(unit_mesh_4, vals)
+    b = fem.load_from_midpoint_values(neumann_forms_4, vals)
     assert b == pytest.approx(neumann_forms_4.mass.matvec(g), abs=1e-13)
 
 

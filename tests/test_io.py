@@ -29,15 +29,15 @@ class TestArtifacts:
         config, artifacts, path = saved
         loaded = io.load_artifacts(str(path))
         assert loaded.config == config
-        for name in ("fine_mesh", "coarse_mesh"):
-            a, b = getattr(artifacts, name), getattr(loaded, name)
+        for name in ("fine", "coarse"):
+            want, got = getattr(artifacts, name), getattr(loaded, name)
+            a, b = want.mesh, got.mesh
             assert np.array_equal(a.nodes, b.nodes)
             assert np.array_equal(a.triangles, b.triangles)
             assert np.array_equal(a.boundary_mask, b.boundary_mask)
             assert (a.h, a.nx, a.ny, tuple(a.domain)) \
                 == (b.h, b.nx, b.ny, tuple(b.domain))
-        assert loaded.fine_grid == artifacts.fine_grid
-        assert loaded.coarse_grid == artifacts.coarse_grid
+            assert got.grid == want.grid
         assert np.array_equal(loaded.basis.modes, artifacts.basis.modes)
         assert np.array_equal(loaded.basis.eigenvalues,
                               artifacts.basis.eigenvalues)
@@ -56,22 +56,29 @@ class TestArtifacts:
     def test_flipped_payload_byte_is_corrupt(self, saved, tmp_path):
         _, _, path = saved
         # header (8 bytes), then the first block's length word; flip a byte
-        # inside the fine mesh payload so only its checksum can notice
+        # inside the config payload so only its checksum can notice
         def flip(data):
             data[8 + 4 + 40] ^= 0x01
         with pytest.raises(io.ArtifactError) as err:
             io.load_artifacts(_copy_with(path, tmp_path, flip))
         assert err.value.slug == "corrupt-artifacts"
         assert "checksum" in str(err.value)
+        assert "config block" in str(err.value)
 
-    def test_version_one_is_a_mismatch(self, saved, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_is_a_mismatch(self, saved, tmp_path, version):
         _, _, path = saved
 
         def downgrade(data):
-            data[4:8] = struct.pack("<I", 1)
+            data[4:8] = struct.pack("<I", version)
         with pytest.raises(io.ArtifactError) as err:
             io.load_artifacts(_copy_with(path, tmp_path, downgrade))
         assert err.value.slug == "version-mismatch"
+
+    def test_offline_writes_only_the_artifact_file(self, saved):
+        _, _, path = saved
+        assert sorted(p.name for p in path.parent.iterdir()) \
+            == [pipeline.ARTIFACT_FILE]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(io.ArtifactError) as err:

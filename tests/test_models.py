@@ -50,10 +50,6 @@ class TestManufactured:
 
 
 class TestBrusselatorProblem:
-    def test_fixed_point(self):
-        p = models.BrusselatorProblem(3.0, 2.0, 0.008)
-        assert p.fixed_point == pytest.approx((3.0, 2.0 / 3.0))
-
     def test_stability_threshold(self):
         assert models.BrusselatorProblem(2.0, 4.0, 0.01).stable
         assert not models.BrusselatorProblem(2.0, 6.0, 0.01).stable

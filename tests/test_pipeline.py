@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nirb import fem, mesh, pipeline
+from nirb import fem, mesh, models, pipeline
 from nirb import reduced_basis as rb
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
@@ -113,3 +113,36 @@ class TestRectification:
         with pytest.raises(ValueError, match="differ"):
             build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
                                 ctx.fine.grid)
+
+
+class TestEvaluateErrors:
+    @pytest.mark.parametrize("bc, n_fields, norm", [
+        ("neumann_natural", 2, "h1"), ("dirichlet_zero", 1, "h10")])
+    def test_scaled_candidate_reports_the_scale(self, rng, unit_mesh_4, bc,
+                                                n_fields, norm):
+        forms = fem.assemble(unit_mesh_4, bc=bc)
+        grid = TimeGrid(0.0, 1.0, 3)
+        values = rng.standard_normal((4, n_fields * unit_mesh_4.n_nodes))
+        if bc == "dirichlet_zero":
+            values[:, unit_mesh_4.boundary_mask] = 0.0
+        reference = FieldTrajectory(mesh=unit_mesh_4, grid=grid, values=values,
+                                    parameter=1.0, n_fields=n_fields)
+        s = 0.25
+        candidate = FieldTrajectory(mesh=unit_mesh_4, grid=grid,
+                                    values=(1.0 + s) * values, parameter=1.0,
+                                    n_fields=n_fields)
+        report = pipeline.evaluate_errors(candidate, reference, forms)
+        assert report.energy_norm == norm
+        assert report.rel_l2 == pytest.approx(s, abs=1e-14)
+        assert report.rel_energy == pytest.approx(s, abs=1e-14)
+
+    def test_analytic_reference_rejects_two_fields(self, unit_mesh_4,
+                                                   neumann_forms_4):
+        grid = TimeGrid(0.0, 1.0, 2)
+        candidate = FieldTrajectory(
+            mesh=unit_mesh_4, grid=grid, n_fields=2,
+            values=np.zeros((3, 2 * unit_mesh_4.n_nodes)))
+        reference = pipeline.AnalyticReference(models.manufactured_u,
+                                               models.manufactured_grad)
+        with pytest.raises(ValueError, match="single fields"):
+            pipeline.evaluate_errors(candidate, reference, neumann_forms_4)
