@@ -94,7 +94,9 @@ class StudyConfig:
     delta_mode: str = "relative"
     delta_value: float = 1e-10
 
-    # solvers
+    # solvers: cg_tol is the relative residual every heat solve must meet
+    # (each time step of a march, and the Ritz projection); newton_tol is
+    # the reaction-diffusion Newton residual
     cg_tol: float = 1e-10
     newton_tol: float = 1e-10
 
@@ -127,6 +129,10 @@ class StudyConfig:
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.delta_value < 0:
             raise ValueError("delta_value must be nonnegative")
+        for name in ("cg_tol", "newton_tol"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), "
+                                 f"got {getattr(self, name)}")
         if self.problem == "heat":
             if not self.train_mu:
                 raise ValueError("empty training set")

@@ -74,6 +74,17 @@ class AssembledForms:
             self._cache["Kff"] = self.stiffness.restrict(self.free_dofs)
         return self._cache["Kff"]
 
+    def free_load(self, f, t):
+        """Free-dof entries of ``load_vector(self, f, t)``, computed once per
+        (f, t) and returned read-only: a source and its time knots do not
+        depend on the parameter, so every march on these forms shares them."""
+        key = ("load", f, t)
+        if key not in self._cache:
+            load = load_vector(self, f, t)[self.free_dofs]
+            load.flags.writeable = False
+            self._cache[key] = load
+        return self._cache[key]
+
     def lumped_mass(self):
         """Row sums of the mass matrix (the nodal area shares)."""
         if "lumped" not in self._cache:

@@ -4,7 +4,9 @@ Artifact and trajectory files are little-endian throughout: a four-byte
 magic, a u32 format version, then a fixed sequence of blocks, each framed as
 u32 payload length, payload, u32 CRC-32 of the payload.  Loads verify every
 checksum and fail naming the offending section; writes go through a
-temporary file and an atomic rename.
+temporary file and an atomic rename.  Artifact and trajectory files carry
+their own format versions: the trajectory layout has not changed since
+version 1, so every trajectory version up to ``TRAJ_VERSION`` loads.
 
 An artifact file holds three blocks: the study config, the reduced basis
 and the rectification maps.  The meshes, time grids and assembled forms are
@@ -29,6 +31,7 @@ from nirb.reduced_basis import ReducedBasis
 MAGIC = b"NIRB"
 TRAJ_MAGIC = b"NTRJ"
 VERSION = 3
+TRAJ_VERSION = 3
 
 ARTIFACT_BLOCKS = ("config", "basis", "rectification")
 TRAJ_BLOCKS = ("mesh", "grid", "values")
@@ -80,8 +83,8 @@ class _Reader:
                 f"trailing bytes in the {self.section} block")
 
 
-def _write_file(path, magic, blocks):
-    parts = [magic, struct.pack("<I", VERSION)]
+def _write_file(path, magic, version, blocks):
+    parts = [magic, struct.pack("<I", version)]
     for payload in blocks:
         parts.append(struct.pack("<I", len(payload)))
         parts.append(payload)
@@ -94,7 +97,7 @@ def _write_file(path, magic, blocks):
     os.replace(tmp, path)
 
 
-def _read_file(path, magic, names, kind):
+def _read_file(path, magic, versions, names, kind):
     if not os.path.exists(path):
         raise ArtifactError("missing-artifacts",
                             f"no {kind} file at {path}; run the offline stage first")
@@ -103,10 +106,11 @@ def _read_file(path, magic, names, kind):
     if len(data) < 8 or data[:4] != magic:
         raise ArtifactError("corrupt-artifacts", f"{path} is not a {kind} file")
     (version,) = struct.unpack_from("<I", data, 4)
-    if version != VERSION:
+    if version not in versions:
         raise ArtifactError(
             "version-mismatch",
-            f"{kind} format version {version} is unsupported (expected {VERSION})")
+            f"{kind} format version {version} is unsupported (readable: "
+            f"{', '.join(map(str, versions))})")
     off = 8
     out = []
     for name in names:
@@ -243,7 +247,7 @@ def decode_config(buf):
 
 
 def save_artifacts(path, artifacts):
-    _write_file(path, MAGIC, [encode_config(artifacts.config),
+    _write_file(path, MAGIC, VERSION, [encode_config(artifacts.config),
                               encode_basis(artifacts.basis),
                               encode_tensor(artifacts.tensor)])
 
@@ -251,7 +255,7 @@ def save_artifacts(path, artifacts):
 def load_artifacts(path):
     from nirb.pipeline import OfflineArtifacts, discretize
 
-    blocks = _read_file(path, MAGIC, ARTIFACT_BLOCKS, "artifact")
+    blocks = _read_file(path, MAGIC, (VERSION,), ARTIFACT_BLOCKS, "artifact")
     config = decode_config(blocks[0])
     fine, coarse = discretize(config)
     basis = decode_basis(blocks[1], fine.mesh)
@@ -277,12 +281,13 @@ def save_trajectory(path, traj):
         struct.pack("<%dd" % len(flat), *flat),
         np.ascontiguousarray(traj.values, "<f8").tobytes(),
     ])
-    _write_file(path, TRAJ_MAGIC, [
+    _write_file(path, TRAJ_MAGIC, TRAJ_VERSION, [
         encode_mesh(traj.mesh), encode_grid(traj.grid), values_block])
 
 
 def load_trajectory(path):
-    blocks = _read_file(path, TRAJ_MAGIC, TRAJ_BLOCKS, "trajectory")
+    blocks = _read_file(path, TRAJ_MAGIC, range(1, TRAJ_VERSION + 1),
+                        TRAJ_BLOCKS, "trajectory")
     mesh = decode_mesh(blocks[0], "mesh")
     grid = decode_grid(blocks[1], "grid")
     r = _Reader(blocks[2], "values")

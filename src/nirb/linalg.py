@@ -1,6 +1,7 @@
 """Self-contained linear algebra kernels: symmetric CSR storage, Krylov
-solvers, a cyclic Jacobi eigensolver, Cholesky factorization, and regularized
-normal-equation solves.  Dense matrices are plain numpy arrays."""
+solvers, a block-tridiagonal direct factor for banded SPD matrices, a cyclic
+Jacobi eigensolver, Cholesky factorization, and regularized normal-equation
+solves.  Dense matrices are plain numpy arrays."""
 
 from __future__ import annotations
 
@@ -147,7 +148,7 @@ def csr_with_scatter(n, rows, cols, vals, check=True):
     return SparseSym(n, indptr, cc, vv, check=check), scatter
 
 
-def cg_solve(A, b, tol=1e-10, max_iter=None, x0=None):
+def cg_solve(A, b, tol=1e-10, max_iter=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns (x, iterations) with the true residual satisfying
@@ -164,9 +165,9 @@ def cg_solve(A, b, tol=1e-10, max_iter=None, x0=None):
         return np.zeros(n), 0
     if max_iter is None:
         max_iter = max(100, 10 * n)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     dinv = 1.0 / A.diagonal()
-    r = b - A.matvec(x)
+    r = b.copy()
     z = dinv * r
     p = z.copy()
     rz = r @ z
@@ -198,7 +199,88 @@ def cg_solve(A, b, tol=1e-10, max_iter=None, x0=None):
         f"(final {rnorm / nb:.3e})", residual=rnorm, iterations=max_iter)
 
 
-def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, x0=None, diag=None):
+class BandFactor:
+    """Direct factor of a banded SPD matrix, for many solves with one matrix.
+
+    With bandwidth w = max |i - j| over the stored pattern, consecutive row
+    blocks of size w (the last padded with identity rows) make the matrix
+    block tridiagonal, whatever the mesh: diagonal blocks D_j, upper blocks
+    U_j and lower blocks U_j^T.  Block elimination without pivoting,
+
+        S_0 = D_0,   S_j = D_j - U_{j-1}^T S_{j-1}^{-1} U_{j-1},
+
+    keeps every Schur complement S_j SPD (Golub & Van Loan, Matrix
+    Computations, block tridiagonal systems).  A solve is a forward sweep
+    g_j = b_j - C_j g_{j-1} with C_j = U_{j-1}^T S_{j-1}^{-1}, then a backward
+    sweep x_j = S_j^{-1} g_j - E_j x_{j+1} with E_j = S_j^{-1} U_j, so the
+    factor stores the dense (w, w) stacks C, S^{-1} and E.  Factoring costs
+    O(n w^2) and one solve O(n w).  A non-SPD input is rejected by the pivot
+    checks of ``_spd_inverse``, naming the block and pivot."""
+
+    def __init__(self, A):
+        n = A.n
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        bs = max(int(np.abs(A.indices - rows).max()), 1)
+        nb = -(-n // bs)
+        self.n = n
+        D = np.zeros((nb, bs, bs))
+        U = np.zeros((nb - 1, bs, bs))
+        br, bc = rows // bs, A.indices // bs
+        diag, upper = bc == br, bc == br + 1
+        D[br[diag], rows[diag] % bs, A.indices[diag] % bs] = A.vals[diag]
+        U[br[upper], rows[upper] % bs, A.indices[upper] % bs] = A.vals[upper]
+        pad = np.arange(n % bs or bs, bs)
+        D[-1, pad, pad] = 1.0
+        Sinv = np.empty_like(D)
+        C = np.empty_like(U)
+        Sinv[0] = _spd_inverse(D[0], 0)
+        for j in range(1, nb):
+            C[j - 1] = U[j - 1].T @ Sinv[j - 1]
+            Sinv[j] = _spd_inverse(D[j] - C[j - 1] @ U[j - 1], j)
+        self._sinv = Sinv
+        # per-block lists: the sweeps index one block per Python step
+        self._fwd = list(C)
+        self._bwd = list(Sinv[:-1] @ U)
+
+    def solve(self, b):
+        """Solve A x = b by one forward and one backward block sweep."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
+        nb, bs = self._sinv.shape[:2]
+        g = np.zeros((nb, bs))
+        g.ravel()[:self.n] = b
+        C, E = self._fwd, self._bwd
+        for j in range(1, nb):
+            g[j] -= C[j - 1] @ g[j - 1]
+        x = np.matmul(self._sinv, g[:, :, None])[:, :, 0]
+        for j in range(nb - 2, -1, -1):
+            x[j] -= E[j] @ x[j + 1]
+        return x.ravel()[:self.n]
+
+
+def _spd_inverse(S, block):
+    """Inverse of a small dense SPD matrix by the symmetric sweep operator.
+
+    The pivot of sweep k is the k-th Gaussian elimination pivot, so every
+    pivot is positive exactly when S is positive definite; a failure names
+    ``block`` and the pivot."""
+    a = S.copy()
+    for k in range(a.shape[0]):
+        p = a[k, k]
+        if not p > 0.0:
+            raise ValueError(f"matrix is not positive definite "
+                             f"(block {block}, pivot {k}: {p:.3e})")
+        v = a[k] / p
+        a -= np.multiply.outer(a[k], v)
+        a[k] = v
+        a[:, k] = v
+        a[k, k] = -1.0 / p
+    a *= -1.0
+    return a
+
+
+def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, diag=None):
     """Jacobi-preconditioned BiCGStab for general square systems.
 
     ``matvec`` is a callable; ``diag`` supplies the preconditioner diagonal
@@ -214,9 +296,9 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, x0=None, diag=None):
     if max_iter is None:
         max_iter = max(200, 10 * n)
     dinv = np.ones(n) if diag is None else 1.0 / np.asarray(diag, dtype=float)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     target = tol * nb
-    r = b - matvec(x)
+    r = b.copy()
     r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(n)

@@ -91,6 +91,13 @@ def test_invalid_values_rejected(edit):
         dataclasses.replace(StudyConfig(), **edit).validate()
 
 
+@pytest.mark.parametrize("key", ["cg_tol", "newton_tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-10, 1.0, 2.0])
+def test_tolerances_outside_unit_interval_rejected(key, value):
+    with pytest.raises(ValueError, match=f"{key} must lie in \\(0, 1\\)"):
+        dataclasses.replace(StudyConfig(), **{key: value}).validate()
+
+
 def test_mesh_counts_fall_back_to_x():
     config = StudyConfig(fine_nx=12, fine_ny=0, coarse_nx=6, coarse_ny=3)
     assert config.mesh_counts("fine") == (12, 12)

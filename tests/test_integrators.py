@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nirb import fem, integrators, mesh, models
+from nirb import fem, integrators, linalg, mesh, models
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,69 @@ class TestHeatSchemes:
         with pytest.raises(ValueError):
             integrators.heat_backward_euler(dirichlet_2x2, 1.0, None,
                                             np.zeros(3), grid)
+
+
+def cg_reference_march(forms, mu, f, u0, grid, scheme):
+    """The heat march solved by one conjugate-gradient call per step."""
+    free = forms.free_dofs
+    Mff, Kff = forms.mass_free(), forms.stiffness_free()
+    dt = grid.dt
+    theta = 1.0 if scheme == "euler" else 0.5
+    lhs = Mff.lincomb(Kff, 1.0, theta * dt * mu)
+    rhs_mat = Mff.lincomb(Kff, 1.0, (theta - 1.0) * dt * mu)
+    values = np.zeros((grid.steps + 1, forms.n_dofs))
+    values[0] = u0
+    uf = u0[free]
+    for k, t in enumerate(grid.times()[1:], start=1):
+        t_src = t if scheme == "euler" else t - 0.5 * dt
+        rhs = rhs_mat.matvec(uf) + dt * fem.load_vector(forms, f, t_src)[free]
+        uf, _ = linalg.cg_solve(lhs, rhs, tol=1e-13)
+        values[k, free] = uf
+    return values
+
+
+class TestFactoredMarch:
+    @pytest.fixture
+    def sourced(self):
+        m = mesh.build_structured(8, 8)
+        forms = fem.assemble(m, bc="dirichlet_zero")
+        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
+        return forms, u0, integrators.TimeGrid(1.0, 2.0, 8)
+
+    @pytest.mark.parametrize("scheme, march", [
+        ("euler", integrators.heat_backward_euler),
+        ("cn", integrators.heat_crank_nicolson)])
+    def test_matches_per_step_cg(self, sourced, scheme, march):
+        forms, u0, grid = sourced
+        got = march(forms, 3.0, models.manufactured_f, u0, grid).values
+        want = cg_reference_march(forms, 3.0, models.manufactured_f, u0, grid,
+                                  scheme)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_impossible_tolerance_names_step_and_residual(self, sourced):
+        forms, u0, grid = sourced
+        with pytest.raises(RuntimeError,
+                           match=r"time step 1 \(t=1.125\): relative residual "
+                                 r"\S+ exceeds 1.0e-20"):
+            integrators.heat_backward_euler(forms, 3.0, models.manufactured_f,
+                                            u0, grid, cg_tol=1e-20)
+
+    def test_second_march_reuses_the_loads(self, sourced, monkeypatch):
+        forms, u0, grid = sourced
+        calls = []
+
+        def counting_load_vector(*args):
+            calls.append(args)
+            return load_vector(*args)
+
+        load_vector = fem.load_vector
+        monkeypatch.setattr(fem, "load_vector", counting_load_vector)
+        f = models.manufactured_f
+        first = integrators.heat_crank_nicolson(forms, 2.0, f, u0, grid)
+        assert len(calls) == grid.steps
+        second = integrators.heat_crank_nicolson(forms, 2.0, f, u0, grid)
+        assert len(calls) == grid.steps
+        assert np.array_equal(second.values, first.values)
 
 
 def scalar_implicit_euler(params, state, dt, iters=30):

@@ -100,6 +100,28 @@ class TestTrajectory:
         assert back.parameter == traj.parameter
         assert back.n_fields == traj.n_fields
 
+    @pytest.mark.parametrize("version, slug", [
+        (1, None), (2, None), (io.TRAJ_VERSION + 1, "version-mismatch")])
+    def test_header_version(self, tmp_path, unit_mesh_4, version, slug):
+        # the trajectory layout is unchanged since version 1, so older
+        # headers load; a newer one is refused
+        traj = FieldTrajectory(mesh=unit_mesh_4, grid=TimeGrid(0.0, 1.0, 1),
+                               values=np.ones((2, unit_mesh_4.n_nodes)),
+                               parameter=2.0)
+        path = tmp_path / "t.traj"
+        io.save_trajectory(str(path), traj)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(data))
+        if slug is None:
+            back = io.load_trajectory(str(path))
+            assert np.array_equal(back.values, traj.values)
+            assert back.parameter == 2.0
+        else:
+            with pytest.raises(io.ArtifactError) as err:
+                io.load_trajectory(str(path))
+            assert err.value.slug == slug
+
     def test_tuple_parameter_round_trip(self, tmp_path, unit_mesh_4):
         values = np.arange(3 * 2 * unit_mesh_4.n_nodes, dtype=float) / 7.0
         traj = FieldTrajectory(mesh=unit_mesh_4, grid=TimeGrid(0.0, 1.0, 2),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nirb import linalg
+from nirb import fem, linalg, mesh
 
 
 def random_spd(rng, n, cond=10.0):
@@ -85,6 +85,56 @@ class TestCG:
             linalg.cg_solve(S, rng.standard_normal(20), tol=1e-14, max_iter=2)
         assert err.value.iterations == 2
         assert err.value.residual is not None
+
+
+def heat_lhs(nx, bc="dirichlet_zero", dt=1.0 / 32.0, alpha=4.0):
+    forms = fem.assemble(mesh.build_structured(nx, nx), bc=bc)
+    return forms.mass_free().lincomb(forms.stiffness_free(), 1.0, dt * alpha)
+
+
+def banded_matrix(n, offdiag):
+    """Diagonally dominant symmetric band: 1 to 4 plus 2 sum|offdiag| on
+    the diagonal, offdiag[k - 1] on the k-th off-diagonals."""
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], \
+        [np.linspace(1.0, 4.0, n) + 2.0 * np.abs(offdiag).sum()]
+    for k, v in enumerate(offdiag, start=1):
+        i = np.arange(n - k)
+        rows += [i, i + k]
+        cols += [i + k, i]
+        vals += [np.full(n - k, v)] * 2
+    return linalg.SparseSym.from_coo(n, np.concatenate(rows),
+                                     np.concatenate(cols),
+                                     np.concatenate(vals))
+
+
+class TestBandFactor:
+    @pytest.mark.parametrize("make", [
+        lambda: heat_lhs(8),
+        # 64 free dofs, bandwidth 9: the last block is one row and padding
+        lambda: heat_lhs(9),
+        lambda: heat_lhs(6, bc="neumann_natural", dt=0.1, alpha=0.05),
+        lambda: banded_matrix(1, []),
+        lambda: banded_matrix(5, []),                 # bandwidth 0
+        lambda: banded_matrix(12, [-1.0, 0.5, 0.25]),  # 4 full blocks of 3
+    ], ids=["dirichlet-8", "dirichlet-9", "neumann-6", "one-by-one",
+            "diagonal", "full-blocks"])
+    def test_matches_dense_solve(self, make, rng):
+        A = make()
+        b = rng.standard_normal(A.n)
+        x = linalg.BandFactor(A).solve(b)
+        want = np.linalg.solve(A.to_dense(), b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_negative_definite_names_the_pivot(self):
+        forms = fem.assemble(mesh.build_structured(4, 4), bc="dirichlet_zero")
+        minus_m = forms.mass_free().lincomb(forms.mass_free(), -1.0, 0.0)
+        with pytest.raises(ValueError,
+                           match=r"not positive definite \(block 0, pivot 0"):
+            linalg.BandFactor(minus_m)
+
+    def test_rhs_shape_checked(self):
+        with pytest.raises(ValueError, match="rhs has shape"):
+            linalg.BandFactor(heat_lhs(4)).solve(np.zeros(5))
 
 
 class TestBiCGStab:

@@ -1,0 +1,47 @@
+"""The package uses numpy core only: no module reaches numpy.linalg."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nirb"
+
+
+def linalg_uses(tree):
+    """Line numbers of ``np.linalg`` / ``numpy.linalg`` attributes and of
+    imports of ``numpy.linalg`` in a parsed module (docstrings and comments
+    are not code and do not count)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.linalg") for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.linalg")
+                or (node.module == "numpy"
+                    and any(a.name == "linalg" for a in node.names))):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nx = np.linalg.solve(a, b)\n",
+    "import numpy\nx = numpy.linalg.norm(v)\n",
+    "from numpy import linalg\n",
+    "from numpy.linalg import eigh\n",
+    "import numpy.linalg as la\n",
+])
+def test_scan_catches(source):
+    assert list(linalg_uses(ast.parse(source)))
+
+
+def test_package_uses_numpy_core_only():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = {f"{path.name}:{line}"
+             for path in files
+             for line in linalg_uses(ast.parse(path.read_text("utf-8")))}
+    assert not found, f"numpy.linalg used at {sorted(found)}"
