@@ -124,8 +124,7 @@ def cmd_errors(args):
     param = _parse_param(config, args.mu)
     fine = artifacts.fine
     fine_traj = pipeline.solve_fine(config, fine, param)
-    coarse_traj = pipeline.solve_coarse(config, artifacts.coarse, param,
-                                        fine=fine)
+    coarse_traj = pipeline.solve_coarse(config, artifacts.coarse, param)
     lifted = pipeline.lift_coarse(coarse_traj, fine.mesh, fine.grid)
 
     reports = {"coarse": pipeline.evaluate_errors(lifted, fine_traj,

@@ -12,6 +12,9 @@ from nirb.fem import load_from_midpoint_values
 from nirb.linalg import BandFactor, ConvergenceError, bicgstab_solve
 from nirb.models import brusselator_rhs
 
+# relative residual of the BiCGStab solve inside each Newton iteration
+KRYLOV_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -121,8 +124,7 @@ def _scaled_residual_norm(res, lumped2):
     return np.sqrt((res * res / lumped2).sum())
 
 
-def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
-                            krylov_tol=1e-12):
+def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20):
     """One implicit-Euler step of the stacked two-species system solved by
     Newton's method.
 
@@ -176,7 +178,7 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
         precond = np.concatenate([diff.diagonal() - W11.diagonal(),
                                   diff.diagonal() - W22.diagonal()])
         try:
-            d, _ = bicgstab_solve(jac, -G, tol=krylov_tol, diag=precond)
+            d, _ = bicgstab_solve(jac, -G, tol=KRYLOV_TOL, diag=precond)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"Newton linear solve failed at iteration {it}: {exc}",
@@ -213,7 +215,7 @@ def brusselator_step_rk2(forms, params, state, dt):
 
 
 def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
-                           newton_tol=1e-10, krylov_tol=1e-12):
+                           newton_tol=1e-10):
     """March the reaction-diffusion system over a time grid.
 
     scheme is 'newton' (implicit Euler) or 'rk2' (explicit midpoint on the
@@ -228,7 +230,7 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
         try:
             if scheme == "newton":
                 u = brusselator_step_newton(forms, params, u, grid.dt,
-                                            tol=newton_tol, krylov_tol=krylov_tol)
+                                            tol=newton_tol)
             elif scheme == "rk2":
                 u = brusselator_step_rk2(forms, params, u, grid.dt)
             else:

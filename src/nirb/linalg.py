@@ -1,7 +1,7 @@
 """Self-contained linear algebra kernels: symmetric CSR storage, Krylov
 solvers, a block-tridiagonal direct factor for banded SPD matrices, a cyclic
-Jacobi eigensolver, Cholesky factorization, and regularized normal-equation
-solves.  Dense matrices are plain numpy arrays."""
+Jacobi eigensolver, and regularized normal-equation solves.  Dense matrices
+are plain numpy arrays."""
 
 from __future__ import annotations
 
@@ -418,36 +418,6 @@ def sym_eig(G):
     return lam[order], V[:, order]
 
 
-def cholesky_factor(G):
-    """Dense Cholesky factor L with G = L L^T; rejects non-SPD input."""
-    G = np.asarray(G, dtype=float)
-    n = G.shape[0]
-    L = np.zeros_like(G)
-    for j in range(n):
-        d = G[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0:
-            raise ValueError(f"matrix is not positive definite (pivot {j})")
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def cholesky_solve(L, B):
-    """Solve L L^T X = B for (possibly many) right-hand sides."""
-    B = np.asarray(B, dtype=float)
-    single = B.ndim == 1
-    X = B.reshape(-1, 1).copy() if single else B.copy()
-    n = L.shape[0]
-    for i in range(n):
-        X[i] -= L[i, :i] @ X[:i]
-        X[i] /= L[i, i]
-    for i in range(n - 1, -1, -1):
-        X[i] -= L[i + 1:, i] @ X[i + 1:]
-        X[i] /= L[i, i]
-    return X.ravel() if single else X
-
-
 def dominant_eigenvalue(G, tol=1e-6, max_iter=500):
     """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
     G = np.asarray(G, dtype=float)
@@ -470,10 +440,11 @@ def dominant_eigenvalue(G, tol=1e-6, max_iter=500):
 def solve_regularized_normal(A, B, delta):
     """Tikhonov-regularized normal-equation solve, columnwise.
 
-    Column i of the result solves (A^T A + delta I) r_i = A^T b_i by dense
-    Cholesky, where b_i is column i of B.  With delta == 0 the Gram matrix is
-    first screened: a condition number above 1e12 (or a nonpositive smallest
-    eigenvalue) is reported as rank deficiency."""
+    Column i of the result solves (A^T A + delta I) r_i = A^T b_i, where b_i
+    is column i of B, through the pivot-checked inverse ``_spd_inverse``.
+    With delta == 0 the Gram matrix is first screened: a condition number
+    above 1e12 (or a nonpositive smallest eigenvalue) is reported as rank
+    deficiency."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
@@ -488,5 +459,4 @@ def solve_regularized_normal(A, B, delta):
             raise ValueError(
                 f"normal matrix is rank deficient at delta=0 "
                 f"(eigenvalue range [{lam[0]:.3e}, {lam[-1]:.3e}])")
-    L = cholesky_factor(G + delta * np.eye(N))
-    return cholesky_solve(L, A.T @ B)
+    return _spd_inverse(G + delta * np.eye(N), 0) @ (A.T @ B)

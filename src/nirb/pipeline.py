@@ -16,7 +16,7 @@ from nirb import io, models
 from nirb.fem import assemble, difference_norms, norms, ritz_projection
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
-from nirb.mesh import build_structured, interpolate_field
+from nirb.mesh import build_structured
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse)
 from nirb.reduced_basis import (coefficients, greedy, h1_reorthogonalize,
@@ -50,41 +50,44 @@ def discretize(config):
     return out[0], out[1]
 
 
+def _presolve(config, disc, mu):
+    """Last state of a source-driven implicit-Euler run of [0, t0] on one
+    discretization, started at zero with the window's own step size."""
+    pre = TimeGrid(0.0, config.t0, max(1, round(config.t0 / disc.grid.dt)))
+    traj = heat_backward_euler(disc.forms, mu, models.manufactured_f,
+                               np.zeros(disc.mesh.n_nodes), pre,
+                               cg_tol=config.cg_tol)
+    return traj.values[-1]
+
+
 def heat_initial_fine(config, fine, mu):
     """Fine-mesh initial data for the heat problem at t0.
 
     Runs start from rest at t = 0.  A window with t0 > 0 starts from the
     Ritz projection of the closed-form solution at mu = 1 and otherwise
-    from a source-driven implicit-Euler presolve of [0, t0] on the fine
-    mesh, started at zero with the window's own fine step size."""
-    n = fine.mesh.n_nodes
+    from the presolve of [0, t0] on the fine mesh and step."""
     if config.t0 == 0.0:
-        return np.zeros(n)
+        return np.zeros(fine.mesh.n_nodes)
     if mu == 1.0:
         return ritz_projection(
             fine.forms, lambda x, y: models.manufactured_grad(config.t0, x, y),
             cg_tol=min(config.cg_tol, 1e-12))
-    steps = max(1, round(config.t0 / fine.grid.dt))
-    pre = TimeGrid(0.0, config.t0, steps)
-    traj = heat_backward_euler(fine.forms, mu, models.manufactured_f,
-                               np.zeros(n), pre, cg_tol=config.cg_tol)
-    return traj.values[-1]
+    return _presolve(config, fine, mu)
 
 
-def heat_initial_coarse(config, fine, coarse_mesh, mu):
-    """Coarse-mesh initial data: nodal interpolation of the closed form at
-    mu = 1, of the fine presolve state otherwise.
+def heat_initial_coarse(config, coarse, mu):
+    """Coarse-mesh initial data for the heat problem at t0, from the coarse
+    discretization alone: the nodal interpolant of the closed form at
+    mu = 1, otherwise the presolve of [0, t0] on the coarse mesh and step.
 
-    Both grids start the window from the same field (up to interpolation),
-    which keeps the coarse trajectory of an unseen parameter on the same
-    branch as the training pairs the rectification was fitted on."""
+    Training and online runs start the same way, so the rectification is
+    fitted on the same kind of coarse run it is applied to."""
     if config.t0 == 0.0:
-        return np.zeros(coarse_mesh.n_nodes)
+        return np.zeros(coarse.mesh.n_nodes)
     if mu == 1.0:
-        x, y = coarse_mesh.nodes[:, 0], coarse_mesh.nodes[:, 1]
+        x, y = coarse.mesh.nodes[:, 0], coarse.mesh.nodes[:, 1]
         return models.manufactured_u(config.t0, x, y)
-    u0 = heat_initial_fine(config, fine, mu)
-    return interpolate_field(fine.mesh, u0, coarse_mesh)
+    return _presolve(config, coarse, mu)
 
 
 def solve_fine(config, disc, param):
@@ -102,17 +105,14 @@ def solve_fine(config, disc, param):
 
 
 def solve_coarse(config, disc, param, fine=None):
-    """Cheap trajectory at one parameter (heat: Crank-Nicolson;
-    reaction-diffusion: explicit midpoint on the lumped system).
+    """Cheap trajectory at one parameter on the coarse discretization alone
+    (heat: Crank-Nicolson from ``heat_initial_coarse``; reaction-diffusion:
+    explicit midpoint on the lumped system).
 
-    Heat windows with t0 > 0 need the fine discretization to produce the
-    initial data presolve for parameters without a closed form."""
+    ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
         mu = float(param)
-        if config.t0 > 0.0 and mu != 1.0 and fine is None:
-            raise ValueError("coarse heat solve at t0 > 0 needs the fine "
-                             "discretization for its initial data")
-        u0 = heat_initial_coarse(config, fine, disc.mesh, mu)
+        u0 = heat_initial_coarse(config, disc, mu)
         return heat_crank_nicolson(disc.forms, mu, models.manufactured_f, u0,
                                    disc.grid, cg_tol=config.cg_tol)
     prob = models.BrusselatorProblem(*param)
@@ -121,18 +121,24 @@ def solve_coarse(config, disc, param, fine=None):
                                   scheme="rk2")
 
 
-def _solve_sweep(config, disc, params, which, fine=None):
-    """Solve every training parameter in order, as an ordered dict."""
-    out = {}
-    for p in params:
-        try:
-            if which == "fine":
-                out[p] = solve_fine(config, disc, p)
-            else:
-                out[p] = solve_coarse(config, disc, p, fine)
-        except (RuntimeError, ValueError) as exc:
-            raise RuntimeError(f"{which} solve failed at parameter {p}: {exc}") from exc
-    return out
+def _training_runs(config, params):
+    """Discretizations and training trajectories: returns (fine, coarse,
+    fine_trajs, coarse_trajs), the runs as dicts in parameter order.
+
+    The cheap coarse sweep runs first, so a coarse failure shows before any
+    fine solve."""
+    fine, coarse = discretize(config)
+    runs = {}
+    for name, solve, disc in (("coarse", solve_coarse, coarse),
+                              ("fine", solve_fine, fine)):
+        runs[name] = out = {}
+        for p in params:
+            try:
+                out[p] = solve(config, disc, p)
+            except (RuntimeError, ValueError) as exc:
+                raise RuntimeError(
+                    f"{name} solve failed at parameter {p}: {exc}") from exc
+    return fine, coarse, runs["fine"], runs["coarse"]
 
 
 def build_basis(config, trajectories, forms):
@@ -206,13 +212,10 @@ def offline(config, persist=True):
 
     With persist=True the artifact file lands in config.output_dir."""
     config.validate()
-    fine, coarse = discretize(config)
     params = config.training_parameters()
     if not params:
         raise ValueError("empty training set")
-
-    fine_trajs = _solve_sweep(config, fine, params, "fine")
-    coarse_trajs = _solve_sweep(config, coarse, params, "coarse", fine=fine)
+    fine, coarse, fine_trajs, coarse_trajs = _training_runs(config, params)
     basis, tensor = fit(config, fine_trajs, coarse_trajs, fine)
     artifacts = OfflineArtifacts(config=config, basis=basis, tensor=tensor,
                                  fine=fine, coarse=coarse).validate()
@@ -266,7 +269,7 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     fine = artifacts.fine
     t_start = time.perf_counter()
     if coarse_traj is None:
-        coarse_traj = solve_coarse(config, artifacts.coarse, key, fine=fine)
+        coarse_traj = solve_coarse(config, artifacts.coarse, key)
     seconds_coarse = time.perf_counter() - t_start
 
     t_start = time.perf_counter()
@@ -446,10 +449,7 @@ def leave_one_out(config):
     params = config.training_parameters()
     if len(params) < 2:
         raise ValueError("leave-one-out needs at least two training parameters")
-    fine, coarse = discretize(config)
-    fine_trajs = _solve_sweep(config, fine, params, "fine")
-    coarse_trajs = _solve_sweep(config, coarse, params, "coarse", fine=fine)
-
+    fine, coarse, fine_trajs, coarse_trajs = _training_runs(config, params)
     basis_full = build_basis(config, fine_trajs, fine.forms)
 
     rows = []
@@ -457,12 +457,10 @@ def leave_one_out(config):
         rest = [q for q in params if q != p]
         basis, tensor = fit(config, {q: fine_trajs[q] for q in rest},
                             {q: coarse_trajs[q] for q in rest}, fine)
-        coeffs = apply_rectification(tensor, coarse_to_fine_coefficients(
-            coarse_trajs[p], basis, fine.forms, fine.grid))
-        traj = FieldTrajectory(mesh=fine.mesh, grid=fine.grid,
-                               values=reconstruct(basis, coeffs),
-                               parameter=p, n_fields=basis.n_fields)
-        rect_en = evaluate_errors(traj, fine_trajs[p], fine.forms).rel_energy
+        fold = OfflineArtifacts(config, basis, tensor, fine, coarse)
+        result = online(fold, p, coarse_traj=coarse_trajs[p])
+        rect_en = evaluate_errors(result.trajectory, fine_trajs[p],
+                                  fine.forms).rel_energy
         _, proj_en = projection_errors(basis_full, fine.forms, fine_trajs[p])
         lifted = lift_coarse(coarse_trajs[p], fine.mesh, fine.grid)
         coarse_en = evaluate_errors(lifted, fine_trajs[p], fine.forms).rel_energy
@@ -574,7 +572,7 @@ def convergence_study(config, coupling=None):
         energy = energy_norm(fine.forms)
         fine_traj = solve_fine(cfg, fine, test_param)
         reference = heat_reference(cfg, test_param, fine_traj)
-        coarse_traj = solve_coarse(cfg, coarse, test_param, fine=fine)
+        coarse_traj = solve_coarse(cfg, coarse, test_param)
 
         errors = {}
         if isinstance(reference, AnalyticReference):

@@ -156,8 +156,8 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
         U = items[k][1].values
         resid = U - mass_inner(forms, U, modes, n_fields) @ modes
         new, _ = pod(resid, forms, pod_tol, n_fields)
-        new = _mass_mgs(new[:n_max - modes.shape[0]], None, forms, n_fields)
-        new = _mass_mgs(new, modes, forms, n_fields, drop_tol=1e-10)
+        new = _mass_mgs(new[:n_max - modes.shape[0]], modes, forms, n_fields,
+                        drop_tol=1e-10)
         if new.shape[0] == 0:
             log.warning("residual POD at parameter %s produced no new modes",
                         items[k][0])

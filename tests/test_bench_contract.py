@@ -9,6 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nirb import pipeline
@@ -42,3 +43,13 @@ def test_artifacts_expose_the_discretizations(small_heat_text, tmp_path):
         assert ctx.fine.mesh.n_nodes > ctx.coarse.mesh.n_nodes
         assert ctx.fine.grid.steps == config.fine_steps
         assert ctx.coarse.grid.steps == config.coarse_steps
+
+
+def test_solve_coarse_accepts_the_fine_keyword(small_heat_text):
+    # benchmarks/client.py still calls solve_coarse with fine=ctx.fine; the
+    # keyword is ignored and must stay until the harness stops passing it
+    config = StudyConfig.from_text(small_heat_text)
+    fine, coarse = pipeline.discretize(config)
+    want = pipeline.solve_coarse(config, coarse, 4.5)
+    got = pipeline.solve_coarse(config, coarse, 4.5, fine=fine)
+    assert np.array_equal(got.values, want.values)

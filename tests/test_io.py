@@ -90,7 +90,7 @@ class TestTrajectory:
     def test_round_trip_is_exact(self, saved, tmp_path):
         config, artifacts, _ = saved
         ctx = artifacts.context()
-        traj = pipeline.solve_coarse(config, ctx.coarse, 2.0, fine=ctx.fine)
+        traj = pipeline.solve_coarse(config, ctx.coarse, 2.0)
         path = str(tmp_path / "t.traj")
         io.save_trajectory(path, traj)
         back = io.load_trajectory(path)

@@ -189,21 +189,6 @@ class TestSymEig:
             linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestCholesky:
-    def test_factor_and_solve(self, rng):
-        G = random_spd(rng, 7)
-        L = linalg.cholesky_factor(G)
-        assert L @ L.T == pytest.approx(G)
-        b = rng.standard_normal(7)
-        assert linalg.cholesky_solve(L, b) == pytest.approx(np.linalg.solve(G, b))
-        B = rng.standard_normal((7, 3))
-        assert linalg.cholesky_solve(L, B) == pytest.approx(np.linalg.solve(G, B))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            linalg.cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 def test_dominant_eigenvalue(rng):
     G = random_spd(rng, 12, cond=50.0)
     lam = linalg.dominant_eigenvalue(G, tol=1e-10)

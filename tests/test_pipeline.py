@@ -38,6 +38,40 @@ class TestLeaveOneOut:
         assert report.max_rectified == max(r.rectified for r in report.rows)
 
 
+class TestCoarseOnly:
+    def test_online_runs_no_fine_solve(self, study, monkeypatch):
+        config, artifacts = study
+
+        def fine_solve(*args, **kwargs):
+            raise AssertionError("the online stage ran a fine solve")
+
+        monkeypatch.setattr(pipeline, "heat_initial_fine", fine_solve)
+        monkeypatch.setattr(pipeline, "solve_fine", fine_solve)
+        for mu in (4.5, 1.0):
+            values = pipeline.online(artifacts, mu).trajectory.values
+            assert values.shape == (config.fine_steps + 1,
+                                    artifacts.fine.mesh.n_nodes)
+            assert np.isfinite(values).all()
+
+    def test_coarse_failure_shows_before_any_fine_solve(self, monkeypatch):
+        # at the default 32^2/16^2 discretization the explicit coarse step
+        # diverges at the third training parameter
+        config = StudyConfig.from_text("problem = brusselator\nt0 = 0.0\n")
+        calls = []
+        solve_fine = pipeline.solve_fine
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_fine(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "solve_fine", counted)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match=r"coarse solve failed at "
+                              r"parameter \(2\.0, 1\.0, 0\.01\)"):
+            pipeline.offline(config, persist=False)
+        assert calls == []
+
+
 class TestHeldOutOrdering:
     def test_rectified_below_plain_below_coarse(self, study):
         config, artifacts = study
@@ -45,7 +79,7 @@ class TestHeldOutOrdering:
         mu = 4.5
         assert mu not in config.training_parameters()
         fine = pipeline.solve_fine(config, ctx.fine, mu)
-        coarse = pipeline.solve_coarse(config, ctx.coarse, mu, fine=ctx.fine)
+        coarse = pipeline.solve_coarse(config, ctx.coarse, mu)
         lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid)
 
         def err(traj):
@@ -60,7 +94,7 @@ class TestLift:
     def test_projected_lift_is_the_coefficient_map(self, study):
         config, artifacts = study
         ctx = artifacts.context()
-        coarse = pipeline.solve_coarse(config, ctx.coarse, 2.0, fine=ctx.fine)
+        coarse = pipeline.solve_coarse(config, ctx.coarse, 2.0)
         lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid)
         assert lifted.values.shape == (ctx.fine.grid.steps + 1,
                                        ctx.fine.mesh.n_nodes)
@@ -108,8 +142,7 @@ class TestRectification:
         config, artifacts = study
         ctx = artifacts.context()
         fine = {1.0: pipeline.solve_fine(config, ctx.fine, 1.0)}
-        coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0,
-                                             fine=ctx.fine)}
+        coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0)}
         with pytest.raises(ValueError, match="differ"):
             build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
                                 ctx.fine.grid)
