@@ -129,6 +129,8 @@ class StudyConfig:
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.delta_value < 0:
             raise ValueError("delta_value must be nonnegative")
+        if self.study_coupling not in ("2h", "sqrt"):
+            raise ValueError(f"unknown study_coupling {self.study_coupling!r}")
         for name in ("cg_tol", "newton_tol"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), "

@@ -42,19 +42,25 @@ class TimeGrid:
 class FieldTrajectory:
     """Nodal values of a (possibly multi-component) field at every knot of a
     time grid.  values has shape (steps + 1, n_fields * n_nodes) with the
-    components stacked along the last axis."""
+    components stacked along the last axis; the field count is read off that
+    width."""
 
     mesh: object
     grid: TimeGrid
     values: np.ndarray
     parameter: object = None
-    n_fields: int = 1
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expect = (self.grid.steps + 1, self.n_fields * self.mesh.n_nodes)
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape}, expected {expect}")
+        rows, n = self.grid.steps + 1, self.mesh.n_nodes
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != rows or shape[1] < n or shape[1] % n:
+            raise ValueError(f"values shape {shape}, expected ({rows}, a "
+                             f"positive multiple of {n})")
+
+    @property
+    def n_fields(self):
+        return self.values.shape[1] // self.mesh.n_nodes
 
     def split_fields(self):
         return np.split(self.values, self.n_fields, axis=-1)
@@ -175,10 +181,20 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20):
             y2 = diff.matvec(x2) - W21.matvec(x1) - W22.matvec(x2)
             return np.concatenate([y1, y2])
 
-        precond = np.concatenate([diff.diagonal() - W11.diagonal(),
-                                  diff.diagonal() - W22.diagonal()])
+        # nodal 2x2 block Jacobi: each node's species block of the Jacobian
+        # diagonal, inverted in closed form
+        a11 = diff.diagonal() - W11.diagonal()
+        a22 = diff.diagonal() - W22.diagonal()
+        a12, a21 = -W12.diagonal(), -W21.diagonal()
+        det = a11 * a22 - a12 * a21
+
+        def precond(x):
+            x1, x2 = x[:n], x[n:]
+            return np.concatenate([(a22 * x1 - a12 * x2) / det,
+                                   (a11 * x2 - a21 * x1) / det])
+
         try:
-            d, _ = bicgstab_solve(jac, -G, tol=KRYLOV_TOL, diag=precond)
+            d, _ = bicgstab_solve(jac, -G, tol=KRYLOV_TOL, precond=precond)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"Newton linear solve failed at iteration {it}: {exc}",
@@ -241,4 +257,4 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
             ) from exc
         values[k] = u
     return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
-                           parameter=tuple(params), n_fields=2)
+                           parameter=tuple(params))

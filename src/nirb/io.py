@@ -5,14 +5,17 @@ magic, a u32 format version, then a fixed sequence of blocks, each framed as
 u32 payload length, payload, u32 CRC-32 of the payload.  Loads verify every
 checksum and fail naming the offending section; writes go through a
 temporary file and an atomic rename.  Artifact and trajectory files carry
-their own format versions: the trajectory layout has not changed since
-version 1, so every trajectory version up to ``TRAJ_VERSION`` loads.
+their own format versions, and each loader reads only its current one.
 
 An artifact file holds three blocks: the study config, the reduced basis
 and the rectification maps.  The meshes, time grids and assembled forms are
 not stored: loading rebuilds them from the config with
-``pipeline.discretize``.  A trajectory file holds its mesh, its time grid
-and the values."""
+``pipeline.discretize``.  A trajectory file holds three blocks: the mesh as
+u32 nx, ny and f64 xmin, xmax, ymin, ymax, rebuilt on load with
+``build_structured``; the grid as f64 t0, T and u32 steps; and the values
+as u32 rows, cols, field count and parameter width, the parameter, then the
+f64 values.  The field count stored in the basis and values headers must
+agree with the width and the mesh, or the load fails."""
 
 from __future__ import annotations
 
@@ -24,14 +27,14 @@ import numpy as np
 
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
-from nirb.mesh import TriMesh
+from nirb.mesh import build_structured
 from nirb.rectification import RectificationTensor
 from nirb.reduced_basis import ReducedBasis
 
 MAGIC = b"NIRB"
 TRAJ_MAGIC = b"NTRJ"
 VERSION = 3
-TRAJ_VERSION = 3
+TRAJ_VERSION = 4
 
 ARTIFACT_BLOCKS = ("config", "basis", "rectification")
 TRAJ_BLOCKS = ("mesh", "grid", "values")
@@ -97,7 +100,7 @@ def _write_file(path, magic, version, blocks):
     os.replace(tmp, path)
 
 
-def _read_file(path, magic, versions, names, kind):
+def _read_file(path, magic, expected, names, kind):
     if not os.path.exists(path):
         raise ArtifactError("missing-artifacts",
                             f"no {kind} file at {path}; run the offline stage first")
@@ -106,11 +109,11 @@ def _read_file(path, magic, versions, names, kind):
     if len(data) < 8 or data[:4] != magic:
         raise ArtifactError("corrupt-artifacts", f"{path} is not a {kind} file")
     (version,) = struct.unpack_from("<I", data, 4)
-    if version not in versions:
+    if version != expected:
         raise ArtifactError(
             "version-mismatch",
-            f"{kind} format version {version} is unsupported (readable: "
-            f"{', '.join(map(str, versions))})")
+            f"{kind} format version {version} is unsupported (expected "
+            f"{expected})")
     off = 8
     out = []
     for name in names:
@@ -137,29 +140,27 @@ def _read_file(path, magic, versions, names, kind):
 
 
 def encode_mesh(mesh):
-    return b"".join([
-        struct.pack("<II", mesh.nx, mesh.ny),
-        struct.pack("<4d", *mesh.domain),
-        struct.pack("<d", mesh.h),
-        struct.pack("<II", mesh.n_nodes, mesh.n_triangles),
-        np.ascontiguousarray(mesh.nodes, "<f8").tobytes(),
-        np.ascontiguousarray(mesh.triangles, "<u4").tobytes(),
-        np.ascontiguousarray(mesh.boundary_mask, "u1").tobytes(),
-    ])
+    return struct.pack("<II4d", mesh.nx, mesh.ny, *mesh.domain)
 
 
 def decode_mesh(buf, section):
     r = _Reader(buf, section)
     nx, ny = r.u32(2)
     domain = r.f64(4)
-    h = r.f64()
-    n_nodes, n_tris = r.u32(2)
-    nodes = r.array("<f8", 2 * n_nodes).reshape(n_nodes, 2)
-    triangles = r.array("<u4", 3 * n_tris).reshape(n_tris, 3).astype(np.int64)
-    mask = r.array("u1", n_nodes).astype(bool)
     r.done()
-    return TriMesh(nodes=nodes, triangles=triangles, boundary_mask=mask,
-                   h=h, domain=domain, nx=nx, ny=ny)
+    try:
+        return build_structured(nx, ny, domain)
+    except ValueError as exc:
+        raise ArtifactError("corrupt-artifacts",
+                            f"bad {section} block: {exc}") from exc
+
+
+def _check_field_count(stored, width, mesh, section):
+    if stored < 1 or stored * mesh.n_nodes != width:
+        raise ArtifactError(
+            "corrupt-artifacts",
+            f"the {section} block stores {stored} field(s) of width {width} "
+            f"on a mesh of {mesh.n_nodes} nodes")
 
 
 def encode_grid(grid):
@@ -188,12 +189,13 @@ def encode_basis(basis):
 def decode_basis(buf, mesh, section="basis"):
     r = _Reader(buf, section)
     N, width, n_fields, has_eig = *r.u32(3), r.u8()
+    _check_field_count(n_fields, width, mesh, section)
     modes = r.array("<f8", N * width).reshape(N, width)
     eig = r.f64(N) if has_eig else None
     r.done()
     eig = np.atleast_1d(np.asarray(eig)) if eig is not None else None
     return ReducedBasis(mesh=mesh, modes=modes, eigenvalues=eig,
-                        provenance={"algorithm": "loaded"}, n_fields=n_fields)
+                        provenance={"algorithm": "loaded"})
 
 
 def _param_width(params):
@@ -255,7 +257,7 @@ def save_artifacts(path, artifacts):
 def load_artifacts(path):
     from nirb.pipeline import OfflineArtifacts, discretize
 
-    blocks = _read_file(path, MAGIC, (VERSION,), ARTIFACT_BLOCKS, "artifact")
+    blocks = _read_file(path, MAGIC, VERSION, ARTIFACT_BLOCKS, "artifact")
     config = decode_config(blocks[0])
     fine, coarse = discretize(config)
     basis = decode_basis(blocks[1], fine.mesh)
@@ -286,12 +288,13 @@ def save_trajectory(path, traj):
 
 
 def load_trajectory(path):
-    blocks = _read_file(path, TRAJ_MAGIC, range(1, TRAJ_VERSION + 1),
-                        TRAJ_BLOCKS, "trajectory")
+    blocks = _read_file(path, TRAJ_MAGIC, TRAJ_VERSION, TRAJ_BLOCKS,
+                        "trajectory")
     mesh = decode_mesh(blocks[0], "mesh")
     grid = decode_grid(blocks[1], "grid")
     r = _Reader(blocks[2], "values")
     rows, cols, n_fields, width = r.u32(4)
+    _check_field_count(n_fields, cols, mesh, "values")
     flat = list(r.f64(width)) if width > 1 else ([r.f64()] if width == 1 else [])
     values = r.array("<f8", rows * cols).reshape(rows, cols)
     r.done()
@@ -302,7 +305,7 @@ def load_trajectory(path):
     else:
         param = tuple(flat)
     return FieldTrajectory(mesh=mesh, grid=grid, values=values,
-                           parameter=param, n_fields=n_fields)
+                           parameter=param)
 
 
 def format_cell(value):

@@ -280,12 +280,12 @@ def _spd_inverse(S, block):
     return a
 
 
-def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, diag=None):
-    """Jacobi-preconditioned BiCGStab for general square systems.
+def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, precond=None):
+    """Right-preconditioned BiCGStab for general square systems.
 
-    ``matvec`` is a callable; ``diag`` supplies the preconditioner diagonal
-    (defaults to the identity).  Used for the nonsymmetric Newton systems of
-    the reaction-diffusion step."""
+    ``matvec`` is a callable; ``precond`` is a callable approximate inverse
+    of the matrix (None means the identity).  Used for the nonsymmetric
+    Newton systems of the reaction-diffusion step."""
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if n < 1:
@@ -295,7 +295,8 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, diag=None):
         return np.zeros(n), 0
     if max_iter is None:
         max_iter = max(200, 10 * n)
-    dinv = np.ones(n) if diag is None else 1.0 / np.asarray(diag, dtype=float)
+    if precond is None:
+        precond = np.asarray
     x = np.zeros(n)
     target = tol * nb
     r = b.copy()
@@ -313,7 +314,7 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, diag=None):
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
-        ph = dinv * p
+        ph = precond(p)
         v = matvec(ph)
         denom = r0 @ v
         if abs(denom) < 1e-300:
@@ -327,7 +328,8 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, diag=None):
             if _norm2(r) <= target:
                 return x, k
             s = r.copy()
-        t = matvec(dinv * s)
+        sh = precond(s)
+        t = matvec(sh)
         tt = t @ t
         if tt == 0.0:
             x += alpha * ph
@@ -336,7 +338,7 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, diag=None):
                 return x, k
             break
         omega = (t @ s) / tt
-        x += alpha * ph + omega * (dinv * s)
+        x += alpha * ph + omega * sh
         r = s - omega * t
         if _norm2(r) <= target:
             r = b - matvec(x)
@@ -365,11 +367,7 @@ def sym_eig(G):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     A = 0.5 * (G + G.T)
     V = np.eye(n)
-    if n == 1:
-        return A[0].copy(), V
     norm = np.sqrt((A * A).sum())
-    if norm == 0.0:
-        return np.zeros(n), V
     # Per-entry rotation threshold: once every off-diagonal entry is below
     # it, the remaining off-diagonal mass is at the roundoff floor of the
     # sweeps themselves, so a rotation-free sweep counts as converged.

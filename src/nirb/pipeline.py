@@ -163,12 +163,8 @@ def fit(config, fine_trajs, coarse_trajs, fine):
     basis = build_basis(config, fine_trajs, fine.forms)
     log.info("basis built: N=%d from %d training parameters", basis.N,
              len(fine_trajs))
-    if config.delta_mode == "relative":
-        delta, delta_factor = None, config.delta_value
-    else:
-        delta, delta_factor = config.delta_value, 0.0
     tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
-                                 fine.grid, delta=delta, delta_factor=delta_factor)
+                                 fine.grid, config.delta_mode, config.delta_value)
     return basis, tensor
 
 
@@ -202,8 +198,6 @@ class OfflineArtifacts:
         if self.tensor.n_times != self.fine.grid.steps + 1:
             raise ValueError(f"{self.tensor.n_times} rectification maps for "
                              f"{self.fine.grid.steps + 1} fine time knots")
-        if self.basis.modes.shape[1] != self.basis.n_fields * self.fine.mesh.n_nodes:
-            raise ValueError("basis width does not match the fine mesh")
         return self
 
 
@@ -279,7 +273,7 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
         coeffs = apply_rectification(artifacts.tensor, coeffs)
     values = reconstruct(artifacts.basis, coeffs)
     trajectory = FieldTrajectory(mesh=fine.mesh, grid=fine.grid, values=values,
-                                 parameter=key, n_fields=artifacts.basis.n_fields)
+                                 parameter=key)
     seconds_reconstruct = time.perf_counter() - t_start
     log.info("online %s at %s: coarse solve %.3fs, reconstruction %.3fs",
              mode, key, seconds_coarse, seconds_reconstruct)
@@ -322,11 +316,12 @@ def energy_norm(forms):
     return "h10" if forms.bc == "dirichlet_zero" else "h1"
 
 
-def _norm_curves(forms, values, n_fields, energy):
+def _norm_curves(forms, values, energy):
     """Per-knot (L2, energy) curves of stacked fields, species combined in
     quadrature."""
+    values = np.asarray(values, dtype=float)
     l2sq = ensq = 0.0
-    for part in np.split(np.asarray(values, dtype=float), n_fields, axis=-1):
+    for part in np.split(values, values.shape[-1] // forms.n_dofs, axis=-1):
         l2, h1 = norms(forms, part)
         en = np.sqrt(l2 ** 2 + h1 ** 2) if energy == "h1" else h1
         l2sq = l2sq + l2 ** 2
@@ -348,10 +343,9 @@ def evaluate_errors(candidate, reference, forms):
     errors divide the sup-in-time error by the sup-in-time reference norm,
     so a uniformly scaled candidate c = (1+s) u reports s exactly in every
     norm."""
-    n_fields = candidate.n_fields
     energy = energy_norm(forms)
     if isinstance(reference, AnalyticReference):
-        if n_fields != 1:
+        if candidate.n_fields != 1:
             raise ValueError("analytic references support single fields only")
         rows = [difference_norms(forms, candidate.values[k], reference.u,
                                  reference.grad, t)
@@ -370,11 +364,11 @@ def evaluate_errors(candidate, reference, forms):
                 or abs(reference.grid.t0 - candidate.grid.t0) > 1e-12
                 or abs(reference.grid.T - candidate.grid.T) > 1e-12):
             raise ValueError("candidate and reference time grids differ")
-        if reference.n_fields != n_fields:
+        if reference.n_fields != candidate.n_fields:
             raise ValueError("candidate and reference field counts differ")
         err_l2, err_en = _norm_curves(forms, candidate.values - reference.values,
-                                      n_fields, energy)
-        ref_l2, ref_en = _norm_curves(forms, reference.values, n_fields, energy)
+                                      energy)
+        ref_l2, ref_en = _norm_curves(forms, reference.values, energy)
         ref_param = reference.parameter
 
     return ErrorReport(
@@ -391,7 +385,7 @@ def projection_errors(basis, forms, traj):
     onto the basis span."""
     proj = reconstruct(basis, coefficients(basis, forms, traj.values))
     projected = FieldTrajectory(mesh=traj.mesh, grid=traj.grid, values=proj,
-                                parameter=traj.parameter, n_fields=traj.n_fields)
+                                parameter=traj.parameter)
     report = evaluate_errors(projected, traj, forms)
     return report.rel_l2, report.rel_energy
 
@@ -557,16 +551,19 @@ def level_config(config, n, coupling):
 
 def convergence_study(config, coupling=None):
     """Run the mesh ladder and collect fine, coarse, plain, and rectified
-    errors per level, plus their log-log slopes in h."""
+    errors per level, plus their log-log slopes in h.
+
+    Every rung's config is derived before the first solve, so a bad ladder
+    fails before minutes of offline work."""
     config.validate()
     coupling = coupling or config.study_coupling
     if len(config.study_levels) < 1:
         raise ValueError("empty mesh ladder")
     test_param = config.test_parameter()
+    rungs = [(n, level_config(config, n, coupling)) for n in config.study_levels]
     levels = []
 
-    for n in config.study_levels:
-        cfg = level_config(config, n, coupling)
+    for n, cfg in rungs:
         artifacts = offline(cfg, persist=False)
         fine, coarse = artifacts.fine, artifacts.coarse
         energy = energy_norm(fine.forms)

@@ -52,8 +52,7 @@ def lift_coarse(coarse_traj, fine_mesh, fine_grid):
             [interpolate_field(src, p, fine_mesh) for p in lifted.split_fields()],
             axis=-1)
     return FieldTrajectory(mesh=fine_mesh, grid=fine_grid, values=values,
-                           parameter=coarse_traj.parameter,
-                           n_fields=coarse_traj.n_fields)
+                           parameter=coarse_traj.parameter)
 
 
 def coarse_to_fine_coefficients(coarse_traj, basis, forms, fine_grid):
@@ -64,7 +63,7 @@ def coarse_to_fine_coefficients(coarse_traj, basis, forms, fine_grid):
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
-                        delta=None, delta_factor=1e-10):
+                        delta_mode="relative", delta_value=1e-10):
     """Fit the rectification maps from matched fine/coarse training runs.
 
     fine_trajs and coarse_trajs map the same parameters (same order) to
@@ -73,9 +72,10 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
     the normal-equation solve gives the map weights for mode i, and the
     transpose is stored so application is a plain matrix-vector product.
 
-    delta=None uses the relative default delta_factor * sigma_1(A^T A) per
-    time index; a float is taken as an absolute Tikhonov parameter (zero
-    triggers an invertibility screen and fails loudly on rank deficiency)."""
+    The Tikhonov parameter follows the config's rule: delta_mode 'relative'
+    takes delta_value * sigma_1(A^T A) at each time index, 'absolute' takes
+    delta_value itself (zero triggers an invertibility screen and fails
+    loudly on rank deficiency)."""
     fine_keys = list(fine_trajs.keys())
     coarse_keys = list(coarse_trajs.keys())
     if fine_keys != coarse_keys:
@@ -93,22 +93,21 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
     N = basis.N
     mats = np.empty((n_times, N, N))
     deltas = np.empty(n_times)
-    mode = "relative" if delta is None else "absolute"
     for n in range(n_times):
         An, Bn = A[n], B[n]
-        if delta is None:
-            d = delta_factor * dominant_eigenvalue(An.T @ An)
+        if delta_mode == "relative":
+            d = delta_value * dominant_eigenvalue(An.T @ An)
         else:
-            d = float(delta)
+            d = float(delta_value)
         try:
             cols = solve_regularized_normal(An, Bn, d)
         except ValueError as exc:
             raise ValueError(f"time index {n}: {exc}") from exc
         mats[n] = cols.T
         deltas[n] = d
-    return RectificationTensor(matrices=mats, deltas=deltas, delta_mode=mode,
-                               delta_value=(delta_factor if delta is None
-                                            else float(delta)),
+    return RectificationTensor(matrices=mats, deltas=deltas,
+                               delta_mode=delta_mode,
+                               delta_value=float(delta_value),
                                params=list(fine_keys))
 
 

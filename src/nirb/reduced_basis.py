@@ -19,43 +19,49 @@ class ReducedBasis:
     """L2-orthonormal modes stored as rows of ``modes``.
 
     Multi-component fields stack their components along the mode axis, with
-    all inner products taken blockwise.  ``eigenvalues`` holds the ascending
-    H1 spectrum after re-orthogonalization (the squared H1 norms of the
-    modes), and ``provenance`` records how the basis was selected."""
+    all inner products taken blockwise; the field count is read off the mode
+    width and the mesh.  ``eigenvalues`` holds the ascending H1 spectrum
+    after re-orthogonalization (the squared H1 norms of the modes), and
+    ``provenance`` records how the basis was selected."""
 
     mesh: object
     modes: np.ndarray                     # (N, n_fields * n_nodes)
     eigenvalues: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
-    n_fields: int = 1
 
     @property
     def N(self):
         return self.modes.shape[0]
 
+    @property
+    def n_fields(self):
+        return self.modes.shape[1] // self.mesh.n_nodes
 
-def block_matvec(mat, U, n_fields=1):
-    """Apply a nodal matrix to every component block of the last axis."""
+
+def block_matvec(mat, U):
+    """Apply a nodal matrix to every component block of the last axis; the
+    block count is the width over the matrix size."""
     U = np.asarray(U, dtype=float)
+    n_fields = U.shape[-1] // mat.n
     if n_fields == 1:
         return mat.matvec(U)
     parts = np.split(U, n_fields, axis=-1)
     return np.concatenate([mat.matvec(p) for p in parts], axis=-1)
 
 
-def mass_inner(forms, U, V, n_fields=1):
+def mass_inner(forms, U, V):
     """Blockwise L2 inner products; U (..., d) against V (k, d) -> (..., k)."""
-    return np.asarray(U) @ block_matvec(forms.mass, np.asarray(V), n_fields).T
+    return np.asarray(U) @ block_matvec(forms.mass, np.asarray(V)).T
 
 
-def l2_norms(forms, U, n_fields=1):
+def l2_norms(forms, U):
     """Rowwise L2 norms of (stacked) nodal fields."""
     U = np.asarray(U, dtype=float)
-    sq = (U * block_matvec(forms.mass, U, n_fields)).sum(-1)
+    sq = (U * block_matvec(forms.mass, U)).sum(-1)
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def pod(snapshots, forms, keep, n_fields=1, inner="l2"):
+def pod(snapshots, forms, keep, inner="l2"):
     """Proper orthogonal decomposition in the L2 or H1 inner product.
 
     ``keep`` is either a mode count (int), further limited by the numerical
@@ -70,9 +76,9 @@ def pod(snapshots, forms, keep, n_fields=1, inner="l2"):
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ValueError(f"need a (k, d) snapshot array, got shape {S.shape}")
-    W = block_matvec(forms.mass, S, n_fields)
+    W = block_matvec(forms.mass, S)
     if inner == "h1":
-        W = W + block_matvec(forms.stiffness, S, n_fields)
+        W = W + block_matvec(forms.stiffness, S)
     G = S @ W.T
     lam, V = sym_eig(0.5 * (G + G.T))
     lam = lam[::-1]
@@ -88,25 +94,25 @@ def pod(snapshots, forms, keep, n_fields=1, inner="l2"):
     return (V[:, :k].T @ S) / sig[:k, None], sig
 
 
-def _mass_mgs(cands, against, forms, n_fields, drop_tol=None):
+def _mass_mgs(cands, against, forms, drop_tol=None):
     """Modified Gram-Schmidt in the L2 inner product, two passes.
 
     Orthogonalizes the rows of ``cands`` in place against ``against`` (may be
     None) and against each other; with drop_tol set, rows whose norm falls
     below drop_tol relative to their original size are removed and the kept
     rows are returned."""
-    orig = l2_norms(forms, cands, n_fields)
+    orig = l2_norms(forms, cands)
     kept = []
     for i in range(cands.shape[0]):
         v = cands[i]
         for _ in range(2):
             if against is not None and len(against):
-                coef = mass_inner(forms, v, against, n_fields)
+                coef = mass_inner(forms, v, against)
                 v = v - coef @ against
             for j in kept:
-                c = mass_inner(forms, v, cands[j:j + 1], n_fields)[0]
+                c = mass_inner(forms, v, cands[j:j + 1])[0]
                 v = v - c * cands[j]
-        nrm = l2_norms(forms, v, n_fields)
+        nrm = l2_norms(forms, v)
         if drop_tol is not None and nrm <= drop_tol * max(orig[i], 1e-300):
             continue
         if nrm == 0.0:
@@ -129,13 +135,12 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
-    n_fields = items[0][1].n_fields
-    norm_inf = [l2_norms(forms, traj.values, n_fields).max() for _, traj in items]
+    norm_inf = [l2_norms(forms, traj.values).max() for _, traj in items]
 
     first = int(np.argmax(norm_inf))
     selected = [first]
-    modes, _ = pod(items[first][1].values, forms, pod_tol, n_fields)
-    modes = _mass_mgs(modes[:n_max], None, forms, n_fields)
+    modes, _ = pod(items[first][1].values, forms, pod_tol)
+    modes = _mass_mgs(modes[:n_max], None, forms)
     picks = [(items[first][0], modes.shape[0])]
 
     while modes.shape[0] < n_max:
@@ -145,18 +150,18 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
         errs = []
         for k in remaining:
             U = items[k][1].values
-            resid = U - mass_inner(forms, U, modes, n_fields) @ modes
+            resid = U - mass_inner(forms, U, modes) @ modes
             denom = norm_inf[k] if norm_inf[k] > 0 else 1.0
-            errs.append(l2_norms(forms, resid, n_fields).max() / denom)
+            errs.append(l2_norms(forms, resid).max() / denom)
         worst = int(np.argmax(errs))
         if errs[worst] <= pod_tol:
             break
         k = remaining[worst]
         selected.append(k)
         U = items[k][1].values
-        resid = U - mass_inner(forms, U, modes, n_fields) @ modes
-        new, _ = pod(resid, forms, pod_tol, n_fields)
-        new = _mass_mgs(new[:n_max - modes.shape[0]], modes, forms, n_fields,
+        resid = U - mass_inner(forms, U, modes) @ modes
+        new, _ = pod(resid, forms, pod_tol)
+        new = _mass_mgs(new[:n_max - modes.shape[0]], modes, forms,
                         drop_tol=1e-10)
         if new.shape[0] == 0:
             log.warning("residual POD at parameter %s produced no new modes",
@@ -168,7 +173,7 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
     return ReducedBasis(
         mesh=items[0][1].mesh, modes=modes, eigenvalues=None,
         provenance={"algorithm": "pod_greedy", "selected": picks,
-                    "pod_tol": pod_tol}, n_fields=n_fields)
+                    "pod_tol": pod_tol})
 
 
 def greedy(trajectories, forms, tol, n_max):
@@ -183,7 +188,6 @@ def greedy(trajectories, forms, tol, n_max):
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
-    n_fields = items[0][1].n_fields
     snaps = np.vstack([traj.values for _, traj in items])
     counts = [traj.values.shape[0] for _, traj in items]
     offsets = np.cumsum([0] + counts)
@@ -192,7 +196,7 @@ def greedy(trajectories, forms, tol, n_max):
         p = int(np.searchsorted(offsets, row, side="right") - 1)
         return items[p][0], row - offsets[p]
 
-    norms0 = l2_norms(forms, snaps, n_fields)
+    norms0 = l2_norms(forms, snaps)
     res2 = norms0 ** 2
     chosen_rows = []
     modes = []
@@ -203,86 +207,64 @@ def greedy(trajectories, forms, tol, n_max):
         if chosen_rows:
             avail[chosen_rows] = -1.0
         row = int(np.argmax(avail))  # argmax takes the earliest tie
-        rmax = np.sqrt(max(avail[row], 0.0))
         history.append(np.sqrt(max(res2.max(), 0.0)))
         if history[-1] <= tol:
             break
         if modes:
             basis = np.vstack(modes)
-            v = snaps[row] - mass_inner(forms, snaps[row], basis, n_fields) @ basis
+            v = snaps[row] - mass_inner(forms, snaps[row], basis) @ basis
             # second pass keeps the basis orthonormal when the picked
             # snapshot is nearly inside the current span
-            v = v - mass_inner(forms, v, basis, n_fields) @ basis
+            v = v - mass_inner(forms, v, basis) @ basis
         else:
             v = snaps[row].copy()
-        nrm = l2_norms(forms, v, n_fields)
+        nrm = l2_norms(forms, v)
         if nrm < 1e-13:
             break
         modes.append(v / nrm)
         chosen_rows.append(row)
         picks.append(pair_of(row))
-        coef = mass_inner(forms, snaps, modes[-1][None, :], n_fields)[:, 0]
+        coef = mass_inner(forms, snaps, modes[-1][None, :])[:, 0]
         res2 = np.clip(res2 - coef ** 2, 0.0, None)
 
     modes = np.vstack(modes) if modes else np.zeros((0, snaps.shape[1]))
     return ReducedBasis(
         mesh=items[0][1].mesh, modes=modes, eigenvalues=None,
         provenance={"algorithm": "greedy", "selected": picks, "tol": tol,
-                    "residual_history": history}, n_fields=n_fields)
+                    "residual_history": history})
 
 
-def hierarchical_pod(trajectories, forms, n_max, inner="h1", chunk=384):
-    """One POD over every snapshot of every training trajectory.
+def hierarchical_pod(trajectories, forms, n_max):
+    """One H1 POD over every snapshot of every training trajectory.
 
-    The pooled snapshot set is compressed blockwise so every dense
-    eigenproblem stays small: each trajectory (split when longer than
-    ``chunk``) is reduced to at most ``n_max`` directions in the chosen
-    inner product, the survivors are reweighted by their singular values,
-    and merge rounds repeat the compression until at most ``chunk`` rows
-    remain; their POD, truncated at ``n_max``, is the result.  Because the
-    reweighted directions carry the second moment of their block exactly,
-    the blockwise pass reproduces the pooled POD closely.
+    Each trajectory is reduced by its own POD to at most ``n_max``
+    directions, reweighted by their singular values, and one POD of the
+    pooled survivors, truncated at ``n_max``, is the result; the provenance
+    records the pooled row count.  The reweighted directions carry the
+    second moment of their trajectory, so this reproduces the pooled POD
+    closely, and exactly when every trajectory has rank at most ``n_max``.
 
-    The default "h1" inner product ranks directions by mass plus stiffness
-    energy.  Spatially sharp, low-amplitude features, such as the boundary
-    layers that form when an initial state violates a Neumann condition,
-    carry far more stiffness energy than mass energy, so they survive a
-    truncation that would drop them under a pure L2 ranking.  The output is
+    The H1 inner product ranks directions by mass plus stiffness energy.
+    Spatially sharp, low-amplitude features, such as the boundary layers
+    that form when an initial state violates a Neumann condition, carry far
+    more stiffness energy than mass energy, so they survive a truncation
+    that would drop them under a pure L2 ranking.  The output is
     re-orthonormalized in L2, so the basis invariants and the H1 rotation
     apply unchanged."""
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
-    n_fields = items[0][1].n_fields
-
-    blocks = []
+    reps = []
     for _, traj in items:
-        values = np.asarray(traj.values, dtype=float)
-        for start in range(0, values.shape[0], chunk):
-            blocks.append(values[start:start + chunk])
-
-    levels = []
-    while True:
-        total_in = sum(b.shape[0] for b in blocks)
-        reps = []
-        for block in blocks:
-            modes, sig = pod(block, forms, n_max, n_fields, inner)
-            reps.append(modes * sig[:modes.shape[0], None])
-        rows = np.vstack(reps)
-        levels.append(int(rows.shape[0]))
-        # stop when the pool fits one eigenproblem, or when a round stalls
-        # (chunk at or below the block ranks), in which case the final POD
-        # simply runs on the larger pool
-        if rows.shape[0] <= chunk or rows.shape[0] >= total_in:
-            break
-        blocks = [rows[s:s + chunk] for s in range(0, rows.shape[0], chunk)]
-
-    modes, _ = pod(rows, forms, n_max, n_fields, inner)
-    modes = _mass_mgs(modes, None, forms, n_fields)
+        modes, sig = pod(traj.values, forms, n_max, inner="h1")
+        reps.append(modes * sig[:modes.shape[0], None])
+    rows = np.vstack(reps)
+    modes, _ = pod(rows, forms, n_max, inner="h1")
+    modes = _mass_mgs(modes, None, forms)
     return ReducedBasis(
         mesh=items[0][1].mesh, modes=modes, eigenvalues=None,
-        provenance={"algorithm": "hierarchical_pod", "inner": inner,
-                    "levels": levels}, n_fields=n_fields)
+        provenance={"algorithm": "hierarchical_pod",
+                    "pooled_rows": int(rows.shape[0])})
 
 
 def h1_reorthogonalize(basis, forms):
@@ -294,22 +276,21 @@ def h1_reorthogonalize(basis, forms):
     their squared H1 seminorms."""
     if basis.N == 0:
         return basis
-    gram_m = mass_inner(forms, basis.modes, basis.modes, basis.n_fields)
+    gram_m = mass_inner(forms, basis.modes, basis.modes)
     if np.abs(gram_m - np.eye(basis.N)).max() > 1e-8:
         raise ValueError("basis is not L2-orthonormal within 1e-8")
-    G = np.asarray(basis.modes) @ block_matvec(
-        forms.stiffness, basis.modes, basis.n_fields).T
+    G = np.asarray(basis.modes) @ block_matvec(forms.stiffness, basis.modes).T
     lam, V = sym_eig(0.5 * (G + G.T))
     modes = V.T @ basis.modes
     prov = dict(basis.provenance)
     prov["h1_reorthogonalized"] = True
     return ReducedBasis(mesh=basis.mesh, modes=modes, eigenvalues=lam,
-                        provenance=prov, n_fields=basis.n_fields)
+                        provenance=prov)
 
 
 def coefficients(basis, forms, values):
     """L2 coefficients of (rows of) ``values`` in the basis."""
-    return mass_inner(forms, values, basis.modes, basis.n_fields)
+    return mass_inner(forms, values, basis.modes)
 
 
 def reconstruct(basis, coeffs):

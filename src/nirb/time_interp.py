@@ -41,4 +41,4 @@ def quadratic_time_interp(traj, target_grid):
     V = traj.values
     out = (la[:, None] * V[mp - 2] + lb[:, None] * V[mp - 1] + lc[:, None] * V[mp])
     return FieldTrajectory(mesh=traj.mesh, grid=target_grid, values=out,
-                           parameter=traj.parameter, n_fields=traj.n_fields)
+                           parameter=traj.parameter)

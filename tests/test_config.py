@@ -85,6 +85,7 @@ def test_unknown_keys_rejected(line):
     {"problem": "wave"}, {"T": 0.5}, {"coarse_steps": 1}, {"n_max": 0},
     {"rb_algorithm": "svd"}, {"delta_mode": "scaled"},
     {"delta_value": -1.0}, {"train_mu": ()}, {"train_mu": (12.0,)},
+    {"study_coupling": "3h"},
 ])
 def test_invalid_values_rejected(edit):
     with pytest.raises(ValueError):

@@ -75,6 +75,19 @@ class TestArtifacts:
             io.load_artifacts(_copy_with(path, tmp_path, downgrade))
         assert err.value.slug == "version-mismatch"
 
+    def test_stored_field_count_must_match_the_width(self, saved, tmp_path):
+        _, _, path = saved
+        blocks = io._read_file(str(path), io.MAGIC, io.VERSION,
+                               io.ARTIFACT_BLOCKS, "artifact")
+        basis = bytearray(blocks[1])
+        basis[8:12] = struct.pack("<I", 2)  # after u32 N and u32 width
+        out = str(tmp_path / "edited.nirb")
+        io._write_file(out, io.MAGIC, io.VERSION,
+                       [blocks[0], bytes(basis), blocks[2]])
+        with pytest.raises(io.ArtifactError, match="stores 2 field") as err:
+            io.load_artifacts(out)
+        assert err.value.slug == "corrupt-artifacts"
+
     def test_offline_writes_only_the_artifact_file(self, saved):
         _, _, path = saved
         assert sorted(p.name for p in path.parent.iterdir()) \
@@ -96,15 +109,18 @@ class TestTrajectory:
         back = io.load_trajectory(path)
         assert np.array_equal(back.values, traj.values)
         assert np.array_equal(back.mesh.nodes, traj.mesh.nodes)
+        assert np.array_equal(back.mesh.triangles, traj.mesh.triangles)
+        assert np.array_equal(back.mesh.boundary_mask, traj.mesh.boundary_mask)
+        assert back.mesh.h == traj.mesh.h
         assert back.grid == traj.grid
         assert back.parameter == traj.parameter
         assert back.n_fields == traj.n_fields
 
     @pytest.mark.parametrize("version, slug", [
-        (1, None), (2, None), (io.TRAJ_VERSION + 1, "version-mismatch")])
+        (4, None), (3, "version-mismatch"), (5, "version-mismatch")])
     def test_header_version(self, tmp_path, unit_mesh_4, version, slug):
-        # the trajectory layout is unchanged since version 1, so older
-        # headers load; a newer one is refused
+        # only the current layout loads: version 3 stored the whole mesh,
+        # and a newer header is refused
         traj = FieldTrajectory(mesh=unit_mesh_4, grid=TimeGrid(0.0, 1.0, 1),
                                values=np.ones((2, unit_mesh_4.n_nodes)),
                                parameter=2.0)
@@ -122,11 +138,27 @@ class TestTrajectory:
                 io.load_trajectory(str(path))
             assert err.value.slug == slug
 
+    @pytest.mark.parametrize("nx, count, message", [
+        (0, 1, "bad mesh block"), (4, 2, "stores 2 field")])
+    def test_inconsistent_blocks_are_corrupt(self, tmp_path, nx, count,
+                                             message):
+        # a 4x4 mesh has 25 nodes; the values block holds 2 rows of 25
+        mesh_block = struct.pack("<II4d", nx, 4, 0.0, 1.0, 0.0, 1.0)
+        values_block = struct.pack("<IIIId", 2, 25, count, 1, 2.0) \
+            + np.ones((2, 25)).tobytes()
+        path = str(tmp_path / "t.traj")
+        io._write_file(path, io.TRAJ_MAGIC, io.TRAJ_VERSION,
+                       [mesh_block, io.encode_grid(TimeGrid(0.0, 1.0, 1)),
+                        values_block])
+        with pytest.raises(io.ArtifactError, match=message) as err:
+            io.load_trajectory(path)
+        assert err.value.slug == "corrupt-artifacts"
+
     def test_tuple_parameter_round_trip(self, tmp_path, unit_mesh_4):
         values = np.arange(3 * 2 * unit_mesh_4.n_nodes, dtype=float) / 7.0
         traj = FieldTrajectory(mesh=unit_mesh_4, grid=TimeGrid(0.0, 1.0, 2),
                                values=values.reshape(3, -1),
-                               parameter=(3.0, 2.0, 0.008), n_fields=2)
+                               parameter=(3.0, 2.0, 0.008))
         path = str(tmp_path / "t.traj")
         io.save_trajectory(path, traj)
         back = io.load_trajectory(path)

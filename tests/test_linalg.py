@@ -142,7 +142,7 @@ class TestBiCGStab:
         A = random_spd(rng, 15) + 0.3 * rng.standard_normal((15, 15))
         b = rng.standard_normal(15)
         x, _ = linalg.bicgstab_solve(lambda v: A @ v, b, tol=1e-12,
-                                     diag=np.diag(A))
+                                     precond=lambda v: v / np.diag(A))
         assert x == pytest.approx(np.linalg.solve(A, b), rel=1e-8)
 
     def test_identity_immediate(self):

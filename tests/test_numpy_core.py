@@ -1,6 +1,8 @@
-"""The package uses numpy core only: no module reaches numpy.linalg."""
+"""The package uses numpy core only: no module reaches numpy.linalg, and
+every import is from the standard library, numpy or the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,41 @@ def test_package_uses_numpy_core_only():
              for path in files
              for line in linalg_uses(ast.parse(path.read_text("utf-8")))}
     assert not found, f"numpy.linalg used at {sorted(found)}"
+
+
+ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "nirb"}
+
+
+def foreign_imports(tree):
+    """(line, module) of every import whose top-level package is neither in
+    the standard library, nor numpy, nor nirb; relative imports count as
+    the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in ALLOWED_ROOTS:
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("import scipy\n", True),
+    ("from scipy.linalg import eigh\n", True),
+    ("import numba as nb\n", True),
+    ("import os, struct\nfrom dataclasses import dataclass\n", False),
+    ("import numpy as np\nfrom nirb.linalg import sym_eig\n", False),
+    ("from . import io\n", False),
+])
+def test_import_scan(source, caught):
+    assert bool(list(foreign_imports(ast.parse(source)))) == caught
+
+
+def test_package_adds_no_dependencies():
+    found = {f"{path.name}:{line} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in foreign_imports(ast.parse(path.read_text("utf-8")))}
+    assert not found, f"imports outside stdlib, numpy and nirb: {sorted(found)}"

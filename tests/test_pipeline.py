@@ -128,7 +128,7 @@ class TestRectification:
         basis = rb.ReducedBasis(mesh=fine_mesh, modes=modes)
 
         tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     fine_grid, delta=0.0)
+                                     fine_grid, "absolute", 0.0)
         assert tensor.delta_mode == "absolute"
         assert np.all(tensor.deltas == 0.0)
         for p in params:
@@ -159,11 +159,10 @@ class TestEvaluateErrors:
         if bc == "dirichlet_zero":
             values[:, unit_mesh_4.boundary_mask] = 0.0
         reference = FieldTrajectory(mesh=unit_mesh_4, grid=grid, values=values,
-                                    parameter=1.0, n_fields=n_fields)
+                                    parameter=1.0)
         s = 0.25
         candidate = FieldTrajectory(mesh=unit_mesh_4, grid=grid,
-                                    values=(1.0 + s) * values, parameter=1.0,
-                                    n_fields=n_fields)
+                                    values=(1.0 + s) * values, parameter=1.0)
         report = pipeline.evaluate_errors(candidate, reference, forms)
         assert report.energy_norm == norm
         assert report.rel_l2 == pytest.approx(s, abs=1e-14)
@@ -173,9 +172,49 @@ class TestEvaluateErrors:
                                                    neumann_forms_4):
         grid = TimeGrid(0.0, 1.0, 2)
         candidate = FieldTrajectory(
-            mesh=unit_mesh_4, grid=grid, n_fields=2,
+            mesh=unit_mesh_4, grid=grid,
             values=np.zeros((3, 2 * unit_mesh_4.n_nodes)))
         reference = pipeline.AnalyticReference(models.manufactured_u,
                                                models.manufactured_grad)
         with pytest.raises(ValueError, match="single fields"):
             pipeline.evaluate_errors(candidate, reference, neumann_forms_4)
+
+
+class TestNewtonFineSolve:
+    @pytest.mark.parametrize("param", [(2.0, 1.0, 0.001), (2.5, 1.0, 0.001)])
+    def test_slow_diffusion_step_converges(self, param):
+        # with a diagonal preconditioner the first Newton linear solve of
+        # both parameters stalls at a relative residual near 1e1
+        config = StudyConfig.from_text(
+            "problem = brusselator\nt0 = 0.0\nT = 5.0\nfine_nx = 16\n"
+            "coarse_nx = 8\nfine_steps = 20\ncoarse_steps = 10\n")
+        fine, _ = pipeline.discretize(config)
+        traj = pipeline.solve_fine(config, fine, param)
+        assert np.isfinite(traj.values).all()
+
+
+class TestStudy:
+    @pytest.fixture(scope="class")
+    def heat_config(self):
+        return dataclasses.replace(
+            StudyConfig(), train_mu=(0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 9.5),
+            study_levels=(8, 16, 32))
+
+    def test_sqrt_coupling_gives_the_better_rectified_rate(self, heat_config):
+        slopes = pipeline.convergence_study(heat_config, "sqrt").slopes
+        assert slopes["rect", "energy"] >= 1.2
+        assert slopes["rect", "energy"] > slopes["coarse", "energy"] + 0.5
+
+    def test_2h_rectified_rate_follows_the_fine_rate(self, heat_config):
+        slopes = pipeline.convergence_study(heat_config, "2h").slopes
+        assert abs(slopes["rect", "energy"] - slopes["fine", "energy"]) <= 0.05
+
+    def test_bad_ladder_fails_before_any_offline(self, heat_config,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "offline",
+                            lambda *a, **k: calls.append(a))
+        config = dataclasses.replace(heat_config, study_levels=(8, 15))
+        with pytest.raises(ValueError, match="even mesh counts"):
+            pipeline.convergence_study(config, "2h")
+        assert calls == []

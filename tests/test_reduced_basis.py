@@ -13,14 +13,13 @@ def setup():
     return m, forms
 
 
-def make_traj(m, values, n_fields=1, param=1.0):
+def make_traj(m, values, param=1.0):
     grid = TimeGrid(0.0, 1.0, values.shape[0] - 1)
-    return FieldTrajectory(mesh=m, grid=grid, values=values, parameter=param,
-                           n_fields=n_fields)
+    return FieldTrajectory(mesh=m, grid=grid, values=values, parameter=param)
 
 
-def l2_gram(forms, U, n_fields=1):
-    return rb.mass_inner(forms, U, U, n_fields)
+def l2_gram(forms, U):
+    return rb.mass_inner(forms, U, U)
 
 
 class TestPod:
@@ -165,40 +164,29 @@ class TestHierarchicalPod:
     def test_matches_direct_pod_on_single_block(self, setup, rng):
         m, forms = setup
         values = rng.standard_normal((8, m.n_nodes))
-        basis = rb.hierarchical_pod({1.0: make_traj(m, values)}, forms, 4,
-                                    inner="l2")
-        direct, _ = rb.pod(values, forms, 4)
+        basis = rb.hierarchical_pod({1.0: make_traj(m, values)}, forms, 4)
+        direct, _ = rb.pod(values, forms, 4, inner="h1")
+        direct = rb._mass_mgs(direct, None, forms)
         P1 = basis.modes.T @ block_mass(forms, basis.modes)
         P2 = direct.T @ block_mass(forms, direct)
         assert np.abs(P1 - P2).max() <= 1e-9
 
-    def test_chunked_merge_matches_pooled(self, setup, rng):
-        # On data of rank at most the mode budget every block compression is
-        # lossless, so the multi-round merge must agree with the one-shot
-        # pooled decomposition exactly.
+    def test_one_round_matches_pooled(self, setup, rng):
+        # On trajectories of rank at most the mode budget every per-trajectory
+        # compression is lossless, so the one round spans what the H1 POD of
+        # all snapshots pooled spans.
         m, forms = setup
         base = rng.standard_normal((3, m.n_nodes))
         trajs = {float(k): make_traj(m, rng.standard_normal((10, 3)) @ base,
-                                     param=float(k)) for k in range(2)}
-        small = rb.hierarchical_pod(trajs, forms, 3, inner="l2", chunk=4)
-        big = rb.hierarchical_pod(trajs, forms, 3, inner="l2", chunk=1000)
-        P1 = small.modes.T @ block_mass(forms, small.modes)
-        P2 = big.modes.T @ block_mass(forms, big.modes)
-        assert np.abs(P1 - P2).max() <= 1e-8
-        assert len(small.provenance["levels"]) >= 2
-
-    def test_stalled_merge_still_terminates(self, setup, rng):
-        # A chunk size at or below the block ranks cannot shrink the pool;
-        # the builder must fall through to one big final decomposition
-        # rather than loop.
-        m, forms = setup
-        trajs = {1.0: make_traj(m, rng.standard_normal((12, m.n_nodes)))}
-        basis = rb.hierarchical_pod(trajs, forms, 6, inner="l2", chunk=4)
-        assert basis.N == 6
-        direct, _ = rb.pod(trajs[1.0].values, forms, 6)
+                                     param=float(k)) for k in range(3)}
+        basis = rb.hierarchical_pod(trajs, forms, 3)
+        pooled, _ = rb.pod(np.vstack([t.values for t in trajs.values()]),
+                           forms, 3, inner="h1")
+        pooled = rb._mass_mgs(pooled, None, forms)
         P1 = basis.modes.T @ block_mass(forms, basis.modes)
-        P2 = direct.T @ block_mass(forms, direct)
+        P2 = pooled.T @ block_mass(forms, pooled)
         assert np.abs(P1 - P2).max() <= 1e-8
+        assert basis.provenance["pooled_rows"] == 9
 
     def test_h1_ranking_keeps_stiff_direction(self, setup):
         # A tiny sharp feature loses the L2 ranking but dominates the
@@ -209,14 +197,14 @@ class TestHierarchicalPod:
         spike[m.n_nodes // 2] = 2.0
         values = np.stack([smooth + spike, smooth - spike])
         trajs = {1.0: make_traj(m, values)}
-        l2_basis = rb.hierarchical_pod(trajs, forms, 1, inner="l2")
-        h1_basis = rb.hierarchical_pod(trajs, forms, 1, inner="h1")
+        l2_modes, _ = rb.pod(values, forms, 1, inner="l2")
+        h1_modes = rb.hierarchical_pod(trajs, forms, 1).modes
         # under l2 the kept mode is nearly constant; under h1 it is nearly
         # the spike, measured by the stiffness energy it retains
-        def stiff_energy(basis):
-            v = basis.modes[0]
+        def stiff_energy(modes):
+            v = modes[0]
             return float(v @ forms.stiffness.matvec(v))
-        assert stiff_energy(h1_basis) > 100.0 * stiff_energy(l2_basis)
+        assert stiff_energy(h1_modes) > 100.0 * stiff_energy(l2_modes)
 
     def test_output_l2_orthonormal(self, setup, rng):
         m, forms = setup
@@ -228,9 +216,8 @@ class TestHierarchicalPod:
 
     def test_unknown_inner_rejected(self, setup):
         m, forms = setup
-        trajs = {1.0: make_traj(m, np.ones((2, m.n_nodes)))}
         with pytest.raises(ValueError):
-            rb.hierarchical_pod(trajs, forms, 2, inner="h2")
+            rb.pod(np.ones((2, m.n_nodes)), forms, 2, inner="h2")
 
 
 def block_mass(forms, U):
@@ -303,9 +290,10 @@ class TestCoefficients:
     def test_two_field_blocks(self, setup, rng):
         m, forms = setup
         snaps = rng.standard_normal((6, 2 * m.n_nodes))
-        modes, _ = rb.pod(snaps, forms, 3, n_fields=2)
-        basis = rb.ReducedBasis(mesh=m, modes=modes, n_fields=2)
-        G = rb.mass_inner(forms, modes, modes, 2)
+        modes, _ = rb.pod(snaps, forms, 3)
+        basis = rb.ReducedBasis(mesh=m, modes=modes)
+        assert basis.n_fields == 2
+        G = rb.mass_inner(forms, modes, modes)
         assert np.abs(G - np.eye(3)).max() <= 1e-10
         coef = rb.coefficients(basis, forms, snaps[:2])
         assert coef.shape == (2, 3)

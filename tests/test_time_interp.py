@@ -10,8 +10,7 @@ def make_traj(fn, grid, n_nodes=5, n_fields=1):
     m = mesh.build_structured(1, 1)
     t = grid.times()
     values = np.stack([np.full(4 * n_fields, fn(tk)) for tk in t])
-    return FieldTrajectory(mesh=m, grid=grid, values=values, parameter=1.0,
-                           n_fields=n_fields)
+    return FieldTrajectory(mesh=m, grid=grid, values=values, parameter=1.0)
 
 
 def test_quadratic_polynomial_exact():
