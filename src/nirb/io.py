@@ -1,27 +1,38 @@
-"""Binary persistence and CSV emission.
+"""Persistence as numpy ``.npz`` archives, and CSV emission.
 
-Artifact and trajectory files are little-endian throughout: a four-byte
-magic, a u32 format version, then a fixed sequence of blocks, each framed as
-u32 payload length, payload, u32 CRC-32 of the payload.  Loads verify every
-checksum and fail naming the offending section; writes go through a
-temporary file and an atomic rename.  Artifact and trajectory files carry
-their own format versions, and each loader reads only its current one.
+Artifact and trajectory files are zip archives of ``.npy`` members written
+by ``np.savez`` into a temporary file that is synced and renamed over the
+target; the zip CRC-32 covers every member.  Loads refuse pickled data, read
+the members one at a time and turn every failure into an ``ArtifactError``
+naming the member.  Each loader reads only its current ``format``; files of
+the earlier block format (``NIRB``/``NTRJ`` headers) fail with
+``version-mismatch``.
 
-An artifact file holds three blocks: the study config, the reduced basis
-and the rectification maps.  The meshes, time grids and assembled forms are
-not stored: loading rebuilds them from the config with
-``pipeline.discretize``.  A trajectory file holds three blocks: the mesh as
-u32 nx, ny and f64 xmin, xmax, ymin, ymax, rebuilt on load with
-``build_structured``; the grid as f64 t0, T and u32 steps; and the values
-as u32 rows, cols, field count and parameter width, the parameter, then the
-f64 values.  The field count stored in the basis and values headers must
-agree with the width and the mesh, or the load fails."""
+Artifact file members:
+
+- ``format``: ``ARTIFACT_FORMAT``;
+- ``config``: the study config text; loading rebuilds the meshes, time
+  grids and forms from it with ``pipeline.discretize``;
+- ``modes``: the (N, n_fields * n_nodes) basis modes on the fine mesh;
+- ``eigenvalues``: the (N,) H1 spectrum, empty when the basis has none;
+- ``provenance``: the ``repr`` of the basis provenance, read back with
+  ``ast.literal_eval``;
+- ``matrices``: the (n_times, N, N) rectification maps;
+- ``deltas``: the (n_times,) Tikhonov parameters.
+
+Trajectory file members:
+
+- ``format``: ``TRAJ_FORMAT``;
+- ``header``: one record with the mesh fields ``nx``, ``ny``, ``domain``,
+  the time-grid fields ``t0``, ``T``, ``steps``, and ``parameter``: no
+  entry for none, one for a scalar, more for a tuple;
+- ``values``: the (steps + 1, n_fields * n_nodes) nodal values."""
 
 from __future__ import annotations
 
+import ast
 import os
-import struct
-import zlib
+import zipfile
 
 import numpy as np
 
@@ -31,13 +42,15 @@ from nirb.mesh import build_structured
 from nirb.rectification import RectificationTensor
 from nirb.reduced_basis import ReducedBasis
 
-MAGIC = b"NIRB"
-TRAJ_MAGIC = b"NTRJ"
-VERSION = 3
-TRAJ_VERSION = 4
+ARTIFACT_FORMAT = "nirb-artifacts 4"
+TRAJ_FORMAT = "nirb-trajectory 5"
+ARTIFACT_MEMBERS = ("format", "config", "modes", "eigenvalues", "provenance",
+                    "matrices", "deltas")
+TRAJ_MEMBERS = ("format", "header", "values")
 
-ARTIFACT_BLOCKS = ("config", "basis", "rectification")
-TRAJ_BLOCKS = ("mesh", "grid", "values")
+# what zipfile and numpy raise on a damaged archive or member
+_READ_ERRORS = (zipfile.BadZipFile, KeyError, ValueError, NotImplementedError,
+                RuntimeError, EOFError, OSError)
 
 
 class ArtifactError(ValueError):
@@ -48,264 +61,128 @@ class ArtifactError(ValueError):
         self.slug = slug
 
 
-class _Reader:
-    """Sequential decoder for one block, erroring with the section name."""
-
-    def __init__(self, buf, section):
-        self.buf = buf
-        self.off = 0
-        self.section = section
-
-    def take(self, n):
-        if self.off + n > len(self.buf):
-            raise ArtifactError(
-                "corrupt-artifacts", f"the {self.section} block is too short")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u32(self, count=1):
-        vals = struct.unpack("<%dI" % count, self.take(4 * count))
-        return vals[0] if count == 1 else vals
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def f64(self, count=1):
-        vals = struct.unpack("<%dd" % count, self.take(8 * count))
-        return vals[0] if count == 1 else vals
-
-    def array(self, dtype, count):
-        item = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(item * count), dtype=dtype).copy()
-
-    def done(self):
-        if self.off != len(self.buf):
-            raise ArtifactError(
-                "corrupt-artifacts",
-                f"trailing bytes in the {self.section} block")
+def _corrupt(path, what, exc):
+    return ArtifactError("corrupt-artifacts", f"{path}: {what}: {exc}")
 
 
-def _write_file(path, magic, version, blocks):
-    parts = [magic, struct.pack("<I", version)]
-    for payload in blocks:
-        parts.append(struct.pack("<I", len(payload)))
-        parts.append(payload)
-        parts.append(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+def _replace(path, write):
+    """Write through ``write(fh)`` to a synced file renamed over ``path``."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
+        write(fh)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def _read_file(path, magic, expected, names, kind):
+def _save(path, fmt, members):
+    # a file object, not a str path, or np.savez appends '.npz'
+    _replace(path, lambda fh: np.savez(fh, allow_pickle=False, format=fmt,
+                                       **members))
+
+
+def _read(path, fmt, kind, names):
+    """The named members of the archive at ``path`` as arrays, read in
+    order; the first, ``format``, must be ``fmt``."""
     if not os.path.exists(path):
         raise ArtifactError("missing-artifacts",
                             f"no {kind} file at {path}; run the offline stage first")
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != magic:
-        raise ArtifactError("corrupt-artifacts", f"{path} is not a {kind} file")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != expected:
-        raise ArtifactError(
-            "version-mismatch",
-            f"{kind} format version {version} is unsupported (expected "
-            f"{expected})")
-    off = 8
-    out = []
-    for name in names:
-        if off + 4 > len(data):
-            raise ArtifactError("corrupt-artifacts",
-                                f"file truncated in the {name} block")
-        (length,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if off + length + 4 > len(data):
-            raise ArtifactError("corrupt-artifacts",
-                                f"file truncated in the {name} block")
-        payload = data[off:off + length]
-        off += length
-        (crc,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise ArtifactError("corrupt-artifacts",
-                                f"checksum mismatch in the {name} block")
-        out.append(payload)
-    if off != len(data):
-        raise ArtifactError("corrupt-artifacts",
-                            "trailing bytes after the last block")
-    return out
-
-
-def encode_mesh(mesh):
-    return struct.pack("<II4d", mesh.nx, mesh.ny, *mesh.domain)
-
-
-def decode_mesh(buf, section):
-    r = _Reader(buf, section)
-    nx, ny = r.u32(2)
-    domain = r.f64(4)
-    r.done()
+        head = fh.read(4)
+    if head in (b"NIRB", b"NTRJ"):
+        raise ArtifactError("version-mismatch", f"{path} is in the earlier "
+                            f"block format; this version reads {fmt!r}")
+    if head != b"PK\x03\x04":
+        raise ArtifactError("corrupt-artifacts", f"{path} is not a nirb {kind} file")
+    members, name = {}, "archive directory"
     try:
-        return build_structured(nx, ny, domain)
-    except ValueError as exc:
-        raise ArtifactError("corrupt-artifacts",
-                            f"bad {section} block: {exc}") from exc
+        with np.load(path, allow_pickle=False) as archive:
+            for name in names:
+                members[name] = archive[name]
+                if not isinstance(members[name], np.ndarray):
+                    raise ValueError("not a numpy array")
+                if str(members["format"]) != fmt:
+                    break
+    except _READ_ERRORS as exc:
+        raise _corrupt(path, f"cannot read the {name} member", exc) from exc
+    if str(members["format"]) != fmt:
+        raise ArtifactError("version-mismatch", f"{path} holds format "
+                            f"{str(members['format'])!r}; this version reads "
+                            f"{fmt!r}")
+    return members
 
 
-def _check_field_count(stored, width, mesh, section):
-    if stored < 1 or stored * mesh.n_nodes != width:
-        raise ArtifactError(
-            "corrupt-artifacts",
-            f"the {section} block stores {stored} field(s) of width {width} "
-            f"on a mesh of {mesh.n_nodes} nodes")
-
-
-def encode_grid(grid):
-    return struct.pack("<ddI", grid.t0, grid.T, grid.steps)
-
-
-def decode_grid(buf, section):
-    r = _Reader(buf, section)
-    t0, T = r.f64(2)
-    steps = r.u32()
-    r.done()
-    return TimeGrid(t0=t0, T=T, steps=steps)
-
-
-def encode_basis(basis):
-    modes = np.ascontiguousarray(basis.modes, "<f8")
-    has_eig = basis.eigenvalues is not None
-    parts = [struct.pack("<IIIB", basis.N, modes.shape[1], basis.n_fields,
-                         int(has_eig)),
-             modes.tobytes()]
-    if has_eig:
-        parts.append(np.ascontiguousarray(basis.eigenvalues, "<f8").tobytes())
-    return b"".join(parts)
-
-
-def decode_basis(buf, mesh, section="basis"):
-    r = _Reader(buf, section)
-    N, width, n_fields, has_eig = *r.u32(3), r.u8()
-    _check_field_count(n_fields, width, mesh, section)
-    modes = r.array("<f8", N * width).reshape(N, width)
-    eig = r.f64(N) if has_eig else None
-    r.done()
-    eig = np.atleast_1d(np.asarray(eig)) if eig is not None else None
-    return ReducedBasis(mesh=mesh, modes=modes, eigenvalues=eig,
-                        provenance={"algorithm": "loaded"})
-
-
-def _param_width(params):
-    if not params:
-        return 1
-    return len(params[0]) if isinstance(params[0], tuple) else 1
-
-
-def encode_tensor(tensor):
-    width = _param_width(tensor.params)
-    flat = np.asarray([list(p) if isinstance(p, tuple) else [p]
-                       for p in tensor.params], dtype=float)
-    mode_code = 0 if tensor.delta_mode == "relative" else 1
-    return b"".join([
-        struct.pack("<IIBd", tensor.n_times, tensor.N, mode_code,
-                    tensor.delta_value),
-        np.ascontiguousarray(tensor.deltas, "<f8").tobytes(),
-        struct.pack("<II", len(tensor.params), width),
-        np.ascontiguousarray(flat, "<f8").tobytes(),
-        np.ascontiguousarray(tensor.matrices, "<f8").tobytes(),
-    ])
-
-
-def decode_tensor(buf, section="rectification"):
-    r = _Reader(buf, section)
-    n_times, N = r.u32(2)
-    mode_code = r.u8()
-    delta_value = r.f64()
-    deltas = r.array("<f8", n_times)
-    n_params, width = r.u32(2)
-    flat = r.array("<f8", n_params * width).reshape(n_params, width)
-    matrices = r.array("<f8", n_times * N * N).reshape(n_times, N, N)
-    r.done()
-    params = ([float(v) for v in flat[:, 0]] if width == 1
-              else [tuple(float(v) for v in row) for row in flat])
-    return RectificationTensor(matrices=matrices, deltas=deltas,
-                               delta_mode="relative" if mode_code == 0 else "absolute",
-                               delta_value=delta_value, params=params)
-
-
-def encode_config(config):
-    return config.to_text().encode("utf-8")
-
-
-def decode_config(buf):
+def _provenance_text(provenance):
+    text = repr(provenance)
     try:
-        return StudyConfig.from_text(buf.decode("utf-8"))
-    except ValueError as exc:
-        raise ArtifactError("corrupt-artifacts",
-                            f"config block does not parse: {exc}") from exc
+        if ast.literal_eval(text) == provenance:
+            return text
+    except (ValueError, SyntaxError):
+        pass
+    raise ValueError(f"basis provenance {text} is not a plain literal")
 
 
 def save_artifacts(path, artifacts):
-    _write_file(path, MAGIC, VERSION, [encode_config(artifacts.config),
-                              encode_basis(artifacts.basis),
-                              encode_tensor(artifacts.tensor)])
+    basis, tensor = artifacts.basis, artifacts.tensor
+    eig = np.empty(0) if basis.eigenvalues is None else basis.eigenvalues
+    _save(path, ARTIFACT_FORMAT, {
+        "config": artifacts.config.to_text(), "modes": basis.modes,
+        "eigenvalues": eig, "provenance": _provenance_text(basis.provenance),
+        "matrices": tensor.matrices, "deltas": tensor.deltas})
 
 
 def load_artifacts(path):
     from nirb.pipeline import OfflineArtifacts, discretize
 
-    blocks = _read_file(path, MAGIC, VERSION, ARTIFACT_BLOCKS, "artifact")
-    config = decode_config(blocks[0])
+    m = _read(path, ARTIFACT_FORMAT, "artifact", ARTIFACT_MEMBERS)
+    try:
+        config = StudyConfig.from_text(str(m["config"]))
+    except ValueError as exc:
+        raise _corrupt(path, "the config member does not parse", exc) from exc
+    try:
+        provenance = ast.literal_eval(str(m["provenance"]))
+    except (ValueError, SyntaxError) as exc:
+        raise _corrupt(path, "the provenance member does not parse",
+                       exc) from exc
     fine, coarse = discretize(config)
-    basis = decode_basis(blocks[1], fine.mesh)
-    tensor = decode_tensor(blocks[2])
+    eig = m["eigenvalues"]
+    basis = ReducedBasis(mesh=fine.mesh, modes=m["modes"],
+                         eigenvalues=eig if eig.size else None,
+                         provenance=provenance)
+    tensor = RectificationTensor(matrices=m["matrices"], deltas=m["deltas"])
     try:
         return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
                                 fine=fine, coarse=coarse).validate()
     except ValueError as exc:
-        raise ArtifactError("corrupt-artifacts",
-                            f"inconsistent artifact contents: {exc}") from exc
+        raise _corrupt(path, "inconsistent artifact members", exc) from exc
 
 
 def save_trajectory(path, traj):
-    rows, cols = traj.values.shape
-    if traj.parameter is None:
-        flat = []
-    elif isinstance(traj.parameter, tuple):
-        flat = [float(v) for v in traj.parameter]
-    else:
-        flat = [float(traj.parameter)]
-    values_block = b"".join([
-        struct.pack("<IIII", rows, cols, traj.n_fields, len(flat)),
-        struct.pack("<%dd" % len(flat), *flat),
-        np.ascontiguousarray(traj.values, "<f8").tobytes(),
-    ])
-    _write_file(path, TRAJ_MAGIC, TRAJ_VERSION, [
-        encode_mesh(traj.mesh), encode_grid(traj.grid), values_block])
+    mesh, grid = traj.mesh, traj.grid
+    param = np.atleast_1d(np.asarray(
+        () if traj.parameter is None else traj.parameter, dtype=float))
+    header = np.array(
+        (mesh.nx, mesh.ny, mesh.domain, grid.t0, grid.T, grid.steps, param),
+        dtype=[("nx", "<i8"), ("ny", "<i8"), ("domain", "<f8", (4,)),
+               ("t0", "<f8"), ("T", "<f8"), ("steps", "<i8"),
+               ("parameter", "<f8", param.shape)])
+    _save(path, TRAJ_FORMAT, {"header": header, "values": traj.values})
 
 
 def load_trajectory(path):
-    blocks = _read_file(path, TRAJ_MAGIC, TRAJ_VERSION, TRAJ_BLOCKS,
-                        "trajectory")
-    mesh = decode_mesh(blocks[0], "mesh")
-    grid = decode_grid(blocks[1], "grid")
-    r = _Reader(blocks[2], "values")
-    rows, cols, n_fields, width = r.u32(4)
-    _check_field_count(n_fields, cols, mesh, "values")
-    flat = list(r.f64(width)) if width > 1 else ([r.f64()] if width == 1 else [])
-    values = r.array("<f8", rows * cols).reshape(rows, cols)
-    r.done()
-    if width == 0:
-        param = None
-    elif width == 1:
-        param = flat[0]
-    else:
-        param = tuple(flat)
-    return FieldTrajectory(mesh=mesh, grid=grid, values=values,
-                           parameter=param)
+    m = _read(path, TRAJ_FORMAT, "trajectory", TRAJ_MEMBERS)
+    h = m["header"]
+    try:
+        mesh = build_structured(int(h["nx"]), int(h["ny"]),
+                                tuple(float(v) for v in h["domain"]))
+        grid = TimeGrid(t0=float(h["t0"]), T=float(h["T"]),
+                        steps=int(h["steps"]))
+        flat = tuple(float(v) for v in h["parameter"])
+        return FieldTrajectory(
+            mesh=mesh, grid=grid, values=m["values"],
+            parameter=flat[0] if len(flat) == 1 else (flat or None))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise _corrupt(path, "inconsistent trajectory members", exc) from exc
 
 
 def format_cell(value):
@@ -320,9 +197,4 @@ def format_cell(value):
 
 def write_csv(path, rows):
     text = "\n".join(",".join(format_cell(c) for c in row) for row in rows)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _replace(path, lambda fh: fh.write((text + "\n").encode("utf-8")))

@@ -192,12 +192,16 @@ class OfflineArtifacts:
         return self
 
     def validate(self):
-        if self.basis.N != self.tensor.N:
-            raise ValueError(f"basis has {self.basis.N} modes but the "
-                             f"rectification maps are {self.tensor.N}-dimensional")
-        if self.tensor.n_times != self.fine.grid.steps + 1:
-            raise ValueError(f"{self.tensor.n_times} rectification maps for "
-                             f"{self.fine.grid.steps + 1} fine time knots")
+        shape, n = np.shape(self.basis.modes), self.fine.mesh.n_nodes
+        if len(shape) != 2 or shape[1] < n or shape[1] % n:
+            raise ValueError(f"modes of shape {shape}, expected (N, a "
+                             f"positive multiple of {n})")
+        want = (self.fine.grid.steps + 1, self.basis.N, self.basis.N)
+        got = (np.shape(self.tensor.matrices), np.shape(self.tensor.deltas))
+        if got != (want, want[:1]):
+            raise ValueError(f"rectification maps and deltas of shapes {got}, "
+                             f"expected one map per fine time knot: {want} "
+                             f"and {want[:1]}")
         return self
 
 
@@ -559,6 +563,9 @@ def convergence_study(config, coupling=None):
     coupling = coupling or config.study_coupling
     if len(config.study_levels) < 1:
         raise ValueError("empty mesh ladder")
+    if len(set(config.study_levels)) != len(config.study_levels):
+        raise ValueError(f"repeated levels in the mesh ladder "
+                         f"{list(config.study_levels)}")
     test_param = config.test_parameter()
     rungs = [(n, level_config(config, n, coupling)) for n in config.study_levels]
     levels = []

@@ -19,16 +19,12 @@ from nirb.time_interp import quadratic_time_interp
 class RectificationTensor:
     """One N-by-N map per fine time index, applied as c -> R[n] @ c.
 
-    ``deltas`` records the Tikhonov parameter actually used at each index;
-    ``params`` is the training parameter list the maps were fitted on.  When
-    delta is zero and the coefficient matrix is square and nonsingular, the
-    maps reproduce the fine training coefficients exactly."""
+    ``deltas`` records the Tikhonov parameter actually used at each index.
+    When delta is zero and the coefficient matrix is square and nonsingular,
+    the maps reproduce the fine training coefficients exactly."""
 
     matrices: np.ndarray   # (n_times, N, N)
     deltas: np.ndarray     # (n_times,)
-    delta_mode: str        # 'relative' or 'absolute'
-    delta_value: float
-    params: list
 
     @property
     def N(self):
@@ -105,10 +101,7 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
             raise ValueError(f"time index {n}: {exc}") from exc
         mats[n] = cols.T
         deltas[n] = d
-    return RectificationTensor(matrices=mats, deltas=deltas,
-                               delta_mode=delta_mode,
-                               delta_value=float(delta_value),
-                               params=list(fine_keys))
+    return RectificationTensor(matrices=mats, deltas=deltas)
 
 
 def apply_rectification(tensor, coeffs):

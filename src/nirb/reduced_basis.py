@@ -194,7 +194,7 @@ def greedy(trajectories, forms, tol, n_max):
 
     def pair_of(row):
         p = int(np.searchsorted(offsets, row, side="right") - 1)
-        return items[p][0], row - offsets[p]
+        return items[p][0], int(row - offsets[p])
 
     norms0 = l2_norms(forms, snaps)
     res2 = norms0 ** 2
@@ -207,7 +207,7 @@ def greedy(trajectories, forms, tol, n_max):
         if chosen_rows:
             avail[chosen_rows] = -1.0
         row = int(np.argmax(avail))  # argmax takes the earliest tie
-        history.append(np.sqrt(max(res2.max(), 0.0)))
+        history.append(float(np.sqrt(max(res2.max(), 0.0))))
         if history[-1] <= tol:
             break
         if modes:

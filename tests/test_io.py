@@ -1,4 +1,5 @@
 import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,13 +8,29 @@ from nirb import io, pipeline
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
 
+SMALL_RD_TEXT = ("problem = brusselator\n"
+                 "t0 = 0.0\n"
+                 "T = 1.0\n"
+                 "train_a = 2.0,3.0\n"
+                 "train_b = 1.0,2.0\n"
+                 "train_alpha = 0.002\n"
+                 "fine_nx = 8\n"
+                 "coarse_nx = 4\n"
+                 "fine_steps = 8\n"
+                 "coarse_steps = 4\n"
+                 "rb_algorithm = pod\n"
+                 "n_max = 4\n")
+
+
+def _offline(text, outdir):
+    config = StudyConfig.from_text(text + f"output_dir = {outdir}\n")
+    artifacts = pipeline.offline(config, persist=True)
+    return config, artifacts, outdir / pipeline.ARTIFACT_FILE
+
 
 @pytest.fixture(scope="module")
 def saved(small_heat_text, tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("artifacts")
-    config = StudyConfig.from_text(small_heat_text + f"output_dir = {outdir}\n")
-    artifacts = pipeline.offline(config, persist=True)
-    return config, artifacts, outdir / pipeline.ARTIFACT_FILE
+    return _offline(small_heat_text, tmp_path_factory.mktemp("artifacts"))
 
 
 def _copy_with(path, tmp_path, edit):
@@ -22,6 +39,33 @@ def _copy_with(path, tmp_path, edit):
     out = tmp_path / "edited.nirb"
     out.write_bytes(bytes(data))
     return str(out)
+
+
+def _rewrite(path, tmp_path, **changes):
+    """Copy of the archive at ``path`` with some members replaced."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members.update(changes)
+    out = tmp_path / "rewritten"
+    with open(out, "wb") as fh:
+        np.savez(fh, **members)
+    return str(out)
+
+
+def _assert_same_artifacts(got, want, param):
+    assert np.array_equal(got.basis.modes, want.basis.modes)
+    assert np.array_equal(got.basis.eigenvalues, want.basis.eigenvalues)
+    assert got.basis.provenance == want.basis.provenance
+    assert np.array_equal(got.tensor.matrices, want.tensor.matrices)
+    assert np.array_equal(got.tensor.deltas, want.tensor.deltas)
+    assert np.array_equal(pipeline.online(got, param).coefficients,
+                          pipeline.online(want, param).coefficients)
+
+
+def _small_trajectory(mesh, parameter=(3.0, 2.0)):
+    values = np.arange(2 * mesh.n_nodes, dtype=float) / 7.0
+    return FieldTrajectory(mesh=mesh, grid=TimeGrid(0.0, 1.0, 1),
+                           values=values.reshape(2, -1), parameter=parameter)
 
 
 class TestArtifacts:
@@ -38,55 +82,127 @@ class TestArtifacts:
             assert (a.h, a.nx, a.ny, tuple(a.domain)) \
                 == (b.h, b.nx, b.ny, tuple(b.domain))
             assert got.grid == want.grid
-        assert np.array_equal(loaded.basis.modes, artifacts.basis.modes)
-        assert np.array_equal(loaded.basis.eigenvalues,
-                              artifacts.basis.eigenvalues)
         assert loaded.basis.n_fields == artifacts.basis.n_fields
-        assert np.array_equal(loaded.tensor.matrices, artifacts.tensor.matrices)
-        assert np.array_equal(loaded.tensor.deltas, artifacts.tensor.deltas)
-        assert loaded.tensor.params == artifacts.tensor.params
-        assert loaded.tensor.delta_mode == artifacts.tensor.delta_mode
-        assert loaded.tensor.delta_value == artifacts.tensor.delta_value
+        assert artifacts.basis.provenance["algorithm"] == "pod_greedy"
+        _assert_same_artifacts(loaded, artifacts, 4.5)
 
-        mu = 4.5
-        want = pipeline.online(artifacts, mu).coefficients
-        got = pipeline.online(loaded, mu).coefficients
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("algorithm", ["greedy", "pod"])
+    def test_every_basis_keeps_its_provenance(self, small_heat_text, tmp_path,
+                                              algorithm):
+        # pod runs on reaction-diffusion, whose parameters are tuples
+        text = (small_heat_text + "rb_algorithm = greedy\n"
+                if algorithm == "greedy" else SMALL_RD_TEXT)
+        config, artifacts, path = _offline(text, tmp_path)
+        loaded = io.load_artifacts(str(path))
+        assert loaded.config == config
+        assert artifacts.basis.provenance["algorithm"] \
+            == {"greedy": "greedy", "pod": "hierarchical_pod"}[algorithm]
+        _assert_same_artifacts(loaded, artifacts, config.test_parameter())
+
+    def test_provenance_that_is_not_a_literal_is_refused(self, saved,
+                                                         tmp_path):
+        _, artifacts, _ = saved
+        basis = artifacts.basis
+        odd = pipeline.OfflineArtifacts(
+            config=artifacts.config, tensor=artifacts.tensor,
+            fine=artifacts.fine, coarse=artifacts.coarse,
+            basis=type(basis)(mesh=basis.mesh, modes=basis.modes,
+                              provenance={"selected": [(2.0, np.int64(1))]}))
+        with pytest.raises(ValueError, match="not a plain literal"):
+            io.save_artifacts(str(tmp_path / "odd.nirb"), odd)
+        assert not list(tmp_path.iterdir())
 
     def test_flipped_payload_byte_is_corrupt(self, saved, tmp_path):
-        _, _, path = saved
-        # header (8 bytes), then the first block's length word; flip a byte
-        # inside the config payload so only its checksum can notice
+        config, _, path = saved
+        # numpy stores the config text as UCS-4; flip a byte inside it so
+        # only the member's CRC-32 can notice
+        start = path.read_bytes().find(config.to_text().encode("utf-32-le"))
+        assert start > 0
+
         def flip(data):
-            data[8 + 4 + 40] ^= 0x01
+            data[start + 40] ^= 0x01
         with pytest.raises(io.ArtifactError) as err:
             io.load_artifacts(_copy_with(path, tmp_path, flip))
         assert err.value.slug == "corrupt-artifacts"
-        assert "checksum" in str(err.value)
-        assert "config block" in str(err.value)
+        assert "config member" in str(err.value)
+        assert "CRC" in str(err.value)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_is_a_mismatch(self, saved, tmp_path, version):
+        # files of the block format began with 'NIRB' and a u32 version
         _, _, path = saved
 
         def downgrade(data):
-            data[4:8] = struct.pack("<I", version)
+            data[:8] = b"NIRB" + struct.pack("<I", version)
         with pytest.raises(io.ArtifactError) as err:
             io.load_artifacts(_copy_with(path, tmp_path, downgrade))
         assert err.value.slug == "version-mismatch"
 
-    def test_stored_field_count_must_match_the_width(self, saved, tmp_path):
+    @pytest.mark.parametrize("fmt", ["nirb-artifacts 5", io.TRAJ_FORMAT, ""])
+    def test_foreign_format_is_a_mismatch(self, saved, tmp_path, fmt):
         _, _, path = saved
-        blocks = io._read_file(str(path), io.MAGIC, io.VERSION,
-                               io.ARTIFACT_BLOCKS, "artifact")
-        basis = bytearray(blocks[1])
-        basis[8:12] = struct.pack("<I", 2)  # after u32 N and u32 width
-        out = str(tmp_path / "edited.nirb")
-        io._write_file(out, io.MAGIC, io.VERSION,
-                       [blocks[0], bytes(basis), blocks[2]])
-        with pytest.raises(io.ArtifactError, match="stores 2 field") as err:
-            io.load_artifacts(out)
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_artifacts(_rewrite(path, tmp_path, format=fmt))
+        assert err.value.slug == "version-mismatch"
+        assert repr(fmt) in str(err.value)
+
+    @pytest.mark.parametrize("width", [80, 0])
+    def test_modes_width_must_fit_the_mesh(self, saved, tmp_path, width):
+        # the 8x8 fine mesh has 81 nodes
+        _, artifacts, path = saved
+        edited = _rewrite(path, tmp_path,
+                          modes=artifacts.basis.modes[:, :width])
+        with pytest.raises(io.ArtifactError, match="modes of shape") as err:
+            io.load_artifacts(edited)
         assert err.value.slug == "corrupt-artifacts"
+
+    @pytest.mark.parametrize("name, raw", [
+        ("deltas", None), ("eigenvalues", b"raw bytes")])
+    def test_missing_or_raw_member_is_corrupt(self, saved, tmp_path, name,
+                                              raw):
+        # numpy hands back a member without the .npy magic as raw bytes
+        _, _, path = saved
+        with np.load(path, allow_pickle=False) as archive:
+            members = {n: archive[n] for n in archive.files if n != name}
+        out = tmp_path / "edited"
+        with open(out, "wb") as fh:
+            np.savez(fh, **members)
+        if raw is not None:
+            with zipfile.ZipFile(out, "a") as zf:
+                zf.writestr(f"{name}.npy", raw)
+        with pytest.raises(io.ArtifactError, match=f"{name} member") as err:
+            io.load_artifacts(str(out))
+        assert err.value.slug == "corrupt-artifacts"
+
+    def test_not_an_archive_is_corrupt(self, tmp_path):
+        path = tmp_path / "junk.nirb"
+        path.write_bytes(b"\x93NUMPY junk")
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_artifacts(str(path))
+        assert err.value.slug == "corrupt-artifacts"
+
+    def test_strided_byte_flips_load_identically_or_fail(self, saved,
+                                                         tmp_path):
+        _, artifacts, path = saved
+        data = path.read_bytes()
+        out = tmp_path / "flipped.nirb"
+        loaded = 0
+        positions = range(3, len(data), len(data) // 40)
+        for i in positions:
+            flipped = bytearray(data)
+            flipped[i] ^= 0x01
+            out.write_bytes(bytes(flipped))
+            try:
+                back = io.load_artifacts(str(out))
+            except io.ArtifactError:
+                continue
+            loaded += 1
+            assert np.array_equal(back.basis.modes, artifacts.basis.modes)
+            assert np.array_equal(back.tensor.matrices,
+                                  artifacts.tensor.matrices)
+            assert np.array_equal(back.tensor.deltas, artifacts.tensor.deltas)
+            assert back.config == artifacts.config
+        assert loaded < len(positions) // 2
 
     def test_offline_writes_only_the_artifact_file(self, saved):
         _, _, path = saved
@@ -117,41 +233,47 @@ class TestTrajectory:
         assert back.n_fields == traj.n_fields
 
     @pytest.mark.parametrize("version, slug", [
-        (4, None), (3, "version-mismatch"), (5, "version-mismatch")])
+        (3, "version-mismatch"), (4, "version-mismatch"),
+        (5, "version-mismatch")])
     def test_header_version(self, tmp_path, unit_mesh_4, version, slug):
-        # only the current layout loads: version 3 stored the whole mesh,
-        # and a newer header is refused
-        traj = FieldTrajectory(mesh=unit_mesh_4, grid=TimeGrid(0.0, 1.0, 1),
-                               values=np.ones((2, unit_mesh_4.n_nodes)),
-                               parameter=2.0)
+        # files of the block format began with 'NTRJ' and a u32 version;
+        # none of them loads any more
         path = tmp_path / "t.traj"
-        io.save_trajectory(str(path), traj)
+        io.save_trajectory(str(path), _small_trajectory(unit_mesh_4))
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", version)
+        data[:8] = b"NTRJ" + struct.pack("<I", version)
         path.write_bytes(bytes(data))
-        if slug is None:
-            back = io.load_trajectory(str(path))
-            assert np.array_equal(back.values, traj.values)
-            assert back.parameter == 2.0
-        else:
-            with pytest.raises(io.ArtifactError) as err:
-                io.load_trajectory(str(path))
-            assert err.value.slug == slug
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_trajectory(str(path))
+        assert err.value.slug == slug
 
-    @pytest.mark.parametrize("nx, count, message", [
-        (0, 1, "bad mesh block"), (4, 2, "stores 2 field")])
-    def test_inconsistent_blocks_are_corrupt(self, tmp_path, nx, count,
-                                             message):
-        # a 4x4 mesh has 25 nodes; the values block holds 2 rows of 25
-        mesh_block = struct.pack("<II4d", nx, 4, 0.0, 1.0, 0.0, 1.0)
-        values_block = struct.pack("<IIIId", 2, 25, count, 1, 2.0) \
-            + np.ones((2, 25)).tobytes()
-        path = str(tmp_path / "t.traj")
-        io._write_file(path, io.TRAJ_MAGIC, io.TRAJ_VERSION,
-                       [mesh_block, io.encode_grid(TimeGrid(0.0, 1.0, 1)),
-                        values_block])
+    def test_foreign_format_is_a_mismatch(self, tmp_path, unit_mesh_4):
+        path = tmp_path / "t.traj"
+        io.save_trajectory(str(path), _small_trajectory(unit_mesh_4))
+        with pytest.raises(io.ArtifactError) as err:
+            io.load_trajectory(_rewrite(path, tmp_path,
+                                        format=io.ARTIFACT_FORMAT))
+        assert err.value.slug == "version-mismatch"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nx", 0, "cell counts must be positive"),
+        ("width", 26, "values shape"),
+        ("width", 0, "values shape"),
+        ("steps", 2, "values shape")])
+    def test_inconsistent_members_are_corrupt(self, tmp_path, unit_mesh_4,
+                                              field, value, message):
+        # a 4x4 mesh has 25 nodes; the values member holds 2 rows of 25
+        path = tmp_path / "t.traj"
+        io.save_trajectory(str(path), _small_trajectory(unit_mesh_4))
+        if field == "width":
+            edited = _rewrite(path, tmp_path, values=np.ones((2, value)))
+        else:
+            with np.load(path, allow_pickle=False) as archive:
+                header = archive["header"].copy()
+            header[field] = value
+            edited = _rewrite(path, tmp_path, header=header)
         with pytest.raises(io.ArtifactError, match=message) as err:
-            io.load_trajectory(path)
+            io.load_trajectory(edited)
         assert err.value.slug == "corrupt-artifacts"
 
     def test_tuple_parameter_round_trip(self, tmp_path, unit_mesh_4):
@@ -165,3 +287,34 @@ class TestTrajectory:
         assert np.array_equal(back.values, traj.values)
         assert back.parameter == (3.0, 2.0, 0.008)
         assert back.n_fields == 2
+
+    @pytest.mark.parametrize("parameter", [None, 2.5])
+    def test_scalar_and_missing_parameters_round_trip(self, tmp_path,
+                                                      unit_mesh_4, parameter):
+        path = str(tmp_path / "t.traj")
+        io.save_trajectory(path, _small_trajectory(unit_mesh_4, parameter))
+        assert io.load_trajectory(path).parameter == parameter
+
+    def test_every_byte_flip_loads_identically_or_fails(self, tmp_path,
+                                                        unit_mesh_4):
+        traj = _small_trajectory(unit_mesh_4)
+        path = tmp_path / "t.traj"
+        io.save_trajectory(str(path), traj)
+        data = path.read_bytes()
+        out = tmp_path / "flipped.traj"
+        loaded = 0
+        for i in range(len(data)):
+            flipped = bytearray(data)
+            flipped[i] ^= 0x01
+            out.write_bytes(bytes(flipped))
+            try:
+                back = io.load_trajectory(str(out))
+            except io.ArtifactError:
+                continue
+            loaded += 1
+            assert np.array_equal(back.values, traj.values)
+            assert back.parameter == traj.parameter
+            assert back.grid == traj.grid
+            assert np.array_equal(back.mesh.nodes, traj.mesh.nodes)
+        # the CRC-32 covers every member, so most flips fail
+        assert loaded < len(data) // 2

@@ -1,5 +1,6 @@
-"""The package uses numpy core only: no module reaches numpy.linalg, and
-every import is from the standard library, numpy or the package itself."""
+"""The package uses numpy core only: no module reaches numpy.linalg,
+every import is from the standard library, numpy or the package itself, and
+nothing imports pickle or lets numpy unpickle."""
 
 import ast
 import sys
@@ -85,3 +86,40 @@ def test_package_adds_no_dependencies():
              for path in sorted(SRC.glob("*.py"))
              for line, name in foreign_imports(ast.parse(path.read_text("utf-8")))}
     assert not found, f"imports outside stdlib, numpy and nirb: {sorted(found)}"
+
+
+def pickle_uses(tree):
+    """Line numbers of imports of ``pickle`` and of ``allow_pickle=``
+    keywords whose value is anything but the constant False."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "pickle" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "pickle":
+            yield node.lineno
+        elif isinstance(node, ast.keyword) and node.arg == "allow_pickle" \
+                and not (isinstance(node.value, ast.Constant)
+                         and node.value.value is False):
+            yield node.value.lineno
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("import pickle\n", True),
+    ("import pickle as pk\n", True),
+    ("from pickle import loads\n", True),
+    ("np.load(path, allow_pickle=True)\n", True),
+    ("np.load(path, allow_pickle=flag)\n", True),
+    ("np.save(fh, a, allow_pickle=True)\n", True),
+    ("np.load(path, allow_pickle=False)\n", False),
+    ("np.load(path)\nimport pickletools_like\n", False),
+])
+def test_pickle_scan(source, caught):
+    assert bool(list(pickle_uses(ast.parse(source)))) == caught
+
+
+def test_package_never_pickles():
+    found = {f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in pickle_uses(ast.parse(path.read_text("utf-8")))}
+    assert not found, f"pickle used at {sorted(found)}"

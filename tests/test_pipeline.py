@@ -129,7 +129,6 @@ class TestRectification:
 
         tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
                                      fine_grid, "absolute", 0.0)
-        assert tensor.delta_mode == "absolute"
         assert np.all(tensor.deltas == 0.0)
         for p in params:
             lifted = coarse_to_fine_coefficients(coarse_trajs[p], basis, forms,
@@ -216,5 +215,16 @@ class TestStudy:
                             lambda *a, **k: calls.append(a))
         config = dataclasses.replace(heat_config, study_levels=(8, 15))
         with pytest.raises(ValueError, match="even mesh counts"):
+            pipeline.convergence_study(config, "2h")
+        assert calls == []
+
+    def test_repeated_levels_fail_before_any_offline(self, heat_config,
+                                                     monkeypatch):
+        # a repeated level would make every log-log slope divide by zero
+        calls = []
+        monkeypatch.setattr(pipeline, "offline",
+                            lambda *a, **k: calls.append(a))
+        config = dataclasses.replace(heat_config, study_levels=(8, 8))
+        with pytest.raises(ValueError, match="repeated levels"):
             pipeline.convergence_study(config, "2h")
         assert calls == []
