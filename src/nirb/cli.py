@@ -122,6 +122,10 @@ def cmd_errors(args):
     config = _read_config(args.config)
     artifacts = pipeline.load_artifacts(config)
     param = _parse_param(config, args.mu)
+    try:
+        pipeline.check_bounds(config, param)
+    except ValueError as exc:
+        raise CliError("bad-parameter", str(exc)) from exc
     fine = artifacts.fine
     fine_traj = pipeline.solve_fine(config, fine, param)
     coarse_traj = pipeline.solve_coarse(config, artifacts.coarse, param)
@@ -130,11 +134,8 @@ def cmd_errors(args):
     reports = {"coarse": pipeline.evaluate_errors(lifted, fine_traj,
                                                   fine.forms)}
     for mode, name in (("plain", "nirb"), ("rectified", "rect")):
-        try:
-            result = pipeline.online(artifacts, param, mode=mode,
-                                     coarse_traj=coarse_traj)
-        except ValueError as exc:
-            raise CliError("bad-parameter", str(exc)) from exc
+        result = pipeline.online(artifacts, param, mode=mode,
+                                 coarse_traj=coarse_traj)
         reports[name] = pipeline.evaluate_errors(result.trajectory, fine_traj,
                                                  fine.forms)
 

@@ -95,8 +95,8 @@ class StudyConfig:
     delta_value: float = 1e-10
 
     # solvers: cg_tol is the relative residual every heat solve must meet
-    # (each time step of a march, and the Ritz projection); newton_tol is
-    # the reaction-diffusion Newton residual
+    # (each step of a march, lead-in steps included, and the Ritz
+    # projection); newton_tol is the reaction-diffusion Newton residual
     cg_tol: float = 1e-10
     newton_tol: float = 1e-10
 

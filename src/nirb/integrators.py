@@ -4,6 +4,7 @@ reaction-diffusion system."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,62 +67,67 @@ class FieldTrajectory:
         return np.split(self.values, self.n_fields, axis=-1)
 
 
-def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10):
-    """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data.
-
-    Each step solves (M + dt mu K) u = M u_prev + dt b(t) on the free dofs
-    with a factor of the left-hand side built once per march; every step's
-    relative residual must be at most ``cg_tol``.  f may be None for a
-    source-free run."""
-    values = _heat_march(forms, mu, f, u0, grid, cg_tol, scheme="euler")
-    return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
-                           parameter=mu)
+def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
+    """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data:
+    each step solves (M + dt mu K) u = M u_prev + dt b(t) on the free dofs
+    to a relative residual of at most ``cg_tol``.  u0 is the state at
+    ``t_start`` (default ``grid.t0``); f may be None for a source-free run."""
+    return _heat_march(forms, mu, f, u0, grid, cg_tol, 1.0, t_start)
 
 
-def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10):
+def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     """Trapezoidal stepping with the source evaluated at the half step:
     (M + dt/2 mu K) u = (M - dt/2 mu K) u_prev + dt b(t - dt/2), solved like
-    ``heat_backward_euler`` with a left-hand side factored once per march."""
-    values = _heat_march(forms, mu, f, u0, grid, cg_tol, scheme="cn")
-    return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
-                           parameter=mu)
+    ``heat_backward_euler``."""
+    return _heat_march(forms, mu, f, u0, grid, cg_tol, 0.5, t_start)
 
 
-def _heat_march(forms, mu, f, u0, grid, cg_tol, scheme):
+def _heat_march(forms, mu, f, u0, grid, cg_tol, theta, t_start):
+    """The theta-scheme (M + theta dt mu K) u = (M - (1 - theta) dt mu K)
+    u_prev + dt b(t - (1 - theta) dt) over the window.  A run from
+    t_start < t0 first takes implicit-Euler steps of theta dt to t0 with the
+    window's factor (for Crank-Nicolson, Rannacher's damping half steps,
+    Numer. Math. 43, 1984); only a lead-in that is not a whole number of
+    such steps factors its own matrix."""
     u0 = np.asarray(u0, dtype=float)
     n = forms.n_dofs
     if u0.shape != (n,):
         raise ValueError(f"initial data has shape {u0.shape}, expected ({n},)")
     free = forms.free_dofs
-    Mff = forms.mass_free()
-    Kff = forms.stiffness_free()
+    Mff, Kff = forms.mass_free(), forms.stiffness_free()
     dt = grid.dt
-    if scheme == "euler":
-        lhs = Mff.lincomb(Kff, 1.0, dt * mu)
-        rhs_mat = Mff
-    else:
-        lhs = Mff.lincomb(Kff, 1.0, 0.5 * dt * mu)
-        rhs_mat = Mff.lincomb(Kff, 1.0, -0.5 * dt * mu)
+    lhs = Mff.lincomb(Kff, 1.0, theta * dt * mu)
+    rhs_mat = Mff if theta == 1.0 else \
+        Mff.lincomb(Kff, 1.0, (theta - 1.0) * dt * mu)
     factor = BandFactor(lhs)
-
+    legs = [(grid, lhs, factor, rhs_mat, (1.0 - theta) * dt, "time step")]
+    if t_start is not None and t_start != grid.t0:
+        lead = TimeGrid(t_start, grid.t0,
+                        max(1, round((grid.t0 - t_start) / (theta * dt))))
+        lead_lhs, lead_factor = lhs, factor
+        if not math.isclose(lead.dt, theta * dt, rel_tol=1e-12):
+            lead_lhs = Mff.lincomb(Kff, 1.0, lead.dt * mu)
+            lead_factor = BandFactor(lead_lhs)
+        legs.insert(0, (lead, lead_lhs, lead_factor, Mff, 0.0, "lead-in step"))
+    states = [u0[free]]
+    for g, lhs, factor, rhs_mat, lag, what in legs:
+        times = g.times()
+        for k in range(1, g.steps + 1):
+            rhs = rhs_mat.matvec(states[-1])
+            if f is not None:
+                rhs = rhs + g.dt * forms.free_load(f, times[k] - lag)
+            states.append(factor.solve(rhs))
+            res = lhs.matvec(states[-1]) - rhs
+            rnorm, bnorm = np.sqrt(res @ res), np.sqrt(rhs @ rhs)
+            if not rnorm <= cg_tol * bnorm:
+                raise RuntimeError(
+                    f"{what} {k} (t={times[k]:.6g}): relative residual "
+                    f"{rnorm / bnorm:.3e} exceeds {cg_tol:.1e}")
     values = np.zeros((grid.steps + 1, n))
     values[0] = u0
-    uf = u0[free].copy()
-    times = grid.times()
-    for k in range(1, grid.steps + 1):
-        t_src = times[k] if scheme == "euler" else times[k] - 0.5 * dt
-        rhs = rhs_mat.matvec(uf)
-        if f is not None:
-            rhs = rhs + dt * forms.free_load(f, t_src)
-        uf = factor.solve(rhs)
-        res = lhs.matvec(uf) - rhs
-        rnorm, bnorm = np.sqrt(res @ res), np.sqrt(rhs @ rhs)
-        if not rnorm <= cg_tol * bnorm:
-            raise RuntimeError(
-                f"time step {k} (t={times[k]:.6g}): relative residual "
-                f"{rnorm / bnorm:.3e} exceeds {cg_tol:.1e}")
-        values[k, free] = uf
-    return values
+    values[:, free] = states[-grid.steps - 1:]
+    return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
+                           parameter=mu)
 
 
 def _scaled_residual_norm(res, lumped2):

@@ -50,44 +50,28 @@ def discretize(config):
     return out[0], out[1]
 
 
-def _presolve(config, disc, mu):
-    """Last state of a source-driven implicit-Euler run of [0, t0] on one
-    discretization, started at zero with the window's own step size."""
-    pre = TimeGrid(0.0, config.t0, max(1, round(config.t0 / disc.grid.dt)))
-    traj = heat_backward_euler(disc.forms, mu, models.manufactured_f,
-                               np.zeros(disc.mesh.n_nodes), pre,
-                               cg_tol=config.cg_tol)
-    return traj.values[-1]
-
-
 def heat_initial_fine(config, fine, mu):
-    """Fine-mesh initial data for the heat problem at t0.
+    """Fine-mesh start of the heat problem: (state, start time).
 
-    Runs start from rest at t = 0.  A window with t0 > 0 starts from the
-    Ritz projection of the closed-form solution at mu = 1 and otherwise
-    from the presolve of [0, t0] on the fine mesh and step."""
-    if config.t0 == 0.0:
-        return np.zeros(fine.mesh.n_nodes)
-    if mu == 1.0:
+    A window with t0 > 0 at mu = 1 starts at t0 from the Ritz projection of
+    the closed-form solution; every other run starts from rest at t = 0, and
+    the fine march's lead-in covers [0, t0] with the window's step."""
+    if config.t0 > 0.0 and mu == 1.0:
         return ritz_projection(
             fine.forms, lambda x, y: models.manufactured_grad(config.t0, x, y),
-            cg_tol=min(config.cg_tol, 1e-12))
-    return _presolve(config, fine, mu)
+            cg_tol=min(config.cg_tol, 1e-12)), config.t0
+    return np.zeros(fine.mesh.n_nodes), 0.0
 
 
 def heat_initial_coarse(config, coarse, mu):
-    """Coarse-mesh initial data for the heat problem at t0, from the coarse
-    discretization alone: the nodal interpolant of the closed form at
-    mu = 1, otherwise the presolve of [0, t0] on the coarse mesh and step.
-
+    """Coarse-mesh start of the heat problem, read off the coarse mesh alone,
+    like ``heat_initial_fine`` but with the nodal interpolant at mu = 1.
     Training and online runs start the same way, so the rectification is
     fitted on the same kind of coarse run it is applied to."""
-    if config.t0 == 0.0:
-        return np.zeros(coarse.mesh.n_nodes)
-    if mu == 1.0:
+    if config.t0 > 0.0 and mu == 1.0:
         x, y = coarse.mesh.nodes[:, 0], coarse.mesh.nodes[:, 1]
-        return models.manufactured_u(config.t0, x, y)
-    return _presolve(config, coarse, mu)
+        return models.manufactured_u(config.t0, x, y), config.t0
+    return np.zeros(coarse.mesh.n_nodes), 0.0
 
 
 def solve_fine(config, disc, param):
@@ -95,9 +79,10 @@ def solve_fine(config, disc, param):
     reaction-diffusion: Newton implicit Euler)."""
     if config.problem == "heat":
         mu = float(param)
-        u0 = heat_initial_fine(config, disc, mu)
+        u0, t_start = heat_initial_fine(config, disc, mu)
         return heat_backward_euler(disc.forms, mu, models.manufactured_f, u0,
-                                   disc.grid, cg_tol=config.cg_tol)
+                                   disc.grid, cg_tol=config.cg_tol,
+                                   t_start=t_start)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -106,15 +91,16 @@ def solve_fine(config, disc, param):
 
 def solve_coarse(config, disc, param, fine=None):
     """Cheap trajectory at one parameter on the coarse discretization alone
-    (heat: Crank-Nicolson from ``heat_initial_coarse``; reaction-diffusion:
-    explicit midpoint on the lumped system).
+    (heat: Crank-Nicolson from ``heat_initial_coarse``, led in by half
+    steps; reaction-diffusion: explicit midpoint on the lumped system).
 
     ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
         mu = float(param)
-        u0 = heat_initial_coarse(config, disc, mu)
+        u0, t_start = heat_initial_coarse(config, disc, mu)
         return heat_crank_nicolson(disc.forms, mu, models.manufactured_f, u0,
-                                   disc.grid, cg_tol=config.cg_tol)
+                                   disc.grid, cg_tol=config.cg_tol,
+                                   t_start=t_start)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -248,6 +234,18 @@ def param_key(config, param):
     return (float(a), float(b), float(alpha))
 
 
+def check_bounds(config, param):
+    """The key of a query parameter; one outside the configured bounds
+    raises ``ValueError`` under ``strict_bounds`` and is logged otherwise."""
+    key = param_key(config, param)
+    if not config.parameter_in_bounds(key):
+        message = f"parameter {key} is outside the configured bounds"
+        if config.strict_bounds:
+            raise ValueError(message)
+        log.warning(message)
+    return key
+
+
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, time and space lifting,
     projection onto the modes, optional rectification, reconstruction.
@@ -257,12 +255,7 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
-    key = param_key(config, param)
-    if not config.parameter_in_bounds(key):
-        message = f"parameter {key} is outside the configured bounds"
-        if config.strict_bounds:
-            raise ValueError(message)
-        log.warning(message)
+    key = check_bounds(config, param)
 
     fine = artifacts.fine
     t_start = time.perf_counter()
@@ -557,8 +550,8 @@ def convergence_study(config, coupling=None):
     """Run the mesh ladder and collect fine, coarse, plain, and rectified
     errors per level, plus their log-log slopes in h.
 
-    Every rung's config is derived before the first solve, so a bad ladder
-    fails before minutes of offline work."""
+    Every rung's config and the test parameter's bounds are checked before
+    the first solve, so a bad ladder fails before minutes of offline work."""
     config.validate()
     coupling = coupling or config.study_coupling
     if len(config.study_levels) < 1:
@@ -566,7 +559,7 @@ def convergence_study(config, coupling=None):
     if len(set(config.study_levels)) != len(config.study_levels):
         raise ValueError(f"repeated levels in the mesh ladder "
                          f"{list(config.study_levels)}")
-    test_param = config.test_parameter()
+    test_param = check_bounds(config, config.test_parameter())
     rungs = [(n, level_config(config, n, coupling)) for n in config.study_levels]
     levels = []
 

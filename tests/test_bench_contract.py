@@ -18,20 +18,46 @@ from nirb.config import StudyConfig
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
-def _tracer_targets():
+def _load_tracer():
     # dataclasses resolve their module through sys.modules while the
     # module body runs, so register it before executing it
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("target", _tracer_targets(),
+tracer_module = _load_tracer()
+
+
+@pytest.mark.parametrize("target", tracer_module.TARGETS,
                          ids=lambda t: f"{t.module}.{t.attr}")
 def test_trace_target_resolves(target):
     module = importlib.import_module(target.module)
     assert callable(getattr(module, target.attr, None))
+
+
+def test_trace_hooks_read_the_traced_arguments(small_heat_text):
+    # the hooks read arguments by name (A, G, grid); a renamed argument
+    # would only show as a hook error in a traced benchmark run
+    config = StudyConfig.from_text(small_heat_text)
+    tracer = tracer_module.Tracer().install()
+    try:
+        artifacts = pipeline.offline(config, persist=False)
+        pipeline.online(artifacts, 1.0)
+        pipeline.solve_fine(config, artifacts.fine, 1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.hook_errors == {}
+    assert tracer.absent == []
+    counts = {}
+    for span in tracer.spans:
+        counts.setdefault(span.name, []).append(span.counts)
+    assert all(c["iters"] > 0 for c in counts["linalg.cg"])
+    assert all(c["n"] > 0 for c in counts["linalg.sym_eig"])
+    # five coarse and five fine runs, counted in window steps
+    steps = sorted(c["steps"] for c in counts["integrators.heat_march"])
+    assert steps == [config.coarse_steps] * 5 + [config.fine_steps] * 5
 
 
 def test_artifacts_expose_the_discretizations(small_heat_text, tmp_path):

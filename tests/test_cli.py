@@ -1,6 +1,6 @@
 import pytest
 
-from nirb import cli
+from nirb import cli, pipeline
 
 
 @pytest.fixture
@@ -58,3 +58,15 @@ def test_online_before_offline(config_path, capsys):
     code, out = run(capsys, "online", config_path)
     assert code == 1
     assert slug_of(out.err) == "missing-artifacts"
+
+
+def test_errors_out_of_bounds_fails_before_the_fine_solve(config_path, capsys,
+                                                          monkeypatch):
+    assert run(capsys, "offline", config_path)[0] == 0
+    calls = []
+    monkeypatch.setattr(pipeline, "solve_fine", lambda *a: calls.append(a))
+    code, out = run(capsys, "errors", config_path, "--mu", "12")
+    assert code == 1
+    assert slug_of(out.err) == "bad-parameter"
+    assert "outside the configured bounds" in out.err
+    assert calls == []

@@ -94,22 +94,31 @@ class TestHeatSchemes:
                                             np.zeros(3), grid)
 
 
-def cg_reference_march(forms, mu, f, u0, grid, scheme):
-    """The heat march solved by one conjugate-gradient call per step."""
+def cg_reference_march(forms, mu, f, u0, grid, scheme, t_start=None):
+    """The heat march solved by one conjugate-gradient call per step.  A run
+    from t_start < grid.t0 first takes implicit-Euler steps of theta dt from
+    u0 to grid.t0, then marches the window."""
     free = forms.free_dofs
     Mff, Kff = forms.mass_free(), forms.stiffness_free()
-    dt = grid.dt
     theta = 1.0 if scheme == "euler" else 0.5
-    lhs = Mff.lincomb(Kff, 1.0, theta * dt * mu)
-    rhs_mat = Mff.lincomb(Kff, 1.0, (theta - 1.0) * dt * mu)
+    legs = [(grid, theta)]
+    if t_start is not None:
+        lead_steps = round((grid.t0 - t_start) / (theta * grid.dt))
+        legs.insert(0, (integrators.TimeGrid(t_start, grid.t0, lead_steps), 1.0))
+    uf = u0[free]
+    for g, th in legs:
+        lhs = Mff.lincomb(Kff, 1.0, th * g.dt * mu)
+        rhs_mat = Mff.lincomb(Kff, 1.0, (th - 1.0) * g.dt * mu)
+        rows = [uf]
+        for t in g.times()[1:]:
+            t_src = t - (1.0 - th) * g.dt
+            rhs = rhs_mat.matvec(uf) \
+                + g.dt * fem.load_vector(forms, f, t_src)[free]
+            uf, _ = linalg.cg_solve(lhs, rhs, tol=1e-13)
+            rows.append(uf)
     values = np.zeros((grid.steps + 1, forms.n_dofs))
     values[0] = u0
-    uf = u0[free]
-    for k, t in enumerate(grid.times()[1:], start=1):
-        t_src = t if scheme == "euler" else t - 0.5 * dt
-        rhs = rhs_mat.matvec(uf) + dt * fem.load_vector(forms, f, t_src)[free]
-        uf, _ = linalg.cg_solve(lhs, rhs, tol=1e-13)
-        values[k, free] = uf
+    values[:, free] = rows
     return values
 
 
@@ -125,19 +134,31 @@ class TestFactoredMarch:
         ("euler", integrators.heat_backward_euler),
         ("cn", integrators.heat_crank_nicolson)])
     def test_matches_per_step_cg(self, sourced, scheme, march):
+        # from data at t0, and from rest at t = 0 through the lead-in; the
+        # slow mu keeps the lead-in's transient alive at t0, so a lead-in of
+        # the wrong step size shows (2e-5 at mu = 0.5, 4e-10 at mu = 3)
         forms, u0, grid = sourced
-        got = march(forms, 3.0, models.manufactured_f, u0, grid).values
-        want = cg_reference_march(forms, 3.0, models.manufactured_f, u0, grid,
-                                  scheme)
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        f = models.manufactured_f
+        for mu, start, t_start in ((3.0, u0, None),
+                                   (0.5, np.zeros_like(u0), 0.0)):
+            got = march(forms, mu, f, start, grid, t_start=t_start).values
+            want = cg_reference_march(forms, mu, f, start, grid, scheme,
+                                      t_start)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_impossible_tolerance_names_step_and_residual(self, sourced):
         forms, u0, grid = sourced
+        f = models.manufactured_f
         with pytest.raises(RuntimeError,
                            match=r"time step 1 \(t=1.125\): relative residual "
                                  r"\S+ exceeds 1.0e-20"):
-            integrators.heat_backward_euler(forms, 3.0, models.manufactured_f,
-                                            u0, grid, cg_tol=1e-20)
+            integrators.heat_backward_euler(forms, 3.0, f, u0, grid,
+                                            cg_tol=1e-20)
+        with pytest.raises(RuntimeError,
+                           match=r"lead-in step 1 \(t=0.125\): relative "
+                                 r"residual \S+ exceeds 1.0e-20"):
+            integrators.heat_backward_euler(forms, 3.0, f, np.zeros_like(u0),
+                                            grid, cg_tol=1e-20, t_start=0.0)
 
     def test_second_march_reuses_the_loads(self, sourced, monkeypatch):
         forms, u0, grid = sourced

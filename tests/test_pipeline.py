@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nirb import fem, mesh, models, pipeline
+from nirb import fem, integrators, mesh, models, pipeline
 from nirb import reduced_basis as rb
 from nirb.config import StudyConfig
-from nirb.integrators import FieldTrajectory, TimeGrid
+from nirb.integrators import FieldTrajectory, TimeGrid, heat_backward_euler
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse)
 
@@ -70,6 +70,66 @@ class TestCoarseOnly:
                               r"parameter \(2\.0, 1\.0, 0\.01\)"):
             pipeline.offline(config, persist=False)
         assert calls == []
+
+
+@pytest.fixture
+def factors_built(monkeypatch):
+    """Sizes of the matrices handed to ``integrators.BandFactor``."""
+    built = []
+    band_factor = integrators.BandFactor
+
+    def counting(A):
+        built.append(A.n)
+        return band_factor(A)
+
+    monkeypatch.setattr(integrators, "BandFactor", counting)
+    return built
+
+
+def presolve_then_window(config, fine, mu):
+    """A fine heat run composed by hand: implicit Euler from rest over
+    [0, t0] with the window's step, then the window from its last state."""
+    f, tol = models.manufactured_f, config.cg_tol
+    pre = TimeGrid(0.0, config.t0, max(1, round(config.t0 / fine.grid.dt)))
+    lead = heat_backward_euler(fine.forms, mu, f,
+                               np.zeros(fine.mesh.n_nodes), pre, cg_tol=tol)
+    return heat_backward_euler(fine.forms, mu, f, lead.values[-1], fine.grid,
+                               cg_tol=tol)
+
+
+class TestOneFactorPerRun:
+    @pytest.mark.parametrize("mu", [4.5, 1.0])
+    def test_each_heat_run_builds_one_factor(self, small_heat_text,
+                                             factors_built, mu):
+        config = StudyConfig.from_text(small_heat_text)
+        fine, coarse = pipeline.discretize(config)
+        for solve, disc in ((pipeline.solve_fine, fine),
+                            (pipeline.solve_coarse, coarse)):
+            factors_built.clear()
+            solve(config, disc, mu)
+            assert factors_built == [disc.forms.free_dofs.size]
+
+    @pytest.mark.parametrize("steps", [8, 6])
+    def test_fine_run_is_the_presolve_then_the_window(self, small_heat_text,
+                                                      steps):
+        config = dataclasses.replace(StudyConfig.from_text(small_heat_text),
+                                     fine_steps=steps)
+        fine, _ = pipeline.discretize(config)
+        got = pipeline.solve_fine(config, fine, 4.5).values
+        assert np.array_equal(got, presolve_then_window(config, fine,
+                                                        4.5).values)
+
+    def test_lead_in_off_the_step_builds_its_own_factor(self, small_heat_text,
+                                                         factors_built):
+        # dt = 2/3 does not divide t0 = 1: the lead-in is two steps of 0.5
+        config = dataclasses.replace(StudyConfig.from_text(small_heat_text),
+                                     T=3.0, fine_steps=3)
+        fine, _ = pipeline.discretize(config)
+        got = pipeline.solve_fine(config, fine, 4.5).values
+        assert len(factors_built) == 2
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, presolve_then_window(config, fine,
+                                                        4.5).values)
 
 
 class TestHeldOutOrdering:
@@ -215,6 +275,18 @@ class TestStudy:
                             lambda *a, **k: calls.append(a))
         config = dataclasses.replace(heat_config, study_levels=(8, 15))
         with pytest.raises(ValueError, match="even mesh counts"):
+            pipeline.convergence_study(config, "2h")
+        assert calls == []
+
+    def test_out_of_bounds_test_parameter_fails_before_any_solve(
+            self, heat_config, monkeypatch):
+        calls = []
+        for name in ("offline", "solve_fine"):
+            monkeypatch.setattr(pipeline, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        config = dataclasses.replace(heat_config, test_mu=12.0).validate()
+        with pytest.raises(ValueError, match="parameter 12.0 is outside the "
+                                             "configured bounds"):
             pipeline.convergence_study(config, "2h")
         assert calls == []
 
