@@ -1,9 +1,12 @@
 """Self-contained linear algebra kernels: symmetric CSR storage, Krylov
-solvers, a block-tridiagonal direct factor for banded SPD matrices, a cyclic
-Jacobi eigensolver, and regularized normal-equation solves.  Dense matrices
+solvers, a block-tridiagonal direct factor for banded SPD matrices, a dense
+symmetric eigensolver (Householder tridiagonalization, Sturm multisection and
+inverse iteration), and regularized normal-equation solves.  Dense matrices
 are plain numpy arrays."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -13,6 +16,16 @@ def _norm2(v):
     deliberately avoids so the kernels stay audit-clean."""
     v = np.asarray(v)
     return np.sqrt((v * v).sum())
+
+
+_EPS = np.finfo(float).eps
+# Sturm-count points per multisection round, shared among the open brackets:
+# an order-n matrix gets this times (1 + 8 / n), since a round costs one
+# Python step per pivot, so small matrices afford more points and fewer rounds.
+_MULTISECTION_POINTS = 256
+# Inverse-iteration shifts sit this many eps ||T|| above their eigenvalues
+# (see _inverse_iteration).
+_SHIFT_OFFSET = 10.0
 
 
 class ConvergenceError(RuntimeError):
@@ -350,70 +363,245 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, precond=None):
         f"iterations (final {rn / nb:.3e})", residual=rn, iterations=max_iter)
 
 
-def sym_eig(G):
-    """Cyclic Jacobi eigensolver for dense symmetric matrices.
+def sym_eig(G, top=None):
+    """Eigenvalues of a dense symmetric matrix, and eigenvectors of its
+    ``top`` largest (all when ``top`` is None, none when it is 0).
 
-    Returns (eigenvalues ascending, eigenvector columns) with
-    G v_i = lambda_i v_i and orthonormal v_i.  Input asymmetry beyond 1e-12
-    relative is rejected."""
+    Returns (every eigenvalue ascending, eigenvector columns of the last
+    ``top`` of them, in the same order) with G v_i = lambda_i v_i and
+    orthonormal v_i; each vector's largest-magnitude entry is positive, so
+    the output is deterministic.  Input asymmetry beyond 1e-12 relative is
+    rejected.
+
+    The matrix is reduced to tridiagonal form T by Householder reflections.
+    Every eigenvalue is bracketed by Sturm counts, the negative LDL^T pivots
+    of T - x I, and refined by multisection until its bracket is a few ulp
+    of ||T|| wide (LAPACK ``dstebz``).  The wanted eigenvectors of T come
+    from inverse iteration at those shifts, orthogonalized only within
+    clusters closer than 1e-3 ||T|| (LAPACK ``dstein``), and are carried
+    back through the reflectors (Golub & Van Loan, Matrix Computations,
+    sections 8.4-8.5).  Eigenvalues are accurate to about n eps ||G||_F,
+    absolutely: parts of T below that level, the reduction's own backward
+    error, are dropped, so T splits into independent blocks where repeated
+    eigenvalues or a numerically low-rank G make it nearly reducible."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
     if not np.isfinite(G).all():
         raise ValueError("matrix contains non-finite entries")
     n = G.shape[0]
+    k = n if top is None else int(top)
+    if not 0 <= k <= n:
+        raise ValueError(f"top must lie in [0, {n}], got {top}")
     gmax = np.abs(G).max()
     if gmax > 0 and np.abs(G - G.T).max() > 1e-12 * gmax:
         raise ValueError("matrix is not symmetric within 1e-12 relative")
-    A = 0.5 * (G + G.T)
-    V = np.eye(n)
-    norm = np.sqrt((A * A).sum())
-    # Per-entry rotation threshold: once every off-diagonal entry is below
-    # it, the remaining off-diagonal mass is at the roundoff floor of the
-    # sweeps themselves, so a rotation-free sweep counts as converged.
-    skip = n * np.finfo(float).eps * norm
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(100):
-        # Sum the off-diagonal entries directly: subtracting the diagonal
-        # mass from the total cancels catastrophically once the remaining
-        # coupling is far below the dominant eigenvalue scale.
-        off = np.sqrt((A[off_mask] ** 2).sum())
-        if off <= n * skip:
-            break
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                rotated = True
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p - s * vcol_q
-                V[:, q] = s * vcol_p + c * vcol_q
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError("Jacobi sweeps did not converge")
-    lam = np.diag(A).copy()
+    if gmax == 0.0:
+        return np.zeros(n), np.eye(n)[:, n - k:]
+    A = (0.5 / gmax) * (G + G.T)
+    tol = n * _EPS * math.sqrt(float((A * A).sum()))
+    d, e, reflectors = _householder_tridiagonal(A, tol)
+    # split T at off-diagonals below tol, as LAPACK does: exactly repeated
+    # eigenvalues then sit in different blocks, which inverse iteration
+    # could not separate to full accuracy within one block
+    e[np.abs(e) <= tol] = 0.0
+    radius = np.zeros(n)  # Gershgorin radii
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    tnorm = (np.abs(d) + radius).max()
+    cuts = ((e == 0.0).nonzero()[0] + 1).tolist()
+    blocks = [(a, b) for a, b in zip([0] + cuts, cuts + [n]) if b - a > 1]
+    lam = d.copy()  # a one-row block's eigenvalue is its diagonal entry
+    for a, b in blocks:
+        lam[a:b] = _sturm_eigenvalues(d[a:b], e[a:b - 1], radius[a:b], tnorm)
     order = np.argsort(lam, kind="stable")
-    return lam[order], V[:, order]
+    column = np.full(n, -1)
+    column[order[n - k:]] = np.arange(k)
+    V = np.zeros((n, k))
+    one_row = np.ones(n, dtype=bool)
+    for a, b in blocks:
+        one_row[a:b] = False
+        sel = (column[a:b] >= 0).nonzero()[0] + a
+        V[a:b, column[sel]] = _inverse_iteration(d[a:b], e[a:b - 1],
+                                                 lam[sel], tnorm)
+    sel = (one_row & (column >= 0)).nonzero()[0]
+    V[sel, column[sel]] = 1.0
+    for j, v, beta in reversed(reflectors):
+        Y = V[j + 1:]
+        Y -= np.multiply.outer(beta * v, v @ Y)
+    flip = V[np.abs(V).argmax(axis=0), np.arange(k)] < 0.0
+    V[:, flip] *= -1.0
+    return gmax * lam[order], V
+
+
+def _householder_tridiagonal(A, tol):
+    """Householder reduction Q^T A Q = T of a symmetric matrix, which is
+    overwritten: one rank-2 update of the trailing block per column.
+
+    Returns the diagonal d and off-diagonal e of T and the reflectors
+    (j, v, beta) with Q = H_0 H_1 ..., H_j = I - beta v v^T acting on rows
+    j+1 onward.  Once the unreduced column and the trailing block together
+    have a Frobenius norm within ``tol``, the reduction stops and that block
+    keeps only its diagonal (its off-diagonals in e stay 0), which makes the
+    numerically low-rank Gram matrices of POD cheap."""
+    n = A.shape[0]
+    e = np.zeros(max(n - 1, 0))
+    reflectors = []
+    vw = np.empty((n, 2))
+    wv = np.empty((2, n))
+    tol2 = tol * tol
+    for j in range(n - 2):
+        x = A[j + 1:, j]
+        A22 = A[j + 1:, j + 1:]
+        x0 = float(x[0])
+        xx = float(x @ x)
+        if xx <= tol2 and xx + float((A22 * A22).sum()) <= tol2:
+            return np.diag(A).copy(), e, reflectors
+        alpha = -math.copysign(math.sqrt(xx), x0)
+        e[j] = alpha
+        if xx == 0.0:  # the column is already reduced
+            continue
+        v = x.copy()
+        v[0] = x0 - alpha
+        beta = 1.0 / (xx - x0 * alpha)  # 2 / v^T v
+        p = A22 @ v
+        p *= beta
+        w = p - (0.5 * beta * float(p @ v)) * v
+        m = n - j - 1
+        vw[:m, 0] = wv[1, :m] = v
+        vw[:m, 1] = wv[0, :m] = w
+        A22 -= vw[:m] @ wv[:, :m]
+        reflectors.append((j, v, beta))
+    if n >= 2:
+        e[n - 2] = A[n - 1, n - 2]
+    return np.diag(A).copy(), e, reflectors
+
+
+def _sturm_eigenvalues(d, e, radius, tnorm):
+    """Every eigenvalue of the symmetric tridiagonal (d, e), ascending;
+    ``radius`` holds the Gershgorin radii |e_{i-1}| + |e_i| and ``tnorm``
+    their bound max |d_i| + radius_i on ||T||.
+
+    Each eigenvalue index keeps a bracket [lo, hi] with count(lo) <= i <
+    count(hi), where count(x) is the number of negative LDL^T pivots of
+    T - x I.  A round places m points in each distinct open bracket, so
+    every bracket shrinks by m + 1; indices sharing a bracket share its
+    points.  The off-diagonals are nonzero (the matrix is one unreduced
+    block), so a zero pivot makes the next one infinite instead of 0/0;
+    counting sign bits (-0 and -inf are negative) keeps the count right in
+    IEEE arithmetic (Kahan)."""
+    n = d.size
+    e2 = (e * e).tolist()
+    pad = 2.0 * n * _EPS * tnorm
+    lo = np.full(n, (d - radius).min() - pad)
+    hi = np.full(n, (d + radius).max() + pad)
+    width = 4.0 * _EPS * tnorm
+    budget = _MULTISECTION_POINTS + _MULTISECTION_POINTS * 8 // n
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            act = (hi - lo > width).nonzero()[0]
+            if act.size == 0:
+                return 0.5 * (lo + hi)
+            la = lo[act]
+            # active brackets are distinct exactly where their lower ends are
+            first = np.empty(act.size, dtype=bool)
+            first[0] = True
+            np.not_equal(la[1:], la[:-1], out=first[1:])
+            group = np.cumsum(first) - 1
+            L, H = la[first], hi[act][first]
+            m = min(255, max(3, budget // L.size))
+            X = L[:, None] + np.multiply.outer(H - L,
+                                               np.arange(m + 2) / (m + 1))
+            X[:, -1] = H
+            P = d[:, None] - X[:, 1:-1].ravel()
+            rows = list(P)
+            for prev, row, c in zip(rows, rows[1:], e2):
+                row -= c / prev
+            count = np.maximum.accumulate(
+                np.signbit(P).sum(axis=0).reshape(L.size, m), axis=1)
+            below = (count[group] <= act[:, None]).sum(axis=1)
+            lo[act] = X[group, below]
+            hi[act] = X[group, below + 1]
+
+
+def _inverse_iteration(d, e, shifts, tnorm):
+    """Eigenvectors of the tridiagonal (d, e) at ascending ``shifts``.
+
+    Each of two steps solves (T - s I) x = x_old for all shifts at once, by
+    a tridiagonal LU with partial pivoting per shift (LAPACK ``dgttrf``, as
+    ``dstein`` pivots; unpivoted solves lost digits to element growth in
+    degenerate clusters).  The off-diagonals are nonzero, so only the last
+    pivot can vanish; it is kept at least eps ||T||.  Every shift sits
+    ``_SHIFT_OFFSET`` eps ||T|| above its eigenvalue, clear of the bisection
+    error, so the solves amplify a group of unresolved equal eigenvalues
+    evenly; a shift on one of them would amplify it alone and leave
+    Gram-Schmidt only the roundoff of the others.  The vectors of a cluster
+    (neighbouring shifts within 1e-3 ||T||) are Gram-Schmidt orthogonalized
+    after each step, as in ``dstein``, from the largest shift down, so a
+    vector does not depend on how many smaller shifts were requested.  The
+    start vectors are fixed pseudo-random ones (``_start_vectors``)."""
+    n, k = d.size, shifts.size
+    if k == 0:
+        return np.zeros((n, 0))
+    s = shifts + _SHIFT_OFFSET * _EPS * tnorm
+    floor = _EPS * tnorm
+    e = e.tolist() + [0.0]
+    # row i of U holds the pivot row's entries in columns i, i+1 and i+2;
+    # w0, w1 are the entries of the row still to be eliminated
+    U = np.zeros((n, 3, k))
+    swaps, mults = [], []
+    w0, w1 = d[0] - s, np.full(k, e[0])
+    for i in range(n - 1):
+        below = d[i + 1] - s
+        swap = np.abs(w0) < abs(e[i])
+        U[i, 0] = np.where(swap, e[i], w0)
+        U[i, 1] = np.where(swap, below, w1)
+        U[i, 2] = swap * e[i + 1]
+        f = np.where(swap, w0, e[i]) / U[i, 0]
+        w0 = np.where(swap, w1, below) - f * U[i, 1]
+        w1 = (e[i + 1] - U[i, 2]) - f * U[i, 2]
+        swaps.append(swap)
+        mults.append(f)
+    U[n - 1, 0] = np.where(np.abs(w0) < floor, floor, w0)
+    inv = 1.0 / U[:, 0]
+    up1, up2 = U[:, 1] * inv, U[:, 2] * inv
+    cuts = ((np.diff(shifts) > 1e-3 * tnorm).nonzero()[0] + 1).tolist()
+    clusters = [(a, b) for a, b in zip([0] + cuts, cuts + [k]) if b - a > 1]
+    X = _start_vectors(n, k)
+    rows = list(X) + [np.zeros(k)]
+    forward = list(zip(rows, rows[1:], swaps, mults))
+    backward = list(zip(rows, rows[1:], rows[2:], up1, up2))[n - 2::-1]
+    for _ in range(2):
+        for row, nxt, swap, f in forward:
+            top = np.where(swap, nxt, row)
+            nxt[:] = np.where(swap, row, nxt) - f * top
+            row[:] = top
+        X *= inv
+        for row, nxt, nxt2, c1, c2 in backward:
+            row -= c1 * nxt + c2 * nxt2
+        X /= np.abs(X).max(axis=0)
+        X /= np.sqrt((X * X).sum(axis=0))
+        for a, b in clusters:
+            for j in range(b - 2, a - 1, -1):
+                x, Q = X[:, j], X[:, j + 1:b]
+                x -= Q @ (x @ Q)
+                x -= Q @ (x @ Q)
+                x /= math.sqrt(x @ x)
+    return X
+
+
+def _start_vectors(n, k):
+    """Fixed pseudo-random (n, k) start vectors with entries in [-1, 1):
+    the splitmix64 outputs 1, 2, ... in blocks of n, the first block
+    starting the last column, so the largest shifts get the same vectors
+    whatever k is (the generator of Steele, Lea & Flood, OOPSLA 2014)."""
+    z = np.arange(1, n * k + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0
+    return u.reshape(k, n)[::-1].T.copy()
 
 
 def dominant_eigenvalue(G, tol=1e-6, max_iter=500):
@@ -452,7 +640,7 @@ def solve_regularized_normal(A, B, delta):
     G = A.T @ A
     N = G.shape[0]
     if delta == 0.0:
-        lam, _ = sym_eig(G)
+        lam, _ = sym_eig(G, top=0)
         if lam[0] <= 0.0 or lam[-1] / lam[0] > 1e12:
             raise ValueError(
                 f"normal matrix is rank deficient at delta=0 "

@@ -251,16 +251,20 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     projection onto the modes, optional rectification, reconstruction.
 
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
-    share is then reported as zero)."""
+    share is then reported as zero) and the bounds check, which belongs to
+    the caller that ran that coarse solve; so a command that checks its
+    parameter once and reuses the coarse run warns once."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
-    key = check_bounds(config, param)
 
     fine = artifacts.fine
     t_start = time.perf_counter()
     if coarse_traj is None:
+        key = check_bounds(config, param)
         coarse_traj = solve_coarse(config, artifacts.coarse, key)
+    else:
+        key = param_key(config, param)
     seconds_coarse = time.perf_counter() - t_start
 
     t_start = time.perf_counter()

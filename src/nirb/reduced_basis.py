@@ -61,16 +61,21 @@ def l2_norms(forms, U):
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def pod(snapshots, forms, keep, inner="l2"):
+def pod(snapshots, forms, keep, inner="l2", n_max=None):
     """Proper orthogonal decomposition in the L2 or H1 inner product.
 
     ``keep`` is either a mode count (int), further limited by the numerical
-    rank (sigma_i / sigma_1 > 1e-12), or a relative singular value threshold
-    (float): directions with sigma_i / sigma_1 > keep survive, at least one.
-    Returns (modes, singular_values) with the modes orthonormal in the chosen
-    inner product up to eigensolver accuracy; callers that need exact L2
-    orthonormality re-orthogonalize.  An all-zero snapshot set yields zero
-    modes with a warning."""
+    rank, or a relative singular value threshold (float): directions with
+    sigma_i / sigma_1 > keep survive, at least one.  ``n_max`` caps the
+    mode count of either kind.  Gram eigenvalues at or below k eps ||G||_F
+    for k snapshots, the accuracy of ``sym_eig``, are roundoff and count as
+    zero, so sigma_i / sigma_1 is either 0 or above sqrt(k eps).  Returns
+    (modes, singular_values) with one singular value per snapshot and the
+    modes orthonormal in the chosen inner product up to eigensolver
+    accuracy; callers that need exact L2 orthonormality re-orthogonalize.
+    Eigenvectors are computed only up to the mode budget, the int ``keep``
+    or ``n_max``.  An all-zero snapshot set yields zero modes with a
+    warning."""
     if inner not in ("l2", "h1"):
         raise ValueError(f"unknown inner product {inner!r}")
     S = np.asarray(snapshots, dtype=float)
@@ -80,17 +85,27 @@ def pod(snapshots, forms, keep, inner="l2"):
     if inner == "h1":
         W = W + block_matvec(forms.stiffness, S)
     G = S @ W.T
-    lam, V = sym_eig(0.5 * (G + G.T))
+    count = isinstance(keep, (int, np.integer))
+    top = S.shape[0]
+    if count:
+        top = min(top, int(keep))
+    if n_max is not None:
+        top = min(top, int(n_max))
+    top = max(top, 0)
+    lam, V = sym_eig(0.5 * (G + G.T), top=top)
     lam = lam[::-1]
     V = V[:, ::-1]
+    noise = S.shape[0] * np.finfo(float).eps * np.sqrt((G * G).sum())
+    lam[lam <= noise] = 0.0
     sig = np.sqrt(np.clip(lam, 0.0, None))
     if sig[0] == 0.0:
         log.warning("POD of an all-zero snapshot set: returning zero modes")
         return np.zeros((0, S.shape[1])), sig
-    if isinstance(keep, (int, np.integer)):
-        k = min(int(keep), int((sig > 1e-12 * sig[0]).sum()))
+    if count:
+        k = int((sig > 0.0).sum())
     else:
         k = max(1, int((sig > keep * sig[0]).sum()))
+    k = min(k, top)
     return (V[:, :k].T @ S) / sig[:k, None], sig
 
 
@@ -139,8 +154,8 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
 
     first = int(np.argmax(norm_inf))
     selected = [first]
-    modes, _ = pod(items[first][1].values, forms, pod_tol)
-    modes = _mass_mgs(modes[:n_max], None, forms)
+    modes, _ = pod(items[first][1].values, forms, pod_tol, n_max=n_max)
+    modes = _mass_mgs(modes, None, forms)
     picks = [(items[first][0], modes.shape[0])]
 
     while modes.shape[0] < n_max:
@@ -160,9 +175,8 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
         selected.append(k)
         U = items[k][1].values
         resid = U - mass_inner(forms, U, modes) @ modes
-        new, _ = pod(resid, forms, pod_tol)
-        new = _mass_mgs(new[:n_max - modes.shape[0]], modes, forms,
-                        drop_tol=1e-10)
+        new, _ = pod(resid, forms, pod_tol, n_max=n_max - modes.shape[0])
+        new = _mass_mgs(new, modes, forms, drop_tol=1e-10)
         if new.shape[0] == 0:
             log.warning("residual POD at parameter %s produced no new modes",
                         items[k][0])

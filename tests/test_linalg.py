@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nirb import fem, linalg, mesh
 
@@ -8,6 +10,28 @@ def random_spd(rng, n, cond=10.0):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     d = np.geomspace(1.0, cond, n)
     return Q @ np.diag(d) @ Q.T
+
+
+def rotated(rng, eigenvalues):
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q, symmetrized."""
+    n = len(eigenvalues)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    G = (Q * np.asarray(eigenvalues, dtype=float)) @ Q.T
+    return 0.5 * (G + G.T)
+
+
+def assert_eigenpairs(G, lam, V):
+    """Eigenvalues within 1e-10 ||G|| of the numpy oracle, residual within
+    1e-12 ||G|| and orthonormality within 1e-12 for the returned vectors,
+    which belong to the largest eigenvalues."""
+    ref = np.linalg.eigvalsh(G)
+    scale = max(np.abs(ref).max(), np.finfo(float).tiny)
+    k = V.shape[1]
+    assert lam.shape == ref.shape and V.shape == (G.shape[0], k)
+    assert np.abs(lam - ref).max() <= 1e-10 * scale
+    residual = G @ V - V * lam[lam.size - k:]
+    assert np.abs(residual).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(V.T @ V - np.eye(k)).max(initial=0.0) <= 1e-12
 
 
 def sparse_from_dense(A):
@@ -188,6 +212,62 @@ class TestSymEig:
         with pytest.raises(ValueError):
             linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_exact_degeneracy(self, rng):
+        for G in (np.eye(4), rotated(rng, [1.0, 1.0, 1.0, 2.0, 2.0])):
+            lam, V = linalg.sym_eig(G)
+            assert np.isfinite(V).all()
+            assert_eigenpairs(G, lam, V)
+
+    def test_zero_and_one_by_one(self):
+        lam, V = linalg.sym_eig(np.zeros((5, 5)))
+        assert np.array_equal(lam, np.zeros(5))
+        assert_eigenpairs(np.zeros((5, 5)), lam, V)
+        lam, V = linalg.sym_eig(np.array([[-3.0]]))
+        assert lam.tolist() == [-3.0] and V.tolist() == [[1.0]]
+
+    def test_pod_like_spectrum_top(self, rng):
+        G = rotated(rng, np.logspace(0, -14, 180))
+        lam, V = linalg.sym_eig(G, top=10)
+        assert V.shape == (180, 10)
+        assert_eigenpairs(G, lam, V)
+
+    def test_wishart_full_spectrum(self, rng):
+        W = rng.standard_normal((60, 90))
+        G = W @ W.T
+        assert_eigenpairs(G, *linalg.sym_eig(G))
+
+    def test_top_is_the_tail_of_the_full_solve(self, rng):
+        W = rng.standard_normal((40, 50))
+        G = W @ W.T
+        lam, V = linalg.sym_eig(G)
+        for k in (0, 1, 7, 40):
+            lam_k, V_k = linalg.sym_eig(G, top=k)
+            assert np.array_equal(lam_k, lam)
+            assert np.abs(V_k - V[:, 40 - k:]).max(initial=0.0) <= 1e-12
+            # each vector's largest-magnitude entry is positive
+            assert (V_k[np.abs(V_k).argmax(axis=0), np.arange(k)] > 0).all()
+
+    def test_repeatable_bit_for_bit(self, rng):
+        G = rotated(rng, [3.0, 1.0, 1.0, 0.0, 0.0, 0.0, -2.0])
+        lam1, V1 = linalg.sym_eig(G, top=5)
+        lam2, V2 = linalg.sym_eig(G.copy(), top=5)
+        assert np.array_equal(lam1, lam2) and np.array_equal(V1, V2)
+
+    def test_top_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="top"):
+            linalg.sym_eig(np.eye(3), top=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.sampled_from([-2.0, -1e-9, 0.0, 1.0, 1.0 + 1e-13,
+                                            4.0]), min_size=1, max_size=9),
+           repeats=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           top=st.integers(min_value=0, max_value=27))
+    def test_forced_repeated_eigenvalues(self, values, repeats, seed, top):
+        G = rotated(np.random.default_rng(seed), values * repeats)
+        lam, V = linalg.sym_eig(G, top=min(top, G.shape[0]))
+        assert_eigenpairs(G, lam, V)
+
 
 def test_dominant_eigenvalue(rng):
     G = random_spd(rng, 12, cond=50.0)
@@ -216,6 +296,23 @@ class TestRegularizedNormal:
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="rank deficient"):
             linalg.solve_regularized_normal(A, np.eye(2), 0.0)
+
+    def test_ill_conditioned_screened_from_eigenvalues_only(self, rng,
+                                                            monkeypatch):
+        # nonsingular, but cond(A^T A) is about 1e13, past the 1e12 screen;
+        # the screen asks the eigensolver for no eigenvectors
+        A = rotated(rng, [1.0, 0.3, np.sqrt(1e-13)])
+        tops = []
+        sym_eig = linalg.sym_eig
+
+        def spy(G, top=None):
+            tops.append(top)
+            return sym_eig(G, top)
+
+        monkeypatch.setattr(linalg, "sym_eig", spy)
+        with pytest.raises(ValueError, match="rank deficient"):
+            linalg.solve_regularized_normal(A, np.eye(3), 0.0)
+        assert tops == [0]
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):

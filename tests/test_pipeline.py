@@ -290,6 +290,16 @@ class TestStudy:
             pipeline.convergence_study(config, "2h")
         assert calls == []
 
+    def test_out_of_bounds_test_parameter_warns_once(self, small_heat_text,
+                                                     caplog):
+        config = dataclasses.replace(
+            StudyConfig.from_text(small_heat_text), test_mu=12.0,
+            strict_bounds=False, study_levels=(4, 8)).validate()
+        pipeline.convergence_study(config, "2h")
+        warnings = [r for r in caplog.records
+                    if "outside the configured bounds" in r.getMessage()]
+        assert len(warnings) == 1
+
     def test_repeated_levels_fail_before_any_offline(self, heat_config,
                                                      monkeypatch):
         # a repeated level would make every log-log slope divide by zero

@@ -67,6 +67,37 @@ class TestPod:
         assert modes.shape[0] == 3
 
 
+    def test_all_zero_snapshots_give_zero_modes(self, setup, caplog):
+        m, forms = setup
+        for keep in (3, 1e-6):
+            caplog.clear()
+            modes, sig = rb.pod(np.zeros((4, m.n_nodes)), forms, keep)
+            assert modes.shape == (0, m.n_nodes)
+            assert np.array_equal(sig, np.zeros(4))
+            assert "all-zero snapshot set" in caplog.text
+
+    def test_rank_three_time_series_keeps_three_modes(self, setup):
+        # 33 snapshots of three decaying spatial patterns, as a heat run
+        # gives: the float threshold and the count both stop at the rank,
+        # and every snapshot still has a singular value
+        m, forms = setup
+        x, y = m.nodes[:, 0], m.nodes[:, 1]
+        patterns = np.stack([np.sin(np.pi * x) * np.sin(np.pi * y),
+                             np.sin(2 * np.pi * x) * np.sin(np.pi * y),
+                             np.cos(np.pi * x) * y])
+        t = np.linspace(0.0, 1.0, 33)[:, None]
+        snaps = np.exp(-t * np.array([1.0, 5.0, 20.0])) @ patterns
+        for keep in (1e-6, 10):
+            modes, sig = rb.pod(snaps, forms, keep)
+            assert modes.shape[0] == 3
+            assert sig.shape == (33,)
+            assert (sig[3:] == 0.0).all() and (sig[:3] > 0.0).all()
+            resid = snaps - rb.mass_inner(forms, snaps, modes) @ modes
+            assert rb.l2_norms(forms, resid).max() <= 1e-10 * sig[0]
+        modes, sig = rb.pod(snaps, forms, 1e-6, n_max=2)
+        assert modes.shape[0] == 2 and sig.shape == (33,)
+
+
 class TestPodGreedy:
     def test_single_parameter(self, setup):
         m, forms = setup
