@@ -136,6 +136,14 @@ class StudyConfig:
                 raise ValueError(f"{name} must lie in (0, 1), "
                                  f"got {getattr(self, name)}")
         if self.problem == "heat":
+            # zero Dirichlet data needs an interior node to solve for
+            for which in ("fine", "coarse"):
+                for key, count in zip(("nx", "ny"), self.mesh_counts(which)):
+                    if count < 2:
+                        raise ValueError(
+                            f"{which}_{key} = {count} leaves the heat "
+                            f"problem's {which} mesh without an interior "
+                            f"node; it needs at least 2 cells per direction")
             if not self.train_mu:
                 raise ValueError("empty training set")
             for mu in self.train_mu:

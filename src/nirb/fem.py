@@ -3,11 +3,20 @@ matrices, midpoint-rule load vectors, discrete norms, and Ritz projection."""
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from nirb.linalg import SparseSym, cg_solve, csr_with_scatter
+from nirb.linalg import (SparseSym, blocked_matmul, cg_solve, csr_with_scatter,
+                         pencil_eig, pencil_residuals)
+
+log = logging.getLogger(__name__)
+
+# largest relative eigen-residual and M-orthogonality defect the cached
+# modal decomposition may have; both sit near n eps for a sound one
+MODAL_TOL = 1e-10
 
 # products of the three P1 basis values at the three edge midpoints; the
 # midpoint rule integrates quadratics exactly, so summing the three blocks
@@ -74,15 +83,56 @@ class AssembledForms:
             self._cache["Kff"] = self.stiffness.restrict(self.free_dofs)
         return self._cache["Kff"]
 
-    def free_load(self, f, t):
-        """Free-dof entries of ``load_vector(self, f, t)``, computed once per
-        (f, t) and returned read-only: a source and its time knots do not
-        depend on the parameter, so every march on these forms shares them."""
-        key = ("load", f, t)
+    def free_loads(self, f, grid, lag=0.0):
+        """Free-dof entries of ``load_vector(self, f, t - lag)`` at every knot
+        t of ``grid`` after the first, shape (steps, n_free), computed once
+        per (f, grid, lag) and returned read-only: a source and its time
+        knots do not depend on the parameter, so every march on these forms
+        shares them."""
+        key = ("loads", f, grid, lag)
         if key not in self._cache:
-            load = load_vector(self, f, t)[self.free_dofs]
-            load.flags.writeable = False
-            self._cache[key] = load
+            loads = np.array([load_vector(self, f, t)[self.free_dofs]
+                              for t in grid.times()[1:] - lag])
+            loads.flags.writeable = False
+            self._cache[key] = loads
+        return self._cache[key]
+
+    def free_eigenpairs(self):
+        """(lam, V): every eigenpair of the free-dof pencil K v = lam M v,
+        lam ascending, with V^T M V = I (``linalg.pencil_eig``), computed
+        once per form set and returned read-only.
+
+        The decomposition is checked once, when it is built: its relative
+        residual ||K V - M V diag(lam)||_F / ||K V||_F and its
+        M-orthogonality defect max |V^T M V - I| must both be within
+        ``MODAL_TOL``.  Only (lam, V) is kept."""
+        if "eig" not in self._cache:
+            start = time.perf_counter()
+            K, M = self.stiffness_free(), self.mass_free()
+            lam, V = pencil_eig(K, M)
+            residual, orthogonality = pencil_residuals(K, M, lam, V)
+            if not (residual <= MODAL_TOL and orthogonality <= MODAL_TOL):
+                raise RuntimeError(
+                    f"modal decomposition of the {K.n}-dof pencil failed its "
+                    f"check: residual {residual:.3e}, M-orthogonality defect "
+                    f"{orthogonality:.3e} (limit {MODAL_TOL:.0e})")
+            lam.flags.writeable = V.flags.writeable = False
+            self._cache["eig"] = lam, V
+            log.info("modal setup: n=%d in %.3fs, residual %.2e, "
+                     "M-orthogonality defect %.2e", K.n,
+                     time.perf_counter() - start, residual, orthogonality)
+        return self._cache["eig"]
+
+    def modal_loads(self, f, grid, lag=0.0):
+        """``free_loads(f, grid, lag)`` in the eigenvector coordinates of
+        ``free_eigenpairs``, each row multiplied by V^T, computed once per
+        (f, grid, lag) and returned read-only."""
+        key = ("modal loads", f, grid, lag)
+        if key not in self._cache:
+            _, V = self.free_eigenpairs()
+            loads = blocked_matmul(self.free_loads(f, grid, lag), V)
+            loads.flags.writeable = False
+            self._cache[key] = loads
         return self._cache[key]
 
     def lumped_mass(self):

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from nirb.fem import load_from_midpoint_values
-from nirb.linalg import BandFactor, ConvergenceError, bicgstab_solve
+from nirb.linalg import (BandFactor, ConvergenceError, bicgstab_solve,
+                          blocked_matmul)
 from nirb.models import brusselator_rhs
 
 # relative residual of the BiCGStab solve inside each Newton iteration
@@ -70,62 +71,123 @@ class FieldTrajectory:
 def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data:
     each step solves (M + dt mu K) u = M u_prev + dt b(t) on the free dofs
-    to a relative residual of at most ``cg_tol``.  u0 is the state at
-    ``t_start`` (default ``grid.t0``); f may be None for a source-free run."""
-    return _heat_march(forms, mu, f, u0, grid, cg_tol, 1.0, t_start)
+    with one ``BandFactor`` of the step matrix, and every step's relative
+    residual must be at most ``cg_tol``.  u0 is the state at ``t_start``
+    (default ``grid.t0``); f may be None for a source-free run.  A run from
+    t_start < t0 first takes implicit-Euler steps of dt to t0 with the
+    window's factor; only a lead-in that is not a whole number of such steps
+    factors its own matrix."""
+    u0 = _start(forms, u0)
+    Mff, Kff = forms.mass_free(), forms.stiffness_free()
+    lhs = Mff.lincomb(Kff, 1.0, grid.dt * mu)
+    factor = BandFactor(lhs)
+    states = [u0[forms.free_dofs]]
+    for g, _, what in _legs(grid, 1.0, t_start):
+        leg_lhs, leg_factor = lhs, factor
+        if not math.isclose(g.dt, grid.dt, rel_tol=1e-12):
+            leg_lhs = Mff.lincomb(Kff, 1.0, g.dt * mu)
+            leg_factor = BandFactor(leg_lhs)
+        loads = None if f is None else g.dt * forms.free_loads(f, g)
+        rnorm, bnorm = np.empty(g.steps), np.empty(g.steps)
+        for k in range(g.steps):
+            rhs = Mff.matvec(states[-1])
+            if loads is not None:
+                rhs = rhs + loads[k]
+            states.append(leg_factor.solve(rhs))
+            res = leg_lhs.matvec(states[-1]) - rhs
+            rnorm[k], bnorm[k] = res @ res, rhs @ rhs
+        _check_residuals(g, what, np.sqrt(rnorm), np.sqrt(bnorm), cg_tol)
+    return _trajectory(forms, grid, u0, states, mu)
 
 
 def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     """Trapezoidal stepping with the source evaluated at the half step:
-    (M + dt/2 mu K) u = (M - dt/2 mu K) u_prev + dt b(t - dt/2), solved like
-    ``heat_backward_euler``."""
-    return _heat_march(forms, mu, f, u0, grid, cg_tol, 0.5, t_start)
+    (M + dt/2 mu K) u = (M - dt/2 mu K) u_prev + dt b(t - dt/2) on the free
+    dofs, with the arguments of ``heat_backward_euler``.  A run from
+    t_start < t0 first takes implicit-Euler steps of dt/2 to t0 (Rannacher's
+    damping half steps, Numer. Math. 43, 1984).
 
-
-def _heat_march(forms, mu, f, u0, grid, cg_tol, theta, t_start):
-    """The theta-scheme (M + theta dt mu K) u = (M - (1 - theta) dt mu K)
-    u_prev + dt b(t - (1 - theta) dt) over the window.  A run from
-    t_start < t0 first takes implicit-Euler steps of theta dt to t0 with the
-    window's factor (for Crank-Nicolson, Rannacher's damping half steps,
-    Numer. Math. 43, 1984); only a lead-in that is not a whole number of
-    such steps factors its own matrix."""
-    u0 = np.asarray(u0, dtype=float)
-    n = forms.n_dofs
-    if u0.shape != (n,):
-        raise ValueError(f"initial data has shape {u0.shape}, expected ({n},)")
-    free = forms.free_dofs
+    The march runs in the eigenvector coordinates z = V^T M u of the pencil
+    K v = lam M v (``AssembledForms.free_eigenpairs``, built once per form
+    set), where every step, of the lead-in (theta = 1) and of the window
+    (theta = 1/2) alike, is a diagonal recurrence,
+    z_k = (1 - (1 - theta) dt mu lam) / (1 + theta dt mu lam) z_{k-1}
+    + dt / (1 + theta dt mu lam) V^T b, with the projected loads V^T b
+    cached per form set (``AssembledForms.modal_loads``).  The states are
+    carried back as u = V z, and every step's relative residual in the nodal
+    system must be at most ``cg_tol``, checked in one batched product after
+    the march."""
+    u0 = _start(forms, u0)
+    lam, V = forms.free_eigenpairs()
     Mff, Kff = forms.mass_free(), forms.stiffness_free()
-    dt = grid.dt
-    lhs = Mff.lincomb(Kff, 1.0, theta * dt * mu)
-    rhs_mat = Mff if theta == 1.0 else \
-        Mff.lincomb(Kff, 1.0, (theta - 1.0) * dt * mu)
-    factor = BandFactor(lhs)
-    legs = [(grid, lhs, factor, rhs_mat, (1.0 - theta) * dt, "time step")]
+    legs = _legs(grid, 0.5, t_start)
+    z = Mff.matvec(u0[forms.free_dofs]) @ V
+    Z = [z]
+    for g, theta, _ in legs:
+        dtmu = g.dt * mu
+        damp = 1.0 / (1.0 + theta * dtmu * lam)
+        gain = (1.0 - (1.0 - theta) * dtmu * lam) * damp
+        if f is None:
+            push = np.zeros((g.steps, lam.size))
+        else:
+            push = forms.modal_loads(f, g, (1.0 - theta) * g.dt) \
+                * (g.dt * damp)
+        for h in push:
+            z = gain * z + h
+            Z.append(z)
+    states = blocked_matmul(np.array(Z), V.T)
+    states[0] = u0[forms.free_dofs]
+    MU, KU = Mff.matvec(states), Kff.matvec(states)
+    row = 0
+    for g, theta, what in legs:
+        dtmu = g.dt * mu
+        old, new = slice(row, row + g.steps), slice(row + 1, row + g.steps + 1)
+        rhs = MU[old] + (theta - 1.0) * dtmu * KU[old]
+        if f is not None:
+            rhs = rhs + g.dt * forms.free_loads(f, g, (1.0 - theta) * g.dt)
+        res = MU[new] + theta * dtmu * KU[new] - rhs
+        _check_residuals(g, what, np.sqrt((res * res).sum(axis=-1)),
+                         np.sqrt((rhs * rhs).sum(axis=-1)), cg_tol)
+        row += g.steps
+    return _trajectory(forms, grid, u0, states, mu)
+
+
+def _start(forms, u0):
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (forms.n_dofs,):
+        raise ValueError(f"initial data has shape {u0.shape}, expected "
+                         f"({forms.n_dofs},)")
+    return u0
+
+
+def _legs(grid, theta, t_start):
+    """The legs of a heat run as (time grid, theta, step label): the window
+    at ``theta``, led in from ``t_start`` < t0 by implicit-Euler steps of
+    about theta dt."""
+    legs = [(grid, theta, "time step")]
     if t_start is not None and t_start != grid.t0:
         lead = TimeGrid(t_start, grid.t0,
-                        max(1, round((grid.t0 - t_start) / (theta * dt))))
-        lead_lhs, lead_factor = lhs, factor
-        if not math.isclose(lead.dt, theta * dt, rel_tol=1e-12):
-            lead_lhs = Mff.lincomb(Kff, 1.0, lead.dt * mu)
-            lead_factor = BandFactor(lead_lhs)
-        legs.insert(0, (lead, lead_lhs, lead_factor, Mff, 0.0, "lead-in step"))
-    states = [u0[free]]
-    for g, lhs, factor, rhs_mat, lag, what in legs:
-        times = g.times()
-        for k in range(1, g.steps + 1):
-            rhs = rhs_mat.matvec(states[-1])
-            if f is not None:
-                rhs = rhs + g.dt * forms.free_load(f, times[k] - lag)
-            states.append(factor.solve(rhs))
-            res = lhs.matvec(states[-1]) - rhs
-            rnorm, bnorm = np.sqrt(res @ res), np.sqrt(rhs @ rhs)
-            if not rnorm <= cg_tol * bnorm:
-                raise RuntimeError(
-                    f"{what} {k} (t={times[k]:.6g}): relative residual "
-                    f"{rnorm / bnorm:.3e} exceeds {cg_tol:.1e}")
-    values = np.zeros((grid.steps + 1, n))
+                        max(1, round((grid.t0 - t_start) / (theta * grid.dt))))
+        legs.insert(0, (lead, 1.0, "lead-in step"))
+    return legs
+
+
+def _check_residuals(grid, what, rnorm, bnorm, cg_tol):
+    """Raise naming the first step of a leg whose residual norm exceeds
+    ``cg_tol`` times the norm of its right-hand side."""
+    bad = np.flatnonzero(~(rnorm <= cg_tol * bnorm))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"{what} {k + 1} (t={grid.times()[k + 1]:.6g}): relative residual "
+            f"{rnorm[k] / bnorm[k]:.3e} exceeds {cg_tol:.1e}")
+
+
+def _trajectory(forms, grid, u0, states, mu):
+    """The window's trajectory from the free-dof states of a whole run."""
+    values = np.zeros((grid.steps + 1, forms.n_dofs))
     values[0] = u0
-    values[:, free] = states[-grid.steps - 1:]
+    values[:, forms.free_dofs] = states[-grid.steps - 1:]
     return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
                            parameter=mu)
 

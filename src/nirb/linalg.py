@@ -1,8 +1,10 @@
 """Self-contained linear algebra kernels: symmetric CSR storage, Krylov
 solvers, a block-tridiagonal direct factor for banded SPD matrices, a dense
-symmetric eigensolver (Householder tridiagonalization, Sturm multisection and
-inverse iteration), and regularized normal-equation solves.  Dense matrices
-are plain numpy arrays."""
+Cholesky factor, a dense symmetric eigensolver (Householder
+tridiagonalization, Sturm multisection and inverse iteration) and the
+generalized symmetric-definite eigenproblem built on the two, and
+regularized normal-equation solves.  Dense matrices are plain numpy
+arrays."""
 
 from __future__ import annotations
 
@@ -26,6 +28,11 @@ _MULTISECTION_POINTS = 256
 # Inverse-iteration shifts sit this many eps ||T|| above their eigenvalues
 # (see _inverse_iteration).
 _SHIFT_OFFSET = 10.0
+# Row count of the pieces ``blocked_matmul`` multiplies: OpenBLAS runs a
+# product of this size against a few-hundred-square matrix on the calling
+# thread, while a larger one may wake a second thread, which then spin-waits
+# after the call and adds its CPU time to the process's.
+_BLAS_ROWS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -293,6 +300,78 @@ def _spd_inverse(S, block):
     return a
 
 
+def blocked_matmul(A, B):
+    """A @ B for dense A and B, computed ``_BLAS_ROWS`` rows of A at a time
+    so that every product stays on the calling thread."""
+    A = np.asarray(A, dtype=float)
+    out = np.empty((A.shape[0], B.shape[1]))
+    for i in range(0, A.shape[0], _BLAS_ROWS):
+        np.matmul(A[i:i + _BLAS_ROWS], B, out=out[i:i + _BLAS_ROWS])
+    return out
+
+
+def cholesky(A):
+    """Lower-triangular L with A = L L^T for a dense SPD matrix, by
+    outer-product elimination within the bandwidth w = max |i - j| over the
+    nonzero entries, which L shares (Golub & Van Loan, Matrix Computations,
+    section 4.3), in O(n w^2).  The pivot of step k is the k-th Gaussian
+    elimination pivot, so every pivot is positive exactly when A is positive
+    definite; a failure names the pivot, as ``_spd_inverse`` does."""
+    a = np.array(A, dtype=float)
+    n = a.shape[0]
+    rows, cols = np.nonzero(a)
+    w = int(np.abs(rows - cols).max()) if rows.size else 0
+    L = np.zeros((n, n))
+    for k in range(n):
+        p = a[k, k]
+        if not p > 0.0:
+            raise ValueError(f"matrix is not positive definite "
+                             f"(Cholesky pivot {k}: {p:.3e})")
+        end = min(n, k + w + 1)
+        col = a[k:end, k] / math.sqrt(p)
+        L[k:end, k] = col
+        a[k + 1:end, k + 1:end] -= np.multiply.outer(col[1:], col[1:])
+    return L
+
+
+def _lower_inverse(L):
+    """Inverse of a nonsingular lower-triangular matrix, row by row by
+    forward substitution; it is lower triangular too."""
+    n = L.shape[0]
+    X = np.zeros((n, n))
+    for j in range(n):
+        X[j, :j] = -(L[j, :j] @ X[:j, :j]) / L[j, j]
+        X[j, j] = 1.0 / L[j, j]
+    return X
+
+
+def pencil_eig(K, M):
+    """Every eigenpair of the symmetric-definite pencil K v = lambda M v for
+    sparse symmetric K and SPD M: returns (lambda ascending, V) with
+    K V = M V diag(lambda) and V^T M V = I.
+
+    With M = L L^T (``cholesky``), the pencil is the symmetric eigenproblem
+    of C = L^{-1} K L^{-T}, solved by ``sym_eig``, and V = L^{-T} W for its
+    eigenvectors W (Golub & Van Loan, Matrix Computations, section 8.7).
+    Dense, O(n^3), with every dense product blocked (``blocked_matmul``).
+    Check the result with ``pencil_residuals``."""
+    Linv = _lower_inverse(cholesky(M.to_dense()))
+    C = blocked_matmul(blocked_matmul(Linv, K.to_dense()), Linv.T)
+    lam, W = sym_eig(0.5 * (C + C.T))
+    return lam, blocked_matmul(Linv.T, W)
+
+
+def pencil_residuals(K, M, lam, V):
+    """How far (lam, V) is from an M-orthonormal eigendecomposition of the
+    pencil K v = lambda M v: returns (||K V - M V diag(lam)||_F / ||K V||_F,
+    max |V^T M V - I|)."""
+    KV = blocked_matmul(K.to_dense(), V)
+    MV = blocked_matmul(M.to_dense(), V)
+    residual = _norm2(KV - MV * lam) / _norm2(KV)
+    orthogonality = np.abs(blocked_matmul(V.T, MV) - np.eye(lam.size)).max()
+    return float(residual), float(orthogonality)
+
+
 def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, precond=None):
     """Right-preconditioned BiCGStab for general square systems.
 
@@ -393,6 +472,8 @@ def sym_eig(G, top=None):
     k = n if top is None else int(top)
     if not 0 <= k <= n:
         raise ValueError(f"top must lie in [0, {n}], got {top}")
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
     gmax = np.abs(G).max()
     if gmax > 0 and np.abs(G - G.T).max() > 1e-12 * gmax:
         raise ValueError("matrix is not symmetric within 1e-12 relative")

@@ -92,7 +92,9 @@ def solve_fine(config, disc, param):
 def solve_coarse(config, disc, param, fine=None):
     """Cheap trajectory at one parameter on the coarse discretization alone
     (heat: Crank-Nicolson from ``heat_initial_coarse``, led in by half
-    steps; reaction-diffusion: explicit midpoint on the lumped system).
+    steps, marched as diagonal recurrences in the eigenvectors of the coarse
+    pencil, which the first heat run on ``disc`` computes and later runs
+    reuse; reaction-diffusion: explicit midpoint on the lumped system).
 
     ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
@@ -247,8 +249,11 @@ def check_bounds(config, param):
 
 
 def online(artifacts, param, mode="rectified", coarse_traj=None):
-    """Online stage at one parameter: coarse solve, time and space lifting,
-    projection onto the modes, optional rectification, reconstruction.
+    """Online stage at one parameter: coarse solve, time interpolation, one
+    product with the basis's cached lift-projection operator (the space
+    lift and the projection onto the modes in one), optional rectification,
+    reconstruction.  Past the first query on a discretization, nothing but
+    the reconstruction touches the fine mesh.
 
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
     share is then reported as zero) and the bounds check, which belongs to

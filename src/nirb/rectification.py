@@ -10,8 +10,8 @@ import numpy as np
 
 from nirb.integrators import FieldTrajectory
 from nirb.linalg import dominant_eigenvalue, solve_regularized_normal
-from nirb.mesh import interpolate_field
-from nirb.reduced_basis import coefficients
+from nirb.mesh import interpolate_field, transfer_operator
+from nirb.reduced_basis import coefficients, mass_weighted_modes
 from nirb.time_interp import quadratic_time_interp
 
 
@@ -51,11 +51,39 @@ def lift_coarse(coarse_traj, fine_mesh, fine_grid):
                            parameter=coarse_traj.parameter)
 
 
+def lift_projection(basis, forms, coarse_mesh):
+    """The operator Phi, shape (n_fields * n_coarse, N), that sends coarse
+    nodal values to the L2 coefficients of their P1 lift in the basis:
+    Phi = P^T M modes^T per field, with P the P1 interpolation from
+    ``coarse_mesh`` to the basis mesh (``mesh.transfer_operator``) and M the
+    mass matrix of ``forms``.  Computed once per basis, form set and coarse
+    mesh, and cached on the basis; a structured mesh is keyed by its cell
+    counts and domain."""
+    key = ("lift", coarse_mesh.nx, coarse_mesh.ny, coarse_mesh.domain)
+    hit = basis.cache.get(key)
+    if hit is None or hit[0] is not forms:
+        idx, w = transfer_operator(coarse_mesh, basis.mesh.nodes)
+        n, N = coarse_mesh.n_nodes, basis.N
+        slots = (idx[:, :, None] * N + np.arange(N)).ravel()
+        phi = np.concatenate([
+            np.bincount(slots, weights=(w[:, :, None]
+                                        * part[:, None, :]).ravel(),
+                        minlength=n * N).reshape(n, N)
+            for part in np.split(mass_weighted_modes(basis, forms),
+                                 basis.n_fields)])
+        hit = basis.cache[key] = (forms, phi)
+    return hit[1]
+
+
 def coarse_to_fine_coefficients(coarse_traj, basis, forms, fine_grid):
     """Coefficients of a coarse trajectory after lifting it to the basis
-    mesh and the fine grid, by L2 projection onto the modes."""
-    lifted = lift_coarse(coarse_traj, basis.mesh, fine_grid)
-    return coefficients(basis, forms, lifted.values)
+    mesh and the fine grid, by L2 projection onto the modes: the quadratic
+    time interpolation onto ``fine_grid``, then one product with
+    ``lift_projection``.  The same linear map as ``lift_coarse`` followed by
+    ``reduced_basis.coefficients``, with the products associated so that
+    nothing of fine-mesh size is touched per call."""
+    lifted = quadratic_time_interp(coarse_traj, fine_grid)
+    return lifted.values @ lift_projection(basis, forms, coarse_traj.mesh)
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,

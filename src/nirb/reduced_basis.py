@@ -22,12 +22,17 @@ class ReducedBasis:
     all inner products taken blockwise; the field count is read off the mode
     width and the mesh.  ``eigenvalues`` holds the ascending H1 spectrum
     after re-orthogonalization (the squared H1 norms of the modes), and
-    ``provenance`` records how the basis was selected."""
+    ``provenance`` records how the basis was selected.  ``cache`` holds
+    operators derived from the modes, which are not modified after
+    construction (``mass_weighted_modes``, ``rectification.lift_projection``);
+    it is rebuilt on use and never persisted."""
 
     mesh: object
     modes: np.ndarray                     # (N, n_fields * n_nodes)
     eigenvalues: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def N(self):
@@ -302,9 +307,19 @@ def h1_reorthogonalize(basis, forms):
                         provenance=prov)
 
 
+def mass_weighted_modes(basis, forms):
+    """The modes under the blockwise mass matrix of ``forms``, as columns:
+    shape (n_fields * n_nodes, N), computed once per basis and form set."""
+    hit = basis.cache.get("mass")
+    if hit is None or hit[0] is not forms:
+        hit = basis.cache["mass"] = (forms,
+                                     block_matvec(forms.mass, basis.modes).T)
+    return hit[1]
+
+
 def coefficients(basis, forms, values):
     """L2 coefficients of (rows of) ``values`` in the basis."""
-    return mass_inner(forms, values, basis.modes)
+    return np.asarray(values) @ mass_weighted_modes(basis, forms)
 
 
 def reconstruct(basis, coeffs):

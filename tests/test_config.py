@@ -9,6 +9,9 @@ from nirb.config import StudyConfig
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 positive = st.integers(min_value=1, max_value=512)
+# a heat mesh needs an interior node; a y count of 0 falls back to x
+cells = st.integers(min_value=2, max_value=512)
+cells_or_x = st.one_of(st.just(0), cells)
 text = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_/.-",
                min_size=1, max_size=20)
 
@@ -29,8 +32,8 @@ def heat_configs(draw):
         mu_min=mu_min, mu_max=mu_max, train_mu=tuple(train),
         test_mu=draw(finite),
         train_a=tuple(draw(st.lists(finite, max_size=3))),
-        fine_nx=draw(positive), fine_ny=draw(st.integers(0, 512)),
-        coarse_nx=draw(positive), coarse_ny=draw(st.integers(0, 512)),
+        fine_nx=draw(cells), fine_ny=draw(cells_or_x),
+        coarse_nx=draw(cells), coarse_ny=draw(cells_or_x),
         fine_steps=draw(positive),
         coarse_steps=draw(st.integers(min_value=2, max_value=512)),
         rb_algorithm=draw(st.sampled_from(["pod_greedy", "greedy", "pod"])),
@@ -90,6 +93,21 @@ def test_unknown_keys_rejected(line):
 def test_invalid_values_rejected(edit):
     with pytest.raises(ValueError):
         dataclasses.replace(StudyConfig(), **edit).validate()
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"coarse_nx": 1}, "coarse_nx = 1"), ({"fine_nx": 1}, "fine_nx = 1"),
+    ({"coarse_ny": 1}, "coarse_ny = 1"), ({"fine_ny": -2}, "fine_ny = -2"),
+])
+def test_heat_mesh_without_interior_node_rejected(edit, key):
+    with pytest.raises(ValueError, match=f"{key} leaves the heat problem's "
+                                         f"\\w+ mesh without an interior node"):
+        dataclasses.replace(StudyConfig(), **edit).validate()
+
+
+def test_neumann_mesh_of_one_cell_accepted():
+    dataclasses.replace(StudyConfig(), problem="brusselator", t0=0.0,
+                        coarse_nx=1).validate()
 
 
 @pytest.mark.parametrize("key", ["cg_tol", "newton_tol"])

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,103 @@ class TestFactoredMarch:
         second = integrators.heat_crank_nicolson(forms, 2.0, f, u0, grid)
         assert len(calls) == grid.steps
         assert np.array_equal(second.values, first.values)
+
+
+class TestModalMarch:
+    @pytest.fixture(scope="class")
+    def forms(self):
+        return fem.assemble(mesh.build_structured(8, 8), bc="dirichlet_zero")
+
+    @pytest.mark.parametrize("T, steps", [(2.0, 8), (3.0, 3), (2.5, 2)],
+                             ids=["dt-1/8", "T3-3-steps", "off-step"])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 4.0, 9.5])
+    def test_matches_per_step_cg(self, forms, T, steps, mu):
+        # from the closed-form data at t0 (the mu = 1 start), and from rest
+        # at t = 0 through the half-step lead-in; at T = 2.5 in two steps
+        # the lead-in's three steps of 1/3 are not dt/2
+        m = forms.mesh
+        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
+        grid = integrators.TimeGrid(1.0, T, steps)
+        f = models.manufactured_f
+        for start, t_start in ((u0, None), (np.zeros_like(u0), 0.0)):
+            got = integrators.heat_crank_nicolson(forms, mu, f, start, grid,
+                                                  t_start=t_start).values
+            want = cg_reference_march(forms, mu, f, start, grid, "cn",
+                                      t_start)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_impossible_tolerance_names_step_and_residual(self, forms):
+        m = forms.mesh
+        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        f = models.manufactured_f
+        with pytest.raises(RuntimeError,
+                           match=r"^time step 1 \(t=1.125\): relative "
+                                 r"residual \S+ exceeds 1.0e-20$"):
+            integrators.heat_crank_nicolson(forms, 3.0, f, u0, grid,
+                                            cg_tol=1e-20)
+        with pytest.raises(RuntimeError,
+                           match=r"^lead-in step 1 \(t=0.0625\): relative "
+                                 r"residual \S+ exceeds 1.0e-20$"):
+            integrators.heat_crank_nicolson(forms, 3.0, f, np.zeros_like(u0),
+                                            grid, cg_tol=1e-20, t_start=0.0)
+
+    def test_corrupted_decomposition_trips_the_guard(self, monkeypatch):
+        sym_eig = linalg.sym_eig
+
+        def skewed(G, top=None):
+            lam, W = sym_eig(G, top)
+            return lam * (1.0 + 1e-6), W
+
+        monkeypatch.setattr(linalg, "sym_eig", skewed)
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        with pytest.raises(RuntimeError, match=r"modal decomposition of the "
+                           r"9-dof pencil failed its check: residual \S+, "
+                           r"M-orthogonality defect \S+ \(limit 1e-10\)"):
+            forms.free_eigenpairs()
+
+    def test_corrupted_cache_fails_the_step_residuals(self):
+        # past the guard, every step's nodal residual still catches a
+        # decomposition that does not solve the pencil
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        lam, V = forms.free_eigenpairs()
+        forms._cache["eig"] = lam * (1.0 + 1e-6), V
+        u0 = np.zeros(forms.n_dofs)
+        grid = integrators.TimeGrid(1.0, 2.0, 4)
+        with pytest.raises(RuntimeError, match=r"^time step 1 \(t=1.25\)"):
+            integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
+                                            u0, grid)
+
+    def test_non_spd_mass_names_its_cholesky_pivot(self):
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        minus = forms.mass.lincomb(forms.mass, -1.0, 0.0)
+        broken = dataclasses.replace(forms, mass=minus, _cache={})
+        with pytest.raises(ValueError, match=r"not positive definite "
+                                             r"\(Cholesky pivot 0: -"):
+            broken.free_eigenpairs()
+
+    def test_setup_runs_and_logs_once_per_form_set(self, caplog):
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        with caplog.at_level("INFO", logger="nirb.fem"):
+            first = forms.free_eigenpairs()
+            assert forms.free_eigenpairs() is first
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1
+        assert re.fullmatch(r"modal setup: n=9 in \d+\.\d{3}s, residual "
+                            r"\S+, M-orthogonality defect \S+", lines[0])
+
+    def test_loads_and_decomposition_are_shared(self, forms):
+        f = models.manufactured_f
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        lam, V = forms.free_eigenpairs()
+        assert forms.free_eigenpairs()[1] is V
+        assert not (lam.flags.writeable or V.flags.writeable)
+        integrators.heat_crank_nicolson(forms, 2.0, f, np.zeros(forms.n_dofs),
+                                        grid)
+        G = forms.modal_loads(f, grid, 0.5 * grid.dt)
+        assert G is forms.modal_loads(f, grid, 0.5 * grid.dt)
+        F = forms.free_loads(f, grid, 0.5 * grid.dt)
+        assert np.abs(G - F @ V).max() <= 1e-13 * np.abs(G).max()
 
 
 def scalar_implicit_euler(params, state, dt, iters=30):

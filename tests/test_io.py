@@ -7,6 +7,9 @@ import pytest
 from nirb import io, pipeline
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
+from nirb.rectification import (coarse_to_fine_coefficients, lift_coarse,
+                                lift_projection)
+from nirb.reduced_basis import coefficients
 
 SMALL_RD_TEXT = ("problem = brusselator\n"
                  "t0 = 0.0\n"
@@ -213,6 +216,40 @@ class TestArtifacts:
         with pytest.raises(io.ArtifactError) as err:
             io.load_artifacts(str(tmp_path / "absent.nirb"))
         assert err.value.slug == "missing-artifacts"
+
+
+def test_artifact_members_are_unchanged():
+    # the lift-projection operator is derived on load, not stored
+    assert io.ARTIFACT_FORMAT == "nirb-artifacts 4"
+    assert io.ARTIFACT_MEMBERS == ("format", "config", "modes", "eigenvalues",
+                                   "provenance", "matrices", "deltas")
+
+
+@pytest.mark.parametrize("problem", ["heat", "rd"])
+def test_lift_projection_is_lift_then_coefficients(small_heat_text, tmp_path,
+                                                   problem):
+    text = small_heat_text if problem == "heat" else SMALL_RD_TEXT
+    config, artifacts, path = _offline(text, tmp_path)
+    loaded = io.load_artifacts(str(path))
+    param = config.test_parameter()
+    phis = []
+    for arts in (artifacts, loaded):
+        fine, coarse = arts.fine, arts.coarse
+        traj = pipeline.solve_coarse(config, coarse, param)
+        got = coarse_to_fine_coefficients(traj, arts.basis, fine.forms,
+                                          fine.grid)
+        want = coefficients(arts.basis, fine.forms,
+                            lift_coarse(traj, fine.mesh, fine.grid).values)
+        assert got.shape == (fine.grid.steps + 1, arts.basis.N)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        phi = lift_projection(arts.basis, fine.forms, coarse.mesh)
+        assert phi.shape == (traj.values.shape[1], arts.basis.N)
+        phis.append(phi)
+    assert np.array_equal(phis[0], phis[1])
+    io.save_artifacts(str(path), loaded)
+    with zipfile.ZipFile(path) as archive:
+        assert sorted(archive.namelist()) \
+            == sorted(name + ".npy" for name in io.ARTIFACT_MEMBERS)
 
 
 class TestTrajectory:

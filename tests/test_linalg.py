@@ -161,6 +161,62 @@ class TestBandFactor:
             linalg.BandFactor(heat_lhs(4)).solve(np.zeros(5))
 
 
+class TestCholesky:
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_spd(rng, 30, cond=1e6),
+        lambda rng: heat_lhs(6).to_dense(),
+        lambda rng: banded_matrix(12, [-1.0, 0.5, 0.25]).to_dense(),
+        lambda rng: np.array([[4.0]]),
+    ], ids=["dense", "heat", "band-3", "one-by-one"])
+    def test_reproduces_the_matrix(self, make, rng):
+        A = make(rng)
+        L = linalg.cholesky(A)
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - A).max() <= 1e-14 * np.abs(A).max()
+        assert np.abs(L - np.linalg.cholesky(A)).max() \
+            <= 1e-12 * np.abs(L).max()
+
+    def test_indefinite_names_the_pivot(self):
+        with pytest.raises(ValueError, match=r"not positive definite "
+                           r"\(Cholesky pivot 1: -3\.000e\+00\)"):
+            linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestPencilEig:
+    @pytest.mark.parametrize("nx, bc", [(2, "dirichlet_zero"),
+                                        (6, "dirichlet_zero"),
+                                        (4, "neumann_natural")])
+    def test_mass_orthonormal_eigenpairs(self, nx, bc):
+        forms = fem.assemble(mesh.build_structured(nx, nx), bc=bc)
+        K, M = forms.stiffness_free(), forms.mass_free()
+        lam, V = linalg.pencil_eig(K, M)
+        Kd, Md = K.to_dense(), M.to_dense()
+        Linv = np.linalg.inv(np.linalg.cholesky(Md))
+        ref = np.linalg.eigvalsh(Linv @ Kd @ Linv.T)
+        assert np.abs(lam - ref).max() <= 1e-12 * ref.max()
+        assert np.abs(Kd @ V - Md @ V * lam).max() <= 1e-12 * ref.max()
+        assert np.abs(V.T @ Md @ V - np.eye(K.n)).max() <= 1e-12
+        res, orth = linalg.pencil_residuals(K, M, lam, V)
+        assert res <= 1e-14 and orth <= 1e-13
+
+    def test_residuals_see_a_corrupted_decomposition(self):
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        K, M = forms.stiffness_free(), forms.mass_free()
+        lam, V = linalg.pencil_eig(K, M)
+        res, orth = linalg.pencil_residuals(K, M, lam * (1.0 + 1e-6), V)
+        assert 1e-7 < res < 1e-5 and orth <= 1e-13
+        res, orth = linalg.pencil_residuals(K, M, lam, V * (1.0 + 1e-6))
+        assert res <= 1e-14 and 1e-6 < orth < 1e-5
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4, 5, 9])
+def test_blocked_matmul(rng, rows):
+    A, B = rng.standard_normal((rows, 30)), rng.standard_normal((30, 7))
+    got = linalg.blocked_matmul(A, B)
+    assert got.shape == (rows, 7)
+    assert np.abs(got - A @ B).max(initial=0.0) <= 1e-13
+
+
 class TestBiCGStab:
     def test_nonsymmetric_matches_oracle(self, rng):
         A = random_spd(rng, 15) + 0.3 * rng.standard_normal((15, 15))
@@ -224,6 +280,11 @@ class TestSymEig:
         assert_eigenpairs(np.zeros((5, 5)), lam, V)
         lam, V = linalg.sym_eig(np.array([[-3.0]]))
         assert lam.tolist() == [-3.0] and V.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("top", [None, 0])
+    def test_empty(self, top):
+        lam, V = linalg.sym_eig(np.zeros((0, 0)), top=top)
+        assert lam.shape == (0,) and V.shape == (0, 0)
 
     def test_pod_like_spectrum_top(self, rng):
         G = rotated(rng, np.logspace(0, -14, 180))

@@ -1,8 +1,10 @@
 """The package uses numpy core only: no module reaches numpy.linalg,
-every import is from the standard library, numpy or the package itself, and
-nothing imports pickle or lets numpy unpickle."""
+every import is from the standard library, numpy or the package itself,
+nothing imports pickle or lets numpy unpickle, and nothing writes the
+process environment or names a BLAS thread variable."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -123,3 +125,78 @@ def test_package_never_pickles():
              for path in sorted(SRC.glob("*.py"))
              for line in pickle_uses(ast.parse(path.read_text("utf-8")))}
     assert not found, f"pickle used at {sorted(found)}"
+
+
+THREAD_VARS = re.compile(r"\b(OPENBLAS|OMP|MKL)_NUM_THREADS\b")
+ENV_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear",
+                "__setitem__", "__delitem__"}
+
+
+def _is_os_environ(node):
+    return isinstance(node, ast.Attribute) and node.attr == "environ" \
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+
+
+def environment_writes(tree):
+    """Line numbers where a parsed module writes the process environment:
+    stores to, deletes from or mutating calls on ``os.environ``, calls of
+    ``os.putenv``/``os.unsetenv``, and imports of those names from ``os``,
+    which would hide such writes from this scan."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_os_environ(node.value) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node.lineno
+        elif _is_os_environ(node) and isinstance(node.ctx, ast.Store):
+            yield node.lineno
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) and (
+                    (node.func.attr in ENV_MUTATORS
+                     and _is_os_environ(node.func.value))
+                    or (node.func.attr in ("putenv", "unsetenv")
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "os")):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(a.name in ("environ", "putenv", "unsetenv")
+                        for a in node.names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("import os\nos.environ['OPENBLAS_NUM_THREADS'] = '1'\n", True),
+    ("import os\nos.environ['X'] = '1'\n", True),
+    ("import os\ndel os.environ['X']\n", True),
+    ("import os\nos.environ.update(X='1')\n", True),
+    ("import os\nos.environ.setdefault('X', '1')\n", True),
+    ("import os\nos.putenv('X', '1')\n", True),
+    ("import os\nos.environ = {}\n", True),
+    ("from os import environ\n", True),
+    ("import os\nx = os.environ.get('X')\n", False),
+    ("import os\nx = os.environ['X']\n", False),
+    ("import os\nos.makedirs(path, exist_ok=True)\n", False),
+])
+def test_environment_scan(source, caught):
+    assert bool(list(environment_writes(ast.parse(source)))) == caught
+
+
+@pytest.mark.parametrize("text, caught", [
+    ("x = 'OPENBLAS_NUM_THREADS'\n", True),
+    ("# set OMP_NUM_THREADS first\n", True),
+    ("limits = {'MKL_NUM_THREADS': 1}\n", True),
+    ("# OpenBLAS runs small products on one thread\n", False),
+])
+def test_thread_variable_scan(text, caught):
+    assert bool(THREAD_VARS.search(text)) == caught
+
+
+def test_package_leaves_threading_to_the_environment():
+    # the BLAS thread count is the caller's to set; the package keeps its
+    # products small enough to stay on one thread instead
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text("utf-8")
+        found |= {f"{path.name}:{line}"
+                  for line in environment_writes(ast.parse(text))}
+        found |= {f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+                  for m in THREAD_VARS.finditer(text)}
+    assert not found, f"environment or thread variables at {sorted(found)}"

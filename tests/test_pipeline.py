@@ -100,14 +100,27 @@ def presolve_then_window(config, fine, mu):
 class TestOneFactorPerRun:
     @pytest.mark.parametrize("mu", [4.5, 1.0])
     def test_each_heat_run_builds_one_factor(self, small_heat_text,
-                                             factors_built, mu):
+                                             factors_built, monkeypatch, mu):
+        # a fine run factors its step matrix; coarse runs factor nothing and
+        # share one modal decomposition of their form set
+        decompositions = []
+        pencil_eig = fem.pencil_eig
+
+        def counting(K, M):
+            decompositions.append(K.n)
+            return pencil_eig(K, M)
+
+        monkeypatch.setattr(fem, "pencil_eig", counting)
         config = StudyConfig.from_text(small_heat_text)
         fine, coarse = pipeline.discretize(config)
-        for solve, disc in ((pipeline.solve_fine, fine),
-                            (pipeline.solve_coarse, coarse)):
-            factors_built.clear()
-            solve(config, disc, mu)
-            assert factors_built == [disc.forms.free_dofs.size]
+        pipeline.solve_fine(config, fine, mu)
+        assert factors_built == [fine.forms.free_dofs.size]
+        assert decompositions == []
+        factors_built.clear()
+        for other in (mu, 2.0, 1.0):
+            pipeline.solve_coarse(config, coarse, other)
+        assert factors_built == []
+        assert decompositions == [coarse.forms.free_dofs.size]
 
     @pytest.mark.parametrize("steps", [8, 6])
     def test_fine_run_is_the_presolve_then_the_window(self, small_heat_text,
@@ -161,7 +174,21 @@ class TestLift:
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
         got = coarse_to_fine_coefficients(coarse, artifacts.basis,
                                           ctx.fine.forms, ctx.fine.grid)
-        assert np.array_equal(got, want)
+        # the same linear map with its products associated differently
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_trajectory_on_the_basis_mesh_lifts_to_itself(self, study):
+        config, artifacts = study
+        ctx = artifacts.context()
+        fine = pipeline.solve_fine(config, ctx.fine, 2.0)
+        coarse_in_time = FieldTrajectory(
+            mesh=ctx.fine.mesh, grid=TimeGrid(config.t0, config.T, 4),
+            values=fine.values[::2], parameter=2.0)
+        lifted = lift_coarse(coarse_in_time, ctx.fine.mesh, ctx.fine.grid)
+        want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
+        got = coarse_to_fine_coefficients(coarse_in_time, artifacts.basis,
+                                          ctx.fine.forms, ctx.fine.grid)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestRectification:
