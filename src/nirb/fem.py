@@ -18,14 +18,6 @@ log = logging.getLogger(__name__)
 # modal decomposition may have; both sit near n eps for a sound one
 MODAL_TOL = 1e-10
 
-# products of the three P1 basis values at the three edge midpoints; the
-# midpoint rule integrates quadratics exactly, so summing the three blocks
-# reproduces the exact element mass matrix (area/12 scaling).
-_P01 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-_P12 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-_P20 = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
-
-
 def triangle_geometry(mesh):
     """Areas and constant P1 gradient coefficients per element.
 
@@ -49,7 +41,8 @@ class AssembledForms:
     ``areas``, ``b`` and ``c`` are the element areas and P1 gradient
     coefficients of ``triangle_geometry``; ``mid_x`` and ``mid_y`` are the
     edge-midpoint coordinates, shape (n_tris, 3) in midpoint order 01, 12,
-    20.  ``_scatter`` maps element-matrix entries to positions of the shared
+    20.  ``_edge_slots`` holds, for every midpoint, the positions of the two
+    off-diagonal entries (i, j) and (j, i) of its edge ij in the shared
     sparsity pattern, so coefficient-weighted mass matrices need no re-sort,
     and ``_edge_nodes`` lists the vertex each midpoint load contribution
     lands on (edge 01 of every triangle, then 12, then 20, each vertex pair
@@ -65,7 +58,7 @@ class AssembledForms:
     c: np.ndarray = field(repr=False)
     mid_x: np.ndarray = field(repr=False)
     mid_y: np.ndarray = field(repr=False)
-    _scatter: np.ndarray = field(repr=False)      # (n_tris, 3, 3)
+    _edge_slots: np.ndarray = field(repr=False)   # (n_tris, 3, 2)
     _edge_nodes: np.ndarray = field(repr=False)   # (6 n_tris,)
     _cache: dict = field(repr=False, default_factory=dict)
 
@@ -123,6 +116,18 @@ class AssembledForms:
                      time.perf_counter() - start, residual, orthogonality)
         return self._cache["eig"]
 
+    def dense_free(self):
+        """Dense copies of ``mass_free`` and ``stiffness_free``, built once
+        per form set and returned read-only.  The modal march checks its
+        residuals with them, so only form sets that carry
+        ``free_eigenpairs`` should ask: a fine form set would hold two
+        n-by-n arrays for nothing."""
+        if "dense" not in self._cache:
+            M, K = self.mass_free().to_dense(), self.stiffness_free().to_dense()
+            M.flags.writeable = K.flags.writeable = False
+            self._cache["dense"] = M, K
+        return self._cache["dense"]
+
     def modal_loads(self, f, grid, lag=0.0):
         """``free_loads(f, grid, lag)`` in the eigenvector coordinates of
         ``free_eigenpairs``, each row multiplied by V^T, computed once per
@@ -143,18 +148,40 @@ class AssembledForms:
         return self._cache["lumped"]
 
     def weighted_mass(self, midpoint_coeffs):
-        """Mass matrix weighted by a coefficient given at the three edge
-        midpoints of every triangle (shape (n_tris, 3), midpoint order
-        01, 12, 20).  Shares the pattern of ``mass``."""
+        """Values of mass matrices weighted by coefficients given at the
+        three edge midpoints of every triangle, on the pattern of ``mass``.
+
+        midpoint_coeffs has shape (k, n_tris, 3), midpoint order 01, 12,
+        20, one coefficient field per matrix; the result has shape
+        (k, mass.nnz), all k matrices assembled in one ``bincount``.
+
+        Only phi_i and phi_j are nonzero at the midpoint of edge ij, both
+        1/2 there, so the midpoint rule (weight area/3) puts area/12 times
+        the coefficient there on the entries (i, j) and (j, i), and on each
+        diagonal entry the sum of its row's off-diagonal entries.  The rule
+        integrates quadratics exactly, so unit coefficients give ``mass``."""
         cw = np.asarray(midpoint_coeffs, dtype=float)
-        scale = self.areas / 12.0
-        blocks = (np.multiply.outer(cw[:, 0] * scale, _P01)
-                  + np.multiply.outer(cw[:, 1] * scale, _P12)
-                  + np.multiply.outer(cw[:, 2] * scale, _P20))
-        vals = np.bincount(self._scatter.ravel(), weights=blocks.ravel(),
-                           minlength=self.mass.nnz)
-        return SparseSym(self.mass.n, self.mass.indptr, self.mass.indices,
-                         vals, check=False)
+        if cw.ndim != 3 or cw.shape[1:] != self.areas.shape + (3,):
+            raise ValueError(f"coefficients have shape {cw.shape}, expected "
+                             f"(k, {self.areas.size}, 3)")
+        cw = cw * (self.areas / 12.0)[:, None]
+        k, nnz = cw.shape[0], self.mass.nnz
+        slots = self._edge_slots.reshape(1, -1) + nnz * np.arange(k)[:, None]
+        vals = np.bincount(slots.ravel(),
+                           weights=np.repeat(cw, 2, axis=-1).ravel(),
+                           minlength=k * nnz).reshape(k, nnz)
+        vals[:, self.diagonal_slots()] = np.add.reduceat(
+            vals, self.mass.indptr[:-1], axis=1)
+        return vals
+
+    def diagonal_slots(self):
+        """Positions of the diagonal entries in the pattern of ``mass``,
+        computed once per form set."""
+        if "diagonal slots" not in self._cache:
+            M = self.mass
+            rows = np.repeat(np.arange(M.n), np.diff(M.indptr))
+            self._cache["diagonal slots"] = np.flatnonzero(M.indices == rows)
+        return self._cache["diagonal slots"]
 
     def midpoint_values(self, u):
         """Interpolate a nodal field at the edge midpoints, (n_tris, 3)."""
@@ -193,10 +220,13 @@ def assemble(mesh, bc="dirichlet_zero"):
     mids = 0.5 * (p + np.roll(p, -1, axis=1))
     edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(), tri[:, [1, 2]].ravel(),
                                  tri[:, [2, 0]].ravel()])
+    scatter = scatter.reshape(n_tris, 3, 3)
+    i, j = np.arange(3), np.array([1, 2, 0])
+    edge_slots = np.stack([scatter[:, i, j], scatter[:, j, i]], axis=-1)
     return AssembledForms(mesh=mesh, mass=mass, stiffness=stiffness,
                           free_dofs=free, bc=bc, areas=areas, b=b, c=c,
                           mid_x=mids[..., 0], mid_y=mids[..., 1],
-                          _scatter=scatter.reshape(n_tris, 3, 3),
+                          _edge_slots=edge_slots,
                           _edge_nodes=edge_nodes)
 
 

@@ -1,6 +1,12 @@
 """Time integrators: implicit Euler and Crank-Nicolson for the heat problem,
 and Newton-implicit-Euler / explicit-midpoint steps for the two-species
-reaction-diffusion system."""
+reaction-diffusion system.
+
+The heat marches are direct: the fine one factors its step matrix once
+(``linalg.BandFactor``), the coarse one is modal.  The Newton step's
+Jacobian is one 2x2 block operator over the mass pattern that both species
+share, so a Krylov product is one gather, one block multiply and one
+``np.add.reduceat``."""
 
 from __future__ import annotations
 
@@ -115,13 +121,13 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     + dt / (1 + theta dt mu lam) V^T b, with the projected loads V^T b
     cached per form set (``AssembledForms.modal_loads``).  The states are
     carried back as u = V z, and every step's relative residual in the nodal
-    system must be at most ``cg_tol``, checked in one batched product after
-    the march."""
+    system must be at most ``cg_tol``, checked after the march with one
+    blocked dense product of the states with each of M and K
+    (``AssembledForms.dense_free``)."""
     u0 = _start(forms, u0)
     lam, V = forms.free_eigenpairs()
-    Mff, Kff = forms.mass_free(), forms.stiffness_free()
     legs = _legs(grid, 0.5, t_start)
-    z = Mff.matvec(u0[forms.free_dofs]) @ V
+    z = forms.mass_free().matvec(u0[forms.free_dofs]) @ V
     Z = [z]
     for g, theta, _ in legs:
         dtmu = g.dt * mu
@@ -137,7 +143,8 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
             Z.append(z)
     states = blocked_matmul(np.array(Z), V.T)
     states[0] = u0[forms.free_dofs]
-    MU, KU = Mff.matvec(states), Kff.matvec(states)
+    Md, Kd = forms.dense_free()
+    MU, KU = blocked_matmul(states, Md), blocked_matmul(states, Kd)
     row = 0
     for g, theta, what in legs:
         dtmu = g.dt * mu
@@ -198,71 +205,102 @@ def _scaled_residual_norm(res, lumped2):
     return np.sqrt((res * res / lumped2).sum())
 
 
+class _ImplicitEulerSystem:
+    """The nonlinear system of one implicit-Euler step of the stacked
+    two-species system from ``state``,
+    G(u) = (M/dt + alpha K) u - M state / dt - b(R(u)) = 0, species by
+    species, with the reaction loads b(R(u)) integrated by the three-midpoint
+    rule of the loads at the midpoint values of u.
+
+    ``jacobian`` is the exact derivative of G as one 2x2 block operator on
+    the shared mass pattern: block values of shape (2, 2, nnz), the four
+    coefficient-weighted reaction mass blocks (one ``weighted_mass`` call)
+    negated, with M/dt + alpha K added to the diagonal blocks.  A product
+    gathers both species at every column index with one fancy index,
+    multiplies by the block values and sums the rows of both species in one
+    ``np.add.reduceat``.  The preconditioner is nodal 2x2 block Jacobi: each
+    node's species block of the Jacobian diagonal, read off the block values
+    at ``AssembledForms.diagonal_slots`` and inverted in closed form."""
+
+    def __init__(self, forms, params, state, dt):
+        self.forms, self.params = forms, params
+        n = self.n = forms.n_dofs
+        M, K = forms.mass, forms.stiffness
+        self.nnz = M.nnz
+        self.diff = M.lincomb(K, 1.0 / dt, params[2])  # M/dt + alpha K
+        self.inertia = (M.matvec(state.reshape(2, n)) / dt).ravel()
+        # both species' entries at every column index, and the row starts of
+        # the flattened (2, nnz) product
+        self.columns = np.concatenate([M.indices, M.indices + n])
+        self.starts = np.concatenate([M.indptr[:-1], M.indptr[:-1] + M.nnz])
+
+    def residual(self, u):
+        """G(u), and the midpoint values (m1, m2) of both species."""
+        forms, n = self.forms, self.n
+        m1 = forms.midpoint_values(u[:n])
+        m2 = forms.midpoint_values(u[n:])
+        r1, r2 = brusselator_rhs(self.params, m1, m2)
+        G = self.diff.matvec(u.reshape(2, n)).ravel() - self.inertia
+        G[:n] -= load_from_midpoint_values(forms, r1)
+        G[n:] -= load_from_midpoint_values(forms, r2)
+        return G, m1, m2
+
+    def jacobian(self, m1, m2):
+        """(product, preconditioner) of the Jacobian at the state whose
+        midpoint values are (m1, m2)."""
+        b, n, nnz = self.params[1], self.n, self.nnz
+        J = -self.forms.weighted_mass(np.stack([
+            2.0 * m1 * m2 - (b + 1.0), m1 ** 2, b - 2.0 * m1 * m2, -m1 ** 2,
+        ])).reshape(2, 2, nnz)
+        J[0, 0] += self.diff.vals
+        J[1, 1] += self.diff.vals
+        columns, starts = self.columns, self.starts
+
+        def product(x):
+            X = x[columns].reshape(2, nnz)
+            return np.add.reduceat(np.einsum("ijk,jk->ik", J, X).ravel(),
+                                   starts)
+
+        a11, a12, a21, a22 = J[..., self.forms.diagonal_slots()].reshape(4, n)
+        inverse = np.stack([[a22, -a12], [-a21, a11]]) \
+            / (a11 * a22 - a12 * a21)
+
+        def precond(x):
+            return np.einsum("ijk,jk->ik", inverse, x.reshape(2, n)).ravel()
+
+        return product, precond
+
+
 def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20):
     """One implicit-Euler step of the stacked two-species system solved by
     Newton's method.
 
     Reaction terms are integrated with the same three-midpoint rule as the
     loads, with the state interpolated at the midpoints, and the Jacobian is
-    the exact derivative of that quadrature (coefficient-weighted mass
-    blocks), so convergence is quadratic.  The iteration stops when the
+    the exact derivative of that quadrature, so convergence is quadratic.
+    Each Newton iteration assembles the Jacobian as one 2x2 block operator
+    on the shared mass pattern and solves with it by preconditioned
+    BiCGStab (``_ImplicitEulerSystem``).  The iteration stops when the
     mass-scaled residual drops below ``tol`` (absolute)."""
-    a, b, alpha = params
     n = forms.n_dofs
     state = np.asarray(state, dtype=float)
     if state.shape != (2 * n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2 * n},)")
-    M, K = forms.mass, forms.stiffness
+    system = _ImplicitEulerSystem(forms, params, state, dt)
     lumped2 = np.tile(forms.lumped_mass(), 2)
-    diff = M.lincomb(K, 1.0 / dt, alpha)  # M/dt + alpha K
-
-    def residual(u):
-        u1, u2 = u[:n], u[n:]
-        m1 = forms.midpoint_values(u1)
-        m2 = forms.midpoint_values(u2)
-        r1, r2 = brusselator_rhs((a, b, alpha), m1, m2)
-        g1 = diff.matvec(u1) - M.matvec(state[:n]) / dt \
-            - load_from_midpoint_values(forms, r1)
-        g2 = diff.matvec(u2) - M.matvec(state[n:]) / dt \
-            - load_from_midpoint_values(forms, r2)
-        return np.concatenate([g1, g2]), m1, m2
-
     u = state.copy()
     history = []
     for it in range(max_iter + 1):
-        G, m1, m2 = residual(u)
+        G, m1, m2 = system.residual(u)
         rnorm = _scaled_residual_norm(G, lumped2)
         history.append(rnorm)
         if rnorm <= tol:
             return u
         if it == max_iter:
             break
-        # reaction Jacobian coefficients at the midpoints
-        W11 = forms.weighted_mass(2.0 * m1 * m2 - (b + 1.0))
-        W12 = forms.weighted_mass(m1 ** 2)
-        W21 = forms.weighted_mass(b - 2.0 * m1 * m2)
-        W22 = forms.weighted_mass(-m1 ** 2)
-
-        def jac(x):
-            x1, x2 = x[:n], x[n:]
-            y1 = diff.matvec(x1) - W11.matvec(x1) - W12.matvec(x2)
-            y2 = diff.matvec(x2) - W21.matvec(x1) - W22.matvec(x2)
-            return np.concatenate([y1, y2])
-
-        # nodal 2x2 block Jacobi: each node's species block of the Jacobian
-        # diagonal, inverted in closed form
-        a11 = diff.diagonal() - W11.diagonal()
-        a22 = diff.diagonal() - W22.diagonal()
-        a12, a21 = -W12.diagonal(), -W21.diagonal()
-        det = a11 * a22 - a12 * a21
-
-        def precond(x):
-            x1, x2 = x[:n], x[n:]
-            return np.concatenate([(a22 * x1 - a12 * x2) / det,
-                                   (a11 * x2 - a21 * x1) / det])
-
+        product, precond = system.jacobian(m1, m2)
         try:
-            d, _ = bicgstab_solve(jac, -G, tol=KRYLOV_TOL, precond=precond)
+            d, _ = bicgstab_solve(product, -G, tol=KRYLOV_TOL, precond=precond)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"Newton linear solve failed at iteration {it}: {exc}",
@@ -303,26 +341,29 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
     """March the reaction-diffusion system over a time grid.
 
     scheme is 'newton' (implicit Euler) or 'rk2' (explicit midpoint on the
-    lumped system).  Failures are reported with the offending step index."""
+    lumped system).  Failures are reported with the offending step index;
+    overflow on the way to a non-finite state raises that error, not numpy
+    warnings."""
     n = forms.n_dofs
     state0 = np.asarray(state0, dtype=float)
     values = np.zeros((grid.steps + 1, 2 * n))
     values[0] = state0
     u = state0.copy()
     times = grid.times()
-    for k in range(1, grid.steps + 1):
-        try:
-            if scheme == "newton":
-                u = brusselator_step_newton(forms, params, u, grid.dt,
-                                            tol=newton_tol)
-            elif scheme == "rk2":
-                u = brusselator_step_rk2(forms, params, u, grid.dt)
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-        except (ConvergenceError, FloatingPointError) as exc:
-            raise RuntimeError(
-                f"step {k} (t={times[k]:.6g}) of the {scheme} march failed: {exc}"
-            ) from exc
-        values[k] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, grid.steps + 1):
+            try:
+                if scheme == "newton":
+                    u = brusselator_step_newton(forms, params, u, grid.dt,
+                                                tol=newton_tol)
+                elif scheme == "rk2":
+                    u = brusselator_step_rk2(forms, params, u, grid.dt)
+                else:
+                    raise ValueError(f"unknown scheme {scheme!r}")
+            except (ConvergenceError, FloatingPointError) as exc:
+                raise RuntimeError(
+                    f"step {k} (t={times[k]:.6g}) of the {scheme} march "
+                    f"failed: {exc}") from exc
+            values[k] = u
     return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
                            parameter=tuple(params))

@@ -24,6 +24,25 @@ def dirichlet_forms_4(unit_mesh_4):
     return fem.assemble(unit_mesh_4, bc="dirichlet_zero")
 
 
+@pytest.fixture(scope="session")
+def dense_midpoint_rule():
+    """The three-midpoint rule in dense form: for a form set, E, the midpoint
+    interpolation as a (3 n_tris, n) matrix with rows in the (n_tris, 3)
+    order of ``midpoint_values``, and w, the weights area / 3 in the same
+    order, so the weighted mass matrix of coefficients c is
+    E^T diag(w c) E."""
+    def rule(forms):
+        tri = forms.mesh.triangles
+        n_tris = tri.shape[0]
+        E = np.zeros((n_tris, 3, forms.n_dofs))
+        for q in range(3):
+            E[np.arange(n_tris), q, tri[:, q]] += 0.5
+            E[np.arange(n_tris), q, tri[:, (q + 1) % 3]] += 0.5
+        return (E.reshape(3 * n_tris, forms.n_dofs),
+                np.repeat(forms.areas / 3.0, 3))
+    return rule
+
+
 def mass_gram(forms, U, V):
     """Plain L2 Gram matrix of stacked single-field rows, for checks."""
     return U @ np.stack([forms.mass.matvec(v) for v in V]).T

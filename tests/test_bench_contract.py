@@ -79,3 +79,35 @@ def test_solve_coarse_accepts_the_fine_keyword(small_heat_text):
     want = pipeline.solve_coarse(config, coarse, 4.5)
     got = pipeline.solve_coarse(config, coarse, 4.5, fine=fine)
     assert np.array_equal(got.values, want.values)
+
+
+def test_trace_hooks_on_the_reaction_diffusion_offline():
+    # the rd workload's spans: every Newton step of every fine training run
+    # is one span, and every linear solve inside it counts its iterations
+    config = StudyConfig.from_text("problem = brusselator\n"
+                                   "t0 = 0.0\n"
+                                   "T = 0.5\n"
+                                   "train_a = 2.0,3.0\n"
+                                   "train_b = 1.0,2.0\n"
+                                   "train_alpha = 0.002\n"
+                                   "fine_nx = 6\n"
+                                   "coarse_nx = 3\n"
+                                   "fine_steps = 4\n"
+                                   "coarse_steps = 2\n"
+                                   "rb_algorithm = pod\n"
+                                   "n_max = 3\n")
+    tracer = tracer_module.Tracer().install()
+    try:
+        pipeline.offline(config, persist=False)
+    finally:
+        tracer.uninstall()
+    assert tracer.hook_errors == {}
+    assert tracer.absent == []
+    counts = {}
+    for span in tracer.spans:
+        counts.setdefault(span.name, []).append(span.counts)
+    assert counts["linalg.bicgstab"]
+    assert all(c["iters"] > 0 for c in counts["linalg.bicgstab"])
+    runs = len(config.training_parameters())
+    assert runs == 4
+    assert len(counts["integrators.newton"]) == runs * config.fine_steps

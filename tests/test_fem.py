@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nirb import fem, mesh
+from nirb.linalg import SparseSym
 
 
 def test_element_matrices_on_reference_triangle():
@@ -91,9 +92,33 @@ def test_load_vector_affine_matches_mass(unit_mesh_4, neumann_forms_4):
 
 def test_weighted_mass_unit_weight_is_mass(neumann_forms_4):
     n_mid = neumann_forms_4.mesh.n_triangles
-    W = neumann_forms_4.weighted_mass(np.ones((n_mid, 3)))
-    assert W.to_dense() == pytest.approx(neumann_forms_4.mass.to_dense(),
-                                         abs=1e-13)
+    W = neumann_forms_4.weighted_mass(np.ones((1, n_mid, 3)))
+    assert W.shape == (1, neumann_forms_4.mass.nnz)
+    assert W[0] == pytest.approx(neumann_forms_4.mass.vals, abs=1e-13)
+
+
+def test_weighted_mass_matches_dense_quadrature(neumann_forms_4, rng,
+                                                dense_midpoint_rule):
+    # each stacked coefficient field gets its own matrix
+    forms, M = neumann_forms_4, neumann_forms_4.mass
+    C = rng.standard_normal((3, forms.mesh.n_triangles, 3))
+    W = forms.weighted_mass(C)
+    assert W.shape == (3, M.nnz)
+    E, w = dense_midpoint_rule(forms)
+    for k in range(3):
+        want = E.T @ ((w * C[k].ravel())[:, None] * E)
+        got = SparseSym(M.n, M.indptr, M.indices, W[k], check=False).to_dense()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(forms.weighted_mass(C[k:k + 1])[0], W[k])
+    with pytest.raises(ValueError):
+        forms.weighted_mass(C[0])
+
+
+def test_diagonal_slots(neumann_forms_4):
+    M = neumann_forms_4.mass
+    slots = neumann_forms_4.diagonal_slots()
+    assert slots is neumann_forms_4.diagonal_slots()
+    assert np.array_equal(M.vals[slots], M.diagonal())
 
 
 def test_midpoint_values_linear_exact(unit_mesh_4, neumann_forms_4):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,74 @@ class TestBrusselatorNewton:
                                                 max_iter=1)
 
 
+def _wavy_state(forms):
+    """A non-uniform two-species state, so diffusion and every reaction
+    block act."""
+    x, y = forms.mesh.nodes.T
+    return np.concatenate([2.0 + 0.25 * y + 0.4 * np.cos(np.pi * x) * y,
+                           1.0 + 0.8 * x - 0.3 * np.sin(2.0 * np.pi * y)])
+
+
+class TestNewtonSystem:
+    def test_jacobian_is_the_exact_derivative(self, neumann_8x8, rng):
+        # G is cubic in u, so the central difference is off by O(h^2) only;
+        # a wrong block or sign is off at order one
+        forms, params, dt = neumann_8x8, (3.0, 2.0, 0.02), 0.05
+        n = forms.n_dofs
+        state = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        system = integrators._ImplicitEulerSystem(forms, params, state, dt)
+        u = _wavy_state(forms)
+        _, m1, m2 = system.residual(u)
+        product, precond = system.jacobian(m1, m2)
+        d = rng.standard_normal(2 * n)
+        h = 1e-5
+        fd = (system.residual(u + h * d)[0]
+              - system.residual(u - h * d)[0]) / (2.0 * h)
+        Jd = product(d)
+        assert np.abs(Jd - fd).max() <= 1e-7 * np.abs(Jd).max()
+        # the preconditioner inverts each node's 2x2 species block of the
+        # Jacobian diagonal
+        J = np.stack([product(e) for e in np.eye(2 * n)], axis=1)
+        idx = np.arange(n)
+        blocks = np.array([[J[idx, idx], J[idx, n + idx]],
+                           [J[n + idx, idx], J[n + idx, n + idx]]])
+        y = precond(d).reshape(2, n)
+        back = np.einsum("ijk,jk->ik", blocks, y).ravel()
+        assert np.abs(back - d).max() <= 1e-12 * np.abs(d).max()
+
+    def test_step_matches_dense_newton(self, neumann_8x8, dense_midpoint_rule):
+        forms, dt = neumann_8x8, 0.05
+        a, b, alpha = 3.0, 2.0, 0.02
+        n = forms.n_dofs
+        state = _wavy_state(forms)
+        M, K = forms.mass.to_dense(), forms.stiffness.to_dense()
+        A = M / dt + alpha * K
+        E, w = dense_midpoint_rule(forms)
+
+        def weighted(c):
+            return E.T @ ((w * c)[:, None] * E)
+
+        def newton_update(u):
+            m1, m2 = E @ u[:n], E @ u[n:]
+            r1, r2 = models.brusselator_rhs((a, b, alpha), m1, m2)
+            G = np.concatenate([A @ u[:n] - M @ state[:n] / dt - E.T @ (w * r1),
+                                A @ u[n:] - M @ state[n:] / dt - E.T @ (w * r2)])
+            J = np.block([[A - weighted(2 * m1 * m2 - (b + 1)),
+                           -weighted(m1 ** 2)],
+                          [-weighted(b - 2 * m1 * m2),
+                           A - weighted(-m1 ** 2)]])
+            return np.linalg.solve(J, G)
+
+        u = state.copy()
+        for _ in range(30):
+            u -= newton_update(u)
+        assert np.abs(newton_update(u)).max() <= 1e-14
+        out = integrators.brusselator_step_newton(forms, (a, b, alpha), state,
+                                                  dt)
+        assert np.abs(out - state).max() >= 1e-3
+        assert np.abs(out - u).max() <= 1e-10 * np.abs(u).max()
+
+
 class TestBrusselatorRk2:
     def test_scalar_surrogate_rate(self, neumann_8x8):
         # Uniform fields see no diffusion, so the step is the midpoint rule
@@ -372,15 +441,22 @@ class TestBrusselatorRk2:
 
     def test_instability_reported_with_step(self, neumann_8x8):
         # dt far above the diffusion stability bound blows up the explicit
-        # march; the failure must name the offending step.
+        # march; the failure must name the offending step, and the overflow
+        # on the way must not surface as numpy warnings ahead of it.
         p = models.BrusselatorProblem(3.0, 2.0, 1.0)
         state0 = p.initial_state(neumann_8x8.mesh)
         grid = integrators.TimeGrid(0.0, 7.5, 30)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="step"):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError,
+                               match=r"^step \d+ \(t=[0-9.]+\) of the rk2 "
+                                     r"march failed: explicit step produced "
+                                     r"non-finite values$"):
                 integrators.brusselator_trajectory(neumann_8x8,
                                                    (3.0, 2.0, 1.0),
                                                    state0, grid, scheme="rk2")
+        assert np.geterr() == before
 
 
 class TestTrajectory:
