@@ -7,7 +7,7 @@ import argparse
 import os
 import sys
 
-from nirb import io, models, pipeline
+from nirb import io, pipeline
 from nirb.config import load_config
 
 
@@ -97,12 +97,10 @@ def cmd_online(args):
           f"reconstruction {result.seconds_reconstruct:.3f}s")
     print(f"trajectory written to {traj_path}")
 
-    if config.problem == "heat" and float(result.parameter) == 1.0:
-        report = pipeline.evaluate_errors(
-            result.trajectory,
-            pipeline.AnalyticReference(models.manufactured_u,
-                                       models.manufactured_grad),
-            artifacts.fine.forms)
+    reference = pipeline.heat_reference(config, result.parameter, None)
+    if reference is not None:
+        report = pipeline.evaluate_errors(result.trajectory, reference,
+                                          artifacts.fine.forms)
         rows = [["t", "err_l2", f"err_{report.energy_norm}"]]
         times = result.trajectory.grid.times()
         for k, t in enumerate(times):

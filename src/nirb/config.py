@@ -179,11 +179,7 @@ class StudyConfig:
     def parameter_in_bounds(self, param):
         if self.problem == "heat":
             return self.mu_min <= float(param) <= self.mu_max
-        a, b, al = param
-        P = models.BrusselatorProblem
-        return (P.A_RANGE[0] <= a <= P.A_RANGE[1]
-                and P.B_RANGE[0] <= b <= P.B_RANGE[1]
-                and P.ALPHA_RANGE[0] <= al <= P.ALPHA_RANGE[1])
+        return models.BrusselatorProblem(*param).in_range()
 
     def mesh_counts(self, which):
         if which == "fine":

@@ -4,6 +4,7 @@ matrices, midpoint-rule load vectors, discrete norms, and Ritz projection."""
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -101,27 +102,27 @@ class AssembledForms:
         ``MODAL_TOL``.  Only (lam, V) is kept."""
         if "eig" not in self._cache:
             start = time.perf_counter()
-            K, M = self.stiffness_free(), self.mass_free()
+            M, K = self.dense_free()
             lam, V = pencil_eig(K, M)
             residual, orthogonality = pencil_residuals(K, M, lam, V)
             if not (residual <= MODAL_TOL and orthogonality <= MODAL_TOL):
                 raise RuntimeError(
-                    f"modal decomposition of the {K.n}-dof pencil failed its "
-                    f"check: residual {residual:.3e}, M-orthogonality defect "
-                    f"{orthogonality:.3e} (limit {MODAL_TOL:.0e})")
+                    f"modal decomposition of the {lam.size}-dof pencil failed "
+                    f"its check: residual {residual:.3e}, M-orthogonality "
+                    f"defect {orthogonality:.3e} (limit {MODAL_TOL:.0e})")
             lam.flags.writeable = V.flags.writeable = False
             self._cache["eig"] = lam, V
             log.info("modal setup: n=%d in %.3fs, residual %.2e, "
-                     "M-orthogonality defect %.2e", K.n,
+                     "M-orthogonality defect %.2e", lam.size,
                      time.perf_counter() - start, residual, orthogonality)
         return self._cache["eig"]
 
     def dense_free(self):
         """Dense copies of ``mass_free`` and ``stiffness_free``, built once
-        per form set and returned read-only.  The modal march checks its
-        residuals with them, so only form sets that carry
-        ``free_eigenpairs`` should ask: a fine form set would hold two
-        n-by-n arrays for nothing."""
+        per form set and returned read-only.  The modal setup
+        (``free_eigenpairs``) and the modal march's residual check read
+        them, so only form sets that carry ``free_eigenpairs`` should ask: a
+        fine form set would hold two n-by-n arrays for nothing."""
         if "dense" not in self._cache:
             M, K = self.mass_free().to_dense(), self.stiffness_free().to_dense()
             M.flags.writeable = K.flags.writeable = False
@@ -184,9 +185,11 @@ class AssembledForms:
         return self._cache["diagonal slots"]
 
     def midpoint_values(self, u):
-        """Interpolate a nodal field at the edge midpoints, (n_tris, 3)."""
-        uv = np.asarray(u)[self.mesh.triangles]
-        return 0.5 * (uv + np.roll(uv, -1, axis=1))
+        """Interpolate nodal fields at the edge midpoints: shape (..., n) to
+        (..., n_tris, 3), midpoint order 01, 12, 20, for any leading axes
+        (a species axis, time knots)."""
+        uv = np.take(u, self.mesh.triangles, axis=-1)
+        return 0.5 * (uv + uv[..., [1, 2, 0]])
 
 
 def assemble(mesh, bc="dirichlet_zero"):
@@ -217,7 +220,7 @@ def assemble(mesh, bc="dirichlet_zero"):
     else:
         free = np.arange(mesh.n_nodes)
     p = mesh.nodes[tri]
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    mids = 0.5 * (p + p[:, [1, 2, 0]])
     edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(), tri[:, [1, 2]].ravel(),
                                  tri[:, [2, 0]].ravel()])
     scatter = scatter.reshape(n_tris, 3, 3)
@@ -231,15 +234,21 @@ def assemble(mesh, bc="dirichlet_zero"):
 
 
 def load_from_midpoint_values(forms, values):
-    """Weak load vector from integrand values at the edge midpoints.
+    """Weak load vectors from integrand values at the edge midpoints.
 
-    values has shape (n_tris, 3) in midpoint order 01, 12, 20.  Each midpoint
-    carries weight area/3 and the two adjacent P1 basis functions take value
-    1/2 there."""
+    values has shape (..., n_tris, 3) in midpoint order 01, 12, 20, and the
+    result shape (..., n_dofs): every leading row (a species, a time knot)
+    gets its own load vector, all of them from one ``bincount`` with the
+    node indices of row r offset by r n_dofs.  Each midpoint carries weight
+    area/3 and the two adjacent P1 basis functions take value 1/2 there."""
     w = (forms.areas / 6.0)[:, None] * np.asarray(values, dtype=float)
-    return np.bincount(forms._edge_nodes,
-                       weights=np.repeat(w.T, 2, axis=1).ravel(),
-                       minlength=forms.n_dofs)
+    lead, n = w.shape[:-2], forms.n_dofs
+    rows = math.prod(lead)
+    nodes = forms._edge_nodes + n * np.arange(rows)[:, None]
+    return np.bincount(nodes.ravel(),
+                       weights=np.repeat(np.swapaxes(w, -1, -2), 2,
+                                         axis=-1).ravel(),
+                       minlength=rows * n).reshape(lead + (n,))
 
 
 def load_vector(forms, f, t):

@@ -70,9 +70,6 @@ class FieldTrajectory:
     def n_fields(self):
         return self.values.shape[1] // self.mesh.n_nodes
 
-    def split_fields(self):
-        return np.split(self.values, self.n_fields, axis=-1)
-
 
 def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data:
@@ -199,17 +196,18 @@ def _trajectory(forms, grid, u0, states, mu):
                            parameter=mu)
 
 
-def _scaled_residual_norm(res, lumped2):
-    """Discrete L2 norm of the pointwise residual: the weak residual divided
-    by the nodal area shares, measured back in the lumped inner product."""
-    return np.sqrt((res * res / lumped2).sum())
+def _scaled_residual_norm(res, lumped):
+    """Discrete L2 norm of the pointwise residual, res of shape (..., n):
+    the weak residual divided by the nodal area shares, measured back in the
+    lumped inner product."""
+    return np.sqrt((res * res / lumped).sum())
 
 
 class _ImplicitEulerSystem:
     """The nonlinear system of one implicit-Euler step of the stacked
     two-species system from ``state``,
-    G(u) = (M/dt + alpha K) u - M state / dt - b(R(u)) = 0, species by
-    species, with the reaction loads b(R(u)) integrated by the three-midpoint
+    G(u) = (M/dt + alpha K) u - M state / dt - b(R(u)) = 0 for both species
+    at once, with the reaction loads b(R(u)) integrated by the three-midpoint
     rule of the loads at the midpoint values of u.
 
     ``jacobian`` is the exact derivative of G as one 2x2 block operator on
@@ -228,27 +226,28 @@ class _ImplicitEulerSystem:
         M, K = forms.mass, forms.stiffness
         self.nnz = M.nnz
         self.diff = M.lincomb(K, 1.0 / dt, params[2])  # M/dt + alpha K
-        self.inertia = (M.matvec(state.reshape(2, n)) / dt).ravel()
+        self.inertia = M.matvec(state.reshape(2, n)) / dt
         # both species' entries at every column index, and the row starts of
         # the flattened (2, nnz) product
         self.columns = np.concatenate([M.indices, M.indices + n])
         self.starts = np.concatenate([M.indptr[:-1], M.indptr[:-1] + M.nnz])
 
     def residual(self, u):
-        """G(u), and the midpoint values (m1, m2) of both species."""
-        forms, n = self.forms, self.n
-        m1 = forms.midpoint_values(u[:n])
-        m2 = forms.midpoint_values(u[n:])
-        r1, r2 = brusselator_rhs(self.params, m1, m2)
-        G = self.diff.matvec(u.reshape(2, n)).ravel() - self.inertia
-        G[:n] -= load_from_midpoint_values(forms, r1)
-        G[n:] -= load_from_midpoint_values(forms, r2)
-        return G, m1, m2
+        """G(u), shape (2 n,), for the stacked state u of shape (2 n,), and
+        the midpoint values of both species, shape (2, n_tris, 3): one
+        ``midpoint_values`` and one ``load_from_midpoint_values`` call on
+        the (2, n) view of u."""
+        forms, U = self.forms, u.reshape(2, self.n)
+        m = forms.midpoint_values(U)
+        loads = load_from_midpoint_values(
+            forms, np.stack(brusselator_rhs(self.params, m[0], m[1])))
+        return (self.diff.matvec(U) - self.inertia - loads).ravel(), m
 
-    def jacobian(self, m1, m2):
+    def jacobian(self, m):
         """(product, preconditioner) of the Jacobian at the state whose
-        midpoint values are (m1, m2)."""
+        midpoint values are m, shape (2, n_tris, 3)."""
         b, n, nnz = self.params[1], self.n, self.nnz
+        m1, m2 = m
         J = -self.forms.weighted_mass(np.stack([
             2.0 * m1 * m2 - (b + 1.0), m1 ** 2, b - 2.0 * m1 * m2, -m1 ** 2,
         ])).reshape(2, 2, nnz)
@@ -287,18 +286,17 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20):
     if state.shape != (2 * n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2 * n},)")
     system = _ImplicitEulerSystem(forms, params, state, dt)
-    lumped2 = np.tile(forms.lumped_mass(), 2)
     u = state.copy()
     history = []
     for it in range(max_iter + 1):
-        G, m1, m2 = system.residual(u)
-        rnorm = _scaled_residual_norm(G, lumped2)
+        G, m = system.residual(u)
+        rnorm = _scaled_residual_norm(G.reshape(2, n), forms.lumped_mass())
         history.append(rnorm)
         if rnorm <= tol:
             return u
         if it == max_iter:
             break
-        product, precond = system.jacobian(m1, m2)
+        product, precond = system.jacobian(m)
         try:
             d, _ = bicgstab_solve(product, -G, tol=KRYLOV_TOL, precond=precond)
         except ConvergenceError as exc:
@@ -322,11 +320,9 @@ def brusselator_step_rk2(forms, params, state, dt):
     lumped = forms.lumped_mass()
 
     def rhs(u):
-        u1, u2 = u[:n], u[n:]
-        r1, r2 = brusselator_rhs((a, b, alpha), u1, u2)
-        y1 = r1 - alpha * K.matvec(u1) / lumped
-        y2 = r2 - alpha * K.matvec(u2) / lumped
-        return np.concatenate([y1, y2])
+        U = u.reshape(2, n)
+        R = np.stack(brusselator_rhs((a, b, alpha), U[0], U[1]))
+        return (R - alpha * K.matvec(U) / lumped).ravel()
 
     k1 = rhs(state)
     k2 = rhs(state + 0.5 * dt * k1)

@@ -100,7 +100,8 @@ class SparseSym:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
-        prod = self.vals * x[..., self.indices]
+        prod = np.take(x, self.indices, axis=-1)
+        prod *= self.vals
         return np.add.reduceat(prod, self.indptr[:-1], axis=-1)
 
     __matmul__ = matvec
@@ -347,7 +348,7 @@ def _lower_inverse(L):
 
 def pencil_eig(K, M):
     """Every eigenpair of the symmetric-definite pencil K v = lambda M v for
-    sparse symmetric K and SPD M: returns (lambda ascending, V) with
+    dense symmetric K and SPD M: returns (lambda ascending, V) with
     K V = M V diag(lambda) and V^T M V = I.
 
     With M = L L^T (``cholesky``), the pencil is the symmetric eigenproblem
@@ -355,18 +356,18 @@ def pencil_eig(K, M):
     eigenvectors W (Golub & Van Loan, Matrix Computations, section 8.7).
     Dense, O(n^3), with every dense product blocked (``blocked_matmul``).
     Check the result with ``pencil_residuals``."""
-    Linv = _lower_inverse(cholesky(M.to_dense()))
-    C = blocked_matmul(blocked_matmul(Linv, K.to_dense()), Linv.T)
+    Linv = _lower_inverse(cholesky(M))
+    C = blocked_matmul(blocked_matmul(Linv, K), Linv.T)
     lam, W = sym_eig(0.5 * (C + C.T))
     return lam, blocked_matmul(Linv.T, W)
 
 
 def pencil_residuals(K, M, lam, V):
     """How far (lam, V) is from an M-orthonormal eigendecomposition of the
-    pencil K v = lambda M v: returns (||K V - M V diag(lam)||_F / ||K V||_F,
-    max |V^T M V - I|)."""
-    KV = blocked_matmul(K.to_dense(), V)
-    MV = blocked_matmul(M.to_dense(), V)
+    pencil K v = lambda M v of dense K and M: returns
+    (||K V - M V diag(lam)||_F / ||K V||_F, max |V^T M V - I|)."""
+    KV = blocked_matmul(K, V)
+    MV = blocked_matmul(M, V)
     residual = _norm2(KV - MV * lam) / _norm2(KV)
     orthogonality = np.abs(blocked_matmul(V.T, MV) - np.eye(lam.size)).max()
     return float(residual), float(orthogonality)

@@ -326,13 +326,10 @@ def _norm_curves(forms, values, energy):
     """Per-knot (L2, energy) curves of stacked fields, species combined in
     quadrature."""
     values = np.asarray(values, dtype=float)
-    l2sq = ensq = 0.0
-    for part in np.split(values, values.shape[-1] // forms.n_dofs, axis=-1):
-        l2, h1 = norms(forms, part)
-        en = np.sqrt(l2 ** 2 + h1 ** 2) if energy == "h1" else h1
-        l2sq = l2sq + l2 ** 2
-        ensq = ensq + en ** 2
-    return np.sqrt(l2sq), np.sqrt(ensq)
+    l2, h1 = norms(forms, values.reshape(values.shape[:-1]
+                                         + (-1, forms.n_dofs)))
+    en = np.sqrt(l2 ** 2 + h1 ** 2) if energy == "h1" else h1
+    return np.sqrt((l2 ** 2).sum(-1)), np.sqrt((en ** 2).sum(-1))
 
 
 def _rel(err_sup, ref_sup):

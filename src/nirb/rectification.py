@@ -37,17 +37,13 @@ class RectificationTensor:
 
 def lift_coarse(coarse_traj, fine_mesh, fine_grid):
     """Coarse trajectory carried to the fine discretization: quadratic time
-    interpolation, then componentwise P1 interpolation in space."""
+    interpolation, then P1 interpolation in space of the values viewed as
+    (knots, n_fields, n_coarse), every species in one call."""
     lifted = quadratic_time_interp(coarse_traj, fine_grid)
-    src = lifted.mesh
-    if src is fine_mesh or (src.n_nodes == fine_mesh.n_nodes
-                            and np.array_equal(src.nodes, fine_mesh.nodes)):
-        values = lifted.values
-    else:
-        values = np.concatenate(
-            [interpolate_field(src, p, fine_mesh) for p in lifted.split_fields()],
-            axis=-1)
-    return FieldTrajectory(mesh=fine_mesh, grid=fine_grid, values=values,
+    knots = lifted.values.reshape(len(lifted.values), -1, lifted.mesh.n_nodes)
+    values = interpolate_field(lifted.mesh, knots, fine_mesh)
+    return FieldTrajectory(mesh=fine_mesh, grid=fine_grid,
+                           values=values.reshape(len(values), -1),
                            parameter=coarse_traj.parameter)
 
 
@@ -56,21 +52,20 @@ def lift_projection(basis, forms, coarse_mesh):
     nodal values to the L2 coefficients of their P1 lift in the basis:
     Phi = P^T M modes^T per field, with P the P1 interpolation from
     ``coarse_mesh`` to the basis mesh (``mesh.transfer_operator``) and M the
-    mass matrix of ``forms``.  Computed once per basis, form set and coarse
-    mesh, and cached on the basis; a structured mesh is keyed by its cell
-    counts and domain."""
+    mass matrix of ``forms``, every field's block in one ``bincount`` with
+    the coarse node indices of field f offset by f n_coarse.  Computed once
+    per basis, form set and coarse mesh, and cached on the basis; a
+    structured mesh is keyed by its cell counts and domain."""
     key = ("lift", coarse_mesh.nx, coarse_mesh.ny, coarse_mesh.domain)
     hit = basis.cache.get(key)
     if hit is None or hit[0] is not forms:
         idx, w = transfer_operator(coarse_mesh, basis.mesh.nodes)
-        n, N = coarse_mesh.n_nodes, basis.N
-        slots = (idx[:, :, None] * N + np.arange(N)).ravel()
-        phi = np.concatenate([
-            np.bincount(slots, weights=(w[:, :, None]
-                                        * part[:, None, :]).ravel(),
-                        minlength=n * N).reshape(n, N)
-            for part in np.split(mass_weighted_modes(basis, forms),
-                                 basis.n_fields)])
+        n, N, F = coarse_mesh.n_nodes, basis.N, basis.n_fields
+        rows = idx + n * np.arange(F)[:, None, None]  # (F, n_fine, 3)
+        slots = (rows[..., None] * N + np.arange(N)).ravel()
+        modes = mass_weighted_modes(basis, forms).reshape(F, -1, 1, N)
+        phi = np.bincount(slots, weights=(w[:, :, None] * modes).ravel(),
+                          minlength=F * n * N).reshape(F * n, N)
         hit = basis.cache[key] = (forms, phi)
     return hit[1]
 

@@ -44,14 +44,11 @@ class ReducedBasis:
 
 
 def block_matvec(mat, U):
-    """Apply a nodal matrix to every component block of the last axis; the
-    block count is the width over the matrix size."""
+    """Apply a nodal matrix to every component block of the last axis: U of
+    shape (..., n_fields * n) is viewed as (..., n_fields, n), n the matrix
+    size, and multiplied in one product; the result has the shape of U."""
     U = np.asarray(U, dtype=float)
-    n_fields = U.shape[-1] // mat.n
-    if n_fields == 1:
-        return mat.matvec(U)
-    parts = np.split(U, n_fields, axis=-1)
-    return np.concatenate([mat.matvec(p) for p in parts], axis=-1)
+    return mat.matvec(U.reshape(U.shape[:-1] + (-1, mat.n))).reshape(U.shape)
 
 
 def mass_inner(forms, U, V):

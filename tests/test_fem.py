@@ -130,6 +130,24 @@ def test_midpoint_values_linear_exact(unit_mesh_4, neumann_forms_4):
     assert mids == pytest.approx(3.0 * mx - my, abs=1e-13)
 
 
+def test_stacked_midpoint_maps_are_the_rowwise_maps(unit_mesh_4,
+                                                   neumann_forms_4, rng):
+    # a (2, n) species stack goes through one call of each map, bit for bit
+    # the per-species calls; the 1-D call is the rolled vertex average
+    forms = neumann_forms_4
+    U = rng.standard_normal((2, forms.n_dofs))
+    uv = U[0][unit_mesh_4.triangles]
+    assert np.array_equal(forms.midpoint_values(U[0]),
+                          0.5 * (uv + np.roll(uv, -1, axis=1)))
+    mids = forms.midpoint_values(U)
+    assert np.array_equal(mids, np.stack([forms.midpoint_values(u)
+                                          for u in U]))
+    values = rng.standard_normal(mids.shape)
+    assert np.array_equal(fem.load_from_midpoint_values(forms, values),
+                          np.stack([fem.load_from_midpoint_values(forms, v)
+                                    for v in values]))
+
+
 def test_load_from_midpoint_values_consistent(unit_mesh_4, neumann_forms_4):
     # Midpoint-sampled P1 data integrated against the hat functions agrees
     # with the assembled mass matrix because both use degree-2 exact rules.

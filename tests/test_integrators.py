@@ -353,8 +353,8 @@ class TestNewtonSystem:
         state = models.BrusselatorProblem(*params).initial_state(forms.mesh)
         system = integrators._ImplicitEulerSystem(forms, params, state, dt)
         u = _wavy_state(forms)
-        _, m1, m2 = system.residual(u)
-        product, precond = system.jacobian(m1, m2)
+        _, m = system.residual(u)
+        product, precond = system.jacobian(m)
         d = rng.standard_normal(2 * n)
         h = 1e-5
         fd = (system.residual(u + h * d)[0]
@@ -466,9 +466,10 @@ class TestTrajectory:
         traj = integrators.brusselator_trajectory(
             neumann_8x8, (3.0, 2.0, 0.01), state0,
             integrators.TimeGrid(0.0, 0.1, 2), scheme="rk2")
-        u1, u2 = traj.split_fields()
         n = neumann_8x8.n_dofs
+        u1, u2 = traj.values.reshape(3, 2, n).transpose(1, 0, 2)
         assert u1.shape == (3, n) and u2.shape == (3, n)
+        assert np.array_equal(u2, traj.values[:, n:])
         assert traj.parameter == (3.0, 2.0, 0.01)
         assert traj.n_fields == 2
 

@@ -7,8 +7,11 @@ from nirb import fem, integrators, mesh, models, pipeline
 from nirb import reduced_basis as rb
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid, heat_backward_euler
+from nirb.mesh import interpolate_field
 from nirb.rectification import (apply_rectification, build_rectification,
-                                coarse_to_fine_coefficients, lift_coarse)
+                                coarse_to_fine_coefficients, lift_coarse,
+                                lift_projection)
+from nirb.time_interp import quadratic_time_interp
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +110,7 @@ class TestOneFactorPerRun:
         pencil_eig = fem.pencil_eig
 
         def counting(K, M):
-            decompositions.append(K.n)
+            decompositions.append(len(K))
             return pencil_eig(K, M)
 
         monkeypatch.setattr(fem, "pencil_eig", counting)
@@ -164,6 +167,43 @@ class TestHeldOutOrdering:
 
 
 class TestLift:
+    @pytest.fixture
+    def two_fields(self, rng):
+        forms = fem.assemble(mesh.build_structured(6, 6), bc="neumann_natural")
+        coarse = mesh.build_structured(3, 3)
+        traj = FieldTrajectory(mesh=coarse, grid=TimeGrid(0.0, 1.0, 3),
+                               values=rng.random((4, 2 * coarse.n_nodes)))
+        return forms, coarse, traj
+
+    def test_two_fields_lift_field_by_field(self, two_fields):
+        forms, coarse, traj = two_fields
+        grid = TimeGrid(0.0, 1.0, 6)
+        lifted = lift_coarse(traj, forms.mesh, grid)
+        timed = quadratic_time_interp(traj, grid).values
+        n = coarse.n_nodes
+        want = np.concatenate([interpolate_field(coarse, part, forms.mesh)
+                               for part in (timed[:, :n], timed[:, n:])],
+                              axis=-1)
+        assert lifted.n_fields == 2
+        assert np.array_equal(lifted.values, want)
+
+    def test_two_field_lift_projection_is_the_per_field_build(self,
+                                                             two_fields, rng):
+        forms, coarse, _ = two_fields
+        n_fine, n, N = forms.n_dofs, coarse.n_nodes, 3
+        basis = rb.ReducedBasis(mesh=forms.mesh,
+                                modes=rng.standard_normal((N, 2 * n_fine)))
+        phi = lift_projection(basis, forms, coarse)
+        idx, w = mesh.transfer_operator(coarse, forms.mesh.nodes)
+        slots = (idx[:, :, None] * N + np.arange(N)).ravel()
+        weighted = rb.mass_weighted_modes(basis, forms)
+        want = np.concatenate([
+            np.bincount(slots, weights=(w[:, :, None]
+                                        * part[:, None, :]).ravel(),
+                        minlength=n * N).reshape(n, N)
+            for part in (weighted[:n_fine], weighted[n_fine:])])
+        assert np.array_equal(phi, want)
+
     def test_projected_lift_is_the_coefficient_map(self, study):
         config, artifacts = study
         ctx = artifacts.context()
