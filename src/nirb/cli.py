@@ -97,7 +97,7 @@ def cmd_online(args):
           f"reconstruction {result.seconds_reconstruct:.3f}s")
     print(f"trajectory written to {traj_path}")
 
-    reference = pipeline.heat_reference(config, result.parameter, None)
+    reference = pipeline.analytic_reference(config, result.parameter)
     if reference is not None:
         report = pipeline.evaluate_errors(result.trajectory, reference,
                                           artifacts.fine.forms)
@@ -121,38 +121,23 @@ def cmd_errors(args):
     artifacts = pipeline.load_artifacts(config)
     param = _parse_param(config, args.mu)
     try:
-        pipeline.check_bounds(config, param)
+        key = pipeline.check_bounds(config, param)
     except ValueError as exc:
         raise CliError("bad-parameter", str(exc)) from exc
-    fine = artifacts.fine
-    fine_traj = pipeline.solve_fine(config, fine, param)
-    coarse_traj = pipeline.solve_coarse(config, artifacts.coarse, param)
-    lifted = pipeline.lift_coarse(coarse_traj, fine.mesh, fine.grid)
-
-    reports = {"coarse": pipeline.evaluate_errors(lifted, fine_traj,
-                                                  fine.forms)}
-    for mode, name in (("plain", "nirb"), ("rectified", "rect")):
-        result = pipeline.online(artifacts, param, mode=mode,
-                                 coarse_traj=coarse_traj)
-        reports[name] = pipeline.evaluate_errors(result.trajectory, fine_traj,
-                                                 fine.forms)
+    reports = pipeline.two_grid_errors(artifacts, key)
 
     energy = reports["coarse"].energy_norm
-    rows = [["t"] + [f"err_{m}_{n}" for m in ("coarse", "nirb", "rect")
-                     for n in ("l2", energy)]]
-    times = fine.grid.times()
-    for k, t in enumerate(times):
-        row = [t]
-        for m in ("coarse", "nirb", "rect"):
-            row += [reports[m].l2_curve[k], reports[m].energy_curve[k]]
-        rows.append(row)
+    rows = [["t"] + [f"err_{m}_{n}" for m in reports for n in ("l2", energy)]]
+    for k, t in enumerate(artifacts.fine.grid.times()):
+        rows.append([t] + [curve[k] for r in reports.values()
+                           for curve in (r.l2_curve, r.energy_curve)])
     outdir = _outdir(config)
-    tag = _param_tag(config, pipeline.param_key(config, param))
+    tag = _param_tag(config, key)
     csv_path = os.path.join(outdir, f"errors_{tag}.csv")
     io.write_csv(csv_path, rows)
-    for m in ("coarse", "nirb", "rect"):
-        print(f"{m}: relative L2 {reports[m].rel_l2:.6e}, "
-              f"{energy} {reports[m].rel_energy:.6e}")
+    for m, r in reports.items():
+        print(f"{m}: relative L2 {r.rel_l2:.6e}, "
+              f"{energy} {r.rel_energy:.6e}")
     print(f"error curves written to {csv_path}")
     return 0
 

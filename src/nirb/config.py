@@ -20,18 +20,11 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_floats(s):
+def _parse_tuple(s, kind):
     s = s.strip()
     if not s:
         return ()
-    return tuple(float(v) for v in s.split(","))
-
-
-def _parse_ints(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(v) for v in s.split(","))
+    return tuple(kind(v) for v in s.split(","))
 
 
 def _fmt(value):
@@ -221,10 +214,8 @@ class StudyConfig:
             elif isinstance(current, float):
                 kwargs[key] = float(val)
             elif isinstance(current, tuple):
-                if key in ("study_levels",):
-                    kwargs[key] = _parse_ints(val)
-                else:
-                    kwargs[key] = _parse_floats(val)
+                # elements parse as the default's do: ints for study_levels
+                kwargs[key] = _parse_tuple(val, type(current[0]))
             else:
                 kwargs[key] = val
         return cls(**kwargs).validate()

@@ -303,31 +303,22 @@ def difference_norms(forms, u_nodal, u_fn, grad_fn, t):
     return err_l2, err_h1, ref_l2, ref_h1
 
 
-def ritz_projection(forms, u, cg_tol=1e-12):
-    """H1-orthogonal projection onto the P1 space with zero boundary values.
-
-    u is either a nodal vector on the same mesh (projected to itself, up to
-    solver tolerance) or a callable grad_u(x, y) -> (du/dx, du/dy) giving the
-    gradient of the target analytically."""
+def ritz_projection(forms, grad_u, cg_tol=1e-12):
+    """H1-orthogonal projection onto the P1 space with zero boundary values
+    of the target whose gradient the callable grad_u(x, y) -> (du/dx, du/dy)
+    gives analytically."""
     if forms.bc != "dirichlet_zero":
         raise ValueError("Ritz projection requires the Dirichlet form set")
-    if isinstance(u, np.ndarray):
-        if u.shape != (forms.n_dofs,):
-            raise ValueError(f"nodal field has shape {u.shape}, expected ({forms.n_dofs},)")
-        g = forms.stiffness.matvec(u)
-    elif callable(u):
-        gx, gy = u(forms.mid_x, forms.mid_y)
-        gx = np.broadcast_to(np.asarray(gx, dtype=float), forms.mid_x.shape)
-        gy = np.broadcast_to(np.asarray(gy, dtype=float), forms.mid_x.shape)
-        # grad(phi_i) is constant per element: (b_i, c_i) / (2 A), and each
-        # midpoint carries weight A/3, so the element contribution is
-        # (sum_q gx_q) b_i / 6 + (sum_q gy_q) c_i / 6.
-        contrib = (gx.sum(axis=1)[:, None] * forms.b
-                   + gy.sum(axis=1)[:, None] * forms.c) / 6.0
-        g = np.bincount(forms.mesh.triangles.ravel(), weights=contrib.ravel(),
-                        minlength=forms.n_dofs)
-    else:
-        raise TypeError("u must be a nodal array or a gradient callable")
+    gx, gy = grad_u(forms.mid_x, forms.mid_y)
+    gx = np.broadcast_to(np.asarray(gx, dtype=float), forms.mid_x.shape)
+    gy = np.broadcast_to(np.asarray(gy, dtype=float), forms.mid_x.shape)
+    # grad(phi_i) is constant per element: (b_i, c_i) / (2 A), and each
+    # midpoint carries weight A/3, so the element contribution is
+    # (sum_q gx_q) b_i / 6 + (sum_q gy_q) c_i / 6.
+    contrib = (gx.sum(axis=1)[:, None] * forms.b
+               + gy.sum(axis=1)[:, None] * forms.c) / 6.0
+    g = np.bincount(forms.mesh.triangles.ravel(), weights=contrib.ravel(),
+                    minlength=forms.n_dofs)
     out = np.zeros(forms.n_dofs)
     xf, _ = cg_solve(forms.stiffness_free(), g[forms.free_dofs], tol=cg_tol)
     out[forms.free_dofs] = xf

@@ -12,7 +12,9 @@ Artifact file members:
 
 - ``format``: ``ARTIFACT_FORMAT``;
 - ``config``: the study config text; loading rebuilds the meshes, time
-  grids and forms from it with ``pipeline.discretize``;
+  grids and forms from it with ``pipeline.discretize``, and derives the
+  lift-projection operator from them and the modes, so it is never
+  stored;
 - ``modes``: the (N, n_fields * n_nodes) basis modes on the fine mesh;
 - ``eigenvalues``: the (N,) H1 spectrum, empty when the basis has none;
 - ``provenance``: the ``repr`` of the basis provenance, read back with
@@ -39,7 +41,7 @@ import numpy as np
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
 from nirb.mesh import build_structured
-from nirb.rectification import RectificationTensor
+from nirb.rectification import RectificationTensor, lift_projection
 from nirb.reduced_basis import ReducedBasis
 
 ARTIFACT_FORMAT = "nirb-artifacts 4"
@@ -146,13 +148,15 @@ def load_artifacts(path):
                        exc) from exc
     fine, coarse = discretize(config)
     eig = m["eigenvalues"]
-    basis = ReducedBasis(mesh=fine.mesh, modes=m["modes"],
-                         eigenvalues=eig if eig.size else None,
-                         provenance=provenance)
     tensor = RectificationTensor(matrices=m["matrices"], deltas=m["deltas"])
     try:
-        return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
-                                fine=fine, coarse=coarse).validate()
+        basis = ReducedBasis(mesh=fine.mesh, modes=m["modes"],
+                             eigenvalues=eig if eig.size else None,
+                             provenance=provenance)
+        return OfflineArtifacts(
+            config=config, basis=basis, tensor=tensor, fine=fine,
+            coarse=coarse,
+            lift=lift_projection(basis, fine.forms, coarse.mesh)).validate()
     except ValueError as exc:
         raise _corrupt(path, "inconsistent artifact members", exc) from exc
 

@@ -104,8 +104,6 @@ class SparseSym:
         prod *= self.vals
         return np.add.reduceat(prod, self.indptr[:-1], axis=-1)
 
-    __matmul__ = matvec
-
     def diagonal(self):
         if self._diag is None:
             counts = np.diff(self.indptr)

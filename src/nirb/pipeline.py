@@ -18,7 +18,8 @@ from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import build_structured
 from nirb.rectification import (apply_rectification, build_rectification,
-                                coarse_to_fine_coefficients, lift_coarse)
+                                coarse_to_fine_coefficients, lift_coarse,
+                                lift_projection)
 from nirb.reduced_basis import (coefficients, greedy, h1_reorthogonalize,
                                 hierarchical_pod, pod_greedy, reconstruct)
 
@@ -145,31 +146,24 @@ def build_basis(config, trajectories, forms):
     return basis
 
 
-def fit(config, fine_trajs, coarse_trajs, fine):
-    """Basis and rectification maps fitted on matched training runs;
-    returns (basis, tensor)."""
-    basis = build_basis(config, fine_trajs, fine.forms)
-    log.info("basis built: N=%d from %d training parameters", basis.N,
-             len(fine_trajs))
-    tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
-                                 fine.grid, config.delta_mode, config.delta_value)
-    return basis, tensor
-
-
 @dataclass
 class OfflineArtifacts:
     """Everything the online stage needs: the study config, the reduced
-    basis, the rectification maps, and the fine and coarse discretizations.
+    basis, the rectification maps, the fine and coarse discretizations, and
+    the lift-projection operator ``lift`` (Phi of
+    ``rectification.lift_projection``, shape (n_fields * n_coarse, N)).
 
-    The discretizations are what ``discretize(config)`` builds; only the
-    config, the basis and the maps are persisted, and loading rebuilds the
-    rest from the config."""
+    The discretizations are what ``discretize(config)`` builds.  Only the
+    config, the basis and the maps are persisted; loading rebuilds the
+    discretizations from the config and derives ``lift`` again, as ``fit``
+    does."""
 
     config: object
     basis: object
     tensor: object
     fine: Discretization
     coarse: Discretization
+    lift: np.ndarray
 
     @property
     def fine_mesh(self):
@@ -180,17 +174,32 @@ class OfflineArtifacts:
         return self
 
     def validate(self):
-        shape, n = np.shape(self.basis.modes), self.fine.mesh.n_nodes
-        if len(shape) != 2 or shape[1] < n or shape[1] % n:
-            raise ValueError(f"modes of shape {shape}, expected (N, a "
-                             f"positive multiple of {n})")
         want = (self.fine.grid.steps + 1, self.basis.N, self.basis.N)
         got = (np.shape(self.tensor.matrices), np.shape(self.tensor.deltas))
         if got != (want, want[:1]):
             raise ValueError(f"rectification maps and deltas of shapes {got}, "
                              f"expected one map per fine time knot: {want} "
                              f"and {want[:1]}")
+        want = (self.basis.n_fields * self.coarse.mesh.n_nodes, self.basis.N)
+        if np.shape(self.lift) != want:
+            raise ValueError(f"lift-projection operator of shape "
+                             f"{np.shape(self.lift)}, expected {want} for "
+                             f"the coarse mesh")
         return self
+
+
+def fit(config, fine_trajs, coarse_trajs, fine, coarse):
+    """The validated artifacts fitted on matched training runs: the basis,
+    its lift-projection operator for the coarse mesh, built here once, and
+    the rectification maps fitted with it."""
+    basis = build_basis(config, fine_trajs, fine.forms)
+    log.info("basis built: N=%d from %d training parameters", basis.N,
+             len(fine_trajs))
+    lift = lift_projection(basis, fine.forms, coarse.mesh)
+    tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
+                                 lift, config.delta_mode, config.delta_value)
+    return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
+                            fine=fine, coarse=coarse, lift=lift).validate()
 
 
 def offline(config, persist=True):
@@ -202,9 +211,7 @@ def offline(config, persist=True):
     if not params:
         raise ValueError("empty training set")
     fine, coarse, fine_trajs, coarse_trajs = _training_runs(config, params)
-    basis, tensor = fit(config, fine_trajs, coarse_trajs, fine)
-    artifacts = OfflineArtifacts(config=config, basis=basis, tensor=tensor,
-                                 fine=fine, coarse=coarse).validate()
+    artifacts = fit(config, fine_trajs, coarse_trajs, fine, coarse)
     if persist:
         os.makedirs(config.output_dir, exist_ok=True)
         io.save_artifacts(os.path.join(config.output_dir, ARTIFACT_FILE),
@@ -250,10 +257,9 @@ def check_bounds(config, param):
 
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, time interpolation, one
-    product with the basis's cached lift-projection operator (the space
-    lift and the projection onto the modes in one), optional rectification,
-    reconstruction.  Past the first query on a discretization, nothing but
-    the reconstruction touches the fine mesh.
+    product with the artifacts' lift-projection operator (the space lift
+    and the projection onto the modes in one), optional rectification,
+    reconstruction.  Nothing but the reconstruction touches the fine mesh.
 
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
     share is then reported as zero) and the bounds check, which belongs to
@@ -273,8 +279,8 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     seconds_coarse = time.perf_counter() - t_start
 
     t_start = time.perf_counter()
-    coeffs = coarse_to_fine_coefficients(coarse_traj, artifacts.basis,
-                                         fine.forms, fine.grid)
+    coeffs = coarse_to_fine_coefficients(coarse_traj, artifacts.lift,
+                                         fine.grid)
     if mode == "rectified":
         coeffs = apply_rectification(artifacts.tensor, coeffs)
     values = reconstruct(artifacts.basis, coeffs)
@@ -338,67 +344,95 @@ def _rel(err_sup, ref_sup):
     return 0.0 if err_sup == 0.0 else math.inf
 
 
-def evaluate_errors(candidate, reference, forms):
-    """Relative sup-in-time errors of a trajectory against a reference.
+def _check_comparable(candidate, reference):
+    if reference.mesh.n_nodes != candidate.mesh.n_nodes:
+        raise ValueError("candidate and reference live on different meshes")
+    if (reference.grid.steps != candidate.grid.steps
+            or abs(reference.grid.t0 - candidate.grid.t0) > 1e-12
+            or abs(reference.grid.T - candidate.grid.T) > 1e-12):
+        raise ValueError("candidate and reference time grids differ")
+    if reference.n_fields != candidate.n_fields:
+        raise ValueError("candidate and reference field counts differ")
 
-    The reference is another trajectory on the same mesh and grid, or an
+
+def _analytic_curves(forms, candidate, reference, energy):
+    """Per-knot (error L2, error energy, reference L2, reference energy)
+    curves of a single-field candidate against a closed form."""
+    if candidate.n_fields != 1:
+        raise ValueError("analytic references support single fields only")
+    rows = [difference_norms(forms, candidate.values[k], reference.u,
+                             reference.grad, t)
+            for k, t in enumerate(candidate.grid.times())]
+    err_l2, err_h1, ref_l2, ref_h1 = (np.asarray(v) for v in zip(*rows))
+    if energy == "h1":
+        return (err_l2, np.sqrt(err_l2 ** 2 + err_h1 ** 2),
+                ref_l2, np.sqrt(ref_l2 ** 2 + ref_h1 ** 2))
+    return err_l2, err_h1, ref_l2, ref_h1
+
+
+def compare(candidates, reference, forms):
+    """Relative sup-in-time errors of named candidate trajectories against
+    one reference: {name: ErrorReport}.
+
+    The reference is another trajectory on the candidates' mesh and grid,
+    whose norm curves are taken once for all candidates, or an
     ``AnalyticReference`` (single-component candidates only).  Relative
     errors divide the sup-in-time error by the sup-in-time reference norm,
     so a uniformly scaled candidate c = (1+s) u reports s exactly in every
     norm."""
     energy = energy_norm(forms)
     if isinstance(reference, AnalyticReference):
-        if candidate.n_fields != 1:
-            raise ValueError("analytic references support single fields only")
-        rows = [difference_norms(forms, candidate.values[k], reference.u,
-                                 reference.grad, t)
-                for k, t in enumerate(candidate.grid.times())]
-        err_l2, err_h1, ref_l2, ref_h1 = (np.asarray(v) for v in zip(*rows))
-        if energy == "h1":
-            err_en = np.sqrt(err_l2 ** 2 + err_h1 ** 2)
-            ref_en = np.sqrt(ref_l2 ** 2 + ref_h1 ** 2)
-        else:
-            err_en, ref_en = err_h1, ref_h1
         ref_param = "analytic"
+        curves = {name: _analytic_curves(forms, c, reference, energy)
+                  for name, c in candidates.items()}
     else:
-        if reference.mesh.n_nodes != candidate.mesh.n_nodes:
-            raise ValueError("candidate and reference live on different meshes")
-        if (reference.grid.steps != candidate.grid.steps
-                or abs(reference.grid.t0 - candidate.grid.t0) > 1e-12
-                or abs(reference.grid.T - candidate.grid.T) > 1e-12):
-            raise ValueError("candidate and reference time grids differ")
-        if reference.n_fields != candidate.n_fields:
-            raise ValueError("candidate and reference field counts differ")
-        err_l2, err_en = _norm_curves(forms, candidate.values - reference.values,
-                                      energy)
-        ref_l2, ref_en = _norm_curves(forms, reference.values, energy)
         ref_param = reference.parameter
-
-    return ErrorReport(
-        parameter=candidate.parameter if candidate.parameter is not None
-        else ref_param,
-        energy_norm=energy,
-        rel_l2=_rel(err_l2.max(), ref_l2.max()),
-        rel_energy=_rel(err_en.max(), ref_en.max()),
-        l2_curve=err_l2, energy_curve=err_en)
-
-
-def projection_errors(basis, forms, traj):
-    """Relative sup-in-time (L2, energy) error of reprojecting a trajectory
-    onto the basis span."""
-    proj = reconstruct(basis, coefficients(basis, forms, traj.values))
-    projected = FieldTrajectory(mesh=traj.mesh, grid=traj.grid, values=proj,
-                                parameter=traj.parameter)
-    report = evaluate_errors(projected, traj, forms)
-    return report.rel_l2, report.rel_energy
+        for c in candidates.values():
+            _check_comparable(c, reference)
+        ref = _norm_curves(forms, reference.values, energy)
+        curves = {name: _norm_curves(forms, c.values - reference.values,
+                                     energy) + ref
+                  for name, c in candidates.items()}
+    reports = {}
+    for name, (err_l2, err_en, ref_l2, ref_en) in curves.items():
+        parameter = candidates[name].parameter
+        reports[name] = ErrorReport(
+            parameter=ref_param if parameter is None else parameter,
+            energy_norm=energy,
+            rel_l2=_rel(err_l2.max(), ref_l2.max()),
+            rel_energy=_rel(err_en.max(), ref_en.max()),
+            l2_curve=err_l2, energy_curve=err_en)
+    return reports
 
 
-def heat_reference(config, param, fine_traj):
-    """Reference trajectory for error reporting: the closed-form solution
-    when it applies (mu = 1), otherwise the fine solve itself."""
-    if config.problem == "heat" and float(param) == 1.0:
+def evaluate_errors(candidate, reference, forms):
+    """The ``ErrorReport`` of one candidate: ``compare`` with a single
+    candidate."""
+    return compare({"candidate": candidate}, reference, forms)["candidate"]
+
+
+def analytic_reference(config, key):
+    """The closed-form solution as an error reference where it applies (the
+    heat problem at mu = 1), otherwise None."""
+    if config.problem == "heat" and float(key) == 1.0:
         return AnalyticReference(models.manufactured_u, models.manufactured_grad)
-    return fine_traj
+    return None
+
+
+def two_grid_errors(artifacts, key, reference=None):
+    """Errors of the three fine-grid runs made from one coarse solve at the
+    parameter key ``key``: the lifted coarse run ('coarse'), and the plain
+    ('nirb') and rectified ('rect') online runs.  The reference defaults to
+    the fine solve at ``key``; returns {name: ErrorReport}."""
+    config, fine = artifacts.config, artifacts.fine
+    if reference is None:
+        reference = solve_fine(config, fine, key)
+    coarse_traj = solve_coarse(config, artifacts.coarse, key)
+    runs = {"coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
+    for mode, name in (("plain", "nirb"), ("rectified", "rect")):
+        runs[name] = online(artifacts, key, mode=mode,
+                            coarse_traj=coarse_traj).trajectory
+    return compare(runs, reference, fine.forms)
 
 
 @dataclass
@@ -452,17 +486,18 @@ def leave_one_out(config):
     rows = []
     for p in params:
         rest = [q for q in params if q != p]
-        basis, tensor = fit(config, {q: fine_trajs[q] for q in rest},
-                            {q: coarse_trajs[q] for q in rest}, fine)
-        fold = OfflineArtifacts(config, basis, tensor, fine, coarse)
-        result = online(fold, p, coarse_traj=coarse_trajs[p])
-        rect_en = evaluate_errors(result.trajectory, fine_trajs[p],
-                                  fine.forms).rel_energy
-        _, proj_en = projection_errors(basis_full, fine.forms, fine_trajs[p])
-        lifted = lift_coarse(coarse_trajs[p], fine.mesh, fine.grid)
-        coarse_en = evaluate_errors(lifted, fine_trajs[p], fine.forms).rel_energy
-        rows.append(LooRow(parameter=p, rectified=rect_en,
-                           projection=proj_en, coarse=coarse_en))
+        fold = fit(config, {q: fine_trajs[q] for q in rest},
+                   {q: coarse_trajs[q] for q in rest}, fine, coarse)
+        held_out, coarse_traj = fine_trajs[p], coarse_trajs[p]
+        projected = reconstruct(basis_full, coefficients(
+            basis_full, fine.forms, held_out.values))
+        candidates = {
+            "rectified": online(fold, p, coarse_traj=coarse_traj).trajectory,
+            "projection": replace(held_out, values=projected),
+            "coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
+        reports = compare(candidates, held_out, fine.forms)
+        rows.append(LooRow(parameter=p, **{
+            name: report.rel_energy for name, report in reports.items()}))
 
     return LooReport(energy_norm=energy_norm(fine.forms), rows=rows,
                      max_rectified=max(r.rectified for r in rows),
@@ -574,22 +609,14 @@ def convergence_study(config, coupling=None):
         fine, coarse = artifacts.fine, artifacts.coarse
         energy = energy_norm(fine.forms)
         fine_traj = solve_fine(cfg, fine, test_param)
-        reference = heat_reference(cfg, test_param, fine_traj)
-        coarse_traj = solve_coarse(cfg, coarse, test_param)
-
-        errors = {}
-        if isinstance(reference, AnalyticReference):
-            rep = evaluate_errors(fine_traj, reference, fine.forms)
-            errors["fine", "l2"], errors["fine", "energy"] = rep.rel_l2, rep.rel_energy
-        else:
-            errors["fine", "l2"] = errors["fine", "energy"] = 0.0
-        lifted = lift_coarse(coarse_traj, fine.mesh, fine.grid)
-        rep = evaluate_errors(lifted, reference, fine.forms)
-        errors["coarse", "l2"], errors["coarse", "energy"] = rep.rel_l2, rep.rel_energy
-        for mode, name in (("plain", "nirb"), ("rectified", "rect")):
-            result = online(artifacts, test_param, mode=mode,
-                            coarse_traj=coarse_traj)
-            rep = evaluate_errors(result.trajectory, reference, fine.forms)
+        analytic = analytic_reference(cfg, test_param)
+        reports = two_grid_errors(
+            artifacts, test_param,
+            fine_traj if analytic is None else analytic)
+        if analytic is not None:
+            reports["fine"] = evaluate_errors(fine_traj, analytic, fine.forms)
+        errors = {("fine", "l2"): 0.0, ("fine", "energy"): 0.0}
+        for name, rep in reports.items():
             errors[name, "l2"], errors[name, "energy"] = rep.rel_l2, rep.rel_energy
 
         levels.append(StudyLevel(n=n, h=fine.mesh.h, H=coarse.mesh.h,

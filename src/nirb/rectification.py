@@ -1,6 +1,11 @@
 """Lifting of coarse trajectories to the fine discretization, and the
 per-time-index rectification: small regularized least-squares maps that send
-lifted coarse coefficients to fine-solution coefficients."""
+lifted coarse coefficients to fine-solution coefficients.
+
+The lift-projection operator Phi (``lift_projection``) is a pure function of
+the basis, the fine forms and the coarse mesh.  The fitted artifacts own it:
+``pipeline.fit`` and ``io.load_artifacts`` build it once, and the fit and
+every online query take it as an argument."""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import numpy as np
 from nirb.integrators import FieldTrajectory
 from nirb.linalg import dominant_eigenvalue, solve_regularized_normal
 from nirb.mesh import interpolate_field, transfer_operator
-from nirb.reduced_basis import coefficients, mass_weighted_modes
+from nirb.reduced_basis import mass_weighted_modes
 from nirb.time_interp import quadratic_time_interp
 
 
@@ -53,43 +58,39 @@ def lift_projection(basis, forms, coarse_mesh):
     Phi = P^T M modes^T per field, with P the P1 interpolation from
     ``coarse_mesh`` to the basis mesh (``mesh.transfer_operator``) and M the
     mass matrix of ``forms``, every field's block in one ``bincount`` with
-    the coarse node indices of field f offset by f n_coarse.  Computed once
-    per basis, form set and coarse mesh, and cached on the basis; a
-    structured mesh is keyed by its cell counts and domain."""
-    key = ("lift", coarse_mesh.nx, coarse_mesh.ny, coarse_mesh.domain)
-    hit = basis.cache.get(key)
-    if hit is None or hit[0] is not forms:
-        idx, w = transfer_operator(coarse_mesh, basis.mesh.nodes)
-        n, N, F = coarse_mesh.n_nodes, basis.N, basis.n_fields
-        rows = idx + n * np.arange(F)[:, None, None]  # (F, n_fine, 3)
-        slots = (rows[..., None] * N + np.arange(N)).ravel()
-        modes = mass_weighted_modes(basis, forms).reshape(F, -1, 1, N)
-        phi = np.bincount(slots, weights=(w[:, :, None] * modes).ravel(),
-                          minlength=F * n * N).reshape(F * n, N)
-        hit = basis.cache[key] = (forms, phi)
-    return hit[1]
+    the coarse node indices of field f offset by f n_coarse."""
+    idx, w = transfer_operator(coarse_mesh, basis.mesh.nodes)
+    n, N, F = coarse_mesh.n_nodes, basis.N, basis.n_fields
+    rows = idx + n * np.arange(F)[:, None, None]  # (F, n_fine, 3)
+    slots = (rows[..., None] * N + np.arange(N)).ravel()
+    modes = mass_weighted_modes(basis, forms).reshape(F, -1, 1, N)
+    return np.bincount(slots, weights=(w[:, :, None] * modes).ravel(),
+                       minlength=F * n * N).reshape(F * n, N)
 
 
-def coarse_to_fine_coefficients(coarse_traj, basis, forms, fine_grid):
+def coarse_to_fine_coefficients(coarse_traj, lift, fine_grid):
     """Coefficients of a coarse trajectory after lifting it to the basis
     mesh and the fine grid, by L2 projection onto the modes: the quadratic
-    time interpolation onto ``fine_grid``, then one product with
-    ``lift_projection``.  The same linear map as ``lift_coarse`` followed by
+    time interpolation onto ``fine_grid``, then one product with the
+    lift-projection operator ``lift`` of the coarse trajectory's mesh.  The
+    same linear map as ``lift_coarse`` followed by
     ``reduced_basis.coefficients``, with the products associated so that
     nothing of fine-mesh size is touched per call."""
     lifted = quadratic_time_interp(coarse_traj, fine_grid)
-    return lifted.values @ lift_projection(basis, forms, coarse_traj.mesh)
+    return lifted.values @ lift
 
 
-def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
+def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
                         delta_mode="relative", delta_value=1e-10):
     """Fit the rectification maps from matched fine/coarse training runs.
 
     fine_trajs and coarse_trajs map the same parameters (same order) to
-    trajectories.  At every fine time index n the rows of A hold the lifted
-    coarse coefficients and the rows of B the fine coefficients; column i of
-    the normal-equation solve gives the map weights for mode i, and the
-    transpose is stored so application is a plain matrix-vector product.
+    trajectories, and ``lift`` is the basis's lift-projection operator for
+    the coarse mesh.  At every fine time index n the rows of A hold the
+    lifted coarse coefficients and the rows of B the fine coefficients;
+    column i of the normal-equation solve gives the map weights for mode i,
+    and the transpose is stored so application is a plain matrix-vector
+    product.
 
     The Tikhonov parameter follows the config's rule: delta_mode 'relative'
     takes delta_value * sigma_1(A^T A) at each time index, 'absolute' takes
@@ -102,14 +103,13 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, fine_grid,
     if basis.N == 0:
         raise ValueError("cannot rectify with an empty basis")
 
-    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], basis, forms,
-                                              fine_grid) for p in fine_keys],
-                 axis=1)  # (n_times, k, N)
-    B = np.stack([coefficients(basis, forms, fine_trajs[p].values)
-                  for p in fine_keys], axis=1)
+    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], lift,
+                                              fine_trajs[p].grid)
+                  for p in fine_keys], axis=1)  # (n_times, k, N)
+    weighted = mass_weighted_modes(basis, forms)
+    B = np.stack([fine_trajs[p].values @ weighted for p in fine_keys], axis=1)
 
-    n_times = fine_grid.steps + 1
-    N = basis.N
+    n_times, _, N = A.shape
     mats = np.empty((n_times, N, N))
     deltas = np.empty(n_times)
     for n in range(n_times):

@@ -16,23 +16,26 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ReducedBasis:
-    """L2-orthonormal modes stored as rows of ``modes``.
+    """L2-orthonormal modes stored as rows of ``modes``: plain data, checked
+    on construction to have a width that is a positive multiple of the
+    mesh size.
 
     Multi-component fields stack their components along the mode axis, with
     all inner products taken blockwise; the field count is read off the mode
     width and the mesh.  ``eigenvalues`` holds the ascending H1 spectrum
     after re-orthogonalization (the squared H1 norms of the modes), and
-    ``provenance`` records how the basis was selected.  ``cache`` holds
-    operators derived from the modes, which are not modified after
-    construction (``mass_weighted_modes``, ``rectification.lift_projection``);
-    it is rebuilt on use and never persisted."""
+    ``provenance`` records how the basis was selected."""
 
     mesh: object
     modes: np.ndarray                     # (N, n_fields * n_nodes)
     eigenvalues: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
-    cache: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+
+    def __post_init__(self):
+        shape, n = np.shape(self.modes), self.mesh.n_nodes
+        if len(shape) != 2 or shape[1] < n or shape[1] % n:
+            raise ValueError(f"modes of shape {shape}, expected (N, a "
+                             f"positive multiple of {n})")
 
     @property
     def N(self):
@@ -306,12 +309,8 @@ def h1_reorthogonalize(basis, forms):
 
 def mass_weighted_modes(basis, forms):
     """The modes under the blockwise mass matrix of ``forms``, as columns:
-    shape (n_fields * n_nodes, N), computed once per basis and form set."""
-    hit = basis.cache.get("mass")
-    if hit is None or hit[0] is not forms:
-        hit = basis.cache["mass"] = (forms,
-                                     block_matvec(forms.mass, basis.modes).T)
-    return hit[1]
+    shape (n_fields * n_nodes, N)."""
+    return block_matvec(forms.mass, basis.modes).T
 
 
 def coefficients(basis, forms, values):

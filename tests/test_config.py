@@ -77,6 +77,16 @@ def test_defaults_round_trip():
     assert StudyConfig.from_text(config.to_text()) == config
 
 
+def test_tuple_elements_parse_as_the_default_elements():
+    config = StudyConfig.from_text("study_levels = 4,8\ntrain_mu = 1,2\n")
+    assert config.study_levels == (4, 8)
+    assert all(type(v) is int for v in config.study_levels)
+    assert config.train_mu == (1.0, 2.0)
+    assert all(type(v) is float for v in config.train_mu)
+    with pytest.raises(ValueError):
+        StudyConfig.from_text("study_levels = 4.5\n")
+
+
 @pytest.mark.parametrize("line", ["seed = 0", "presolve = implicit_euler",
                                   "no_such_key = 1"])
 def test_unknown_keys_rejected(line):

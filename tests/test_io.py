@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zipfile
 
@@ -61,6 +62,7 @@ def _assert_same_artifacts(got, want, param):
     assert got.basis.provenance == want.basis.provenance
     assert np.array_equal(got.tensor.matrices, want.tensor.matrices)
     assert np.array_equal(got.tensor.deltas, want.tensor.deltas)
+    assert np.array_equal(got.lift, want.lift)
     assert np.array_equal(pipeline.online(got, param).coefficients,
                           pipeline.online(want, param).coefficients)
 
@@ -106,11 +108,9 @@ class TestArtifacts:
                                                          tmp_path):
         _, artifacts, _ = saved
         basis = artifacts.basis
-        odd = pipeline.OfflineArtifacts(
-            config=artifacts.config, tensor=artifacts.tensor,
-            fine=artifacts.fine, coarse=artifacts.coarse,
-            basis=type(basis)(mesh=basis.mesh, modes=basis.modes,
-                              provenance={"selected": [(2.0, np.int64(1))]}))
+        odd = dataclasses.replace(artifacts, basis=type(basis)(
+            mesh=basis.mesh, modes=basis.modes,
+            provenance={"selected": [(2.0, np.int64(1))]}))
         with pytest.raises(ValueError, match="not a plain literal"):
             io.save_artifacts(str(tmp_path / "odd.nirb"), odd)
         assert not list(tmp_path.iterdir())
@@ -236,15 +236,15 @@ def test_lift_projection_is_lift_then_coefficients(small_heat_text, tmp_path,
     for arts in (artifacts, loaded):
         fine, coarse = arts.fine, arts.coarse
         traj = pipeline.solve_coarse(config, coarse, param)
-        got = coarse_to_fine_coefficients(traj, arts.basis, fine.forms,
-                                          fine.grid)
+        got = coarse_to_fine_coefficients(traj, arts.lift, fine.grid)
         want = coefficients(arts.basis, fine.forms,
                             lift_coarse(traj, fine.mesh, fine.grid).values)
         assert got.shape == (fine.grid.steps + 1, arts.basis.N)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        phi = lift_projection(arts.basis, fine.forms, coarse.mesh)
-        assert phi.shape == (traj.values.shape[1], arts.basis.N)
-        phis.append(phi)
+        assert arts.lift.shape == (traj.values.shape[1], arts.basis.N)
+        assert np.array_equal(
+            arts.lift, lift_projection(arts.basis, fine.forms, coarse.mesh))
+        phis.append(arts.lift)
     assert np.array_equal(phis[0], phis[1])
     io.save_artifacts(str(path), loaded)
     with zipfile.ZipFile(path) as archive:

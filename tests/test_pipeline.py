@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nirb import fem, integrators, mesh, models, pipeline
+from nirb import fem, integrators, io, mesh, models, pipeline
 from nirb import reduced_basis as rb
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid, heat_backward_euler
@@ -39,6 +39,64 @@ class TestLeaveOneOut:
                                             ctx.fine.forms).rel_energy
             assert report.rows[k].rectified == pytest.approx(want, abs=1e-12)
         assert report.max_rectified == max(r.rectified for r in report.rows)
+
+
+class TestOneLiftPerFit:
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        """Coarse node counts of every lift-projection operator built."""
+        built = []
+
+        def counting(basis, forms, coarse_mesh):
+            built.append(coarse_mesh.n_nodes)
+            return lift_projection(basis, forms, coarse_mesh)
+
+        for module in (pipeline, io):
+            monkeypatch.setattr(module, "lift_projection", counting)
+        return built
+
+    def test_offline_load_and_online(self, small_heat_text, tmp_path, lifts):
+        config = StudyConfig.from_text(small_heat_text
+                                       + f"output_dir = {tmp_path}\n")
+        artifacts = pipeline.offline(config)
+        assert lifts == [artifacts.coarse.mesh.n_nodes]
+        loaded = pipeline.load_artifacts(config)
+        assert len(lifts) == 2
+        for arts in (artifacts, loaded):
+            for mu in (4.5, 1.0):
+                for mode in ("plain", "rectified"):
+                    pipeline.online(arts, mu, mode=mode)
+        assert len(lifts) == 2
+
+    def test_one_per_leave_one_out_fold(self, study, lifts):
+        config, _ = study
+        pipeline.leave_one_out(config)
+        assert len(lifts) == len(config.training_parameters())
+
+    def test_leave_one_out_takes_four_norms_per_held_out_value(
+            self, study, monkeypatch):
+        # the held-out fine run's curves once, then one per candidate:
+        # rectified, projection and lifted coarse
+        config, _ = study
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return fem.norms(*args)
+
+        monkeypatch.setattr(pipeline, "norms", counting)
+        pipeline.leave_one_out(config)
+        assert len(calls) == 4 * len(config.training_parameters())
+
+    def test_validate_rejects_a_lift_for_another_coarse_mesh(self, study):
+        _, artifacts = study
+        other = mesh.build_structured(5, 5)
+        odd = dataclasses.replace(artifacts, lift=lift_projection(
+            artifacts.basis, artifacts.fine.forms, other))
+        with pytest.raises(ValueError, match="lift-projection operator of "
+                                             "shape"):
+            odd.validate()
+        assert artifacts.validate() is artifacts
 
 
 class TestCoarseOnly:
@@ -212,12 +270,14 @@ class TestLift:
         assert lifted.values.shape == (ctx.fine.grid.steps + 1,
                                        ctx.fine.mesh.n_nodes)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
-        got = coarse_to_fine_coefficients(coarse, artifacts.basis,
-                                          ctx.fine.forms, ctx.fine.grid)
+        got = coarse_to_fine_coefficients(coarse, artifacts.lift,
+                                          ctx.fine.grid)
         # the same linear map with its products associated differently
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_trajectory_on_the_basis_mesh_lifts_to_itself(self, study):
+        # the artifacts' operator lifts from the coarse mesh, so a run on
+        # the basis mesh needs its own
         config, artifacts = study
         ctx = artifacts.context()
         fine = pipeline.solve_fine(config, ctx.fine, 2.0)
@@ -226,8 +286,8 @@ class TestLift:
             values=fine.values[::2], parameter=2.0)
         lifted = lift_coarse(coarse_in_time, ctx.fine.mesh, ctx.fine.grid)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
-        got = coarse_to_fine_coefficients(coarse_in_time, artifacts.basis,
-                                          ctx.fine.forms, ctx.fine.grid)
+        phi = lift_projection(artifacts.basis, ctx.fine.forms, ctx.fine.mesh)
+        got = coarse_to_fine_coefficients(coarse_in_time, phi, ctx.fine.grid)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -254,11 +314,12 @@ class TestRectification:
         modes, _ = rb.pod(snaps, forms, 3)
         basis = rb.ReducedBasis(mesh=fine_mesh, modes=modes)
 
+        phi = lift_projection(basis, forms, coarse_mesh)
         tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     fine_grid, "absolute", 0.0)
+                                     phi, "absolute", 0.0)
         assert np.all(tensor.deltas == 0.0)
         for p in params:
-            lifted = coarse_to_fine_coefficients(coarse_trajs[p], basis, forms,
+            lifted = coarse_to_fine_coefficients(coarse_trajs[p], phi,
                                                  fine_grid)
             got = apply_rectification(tensor, lifted)
             want = rb.coefficients(basis, forms, fine_trajs[p].values)
@@ -271,7 +332,7 @@ class TestRectification:
         coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0)}
         with pytest.raises(ValueError, match="differ"):
             build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
-                                ctx.fine.grid)
+                                artifacts.lift)
 
 
 class TestEvaluateErrors:
