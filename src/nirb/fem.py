@@ -275,31 +275,38 @@ def norms(forms, v):
 
 
 def difference_norms(forms, u_nodal, u_fn, grad_fn, t):
-    """L2 and H1-seminorm distances between a P1 field and a smooth function,
+    """L2 and H1-seminorm distances between P1 fields and a smooth function,
     by the three-midpoint rule, plus the function's own norms.
 
-    Nodal sampling of the reference would hide the O(h) gradient error on
-    structured meshes (the discrete field is supercloser to the interpolant
-    than to the function), so the comparison is made under quadrature.
-    Returns (err_l2, err_h1, ref_l2, ref_h1)."""
+    u_nodal has shape (..., K, n) and t shape (K,), or (..., n) and a
+    scalar: every field of a knot is compared with the function at that
+    knot, and the function and its gradient are evaluated once per knot,
+    on all knots at once.  Nodal sampling of the reference would hide the
+    O(h) gradient error on structured meshes (the discrete field is
+    supercloser to the interpolant than to the function), so the comparison
+    is made under quadrature.  Returns (err_l2, err_h1) of shape (..., K)
+    and (ref_l2, ref_h1) of shape (K,)."""
     areas, b, c = forms.areas, forms.b, forms.c
+    t = np.asarray(t, dtype=float)[..., None, None]
     mx, my = forms.mid_x, forms.mid_y
-    w = areas / 3.0
+    shape = t.shape[:-2] + mx.shape
+    w = areas[:, None] / 3.0
 
-    uh_mid = forms.midpoint_values(u_nodal)
-    u_mid = np.broadcast_to(np.asarray(u_fn(t, mx, my), dtype=float), mx.shape)
-    err_l2 = np.sqrt((w[:, None] * (uh_mid - u_mid) ** 2).sum())
-    ref_l2 = np.sqrt((w[:, None] * u_mid ** 2).sum())
+    def integral(v):
+        return np.sqrt((w * v).sum(axis=(-2, -1)))
 
-    ue = np.asarray(u_nodal)[forms.mesh.triangles]
-    gxh = (ue * b).sum(1) / (2.0 * areas)
-    gyh = (ue * c).sum(1) / (2.0 * areas)
-    gx, gy = grad_fn(t, mx, my)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), mx.shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), mx.shape)
-    err_h1 = np.sqrt((w[:, None] * ((gxh[:, None] - gx) ** 2
-                                    + (gyh[:, None] - gy) ** 2)).sum())
-    ref_h1 = np.sqrt((w[:, None] * (gx ** 2 + gy ** 2)).sum())
+    u_nodal = np.asarray(u_nodal, dtype=float)
+    u_mid = np.broadcast_to(np.asarray(u_fn(t, mx, my), dtype=float), shape)
+    err_l2 = integral((forms.midpoint_values(u_nodal) - u_mid) ** 2)
+    ref_l2 = integral(u_mid ** 2)
+
+    ue = np.take(u_nodal, forms.mesh.triangles, axis=-1)
+    gxh = ((ue * b).sum(-1) / (2.0 * areas))[..., None]
+    gyh = ((ue * c).sum(-1) / (2.0 * areas))[..., None]
+    gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), shape)
+              for g in grad_fn(t, mx, my))
+    err_h1 = integral((gxh - gx) ** 2 + (gyh - gy) ** 2)
+    ref_h1 = integral(gx ** 2 + gy ** 2)
     return err_l2, err_h1, ref_l2, ref_h1
 
 

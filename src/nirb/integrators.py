@@ -6,7 +6,13 @@ The heat marches are direct: the fine one factors its step matrix once
 (``linalg.BandFactor``), the coarse one is modal.  The Newton step's
 Jacobian is one 2x2 block operator over the mass pattern that both species
 share, so a Krylov product is one gather, one block multiply and one
-``np.add.reduceat``."""
+``np.add.reduceat``.
+
+The Newton march is an inexact Newton method (Dembo, Eisenstat & Steihaug,
+SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996): each linear solve is only as accurate as the Newton stop test needs,
+and each step starts from the polynomial extrapolation of the states already
+marched."""
 
 from __future__ import annotations
 
@@ -20,8 +26,11 @@ from nirb.linalg import (BandFactor, ConvergenceError, bicgstab_solve,
                           blocked_matmul)
 from nirb.models import brusselator_rhs
 
-# relative residual of the BiCGStab solve inside each Newton iteration
+# floor of the relative residual of the BiCGStab solve inside each Newton
+# iteration, and the share of the Newton tolerance that a solve's linear
+# residual may add to the next Newton residual
 KRYLOV_TOL = 1e-12
+FORCING = 0.01
 
 
 @dataclass(frozen=True)
@@ -270,44 +279,60 @@ class _ImplicitEulerSystem:
         return product, precond
 
 
-def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20):
-    """One implicit-Euler step of the stacked two-species system solved by
-    Newton's method.
+def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
+                            start=None):
+    """One implicit-Euler step of the stacked two-species system from
+    ``state``, solved by an inexact Newton method from ``start`` (default
+    ``state``).
 
     Reaction terms are integrated with the same three-midpoint rule as the
     loads, with the state interpolated at the midpoints, and the Jacobian is
-    the exact derivative of that quadrature, so convergence is quadratic.
-    Each Newton iteration assembles the Jacobian as one 2x2 block operator
-    on the shared mass pattern and solves with it by preconditioned
-    BiCGStab (``_ImplicitEulerSystem``).  The iteration stops when the
-    mass-scaled residual drops below ``tol`` (absolute)."""
+    the exact derivative of that quadrature, so convergence is quadratic up
+    to the forcing floor.  Each Newton iteration assembles the Jacobian as
+    one 2x2 block operator on the shared mass pattern and solves with it by
+    preconditioned BiCGStab (``_ImplicitEulerSystem``) to the relative
+    residual eta = FORCING tol / ||G||, but not below KRYLOV_TOL, where
+    ||G|| is the mass-scaled residual of the stop test (Eisenstat & Walker,
+    SIAM J. Sci. Comput. 17, 1996).  The linear residual then adds a few
+    FORCING shares of ``tol`` at most to the next Newton residual, and
+    eta < FORCING since a solve runs only while ||G|| > tol.  The iteration
+    stops when the mass-scaled residual drops below ``tol`` (absolute); it
+    fails after ``max_iter`` iterations or at a non-finite residual, listing
+    the residual history with each iteration's BiCGStab count."""
     n = forms.n_dofs
     state = np.asarray(state, dtype=float)
-    if state.shape != (2 * n,):
-        raise ValueError(f"state has shape {state.shape}, expected ({2 * n},)")
+    u = state.copy() if start is None else np.array(start, dtype=float)
+    for name, v in (("state", state), ("start", u)):
+        if v.shape != (2 * n,):
+            raise ValueError(f"{name} has shape {v.shape}, expected "
+                             f"({2 * n},)")
     system = _ImplicitEulerSystem(forms, params, state, dt)
-    u = state.copy()
-    history = []
+    history, krylov = [], []
     for it in range(max_iter + 1):
         G, m = system.residual(u)
         rnorm = _scaled_residual_norm(G.reshape(2, n), forms.lumped_mass())
         history.append(rnorm)
         if rnorm <= tol:
             return u
-        if it == max_iter:
+        if it == max_iter or not math.isfinite(rnorm):
             break
         product, precond = system.jacobian(m)
+        eta = max(KRYLOV_TOL, FORCING * tol / rnorm)
         try:
-            d, _ = bicgstab_solve(product, -G, tol=KRYLOV_TOL, precond=precond)
+            d, iters = bicgstab_solve(product, -G, tol=eta, precond=precond)
         except ConvergenceError as exc:
             raise ConvergenceError(
-                f"Newton linear solve failed at iteration {it}: {exc}",
+                f"Newton linear solve failed at iteration {it} (relative "
+                f"tolerance {eta:.1e}): {exc}",
                 residual=rnorm, iterations=it) from exc
+        krylov.append(iters)
         u += d
     raise ConvergenceError(
-        "Newton did not reach the residual tolerance; history "
-        + ", ".join(f"{r:.3e}" for r in history), residual=history[-1],
-        iterations=max_iter)
+        f"Newton did not reach the residual tolerance {tol:.1e} in {it} "
+        "iterations; residual (BiCGStab iterations) history "
+        + ", ".join([f"{r:.3e} ({k})" for r, k in zip(history, krylov)]
+                    + [f"{history[-1]:.3e}"]),
+        residual=history[-1], iterations=it)
 
 
 def brusselator_step_rk2(forms, params, state, dt):
@@ -337,9 +362,10 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
     """March the reaction-diffusion system over a time grid.
 
     scheme is 'newton' (implicit Euler) or 'rk2' (explicit midpoint on the
-    lumped system).  Failures are reported with the offending step index;
-    overflow on the way to a non-finite state raises that error, not numpy
-    warnings."""
+    lumped system).  Each Newton step starts from the polynomial
+    extrapolation of the states already marched (``_predicted_start``).
+    Failures are reported with the offending step index; overflow on the
+    way to a non-finite state raises that error, not numpy warnings."""
     n = forms.n_dofs
     state0 = np.asarray(state0, dtype=float)
     values = np.zeros((grid.steps + 1, 2 * n))
@@ -350,8 +376,9 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
         for k in range(1, grid.steps + 1):
             try:
                 if scheme == "newton":
-                    u = brusselator_step_newton(forms, params, u, grid.dt,
-                                                tol=newton_tol)
+                    u = brusselator_step_newton(
+                        forms, params, u, grid.dt, tol=newton_tol,
+                        start=_predicted_start(values, k))
                 elif scheme == "rk2":
                     u = brusselator_step_rk2(forms, params, u, grid.dt)
                 else:
@@ -363,3 +390,18 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
             values[k] = u
     return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
                            parameter=tuple(params))
+
+
+# weights of the polynomial extrapolation through the last one, two and
+# three marched states, newest first
+_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+
+
+def _predicted_start(values, k):
+    """Newton start of step k >= 1: the polynomial through the last (at
+    most three) marched states values[k-1], values[k-2], ... at equal time
+    spacing, extrapolated one step ahead.  On a smooth march it is O(dt^3)
+    from the step's solution from step 3 on, where the previous state is
+    O(dt) from it."""
+    weights = _EXTRAPOLATION[min(k, 3) - 1]
+    return sum(w * values[k - 1 - j] for j, w in enumerate(weights))

@@ -355,19 +355,24 @@ def _check_comparable(candidate, reference):
         raise ValueError("candidate and reference field counts differ")
 
 
-def _analytic_curves(forms, candidate, reference, energy):
+def _analytic_curves(forms, candidates, reference, energy):
     """Per-knot (error L2, error energy, reference L2, reference energy)
-    curves of a single-field candidate against a closed form."""
-    if candidate.n_fields != 1:
+    curves of single-field candidates on one grid against a closed form,
+    keyed like ``candidates``: one ``difference_norms`` call for all of
+    them, so the closed form is evaluated once per knot."""
+    runs = list(candidates.values())
+    if any(c.n_fields != 1 for c in runs):
         raise ValueError("analytic references support single fields only")
-    rows = [difference_norms(forms, candidate.values[k], reference.u,
-                             reference.grad, t)
-            for k, t in enumerate(candidate.grid.times())]
-    err_l2, err_h1, ref_l2, ref_h1 = (np.asarray(v) for v in zip(*rows))
+    for c in runs[1:]:
+        _check_comparable(c, runs[0])
+    err_l2, err_h1, ref_l2, ref_h1 = difference_norms(
+        forms, np.stack([c.values for c in runs]), reference.u,
+        reference.grad, runs[0].grid.times())
     if energy == "h1":
-        return (err_l2, np.sqrt(err_l2 ** 2 + err_h1 ** 2),
-                ref_l2, np.sqrt(ref_l2 ** 2 + ref_h1 ** 2))
-    return err_l2, err_h1, ref_l2, ref_h1
+        err_h1 = np.sqrt(err_l2 ** 2 + err_h1 ** 2)
+        ref_h1 = np.sqrt(ref_l2 ** 2 + ref_h1 ** 2)
+    return {name: (err_l2[i], err_h1[i], ref_l2, ref_h1)
+            for i, name in enumerate(candidates)}
 
 
 def compare(candidates, reference, forms):
@@ -376,15 +381,14 @@ def compare(candidates, reference, forms):
 
     The reference is another trajectory on the candidates' mesh and grid,
     whose norm curves are taken once for all candidates, or an
-    ``AnalyticReference`` (single-component candidates only).  Relative
-    errors divide the sup-in-time error by the sup-in-time reference norm,
-    so a uniformly scaled candidate c = (1+s) u reports s exactly in every
-    norm."""
+    ``AnalyticReference`` (single-component candidates on one grid only),
+    evaluated once per knot for all candidates.  Relative errors divide the
+    sup-in-time error by the sup-in-time reference norm, so a uniformly
+    scaled candidate c = (1+s) u reports s exactly in every norm."""
     energy = energy_norm(forms)
     if isinstance(reference, AnalyticReference):
         ref_param = "analytic"
-        curves = {name: _analytic_curves(forms, c, reference, energy)
-                  for name, c in candidates.items()}
+        curves = _analytic_curves(forms, candidates, reference, energy)
     else:
         ref_param = reference.parameter
         for c in candidates.values():
@@ -419,20 +423,25 @@ def analytic_reference(config, key):
     return None
 
 
-def two_grid_errors(artifacts, key, reference=None):
-    """Errors of the three fine-grid runs made from one coarse solve at the
-    parameter key ``key``: the lifted coarse run ('coarse'), and the plain
-    ('nirb') and rectified ('rect') online runs.  The reference defaults to
-    the fine solve at ``key``; returns {name: ErrorReport}."""
-    config, fine = artifacts.config, artifacts.fine
-    if reference is None:
-        reference = solve_fine(config, fine, key)
-    coarse_traj = solve_coarse(config, artifacts.coarse, key)
+def two_grid_runs(artifacts, key):
+    """The three fine-grid runs made from one coarse solve at the parameter
+    key ``key``: the lifted coarse run ('coarse'), and the plain ('nirb')
+    and rectified ('rect') online runs."""
+    fine = artifacts.fine
+    coarse_traj = solve_coarse(artifacts.config, artifacts.coarse, key)
     runs = {"coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
     for mode, name in (("plain", "nirb"), ("rectified", "rect")):
         runs[name] = online(artifacts, key, mode=mode,
                             coarse_traj=coarse_traj).trajectory
-    return compare(runs, reference, fine.forms)
+    return runs
+
+
+def two_grid_errors(artifacts, key):
+    """Errors of the ``two_grid_runs`` at ``key`` against the fine solve
+    there: {name: ErrorReport}."""
+    fine = artifacts.fine
+    reference = solve_fine(artifacts.config, fine, key)
+    return compare(two_grid_runs(artifacts, key), reference, fine.forms)
 
 
 @dataclass
@@ -610,11 +619,11 @@ def convergence_study(config, coupling=None):
         energy = energy_norm(fine.forms)
         fine_traj = solve_fine(cfg, fine, test_param)
         analytic = analytic_reference(cfg, test_param)
-        reports = two_grid_errors(
-            artifacts, test_param,
-            fine_traj if analytic is None else analytic)
+        runs = two_grid_runs(artifacts, test_param)
         if analytic is not None:
-            reports["fine"] = evaluate_errors(fine_traj, analytic, fine.forms)
+            runs["fine"] = fine_traj
+        reports = compare(runs, fine_traj if analytic is None else analytic,
+                          fine.forms)
         errors = {("fine", "l2"): 0.0, ("fine", "energy"): 0.0}
         for name, rep in reports.items():
             errors[name, "l2"], errors[name, "energy"] = rep.rel_l2, rep.rel_energy

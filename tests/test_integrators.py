@@ -326,14 +326,93 @@ class TestBrusselatorNewton:
             moves.append(np.abs(out - state).max())
         assert moves[0] / moves[1] == pytest.approx(2.0, rel=0.15)
 
-    def test_exhausted_newton_raises(self, neumann_8x8):
+    def test_exhausted_newton_raises(self, neumann_8x8, monkeypatch):
         from nirb.linalg import ConvergenceError
         p = models.BrusselatorProblem(3.0, 2.0, 0.01)
         state = p.initial_state(neumann_8x8.mesh)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError,
+                           match=r"^Newton did not reach the residual "
+                                 r"tolerance 1\.0e-15 in 1 iterations; "
+                                 r"residual \(BiCGStab iterations\) history "
+                                 r"\S+ \(\d+\), \S+$"):
             integrators.brusselator_step_newton(neumann_8x8, (3.0, 2.0, 0.01),
                                                 state, 0.05, tol=1e-15,
                                                 max_iter=1)
+        # a failed inner solve names the relative tolerance in force, here
+        # the forcing term rather than its floor
+        bicgstab = linalg.bicgstab_solve
+        monkeypatch.setattr(integrators, "bicgstab_solve",
+                            lambda *a, **k: bicgstab(*a, max_iter=1, **k))
+        with pytest.raises(ConvergenceError) as info:
+            integrators.brusselator_step_newton(neumann_8x8, (3.0, 2.0, 0.01),
+                                                state, 0.05, tol=1e-6)
+        eta = integrators.FORCING * 1e-6 / info.value.residual
+        assert eta > integrators.KRYLOV_TOL
+        assert str(info.value).startswith(
+            f"Newton linear solve failed at iteration 0 (relative tolerance "
+            f"{eta:.1e}): BiCGStab did not reach {eta:.1e} relative residual")
+
+    def test_solving_start_returns_after_one_residual(self, neumann_8x8,
+                                                      monkeypatch):
+        forms, params, dt = neumann_8x8, (3.0, 2.0, 0.02), 0.05
+        state = _wavy_state(forms)
+        solved = integrators.brusselator_step_newton(forms, params, state, dt)
+        calls = {"residual": 0, "bicgstab": 0}
+        residual = integrators._ImplicitEulerSystem.residual
+        bicgstab = integrators.bicgstab_solve
+
+        def counting_residual(self, u):
+            calls["residual"] += 1
+            return residual(self, u)
+
+        def counting_bicgstab(*args, **kwargs):
+            calls["bicgstab"] += 1
+            return bicgstab(*args, **kwargs)
+
+        monkeypatch.setattr(integrators._ImplicitEulerSystem, "residual",
+                            counting_residual)
+        monkeypatch.setattr(integrators, "bicgstab_solve", counting_bicgstab)
+        out = integrators.brusselator_step_newton(forms, params, state, dt,
+                                                  start=solved)
+        assert calls == {"residual": 1, "bicgstab": 0}
+        assert np.array_equal(out, solved)
+
+    def test_poor_start_converges_to_the_same_step(self, neumann_8x8, rng):
+        forms, params, dt = neumann_8x8, (3.0, 2.0, 0.02), 0.05
+        state = _wavy_state(forms)
+        want = integrators.brusselator_step_newton(forms, params, state, dt)
+        start = state * (1.0 + 0.1 * rng.choice([-1.0, 1.0], state.size))
+        kept = start.copy()
+        got = integrators.brusselator_step_newton(forms, params, state, dt,
+                                                  start=start)
+        assert np.array_equal(start, kept)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_non_finite_start_fails_without_a_linear_solve(self, neumann_8x8,
+                                                           monkeypatch):
+        # a start past overflow fails at once instead of running BiCGStab to
+        # its iteration limit on non-finite data
+        from nirb.linalg import ConvergenceError
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("BiCGStab ran on a non-finite residual")
+
+        monkeypatch.setattr(integrators, "bicgstab_solve", no_solve)
+        state = _wavy_state(neumann_8x8)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError,
+                              match=r"in 0 iterations; residual \(BiCGStab "
+                                    r"iterations\) history inf$"):
+            integrators.brusselator_step_newton(neumann_8x8, (3.0, 2.0, 0.02),
+                                                state, 0.05,
+                                                start=1e200 * state)
+
+    def test_start_shape_validation(self, neumann_8x8):
+        state = _wavy_state(neumann_8x8)
+        with pytest.raises(ValueError, match="start has shape"):
+            integrators.brusselator_step_newton(neumann_8x8, (3.0, 2.0, 0.02),
+                                                state, 0.05,
+                                                start=state[:-1])
 
 
 def _wavy_state(forms):
@@ -373,19 +452,34 @@ class TestNewtonSystem:
 
     def test_step_matches_dense_newton(self, neumann_8x8, dense_midpoint_rule):
         forms, dt = neumann_8x8, 0.05
-        a, b, alpha = 3.0, 2.0, 0.02
-        n = forms.n_dofs
+        params = (3.0, 2.0, 0.02)
         state = _wavy_state(forms)
-        M, K = forms.mass.to_dense(), forms.stiffness.to_dense()
-        A = M / dt + alpha * K
-        E, w = dense_midpoint_rule(forms)
+        u, last_update = dense_newton_stepper(forms, params, dt,
+                                              dense_midpoint_rule)(state)
+        assert last_update <= 1e-14
+        out = integrators.brusselator_step_newton(forms, params, state, dt)
+        assert np.abs(out - state).max() >= 1e-3
+        assert np.abs(out - u).max() <= 1e-10 * np.abs(u).max()
 
-        def weighted(c):
-            return E.T @ ((w * c)[:, None] * E)
 
+def dense_newton_stepper(forms, params, dt, rule):
+    """The implicit-Euler step of the stacked two-species system as a dense
+    oracle: step(state) runs 30 Newton iterations with ``np.linalg.solve``
+    on the matrices of the ``dense_midpoint_rule`` fixture ``rule`` and
+    returns the new state and the size of one further update."""
+    a, b, alpha = params
+    n = forms.n_dofs
+    M, K = forms.mass.to_dense(), forms.stiffness.to_dense()
+    A = M / dt + alpha * K
+    E, w = rule(forms)
+
+    def weighted(c):
+        return E.T @ ((w * c)[:, None] * E)
+
+    def step(state):
         def newton_update(u):
             m1, m2 = E @ u[:n], E @ u[n:]
-            r1, r2 = models.brusselator_rhs((a, b, alpha), m1, m2)
+            r1, r2 = models.brusselator_rhs(params, m1, m2)
             G = np.concatenate([A @ u[:n] - M @ state[:n] / dt - E.T @ (w * r1),
                                 A @ u[n:] - M @ state[n:] / dt - E.T @ (w * r2)])
             J = np.block([[A - weighted(2 * m1 * m2 - (b + 1)),
@@ -397,11 +491,51 @@ class TestNewtonSystem:
         u = state.copy()
         for _ in range(30):
             u -= newton_update(u)
-        assert np.abs(newton_update(u)).max() <= 1e-14
-        out = integrators.brusselator_step_newton(forms, (a, b, alpha), state,
-                                                  dt)
-        assert np.abs(out - state).max() >= 1e-3
-        assert np.abs(out - u).max() <= 1e-10 * np.abs(u).max()
+        return u, np.abs(newton_update(u)).max()
+
+    return step
+
+
+class TestNewtonMarch:
+    @pytest.mark.parametrize("alpha", [0.02, 0.05])
+    def test_march_matches_dense_newton(self, neumann_8x8,
+                                        dense_midpoint_rule, alpha):
+        # the loose linear solves and the predicted starts still leave every
+        # stored state a solution of its step within the Newton tolerance
+        forms, params, newton_tol = neumann_8x8, (3.0, 2.0, alpha), 1e-10
+        n = forms.n_dofs
+        grid = integrators.TimeGrid(0.0, 0.3, 6)
+        state0 = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        got = integrators.brusselator_trajectory(
+            forms, params, state0, grid, scheme="newton",
+            newton_tol=newton_tol).values
+        step = dense_newton_stepper(forms, params, grid.dt,
+                                    dense_midpoint_rule)
+        want = [state0]
+        for _ in range(grid.steps):
+            u, last_update = step(want[-1])
+            assert last_update <= 1e-13
+            want.append(u)
+        want = np.array(want)
+        assert np.abs(want[-1] - want[0]).max() >= 1e-2
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        for prev, u in zip(got[:-1], got[1:]):
+            system = integrators._ImplicitEulerSystem(forms, params, prev,
+                                                      grid.dt)
+            G, _ = system.residual(u)
+            assert integrators._scaled_residual_norm(
+                G.reshape(2, n), forms.lumped_mass()) <= newton_tol
+
+    def test_predicted_start_extrapolates_polynomials(self):
+        # the start of step k reproduces a polynomial of degree min(k, 3) - 1
+        # in time through the marched states
+        t = np.arange(5.0)[:, None]
+        values = np.hstack([np.ones_like(t), 2.0 - t, t ** 2 - 3.0 * t])
+        for k in range(1, 5):
+            degree = min(k, 3) - 1
+            want = values[k, :degree + 1]
+            got = integrators._predicted_start(values, k)[:degree + 1]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestBrusselatorRk2:

@@ -366,6 +366,37 @@ class TestEvaluateErrors:
         with pytest.raises(ValueError, match="single fields"):
             pipeline.evaluate_errors(candidate, reference, neumann_forms_4)
 
+    def test_analytic_reference_is_evaluated_once_per_knot(
+            self, rng, unit_mesh_4, dirichlet_forms_4):
+        # three candidates share one evaluation of the closed form and of
+        # its gradient per knot, and each scores as if compared alone
+        forms, grid = dirichlet_forms_4, TimeGrid(1.0, 2.0, 3)
+        knots = {"u": 0, "grad": 0}
+
+        def counted(name, fn):
+            def evaluate(t, x, y):
+                knots[name] += np.broadcast(t, x).size // x.size
+                return fn(t, x, y)
+            return evaluate
+
+        reference = pipeline.AnalyticReference(
+            counted("u", models.manufactured_u),
+            counted("grad", models.manufactured_grad))
+        candidates = {
+            name: FieldTrajectory(
+                mesh=unit_mesh_4, grid=grid,
+                values=rng.standard_normal((4, unit_mesh_4.n_nodes)))
+            for name in ("coarse", "nirb", "rect")}
+        reports = pipeline.compare(candidates, reference, forms)
+        assert knots == {"u": grid.steps + 1, "grad": grid.steps + 1}
+        for name, c in candidates.items():
+            alone = pipeline.evaluate_errors(c, reference, forms)
+            assert alone.parameter == reports[name].parameter == "analytic"
+            assert alone.rel_l2 == reports[name].rel_l2
+            assert alone.rel_energy == reports[name].rel_energy
+            assert np.array_equal(alone.energy_curve,
+                                  reports[name].energy_curve)
+
 
 class TestNewtonFineSolve:
     @pytest.mark.parametrize("param", [(2.0, 1.0, 0.001), (2.5, 1.0, 0.001)])
@@ -378,6 +409,31 @@ class TestNewtonFineSolve:
         fine, _ = pipeline.discretize(config)
         traj = pipeline.solve_fine(config, fine, param)
         assert np.isfinite(traj.values).all()
+
+    def test_newton_work_stays_locked(self, monkeypatch):
+        # the inexact-Newton march made 343 BiCGStab solves of 2362
+        # iterations in all on these eight runs, where solving every Newton
+        # system to 1e-12 from the previous state made 421 of 4037; allow
+        # 10 % above the former
+        config = StudyConfig.from_text(
+            "problem = brusselator\nt0 = 0.0\nT = 2.0\ntrain_a = 2.0,4.0\n"
+            "train_b = 1.0,4.0\ntrain_alpha = 0.001,0.005\nfine_nx = 12\n"
+            "coarse_nx = 6\nfine_steps = 16\ncoarse_steps = 8\n")
+        fine, _ = pipeline.discretize(config)
+        work = {"calls": 0, "iters": 0}
+        bicgstab = integrators.bicgstab_solve
+
+        def counting(*args, **kwargs):
+            x, iters = bicgstab(*args, **kwargs)
+            work["calls"] += 1
+            work["iters"] += iters
+            return x, iters
+
+        monkeypatch.setattr(integrators, "bicgstab_solve", counting)
+        for param in config.training_parameters():
+            pipeline.solve_fine(config, fine, param)
+        assert work["calls"] <= 1.1 * 343
+        assert work["iters"] <= 1.1 * 2362
 
 
 class TestStudy:
