@@ -99,35 +99,45 @@ class AssembledForms:
         The decomposition is checked once, when it is built: its relative
         residual ||K V - M V diag(lam)||_F / ||K V||_F and its
         M-orthogonality defect max |V^T M V - I| must both be within
-        ``MODAL_TOL``.  Only (lam, V) is kept."""
+        ``MODAL_TOL``.  The cache keeps (lam, V) and, from the check's
+        products M V and K V, the stacked operator of ``modal_products``;
+        the dense M and K the setup works on are not kept."""
         if "eig" not in self._cache:
             start = time.perf_counter()
-            M, K = self.dense_free()
+            # the kept X is allocated before the setup's temporaries, so it
+            # does not sit above them on the heap and keep their memory
+            # from being returned; C order, as the march's product wants
+            n = self.free_dofs.size
+            X = np.empty((n, 2 * n))
+            M = self.mass_free().to_dense()
+            K = self.stiffness_free().to_dense()
             lam, V = pencil_eig(K, M)
-            residual, orthogonality = pencil_residuals(K, M, lam, V)
+            MV, KV = blocked_matmul(M, V), blocked_matmul(K, V)
+            residual, orthogonality = pencil_residuals(KV, MV, lam, V)
             if not (residual <= MODAL_TOL and orthogonality <= MODAL_TOL):
                 raise RuntimeError(
                     f"modal decomposition of the {lam.size}-dof pencil failed "
                     f"its check: residual {residual:.3e}, M-orthogonality "
                     f"defect {orthogonality:.3e} (limit {MODAL_TOL:.0e})")
+            X[:, :n], X[:, n:] = MV.T, KV.T
             lam.flags.writeable = V.flags.writeable = False
+            X.flags.writeable = False
             self._cache["eig"] = lam, V
+            self._cache["modal products"] = X
             log.info("modal setup: n=%d in %.3fs, residual %.2e, "
                      "M-orthogonality defect %.2e", lam.size,
                      time.perf_counter() - start, residual, orthogonality)
         return self._cache["eig"]
 
-    def dense_free(self):
-        """Dense copies of ``mass_free`` and ``stiffness_free``, built once
-        per form set and returned read-only.  The modal setup
-        (``free_eigenpairs``) and the modal march's residual check read
-        them, so only form sets that carry ``free_eigenpairs`` should ask: a
-        fine form set would hold two n-by-n arrays for nothing."""
-        if "dense" not in self._cache:
-            M, K = self.mass_free().to_dense(), self.stiffness_free().to_dense()
-            M.flags.writeable = K.flags.writeable = False
-            self._cache["dense"] = M, K
-        return self._cache["dense"]
+    def modal_products(self):
+        """X = [(M V)^T | (K V)^T], shape (n, 2n), for the free-dof M and K
+        and the eigenvectors V of ``free_eigenpairs``, built by that setup
+        and returned read-only: a row z of modal coordinates times X is
+        [M u | K u] for the nodal state u = V z, so the products of every
+        state of a modal march with the true M and K take one dense
+        product.  Only form sets that carry ``free_eigenpairs`` hold it."""
+        self.free_eigenpairs()
+        return self._cache["modal products"]
 
     def modal_loads(self, f, grid, lag=0.0):
         """``free_loads(f, grid, lag)`` in the eigenvector coordinates of

@@ -125,32 +125,39 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     (theta = 1/2) alike, is a diagonal recurrence,
     z_k = (1 - (1 - theta) dt mu lam) / (1 + theta dt mu lam) z_{k-1}
     + dt / (1 + theta dt mu lam) V^T b, with the projected loads V^T b
-    cached per form set (``AssembledForms.modal_loads``).  The states are
-    carried back as u = V z, and every step's relative residual in the nodal
-    system must be at most ``cg_tol``, checked after the march with one
-    blocked dense product of the states with each of M and K
-    (``AssembledForms.dense_free``)."""
+    cached per form set (``AssembledForms.modal_loads``).  The states of the
+    whole run are the rows of one array Z, started from z_0 = u0 M V.
+
+    Every step's relative residual in the nodal system must be at most
+    ``cg_tol``.  M u_k and K u_k for every state come from one blocked
+    dense product of Z with the cached X = [(M V)^T | (K V)^T]
+    (``AssembledForms.modal_products``), so the check measures the states
+    u = V z against the true M and K.  Only the window's states are carried
+    back, as u = V z: the lead-in's states are checked but never formed
+    nodally, and with no lead-in the window's first row is u0 itself."""
     u0 = _start(forms, u0)
     lam, V = forms.free_eigenpairs()
+    X = forms.modal_products()
+    n = lam.size
     legs = _legs(grid, 0.5, t_start)
-    z = forms.mass_free().matvec(u0[forms.free_dofs]) @ V
-    Z = [z]
+    Z = np.empty((1 + sum(g.steps for g, _, _ in legs), n))
+    Z[0] = X[:, :n] @ u0[forms.free_dofs]
+    row = 0
     for g, theta, _ in legs:
         dtmu = g.dt * mu
         damp = 1.0 / (1.0 + theta * dtmu * lam)
         gain = (1.0 - (1.0 - theta) * dtmu * lam) * damp
         if f is None:
-            push = np.zeros((g.steps, lam.size))
+            push = np.zeros((g.steps, n))
         else:
             push = forms.modal_loads(f, g, (1.0 - theta) * g.dt) \
                 * (g.dt * damp)
         for h in push:
-            z = gain * z + h
-            Z.append(z)
-    states = blocked_matmul(np.array(Z), V.T)
-    states[0] = u0[forms.free_dofs]
-    Md, Kd = forms.dense_free()
-    MU, KU = blocked_matmul(states, Md), blocked_matmul(states, Kd)
+            z = np.multiply(gain, Z[row], out=Z[row + 1])
+            z += h
+            row += 1
+    P = blocked_matmul(Z, X)
+    MU, KU = P[:, :n], P[:, n:]
     row = 0
     for g, theta, what in legs:
         dtmu = g.dt * mu
@@ -162,7 +169,10 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
         _check_residuals(g, what, np.sqrt((res * res).sum(axis=-1)),
                          np.sqrt((rhs * rhs).sum(axis=-1)), cg_tol)
         row += g.steps
-    return _trajectory(forms, grid, u0, states, mu)
+    window = blocked_matmul(Z[-grid.steps - 1:], V.T)
+    if len(legs) == 1:
+        window[0] = u0[forms.free_dofs]
+    return _trajectory(forms, grid, u0, window, mu)
 
 
 def _start(forms, u0):

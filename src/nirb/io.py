@@ -13,8 +13,8 @@ Artifact file members:
 - ``format``: ``ARTIFACT_FORMAT``;
 - ``config``: the study config text; loading rebuilds the meshes, time
   grids and forms from it with ``pipeline.discretize``, and derives the
-  lift-projection operator from them and the modes, so it is never
-  stored;
+  lift-projection operator from them and the modes and the time weights
+  from the grids, so neither is stored;
 - ``modes``: the (N, n_fields * n_nodes) basis modes on the fine mesh;
 - ``eigenvalues``: the (N,) H1 spectrum, empty when the basis has none;
 - ``provenance``: the ``repr`` of the basis provenance, read back with
@@ -43,6 +43,7 @@ from nirb.integrators import FieldTrajectory, TimeGrid
 from nirb.mesh import build_structured
 from nirb.rectification import RectificationTensor, lift_projection
 from nirb.reduced_basis import ReducedBasis
+from nirb.time_interp import quadratic_weights
 
 ARTIFACT_FORMAT = "nirb-artifacts 4"
 TRAJ_FORMAT = "nirb-trajectory 5"
@@ -156,7 +157,8 @@ def load_artifacts(path):
         return OfflineArtifacts(
             config=config, basis=basis, tensor=tensor, fine=fine,
             coarse=coarse,
-            lift=lift_projection(basis, fine.forms, coarse.mesh)).validate()
+            lift=lift_projection(basis, fine.forms, coarse.mesh),
+            time_weights=quadratic_weights(coarse.grid, fine.grid)).validate()
     except ValueError as exc:
         raise _corrupt(path, "inconsistent artifact members", exc) from exc
 

@@ -28,6 +28,11 @@ _MULTISECTION_POINTS = 256
 # Inverse-iteration shifts sit this many eps ||T|| above their eigenvalues
 # (see _inverse_iteration).
 _SHIFT_OFFSET = 10.0
+# Entries of one (n, shifts) work array of inverse iteration: an order-n
+# tridiagonal's shifts are factored in blocks of about this over n, so the
+# work arrays (about 50 n bytes per shift) stay near 1.3 MB whatever the
+# number of shifts.  At n = 225 a full spectrum takes two blocks of 115.
+_INVERSE_ITERATION_ENTRIES = 26_000
 # Row count of the pieces ``blocked_matmul`` multiplies: OpenBLAS runs a
 # product of this size against a few-hundred-square matrix on the calling
 # thread, while a larger one may wake a second thread, which then spin-waits
@@ -360,12 +365,11 @@ def pencil_eig(K, M):
     return lam, blocked_matmul(Linv.T, W)
 
 
-def pencil_residuals(K, M, lam, V):
+def pencil_residuals(KV, MV, lam, V):
     """How far (lam, V) is from an M-orthonormal eigendecomposition of the
-    pencil K v = lambda M v of dense K and M: returns
+    pencil K v = lambda M v, given the dense products KV = K V and
+    MV = M V: returns
     (||K V - M V diag(lam)||_F / ||K V||_F, max |V^T M V - I|)."""
-    KV = blocked_matmul(K, V)
-    MV = blocked_matmul(M, V)
     residual = _norm2(KV - MV * lam) / _norm2(KV)
     orthogonality = np.abs(blocked_matmul(V.T, MV) - np.eye(lam.size)).max()
     return float(residual), float(orthogonality)
@@ -481,6 +485,7 @@ def sym_eig(G, top=None):
     A = (0.5 / gmax) * (G + G.T)
     tol = n * _EPS * math.sqrt(float((A * A).sum()))
     d, e, reflectors = _householder_tridiagonal(A, tol)
+    del A  # overwritten by the reduction
     # split T at off-diagonals below tol, as LAPACK does: exactly repeated
     # eigenvalues then sit in different blocks, which inverse iteration
     # could not separate to full accuracy within one block
@@ -497,13 +502,20 @@ def sym_eig(G, top=None):
     order = np.argsort(lam, kind="stable")
     column = np.full(n, -1)
     column[order[n - k:]] = np.arange(k)
-    V = np.zeros((n, k))
     one_row = np.ones(n, dtype=bool)
+    parts = []
     for a, b in blocks:
         one_row[a:b] = False
         sel = (column[a:b] >= 0).nonzero()[0] + a
-        V[a:b, column[sel]] = _inverse_iteration(d[a:b], e[a:b - 1],
-                                                 lam[sel], tnorm)
+        parts.append((a, b, column[sel], _inverse_iteration(
+            d[a:b], e[a:b - 1], lam[sel], tnorm)))
+    # V is allocated only after inverse iteration, and the blocks' vectors
+    # are dropped before the carry-back, so neither is held beside V longer
+    # than the copy
+    V = np.zeros((n, k))
+    for a, b, cols, X in parts:
+        V[a:b, cols] = X
+    parts = X = None
     sel = (one_row & (column >= 0)).nonzero()[0]
     V[sel, column[sel]] = 1.0
     for j, v, beta in reversed(reflectors):
@@ -569,7 +581,9 @@ def _sturm_eigenvalues(d, e, radius, tnorm):
     points.  The off-diagonals are nonzero (the matrix is one unreduced
     block), so a zero pivot makes the next one infinite instead of 0/0;
     counting sign bits (-0 and -inf are negative) keeps the count right in
-    IEEE arithmetic (Kahan)."""
+    IEEE arithmetic (Kahan).  Every round writes its pivots into one table
+    of max(budget, 3 n) columns: L brackets get m points each, and L m
+    exceeds the budget only when m is raised to 3."""
     n = d.size
     e2 = (e * e).tolist()
     pad = 2.0 * n * _EPS * tnorm
@@ -577,6 +591,7 @@ def _sturm_eigenvalues(d, e, radius, tnorm):
     hi = np.full(n, (d + radius).max() + pad)
     width = 4.0 * _EPS * tnorm
     budget = _MULTISECTION_POINTS + _MULTISECTION_POINTS * 8 // n
+    table = np.empty((n, max(budget, 3 * n)))
     with np.errstate(divide="ignore", over="ignore"):
         while True:
             act = (hi - lo > width).nonzero()[0]
@@ -593,13 +608,20 @@ def _sturm_eigenvalues(d, e, radius, tnorm):
             X = L[:, None] + np.multiply.outer(H - L,
                                                np.arange(m + 2) / (m + 1))
             X[:, -1] = H
-            P = d[:, None] - X[:, 1:-1].ravel()
+            P = table[:, :L.size * m]
+            np.subtract(d[:, None], X[:, 1:-1].ravel(), out=P)
             rows = list(P)
             for prev, row, c in zip(rows, rows[1:], e2):
                 row -= c / prev
             count = np.maximum.accumulate(
                 np.signbit(P).sum(axis=0).reshape(L.size, m), axis=1)
-            below = (count[group] <= act[:, None]).sum(axis=1)
+            # below = how many of its bracket's counts are <= each index:
+            # with bracket g's counts raised by g (n + 1) they are sorted
+            # overall, so one search answers every index without an
+            # (indices, points) table
+            count += (n + 1) * np.arange(L.size)[:, None]
+            below = np.searchsorted(count.ravel(), act + (n + 1) * group,
+                                    side="right") - m * group
             lo[act] = X[group, below]
             hi[act] = X[group, below + 1]
 
@@ -619,45 +641,77 @@ def _inverse_iteration(d, e, shifts, tnorm):
     (neighbouring shifts within 1e-3 ||T||) are Gram-Schmidt orthogonalized
     after each step, as in ``dstein``, from the largest shift down, so a
     vector does not depend on how many smaller shifts were requested.  The
-    start vectors are fixed pseudo-random ones (``_start_vectors``)."""
+    start vectors are fixed pseudo-random ones (``_start_vectors``).
+
+    The shifts are factored in blocks of about
+    ``_INVERSE_ITERATION_ENTRIES`` / n that end between clusters, each
+    working in place on its columns of the one start-vector array, so the
+    factors take memory for one block, not for every shift.  Each column's
+    arithmetic is the same whatever the blocks: a block is never a single
+    column unless there is only one shift, since numpy would sum a lone
+    column's norm pairwise rather than row by row."""
     n, k = d.size, shifts.size
     if k == 0:
         return np.zeros((n, 0))
+    cuts = ((np.diff(shifts) > 1e-3 * tnorm).nonzero()[0] + 1).tolist()
+    X = _start_vectors(n, k)
+    e = e.tolist() + [0.0]
+    width = _INVERSE_ITERATION_ENTRIES // n
+    blocks, a, end = [], 0, 0
+    for c in cuts + [k]:
+        if c - a > width and end - a > 1:
+            blocks.append((a, end))
+            a = end
+        end = c
+    if blocks and k - a == 1:
+        a = blocks.pop()[0]
+    blocks.append((a, k))
+    for a, b in blocks:
+        clusters = [(i - a, j - a) for i, j in zip([0] + cuts, cuts + [k])
+                    if a <= i and j <= b and j - i > 1]
+        _inverse_iteration_block(d, e, shifts[a:b], X[:, a:b], clusters,
+                                 tnorm)
+    return X
+
+
+def _inverse_iteration_block(d, e, shifts, X, clusters, tnorm):
+    """Two steps of ``_inverse_iteration`` for the ``shifts`` of one block
+    from the start vectors X, overwritten with the eigenvectors; e is the
+    off-diagonal list padded with a zero and ``clusters`` the (start, stop)
+    columns of the block's clusters."""
+    n, k = X.shape
     s = shifts + _SHIFT_OFFSET * _EPS * tnorm
     floor = _EPS * tnorm
-    e = e.tolist() + [0.0]
     # row i of U holds the pivot row's entries in columns i, i+1 and i+2;
     # w0, w1 are the entries of the row still to be eliminated
     U = np.zeros((n, 3, k))
-    swaps, mults = [], []
+    swaps = np.empty((n - 1, k), dtype=bool)
+    mults = np.empty((n - 1, k))
     w0, w1 = d[0] - s, np.full(k, e[0])
-    for i in range(n - 1):
+    for i, swap, f in zip(range(n - 1), swaps, mults):
         below = d[i + 1] - s
-        swap = np.abs(w0) < abs(e[i])
+        np.less(np.abs(w0), abs(e[i]), out=swap)
         U[i, 0] = np.where(swap, e[i], w0)
         U[i, 1] = np.where(swap, below, w1)
         U[i, 2] = swap * e[i + 1]
-        f = np.where(swap, w0, e[i]) / U[i, 0]
+        np.divide(np.where(swap, w0, e[i]), U[i, 0], out=f)
         w0 = np.where(swap, w1, below) - f * U[i, 1]
         w1 = (e[i + 1] - U[i, 2]) - f * U[i, 2]
-        swaps.append(swap)
-        mults.append(f)
     U[n - 1, 0] = np.where(np.abs(w0) < floor, floor, w0)
-    inv = 1.0 / U[:, 0]
-    up1, up2 = U[:, 1] * inv, U[:, 2] * inv
-    cuts = ((np.diff(shifts) > 1e-3 * tnorm).nonzero()[0] + 1).tolist()
-    clusters = [(a, b) for a, b in zip([0] + cuts, cuts + [k]) if b - a > 1]
-    X = _start_vectors(n, k)
+    # U becomes the inverse pivots and the scaled upper entries in place
+    inv = np.divide(1.0, U[:, 0], out=U[:, 0])
+    U[:, 1] *= inv
+    U[:, 2] *= inv
     rows = list(X) + [np.zeros(k)]
-    forward = list(zip(rows, rows[1:], swaps, mults))
-    backward = list(zip(rows, rows[1:], rows[2:], up1, up2))[n - 2::-1]
     for _ in range(2):
-        for row, nxt, swap, f in forward:
+        for row, nxt, swap, f in zip(rows, rows[1:], swaps, mults):
             top = np.where(swap, nxt, row)
             nxt[:] = np.where(swap, row, nxt) - f * top
             row[:] = top
         X *= inv
-        for row, nxt, nxt2, c1, c2 in backward:
+        for row, nxt, nxt2, c1, c2 in zip(rows[n - 2::-1], rows[n - 1:0:-1],
+                                          rows[n:1:-1], U[n - 2::-1, 1],
+                                          U[n - 2::-1, 2]):
             row -= c1 * nxt + c2 * nxt2
         X /= np.abs(X).max(axis=0)
         X /= np.sqrt((X * X).sum(axis=0))
@@ -667,7 +721,6 @@ def _inverse_iteration(d, e, shifts, tnorm):
                 x -= Q @ (x @ Q)
                 x -= Q @ (x @ Q)
                 x /= math.sqrt(x @ x)
-    return X
 
 
 def _start_vectors(n, k):
@@ -677,10 +730,15 @@ def _start_vectors(n, k):
     whatever k is (the generator of Steele, Lea & Flood, OOPSLA 2014)."""
     z = np.arange(1, n * k + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
     z ^= z >> np.uint64(31)
-    u = (z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0
+    z >>= np.uint64(11)
+    u = z.astype(float)
+    del z  # every array above is updated in place, to keep the peak low
+    u *= 2.0 ** -52
+    u -= 1.0
     return u.reshape(k, n)[::-1].T.copy()
 
 

@@ -22,6 +22,7 @@ from nirb.rectification import (apply_rectification, build_rectification,
                                 lift_projection)
 from nirb.reduced_basis import (coefficients, greedy, h1_reorthogonalize,
                                 hierarchical_pod, pod_greedy, reconstruct)
+from nirb.time_interp import quadratic_weights
 
 log = logging.getLogger(__name__)
 
@@ -149,14 +150,17 @@ def build_basis(config, trajectories, forms):
 @dataclass
 class OfflineArtifacts:
     """Everything the online stage needs: the study config, the reduced
-    basis, the rectification maps, the fine and coarse discretizations, and
-    the lift-projection operator ``lift`` (Phi of
-    ``rectification.lift_projection``, shape (n_fields * n_coarse, N)).
+    basis, the rectification maps, the fine and coarse discretizations, the
+    lift-projection operator ``lift`` (Phi of
+    ``rectification.lift_projection``, shape (n_fields * n_coarse, N)) and
+    the time weights ``time_weights`` (W of
+    ``time_interp.quadratic_weights`` from the coarse grid to the fine one,
+    shape (fine steps + 1, coarse steps + 1)).
 
     The discretizations are what ``discretize(config)`` builds.  Only the
     config, the basis and the maps are persisted; loading rebuilds the
-    discretizations from the config and derives ``lift`` again, as ``fit``
-    does."""
+    discretizations from the config and derives ``lift`` and
+    ``time_weights`` again, as ``fit`` does."""
 
     config: object
     basis: object
@@ -164,6 +168,7 @@ class OfflineArtifacts:
     fine: Discretization
     coarse: Discretization
     lift: np.ndarray
+    time_weights: np.ndarray
 
     @property
     def fine_mesh(self):
@@ -185,21 +190,30 @@ class OfflineArtifacts:
             raise ValueError(f"lift-projection operator of shape "
                              f"{np.shape(self.lift)}, expected {want} for "
                              f"the coarse mesh")
+        want = (self.fine.grid.steps + 1, self.coarse.grid.steps + 1)
+        if np.shape(self.time_weights) != want:
+            raise ValueError(f"time weights of shape "
+                             f"{np.shape(self.time_weights)}, expected {want} "
+                             f"for the fine and coarse grids")
         return self
 
 
 def fit(config, fine_trajs, coarse_trajs, fine, coarse):
     """The validated artifacts fitted on matched training runs: the basis,
-    its lift-projection operator for the coarse mesh, built here once, and
-    the rectification maps fitted with it."""
+    its lift-projection operator for the coarse mesh and the time weights
+    from the coarse grid to the fine one, built here once, and the
+    rectification maps fitted with them."""
     basis = build_basis(config, fine_trajs, fine.forms)
     log.info("basis built: N=%d from %d training parameters", basis.N,
              len(fine_trajs))
     lift = lift_projection(basis, fine.forms, coarse.mesh)
+    weights = quadratic_weights(coarse.grid, fine.grid)
     tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
-                                 lift, config.delta_mode, config.delta_value)
+                                 lift, weights, config.delta_mode,
+                                 config.delta_value)
     return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
-                            fine=fine, coarse=coarse, lift=lift).validate()
+                            fine=fine, coarse=coarse, lift=lift,
+                            time_weights=weights).validate()
 
 
 def offline(config, persist=True):
@@ -256,15 +270,17 @@ def check_bounds(config, param):
 
 
 def online(artifacts, param, mode="rectified", coarse_traj=None):
-    """Online stage at one parameter: coarse solve, time interpolation, one
-    product with the artifacts' lift-projection operator (the space lift
-    and the projection onto the modes in one), optional rectification,
-    reconstruction.  Nothing but the reconstruction touches the fine mesh.
+    """Online stage at one parameter: coarse solve, one product with the
+    artifacts' lift-projection operator (the space lift and the projection
+    onto the modes in one), time interpolation of the N coefficients,
+    optional rectification, reconstruction.  Nothing but the
+    reconstruction touches the fine mesh.
 
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
     share is then reported as zero) and the bounds check, which belongs to
     the caller that ran that coarse solve; so a command that checks its
-    parameter once and reuses the coarse run warns once."""
+    parameter once and reuses the coarse run warns once.  Its time grid
+    must be the artifacts' coarse grid."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
@@ -276,11 +292,15 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
         coarse_traj = solve_coarse(config, artifacts.coarse, key)
     else:
         key = param_key(config, param)
+        if coarse_traj.grid != artifacts.coarse.grid:
+            raise ValueError(f"coarse trajectory on {coarse_traj.grid}, "
+                             f"expected the coarse grid "
+                             f"{artifacts.coarse.grid}")
     seconds_coarse = time.perf_counter() - t_start
 
     t_start = time.perf_counter()
     coeffs = coarse_to_fine_coefficients(coarse_traj, artifacts.lift,
-                                         fine.grid)
+                                         artifacts.time_weights)
     if mode == "rectified":
         coeffs = apply_rectification(artifacts.tensor, coeffs)
     values = reconstruct(artifacts.basis, coeffs)

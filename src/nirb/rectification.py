@@ -3,9 +3,12 @@ per-time-index rectification: small regularized least-squares maps that send
 lifted coarse coefficients to fine-solution coefficients.
 
 The lift-projection operator Phi (``lift_projection``) is a pure function of
-the basis, the fine forms and the coarse mesh.  The fitted artifacts own it:
-``pipeline.fit`` and ``io.load_artifacts`` build it once, and the fit and
-every online query take it as an argument."""
+the basis, the fine forms and the coarse mesh, and the time weights W
+(``time_interp.quadratic_weights``) a pure function of the coarse and fine
+time grids.
+The fitted artifacts own both: ``pipeline.fit`` and ``io.load_artifacts``
+build them once, and the fit and every online query take them as
+arguments."""
 
 from __future__ import annotations
 
@@ -68,29 +71,31 @@ def lift_projection(basis, forms, coarse_mesh):
                        minlength=F * n * N).reshape(F * n, N)
 
 
-def coarse_to_fine_coefficients(coarse_traj, lift, fine_grid):
+def coarse_to_fine_coefficients(coarse_traj, lift, weights):
     """Coefficients of a coarse trajectory after lifting it to the basis
-    mesh and the fine grid, by L2 projection onto the modes: the quadratic
-    time interpolation onto ``fine_grid``, then one product with the
-    lift-projection operator ``lift`` of the coarse trajectory's mesh.  The
-    same linear map as ``lift_coarse`` followed by
-    ``reduced_basis.coefficients``, with the products associated so that
-    nothing of fine-mesh size is touched per call."""
-    lifted = quadratic_time_interp(coarse_traj, fine_grid)
-    return lifted.values @ lift
+    mesh and the fine grid, by L2 projection onto the modes: W (U Phi) for
+    the coarse values U, the lift-projection operator ``lift`` (Phi) of the
+    coarse trajectory's mesh and the time weights ``weights`` (W) from its
+    grid to the fine one.  The same linear map as ``lift_coarse`` followed
+    by ``reduced_basis.coefficients``, with the products associated so that
+    nothing of fine-mesh size is touched per call: the values are projected
+    onto the N modes at the coarse knots before the time interpolation, so
+    W multiplies N columns, not n_fields n_coarse."""
+    return weights @ (coarse_traj.values @ lift)
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
-                        delta_mode="relative", delta_value=1e-10):
+                        weights, delta_mode="relative", delta_value=1e-10):
     """Fit the rectification maps from matched fine/coarse training runs.
 
     fine_trajs and coarse_trajs map the same parameters (same order) to
-    trajectories, and ``lift`` is the basis's lift-projection operator for
-    the coarse mesh.  At every fine time index n the rows of A hold the
-    lifted coarse coefficients and the rows of B the fine coefficients;
-    column i of the normal-equation solve gives the map weights for mode i,
-    and the transpose is stored so application is a plain matrix-vector
-    product.
+    trajectories, ``lift`` is the basis's lift-projection operator for the
+    coarse mesh and ``weights`` the time weights from the coarse grid to the
+    fine one (see ``coarse_to_fine_coefficients``).  At every fine time
+    index n the rows of A hold the lifted coarse coefficients and the rows
+    of B the fine coefficients; column i of the normal-equation solve gives
+    the map weights for mode i, and the transpose is stored so application
+    is a plain matrix-vector product.
 
     The Tikhonov parameter follows the config's rule: delta_mode 'relative'
     takes delta_value * sigma_1(A^T A) at each time index, 'absolute' takes
@@ -103,8 +108,7 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
     if basis.N == 0:
         raise ValueError("cannot rectify with an empty basis")
 
-    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], lift,
-                                              fine_trajs[p].grid)
+    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], lift, weights)
                   for p in fine_keys], axis=1)  # (n_times, k, N)
     weighted = mass_weighted_modes(basis, forms)
     B = np.stack([fine_trajs[p].values @ weighted for p in fine_keys], axis=1)

@@ -247,6 +247,47 @@ class TestModalMarch:
             integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
                                             u0, grid)
 
+    def test_corrupted_cache_fails_the_lead_in_residuals(self):
+        # the lead-in's states are checked although they are never carried
+        # back to nodal values
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        lam, V = forms.free_eigenpairs()
+        forms._cache["eig"] = lam * (1.0 + 1e-6), V
+        grid = integrators.TimeGrid(1.0, 2.0, 4)
+        with pytest.raises(RuntimeError, match=r"^lead-in step 1 "
+                                               r"\(t=0\.125\)"):
+            integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
+                                            np.zeros(forms.n_dofs), grid,
+                                            t_start=0.0)
+
+    def test_first_window_row_is_the_start(self, forms):
+        m = forms.mesh
+        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        values = integrators.heat_crank_nicolson(
+            forms, 3.0, models.manufactured_f, u0, grid).values
+        assert np.array_equal(values[0], u0)
+
+    def test_march_makes_two_dense_products(self, forms, monkeypatch):
+        # one product of every state with the stacked (n, 2n) operator for
+        # the check and one of the window's states with V^T; a return to
+        # separate carry-back, M and K products fails here
+        shapes = []
+        blocked_matmul = integrators.blocked_matmul
+
+        def recording(A, B):
+            shapes.append((np.shape(A), np.shape(B)))
+            return blocked_matmul(A, B)
+
+        monkeypatch.setattr(integrators, "blocked_matmul", recording)
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
+                                        np.zeros(forms.n_dofs), grid,
+                                        t_start=0.0)
+        n, lead = forms.free_dofs.size, 16  # steps of dt / 2 over [0, 1]
+        assert shapes == [((1 + lead + grid.steps, n), (n, 2 * n)),
+                          ((grid.steps + 1, n), (n, n))]
+
     def test_non_spd_mass_names_its_cholesky_pivot(self):
         forms = fem.assemble(mesh.build_structured(4, 4))
         minus = forms.mass.lincomb(forms.mass, -1.0, 0.0)

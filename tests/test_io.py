@@ -10,6 +10,7 @@ from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
 from nirb.rectification import (coarse_to_fine_coefficients, lift_coarse,
                                 lift_projection)
+from nirb.time_interp import quadratic_weights
 from nirb.reduced_basis import coefficients
 
 SMALL_RD_TEXT = ("problem = brusselator\n"
@@ -63,6 +64,7 @@ def _assert_same_artifacts(got, want, param):
     assert np.array_equal(got.tensor.matrices, want.tensor.matrices)
     assert np.array_equal(got.tensor.deltas, want.tensor.deltas)
     assert np.array_equal(got.lift, want.lift)
+    assert np.array_equal(got.time_weights, want.time_weights)
     assert np.array_equal(pipeline.online(got, param).coefficients,
                           pipeline.online(want, param).coefficients)
 
@@ -219,7 +221,8 @@ class TestArtifacts:
 
 
 def test_artifact_members_are_unchanged():
-    # the lift-projection operator is derived on load, not stored
+    # the lift-projection operator and the time weights are derived on
+    # load, not stored
     assert io.ARTIFACT_FORMAT == "nirb-artifacts 4"
     assert io.ARTIFACT_MEMBERS == ("format", "config", "modes", "eigenvalues",
                                    "provenance", "matrices", "deltas")
@@ -236,7 +239,7 @@ def test_lift_projection_is_lift_then_coefficients(small_heat_text, tmp_path,
     for arts in (artifacts, loaded):
         fine, coarse = arts.fine, arts.coarse
         traj = pipeline.solve_coarse(config, coarse, param)
-        got = coarse_to_fine_coefficients(traj, arts.lift, fine.grid)
+        got = coarse_to_fine_coefficients(traj, arts.lift, arts.time_weights)
         want = coefficients(arts.basis, fine.forms,
                             lift_coarse(traj, fine.mesh, fine.grid).values)
         assert got.shape == (fine.grid.steps + 1, arts.basis.N)
@@ -244,6 +247,8 @@ def test_lift_projection_is_lift_then_coefficients(small_heat_text, tmp_path,
         assert arts.lift.shape == (traj.values.shape[1], arts.basis.N)
         assert np.array_equal(
             arts.lift, lift_projection(arts.basis, fine.forms, coarse.mesh))
+        assert np.array_equal(arts.time_weights,
+                              quadratic_weights(coarse.grid, fine.grid))
         phis.append(arts.lift)
     assert np.array_equal(phis[0], phis[1])
     io.save_artifacts(str(path), loaded)

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,23 +206,27 @@ class TestPencilEig:
                                         (4, "neumann_natural")])
     def test_mass_orthonormal_eigenpairs(self, nx, bc):
         forms = fem.assemble(mesh.build_structured(nx, nx), bc=bc)
-        Md, Kd = forms.dense_free()
+        Md = forms.mass_free().to_dense()
+        Kd = forms.stiffness_free().to_dense()
         lam, V = linalg.pencil_eig(Kd, Md)
         Linv = np.linalg.inv(np.linalg.cholesky(Md))
         ref = np.linalg.eigvalsh(Linv @ Kd @ Linv.T)
         assert np.abs(lam - ref).max() <= 1e-12 * ref.max()
         assert np.abs(Kd @ V - Md @ V * lam).max() <= 1e-12 * ref.max()
         assert np.abs(V.T @ Md @ V - np.eye(len(Md))).max() <= 1e-12
-        res, orth = linalg.pencil_residuals(Kd, Md, lam, V)
+        res, orth = linalg.pencil_residuals(Kd @ V, Md @ V, lam, V)
         assert res <= 1e-14 and orth <= 1e-13
 
     def test_residuals_see_a_corrupted_decomposition(self):
         forms = fem.assemble(mesh.build_structured(4, 4))
-        M, K = forms.dense_free()
+        M = forms.mass_free().to_dense()
+        K = forms.stiffness_free().to_dense()
         lam, V = linalg.pencil_eig(K, M)
-        res, orth = linalg.pencil_residuals(K, M, lam * (1.0 + 1e-6), V)
+        res, orth = linalg.pencil_residuals(K @ V, M @ V, lam * (1.0 + 1e-6),
+                                            V)
         assert 1e-7 < res < 1e-5 and orth <= 1e-13
-        res, orth = linalg.pencil_residuals(K, M, lam, V * (1.0 + 1e-6))
+        W = V * (1.0 + 1e-6)
+        res, orth = linalg.pencil_residuals(K @ W, M @ W, lam, W)
         assert res <= 1e-14 and 1e-6 < orth < 1e-5
 
 
@@ -341,6 +348,64 @@ class TestSymEig:
     def test_forced_repeated_eigenvalues(self, values, repeats, seed, top):
         G = rotated(np.random.default_rng(seed), values * repeats)
         lam, V = linalg.sym_eig(G, top=min(top, G.shape[0]))
+        assert_eigenpairs(G, lam, V)
+
+
+def sym_eig_in_blocks(G, top, width):
+    """``sym_eig`` with inverse iteration run in blocks of ``width`` shifts
+    (the tridiagonal of G is unreduced)."""
+    with mock.patch.object(linalg, "_INVERSE_ITERATION_ENTRIES",
+                           width * G.shape[0]):
+        return linalg.sym_eig(G, top=top)
+
+
+def dirichlet_pencil_matrix(nx):
+    """L^-1 K L^-T for the free-dof mass M = L L^T and stiffness K of the
+    nx-by-nx Dirichlet square, whose spectrum has exactly repeated pairs."""
+    forms = fem.assemble(mesh.build_structured(nx, nx))
+    M = forms.mass_free().to_dense()
+    K = forms.stiffness_free().to_dense()
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    C = Linv @ K @ Linv.T
+    return 0.5 * (C + C.T)
+
+
+class TestInverseIterationBlocks:
+    @pytest.mark.parametrize("width", [1, 2, 7, 64])
+    def test_blocks_are_bit_identical_to_one_block(self, width):
+        G = dirichlet_pencil_matrix(12)
+        one = sym_eig_in_blocks(G, None, 10 ** 6)
+        lam, V = sym_eig_in_blocks(G, None, width)
+        assert np.array_equal(lam, one[0]) and np.array_equal(V, one[1])
+        assert_eigenpairs(G, lam, V)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.sampled_from([-2.0, -1e-9, 0.0, 1.0, 1.0 + 1e-13,
+                                            4.0]), min_size=1, max_size=9),
+           repeats=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           width=st.integers(min_value=1, max_value=5))
+    def test_clustered_spectra_in_blocks(self, values, repeats, seed, width):
+        G = rotated(np.random.default_rng(seed), values * repeats)
+        one = sym_eig_in_blocks(G, None, 10 ** 6)
+        lam, V = sym_eig_in_blocks(G, None, width)
+        assert np.array_equal(lam, one[0]) and np.array_equal(V, one[1])
+
+    def test_work_memory_is_bounded(self):
+        # the (n, 3, k) pivot rows, the multipliers and the Sturm table of
+        # a full 225-dof spectrum once took about 5 MB above the input
+        G = dirichlet_pencil_matrix(16)
+        assert G.shape == (225, 225)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lam, V = linalg.sym_eig(G)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        one = sym_eig_in_blocks(G, None, 10 ** 6)
+        assert np.array_equal(lam, one[0]) and np.array_equal(V, one[1])
         assert_eigenpairs(G, lam, V)
 
 

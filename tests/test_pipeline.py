@@ -11,7 +11,7 @@ from nirb.mesh import interpolate_field
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
                                 lift_projection)
-from nirb.time_interp import quadratic_time_interp
+from nirb.time_interp import quadratic_time_interp, quadratic_weights
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,16 @@ class TestOneLiftPerFit:
             odd.validate()
         assert artifacts.validate() is artifacts
 
+    def test_validate_rejects_time_weights_for_another_grid(self, study):
+        _, artifacts = study
+        fine = artifacts.fine.grid
+        other = TimeGrid(fine.t0, fine.T, 2 * fine.steps)
+        odd = dataclasses.replace(artifacts, time_weights=quadratic_weights(
+            artifacts.coarse.grid, other))
+        with pytest.raises(ValueError, match=r"time weights of shape "
+                           r"\(\d+, \d+\), expected \(\d+, \d+\)"):
+            odd.validate()
+
 
 class TestCoarseOnly:
     def test_online_runs_no_fine_solve(self, study, monkeypatch):
@@ -113,6 +123,24 @@ class TestCoarseOnly:
             assert values.shape == (config.fine_steps + 1,
                                     artifacts.fine.mesh.n_nodes)
             assert np.isfinite(values).all()
+
+    def test_coarse_run_on_a_foreign_grid_is_rejected(self, study):
+        config, artifacts = study
+        grid = artifacts.coarse.grid
+        coarse = pipeline.solve_coarse(config, pipeline.discretize(config)[1],
+                                       4.5)
+        assert coarse.grid is not grid
+        same = pipeline.online(artifacts, 4.5, coarse_traj=coarse)
+        assert np.array_equal(same.coefficients,
+                              pipeline.online(artifacts, 4.5).coefficients)
+        finer = TimeGrid(grid.t0, grid.T, 2 * grid.steps)
+        shifted = TimeGrid(grid.t0 + 0.25, grid.T + 0.25, grid.steps)
+        for traj in (quadratic_time_interp(coarse, finer),
+                     FieldTrajectory(mesh=coarse.mesh, grid=shifted,
+                                     values=coarse.values, parameter=4.5)):
+            with pytest.raises(ValueError, match=r"coarse trajectory on "
+                               r"TimeGrid\(.*\), expected the coarse grid"):
+                pipeline.online(artifacts, 4.5, coarse_traj=traj)
 
     def test_coarse_failure_shows_before_any_fine_solve(self, monkeypatch):
         # at the default 32^2/16^2 discretization the explicit coarse step
@@ -271,7 +299,7 @@ class TestLift:
                                        ctx.fine.mesh.n_nodes)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
         got = coarse_to_fine_coefficients(coarse, artifacts.lift,
-                                          ctx.fine.grid)
+                                          artifacts.time_weights)
         # the same linear map with its products associated differently
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -287,7 +315,8 @@ class TestLift:
         lifted = lift_coarse(coarse_in_time, ctx.fine.mesh, ctx.fine.grid)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
         phi = lift_projection(artifacts.basis, ctx.fine.forms, ctx.fine.mesh)
-        got = coarse_to_fine_coefficients(coarse_in_time, phi, ctx.fine.grid)
+        W = quadratic_weights(coarse_in_time.grid, ctx.fine.grid)
+        got = coarse_to_fine_coefficients(coarse_in_time, phi, W)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -315,12 +344,12 @@ class TestRectification:
         basis = rb.ReducedBasis(mesh=fine_mesh, modes=modes)
 
         phi = lift_projection(basis, forms, coarse_mesh)
+        W = quadratic_weights(coarse_grid, fine_grid)
         tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     phi, "absolute", 0.0)
+                                     phi, W, "absolute", 0.0)
         assert np.all(tensor.deltas == 0.0)
         for p in params:
-            lifted = coarse_to_fine_coefficients(coarse_trajs[p], phi,
-                                                 fine_grid)
+            lifted = coarse_to_fine_coefficients(coarse_trajs[p], phi, W)
             got = apply_rectification(tensor, lifted)
             want = rb.coefficients(basis, forms, fine_trajs[p].values)
             assert np.abs(got - want).max() <= 1e-10
@@ -332,7 +361,7 @@ class TestRectification:
         coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0)}
         with pytest.raises(ValueError, match="differ"):
             build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
-                                artifacts.lift)
+                                artifacts.lift, artifacts.time_weights)
 
 
 class TestEvaluateErrors:

@@ -3,7 +3,7 @@ import pytest
 
 from nirb import mesh
 from nirb.integrators import FieldTrajectory, TimeGrid
-from nirb.time_interp import quadratic_time_interp
+from nirb.time_interp import quadratic_time_interp, quadratic_weights
 
 
 def make_traj(fn, grid, n_nodes=5, n_fields=1):
@@ -82,3 +82,58 @@ def test_two_field_trajectory_resampled():
     assert out.n_fields == 2
     assert out.values.shape == (7, 8)
     assert np.abs(out.values - dst.times()[:, None] ** 2).max() <= 1e-13
+
+
+def pointwise_lagrange(src, dst, values):
+    """Each target knot's three Lagrange terms summed in turn: the formula
+    of the resampling before it became one product with the weights."""
+    tt, tf = src.times(), dst.times()
+    m = np.clip(np.floor((tf - src.t0) / src.dt).astype(np.int64) + 1, 1,
+                src.steps)
+    mp = np.maximum(m, 2)
+    ta, tb, tc = tt[mp - 2], tt[mp - 1], tt[mp]
+    la = (tf - tb) * (tf - tc) / ((ta - tb) * (ta - tc))
+    lb = (tf - ta) * (tf - tc) / ((tb - ta) * (tb - tc))
+    lc = (tf - ta) * (tf - tb) / ((tc - ta) * (tc - tb))
+    return (la[:, None] * values[mp - 2] + lb[:, None] * values[mp - 1]
+            + lc[:, None] * values[mp])
+
+
+GRID_PAIRS = [(TimeGrid(1.0, 2.0, 16), TimeGrid(1.0, 2.0, 32)),
+              (TimeGrid(0.0, 1.0, 2), TimeGrid(0.0, 1.0, 10)),
+              (TimeGrid(0.5, 2.0, 6), TimeGrid(0.5, 2.0, 19)),
+              (TimeGrid(0.0, 3.0, 9), TimeGrid(0.0, 3.0, 4))]
+
+
+@pytest.mark.parametrize("src, dst", GRID_PAIRS)
+def test_weights_reproduce_quadratics_and_sum_to_one(src, dst):
+    W = quadratic_weights(src, dst)
+    assert W.shape == (dst.steps + 1, src.steps + 1)
+    assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-14
+    # three neighbouring knots per row
+    assert ((W != 0).sum(axis=1) <= 3).all()
+    ts, tf = src.times(), dst.times()
+    for p in (lambda t: np.ones_like(t), lambda t: t,
+              lambda t: 3.0 * t ** 2 - 2.0 * t + 0.25):
+        assert np.abs(W @ p(ts) - p(tf)).max() <= 1e-13 * np.abs(p(tf)).max()
+
+
+@pytest.mark.parametrize("src, dst", GRID_PAIRS)
+def test_weights_match_the_pointwise_formula(rng, src, dst):
+    values = rng.standard_normal((src.steps + 1, 40))
+    want = pointwise_lagrange(src, dst, values)
+    got = quadratic_weights(src, dst) @ values
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    traj = FieldTrajectory(mesh=mesh.build_structured(1, 1), grid=src,
+                           values=values[:, :4])
+    assert np.array_equal(quadratic_time_interp(traj, dst).values,
+                          quadratic_weights(src, dst) @ values[:, :4])
+
+
+def test_weights_reject_mismatched_windows_and_short_sources():
+    with pytest.raises(ValueError, match="time windows differ"):
+        quadratic_weights(TimeGrid(0.0, 1.0, 4), TimeGrid(0.0, 2.0, 4))
+    with pytest.raises(ValueError, match="time windows differ"):
+        quadratic_weights(TimeGrid(0.0, 1.0, 4), TimeGrid(0.1, 1.0, 4))
+    with pytest.raises(ValueError, match="two source steps"):
+        quadratic_weights(TimeGrid(0.0, 1.0, 1), TimeGrid(0.0, 1.0, 4))
