@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nirb.linalg import (SparseSym, blocked_matmul, cg_solve, csr_with_scatter,
-                         pencil_eig, pencil_residuals)
+from nirb.linalg import (SparseSym, blocked_matmul, cg_solve, pencil_eig,
+                         pencil_residuals, sparse_with_scatter)
 
 log = logging.getLogger(__name__)
 
@@ -42,10 +42,13 @@ class AssembledForms:
     ``areas``, ``b`` and ``c`` are the element areas and P1 gradient
     coefficients of ``triangle_geometry``; ``mid_x`` and ``mid_y`` are the
     edge-midpoint coordinates, shape (n_tris, 3) in midpoint order 01, 12,
-    20.  ``_edge_slots`` holds, for every midpoint, the positions of the two
-    off-diagonal entries (i, j) and (j, i) of its edge ij in the shared
-    sparsity pattern, so coefficient-weighted mass matrices need no re-sort,
-    and ``_edge_nodes`` lists the vertex each midpoint load contribution
+    20.  ``mass`` and ``stiffness`` share one slot pattern (``SparseSym``,
+    r slots a row).  ``_slot_midpoints`` has shape (2, r - 1, n): for every
+    off-diagonal slot (s, i), holding the entry (i, j), the flat indices
+    3 t + q of the at most two midpoints that lie on the edge ij, or
+    3 n_tris, a zero column, where the edge has one triangle or the slot is
+    padding; so a coefficient-weighted mass matrix is one gather.
+    ``_edge_nodes`` lists the vertex each midpoint load contribution
     lands on (edge 01 of every triangle, then 12, then 20, each vertex pair
     in turn), so a load vector is one ``bincount``."""
 
@@ -59,7 +62,7 @@ class AssembledForms:
     c: np.ndarray = field(repr=False)
     mid_x: np.ndarray = field(repr=False)
     mid_y: np.ndarray = field(repr=False)
-    _edge_slots: np.ndarray = field(repr=False)   # (n_tris, 3, 2)
+    _slot_midpoints: np.ndarray = field(repr=False)   # (2, r - 1, n)
     _edge_nodes: np.ndarray = field(repr=False)   # (6 n_tris,)
     _cache: dict = field(repr=False, default_factory=dict)
 
@@ -154,45 +157,40 @@ class AssembledForms:
     def lumped_mass(self):
         """Row sums of the mass matrix (the nodal area shares)."""
         if "lumped" not in self._cache:
-            self._cache["lumped"] = np.add.reduceat(
-                self.mass.vals, self.mass.indptr[:-1])
+            self._cache["lumped"] = self.mass.vals.sum(axis=0)
         return self._cache["lumped"]
 
     def weighted_mass(self, midpoint_coeffs):
         """Values of mass matrices weighted by coefficients given at the
-        three edge midpoints of every triangle, on the pattern of ``mass``.
+        three edge midpoints of every triangle, in the slot layout of
+        ``mass``.
 
         midpoint_coeffs has shape (k, n_tris, 3), midpoint order 01, 12,
         20, one coefficient field per matrix; the result has shape
-        (k, mass.nnz), all k matrices assembled in one ``bincount``.
+        (k, r, n), the values of all k matrices on the pattern ``mass.cols``.
 
         Only phi_i and phi_j are nonzero at the midpoint of edge ij, both
         1/2 there, so the midpoint rule (weight area/3) puts area/12 times
-        the coefficient there on the entries (i, j) and (j, i), and on each
-        diagonal entry the sum of its row's off-diagonal entries.  The rule
-        integrates quadratics exactly, so unit coefficients give ``mass``."""
+        the coefficient there on the entries (i, j) and (j, i): each
+        off-diagonal slot gathers its at most two midpoints
+        (``_slot_midpoints``), and the diagonal slot 0 is the sum of its
+        row's other slots.  The rule integrates quadratics exactly, so unit
+        coefficients give ``mass``."""
         cw = np.asarray(midpoint_coeffs, dtype=float)
         if cw.ndim != 3 or cw.shape[1:] != self.areas.shape + (3,):
             raise ValueError(f"coefficients have shape {cw.shape}, expected "
                              f"(k, {self.areas.size}, 3)")
-        cw = cw * (self.areas / 12.0)[:, None]
-        k, nnz = cw.shape[0], self.mass.nnz
-        slots = self._edge_slots.reshape(1, -1) + nnz * np.arange(k)[:, None]
-        vals = np.bincount(slots.ravel(),
-                           weights=np.repeat(cw, 2, axis=-1).ravel(),
-                           minlength=k * nnz).reshape(k, nnz)
-        vals[:, self.diagonal_slots()] = np.add.reduceat(
-            vals, self.mass.indptr[:-1], axis=1)
+        k = cw.shape[0]
+        # the scaled coefficients, flat, and a zero column after them
+        w = np.empty((k, cw[0].size + 1))
+        np.multiply(cw.reshape(k, -1), np.repeat(self.areas / 12.0, 3),
+                    out=w[:, :-1])
+        w[:, -1] = 0.0
+        g = np.take(w, self._slot_midpoints, axis=-1)
+        vals = np.empty((k,) + self.mass.vals.shape)
+        np.add(g[:, 0], g[:, 1], out=vals[:, 1:])
+        vals[:, 0] = vals[:, 1:].sum(axis=1)
         return vals
-
-    def diagonal_slots(self):
-        """Positions of the diagonal entries in the pattern of ``mass``,
-        computed once per form set."""
-        if "diagonal slots" not in self._cache:
-            M = self.mass
-            rows = np.repeat(np.arange(M.n), np.diff(M.indptr))
-            self._cache["diagonal slots"] = np.flatnonzero(M.indices == rows)
-        return self._cache["diagonal slots"]
 
     def midpoint_values(self, u):
         """Interpolate nodal fields at the edge midpoints: shape (..., n) to
@@ -221,9 +219,10 @@ def assemble(mesh, bc="dirichlet_zero"):
 
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    mass, scatter = csr_with_scatter(mesh.n_nodes, rows, cols, m_el.ravel())
-    k_vals = np.bincount(scatter, weights=k_el.ravel(), minlength=mass.nnz)
-    stiffness = SparseSym(mass.n, mass.indptr, mass.indices, k_vals, check=False)
+    mass, scatter = sparse_with_scatter(mesh.n_nodes, rows, cols, m_el.ravel())
+    k_vals = np.bincount(scatter, weights=k_el.ravel(), minlength=mass.vals.size)
+    stiffness = SparseSym(mass.n, mass.cols, k_vals.reshape(mass.vals.shape),
+                          check=False)
 
     if bc == "dirichlet_zero":
         free = np.flatnonzero(~mesh.boundary_mask)
@@ -233,13 +232,25 @@ def assemble(mesh, bc="dirichlet_zero"):
     mids = 0.5 * (p + p[:, [1, 2, 0]])
     edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(), tri[:, [1, 2]].ravel(),
                                  tri[:, [2, 0]].ravel()])
+    # midpoint q of triangle t, on the edge of local vertices (i_q, j_q),
+    # feeds the slots of the entries (i, j) and (j, i); sorted by slot, a
+    # slot's second midpoint follows its first (a conforming mesh has at
+    # most two triangles on an edge, and their order does not matter)
     scatter = scatter.reshape(n_tris, 3, 3)
     i, j = np.arange(3), np.array([1, 2, 0])
-    edge_slots = np.stack([scatter[:, i, j], scatter[:, j, i]], axis=-1)
+    slots = np.concatenate([scatter[:, i, j].ravel(),
+                            scatter[:, j, i].ravel()])
+    order = np.argsort(slots)
+    slots = slots[order]
+    second = np.zeros(slots.size, dtype=np.int64)
+    second[1:] = slots[1:] == slots[:-1]
+    table = np.full((2, mass.vals.size), 3 * n_tris)
+    table[second, slots] = order % (3 * n_tris)
+    slot_midpoints = table[:, mass.n:].reshape((2,) + mass.vals[1:].shape)
     return AssembledForms(mesh=mesh, mass=mass, stiffness=stiffness,
                           free_dofs=free, bc=bc, areas=areas, b=b, c=c,
                           mid_x=mids[..., 0], mid_y=mids[..., 1],
-                          _edge_slots=edge_slots,
+                          _slot_midpoints=slot_midpoints,
                           _edge_nodes=edge_nodes)
 
 

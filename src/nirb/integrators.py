@@ -4,9 +4,9 @@ reaction-diffusion system.
 
 The heat marches are direct: the fine one factors its step matrix once
 (``linalg.BandFactor``), the coarse one is modal.  The Newton step's
-Jacobian is one 2x2 block operator over the mass pattern that both species
-share, so a Krylov product is one gather, one block multiply and one
-``np.add.reduceat``.
+Jacobian is one 2x2 block operator in the slot layout of the mass pattern
+that both species share, so a Krylov product is one gather and one
+``einsum`` that multiplies by the blocks and sums over species and slots.
 
 The Newton march is an inexact Newton method (Dembo, Eisenstat & Steihaug,
 SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
@@ -229,27 +229,23 @@ class _ImplicitEulerSystem:
     at once, with the reaction loads b(R(u)) integrated by the three-midpoint
     rule of the loads at the midpoint values of u.
 
-    ``jacobian`` is the exact derivative of G as one 2x2 block operator on
-    the shared mass pattern: block values of shape (2, 2, nnz), the four
-    coefficient-weighted reaction mass blocks (one ``weighted_mass`` call)
-    negated, with M/dt + alpha K added to the diagonal blocks.  A product
-    gathers both species at every column index with one fancy index,
-    multiplies by the block values and sums the rows of both species in one
-    ``np.add.reduceat``.  The preconditioner is nodal 2x2 block Jacobi: each
-    node's species block of the Jacobian diagonal, read off the block values
-    at ``AssembledForms.diagonal_slots`` and inverted in closed form."""
+    ``jacobian`` is the exact derivative of G as one 2x2 block operator in
+    the slot layout of the shared mass pattern (``linalg.SparseSym``):
+    block values of shape (2, 2, r, n), the four coefficient-weighted
+    reaction mass blocks (one ``weighted_mass`` call) negated, with
+    M/dt + alpha K added to the diagonal blocks.  A product gathers both
+    species at every slot's column with one ``np.take``, giving (2, r, n),
+    and one ``einsum`` multiplies by the block values and sums over the
+    species and slot axes.  The preconditioner is nodal 2x2 block Jacobi:
+    each node's species block of the Jacobian diagonal, read off slot 0 of
+    the block values and inverted in closed form."""
 
     def __init__(self, forms, params, state, dt):
         self.forms, self.params = forms, params
         n = self.n = forms.n_dofs
         M, K = forms.mass, forms.stiffness
-        self.nnz = M.nnz
         self.diff = M.lincomb(K, 1.0 / dt, params[2])  # M/dt + alpha K
         self.inertia = M.matvec(state.reshape(2, n)) / dt
-        # both species' entries at every column index, and the row starts of
-        # the flattened (2, nnz) product
-        self.columns = np.concatenate([M.indices, M.indices + n])
-        self.starts = np.concatenate([M.indptr[:-1], M.indptr[:-1] + M.nnz])
 
     def residual(self, u):
         """G(u), shape (2 n,), for the stacked state u of shape (2 n,), and
@@ -265,21 +261,20 @@ class _ImplicitEulerSystem:
     def jacobian(self, m):
         """(product, preconditioner) of the Jacobian at the state whose
         midpoint values are m, shape (2, n_tris, 3)."""
-        b, n, nnz = self.params[1], self.n, self.nnz
+        b, n, diff = self.params[1], self.n, self.diff
         m1, m2 = m
         J = -self.forms.weighted_mass(np.stack([
             2.0 * m1 * m2 - (b + 1.0), m1 ** 2, b - 2.0 * m1 * m2, -m1 ** 2,
-        ])).reshape(2, 2, nnz)
-        J[0, 0] += self.diff.vals
-        J[1, 1] += self.diff.vals
-        columns, starts = self.columns, self.starts
+        ])).reshape((2, 2) + diff.vals.shape)
+        J[0, 0] += diff.vals
+        J[1, 1] += diff.vals
+        cols = diff.cols
 
         def product(x):
-            X = x[columns].reshape(2, nnz)
-            return np.add.reduceat(np.einsum("ijk,jk->ik", J, X).ravel(),
-                                   starts)
+            X = np.take(x.reshape(2, n), cols, axis=-1)
+            return np.einsum("ijrn,jrn->in", J, X).ravel()
 
-        a11, a12, a21, a22 = J[..., self.forms.diagonal_slots()].reshape(4, n)
+        (a11, a12), (a21, a22) = J[:, :, 0]
         inverse = np.stack([[a22, -a12], [-a21, a11]]) \
             / (a11 * a22 - a12 * a21)
 

@@ -1,6 +1,6 @@
-"""Self-contained linear algebra kernels: symmetric CSR storage, Krylov
-solvers, a block-tridiagonal direct factor for banded SPD matrices, a dense
-Cholesky factor, a dense symmetric eigensolver (Householder
+"""Self-contained linear algebra kernels: symmetric padded-row sparse
+storage, Krylov solvers, a block-tridiagonal direct factor for banded SPD
+matrices, a dense Cholesky factor, a dense symmetric eigensolver (Householder
 tridiagonalization, Sturm multisection and inverse iteration) and the
 generalized symmetric-definite eigenproblem built on the two, and
 regularized normal-equation solves.  Dense matrices are plain numpy
@@ -50,126 +50,146 @@ class ConvergenceError(RuntimeError):
 
 
 class SparseSym:
-    """Symmetric sparse matrix in CSR form.
+    """Symmetric sparse matrix in slot-major padded-row (ELLPACK) form.
 
-    The full pattern is stored (both triangles) so the matvec is a single
-    gather/reduce.  Column indices are sorted and unique per row, every row
-    holds at least its diagonal, and the pattern is structurally symmetric;
-    these invariants are checked on construction unless ``check=False``.
-    """
+    ``cols`` and ``vals`` have shape (r, n), where r is the longest row:
+    slot s of row i holds the entry (i, cols[s, i]) with value vals[s, i].
+    The diagonal sits in slot 0, the other entries of a row follow in
+    ascending column order, and a shorter row is padded with zero entries
+    that point at their own row, so every row is r slots long and a product
+    is one gather and one sum over the slot axis (Bell & Garland, SC'09).
+    r grows with the highest node valence: 7 on the structured P1 meshes.
+    The full pattern is stored (both triangles) and must be structurally
+    symmetric with symmetric values; these invariants are checked on
+    construction unless ``check=False``.  Matrices on one pattern share one
+    ``cols`` array, which is read-only."""
 
-    __slots__ = ("n", "indptr", "indices", "vals", "_diag")
+    __slots__ = ("n", "cols", "vals")
 
-    def __init__(self, n, indptr, indices, vals, check=True):
+    def __init__(self, n, cols, vals, check=True):
         self.n = int(n)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=float)
-        self._diag = None
         if self.n < 1:
             raise ValueError("matrix dimension must be at least 1")
         if check:
             self._validate()
+        self.cols.flags.writeable = False
 
     @property
     def nnz(self):
-        return self.indices.size
+        """Number of stored entries, padding excluded."""
+        return self._entries()[0].size
+
+    def _entries(self):
+        """(rows, cols, vals) of the stored entries, padding excluded, in
+        slot-major order."""
+        rows = np.broadcast_to(np.arange(self.n), self.cols.shape)
+        real = self.cols != rows
+        real[0] = True
+        return rows[real], self.cols[real], self.vals[real]
 
     def _validate(self):
-        if self.indptr.size != self.n + 1 or self.indptr[0] != 0 \
-                or self.indptr[-1] != self.indices.size:
-            raise ValueError("inconsistent CSR index pointers")
-        counts = np.diff(self.indptr)
-        if (counts < 1).any():
-            raise ValueError("empty rows are not allowed")
-        rows = np.repeat(np.arange(self.n), counts)
-        # sorted, unique column indices within each row
-        ok = np.ones(self.indices.size, dtype=bool)
-        ok[1:] = (rows[1:] != rows[:-1]) | (self.indices[1:] > self.indices[:-1])
-        if not ok.all():
-            raise ValueError("column indices must be sorted and unique per row")
-        # structural symmetry: the (row, col) set equals the (col, row) set
-        fwd = np.lexsort((self.indices, rows))
-        bwd = np.lexsort((rows, self.indices))
-        if not (np.array_equal(rows[fwd], self.indices[bwd])
-                and np.array_equal(self.indices[fwd], rows[bwd])):
+        r, n = self.cols.shape if self.cols.ndim == 2 else (0, 0)
+        if r < 1 or n != self.n or self.vals.shape != self.cols.shape:
+            raise ValueError(f"slot arrays have shapes {self.cols.shape} and "
+                             f"{self.vals.shape}, expected (r, {self.n})")
+        if self.cols.min() < 0 or self.cols.max() >= n:
+            raise ValueError("column index out of range")
+        rows = np.arange(n)
+        if not np.array_equal(self.cols[0], rows):
+            raise ValueError("slot 0 must hold the diagonal")
+        pad = self.cols[1:] == rows
+        if (self.vals[1:][pad] != 0.0).any():
+            raise ValueError("padding entries must be zero")
+        # off-diagonal columns ascend within each row, padding comes last
+        nxt, cur = self.cols[2:], self.cols[1:-1]
+        if (pad[:-1] & ~pad[1:]).any() or (~pad[1:] & (nxt <= cur)).any():
+            raise ValueError("off-diagonal columns must be sorted and unique "
+                             "per row, with padding last")
+        i, j, v = self._entries()
+        # structural symmetry: the (row, col) set equals the (col, row) set;
+        # the keys are unique, so the sort kind does not matter
+        fwd = np.argsort(i * n + j)
+        bwd = np.argsort(j * n + i)
+        if not (np.array_equal(i[fwd], j[bwd])
+                and np.array_equal(j[fwd], i[bwd])):
             raise ValueError("pattern is not structurally symmetric")
-        vmax = np.abs(self.vals).max() if self.vals.size else 0.0
-        if vmax > 0 and np.abs(self.vals[fwd] - self.vals[bwd]).max() > 1e-12 * vmax:
+        vmax = np.abs(v).max()
+        if vmax > 0 and np.abs(v[fwd] - v[bwd]).max() > 1e-12 * vmax:
             raise ValueError("values are not symmetric")
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals, check=True):
-        mat, _ = csr_with_scatter(n, rows, cols, vals, check=check)
+        mat, _ = sparse_with_scatter(n, rows, cols, vals, check=check)
         return mat
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        prod = np.take(x, self.indices, axis=-1)
+        """A x for x of shape (..., n), over any leading axes: one gather,
+        one multiply and one sum over the slot axis, in slot order, so
+        every leading row gets its 1-D product bit for bit."""
+        prod = np.take(np.asarray(x, dtype=float), self.cols, axis=-1)
         prod *= self.vals
-        return np.add.reduceat(prod, self.indptr[:-1], axis=-1)
+        return prod.sum(axis=-2)
 
     def diagonal(self):
-        if self._diag is None:
-            counts = np.diff(self.indptr)
-            rows = np.repeat(np.arange(self.n), counts)
-            d = np.zeros(self.n)
-            hit = self.indices == rows
-            d[rows[hit]] = self.vals[hit]
-            self._diag = d
-        return self._diag
+        return self.vals[0]
 
     def lincomb(self, other, a, b):
-        """Return a*self + b*other for a matrix with the identical pattern."""
-        if not (np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)):
+        """Return a*self + b*other for a matrix with the identical pattern;
+        the result shares ``cols``."""
+        if not (other.cols is self.cols
+                or np.array_equal(self.cols, other.cols)):
             raise ValueError("lincomb requires identical sparsity patterns")
-        return SparseSym(self.n, self.indptr, self.indices,
-                         a * self.vals + b * other.vals, check=False)
+        return SparseSym(self.n, self.cols, a * self.vals + b * other.vals,
+                         check=False)
 
     def restrict(self, keep):
         """Submatrix on the given index set (used to drop constrained dofs)."""
         keep = np.asarray(keep, dtype=np.int64)
         newid = -np.ones(self.n, dtype=np.int64)
         newid[keep] = np.arange(keep.size)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        mask = (newid[rows] >= 0) & (newid[self.indices] >= 0)
+        rows, cols, vals = self._entries()
+        mask = (newid[rows] >= 0) & (newid[cols] >= 0)
         return SparseSym.from_coo(keep.size, newid[rows[mask]],
-                                  newid[self.indices[mask]], self.vals[mask],
-                                  check=False)
+                                  newid[cols[mask]], vals[mask], check=False)
 
     def to_dense(self):
         out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        out[rows, self.indices] = self.vals
+        rows, cols, vals = self._entries()
+        out[rows, cols] = vals
         return out
 
 
-def csr_with_scatter(n, rows, cols, vals, check=True):
-    """Assemble CSR from coordinate triplets, summing duplicates.
+def sparse_with_scatter(n, rows, cols, vals, check=True):
+    """Assemble the slot layout of ``SparseSym`` from coordinate triplets,
+    summing duplicates.
 
-    Also returns, for every input triplet, the position of its (row, col)
-    entry in the assembled value array, so repeated assemblies with the same
-    pattern reduce to one bincount."""
+    Also returns, for every input triplet, the flat position s n + i of its
+    entry's slot (s, i) in the (r, n) value array, so this and every later
+    assembly on the pattern is one ``bincount`` onto the slots."""
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=float).ravel()
     if rows.size == 0:
         raise ValueError("cannot assemble an empty matrix")
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    new = np.empty(r.size, dtype=bool)
-    new[0] = True
-    new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new)
-    rr, cc = r[starts], c[starts]
-    vv = np.add.reduceat(v, starts)
-    counts = np.bincount(rr, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    slot_sorted = np.cumsum(new) - 1
-    scatter = np.empty(order.size, dtype=np.int64)
-    scatter[order] = slot_sorted
-    return SparseSym(n, indptr, cc, vv, check=check), scatter
+    keys, entry = np.unique(rows * n + cols, return_inverse=True)
+    i, j = keys // n, keys % n
+    off = i != j
+    # keys ascend, so a row's off-diagonal entries ascend by column and
+    # take slots 1, 2, ... in turn
+    counts = np.bincount(i[off], minlength=n)
+    first = np.cumsum(counts) - counts
+    slot = np.zeros(keys.size, dtype=np.int64)
+    slot[off] = 1 + np.arange(off.sum()) - first[i[off]]
+    r = 1 + int(counts.max())
+    position = slot * n + i
+    pattern = np.tile(np.arange(n), r)
+    pattern[position] = j
+    scatter = position[entry]
+    summed = np.bincount(scatter, weights=vals, minlength=r * n)
+    return (SparseSym(n, pattern.reshape(r, n), summed.reshape(r, n),
+                      check=check), scatter)
 
 
 def cg_solve(A, b, tol=1e-10, max_iter=None):
@@ -226,10 +246,13 @@ def cg_solve(A, b, tol=1e-10, max_iter=None):
 class BandFactor:
     """Direct factor of a banded SPD matrix, for many solves with one matrix.
 
-    With bandwidth w = max |i - j| over the stored pattern, consecutive row
-    blocks of size w (the last padded with identity rows) make the matrix
-    block tridiagonal, whatever the mesh: diagonal blocks D_j, upper blocks
-    U_j and lower blocks U_j^T.  Block elimination without pivoting,
+    Consecutive row blocks of size b make the matrix block tridiagonal:
+    diagonal blocks D_j, upper blocks U_j and lower blocks U_j^T.  b is the
+    smallest size that puts every stored entry (i, j) in equal or adjacent
+    blocks (``_block_size``), at most the bandwidth w = max |i - j|, which
+    always does; on a structured mesh it is one grid row, w - 1, so the
+    blocks tile the dofs exactly.  Otherwise the last block is padded with
+    identity rows.  Block elimination without pivoting,
 
         S_0 = D_0,   S_j = D_j - U_{j-1}^T S_{j-1}^{-1} U_{j-1},
 
@@ -237,22 +260,22 @@ class BandFactor:
     Computations, block tridiagonal systems).  A solve is a forward sweep
     g_j = b_j - C_j g_{j-1} with C_j = U_{j-1}^T S_{j-1}^{-1}, then a backward
     sweep x_j = S_j^{-1} g_j - E_j x_{j+1} with E_j = S_j^{-1} U_j, so the
-    factor stores the dense (w, w) stacks C, S^{-1} and E.  Factoring costs
-    O(n w^2) and one solve O(n w).  A non-SPD input is rejected by the pivot
+    factor stores the dense (b, b) stacks C, S^{-1} and E.  Factoring costs
+    O(n b^2) and one solve O(n b).  A non-SPD input is rejected by the pivot
     checks of ``_spd_inverse``, naming the block and pivot."""
 
     def __init__(self, A):
         n = A.n
-        rows = np.repeat(np.arange(n), np.diff(A.indptr))
-        bs = max(int(np.abs(A.indices - rows).max()), 1)
+        rows, cols, vals = A._entries()
+        bs = _block_size(rows, cols)
         nb = -(-n // bs)
         self.n = n
         D = np.zeros((nb, bs, bs))
         U = np.zeros((nb - 1, bs, bs))
-        br, bc = rows // bs, A.indices // bs
+        br, bc = rows // bs, cols // bs
         diag, upper = bc == br, bc == br + 1
-        D[br[diag], rows[diag] % bs, A.indices[diag] % bs] = A.vals[diag]
-        U[br[upper], rows[upper] % bs, A.indices[upper] % bs] = A.vals[upper]
+        D[br[diag], rows[diag] % bs, cols[diag] % bs] = vals[diag]
+        U[br[upper], rows[upper] % bs, cols[upper] % bs] = vals[upper]
         pad = np.arange(n % bs or bs, bs)
         D[-1, pad, pad] = 1.0
         Sinv = np.empty_like(D)
@@ -281,6 +304,17 @@ class BandFactor:
         for j in range(nb - 2, -1, -1):
             x[j] -= E[j] @ x[j + 1]
         return x.ravel()[:self.n]
+
+
+def _block_size(rows, cols):
+    """Smallest b with |i // b - j // b| <= 1 for every entry (i, j).  An
+    entry of offset d = |i - j| spans at least d // b blocks, so b > w / 2
+    for the bandwidth w, and b = w always qualifies."""
+    w = int(np.abs(rows - cols).max())
+    for b in range(w // 2 + 1, w):
+        if (np.abs(rows // b - cols // b) <= 1).all():
+            return b
+    return max(w, 1)
 
 
 def _spd_inverse(S, block):

@@ -9,9 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nirb.linalg import sym_eig
+from nirb.linalg import blocked_matmul, sym_eig
 
 log = logging.getLogger(__name__)
+
+# largest snapshot count whose Gram matrix ``pod`` forms by
+# ``blocked_matmul``: at 1100-1250 columns the pieces take less wall time
+# than one product up to about 40 rows, and twice as much from 64 on
+_BLOCKED_GRAM_ROWS = 40
 
 
 @dataclass
@@ -86,10 +91,18 @@ def pod(snapshots, forms, keep, inner="l2", n_max=None):
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ValueError(f"need a (k, d) snapshot array, got shape {S.shape}")
-    W = block_matvec(forms.mass, S)
+    mat = forms.mass
     if inner == "h1":
-        W = W + block_matvec(forms.stiffness, S)
-    G = S @ W.T
+        mat = mat.lincomb(forms.stiffness, 1.0, 1.0)
+    W = block_matvec(mat, S)
+    # one trajectory's Gram (a few dozen rows) runs in pieces on the calling
+    # thread: as one product OpenBLAS hands it to a second thread, which
+    # then spin-waits for about 0.13 s of CPU time; pooled snapshot sets
+    # keep the one product, whose pieces would cost more wall time
+    if S.shape[0] <= _BLOCKED_GRAM_ROWS:
+        G = blocked_matmul(S, W.T)
+    else:
+        G = S @ W.T
     count = isinstance(keep, (int, np.integer))
     top = S.shape[0]
     if count:

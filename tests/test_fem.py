@@ -91,34 +91,61 @@ def test_load_vector_affine_matches_mass(unit_mesh_4, neumann_forms_4):
 
 
 def test_weighted_mass_unit_weight_is_mass(neumann_forms_4):
+    M = neumann_forms_4.mass
     n_mid = neumann_forms_4.mesh.n_triangles
     W = neumann_forms_4.weighted_mass(np.ones((1, n_mid, 3)))
-    assert W.shape == (1, neumann_forms_4.mass.nnz)
-    assert W[0] == pytest.approx(neumann_forms_4.mass.vals, abs=1e-13)
+    assert W.shape == (1,) + M.vals.shape
+    assert W[0] == pytest.approx(M.vals, abs=1e-13)
 
 
 def test_weighted_mass_matches_dense_quadrature(neumann_forms_4, rng,
                                                 dense_midpoint_rule):
-    # each stacked coefficient field gets its own matrix
+    # each stacked coefficient field gets its own matrix, in the slot layout
+    # of the mass matrix (the constructor checks its invariants)
     forms, M = neumann_forms_4, neumann_forms_4.mass
     C = rng.standard_normal((3, forms.mesh.n_triangles, 3))
     W = forms.weighted_mass(C)
-    assert W.shape == (3, M.nnz)
+    assert W.shape == (3,) + M.vals.shape
     E, w = dense_midpoint_rule(forms)
     for k in range(3):
         want = E.T @ ((w * C[k].ravel())[:, None] * E)
-        got = SparseSym(M.n, M.indptr, M.indices, W[k], check=False).to_dense()
+        got = SparseSym(M.n, M.cols, W[k]).to_dense()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(forms.weighted_mass(C[k:k + 1])[0], W[k])
     with pytest.raises(ValueError):
         forms.weighted_mass(C[0])
 
 
-def test_diagonal_slots(neumann_forms_4):
-    M = neumann_forms_4.mass
-    slots = neumann_forms_4.diagonal_slots()
-    assert slots is neumann_forms_4.diagonal_slots()
-    assert np.array_equal(M.vals[slots], M.diagonal())
+@pytest.mark.parametrize("nx, bc", [(4, "neumann_natural"),
+                                    (7, "dirichlet_zero"),
+                                    (12, "neumann_natural")])
+def test_forms_share_one_slot_layout(nx, bc):
+    # mass, stiffness and every lincomb share one read-only cols of 7 slots
+    # a row on a structured mesh: the diagonal in slot 0, the lumped mass
+    # is the sum over slots, and the dense matrices are the exact P1 ones
+    forms = fem.assemble(mesh.build_structured(nx, nx), bc=bc)
+    M, K = forms.mass, forms.stiffness
+    n = forms.n_dofs
+    assert M.cols.shape == M.vals.shape == K.vals.shape == (7, n)
+    assert K.cols is M.cols and not M.cols.flags.writeable
+    assert M.lincomb(K, 2.0, 0.5).cols is M.cols
+    assert np.array_equal(M.cols[0], np.arange(n))
+    assert np.array_equal(M.diagonal(), M.vals[0])
+    Md, Kd = M.to_dense(), K.to_dense()
+    assert np.array_equal(forms.lumped_mass(), M.vals.sum(axis=0))
+    assert forms.lumped_mass() == pytest.approx(Md.sum(axis=1), abs=1e-15)
+    assert Md.sum() == pytest.approx(1.0, abs=1e-13)
+    assert np.abs(Kd.sum(axis=1)).max() <= 1e-13
+    # the pattern holds every node pair of a triangle, and only those
+    tri = forms.mesh.triangles
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[np.repeat(tri, 3, axis=1), np.tile(tri, (1, 3))] = True
+    assert M.nnz == pattern.sum()
+    assert np.array_equal(Md != 0.0, pattern)
+    # short rows end in zero padding that points at its own row
+    pad = M.cols[1:] == np.arange(n)
+    assert pad.any() and (M.vals[1:][pad] == 0.0).all() \
+        and (K.vals[1:][pad] == 0.0).all()
 
 
 def test_midpoint_values_linear_exact(unit_mesh_4, neumann_forms_4):

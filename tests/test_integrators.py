@@ -491,6 +491,28 @@ class TestNewtonSystem:
         back = np.einsum("ijk,jk->ik", blocks, y).ravel()
         assert np.abs(back - d).max() <= 1e-12 * np.abs(d).max()
 
+    def test_block_product_is_the_dense_jacobian(self, neumann_8x8, rng,
+                                                 dense_midpoint_rule):
+        forms, params, dt = neumann_8x8, (3.0, 2.0, 0.02), 0.05
+        n = forms.n_dofs
+        state = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        system = integrators._ImplicitEulerSystem(forms, params, state, dt)
+        u = _wavy_state(forms)
+        product, _ = system.jacobian(system.residual(u)[1])
+        J, _ = dense_jacobian(forms, params, dt, dense_midpoint_rule, u)
+        X = rng.standard_normal((4, 2 * n))
+        got = np.stack([product(x) for x in X])
+        assert np.abs(got - X @ J.T).max() \
+            <= 1e-14 * np.abs(J).sum(axis=1).max() * np.abs(X).max()
+        # a NaN in one species at one node spoils both species' rows of
+        # the nodes whose pattern holds it, and no other row
+        pattern = forms.mass.to_dense() != 0.0
+        for k in (0, 7, 2 * n - 1):
+            x = np.ones(2 * n)
+            x[k] = np.nan
+            assert np.array_equal(np.isnan(product(x)),
+                                  np.tile(pattern[:, k % n], 2))
+
     def test_step_matches_dense_newton(self, neumann_8x8, dense_midpoint_rule):
         forms, dt = neumann_8x8, 0.05
         params = (3.0, 2.0, 0.02)
@@ -503,30 +525,41 @@ class TestNewtonSystem:
         assert np.abs(out - u).max() <= 1e-10 * np.abs(u).max()
 
 
-def dense_newton_stepper(forms, params, dt, rule):
-    """The implicit-Euler step of the stacked two-species system as a dense
-    oracle: step(state) runs 30 Newton iterations with ``np.linalg.solve``
-    on the matrices of the ``dense_midpoint_rule`` fixture ``rule`` and
-    returns the new state and the size of one further update."""
-    a, b, alpha = params
+def dense_jacobian(forms, params, dt, rule, u):
+    """The exact Jacobian of the implicit-Euler step of the stacked
+    two-species system at the stacked state u, as a dense 2n x 2n matrix
+    built on the matrices of the ``dense_midpoint_rule`` fixture ``rule``;
+    the step's constant part M/dt + alpha K is A, returned as well."""
+    _, b, alpha = params
     n = forms.n_dofs
-    M, K = forms.mass.to_dense(), forms.stiffness.to_dense()
-    A = M / dt + alpha * K
+    A = forms.mass.to_dense() / dt + alpha * forms.stiffness.to_dense()
     E, w = rule(forms)
 
     def weighted(c):
         return E.T @ ((w * c)[:, None] * E)
 
+    m1, m2 = E @ u[:n], E @ u[n:]
+    J = np.block([[A - weighted(2 * m1 * m2 - (b + 1)), -weighted(m1 ** 2)],
+                  [-weighted(b - 2 * m1 * m2), A - weighted(-m1 ** 2)]])
+    return J, A
+
+
+def dense_newton_stepper(forms, params, dt, rule):
+    """The implicit-Euler step of the stacked two-species system as a dense
+    oracle: step(state) runs 30 Newton iterations with ``np.linalg.solve``
+    on the matrices of the ``dense_midpoint_rule`` fixture ``rule`` and
+    returns the new state and the size of one further update."""
+    n = forms.n_dofs
+    M = forms.mass.to_dense()
+    E, w = rule(forms)
+
     def step(state):
         def newton_update(u):
+            J, A = dense_jacobian(forms, params, dt, rule, u)
             m1, m2 = E @ u[:n], E @ u[n:]
             r1, r2 = models.brusselator_rhs(params, m1, m2)
             G = np.concatenate([A @ u[:n] - M @ state[:n] / dt - E.T @ (w * r1),
                                 A @ u[n:] - M @ state[n:] / dt - E.T @ (w * r2)])
-            J = np.block([[A - weighted(2 * m1 * m2 - (b + 1)),
-                           -weighted(m1 ** 2)],
-                          [-weighted(b - 2 * m1 * m2),
-                           A - weighted(-m1 ** 2)]])
             return np.linalg.solve(J, G)
 
         u = state.copy()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nirb import fem, linalg, mesh
+from nirb import fem, integrators, linalg, mesh, models
 
 
 def random_spd(rng, n, cond=10.0):
@@ -62,18 +62,85 @@ class TestSparseSym:
 
     def test_stacked_matvec_is_the_rowwise_matvec(self, rng):
         # one product over leading axes gives every row's 1-D product bit
-        # for bit, and the 1-D product is the plain gather and reduce
+        # for bit, and the 1-D product is the plain gather and a sum over
+        # the slots in slot order
         S = fem.assemble(mesh.build_structured(5, 5)).stiffness
         X = rng.standard_normal((3, 2, S.n))
         x = X[0, 0]
-        assert np.array_equal(
-            S.matvec(x),
-            np.add.reduceat(S.vals * x[S.indices], S.indptr[:-1]))
+        want = S.vals[0] * x[S.cols[0]]
+        for vals, cols in zip(S.vals[1:], S.cols[1:]):
+            want = want + vals * x[cols]
+        assert np.array_equal(S.matvec(x), want)
         for stacked in (X[0], X):
             rows = stacked.reshape(-1, S.n)
             want = np.stack([S.matvec(r) for r in rows])
             assert np.array_equal(S.matvec(stacked),
                                   want.reshape(stacked.shape))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matvec_matches_dense_on_uneven_rows(self, seed):
+        # random SPD patterns whose rows run from the diagonal alone to
+        # well past the 7 slots of a structured mesh
+        rng = np.random.default_rng(seed)
+        n = 40
+        mask = rng.random((n, n)) < 0.04
+        mask[:3] |= rng.random((3, n)) < 0.5
+        mask = np.triu(mask, 1)
+        mask[:, -1] = False  # the last row holds only its diagonal
+        A = np.where(mask, rng.standard_normal((n, n)), 0.0)
+        A = A + A.T
+        A += np.diag(np.abs(A).sum(axis=1) + rng.random(n) + 0.5)
+        S = sparse_from_dense(A)
+        lengths = 1 + (S.cols[1:] != np.arange(n)).sum(axis=0)
+        assert S.cols.shape == (lengths.max(), n) and lengths.max() > 7
+        assert lengths.min() == 1
+        assert S.nnz == np.count_nonzero(A)
+        assert np.array_equal(S.to_dense(), A)
+        assert np.array_equal(S.diagonal(), np.diag(A))
+        X = rng.standard_normal((2, 3, n))
+        assert np.abs(S.matvec(X) - X @ A).max() \
+            <= 1e-14 * np.abs(A).sum(axis=1).max() * np.abs(X).max()
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_nan_reaches_only_the_rows_that_touch_it(self, free):
+        # padding points at its own row, so a NaN entry of x spoils exactly
+        # the rows whose pattern holds its column
+        forms = fem.assemble(mesh.build_structured(4, 4))
+        M = forms.mass_free() if free else forms.mass
+        pattern = M.to_dense() != 0.0
+        for k in range(M.n):
+            x = np.ones(M.n)
+            x[k] = np.nan
+            assert np.array_equal(np.isnan(M.matvec(x)), pattern[:, k])
+
+    def test_layout_invariants_are_checked(self):
+        # the tridiagonal 3x3 [[2, 1, 0], [1, 2, 1], [0, 1, 2]]: row 1 has
+        # two off-diagonal slots, rows 0 and 2 one and a padding slot
+        A = linalg.SparseSym.from_coo(3, [0, 0, 1, 1, 1, 2, 2],
+                                      [0, 1, 0, 1, 2, 1, 2],
+                                      [2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(A.cols, [[0, 1, 2], [1, 0, 1], [0, 2, 2]])
+        assert np.array_equal(A.vals, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0],
+                                       [0.0, 1.0, 0.0]])
+        assert A.nnz == 7
+        linalg.SparseSym(3, A.cols, A.vals)
+
+        cases = [  # (message, array, slot index, corrupt value)
+            ("slot 0 must hold the diagonal", "cols", (slice(0, 2), 1),
+             [0, 1]),
+            ("padding entries must be zero", "vals", (2, 0), 1.0),
+            ("sorted and unique per row", "cols", (slice(1, 3), 1), [2, 0]),
+            ("not structurally symmetric", "cols", (1, 2), 0),
+            ("values are not symmetric", "vals", (1, 0), 1.5),
+            ("column index out of range", "cols", (1, 0), 3),
+        ]
+        for message, name, index, value in cases:
+            arrays = {"cols": A.cols.copy(), "vals": A.vals.copy()}
+            arrays[name][index] = value
+            with pytest.raises(ValueError, match=message):
+                linalg.SparseSym(3, arrays["cols"], arrays["vals"])
+        with pytest.raises(ValueError, match=r"expected \(r, 3\)"):
+            linalg.SparseSym(3, A.cols[:, :2], A.vals[:, :2])
 
     def test_diagonal(self, rng):
         A = random_spd(rng, 5)
@@ -152,20 +219,55 @@ def banded_matrix(n, offdiag):
 class TestBandFactor:
     @pytest.mark.parametrize("make", [
         lambda: heat_lhs(8),
-        # 64 free dofs, bandwidth 9: the last block is one row and padding
+        # 64 free dofs, bandwidth 9: 8 blocks of one grid row
         lambda: heat_lhs(9),
         lambda: heat_lhs(6, bc="neumann_natural", dt=0.1, alpha=0.05),
         lambda: banded_matrix(1, []),
         lambda: banded_matrix(5, []),                 # bandwidth 0
         lambda: banded_matrix(12, [-1.0, 0.5, 0.25]),  # 4 full blocks of 3
+        # blocks of 3 again: the last block is one row and padding
+        lambda: banded_matrix(13, [-1.0, 0.5, 0.25]),
     ], ids=["dirichlet-8", "dirichlet-9", "neumann-6", "one-by-one",
-            "diagonal", "full-blocks"])
+            "diagonal", "full-blocks", "padded"])
     def test_matches_dense_solve(self, make, rng):
         A = make()
         b = rng.standard_normal(A.n)
         x = linalg.BandFactor(A).solve(b)
         want = np.linalg.solve(A.to_dense(), b)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bc", ["dirichlet_zero", "neumann_natural"])
+    @pytest.mark.parametrize("nx", [4, 5, 8, 12, 16, 20, 24, 28, 32])
+    def test_blocks_tile_the_structured_pencils(self, nx, bc, rng):
+        # one grid row of dofs per block, one less than the bandwidth, so
+        # no block is identity padding
+        A = heat_lhs(nx, bc=bc)
+        F = linalg.BandFactor(A)
+        nb, bs = F._sinv.shape[:2]
+        assert bs == (nx - 1 if bc == "dirichlet_zero" else nx + 1)
+        assert nb * bs == A.n
+        b = rng.standard_normal(A.n)
+        want = np.linalg.solve(A.to_dense(), b)
+        assert np.abs(F.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mu", [0.5, 9.5])
+    def test_row_blocks_keep_the_fine_heat_states(self, mu, monkeypatch):
+        # the 32^2 fine heat march on grid-row blocks stays within 1e-12 of
+        # the march on blocks of the bandwidth, whose last block is padding
+        forms = fem.assemble(mesh.build_structured(32, 32))
+        x, y = forms.mesh.nodes.T
+        u0 = models.manufactured_u(0.5, x, y)
+        grid = integrators.TimeGrid(0.5, 1.0, 32)
+
+        def march():
+            return integrators.heat_backward_euler(
+                forms, mu, models.manufactured_f, u0, grid).values
+
+        got = march()
+        monkeypatch.setattr(linalg, "_block_size",
+                            lambda rows, cols: int(np.abs(rows - cols).max()))
+        want = march()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_negative_definite_names_the_pivot(self):
         forms = fem.assemble(mesh.build_structured(4, 4), bc="dirichlet_zero")

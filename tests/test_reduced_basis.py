@@ -97,6 +97,30 @@ class TestPod:
         modes, sig = rb.pod(snaps, forms, 1e-6, n_max=2)
         assert modes.shape[0] == 2 and sig.shape == (33,)
 
+    def test_gram_of_one_trajectory_stays_on_the_calling_thread(
+            self, setup, rng, monkeypatch):
+        # up to _BLOCKED_GRAM_ROWS snapshots the Gram matrix is formed in
+        # blocked pieces, above it as one product; both give the same POD
+        m, forms = setup
+        calls = []
+
+        def recording(A, B):
+            calls.append(A.shape)
+            return blocked_matmul(A, B)
+
+        blocked_matmul = rb.blocked_matmul
+        monkeypatch.setattr(rb, "blocked_matmul", recording)
+        for k in (rb._BLOCKED_GRAM_ROWS, rb._BLOCKED_GRAM_ROWS + 1):
+            snaps = rng.standard_normal((k, m.n_nodes))
+            calls.clear()
+            modes, sig = rb.pod(snaps, forms, 5)
+            assert calls == ([(k, m.n_nodes)]
+                             if k <= rb._BLOCKED_GRAM_ROWS else [])
+            G = snaps @ rb.block_matvec(forms.mass, snaps).T
+            want = np.sqrt(np.linalg.eigvalsh(G)[::-1])
+            assert np.abs(sig - want).max() <= 1e-12 * want[0]
+            assert np.abs(l2_gram(forms, modes) - np.eye(5)).max() <= 1e-10
+
 
 class TestPodGreedy:
     def test_single_parameter(self, setup):
