@@ -89,7 +89,8 @@ class StudyConfig:
 
     # solvers: cg_tol is the relative residual every heat solve must meet
     # (each step of a march, lead-in steps included, and the Ritz
-    # projection); newton_tol is the reaction-diffusion Newton residual
+    # projection).  No heat solve iterates: the name is kept because
+    # configs set it.  newton_tol is the reaction-diffusion Newton residual
     cg_tol: float = 1e-10
     newton_tol: float = 1e-10
 

@@ -85,10 +85,10 @@ def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     each step solves (M + dt mu K) u = M u_prev + dt b(t) on the free dofs
     with one ``BandFactor`` of the step matrix, and every step's relative
     residual must be at most ``cg_tol``.  u0 is the state at ``t_start``
-    (default ``grid.t0``); f may be None for a source-free run.  A run from
-    t_start < t0 first takes implicit-Euler steps of dt to t0 with the
-    window's factor; only a lead-in that is not a whole number of such steps
-    factors its own matrix."""
+    (default ``grid.t0``).  A run from t_start < t0 first takes
+    implicit-Euler steps of dt to t0 with the window's factor; only a
+    lead-in that is not a whole number of such steps factors its own
+    matrix."""
     u0 = _start(forms, u0)
     Mff, Kff = forms.mass_free(), forms.stiffness_free()
     lhs = Mff.lincomb(Kff, 1.0, grid.dt * mu)
@@ -99,12 +99,10 @@ def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
         if not math.isclose(g.dt, grid.dt, rel_tol=1e-12):
             leg_lhs = Mff.lincomb(Kff, 1.0, g.dt * mu)
             leg_factor = BandFactor(leg_lhs)
-        loads = None if f is None else g.dt * forms.free_loads(f, g)
+        loads = g.dt * forms.free_loads(f, g)
         rnorm, bnorm = np.empty(g.steps), np.empty(g.steps)
         for k in range(g.steps):
-            rhs = Mff.matvec(states[-1])
-            if loads is not None:
-                rhs = rhs + loads[k]
+            rhs = Mff.matvec(states[-1]) + loads[k]
             states.append(leg_factor.solve(rhs))
             res = leg_lhs.matvec(states[-1]) - rhs
             rnorm[k], bnorm[k] = res @ res, rhs @ rhs
@@ -147,11 +145,7 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
         dtmu = g.dt * mu
         damp = 1.0 / (1.0 + theta * dtmu * lam)
         gain = (1.0 - (1.0 - theta) * dtmu * lam) * damp
-        if f is None:
-            push = np.zeros((g.steps, n))
-        else:
-            push = forms.modal_loads(f, g, (1.0 - theta) * g.dt) \
-                * (g.dt * damp)
+        push = forms.modal_loads(f, g, (1.0 - theta) * g.dt) * (g.dt * damp)
         for h in push:
             z = np.multiply(gain, Z[row], out=Z[row + 1])
             z += h
@@ -162,9 +156,8 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     for g, theta, what in legs:
         dtmu = g.dt * mu
         old, new = slice(row, row + g.steps), slice(row + 1, row + g.steps + 1)
-        rhs = MU[old] + (theta - 1.0) * dtmu * KU[old]
-        if f is not None:
-            rhs = rhs + g.dt * forms.free_loads(f, g, (1.0 - theta) * g.dt)
+        rhs = (MU[old] + (theta - 1.0) * dtmu * KU[old]
+               + g.dt * forms.free_loads(f, g, (1.0 - theta) * g.dt))
         res = MU[new] + theta * dtmu * KU[new] - rhs
         _check_residuals(g, what, np.sqrt((res * res).sum(axis=-1)),
                          np.sqrt((rhs * rhs).sum(axis=-1)), cg_tol)

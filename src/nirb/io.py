@@ -90,24 +90,30 @@ def _read(path, fmt, kind, names):
     if not os.path.exists(path):
         raise ArtifactError("missing-artifacts",
                             f"no {kind} file at {path}; run the offline stage first")
+    members, name = {}, "archive directory"
+    # one handle for the head and the archive: np.load on a path leaves
+    # the file open when the zip directory is corrupt
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head in (b"NIRB", b"NTRJ"):
-        raise ArtifactError("version-mismatch", f"{path} is in the earlier "
-                            f"block format; this version reads {fmt!r}")
-    if head != b"PK\x03\x04":
-        raise ArtifactError("corrupt-artifacts", f"{path} is not a nirb {kind} file")
-    members, name = {}, "archive directory"
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            for name in names:
-                members[name] = archive[name]
-                if not isinstance(members[name], np.ndarray):
-                    raise ValueError("not a numpy array")
-                if str(members["format"]) != fmt:
-                    break
-    except _READ_ERRORS as exc:
-        raise _corrupt(path, f"cannot read the {name} member", exc) from exc
+        if head in (b"NIRB", b"NTRJ"):
+            raise ArtifactError("version-mismatch",
+                                f"{path} is in the earlier block format; "
+                                f"this version reads {fmt!r}")
+        if head != b"PK\x03\x04":
+            raise ArtifactError("corrupt-artifacts",
+                                f"{path} is not a nirb {kind} file")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                for name in names:
+                    members[name] = archive[name]
+                    if not isinstance(members[name], np.ndarray):
+                        raise ValueError("not a numpy array")
+                    if str(members["format"]) != fmt:
+                        break
+        except _READ_ERRORS as exc:
+            raise _corrupt(path, f"cannot read the {name} member",
+                           exc) from exc
     if str(members["format"]) != fmt:
         raise ArtifactError("version-mismatch", f"{path} holds format "
                             f"{str(members['format'])!r}; this version reads "

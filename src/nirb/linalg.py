@@ -1,10 +1,10 @@
 """Self-contained linear algebra kernels: symmetric padded-row sparse
-storage, Krylov solvers, a block-tridiagonal direct factor for banded SPD
-matrices, a dense Cholesky factor, a dense symmetric eigensolver (Householder
+storage, a block-tridiagonal direct factor for banded SPD matrices, a dense
+Cholesky factor, a dense symmetric eigensolver (Householder
 tridiagonalization, Sturm multisection and inverse iteration) and the
-generalized symmetric-definite eigenproblem built on the two, and
-regularized normal-equation solves.  Dense matrices are plain numpy
-arrays."""
+generalized symmetric-definite eigenproblem built on the two, regularized
+normal-equation solves, and BiCGStab, the one Krylov solver, for the
+nonsymmetric Newton systems.  Dense matrices are plain numpy arrays."""
 
 from __future__ import annotations
 
@@ -76,11 +76,6 @@ class SparseSym:
             self._validate()
         self.cols.flags.writeable = False
 
-    @property
-    def nnz(self):
-        """Number of stored entries, padding excluded."""
-        return self._entries()[0].size
-
     def _entries(self):
         """(rows, cols, vals) of the stored entries, padding excluded, in
         slot-major order."""
@@ -131,9 +126,6 @@ class SparseSym:
         prod = np.take(np.asarray(x, dtype=float), self.cols, axis=-1)
         prod *= self.vals
         return prod.sum(axis=-2)
-
-    def diagonal(self):
-        return self.vals[0]
 
     def lincomb(self, other, a, b):
         """Return a*self + b*other for a matrix with the identical pattern;
@@ -190,57 +182,6 @@ def sparse_with_scatter(n, rows, cols, vals, check=True):
     summed = np.bincount(scatter, weights=vals, minlength=r * n)
     return (SparseSym(n, pattern.reshape(r, n), summed.reshape(r, n),
                       check=check), scatter)
-
-
-def cg_solve(A, b, tol=1e-10, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
-
-    Returns (x, iterations) with the true residual satisfying
-    ||A x - b||_2 <= tol * ||b||_2.  Raises ConvergenceError when max_iter
-    is exhausted, reporting the final residual."""
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if n < 1:
-        raise ValueError("zero-dimensional system")
-    if A.n != n:
-        raise ValueError(f"matrix is {A.n}x{A.n}, rhs has length {n}")
-    nb = _norm2(b)
-    if nb == 0.0:
-        return np.zeros(n), 0
-    if max_iter is None:
-        max_iter = max(100, 10 * n)
-    x = np.zeros(n)
-    dinv = 1.0 / A.diagonal()
-    r = b.copy()
-    z = dinv * r
-    p = z.copy()
-    rz = r @ z
-    target = tol * nb
-    rnorm = _norm2(r)
-    if rnorm <= target:
-        return x, 0
-    for k in range(1, max_iter + 1):
-        Ap = A.matvec(p)
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rnorm = _norm2(r)
-        if rnorm <= target:
-            r = b - A.matvec(x)  # guard against recurrence drift
-            rnorm = _norm2(r)
-            if rnorm <= target:
-                return x, k
-        z = dinv * r
-        rz_new = r @ z
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
-    raise ConvergenceError(
-        f"CG did not reach {tol:.1e} relative residual in {max_iter} iterations "
-        f"(final {rnorm / nb:.3e})", residual=rnorm, iterations=max_iter)
 
 
 class BandFactor:
@@ -409,12 +350,12 @@ def pencil_residuals(KV, MV, lam, V):
     return float(residual), float(orthogonality)
 
 
-def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, precond=None):
+def bicgstab_solve(matvec, b, precond, tol=1e-10, max_iter=None):
     """Right-preconditioned BiCGStab for general square systems.
 
     ``matvec`` is a callable; ``precond`` is a callable approximate inverse
-    of the matrix (None means the identity).  Used for the nonsymmetric
-    Newton systems of the reaction-diffusion step."""
+    of the matrix.  Used for the nonsymmetric Newton systems of the
+    reaction-diffusion step."""
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if n < 1:
@@ -424,8 +365,6 @@ def bicgstab_solve(matvec, b, tol=1e-10, max_iter=None, precond=None):
         return np.zeros(n), 0
     if max_iter is None:
         max_iter = max(200, 10 * n)
-    if precond is None:
-        precond = np.asarray
     x = np.zeros(n)
     target = tol * nb
     r = b.copy()

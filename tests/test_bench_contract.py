@@ -29,12 +29,17 @@ def _load_tracer():
 
 tracer_module = _load_tracer()
 
+# targets the tracer still names but the program no longer has: the heat
+# solves need no CG since the Ritz start uses the band factor
+RETIRED = ["nirb.linalg.cg_solve"]
+
 
 @pytest.mark.parametrize("target", tracer_module.TARGETS,
                          ids=lambda t: f"{t.module}.{t.attr}")
 def test_trace_target_resolves(target):
     module = importlib.import_module(target.module)
-    assert callable(getattr(module, target.attr, None))
+    found = callable(getattr(module, target.attr, None))
+    assert found == (f"{target.module}.{target.attr}" not in RETIRED)
 
 
 def test_trace_hooks_read_the_traced_arguments(small_heat_text):
@@ -49,11 +54,10 @@ def test_trace_hooks_read_the_traced_arguments(small_heat_text):
     finally:
         tracer.uninstall()
     assert tracer.hook_errors == {}
-    assert tracer.absent == []
+    assert tracer.absent == RETIRED
     counts = {}
     for span in tracer.spans:
         counts.setdefault(span.name, []).append(span.counts)
-    assert all(c["iters"] > 0 for c in counts["linalg.cg"])
     assert all(c["n"] > 0 for c in counts["linalg.sym_eig"])
     # five coarse and five fine runs, counted in window steps
     steps = sorted(c["steps"] for c in counts["integrators.heat_march"])
@@ -102,7 +106,7 @@ def test_trace_hooks_on_the_reaction_diffusion_offline():
     finally:
         tracer.uninstall()
     assert tracer.hook_errors == {}
-    assert tracer.absent == []
+    assert tracer.absent == RETIRED
     counts = {}
     for span in tracer.spans:
         counts.setdefault(span.name, []).append(span.counts)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ def test_loo_writes_the_pipeline_table(config_path, capsys, tmp_path):
 
 def test_study_writes_the_pipeline_ladder(config_path, capsys, tmp_path):
     path = tmp_path / "ladder.cfg"
-    path.write_text(open(config_path).read() + "study_levels = 4,8\n")
+    path.write_text(Path(config_path).read_text() + "study_levels = 4,8\n")
     code, out = run(capsys, "study", str(path))
     assert code == 0, out.err
     rows = read_csv(tmp_path / "out" / "study_2h.csv")

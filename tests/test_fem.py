@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nirb import fem, mesh
+from nirb import fem, mesh, models
 from nirb.linalg import SparseSym
 
 
@@ -130,8 +130,8 @@ def test_forms_share_one_slot_layout(nx, bc):
     assert K.cols is M.cols and not M.cols.flags.writeable
     assert M.lincomb(K, 2.0, 0.5).cols is M.cols
     assert np.array_equal(M.cols[0], np.arange(n))
-    assert np.array_equal(M.diagonal(), M.vals[0])
     Md, Kd = M.to_dense(), K.to_dense()
+    assert np.array_equal(M.vals[0], np.diag(Md))
     assert np.array_equal(forms.lumped_mass(), M.vals.sum(axis=0))
     assert forms.lumped_mass() == pytest.approx(Md.sum(axis=1), abs=1e-15)
     assert Md.sum() == pytest.approx(1.0, abs=1e-13)
@@ -140,7 +140,7 @@ def test_forms_share_one_slot_layout(nx, bc):
     tri = forms.mesh.triangles
     pattern = np.zeros((n, n), dtype=bool)
     pattern[np.repeat(tri, 3, axis=1), np.tile(tri, (1, 3))] = True
-    assert M.nnz == pattern.sum()
+    assert M._entries()[0].size == pattern.sum()
     assert np.array_equal(Md != 0.0, pattern)
     # short rows end in zero padding that points at its own row
     pad = M.cols[1:] == np.arange(n)
@@ -200,8 +200,42 @@ def test_ritz_projection_zero(dirichlet_forms_4):
     assert np.abs(proj).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_ritz_projection_matches_dense_solve(n):
+    # g_i = integral of grad u . grad phi_i by the three-midpoint rule, with
+    # grad phi_i from the inverse Jacobian of each triangle, then a dense
+    # solve of K_free x = g_free
+    m = mesh.build_structured(n, n)
+    forms = fem.assemble(m, bc="dirichlet_zero")
+    grad = lambda x, y: models.manufactured_grad(1.0, x, y)
+    p = m.nodes[m.triangles]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    area = 0.5 * np.abs(np.linalg.det(J))
+    hat_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) \
+        @ np.linalg.inv(J)
+    mid = 0.5 * (p + np.roll(p, -1, axis=1))
+    gx, gy = grad(mid[..., 0], mid[..., 1])
+    mean_grad = np.stack([gx.mean(axis=1), gy.mean(axis=1)], axis=-1)
+    contrib = area[:, None] * (hat_grads @ mean_grad[..., None])[..., 0]
+    g = np.bincount(m.triangles.ravel(), weights=contrib.ravel(),
+                    minlength=m.n_nodes)
+    free = forms.free_dofs
+    want = np.zeros(m.n_nodes)
+    want[free] = np.linalg.solve(forms.stiffness_free().to_dense(), g[free])
+    got = fem.ritz_projection(forms, grad)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ritz_projection_impossible_tolerance_names_the_residual():
+    forms = fem.assemble(mesh.build_structured(8, 8), bc="dirichlet_zero")
+    with pytest.raises(RuntimeError, match=r"^Ritz projection: relative "
+                                           r"residual \S+ exceeds 1.0e-20$"):
+        fem.ritz_projection(
+            forms, lambda x, y: models.manufactured_grad(1.0, x, y),
+            cg_tol=1e-20)
+
+
 def test_ritz_projection_gradient_rate():
-    from nirb import models
     errs, hs = [], []
     for n in (8, 16, 32):
         m = mesh.build_structured(n, n)

@@ -94,9 +94,9 @@ class TestSparseSym:
         lengths = 1 + (S.cols[1:] != np.arange(n)).sum(axis=0)
         assert S.cols.shape == (lengths.max(), n) and lengths.max() > 7
         assert lengths.min() == 1
-        assert S.nnz == np.count_nonzero(A)
+        assert S._entries()[0].size == np.count_nonzero(A)
         assert np.array_equal(S.to_dense(), A)
-        assert np.array_equal(S.diagonal(), np.diag(A))
+        assert np.array_equal(S.vals[0], np.diag(A))
         X = rng.standard_normal((2, 3, n))
         assert np.abs(S.matvec(X) - X @ A).max() \
             <= 1e-14 * np.abs(A).sum(axis=1).max() * np.abs(X).max()
@@ -122,7 +122,7 @@ class TestSparseSym:
         assert np.array_equal(A.cols, [[0, 1, 2], [1, 0, 1], [0, 2, 2]])
         assert np.array_equal(A.vals, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0],
                                        [0.0, 1.0, 0.0]])
-        assert A.nnz == 7
+        assert A._entries()[0].size == 7
         linalg.SparseSym(3, A.cols, A.vals)
 
         cases = [  # (message, array, slot index, corrupt value)
@@ -144,7 +144,7 @@ class TestSparseSym:
 
     def test_diagonal(self, rng):
         A = random_spd(rng, 5)
-        assert sparse_from_dense(A).diagonal() == pytest.approx(np.diag(A))
+        assert sparse_from_dense(A).vals[0] == pytest.approx(np.diag(A))
 
     def test_lincomb(self, rng):
         A = random_spd(rng, 5)
@@ -159,41 +159,6 @@ class TestSparseSym:
         keep = np.array([0, 2, 5])
         R = sparse_from_dense(A).restrict(keep)
         assert R.to_dense() == pytest.approx(A[np.ix_(keep, keep)])
-
-
-class TestCG:
-    def test_identity(self):
-        A = linalg.SparseSym.from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
-        x, iters = linalg.cg_solve(A, np.array([1.0, 2.0, 3.0]))
-        assert x == pytest.approx([1.0, 2.0, 3.0])
-        assert iters <= 1
-
-    def test_two_by_two(self):
-        A = linalg.SparseSym.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1],
-                                      [4.0, 1.0, 1.0, 3.0])
-        x, _ = linalg.cg_solve(A, np.array([1.0, 2.0]), tol=1e-12)
-        assert x == pytest.approx([1.0 / 11.0, 7.0 / 11.0], abs=1e-10)
-
-    def test_zero_rhs(self):
-        A = linalg.SparseSym.from_coo(2, [0, 1], [0, 1], [2.0, 2.0])
-        x, iters = linalg.cg_solve(A, np.zeros(2))
-        assert x == pytest.approx(np.zeros(2))
-        assert iters == 0
-
-    def test_random_spd_matches_oracle(self, rng):
-        A = random_spd(rng, 30, cond=100.0)
-        S = sparse_from_dense(A)
-        b = rng.standard_normal(30)
-        x, _ = linalg.cg_solve(S, b, tol=1e-12)
-        assert x == pytest.approx(np.linalg.solve(A, b), rel=1e-8)
-
-    def test_exhausted_iterations_raise(self, rng):
-        A = random_spd(rng, 20, cond=1e6)
-        S = sparse_from_dense(A)
-        with pytest.raises(linalg.ConvergenceError) as err:
-            linalg.cg_solve(S, rng.standard_normal(20), tol=1e-14, max_iter=2)
-        assert err.value.iterations == 2
-        assert err.value.residual is not None
 
 
 def heat_lhs(nx, bc="dirichlet_zero", dt=1.0 / 32.0, alpha=4.0):
@@ -350,7 +315,7 @@ class TestBiCGStab:
 
     def test_identity_immediate(self):
         b = np.array([3.0, -1.0])
-        x, _ = linalg.bicgstab_solve(lambda v: v, b)
+        x, _ = linalg.bicgstab_solve(lambda v: v, b, lambda v: v)
         assert x == pytest.approx(b)
 
 
