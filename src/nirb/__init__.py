@@ -7,7 +7,7 @@ optionally corrected by per-time-step rectification maps fitted on the
 training runs."""
 
 from nirb.config import StudyConfig, load_config
-from nirb.fem import assemble, norms, ritz_projection
+from nirb.fem import assemble, norms
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import TriMesh, build_structured, interpolate_field
@@ -35,5 +35,5 @@ __all__ = [
     "heat_backward_euler", "heat_crank_nicolson", "interpolate_field",
     "leave_one_out", "load_config", "manufactured_f", "manufactured_u",
     "norms", "offline", "online", "pod", "pod_greedy",
-    "quadratic_time_interp", "ritz_projection", "solve_coarse", "solve_fine",
+    "quadratic_time_interp", "solve_coarse", "solve_fine",
 ]

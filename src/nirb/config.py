@@ -87,10 +87,10 @@ class StudyConfig:
     delta_mode: str = "relative"
     delta_value: float = 1e-10
 
-    # solvers: cg_tol is the relative residual every heat solve must meet
-    # (each step of a march, lead-in steps included, and the Ritz
-    # projection).  No heat solve iterates: the name is kept because
-    # configs set it.  newton_tol is the reaction-diffusion Newton residual
+    # solvers: cg_tol is the relative residual every step of a heat march
+    # must meet, lead-in steps included.  No heat solve iterates: the name
+    # is kept because configs set it.  newton_tol is the reaction-diffusion
+    # Newton residual
     cg_tol: float = 1e-10
     newton_tol: float = 1e-10
 
@@ -129,6 +129,15 @@ class StudyConfig:
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), "
                                  f"got {getattr(self, name)}")
+        # runs are keyed by parameter, so a repeated value would train once
+        # but be held out twice by leave-one-out
+        axes = (("train_mu",) if self.problem == "heat"
+                else ("train_a", "train_b", "train_alpha"))
+        for name in axes:
+            values = list(getattr(self, name))
+            for v in values:
+                if values.count(v) > 1:
+                    raise ValueError(f"repeated value {v} in {name} {values}")
         if self.problem == "heat":
             # zero Dirichlet data needs an interior node to solve for
             for which in ("fine", "coarse"):

@@ -1,5 +1,6 @@
 """P1 finite element assembly on triangle meshes: exact mass and stiffness
-matrices, midpoint-rule load vectors, discrete norms, and Ritz projection."""
+matrices, midpoint-rule load vectors, discrete norms, distances to a closed
+form, and the cached modal decomposition of the free-dof pencil."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nirb.linalg import (BandFactor, SparseSym, blocked_matmul, pencil_eig,
+from nirb.linalg import (SparseSym, blocked_matmul, pencil_eig,
                          pencil_residuals, sparse_with_scatter)
 
 log = logging.getLogger(__name__)
@@ -329,32 +330,3 @@ def difference_norms(forms, u_nodal, u_fn, grad_fn, t):
     err_h1 = integral((gxh - gx) ** 2 + (gyh - gy) ** 2)
     ref_h1 = integral(gx ** 2 + gy ** 2)
     return err_l2, err_h1, ref_l2, ref_h1
-
-
-def ritz_projection(forms, grad_u, cg_tol=1e-12):
-    """H1-orthogonal projection onto the P1 space with zero boundary values
-    of the target whose gradient the callable grad_u(x, y) -> (du/dx, du/dy)
-    gives analytically: one ``BandFactor`` solve of K_free x = g, whose
-    relative residual ||K_free x - g|| / ||g|| must be at most ``cg_tol``."""
-    if forms.bc != "dirichlet_zero":
-        raise ValueError("Ritz projection requires the Dirichlet form set")
-    gx, gy = grad_u(forms.mid_x, forms.mid_y)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), forms.mid_x.shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), forms.mid_x.shape)
-    # grad(phi_i) is constant per element: (b_i, c_i) / (2 A), and each
-    # midpoint carries weight A/3, so the element contribution is
-    # (sum_q gx_q) b_i / 6 + (sum_q gy_q) c_i / 6.
-    contrib = (gx.sum(axis=1)[:, None] * forms.b
-               + gy.sum(axis=1)[:, None] * forms.c) / 6.0
-    g = np.bincount(forms.mesh.triangles.ravel(), weights=contrib.ravel(),
-                    minlength=forms.n_dofs)
-    Kff, gf = forms.stiffness_free(), g[forms.free_dofs]
-    xf = BandFactor(Kff).solve(gf)
-    res = Kff.matvec(xf) - gf
-    rnorm, gnorm = math.sqrt(res @ res), math.sqrt(gf @ gf)
-    if not rnorm <= cg_tol * gnorm:
-        raise RuntimeError(f"Ritz projection: relative residual "
-                           f"{rnorm / gnorm:.3e} exceeds {cg_tol:.1e}")
-    out = np.zeros(forms.n_dofs)
-    out[forms.free_dofs] = xf
-    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from nirb import io, models
-from nirb.fem import assemble, difference_norms, norms, ritz_projection
+from nirb.fem import assemble, difference_norms, norms
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import build_structured
@@ -52,39 +52,15 @@ def discretize(config):
     return out[0], out[1]
 
 
-def heat_initial_fine(config, fine, mu):
-    """Fine-mesh start of the heat problem: (state, start time).
-
-    A window with t0 > 0 at mu = 1 starts at t0 from the Ritz projection of
-    the closed-form solution; every other run starts from rest at t = 0, and
-    the fine march's lead-in covers [0, t0] with the window's step."""
-    if config.t0 > 0.0 and mu == 1.0:
-        return ritz_projection(
-            fine.forms, lambda x, y: models.manufactured_grad(config.t0, x, y),
-            cg_tol=min(config.cg_tol, 1e-12)), config.t0
-    return np.zeros(fine.mesh.n_nodes), 0.0
-
-
-def heat_initial_coarse(config, coarse, mu):
-    """Coarse-mesh start of the heat problem, read off the coarse mesh alone,
-    like ``heat_initial_fine`` but with the nodal interpolant at mu = 1.
-    Training and online runs start the same way, so the rectification is
-    fitted on the same kind of coarse run it is applied to."""
-    if config.t0 > 0.0 and mu == 1.0:
-        x, y = coarse.mesh.nodes[:, 0], coarse.mesh.nodes[:, 1]
-        return models.manufactured_u(config.t0, x, y), config.t0
-    return np.zeros(coarse.mesh.n_nodes), 0.0
-
-
 def solve_fine(config, disc, param):
-    """High-fidelity trajectory at one parameter (heat: implicit Euler;
-    reaction-diffusion: Newton implicit Euler)."""
+    """High-fidelity trajectory at one parameter (heat: implicit Euler from
+    rest at t = 0, the march's lead-in covering [0, t0] with the window's
+    step; reaction-diffusion: Newton implicit Euler)."""
     if config.problem == "heat":
-        mu = float(param)
-        u0, t_start = heat_initial_fine(config, disc, mu)
-        return heat_backward_euler(disc.forms, mu, models.manufactured_f, u0,
-                                   disc.grid, cg_tol=config.cg_tol,
-                                   t_start=t_start)
+        return heat_backward_euler(disc.forms, float(param),
+                                   models.manufactured_f,
+                                   np.zeros(disc.mesh.n_nodes), disc.grid,
+                                   cg_tol=config.cg_tol, t_start=0.0)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -93,18 +69,20 @@ def solve_fine(config, disc, param):
 
 def solve_coarse(config, disc, param, fine=None):
     """Cheap trajectory at one parameter on the coarse discretization alone
-    (heat: Crank-Nicolson from ``heat_initial_coarse``, led in by half
-    steps, marched as diagonal recurrences in the eigenvectors of the coarse
-    pencil, which the first heat run on ``disc`` computes and later runs
-    reuse; reaction-diffusion: explicit midpoint on the lumped system).
+    (heat: Crank-Nicolson from rest at t = 0 like the fine run, led in to t0
+    by half steps, marched as diagonal recurrences in the eigenvectors of
+    the coarse pencil, which the first heat run on ``disc`` computes and
+    later runs reuse; reaction-diffusion: explicit midpoint on the lumped
+    system).  Training and online runs start the same way at every
+    parameter, so the rectification is fitted on the same kind of coarse run
+    it is applied to.
 
     ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
-        mu = float(param)
-        u0, t_start = heat_initial_coarse(config, disc, mu)
-        return heat_crank_nicolson(disc.forms, mu, models.manufactured_f, u0,
-                                   disc.grid, cg_tol=config.cg_tol,
-                                   t_start=t_start)
+        return heat_crank_nicolson(disc.forms, float(param),
+                                   models.manufactured_f,
+                                   np.zeros(disc.mesh.n_nodes), disc.grid,
+                                   cg_tol=config.cg_tol, t_start=0.0)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -269,6 +247,10 @@ def check_bounds(config, param):
     return key
 
 
+def _mesh_label(m):
+    return f"{m.nx}x{m.ny} mesh on {tuple(float(v) for v in m.domain)}"
+
+
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, one product with the
     artifacts' lift-projection operator (the space lift and the projection
@@ -279,8 +261,8 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
     share is then reported as zero) and the bounds check, which belongs to
     the caller that ran that coarse solve; so a command that checks its
-    parameter once and reuses the coarse run warns once.  Its time grid
-    must be the artifacts' coarse grid."""
+    parameter once and reuses the coarse run warns once.  Its mesh and time
+    grid must be the artifacts' coarse ones."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
@@ -292,6 +274,11 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
         coarse_traj = solve_coarse(config, artifacts.coarse, key)
     else:
         key = param_key(config, param)
+        got, want = (_mesh_label(m) for m in (coarse_traj.mesh,
+                                              artifacts.coarse.mesh))
+        if got != want:
+            raise ValueError(f"coarse trajectory on the {got}, expected the "
+                             f"coarse {want}")
         if coarse_traj.grid != artifacts.coarse.grid:
             raise ValueError(f"coarse trajectory on {coarse_traj.grid}, "
                              f"expected the coarse grid "

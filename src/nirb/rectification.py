@@ -100,7 +100,9 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
     The Tikhonov parameter follows the config's rule: delta_mode 'relative'
     takes delta_value * sigma_1(A^T A) at each time index, 'absolute' takes
     delta_value itself (zero triggers an invertibility screen and fails
-    loudly on rank deficiency)."""
+    loudly on rank deficiency); any other mode raises ``ValueError``."""
+    if delta_mode not in ("relative", "absolute"):
+        raise ValueError(f"unknown delta_mode {delta_mode!r}")
     fine_keys = list(fine_trajs.keys())
     coarse_keys = list(coarse_trajs.keys())
     if fine_keys != coarse_keys:

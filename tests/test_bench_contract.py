@@ -29,9 +29,10 @@ def _load_tracer():
 
 tracer_module = _load_tracer()
 
-# targets the tracer still names but the program no longer has: the heat
-# solves need no CG since the Ritz start uses the band factor
-RETIRED = ["nirb.linalg.cg_solve"]
+# targets the tracer still names but the program no longer has: no heat
+# solve iterates, and every heat run starts from rest without a separate
+# start-up function
+RETIRED = ["nirb.linalg.cg_solve", "nirb.pipeline.heat_initial_fine"]
 
 
 @pytest.mark.parametrize("target", tracer_module.TARGETS,

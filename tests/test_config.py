@@ -21,7 +21,7 @@ def heat_configs(draw):
     mu_min = draw(st.floats(min_value=1e-3, max_value=10.0))
     mu_max = draw(st.floats(min_value=mu_min, max_value=100.0))
     train = draw(st.lists(st.floats(min_value=mu_min, max_value=mu_max),
-                          min_size=1, max_size=6))
+                          min_size=1, max_size=6, unique=True))
     x0, y0 = draw(finite), draw(finite)
     t0 = draw(st.floats(min_value=0.0, max_value=10.0))
     return StudyConfig(
@@ -56,11 +56,11 @@ def brusselator_configs(draw):
         problem="brusselator", t0=0.0,
         T=draw(st.floats(min_value=1e-3, max_value=10.0)),
         train_a=tuple(draw(st.lists(st.floats(2.0, 4.0), min_size=1,
-                                    max_size=3))),
+                                    max_size=3, unique=True))),
         train_b=tuple(draw(st.lists(st.floats(1.0, 4.0), min_size=1,
-                                    max_size=3))),
+                                    max_size=3, unique=True))),
         train_alpha=tuple(draw(st.lists(st.floats(0.001, 0.05), min_size=1,
-                                        max_size=3))),
+                                        max_size=3, unique=True))),
         test_a=draw(finite), test_b=draw(finite), test_alpha=draw(finite),
         newton_tol=draw(st.floats(min_value=1e-16, max_value=1e-2)))
 
@@ -102,6 +102,23 @@ def test_unknown_keys_rejected(line):
 ])
 def test_invalid_values_rejected(edit):
     with pytest.raises(ValueError):
+        dataclasses.replace(StudyConfig(), **edit).validate()
+
+
+RD = {"problem": "brusselator", "t0": 0.0}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"train_mu": (0.5, 3.0, 3.0, 9.5)}, "repeated value 3.0 in train_mu"),
+    ({**RD, "train_a": (2.0, 3.0, 2.0)}, "repeated value 2.0 in train_a"),
+    ({**RD, "train_b": (3.0, 3.0)}, "repeated value 3.0 in train_b"),
+    ({**RD, "train_alpha": (0.01, 0.001, 0.01)},
+     "repeated value 0.01 in train_alpha"),
+])
+def test_repeated_training_value_rejected(edit, message):
+    # runs are keyed by parameter: 0.5,3.0,3.0,9.5 would train on three runs
+    # while leave-one-out held 3.0 out twice
+    with pytest.raises(ValueError, match=message):
         dataclasses.replace(StudyConfig(), **edit).validate()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nirb import fem, mesh, models
+from nirb import fem, mesh
 from nirb.linalg import SparseSym
 
 
@@ -193,58 +193,3 @@ def test_difference_norms_reproduces_p1(unit_mesh_4, neumann_forms_4):
     assert el2 <= 1e-13 and eh1 <= 1e-13
     assert rh1 == pytest.approx(np.sqrt(13.0), abs=1e-12)
 
-
-def test_ritz_projection_zero(dirichlet_forms_4):
-    proj = fem.ritz_projection(dirichlet_forms_4,
-                               lambda x, y: (np.zeros_like(x), 0.0))
-    assert np.abs(proj).max() == 0.0
-
-
-@pytest.mark.parametrize("n", [8, 16])
-def test_ritz_projection_matches_dense_solve(n):
-    # g_i = integral of grad u . grad phi_i by the three-midpoint rule, with
-    # grad phi_i from the inverse Jacobian of each triangle, then a dense
-    # solve of K_free x = g_free
-    m = mesh.build_structured(n, n)
-    forms = fem.assemble(m, bc="dirichlet_zero")
-    grad = lambda x, y: models.manufactured_grad(1.0, x, y)
-    p = m.nodes[m.triangles]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    area = 0.5 * np.abs(np.linalg.det(J))
-    hat_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) \
-        @ np.linalg.inv(J)
-    mid = 0.5 * (p + np.roll(p, -1, axis=1))
-    gx, gy = grad(mid[..., 0], mid[..., 1])
-    mean_grad = np.stack([gx.mean(axis=1), gy.mean(axis=1)], axis=-1)
-    contrib = area[:, None] * (hat_grads @ mean_grad[..., None])[..., 0]
-    g = np.bincount(m.triangles.ravel(), weights=contrib.ravel(),
-                    minlength=m.n_nodes)
-    free = forms.free_dofs
-    want = np.zeros(m.n_nodes)
-    want[free] = np.linalg.solve(forms.stiffness_free().to_dense(), g[free])
-    got = fem.ritz_projection(forms, grad)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_ritz_projection_impossible_tolerance_names_the_residual():
-    forms = fem.assemble(mesh.build_structured(8, 8), bc="dirichlet_zero")
-    with pytest.raises(RuntimeError, match=r"^Ritz projection: relative "
-                                           r"residual \S+ exceeds 1.0e-20$"):
-        fem.ritz_projection(
-            forms, lambda x, y: models.manufactured_grad(1.0, x, y),
-            cg_tol=1e-20)
-
-
-def test_ritz_projection_gradient_rate():
-    errs, hs = [], []
-    for n in (8, 16, 32):
-        m = mesh.build_structured(n, n)
-        forms = fem.assemble(m, bc="dirichlet_zero")
-        proj = fem.ritz_projection(
-            forms, lambda x, y: models.manufactured_grad(1.0, x, y))
-        _, eh1, _, rh1 = fem.difference_norms(
-            forms, proj, models.manufactured_u, models.manufactured_grad, 1.0)
-        errs.append(eh1 / rh1)
-        hs.append(m.h)
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert 0.8 <= slope <= 1.2

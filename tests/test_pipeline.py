@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestCoarseOnly:
         def fine_solve(*args, **kwargs):
             raise AssertionError("the online stage ran a fine solve")
 
-        monkeypatch.setattr(pipeline, "heat_initial_fine", fine_solve)
+        monkeypatch.setattr(pipeline, "heat_backward_euler", fine_solve)
         monkeypatch.setattr(pipeline, "solve_fine", fine_solve)
         for mu in (4.5, 1.0):
             values = pipeline.online(artifacts, mu).trajectory.values
@@ -141,6 +142,21 @@ class TestCoarseOnly:
             with pytest.raises(ValueError, match=r"coarse trajectory on "
                                r"TimeGrid\(.*\), expected the coarse grid"):
                 pipeline.online(artifacts, 4.5, coarse_traj=traj)
+
+    def test_coarse_run_on_a_foreign_mesh_is_rejected(self, study):
+        # same node count and grid, another domain: the lift would read its
+        # values as if they sat on the artifacts' coarse mesh
+        config, artifacts = study
+        other = dataclasses.replace(config, domain=(0.0, 2.0, 0.0, 0.5))
+        coarse = pipeline.solve_coarse(other, pipeline.discretize(other)[1],
+                                       4.5)
+        assert coarse.mesh.n_nodes == artifacts.coarse.mesh.n_nodes
+        assert coarse.grid == artifacts.coarse.grid
+        with pytest.raises(ValueError, match=(
+                r"coarse trajectory on the 4x4 mesh on \(0\.0, 2\.0, 0\.0, "
+                r"0\.5\), expected the coarse 4x4 mesh on \(0\.0, 1\.0, "
+                r"0\.0, 1\.0\)")):
+            pipeline.online(artifacts, 4.5, coarse_traj=coarse)
 
     def test_coarse_failure_shows_before_any_fine_solve(self, monkeypatch):
         # at the default 32^2/16^2 discretization the explicit coarse step
@@ -250,6 +266,21 @@ class TestHeldOutOrdering:
         plain = pipeline.online(artifacts, mu, mode="plain", coarse_traj=coarse)
         rect = pipeline.online(artifacts, mu, coarse_traj=coarse)
         assert err(rect.trajectory) < err(plain.trajectory) < err(lifted)
+
+
+class TestOneStartForEveryParameter:
+    # mu = 1 is the parameter with a closed form; its runs start from rest
+    # at t = 0 like every other, so the two-grid map does not jump there
+    def test_online_is_continuous_at_mu_1(self, study):
+        _, artifacts = study
+        at = pipeline.online(artifacts, 1.0).trajectory.values
+        near = pipeline.online(artifacts, 1.0 + 1e-9).trajectory.values
+        assert np.abs(at - near).max() <= 1e-6 * np.abs(at).max()
+
+    def test_rectified_error_at_mu_1_is_small(self, study):
+        _, artifacts = study
+        errors = pipeline.two_grid_errors(artifacts, 1.0)
+        assert errors["rect"].rel_energy <= 1e-4
 
 
 class TestLift:
@@ -363,6 +394,16 @@ class TestRectification:
             build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
                                 artifacts.lift, artifacts.time_weights)
 
+    def test_unknown_delta_mode_rejected(self, study):
+        config, artifacts = study
+        ctx = artifacts.context()
+        fine = {2.0: pipeline.solve_fine(config, ctx.fine, 2.0)}
+        coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0)}
+        with pytest.raises(ValueError, match="unknown delta_mode 'relatve'"):
+            build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
+                                artifacts.lift, artifacts.time_weights,
+                                "relatve")
+
 
 class TestEvaluateErrors:
     @pytest.mark.parametrize("bc, n_fields, norm", [
@@ -472,13 +513,29 @@ class TestStudy:
             StudyConfig(), train_mu=(0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 9.5),
             study_levels=(8, 16, 32))
 
-    def test_sqrt_coupling_gives_the_better_rectified_rate(self, heat_config):
-        slopes = pipeline.convergence_study(heat_config, "sqrt").slopes
-        assert slopes["rect", "energy"] >= 1.2
+    @pytest.fixture(scope="class")
+    def study_slopes(self, heat_config):
+        """The H1 slopes of the study under a coupling, each study run once."""
+        @functools.cache
+        def slopes(coupling):
+            return pipeline.convergence_study(heat_config, coupling).slopes
+        return slopes
+
+    @pytest.mark.parametrize("coupling", ["2h", "sqrt"])
+    def test_fine_rate_is_first_order(self, study_slopes, coupling):
+        # the P1 rate in H1 against the closed form at mu = 1
+        assert 0.9 <= study_slopes(coupling)["fine", "energy"] <= 1.1
+
+    def test_sqrt_coupling_gives_the_better_rectified_rate(self,
+                                                           study_slopes):
+        # the rectified run keeps the fine rate; the lifted coarse run, with
+        # H ~ sqrt(h), loses about half of it
+        slopes = study_slopes("sqrt")
+        assert abs(slopes["rect", "energy"] - slopes["fine", "energy"]) <= 0.05
         assert slopes["rect", "energy"] > slopes["coarse", "energy"] + 0.5
 
-    def test_2h_rectified_rate_follows_the_fine_rate(self, heat_config):
-        slopes = pipeline.convergence_study(heat_config, "2h").slopes
+    def test_2h_rectified_rate_follows_the_fine_rate(self, study_slopes):
+        slopes = study_slopes("2h")
         assert abs(slopes["rect", "energy"] - slopes["fine", "energy"]) <= 0.05
 
     def test_bad_ladder_fails_before_any_offline(self, heat_config,
