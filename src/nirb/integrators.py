@@ -3,7 +3,8 @@ and Newton-implicit-Euler / explicit-midpoint steps for the two-species
 reaction-diffusion system.
 
 The heat marches are direct: the fine one factors its step matrix once
-(``linalg.BandFactor``), the coarse one is modal.  The Newton step's
+(``linalg.BandFactor``, block cyclic reduction, so each step's solve is a
+few batched products), the coarse one is modal.  The Newton step's
 Jacobian is one 2x2 block operator in the slot layout of the mass pattern
 that both species share, so a Krylov product is one gather and one
 ``einsum`` that multiplies by the blocks and sums over species and slots.
@@ -83,8 +84,9 @@ class FieldTrajectory:
 def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data:
     each step solves (M + dt mu K) u = M u_prev + dt b(t) on the free dofs
-    with one ``BandFactor`` of the step matrix, and every step's relative
-    residual must be at most ``cg_tol``.  u0 is the state at ``t_start``
+    with one ``BandFactor`` of the step matrix (one batched product per
+    cyclic-reduction level and sweep), and every step's relative residual
+    must be at most ``cg_tol``.  u0 is the state at ``t_start``
     (default ``grid.t0``).  A run from t_start < t0 first takes
     implicit-Euler steps of dt to t0 with the window's factor; only a
     lead-in that is not a whole number of such steps factors its own

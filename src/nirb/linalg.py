@@ -1,5 +1,5 @@
 """Self-contained linear algebra kernels: symmetric padded-row sparse
-storage, a block-tridiagonal direct factor for banded SPD matrices, a dense
+storage, a block cyclic reduction factor for banded SPD matrices, a dense
 Cholesky factor, a dense symmetric eigensolver (Householder
 tridiagonalization, Sturm multisection and inverse iteration) and the
 generalized symmetric-definite eigenproblem built on the two, regularized
@@ -38,6 +38,9 @@ _INVERSE_ITERATION_ENTRIES = 26_000
 # thread, while a larger one may wake a second thread, which then spin-waits
 # after the call and adds its CPU time to the process's.
 _BLAS_ROWS = 4
+# Entries of the array that one gather of ``SparseSym.matvec`` fills (1 MB):
+# a stack of rows is multiplied in chunks of about this over r n rows.
+_GATHER_ENTRIES = 131_072
 
 
 class ConvergenceError(RuntimeError):
@@ -122,8 +125,25 @@ class SparseSym:
     def matvec(self, x):
         """A x for x of shape (..., n), over any leading axes: one gather,
         one multiply and one sum over the slot axis, in slot order, so
-        every leading row gets its 1-D product bit for bit."""
-        prod = np.take(np.asarray(x, dtype=float), self.cols, axis=-1)
+        every leading row gets its 1-D product bit for bit.  A stack of
+        more than ``_GATHER_ENTRIES`` / (r n) rows is multiplied in chunks
+        of that many rows, so the gathered (rows, r, n) array stays near
+        1 MB."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.n:
+            raise ValueError(f"operand has shape {x.shape}, expected "
+                             f"(..., {self.n})")
+        chunk = max(1, _GATHER_ENTRIES // self.cols.size)
+        if x.size <= chunk * self.n:
+            return self._gather_product(x)
+        rows = x.reshape(-1, self.n)
+        out = np.empty(rows.shape)
+        for s in range(0, rows.shape[0], chunk):
+            out[s:s + chunk] = self._gather_product(rows[s:s + chunk])
+        return out.reshape(x.shape)
+
+    def _gather_product(self, x):
+        prod = np.take(x, self.cols, axis=-1)
         prod *= self.vals
         return prod.sum(axis=-2)
 
@@ -193,17 +213,37 @@ class BandFactor:
     blocks (``_block_size``), at most the bandwidth w = max |i - j|, which
     always does; on a structured mesh it is one grid row, w - 1, so the
     blocks tile the dofs exactly.  Otherwise the last block is padded with
-    identity rows.  Block elimination without pivoting,
+    identity rows.  ``block_shape`` is (block count nb, b).
 
-        S_0 = D_0,   S_j = D_j - U_{j-1}^T S_{j-1}^{-1} U_{j-1},
+    The factor is block cyclic reduction.  Even-position blocks couple only
+    to odd ones, so one level eliminates all of them at once: one batched
+    pivot-checked inverse of their diagonal blocks, then batched products
+    for the odd blocks' Schur complements and couplings,
 
-    keeps every Schur complement S_j SPD (Golub & Van Loan, Matrix
-    Computations, block tridiagonal systems).  A solve is a forward sweep
-    g_j = b_j - C_j g_{j-1} with C_j = U_{j-1}^T S_{j-1}^{-1}, then a backward
-    sweep x_j = S_j^{-1} g_j - E_j x_{j+1} with E_j = S_j^{-1} U_j, so the
-    factor stores the dense (b, b) stacks C, S^{-1} and E.  Factoring costs
-    O(n b^2) and one solve O(n b).  A non-SPD input is rejected by the pivot
-    checks of ``_spd_inverse``, naming the block and pivot."""
+        D'_i = D_{2i+1} - U_{2i}^T D_{2i}^{-1} U_{2i}
+               - U_{2i+1} D_{2i+2}^{-1} U_{2i+1}^T,
+        U'_i = -U_{2i+1} D_{2i+2}^{-1} U_{2i+2},
+
+    the block tridiagonal matrix of the next level, whose blocks are the
+    odd ones.  Odd and even block counts are handled by slicing; the levels
+    halve the count down to one block, ``levels`` = ceil(log2(nb + 1)) of
+    them.  Each reduced matrix is a Schur complement of the SPD input, so
+    every pivot block stays SPD (Heller, SIAM J. Numer. Anal. 13, 1976).
+
+    The factor owns one buffer per level, the level's blocks between two
+    zero blocks, so every run of three consecutive blocks is a view, made
+    once; a solve writes the right-hand side into the first buffer and makes
+    one batched product per level and sweep against such runs.  Solves on
+    one factor therefore run one at a time; each returns its own array.
+    Going down, a kept block gets g'_i = [-P_l | I | -P_r] [g_{2i}; g_{2i+1};
+    g_{2i+2}] with P_l = U_{2i}^T D_{2i}^{-1} and P_r = U_{2i+1}
+    D_{2i+2}^{-1}; coming up, an eliminated block gets x_{2i} = [-F_l |
+    D_{2i}^{-1} | -F_r] [x_{2i-1}; g_{2i}; x_{2i+1}] with F_l = D_{2i}^{-1}
+    U_{2i-1}^T = P_r^T of its left neighbour and F_r = D_{2i}^{-1} U_{2i} =
+    P_l^T of its right one; a missing neighbour's block is zero.  Factoring
+    costs O(n b^2) and one solve O(n b), in O(log nb) batched steps.  A
+    non-SPD input is rejected by the pivot checks of ``_spd_inverse``,
+    naming the failing block by its index in the input and the pivot."""
 
     def __init__(self, A):
         n = A.n
@@ -211,6 +251,7 @@ class BandFactor:
         bs = _block_size(rows, cols)
         nb = -(-n // bs)
         self.n = n
+        self.block_shape = (nb, bs)
         D = np.zeros((nb, bs, bs))
         U = np.zeros((nb - 1, bs, bs))
         br, bc = rows // bs, cols // bs
@@ -219,62 +260,110 @@ class BandFactor:
         U[br[upper], rows[upper] % bs, cols[upper] % bs] = vals[upper]
         pad = np.arange(n % bs or bs, bs)
         D[-1, pad, pad] = 1.0
-        Sinv = np.empty_like(D)
-        C = np.empty_like(U)
-        Sinv[0] = _spd_inverse(D[0], 0)
-        for j in range(1, nb):
-            C[j - 1] = U[j - 1].T @ Sinv[j - 1]
-            Sinv[j] = _spd_inverse(D[j] - C[j - 1] @ U[j - 1], j)
-        self._sinv = Sinv
-        # per-block lists: the sweeps index one block per Python step
-        self._fwd = list(C)
-        self._bwd = list(Sinv[:-1] @ U)
+        ids = np.arange(nb)
+        left, mid, right = slice(0, bs), slice(bs, 2 * bs), slice(2 * bs, None)
+        sizes, down, up = [], [], []
+        while D.shape[0]:
+            m = D.shape[0]
+            ne, no = m - m // 2, m // 2
+            Q = np.zeros((ne, bs, 3 * bs))
+            Q[:, :, mid] = _spd_inverse(D[0::2], ids[0::2])
+            Q[1:, :, left] = -Q[1:, :, mid] @ U[1::2].transpose(0, 2, 1)
+            Q[:no, :, right] = -Q[:no, :, mid] @ U[0::2]
+            P = np.zeros((no, bs, 3 * bs))
+            P[:, :, left] = Q[:no, :, right].transpose(0, 2, 1)
+            P[:, :, mid] = np.eye(bs)
+            P[:ne - 1, :, right] = Q[1:, :, left].transpose(0, 2, 1)
+            sizes.append(m)
+            up.append(Q)
+            down.append(P)
+            D = D[1::2] + P[:, :, left] @ U[0::2]
+            D[:ne - 1] += P[:ne - 1, :, right] @ U[1::2].transpose(0, 2, 1)
+            U = P[:no - 1, :, right] @ U[2::2]
+            ids = ids[1::2]
+        # one buffer per level, its blocks between two zero blocks, and the
+        # views of it that each product reads and writes
+        B = [np.zeros((m + 2, bs)) for m in sizes + [0]]
+        self._rhs = B[0].ravel()
+        self._down = [(P, _triples(B[k], 1, len(P)), B[k + 1][1:-1, :, None])
+                      for k, P in enumerate(down)]
+        self._up = [(Q, _triples(B[k], 0, len(Q)), B[k], B[k + 1])
+                    for k, Q in enumerate(up)][::-1]
+
+    @property
+    def levels(self):
+        """Number of cyclic-reduction levels."""
+        return len(self._up)
 
     def solve(self, b):
-        """Solve A x = b by one forward and one backward block sweep."""
+        """Solve A x = b: one batched product per level down, then one per
+        level up, in the factor's own level buffers."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
-        nb, bs = self._sinv.shape[:2]
-        g = np.zeros((nb, bs))
-        g.ravel()[:self.n] = b
-        C, E = self._fwd, self._bwd
-        for j in range(1, nb):
-            g[j] -= C[j - 1] @ g[j - 1]
-        x = np.matmul(self._sinv, g[:, :, None])[:, :, 0]
-        for j in range(nb - 2, -1, -1):
-            x[j] -= E[j] @ x[j + 1]
-        return x.ravel()[:self.n]
+        bs = self.block_shape[1]
+        g = self._rhs
+        g[bs:bs + self.n] = b
+        # the last block's padding rows, which a non-finite rhs may have left
+        # non-finite
+        g[bs + self.n:-bs] = 0.0
+        for P, triples, kept in self._down:
+            np.matmul(P, triples, out=kept)
+        for Q, triples, level, below in self._up:
+            level[2:-1:2] = below[1:-1]
+            x = np.matmul(Q, triples)
+            level[1:-1:2] = x[:, :, 0]
+        return g[bs:bs + self.n].copy()
+
+
+def _triples(G, first, count):
+    """(count, 3 b, 1) view of the runs of three consecutive rows of the
+    contiguous (m, b) array G that start at rows first, first + 2, ..."""
+    step = G.strides[0]
+    return np.ndarray((count, 3 * G.shape[1], 1), buffer=G,
+                      offset=first * step, strides=(2 * step, G.itemsize,
+                                                    G.itemsize))
 
 
 def _block_size(rows, cols):
     """Smallest b with |i // b - j // b| <= 1 for every entry (i, j).  An
     entry of offset d = |i - j| spans at least d // b blocks, so b > w / 2
-    for the bandwidth w, and b = w always qualifies."""
-    w = int(np.abs(rows - cols).max())
-    for b in range(w // 2 + 1, w):
-        if (np.abs(rows // b - cols // b) <= 1).all():
-            return b
-    return max(w, 1)
+    for the bandwidth w, and b = w always qualifies.  The pattern is
+    symmetric, so the upper entries (i, i + d) decide.  One with d < b
+    always fits, so only the entries with d > w / 2 can rule a candidate
+    out; an entry fits exactly when i mod b + d < 2 b, which is tested for
+    every candidate in one pass."""
+    d = cols - rows
+    w = int(d.max())
+    far = d > w // 2
+    b = np.arange(w // 2 + 1, w)[:, None]
+    fits = (rows[far] % b + d[far] < 2 * b).all(axis=1)
+    return int(b[fits.argmax(), 0]) if fits.any() else max(w, 1)
 
 
-def _spd_inverse(S, block):
-    """Inverse of a small dense SPD matrix by the symmetric sweep operator.
+def _spd_inverse(S, blocks):
+    """Inverses of small dense SPD matrices by the symmetric sweep operator,
+    over any leading axes of S.
 
     The pivot of sweep k is the k-th Gaussian elimination pivot, so every
-    pivot is positive exactly when S is positive definite; a failure names
-    ``block`` and the pivot."""
-    a = S.copy()
-    for k in range(a.shape[0]):
-        p = a[k, k]
-        if not p > 0.0:
-            raise ValueError(f"matrix is not positive definite "
-                             f"(block {block}, pivot {k}: {p:.3e})")
-        v = a[k] / p
-        a -= np.multiply.outer(a[k], v)
-        a[k] = v
-        a[:, k] = v
-        a[k, k] = -1.0 / p
+    pivot is positive exactly when S is positive definite.  The matrices
+    sweep in lockstep; the first sweep k with a nonpositive pivot raises,
+    naming k and the label of the first matrix that fails there: ``blocks``
+    holds one label per leading entry, or one label for all."""
+    a = np.array(S, dtype=float)
+    for k in range(a.shape[-1]):
+        row = a[..., k, :].copy()
+        p = row[..., k]
+        if not (p > 0.0).all():
+            first = np.unravel_index(np.argmin(p > 0.0), p.shape)
+            raise ValueError(f"matrix is not positive definite (block "
+                             f"{np.broadcast_to(blocks, p.shape)[first]}, "
+                             f"pivot {k}: {p[first]:.3e})")
+        v = row / p[..., None]
+        a -= row[..., :, None] * v[..., None, :]
+        v[..., k] = -1.0 / p
+        a[..., k, :] = v
+        a[..., :, k] = v
     a *= -1.0
     return a
 

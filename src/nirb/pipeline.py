@@ -352,8 +352,9 @@ def _rel(err_sup, ref_sup):
 
 
 def _check_comparable(candidate, reference):
-    if reference.mesh.n_nodes != candidate.mesh.n_nodes:
-        raise ValueError("candidate and reference live on different meshes")
+    got, want = (_mesh_label(c.mesh) for c in (candidate, reference))
+    if got != want:
+        raise ValueError(f"candidate on the {got}, reference on the {want}")
     if (reference.grid.steps != candidate.grid.steps
             or abs(reference.grid.t0 - candidate.grid.t0) > 1e-12
             or abs(reference.grid.T - candidate.grid.T) > 1e-12):

@@ -77,6 +77,28 @@ class TestSparseSym:
             assert np.array_equal(S.matvec(stacked),
                                   want.reshape(stacked.shape))
 
+    def test_stacked_matvec_gathers_in_bounded_chunks(self, rng):
+        # the pooled snapshots of an rd POD: 180 rows of two species on the
+        # 24^2 mesh, whose gather in one piece took 12.6 MB
+        S = fem.assemble(mesh.build_structured(24, 24)).mass
+        X = rng.standard_normal((180, 2, S.n))
+        want = np.stack([S.matvec(r) for r in X.reshape(-1, S.n)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = S.matvec(X)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the output and one chunk's gather of about 1 MB
+        assert peak <= X.nbytes + 1.5e6
+        assert np.array_equal(got, want.reshape(X.shape))
+
+    def test_matvec_checks_the_operand_width(self):
+        S = fem.assemble(mesh.build_structured(4, 4)).mass
+        with pytest.raises(ValueError, match=r"operand has shape \(2, 50\)"):
+            S.matvec(np.zeros((2, 2 * S.n)))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matvec_matches_dense_on_uneven_rows(self, seed):
         # random SPD patterns whose rows run from the diagonal alone to
@@ -208,12 +230,58 @@ class TestBandFactor:
         # no block is identity padding
         A = heat_lhs(nx, bc=bc)
         F = linalg.BandFactor(A)
-        nb, bs = F._sinv.shape[:2]
+        nb, bs = F.block_shape
         assert bs == (nx - 1 if bc == "dirichlet_zero" else nx + 1)
         assert nb * bs == A.n
+        assert F.levels == nb.bit_length()
         b = rng.standard_normal(A.n)
         want = np.linalg.solve(A.to_dense(), b)
         assert np.abs(F.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(nb=st.integers(1, 40), bs=st.integers(1, 6), data=st.data())
+    def test_cyclic_reduction_matches_dense_solve(self, nb, bs, data):
+        # a full band of width bs over at least 2 bs - 1 rows makes blocks
+        # of bs rows; the last one holds 1 to bs of them and is padded with
+        # identity rows
+        n = (nb - 1) * bs + data.draw(st.integers(1, bs), label="last")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        i, j = np.indices((n, n))
+        A = np.where(np.abs(i - j) <= bs, rng.standard_normal((n, n)), 0.0)
+        A = A + A.T
+        np.fill_diagonal(A, 0.0)
+        A += np.diag(np.abs(A).sum(axis=1) + rng.random(n) + 0.1)
+        F = linalg.BandFactor(sparse_from_dense(A))
+        if n >= 2 * bs - 1:
+            assert F.block_shape == (nb, bs)
+        assert F.levels == F.block_shape[0].bit_length()
+        b = rng.standard_normal(n)
+        want = np.linalg.solve(A, b)
+        assert np.abs(F.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("nb, levels", [
+        (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (31, 5), (32, 6)])
+    def test_levels_halve_the_block_count(self, nb, levels):
+        # 31 blocks, the grid rows of the 32^2 fine heat matrix, take 5
+        F = linalg.BandFactor(banded_matrix(3 * nb, [-1.0, 0.5, 0.25]))
+        assert F.block_shape == (nb, 3)
+        assert F.levels == levels
+
+    def test_indefinite_names_the_block_of_a_later_level(self):
+        # unit diagonal blocks, so every block of the input is SPD; the
+        # second rows of the 7 blocks form tridiag(0.6, 1, 0.6), which is
+        # indefinite (lowest eigenvalue 1 - 1.2 cos(pi / 8) < 0), and the
+        # third level finds it in the Schur complement of block 3
+        def tridiagonal(c):
+            return np.eye(7) + c * (np.eye(7, k=1) + np.eye(7, k=-1))
+
+        A = (np.kron(tridiagonal(0.1), np.diag([1.0, 0.0]))
+             + np.kron(tridiagonal(0.6), np.diag([0.0, 1.0])))
+        assert np.linalg.eigvalsh(A)[0] < 0.0
+        with pytest.raises(ValueError,
+                           match=r"not positive definite \(block 3, pivot 1"):
+            linalg.BandFactor(sparse_from_dense(A))
 
     @pytest.mark.parametrize("mu", [0.5, 9.5])
     def test_row_blocks_keep_the_fine_heat_states(self, mu, monkeypatch):
@@ -241,9 +309,47 @@ class TestBandFactor:
                            match=r"not positive definite \(block 0, pivot 0"):
             linalg.BandFactor(minus_m)
 
+    def test_solves_share_no_state(self, rng):
+        # the factor reuses its level buffers: each solve returns its own
+        # array, and a NaN in one right-hand side, which reaches the padding
+        # rows of the last block, leaves the next solve intact
+        A = banded_matrix(13, [-1.0, 0.5, 0.25])
+        F = linalg.BandFactor(A)
+        b1, b2 = rng.standard_normal((2, A.n))
+        x1 = F.solve(b1)
+        bad = b2.copy()
+        bad[-1] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(F.solve(bad)).all()
+        x2 = F.solve(b2)
+        assert not np.shares_memory(x1, x2)
+        assert np.array_equal(x1, F.solve(b1))
+        want = np.linalg.solve(A.to_dense(), b2)
+        assert np.abs(x2 - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_rhs_shape_checked(self):
         with pytest.raises(ValueError, match="rhs has shape"):
             linalg.BandFactor(heat_lhs(4)).solve(np.zeros(5))
+
+
+def block_size_by_search(rows, cols):
+    """The smallest block size that fits, by trying every candidate."""
+    w = int(np.abs(rows - cols).max())
+    for b in range(w // 2 + 1, w):
+        if (np.abs(rows // b - cols // b) <= 1).all():
+            return b
+    return max(w, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_block_size_matches_the_search(n, data):
+    pairs = np.array(data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=80)), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([np.arange(n), pairs[:, 1], pairs[:, 0]])
+    assert linalg._block_size(rows, cols) == block_size_by_search(rows, cols)
 
 
 class TestCholesky:

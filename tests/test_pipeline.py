@@ -425,6 +425,22 @@ class TestEvaluateErrors:
         assert report.rel_l2 == pytest.approx(s, abs=1e-14)
         assert report.rel_energy == pytest.approx(s, abs=1e-14)
 
+    def test_run_on_a_foreign_mesh_is_rejected(self, small_heat_text):
+        # same node count and grid, another domain: its values would be
+        # scored as if they sat on the reference's mesh
+        config = StudyConfig.from_text(small_heat_text)
+        other = dataclasses.replace(config, domain=(0.0, 2.0, 0.0, 0.5))
+        candidate = pipeline.solve_fine(other, pipeline.discretize(other)[0],
+                                        4.5)
+        fine, _ = pipeline.discretize(config)
+        reference = pipeline.solve_fine(config, fine, 4.5)
+        assert candidate.mesh.n_nodes == reference.mesh.n_nodes
+        assert candidate.grid == reference.grid
+        with pytest.raises(ValueError, match=(
+                r"candidate on the 8x8 mesh on \(0\.0, 2\.0, 0\.0, 0\.5\), "
+                r"reference on the 8x8 mesh on \(0\.0, 1\.0, 0\.0, 1\.0\)")):
+            pipeline.evaluate_errors(candidate, reference, fine.forms)
+
     def test_analytic_reference_rejects_two_fields(self, unit_mesh_4,
                                                    neumann_forms_4):
         grid = TimeGrid(0.0, 1.0, 2)
