@@ -103,16 +103,11 @@ class AssembledForms:
         The decomposition is checked once, when it is built: its relative
         residual ||K V - M V diag(lam)||_F / ||K V||_F and its
         M-orthogonality defect max |V^T M V - I| must both be within
-        ``MODAL_TOL``.  The cache keeps (lam, V) and, from the check's
-        products M V and K V, the stacked operator of ``modal_products``;
-        the dense M and K the setup works on are not kept."""
+        ``MODAL_TOL``.  The cache keeps (lam, V) and the constants of
+        ``modal_bounds``; the dense M and K the setup works on, and the
+        check's products M V and K V, are not kept."""
         if "eig" not in self._cache:
             start = time.perf_counter()
-            # the kept X is allocated before the setup's temporaries, so it
-            # does not sit above them on the heap and keep their memory
-            # from being returned; C order, as the march's product wants
-            n = self.free_dofs.size
-            X = np.empty((n, 2 * n))
             M = self.mass_free().to_dense()
             K = self.stiffness_free().to_dense()
             lam, V = pencil_eig(K, M)
@@ -123,25 +118,33 @@ class AssembledForms:
                     f"modal decomposition of the {lam.size}-dof pencil failed "
                     f"its check: residual {residual:.3e}, M-orthogonality "
                     f"defect {orthogonality:.3e} (limit {MODAL_TOL:.0e})")
-            X[:, :n], X[:, n:] = MV.T, KV.T
+            # ||V^T M V - I||_2 <= n max |V^T M V - I|, and the P1 element
+            # mass A/12 (1 1^T + I) has eigenvalues A/12 {4, 1, 1}, so
+            # diag(lumped) / 4 <= M <= diag(lumped) on the free dofs
+            slack = lam.size * orthogonality
+            lumped = self.lumped_mass()[self.free_dofs]
+            self._cache["modal bounds"] = (
+                math.sqrt(lumped.max() * (1.0 + slack)),
+                math.sqrt(max(0.0, 0.25 * lumped.min() * (1.0 - slack))),
+                residual * math.sqrt((KV * KV).sum()))
             lam.flags.writeable = V.flags.writeable = False
-            X.flags.writeable = False
             self._cache["eig"] = lam, V
-            self._cache["modal products"] = X
             log.info("modal setup: n=%d in %.3fs, residual %.2e, "
                      "M-orthogonality defect %.2e", lam.size,
                      time.perf_counter() - start, residual, orthogonality)
         return self._cache["eig"]
 
-    def modal_products(self):
-        """X = [(M V)^T | (K V)^T], shape (n, 2n), for the free-dof M and K
-        and the eigenvectors V of ``free_eigenpairs``, built by that setup
-        and returned read-only: a row z of modal coordinates times X is
-        [M u | K u] for the nodal state u = V z, so the products of every
-        state of a modal march with the true M and K take one dense
-        product.  Only form sets that carry ``free_eigenpairs`` hold it."""
+    def modal_bounds(self):
+        """(upper, lower, e) for the eigenvectors V of ``free_eigenpairs``
+        and the free-dof M and K, read off that setup: upper >= ||M V||_2,
+        0 <= lower <= sigma_min(M V) and e >= ||K V - M V diag(lam)||_2
+        (its Frobenius norm).  ||M V||_2^2 and sigma_min(M V)^2 lie within
+        the extreme eigenvalues of M times 1 +- ||V^T M V - I||_2, and the
+        P1 mass lies between a quarter of its lumped diagonal and that
+        diagonal, so no eigensolve is needed.  Only form sets that carry
+        ``free_eigenpairs`` hold them."""
         self.free_eigenpairs()
-        return self._cache["modal products"]
+        return self._cache["modal bounds"]
 
     def modal_loads(self, f, grid, lag=0.0):
         """``free_loads(f, grid, lag)`` in the eigenvector coordinates of
@@ -153,6 +156,23 @@ class AssembledForms:
             loads = blocked_matmul(self.free_loads(f, grid, lag), V)
             loads.flags.writeable = False
             self._cache[key] = loads
+        return self._cache[key]
+
+    def modal_load_defects(self, f, grid, lag=0.0):
+        """||b_k - M V g_k|| for every row b_k of ``free_loads(f, grid,
+        lag)`` and the row g_k of ``modal_loads`` cached for it: how far
+        the loads a modal march pushes are from the nodal ones, shape
+        (steps,), computed once per (f, grid, lag) from one dense product
+        with V^T and one sparse product with the free-dof M."""
+        key = ("modal load defects", f, grid, lag)
+        if key not in self._cache:
+            _, V = self.free_eigenpairs()
+            pushed = self.mass_free().matvec(
+                blocked_matmul(self.modal_loads(f, grid, lag), V.T))
+            gap = pushed - self.free_loads(f, grid, lag)
+            defects = np.sqrt((gap * gap).sum(axis=-1))
+            defects.flags.writeable = False
+            self._cache[key] = defects
         return self._cache[key]
 
     def lumped_mass(self):

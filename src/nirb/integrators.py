@@ -17,6 +17,7 @@ marched."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,55 @@ class FieldTrajectory:
     def n_fields(self):
         return self.values.shape[1] // self.mesh.n_nodes
 
+    def values_times(self, B):
+        """values @ B, shape (steps + 1, B's columns)."""
+        return self.values @ B
+
+
+class ModalTrajectory(FieldTrajectory):
+    """The window of a ``heat_crank_nicolson`` run, kept as the rows of its
+    march's modal states (``states``, shape (steps + 1, n_free)) in the
+    eigenvectors V of ``forms.free_eigenpairs``, with the run's start u0.
+
+    It owns the choice between nodal and modal: ``values``, the nodal
+    values of ``FieldTrajectory``, are derived by one product with V^T when
+    first asked for and kept, while ``values_times`` reads a product of the
+    values straight off the modal states.  The first row is u0 itself when
+    ``exact_start`` (a run with no lead-in), otherwise V z_0 with u0's
+    boundary entries."""
+
+    def __init__(self, forms, grid, states, u0, parameter, exact_start):
+        self.mesh, self.grid, self.parameter = forms.mesh, grid, parameter
+        self.forms, self.states = forms, states
+        self.u0 = np.array(u0, dtype=float)
+        self.exact_start = exact_start
+
+    @functools.cached_property
+    def values(self):
+        _, V = self.forms.free_eigenpairs()
+        free = blocked_matmul(self.states, V.T)
+        if self.exact_start:
+            free[0] = self.u0[self.forms.free_dofs]
+        return _nodal_values(self.forms, self.grid, self.u0, free)
+
+    def values_times(self, B):
+        """values @ B without the nodal values: the states times V^T B_free,
+        with B_free the rows of B at the free dofs, and the first row
+        corrected for u0.  Costs one (cols, n) by (n, n) and one
+        (cols, n) by (n, steps + 1) product."""
+        B = np.asarray(B, dtype=float)
+        free = self.forms.free_dofs
+        _, V = self.forms.free_eigenpairs()
+        modal = blocked_matmul(B[free].T, V)
+        out = blocked_matmul(modal, self.states.T).T
+        if self.exact_start:
+            out[0] = self.u0 @ B
+        else:
+            rest = self.u0.copy()
+            rest[free] = 0.0
+            out[0] += rest @ B
+        return out
+
 
 def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data:
@@ -90,12 +140,15 @@ def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     (default ``grid.t0``).  A run from t_start < t0 first takes
     implicit-Euler steps of dt to t0 with the window's factor; only a
     lead-in that is not a whole number of such steps factors its own
-    matrix."""
+    matrix.  M and every step matrix share one slot pattern, so each state
+    is gathered once, for its residual and the next right-hand side."""
     u0 = _start(forms, u0)
     Mff, Kff = forms.mass_free(), forms.stiffness_free()
     lhs = Mff.lincomb(Kff, 1.0, grid.dt * mu)
     factor = BandFactor(lhs)
     states = [u0[forms.free_dofs]]
+    # the state gathered at every slot's column, (r, n)
+    gathered = np.take(states[0], Mff.cols)
     for g, _, what in _legs(grid, 1.0, t_start):
         leg_lhs, leg_factor = lhs, factor
         if not math.isclose(g.dt, grid.dt, rel_tol=1e-12):
@@ -104,12 +157,14 @@ def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
         loads = g.dt * forms.free_loads(f, g)
         rnorm, bnorm = np.empty(g.steps), np.empty(g.steps)
         for k in range(g.steps):
-            rhs = Mff.matvec(states[-1]) + loads[k]
+            rhs = (gathered * Mff.vals).sum(axis=0) + loads[k]
             states.append(leg_factor.solve(rhs))
-            res = leg_lhs.matvec(states[-1]) - rhs
+            gathered = np.take(states[-1], Mff.cols)
+            res = (gathered * leg_lhs.vals).sum(axis=0) - rhs
             rnorm[k], bnorm[k] = res @ res, rhs @ rhs
         _check_residuals(g, what, np.sqrt(rnorm), np.sqrt(bnorm), cg_tol)
-    return _trajectory(forms, grid, u0, states, mu)
+    return FieldTrajectory(mesh=forms.mesh, grid=grid, parameter=mu,
+                           values=_nodal_values(forms, grid, u0, states))
 
 
 def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
@@ -121,27 +176,43 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
 
     The march runs in the eigenvector coordinates z = V^T M u of the pencil
     K v = lam M v (``AssembledForms.free_eigenpairs``, built once per form
-    set), where every step, of the lead-in (theta = 1) and of the window
-    (theta = 1/2) alike, is a diagonal recurrence,
-    z_k = (1 - (1 - theta) dt mu lam) / (1 + theta dt mu lam) z_{k-1}
-    + dt / (1 + theta dt mu lam) V^T b, with the projected loads V^T b
-    cached per form set (``AssembledForms.modal_loads``).  The states of the
-    whole run are the rows of one array Z, started from z_0 = u0 M V.
+    set), where every step k of a leg, of the lead-in (theta = 1) and of
+    the window (theta = 1/2) alike, is a diagonal recurrence,
+    (1 + theta dt mu lam) z_k = y_k with the modal right-hand side
+    y_k = (1 - (1 - theta) dt mu lam) z_{k-1} + dt V^T b_k and the projected
+    loads V^T b_k cached per form set (``AssembledForms.modal_loads``).  The
+    states of the whole run are the rows of one array Z, started from
+    z_0 = V^T M u0, and the run is returned as a ``ModalTrajectory`` that
+    keeps the window's rows: no state is carried back to nodal values
+    unless a caller asks for them.
 
     Every step's relative residual in the nodal system must be at most
-    ``cg_tol``.  M u_k and K u_k for every state come from one blocked
-    dense product of Z with the cached X = [(M V)^T | (K V)^T]
-    (``AssembledForms.modal_products``), so the check measures the states
-    u = V z against the true M and K.  Only the window's states are carried
-    back, as u = V z: the lead-in's states are checked but never formed
-    nodally, and with no lead-in the window's first row is u0 itself."""
+    ``cg_tol``; it is bounded, not computed.  With u = V z, M u = M V z and
+    K u = M V lam z + E z for E = K V - M V diag(lam), the residual of the
+    guard, so the nodal residual of step k is exactly
+    r_k = M V rho_k + dt mu E (theta z_k + (1 - theta) z_{k-1})
+    + dt (M V V^T b_k - b_k), with rho_k = (1 + theta dt mu lam) z_k - y_k
+    the recurrence's own rounding residual, and its right-hand side is
+    rhs_k = M V y_k - (1 - theta) dt mu E z_{k-1} - dt (M V V^T b_k - b_k).
+    Hence ||r_k|| <= ||M V|| ||rho_k|| + dt mu ||E|| (theta ||z_k||
+    + (1 - theta) ||z_{k-1}||) + dt d_k and ||rhs_k|| >= sigma_min(M V)
+    ||y_k|| - (1 - theta) dt mu ||E|| ||z_{k-1}|| - dt d_k, with the
+    constants of ``AssembledForms.modal_bounds`` and
+    d_k = ||b_k - M V V^T b_k|| from ``AssembledForms.modal_load_defects``:
+    O(n) work per step.  A step whose upper bound is not below ``cg_tol``
+    times its lower bound gets its exact nodal residual from u = V z and
+    the sparse M and K, and fails only if that exceeds ``cg_tol``, so the
+    check passes no step that the nodal check would fail, up to the
+    rounding of ||rho_k|| and ||E||, which sits at the level of the
+    residuals they bound.  The first window row of a run with no lead-in is
+    u0 itself."""
     u0 = _start(forms, u0)
     lam, V = forms.free_eigenpairs()
-    X = forms.modal_products()
-    n = lam.size
     legs = _legs(grid, 0.5, t_start)
-    Z = np.empty((1 + sum(g.steps for g, _, _ in legs), n))
-    Z[0] = X[:, :n] @ u0[forms.free_dofs]
+    Z = np.empty((1 + sum(g.steps for g, _, _ in legs), lam.size))
+    start = u0[forms.free_dofs]
+    # a run from rest, as every pipeline run is, skips the product with V
+    Z[0] = forms.mass_free().matvec(start) @ V if start.any() else 0.0
     row = 0
     for g, theta, _ in legs:
         dtmu = g.dt * mu
@@ -152,22 +223,59 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
             z = np.multiply(gain, Z[row], out=Z[row + 1])
             z += h
             row += 1
-    P = blocked_matmul(Z, X)
-    MU, KU = P[:, :n], P[:, n:]
+    znorm = _row_norms(Z)
     row = 0
     for g, theta, what in legs:
-        dtmu = g.dt * mu
-        old, new = slice(row, row + g.steps), slice(row + 1, row + g.steps + 1)
-        rhs = (MU[old] + (theta - 1.0) * dtmu * KU[old]
-               + g.dt * forms.free_loads(f, g, (1.0 - theta) * g.dt))
-        res = MU[new] + theta * dtmu * KU[new] - rhs
-        _check_residuals(g, what, np.sqrt((res * res).sum(axis=-1)),
-                         np.sqrt((rhs * rhs).sum(axis=-1)), cg_tol)
+        rows = slice(row, row + g.steps + 1)
+        _check_modal_leg(forms, mu, f, g, theta, what, Z[rows], znorm[rows],
+                         cg_tol)
         row += g.steps
-    window = blocked_matmul(Z[-grid.steps - 1:], V.T)
-    if len(legs) == 1:
-        window[0] = u0[forms.free_dofs]
-    return _trajectory(forms, grid, u0, window, mu)
+    return ModalTrajectory(forms, grid, Z[-grid.steps - 1:], u0, mu,
+                           exact_start=len(legs) == 1)
+
+
+def _row_norms(a):
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _step_bounds(forms, mu, f, grid, theta, Z, znorm):
+    """(upper, lower): the bounds of ``heat_crank_nicolson`` on the nodal
+    residual norm and on the right-hand side norm of every step of one leg,
+    whose states are the rows of Z with the norms ``znorm``.  They are
+    formed divided by dt, so each costs four passes over the leg's states
+    and two row norms."""
+    lam, _ = forms.free_eigenpairs()
+    mv_norm, mv_min, e_norm = forms.modal_bounds()
+    dt, lag = grid.dt, (1.0 - theta) * grid.dt
+    y = (1.0 / dt - (1.0 - theta) * mu * lam) * Z[:-1]
+    y += forms.modal_loads(f, grid, lag)
+    rho = (1.0 / dt + theta * mu * lam) * Z[1:]
+    rho -= y
+    slip = forms.modal_load_defects(f, grid, lag)
+    drift = mu * e_norm * (1.0 - theta) * znorm[:-1]
+    upper = (mv_norm * _row_norms(rho) + mu * e_norm * theta * znorm[1:]
+             + drift + slip)
+    lower = mv_min * _row_norms(y) - drift - slip
+    return dt * upper, dt * lower
+
+
+def _check_modal_leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol):
+    """The step check of ``heat_crank_nicolson`` on one leg: certify every
+    step by ``_step_bounds``, take the exact nodal residual of the steps
+    the bounds cannot certify, and raise naming the first failing one."""
+    rnorm, bnorm = _step_bounds(forms, mu, f, grid, theta, Z, znorm)
+    exact = np.flatnonzero(~((bnorm > 0.0) & (rnorm < cg_tol * bnorm)))
+    if exact.size:
+        _, V = forms.free_eigenpairs()
+        Mff, Kff = forms.mass_free(), forms.stiffness_free()
+        dt, dtmu = grid.dt, grid.dt * mu
+        u_old = blocked_matmul(Z[exact], V.T)
+        u_new = blocked_matmul(Z[exact + 1], V.T)
+        rhs = (Mff.matvec(u_old) + (theta - 1.0) * dtmu * Kff.matvec(u_old)
+               + dt * forms.free_loads(f, grid, (1.0 - theta) * dt)[exact])
+        res = Mff.matvec(u_new) + theta * dtmu * Kff.matvec(u_new) - rhs
+        rnorm[exact], bnorm[exact] = _row_norms(res), _row_norms(rhs)
+        _check_residuals(grid, what, rnorm, bnorm, cg_tol)
 
 
 def _start(forms, u0):
@@ -201,13 +309,13 @@ def _check_residuals(grid, what, rnorm, bnorm, cg_tol):
             f"{rnorm[k] / bnorm[k]:.3e} exceeds {cg_tol:.1e}")
 
 
-def _trajectory(forms, grid, u0, states, mu):
-    """The window's trajectory from the free-dof states of a whole run."""
+def _nodal_values(forms, grid, u0, states):
+    """The window's nodal values from the free-dof states of a whole run:
+    its first row is u0, the boundary entries of the others zero."""
     values = np.zeros((grid.steps + 1, forms.n_dofs))
     values[0] = u0
     values[:, forms.free_dofs] = states[-grid.steps - 1:]
-    return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,
-                           parameter=mu)
+    return values
 
 
 def _scaled_residual_norm(res, lumped):

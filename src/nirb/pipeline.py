@@ -72,10 +72,11 @@ def solve_coarse(config, disc, param, fine=None):
     (heat: Crank-Nicolson from rest at t = 0 like the fine run, led in to t0
     by half steps, marched as diagonal recurrences in the eigenvectors of
     the coarse pencil, which the first heat run on ``disc`` computes and
-    later runs reuse; reaction-diffusion: explicit midpoint on the lumped
-    system).  Training and online runs start the same way at every
-    parameter, so the rectification is fitted on the same kind of coarse run
-    it is applied to.
+    later runs reuse, and returned as an ``integrators.ModalTrajectory``
+    whose nodal values are formed only when read; reaction-diffusion:
+    explicit midpoint on the lumped system).  Training and online runs
+    start the same way at every parameter, so the rectification is fitted
+    on the same kind of coarse run it is applied to.
 
     ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
@@ -218,7 +219,14 @@ def load_artifacts(config):
 
 @dataclass
 class OnlineResult:
-    """Online trajectory with its coefficients and the wall-clock split."""
+    """Online trajectory with its coefficients and the wall-clock split:
+    ``seconds_coarse`` covers the bounds check and the coarse solve (for
+    heat the modal march and its step check, with no nodal coarse state
+    formed), or only the mesh and grid checks of a precomputed coarse run;
+    ``seconds_reconstruct`` covers the rest: the coefficients read off the
+    coarse run (for heat one product of the lift-projection operator with
+    V), the time interpolation, the rectification and the fine
+    reconstruction."""
 
     parameter: object
     mode: str
@@ -254,15 +262,16 @@ def _mesh_label(m):
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, one product with the
     artifacts' lift-projection operator (the space lift and the projection
-    onto the modes in one), time interpolation of the N coefficients,
-    optional rectification, reconstruction.  Nothing but the
-    reconstruction touches the fine mesh.
+    onto the modes in one, read off the modal states of a heat run without
+    its nodal values), time interpolation of the N coefficients, optional
+    rectification, reconstruction.  Nothing but the reconstruction touches
+    the fine mesh.
 
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
-    share is then reported as zero) and the bounds check, which belongs to
-    the caller that ran that coarse solve; so a command that checks its
-    parameter once and reuses the coarse run warns once.  Its mesh and time
-    grid must be the artifacts' coarse ones."""
+    share then covers only its mesh and grid checks) and the bounds check,
+    which belongs to the caller that ran that coarse solve; so a command
+    that checks its parameter once and reuses the coarse run warns once.
+    Its mesh and time grid must be the artifacts' coarse ones."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config

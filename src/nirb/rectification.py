@@ -80,8 +80,11 @@ def coarse_to_fine_coefficients(coarse_traj, lift, weights):
     by ``reduced_basis.coefficients``, with the products associated so that
     nothing of fine-mesh size is touched per call: the values are projected
     onto the N modes at the coarse knots before the time interpolation, so
-    W multiplies N columns, not n_fields n_coarse."""
-    return weights @ (coarse_traj.values @ lift)
+    W multiplies N columns, not n_fields n_coarse.  The coarse run forms
+    U Phi (``FieldTrajectory.values_times``): a heat run reads it off its
+    modal states as Z (V^T Phi_free) without forming U, any other run as
+    its values times Phi."""
+    return weights @ coarse_traj.values_times(lift)
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,

@@ -242,14 +242,41 @@ class TestModalMarch:
                            r"M-orthogonality defect \S+ \(limit 1e-10\)"):
             forms.free_eigenpairs()
 
-    def test_corrupted_cache_fails_the_step_residuals(self):
-        # past the guard, every step's nodal residual still catches a
-        # decomposition that does not solve the pencil
+    def test_perturbed_eigenvector_trips_the_guard(self, monkeypatch):
+        # the bound of every step check rests on the guard's residual E,
+        # so a decomposition whose vectors do not solve the pencil must stop
+        # at the guard
+        sym_eig = linalg.sym_eig
+
+        def perturbed(G, top=None):
+            lam, W = sym_eig(G, top)
+            W = W.copy()
+            W[:, 3] += 1e-6 * W[:, 4]
+            return lam, W
+
+        monkeypatch.setattr(linalg, "sym_eig", perturbed)
         forms = fem.assemble(mesh.build_structured(4, 4))
-        lam, V = forms.free_eigenpairs()
-        forms._cache["eig"] = lam * (1.0 + 1e-6), V
+        with pytest.raises(RuntimeError, match=r"modal decomposition of the "
+                           r"9-dof pencil failed its check"):
+            forms.free_eigenpairs()
+
+    @staticmethod
+    def corrupt_modal_loads(forms, grid, lag):
+        # the first pushed load off by one part in a million, as a corrupted
+        # modal load row would be; the defects are then taken of it
+        f = models.manufactured_f
+        G = forms.modal_loads(f, grid, lag).copy()
+        G[0] *= 1.0 + 1e-6
+        forms._cache[("modal loads", f, grid, lag)] = G
+
+    def test_corrupted_cache_fails_the_step_residuals(self):
+        # a march that pushes other loads than the nodal ones fails the step
+        # check: the bound cannot certify the step, and its exact nodal
+        # residual fails
+        forms = fem.assemble(mesh.build_structured(4, 4))
         u0 = np.zeros(forms.n_dofs)
         grid = integrators.TimeGrid(1.0, 2.0, 4)
+        self.corrupt_modal_loads(forms, grid, 0.5 * grid.dt)
         with pytest.raises(RuntimeError, match=r"^time step 1 \(t=1.25\)"):
             integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
                                             u0, grid)
@@ -258,9 +285,9 @@ class TestModalMarch:
         # the lead-in's states are checked although they are never carried
         # back to nodal values
         forms = fem.assemble(mesh.build_structured(4, 4))
-        lam, V = forms.free_eigenpairs()
-        forms._cache["eig"] = lam * (1.0 + 1e-6), V
         grid = integrators.TimeGrid(1.0, 2.0, 4)
+        self.corrupt_modal_loads(forms, integrators.TimeGrid(0.0, 1.0, 8),
+                                 0.0)
         with pytest.raises(RuntimeError, match=r"^lead-in step 1 "
                                                r"\(t=0\.125\)"):
             integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
@@ -276,9 +303,10 @@ class TestModalMarch:
         assert np.array_equal(values[0], u0)
 
     def test_march_makes_two_dense_products(self, forms, monkeypatch):
-        # one product of every state with the stacked (n, 2n) operator for
-        # the check and one of the window's states with V^T; a return to
-        # separate carry-back, M and K products fails here
+        # the march and its step check make no dense product; reading a
+        # product of the values off the modal states makes two, of the
+        # (cols, n) operand with V and with the window's states; a return
+        # to nodal states or a nodal residual product fails here
         shapes = []
         blocked_matmul = integrators.blocked_matmul
 
@@ -288,12 +316,101 @@ class TestModalMarch:
 
         monkeypatch.setattr(integrators, "blocked_matmul", recording)
         grid = integrators.TimeGrid(1.0, 2.0, 8)
-        integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
-                                        np.zeros(forms.n_dofs), grid,
-                                        t_start=0.0)
-        n, lead = forms.free_dofs.size, 16  # steps of dt / 2 over [0, 1]
-        assert shapes == [((1 + lead + grid.steps, n), (n, 2 * n)),
-                          ((grid.steps + 1, n), (n, n))]
+        traj = integrators.heat_crank_nicolson(
+            forms, 2.0, models.manufactured_f, np.zeros(forms.n_dofs), grid,
+            t_start=0.0)
+        assert shapes == []
+        traj.values_times(np.ones((forms.n_dofs, 3)))
+        n = forms.free_dofs.size
+        assert shapes == [((3, n), (n, n)), ((3, n), (n, grid.steps + 1))]
+
+    @pytest.mark.parametrize("nx", [4, 8, 16])
+    def test_bound_covers_the_nodal_residual(self, nx, monkeypatch):
+        # over the mu range of the heat study, on the lead-in and the
+        # window, every step's bound is at least its nodal residual and its
+        # lower bound at most the norm of its right-hand side, both measured
+        # densely; and every step certifies, so none takes the exact
+        # residual's dense products
+        forms = fem.assemble(mesh.build_structured(nx, nx))
+        f = models.manufactured_f
+        legs, products = [], []
+        check_leg = integrators._check_modal_leg
+        blocked_matmul = integrators.blocked_matmul
+
+        def leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol):
+            legs.append((mu, grid, theta, Z.copy(), znorm.copy()))
+            check_leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol)
+
+        def recording(A, B):
+            products.append((np.shape(A), np.shape(B)))
+            return blocked_matmul(A, B)
+
+        monkeypatch.setattr(integrators, "_check_modal_leg", leg)
+        monkeypatch.setattr(integrators, "blocked_matmul", recording)
+        grid = integrators.TimeGrid(1.0, 2.0, nx)
+        m = forms.mesh
+        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
+        for mu in np.linspace(0.5, 9.5, 7):
+            for start, t_start in ((np.zeros_like(u0), 0.0), (u0, None)):
+                integrators.heat_crank_nicolson(forms, mu, f, start, grid,
+                                                t_start=t_start)
+        assert products == []
+        assert len(legs) == 21
+        _, V = forms.free_eigenpairs()
+        M = forms.mass_free().to_dense()
+        K = forms.stiffness_free().to_dense()
+        for mu, g, theta, Z, znorm in legs:
+            upper, lower = integrators._step_bounds(forms, mu, f, g, theta,
+                                                    Z, znorm)
+            dtmu = g.dt * mu
+            U = Z @ V.T
+            rhs = (U[:-1] @ (M - (1.0 - theta) * dtmu * K)
+                   + g.dt * forms.free_loads(f, g, (1.0 - theta) * g.dt))
+            res = U[1:] @ (M + theta * dtmu * K) - rhs
+            assert (upper >= np.linalg.norm(res, axis=1)).all()
+            assert (lower <= np.linalg.norm(rhs, axis=1)).all()
+            assert (upper < 1e-10 * lower).all()
+
+    def test_uncertified_steps_take_their_exact_residual(self, forms,
+                                                         monkeypatch):
+        # at 8^2 the bound cannot certify 1e-13, which the steps' nodal
+        # residuals (below 3e-14) meet: the run completes on the exact
+        # residuals of every step and equals the default run
+        f = models.manufactured_f
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        u0 = np.zeros(forms.n_dofs)
+        want = integrators.heat_crank_nicolson(forms, 9.5, f, u0, grid,
+                                               t_start=0.0)
+        shapes = []
+        blocked_matmul = integrators.blocked_matmul
+
+        def recording(A, B):
+            shapes.append((np.shape(A), np.shape(B)))
+            return blocked_matmul(A, B)
+
+        monkeypatch.setattr(integrators, "blocked_matmul", recording)
+        got = integrators.heat_crank_nicolson(forms, 9.5, f, u0, grid,
+                                              cg_tol=1e-13, t_start=0.0)
+        n, lead = forms.free_dofs.size, 16
+        assert shapes == [((lead, n), (n, n))] * 2 \
+            + [((grid.steps, n), (n, n))] * 2
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("t_start", [None, 0.0],
+                             ids=["from-t0", "lead-in"])
+    def test_values_times_matches_the_nodal_product(self, forms, t_start):
+        # a start with boundary entries: the first row's correction shows
+        rng = np.random.default_rng(3)
+        u0 = rng.standard_normal(forms.n_dofs)
+        B = rng.standard_normal((forms.n_dofs, 3))
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        traj = integrators.heat_crank_nicolson(
+            forms, 4.3, models.manufactured_f, u0, grid, t_start=t_start)
+        got = traj.values_times(B)
+        assert "values" not in vars(traj)
+        want = traj.values @ B
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_non_spd_mass_names_its_cholesky_pivot(self):
         forms = fem.assemble(mesh.build_structured(4, 4))

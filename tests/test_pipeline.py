@@ -125,6 +125,35 @@ class TestCoarseOnly:
                                     artifacts.fine.mesh.n_nodes)
             assert np.isfinite(values).all()
 
+    def test_online_never_derives_the_coarse_values(self, study,
+                                                    monkeypatch):
+        # the coefficients are read off the modal states of the coarse run,
+        # which is never carried back to nodal values
+        _, artifacts = study
+        runs = []
+        solve_coarse = pipeline.solve_coarse
+
+        def recording(*args, **kwargs):
+            runs.append(solve_coarse(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pipeline, "solve_coarse", recording)
+        for mode in ("plain", "rectified"):
+            pipeline.online(artifacts, 4.5, mode=mode)
+        assert len(runs) == 2
+        for run in runs:
+            assert isinstance(run, integrators.ModalTrajectory)
+            assert "values" not in vars(run)
+
+    def test_modal_coefficients_match_the_derived_values(self, study):
+        config, artifacts = study
+        W, lift = artifacts.time_weights, artifacts.lift
+        for mu in (0.5, 4.5, 9.5):
+            coarse = pipeline.solve_coarse(config, artifacts.coarse, mu)
+            got = coarse_to_fine_coefficients(coarse, lift, W)
+            want = W @ (coarse.values @ lift)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_coarse_run_on_a_foreign_grid_is_rejected(self, study):
         config, artifacts = study
         grid = artifacts.coarse.grid
