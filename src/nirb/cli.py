@@ -153,6 +153,8 @@ def cmd_loo(args):
     print(f"  max rectified error  {report.max_rectified:.6e}")
     print(f"  max projection error {report.max_projection:.6e}")
     print(f"  max coarse error     {report.max_coarse:.6e}")
+    print("  stage seconds: " + ", ".join(
+        f"{stage} {s:.3f}" for stage, s in report.seconds.items()))
     print(f"table written to {csv_path}")
     return 0
 

@@ -81,8 +81,9 @@ class FieldTrajectory:
     def n_fields(self):
         return self.values.shape[1] // self.mesh.n_nodes
 
-    def values_times(self, B):
-        """values @ B, shape (steps + 1, B's columns)."""
+    def values_times(self, B, modal=None):
+        """values @ B, shape (steps + 1, B's columns).  ``modal`` is read
+        only by a run kept in modal states (``ModalTrajectory``)."""
         return self.values @ B
 
 
@@ -112,23 +113,33 @@ class ModalTrajectory(FieldTrajectory):
             free[0] = self.u0[self.forms.free_dofs]
         return _nodal_values(self.forms, self.grid, self.u0, free)
 
-    def values_times(self, B):
+    def values_times(self, B, modal=None):
         """values @ B without the nodal values: the states times V^T B_free,
         with B_free the rows of B at the free dofs, and the first row
-        corrected for u0.  Costs one (cols, n) by (n, n) and one
-        (cols, n) by (n, steps + 1) product."""
+        corrected for u0.  ``modal`` is ``modal_operand(forms, B)`` for the
+        run's forms (or for forms assembled on the same mesh, which give the
+        same V), kept by a caller that reads many runs through one B;
+        without it the run forms it, one (cols, n) by (n, n) product.  The
+        read itself is one (cols, n) by (n, steps + 1) product."""
         B = np.asarray(B, dtype=float)
-        free = self.forms.free_dofs
-        _, V = self.forms.free_eigenpairs()
-        modal = blocked_matmul(B[free].T, V)
+        if modal is None:
+            modal = modal_operand(self.forms, B)
         out = blocked_matmul(modal, self.states.T).T
         if self.exact_start:
             out[0] = self.u0 @ B
         else:
             rest = self.u0.copy()
-            rest[free] = 0.0
+            rest[self.forms.free_dofs] = 0.0
             out[0] += rest @ B
         return out
+
+
+def modal_operand(forms, B):
+    """V^T B_free, shape (B's columns, n_free): the rows of B at the free
+    dofs in the eigenvectors V of ``forms.free_eigenpairs``, which is what a
+    ``ModalTrajectory`` multiplies its states by to read values @ B."""
+    _, V = forms.free_eigenpairs()
+    return blocked_matmul(np.asarray(B, dtype=float)[forms.free_dofs].T, V)
 
 
 def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):

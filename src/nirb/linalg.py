@@ -260,7 +260,7 @@ class BandFactor:
         U[br[upper], rows[upper] % bs, cols[upper] % bs] = vals[upper]
         pad = np.arange(n % bs or bs, bs)
         D[-1, pad, pad] = 1.0
-        ids = np.arange(nb)
+        ids = np.array([f"block {i}" for i in range(nb)])
         left, mid, right = slice(0, bs), slice(bs, 2 * bs), slice(2 * bs, None)
         sizes, down, up = [], [], []
         while D.shape[0]:
@@ -341,23 +341,24 @@ def _block_size(rows, cols):
     return int(b[fits.argmax(), 0]) if fits.any() else max(w, 1)
 
 
-def _spd_inverse(S, blocks):
+def _spd_inverse(S, labels):
     """Inverses of small dense SPD matrices by the symmetric sweep operator,
     over any leading axes of S.
 
     The pivot of sweep k is the k-th Gaussian elimination pivot, so every
     pivot is positive exactly when S is positive definite.  The matrices
     sweep in lockstep; the first sweep k with a nonpositive pivot raises,
-    naming k and the label of the first matrix that fails there: ``blocks``
-    holds one label per leading entry, or one label for all."""
+    naming k and the label of the first matrix that fails there: ``labels``
+    holds one label per leading entry, or one label for all, such as
+    "block 3"."""
     a = np.array(S, dtype=float)
     for k in range(a.shape[-1]):
         row = a[..., k, :].copy()
         p = row[..., k]
         if not (p > 0.0).all():
             first = np.unravel_index(np.argmin(p > 0.0), p.shape)
-            raise ValueError(f"matrix is not positive definite (block "
-                             f"{np.broadcast_to(blocks, p.shape)[first]}, "
+            raise ValueError(f"matrix is not positive definite "
+                             f"({np.broadcast_to(labels, p.shape)[first]}, "
                              f"pivot {k}: {p[first]:.3e})")
         v = row / p[..., None]
         a -= row[..., :, None] * v[..., None, :]
@@ -804,45 +805,62 @@ def _start_vectors(n, k):
     return u.reshape(k, n)[::-1].T.copy()
 
 
-def dominant_eigenvalue(G, tol=1e-6, max_iter=500):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
+def dominant_eigenvalues(G, tol=1e-6, max_iter=500):
+    """Largest eigenvalue of each symmetric PSD matrix of G (..., n, n) by
+    power iteration, all matrices in lockstep.  Each matrix keeps its own
+    stop rule: its estimate is the Rayleigh quotient of the first iteration
+    that changes it by at most ``tol`` relative, or 0 once G v vanishes, or
+    the last one after ``max_iter`` iterations.  One product with G per
+    iteration serves both the next vector and the quotient."""
     G = np.asarray(G, dtype=float)
-    n = G.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
+    n = G.shape[-1]
+    Gv = G @ np.full(n, 1.0 / np.sqrt(n))
+    lam = np.zeros(G.shape[:-2])
+    done = np.zeros(G.shape[:-2], dtype=bool)
     for _ in range(max_iter):
-        w = G @ v
-        nrm = _norm2(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        lam_new = v @ (G @ v)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
+        nrm = np.sqrt((Gv * Gv).sum(-1))
+        zero = nrm == 0.0
+        lam[zero & ~done] = 0.0
+        done |= zero
+        v = Gv / np.where(zero, 1.0, nrm)[..., None]
+        Gv = (G @ v[..., None])[..., 0]
+        new = (v * Gv).sum(-1)
+        converged = np.abs(new - lam) <= tol * np.maximum(np.abs(new), 1e-300)
+        lam = np.where(done, lam, new)
+        done |= converged
+        if done.all():
+            break
     return lam
 
 
-def solve_regularized_normal(A, B, delta):
-    """Tikhonov-regularized normal-equation solve, columnwise.
+def solve_regularized_normal(A, B, delta, labels="system"):
+    """Tikhonov-regularized normal-equation solves, columnwise, over any
+    leading axes of A (..., k, N) and B (..., k, m).
 
-    Column i of the result solves (A^T A + delta I) r_i = A^T b_i, where b_i
-    is column i of B, through the pivot-checked inverse ``_spd_inverse``.
-    With delta == 0 the Gram matrix is first screened: a condition number
-    above 1e12 (or a nonpositive smallest eigenvalue) is reported as rank
-    deficiency."""
+    Column i of each result solves (A^T A + delta I) r_i = A^T b_i, where
+    b_i is column i of B and delta is one value or one per leading entry,
+    all through one batched pivot-checked inverse ``_spd_inverse``.  Every
+    system with delta == 0 is first screened: a condition number of its
+    Gram matrix above 1e12 (or a nonpositive smallest eigenvalue) is
+    reported as rank deficiency.  A failure names the failing system by its
+    entry of ``labels``, one per leading entry or one for all."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
+    if A.ndim < 2 or A.shape[:-1] != B.shape[:-1]:
         raise ValueError(f"shape mismatch: A {A.shape}, B {B.shape}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    G = A.T @ A
-    N = G.shape[0]
-    if delta == 0.0:
-        lam, _ = sym_eig(G, top=0)
+    lead = A.shape[:-2]
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), lead)
+    if (delta < 0.0).any():
+        raise ValueError(f"delta must be nonnegative, got {delta.min()}")
+    labels = np.broadcast_to(np.asarray(labels), lead)
+    At = np.swapaxes(A, -1, -2)
+    G = At @ A
+    for i in map(tuple, np.argwhere(delta == 0.0)):
+        lam, _ = sym_eig(G[i], top=0)
         if lam[0] <= 0.0 or lam[-1] / lam[0] > 1e12:
             raise ValueError(
-                f"normal matrix is rank deficient at delta=0 "
-                f"(eigenvalue range [{lam[0]:.3e}, {lam[-1]:.3e}])")
-    return _spd_inverse(G + delta * np.eye(N), 0) @ (A.T @ B)
+                f"normal matrix is rank deficient at delta=0 ({labels[i]}: "
+                f"eigenvalue range [{lam[0]:.3e}, {lam[-1]:.3e}])")
+    N = G.shape[-1]
+    return _spd_inverse(G + delta[..., None, None] * np.eye(N), labels) \
+        @ (At @ B)

@@ -4,6 +4,8 @@ and mesh-ladder convergence studies."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 import os
@@ -15,13 +17,15 @@ import numpy as np
 from nirb import io, models
 from nirb.fem import assemble, difference_norms, norms
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
-                              heat_backward_euler, heat_crank_nicolson)
+                              heat_backward_euler, heat_crank_nicolson,
+                              modal_operand)
 from nirb.mesh import build_structured
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
                                 lift_projection)
 from nirb.reduced_basis import (coefficients, greedy, h1_reorthogonalize,
-                                hierarchical_pod, pod_greedy, reconstruct)
+                                h1_rows, hierarchical_pod, mass_products,
+                                pod_greedy, reconstruct)
 from nirb.time_interp import quadratic_weights
 
 log = logging.getLogger(__name__)
@@ -90,35 +94,70 @@ def solve_coarse(config, disc, param, fine=None):
                                   scheme="rk2")
 
 
-def _training_runs(config, params):
-    """Discretizations and training trajectories: returns (fine, coarse,
-    fine_trajs, coarse_trajs), the runs as dicts in parameter order.
+@contextlib.contextmanager
+def _timed(seconds, stage):
+    """Add the wall time of the block to ``seconds[stage]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
+
+
+def _stage_line(seconds):
+    return ", ".join(f"{stage} {s:.3f}s" for stage, s in seconds.items())
+
+
+def _training_runs(config, params, seconds):
+    """Discretizations, training trajectories and their preparation:
+    returns (fine, coarse, fine_trajs, coarse_trajs, prepared), the runs as
+    dicts in parameter order and ``prepared`` what the configured basis
+    builder reads of each fine run in every fold (``prepare_runs``).  The
+    wall times of the runs and of the preparation are added to ``seconds``
+    under "training runs" and "preparation".
 
     The cheap coarse sweep runs first, so a coarse failure shows before any
     fine solve."""
-    fine, coarse = discretize(config)
-    runs = {}
-    for name, solve, disc in (("coarse", solve_coarse, coarse),
-                              ("fine", solve_fine, fine)):
-        runs[name] = out = {}
-        for p in params:
-            try:
-                out[p] = solve(config, disc, p)
-            except (RuntimeError, ValueError) as exc:
-                raise RuntimeError(
-                    f"{name} solve failed at parameter {p}: {exc}") from exc
-    return fine, coarse, runs["fine"], runs["coarse"]
+    with _timed(seconds, "training runs"):
+        fine, coarse = discretize(config)
+        runs = {}
+        for name, solve, disc in (("coarse", solve_coarse, coarse),
+                                  ("fine", solve_fine, fine)):
+            runs[name] = out = {}
+            for p in params:
+                try:
+                    out[p] = solve(config, disc, p)
+                except (RuntimeError, ValueError) as exc:
+                    raise RuntimeError(
+                        f"{name} solve failed at parameter {p}: {exc}") from exc
+    with _timed(seconds, "preparation"):
+        prepared = prepare_runs(config, runs["fine"], fine.forms)
+    return fine, coarse, runs["fine"], runs["coarse"], prepared
 
 
-def build_basis(config, trajectories, forms):
-    """Run the configured selection loop and optional H1 rotation."""
+def prepare_runs(config, trajectories, forms):
+    """What the configured basis builder reads of each training run,
+    whatever the other runs of the set: {parameter: prepared run}, the runs'
+    H1 POD rows for 'pod' (``reduced_basis.h1_rows``), their mass products
+    and sup norms otherwise (``reduced_basis.mass_products``)."""
+    if config.rb_algorithm == "pod":
+        return h1_rows(trajectories, forms, config.n_max)
+    return mass_products(trajectories, forms)
+
+
+def build_basis(config, trajectories, forms, prepared):
+    """Run the configured selection loop on the training runs, reading each
+    run's preparation from ``prepared`` (``prepare_runs``, which may cover
+    more runs), and the optional H1 rotation."""
     if config.rb_algorithm == "pod_greedy":
         basis = pod_greedy(trajectories, forms, config.n_max,
-                           pod_tol=config.pod_tol)
+                           pod_tol=config.pod_tol, prepared=prepared)
     elif config.rb_algorithm == "pod":
-        basis = hierarchical_pod(trajectories, forms, config.n_max)
+        basis = hierarchical_pod(trajectories, forms, config.n_max,
+                                 prepared=prepared)
     else:
-        basis = greedy(trajectories, forms, config.greedy_tol, config.n_max)
+        basis = greedy(trajectories, forms, config.greedy_tol, config.n_max,
+                       prepared=prepared)
     if basis.N == 0:
         raise RuntimeError("basis construction produced no modes")
     if config.h1_reorthonormalize:
@@ -139,7 +178,8 @@ class OfflineArtifacts:
     The discretizations are what ``discretize(config)`` builds.  Only the
     config, the basis and the maps are persisted; loading rebuilds the
     discretizations from the config and derives ``lift`` and
-    ``time_weights`` again, as ``fit`` does."""
+    ``time_weights`` again, as ``fit`` does.  ``modal_lift`` is derived on
+    first use."""
 
     config: object
     basis: object
@@ -156,6 +196,18 @@ class OfflineArtifacts:
     def context(self):
         """The discretizations, as an object with ``.fine`` and ``.coarse``."""
         return self
+
+    @functools.cached_property
+    def modal_lift(self):
+        """``lift`` read through the modal states of a heat coarse run,
+        V^T Phi_free (``integrators.modal_operand``), or None for
+        reaction-diffusion, whose coarse runs are nodal.  Derived on first
+        use and kept, so the fit and every query of these artifacts share
+        one product; never at load, which would pull the coarse modal setup
+        into loading."""
+        if self.config.problem != "heat":
+            return None
+        return modal_operand(self.coarse.forms, self.lift)
 
     def validate(self):
         want = (self.fine.grid.steps + 1, self.basis.N, self.basis.N)
@@ -177,34 +229,44 @@ class OfflineArtifacts:
         return self
 
 
-def fit(config, fine_trajs, coarse_trajs, fine, coarse):
+def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
     """The validated artifacts fitted on matched training runs: the basis,
-    its lift-projection operator for the coarse mesh and the time weights
-    from the coarse grid to the fine one, built here once, and the
-    rectification maps fitted with them."""
-    basis = build_basis(config, fine_trajs, fine.forms)
+    selected from the runs' preparation ``prepared`` (``prepare_runs``, which
+    may cover more runs than the fit reads), its lift-projection operator
+    for the coarse mesh and the time weights from the coarse grid to the
+    fine one, built here once, and the rectification maps fitted with them
+    and with the artifacts' ``modal_lift``.  The wall times of the basis
+    selection and of the rest are added to ``seconds`` under "basis
+    selections" and "fits"."""
+    with _timed(seconds, "basis selections"):
+        basis = build_basis(config, fine_trajs, fine.forms, prepared)
     log.info("basis built: N=%d from %d training parameters", basis.N,
              len(fine_trajs))
-    lift = lift_projection(basis, fine.forms, coarse.mesh)
-    weights = quadratic_weights(coarse.grid, fine.grid)
-    tensor = build_rectification(fine_trajs, coarse_trajs, basis, fine.forms,
-                                 lift, weights, config.delta_mode,
-                                 config.delta_value)
-    return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
-                            fine=fine, coarse=coarse, lift=lift,
-                            time_weights=weights).validate()
+    with _timed(seconds, "fits"):
+        artifacts = OfflineArtifacts(
+            config=config, basis=basis, tensor=None, fine=fine, coarse=coarse,
+            lift=lift_projection(basis, fine.forms, coarse.mesh),
+            time_weights=quadratic_weights(coarse.grid, fine.grid))
+        artifacts.tensor = build_rectification(
+            fine_trajs, coarse_trajs, basis, fine.forms, artifacts.lift,
+            artifacts.time_weights, config.delta_mode, config.delta_value,
+            artifacts.modal_lift)
+    return artifacts.validate()
 
 
 def offline(config, persist=True):
-    """Offline stage: fine snapshots, coarse snapshots, basis, rectification.
+    """Offline stage: fine snapshots, coarse snapshots, basis, rectification,
+    with the stage wall times logged at INFO.  The prepared training runs
+    are dropped once the fit returns.
 
     With persist=True the artifact file lands in config.output_dir."""
     config.validate()
     params = config.training_parameters()
     if not params:
         raise ValueError("empty training set")
-    fine, coarse, fine_trajs, coarse_trajs = _training_runs(config, params)
-    artifacts = fit(config, fine_trajs, coarse_trajs, fine, coarse)
+    seconds = {}
+    artifacts = fit(config, *_training_runs(config, params, seconds), seconds)
+    log.info("offline stages: %s", _stage_line(seconds))
     if persist:
         os.makedirs(config.output_dir, exist_ok=True)
         io.save_artifacts(os.path.join(config.output_dir, ARTIFACT_FILE),
@@ -224,8 +286,9 @@ class OnlineResult:
     heat the modal march and its step check, with no nodal coarse state
     formed), or only the mesh and grid checks of a precomputed coarse run;
     ``seconds_reconstruct`` covers the rest: the coefficients read off the
-    coarse run (for heat one product of the lift-projection operator with
-    V), the time interpolation, the rectification and the fine
+    coarse run (for heat one product of its modal states with the
+    artifacts' ``modal_lift``, which the artifacts' first query derives),
+    the time interpolation, the rectification and the fine
     reconstruction."""
 
     parameter: object
@@ -262,8 +325,9 @@ def _mesh_label(m):
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, one product with the
     artifacts' lift-projection operator (the space lift and the projection
-    onto the modes in one, read off the modal states of a heat run without
-    its nodal values), time interpolation of the N coefficients, optional
+    onto the modes in one, read off the modal states of a heat run through
+    the artifacts' ``modal_lift`` without its nodal values), time
+    interpolation of the N coefficients, optional
     rectification, reconstruction.  Nothing but the reconstruction touches
     the fine mesh.
 
@@ -296,7 +360,8 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
 
     t_start = time.perf_counter()
     coeffs = coarse_to_fine_coefficients(coarse_traj, artifacts.lift,
-                                         artifacts.time_weights)
+                                         artifacts.time_weights,
+                                         artifacts.modal_lift)
     if mode == "rectified":
         coeffs = apply_rectification(artifacts.tensor, coeffs)
     values = reconstruct(artifacts.basis, coeffs)
@@ -473,13 +538,16 @@ class LooRow:
 class LooReport:
     """Leave-one-out table: held-out rectified error, in-sample projection
     error of the full-set basis, and lifted-coarse error, all relative
-    sup-in-time energy-norm values, with column maxima."""
+    sup-in-time energy-norm values, with column maxima, and the pass's wall
+    seconds per stage: "training runs", "preparation", "basis selections",
+    "fits" and "scoring"."""
 
     energy_norm: str
     rows: list
     max_rectified: float
     max_projection: float
     max_coarse: float
+    seconds: dict
 
     def csv_rows(self):
         head = ["parameter", "err_rectified", "err_projection", "err_coarse"]
@@ -501,34 +569,45 @@ def param_label(param):
 def leave_one_out(config):
     """Hold out each training parameter in turn, rebuild the offline stage
     on the rest, and measure the rectified online error at the held-out
-    point against its fine solve."""
+    point against its fine solve.
+
+    The training runs are solved and prepared for the basis builder once
+    (``prepare_runs``), and every fold's ``fit`` reads the prepared runs it
+    holds in; the stage wall times go into the report and are logged at
+    INFO."""
     config.validate()
     params = config.training_parameters()
     if len(params) < 2:
         raise ValueError("leave-one-out needs at least two training parameters")
-    fine, coarse, fine_trajs, coarse_trajs = _training_runs(config, params)
-    basis_full = build_basis(config, fine_trajs, fine.forms)
+    seconds = {}
+    fine, coarse, fine_trajs, coarse_trajs, prepared = _training_runs(
+        config, params, seconds)
+    with _timed(seconds, "basis selections"):
+        basis_full = build_basis(config, fine_trajs, fine.forms, prepared)
 
     rows = []
     for p in params:
         rest = [q for q in params if q != p]
-        fold = fit(config, {q: fine_trajs[q] for q in rest},
-                   {q: coarse_trajs[q] for q in rest}, fine, coarse)
-        held_out, coarse_traj = fine_trajs[p], coarse_trajs[p]
-        projected = reconstruct(basis_full, coefficients(
-            basis_full, fine.forms, held_out.values))
-        candidates = {
-            "rectified": online(fold, p, coarse_traj=coarse_traj).trajectory,
-            "projection": replace(held_out, values=projected),
-            "coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
-        reports = compare(candidates, held_out, fine.forms)
+        fold = fit(config, fine, coarse, {q: fine_trajs[q] for q in rest},
+                   {q: coarse_trajs[q] for q in rest}, prepared, seconds)
+        with _timed(seconds, "scoring"):
+            held_out, coarse_traj = fine_trajs[p], coarse_trajs[p]
+            projected = reconstruct(basis_full, coefficients(
+                basis_full, fine.forms, held_out.values))
+            candidates = {
+                "rectified": online(fold, p,
+                                    coarse_traj=coarse_traj).trajectory,
+                "projection": replace(held_out, values=projected),
+                "coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
+            reports = compare(candidates, held_out, fine.forms)
         rows.append(LooRow(parameter=p, **{
             name: report.rel_energy for name, report in reports.items()}))
 
+    log.info("leave-one-out stages: %s", _stage_line(seconds))
     return LooReport(energy_norm=energy_norm(fine.forms), rows=rows,
                      max_rectified=max(r.rectified for r in rows),
                      max_projection=max(r.projection for r in rows),
-                     max_coarse=max(r.coarse for r in rows))
+                     max_coarse=max(r.coarse for r in rows), seconds=seconds)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nirb.integrators import FieldTrajectory
-from nirb.linalg import dominant_eigenvalue, solve_regularized_normal
+from nirb.linalg import dominant_eigenvalues, solve_regularized_normal
 from nirb.mesh import interpolate_field, transfer_operator
 from nirb.reduced_basis import mass_weighted_modes
 from nirb.time_interp import quadratic_time_interp
@@ -71,7 +71,7 @@ def lift_projection(basis, forms, coarse_mesh):
                        minlength=F * n * N).reshape(F * n, N)
 
 
-def coarse_to_fine_coefficients(coarse_traj, lift, weights):
+def coarse_to_fine_coefficients(coarse_traj, lift, weights, modal=None):
     """Coefficients of a coarse trajectory after lifting it to the basis
     mesh and the fine grid, by L2 projection onto the modes: W (U Phi) for
     the coarse values U, the lift-projection operator ``lift`` (Phi) of the
@@ -82,28 +82,35 @@ def coarse_to_fine_coefficients(coarse_traj, lift, weights):
     onto the N modes at the coarse knots before the time interpolation, so
     W multiplies N columns, not n_fields n_coarse.  The coarse run forms
     U Phi (``FieldTrajectory.values_times``): a heat run reads it off its
-    modal states as Z (V^T Phi_free) without forming U, any other run as
-    its values times Phi."""
-    return weights @ coarse_traj.values_times(lift)
+    modal states as Z (V^T Phi_free) without forming U, taking V^T Phi_free
+    from ``modal`` (``integrators.modal_operand``) when the caller keeps it,
+    any other run as its values times Phi."""
+    return weights @ coarse_traj.values_times(lift, modal)
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
-                        weights, delta_mode="relative", delta_value=1e-10):
+                        weights, delta_mode="relative", delta_value=1e-10,
+                        modal=None):
     """Fit the rectification maps from matched fine/coarse training runs.
 
     fine_trajs and coarse_trajs map the same parameters (same order) to
     trajectories, ``lift`` is the basis's lift-projection operator for the
     coarse mesh and ``weights`` the time weights from the coarse grid to the
-    fine one (see ``coarse_to_fine_coefficients``).  At every fine time
-    index n the rows of A hold the lifted coarse coefficients and the rows
-    of B the fine coefficients; column i of the normal-equation solve gives
-    the map weights for mode i, and the transpose is stored so application
-    is a plain matrix-vector product.
+    fine one (see ``coarse_to_fine_coefficients``); ``modal``, the lift read
+    through the coarse runs' modal states, serves every coarse run (formed
+    by each modal run when None).  At every fine time index n the rows of A
+    hold the lifted coarse coefficients and the rows of B the fine
+    coefficients; column i of the normal-equation solve gives the map
+    weights for mode i, and the transpose is stored so application is a
+    plain matrix-vector product.  Every time index is fitted at once: one
+    batched ``solve_regularized_normal`` over the (n_times, k, N) stack.
 
     The Tikhonov parameter follows the config's rule: delta_mode 'relative'
-    takes delta_value * sigma_1(A^T A) at each time index, 'absolute' takes
+    takes delta_value * sigma_1(A^T A) at each time index, from one batched
+    power iteration (``linalg.dominant_eigenvalues``), 'absolute' takes
     delta_value itself (zero triggers an invertibility screen and fails
-    loudly on rank deficiency); any other mode raises ``ValueError``."""
+    loudly on rank deficiency); any other mode raises ``ValueError``.  A
+    failing solve names its time index."""
     if delta_mode not in ("relative", "absolute"):
         raise ValueError(f"unknown delta_mode {delta_mode!r}")
     fine_keys = list(fine_trajs.keys())
@@ -113,27 +120,21 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
     if basis.N == 0:
         raise ValueError("cannot rectify with an empty basis")
 
-    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], lift, weights)
+    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], lift, weights,
+                                              modal)
                   for p in fine_keys], axis=1)  # (n_times, k, N)
     weighted = mass_weighted_modes(basis, forms)
     B = np.stack([fine_trajs[p].values @ weighted for p in fine_keys], axis=1)
 
-    n_times, _, N = A.shape
-    mats = np.empty((n_times, N, N))
-    deltas = np.empty(n_times)
-    for n in range(n_times):
-        An, Bn = A[n], B[n]
-        if delta_mode == "relative":
-            d = delta_value * dominant_eigenvalue(An.T @ An)
-        else:
-            d = float(delta_value)
-        try:
-            cols = solve_regularized_normal(An, Bn, d)
-        except ValueError as exc:
-            raise ValueError(f"time index {n}: {exc}") from exc
-        mats[n] = cols.T
-        deltas[n] = d
-    return RectificationTensor(matrices=mats, deltas=deltas)
+    n_times = A.shape[0]
+    if delta_mode == "relative":
+        deltas = delta_value * dominant_eigenvalues(A.transpose(0, 2, 1) @ A)
+    else:
+        deltas = np.full(n_times, float(delta_value))
+    cols = solve_regularized_normal(
+        A, B, deltas, [f"time index {n}" for n in range(n_times)])
+    return RectificationTensor(matrices=cols.transpose(0, 2, 1).copy(),
+                               deltas=deltas)
 
 
 def apply_rectification(tensor, coeffs):

@@ -1,6 +1,13 @@
 """Reduced basis construction from solution trajectories: proper orthogonal
 decomposition, two snapshot-selection loops, and the H1 re-orthogonalization
-eigenproblem."""
+eigenproblem.
+
+Each builder reads its training runs in two stages: a per-run preparation
+that does not depend on which other runs are in the set (``mass_products``
+for the greedy loops, ``h1_rows`` for the hierarchical POD), and the
+selection over the set.  A caller that builds many bases from one training
+set, as leave-one-out does, prepares each run once and hands the prepared
+runs to every build."""
 
 from __future__ import annotations
 
@@ -67,8 +74,13 @@ def mass_inner(forms, U, V):
 def l2_norms(forms, U):
     """Rowwise L2 norms of (stacked) nodal fields."""
     U = np.asarray(U, dtype=float)
-    sq = (U * block_matvec(forms.mass, U)).sum(-1)
-    return np.sqrt(np.clip(sq, 0.0, None))
+    return _norms(U, block_matvec(forms.mass, U))
+
+
+def _norms(U, MU):
+    """Rowwise norms sqrt(u . M u) of the rows of U from their products MU
+    with the inner product's matrix."""
+    return np.sqrt(np.clip((U * MU).sum(-1), 0.0, None))
 
 
 def pod(snapshots, forms, keep, inner="l2", n_max=None):
@@ -94,7 +106,12 @@ def pod(snapshots, forms, keep, inner="l2", n_max=None):
     mat = forms.mass
     if inner == "h1":
         mat = mat.lincomb(forms.stiffness, 1.0, 1.0)
-    W = block_matvec(mat, S)
+    return _pod(S, block_matvec(mat, S), keep, n_max)
+
+
+def _pod(S, W, keep, n_max=None):
+    """``pod`` of the (k, d) snapshot rows S from their product W with the
+    inner product's matrix."""
     # one trajectory's Gram (a few dozen rows) runs in pieces on the calling
     # thread: as one product OpenBLAS hands it to a second thread, which
     # then spin-waits for about 0.13 s of CPU time; pooled snapshot sets
@@ -155,7 +172,48 @@ def _mass_mgs(cands, against, forms, drop_tol=None):
     return cands[kept]
 
 
-def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
+def _residual_norms(U, MU, modes, weighted):
+    """Rowwise L2 norms of R = U - C modes, the residual of the rows of U
+    after L2 projection onto the orthonormal ``modes``, from U's mass
+    product MU and the modes' ``weighted`` = M modes: with C = U
+    weighted^T, M R = MU - C weighted, so no sparse product is made."""
+    C = U @ weighted.T
+    return _norms(U - C @ modes, MU - C @ weighted)
+
+
+@dataclass(frozen=True)
+class MassProduct:
+    """What the greedy builders read of one training run in every fold: the
+    run's blockwise mass product ``values`` (M U, the shape of U) and its
+    sup-in-time L2 norm ``sup_norm``."""
+
+    values: np.ndarray
+    sup_norm: float
+
+
+def mass_products(trajectories, forms):
+    """{parameter: ``MassProduct``} of training runs, one sparse product
+    per run: the fold-invariant preparation of ``pod_greedy`` and
+    ``greedy``."""
+    out = {}
+    for p, traj in trajectories.items():
+        MU = block_matvec(forms.mass, traj.values)
+        out[p] = MassProduct(values=MU, sup_norm=_norms(traj.values, MU).max())
+    return out
+
+
+def h1_rows(trajectories, forms, n_max):
+    """{parameter: rows} of training runs: each run's own H1 POD, at most
+    ``n_max`` directions weighted by their singular values, the
+    fold-invariant preparation of ``hierarchical_pod``."""
+    out = {}
+    for p, traj in trajectories.items():
+        modes, sig = pod(traj.values, forms, n_max, inner="h1")
+        out[p] = modes * sig[:modes.shape[0], None]
+    return out
+
+
+def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6, prepared=None):
     """Greedy-in-parameter, POD-in-time basis construction.
 
     The first parameter maximizes the sup-in-time L2 norm of its trajectory;
@@ -164,15 +222,28 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
     sigma_i/sigma_1 > pod_tol) and appended after a Gram-Schmidt safeguard.
     Stops at n_max total modes, when the worst remaining error drops below
     pod_tol, or when the training set is exhausted.  Ties break toward the
-    earliest parameter in the given order."""
+    earliest parameter in the given order.
+
+    ``prepared`` maps (at least) the parameters of ``trajectories`` to
+    their ``MassProduct`` (``mass_products``, formed here when None), so a
+    caller that builds many bases from one training set forms each run's
+    mass product once.  The sweep then makes no sparse product per
+    candidate: with C = U (M Phi)^T the coefficients of run U in the modes
+    Phi, the residual R = U - C Phi has the squared M-norms rowsum(R * (M U
+    - C M Phi)), one sparse product M Phi per sweep.  Their rounding is a
+    few eps ||U|| absolute, as in the explicit residual R itself."""
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
-    norm_inf = [l2_norms(forms, traj.values).max() for _, traj in items]
+    if prepared is None:
+        prepared = mass_products(trajectories, forms)
+    mass = [prepared[p] for p, _ in items]
+    norm_inf = [m.sup_norm for m in mass]
 
     first = int(np.argmax(norm_inf))
     selected = [first]
-    modes, _ = pod(items[first][1].values, forms, pod_tol, n_max=n_max)
+    modes, _ = _pod(items[first][1].values, mass[first].values, pod_tol,
+                    n_max=n_max)
     modes = _mass_mgs(modes, None, forms)
     picks = [(items[first][0], modes.shape[0])]
 
@@ -180,19 +251,20 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
         remaining = [k for k in range(len(items)) if k not in selected]
         if not remaining:
             break
+        weighted = block_matvec(forms.mass, modes)
         errs = []
         for k in remaining:
-            U = items[k][1].values
-            resid = U - mass_inner(forms, U, modes) @ modes
+            norms = _residual_norms(items[k][1].values, mass[k].values,
+                                    modes, weighted)
             denom = norm_inf[k] if norm_inf[k] > 0 else 1.0
-            errs.append(l2_norms(forms, resid).max() / denom)
+            errs.append(norms.max() / denom)
         worst = int(np.argmax(errs))
         if errs[worst] <= pod_tol:
             break
         k = remaining[worst]
         selected.append(k)
         U = items[k][1].values
-        resid = U - mass_inner(forms, U, modes) @ modes
+        resid = U - (U @ weighted.T) @ modes
         new, _ = pod(resid, forms, pod_tol, n_max=n_max - modes.shape[0])
         new = _mass_mgs(new, modes, forms, drop_tol=1e-10)
         if new.shape[0] == 0:
@@ -208,7 +280,7 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6):
                     "pod_tol": pod_tol})
 
 
-def greedy(trajectories, forms, tol, n_max):
+def greedy(trajectories, forms, tol, n_max, prepared=None):
     """Snapshot-greedy basis construction over (parameter, time index) pairs.
 
     The first pick maximizes the absolute L2 norm; subsequent picks maximize
@@ -216,10 +288,13 @@ def greedy(trajectories, forms, tol, n_max):
     lowest parameter position and then the lowest time index.  Stops when the
     largest residual falls below ``tol`` (or below 1e-13 before
     normalization), or at n_max modes.  The per-iteration maxima are
-    monotonically nonincreasing."""
+    monotonically nonincreasing.  The snapshot norms are read off the runs'
+    ``MassProduct`` in ``prepared``, as in ``pod_greedy``."""
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
+    if prepared is None:
+        prepared = mass_products(trajectories, forms)
     snaps = np.vstack([traj.values for _, traj in items])
     counts = [traj.values.shape[0] for _, traj in items]
     offsets = np.cumsum([0] + counts)
@@ -228,7 +303,8 @@ def greedy(trajectories, forms, tol, n_max):
         p = int(np.searchsorted(offsets, row, side="right") - 1)
         return items[p][0], int(row - offsets[p])
 
-    norms0 = l2_norms(forms, snaps)
+    norms0 = np.concatenate([_norms(traj.values, prepared[p].values)
+                             for p, traj in items])
     res2 = norms0 ** 2
     chosen_rows = []
     modes = []
@@ -266,7 +342,7 @@ def greedy(trajectories, forms, tol, n_max):
                     "residual_history": history})
 
 
-def hierarchical_pod(trajectories, forms, n_max):
+def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     """One H1 POD over every snapshot of every training trajectory.
 
     Each trajectory is reduced by its own POD to at most ``n_max``
@@ -275,6 +351,9 @@ def hierarchical_pod(trajectories, forms, n_max):
     records the pooled row count.  The reweighted directions carry the
     second moment of their trajectory, so this reproduces the pooled POD
     closely, and exactly when every trajectory has rank at most ``n_max``.
+    ``prepared`` maps (at least) the parameters of ``trajectories`` to
+    those per-run rows (``h1_rows``, formed here when None), so a caller
+    that builds many bases from one training set reduces each run once.
 
     The H1 inner product ranks directions by mass plus stiffness energy.
     Spatially sharp, low-amplitude features, such as the boundary layers
@@ -286,11 +365,9 @@ def hierarchical_pod(trajectories, forms, n_max):
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
-    reps = []
-    for _, traj in items:
-        modes, sig = pod(traj.values, forms, n_max, inner="h1")
-        reps.append(modes * sig[:modes.shape[0], None])
-    rows = np.vstack(reps)
+    if prepared is None:
+        prepared = h1_rows(trajectories, forms, n_max)
+    rows = np.vstack([prepared[p] for p, _ in items])
     modes, _ = pod(rows, forms, n_max, inner="h1")
     modes = _mass_mgs(modes, None, forms)
     return ReducedBasis(

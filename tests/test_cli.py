@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,9 @@ def test_errors_writes_the_pipeline_curves(config_path, capsys, tmp_path):
 def test_loo_writes_the_pipeline_table(config_path, capsys, tmp_path):
     code, out = run(capsys, "loo", config_path)
     assert code == 0, out.err
+    assert re.search(r"stage seconds: training runs \d+\.\d{3}, preparation "
+                     r"\d+\.\d{3}, basis selections \d+\.\d{3}, fits "
+                     r"\d+\.\d{3}, scoring \d+\.\d{3}\n", out.out)
     rows = read_csv(tmp_path / "out" / "loo.csv")
     assert rows[0] == ["parameter", "err_rectified", "err_projection",
                        "err_coarse"]

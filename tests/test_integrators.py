@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nirb import fem, integrators, linalg, mesh, models
+from nirb import fem, integrators, linalg, mesh, models, pipeline
+from nirb.config import StudyConfig
 
 
 def zero_source(t, x, y):
@@ -302,11 +303,13 @@ class TestModalMarch:
             forms, 3.0, models.manufactured_f, u0, grid).values
         assert np.array_equal(values[0], u0)
 
-    def test_march_makes_two_dense_products(self, forms, monkeypatch):
+    def test_march_makes_two_dense_products(self, forms, monkeypatch,
+                                            small_heat_text, tmp_path):
         # the march and its step check make no dense product; reading a
         # product of the values off the modal states makes two, of the
-        # (cols, n) operand with V and with the window's states; a return
-        # to nodal states or a nodal residual product fails here
+        # (cols, n) operand with V (``modal_operand``) and with the window's
+        # states, and only the second when the caller keeps the first; a
+        # return to nodal states or a nodal residual product fails here
         shapes = []
         blocked_matmul = integrators.blocked_matmul
 
@@ -320,9 +323,36 @@ class TestModalMarch:
             forms, 2.0, models.manufactured_f, np.zeros(forms.n_dofs), grid,
             t_start=0.0)
         assert shapes == []
-        traj.values_times(np.ones((forms.n_dofs, 3)))
+        B = np.ones((forms.n_dofs, 3))
+        want = traj.values_times(B)
         n = forms.free_dofs.size
         assert shapes == [((3, n), (n, n)), ((3, n), (n, grid.steps + 1))]
+        modal = integrators.modal_operand(forms, B)
+        shapes.clear()
+        assert np.array_equal(traj.values_times(B, modal), want)
+        assert shapes == [((3, n), (n, grid.steps + 1))]
+
+        # the artifacts keep the lift's modal operand: one (N, n) by (n, n)
+        # product per artifacts, made by the fit and read by every query,
+        # and by the first query of loaded artifacts, not by the load
+        config = StudyConfig.from_text(small_heat_text
+                                       + f"output_dir = {tmp_path}\n")
+        shapes.clear()
+        artifacts = pipeline.offline(config)
+        N, n = artifacts.lift.shape[1], artifacts.coarse.forms.free_dofs.size
+
+        def operand_products():
+            return shapes.count(((N, n), (n, n)))
+
+        for mu in (4.5, 1.0, 7.0):
+            pipeline.online(artifacts, mu)
+        assert operand_products() == 1
+        loaded = pipeline.load_artifacts(config)
+        assert operand_products() == 1
+        for mu in (4.5, 1.0):
+            assert np.array_equal(pipeline.online(loaded, mu).coefficients,
+                                  pipeline.online(artifacts, mu).coefficients)
+        assert operand_products() == 2
 
     @pytest.mark.parametrize("nx", [4, 8, 16])
     def test_bound_covers_the_nodal_residual(self, nx, monkeypatch):

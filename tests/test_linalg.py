@@ -582,10 +582,37 @@ class TestInverseIterationBlocks:
         assert_eigenpairs(G, lam, V)
 
 
-def test_dominant_eigenvalue(rng):
-    G = random_spd(rng, 12, cond=50.0)
-    lam = linalg.dominant_eigenvalue(G, tol=1e-10)
-    assert lam == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-6)
+def power_iteration(G, tol, max_iter=500):
+    """One matrix's power iteration with the stop rule of
+    ``dominant_eigenvalues``, as a reference."""
+    v = np.ones(len(G)) / np.sqrt(len(G))
+    lam = 0.0
+    for _ in range(max_iter):
+        w = G @ v
+        if not w.any():
+            return 0.0
+        v = w / np.linalg.norm(w)
+        new = v @ (G @ v)
+        if abs(new - lam) <= tol * abs(new):
+            return new
+        lam = new
+    return lam
+
+
+def test_dominant_eigenvalues_per_matrix(rng):
+    # a stack of matrices that converge at different iterations, and a zero
+    # one: each stops by its own rule, as a loop over the matrices would
+    G = np.stack([random_spd(rng, 12, cond=50.0), rotated(rng, [1.0, 0.9, 0.1]
+                  + [0.0] * 9), np.zeros((12, 12)), random_spd(rng, 12)])
+    for tol in (1e-6, 1e-10):
+        lam = linalg.dominant_eigenvalues(G, tol=tol)
+        want = [power_iteration(g, tol) for g in G]
+        assert lam.shape == (4,)
+        assert lam == pytest.approx(want, rel=1e-12)
+        assert lam[2] == 0.0
+    top = np.linalg.eigvalsh(G[[0, 3]])[:, -1]
+    assert linalg.dominant_eigenvalues(G[[0, 3]], tol=1e-10) \
+        == pytest.approx(top, rel=1e-6)
 
 
 class TestRegularizedNormal:
@@ -630,6 +657,29 @@ class TestRegularizedNormal:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             linalg.solve_regularized_normal(np.eye(2), np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("N", [3, 10])
+    def test_batched_matches_per_index_dense_solves(self, rng, N):
+        A = rng.standard_normal((6, 2 * N, N))
+        B = rng.standard_normal((6, 2 * N, N))
+        delta = np.array([0.0, 1e-10, 1e-3, 0.0, 1.0, 1e-6])
+        R = linalg.solve_regularized_normal(A, B, delta)
+        for a, b, d, r in zip(A, B, delta, R):
+            want = np.linalg.solve(a.T @ a + d * np.eye(N), a.T @ b)
+            assert np.abs(r - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_batched_failure_names_its_label(self):
+        # a zero system fails the delta = 0 screen, a non-finite one the
+        # pivot check; either names its own entry of the labels
+        A = np.stack([np.eye(2), np.eye(2), np.zeros((2, 2))])
+        labels = [f"time index {n}" for n in range(3)]
+        with pytest.raises(ValueError, match=r"rank deficient at delta=0 "
+                                             r"\(time index 2: "):
+            linalg.solve_regularized_normal(A, A, 0.0, labels)
+        A[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"not positive definite "
+                                             r"\(time index 2, pivot 0"):
+            linalg.solve_regularized_normal(A, A, 1.0, labels)
 
     def test_shrinkage_monotone(self, rng):
         A = rng.standard_normal((10, 4))

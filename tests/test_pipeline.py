@@ -42,6 +42,67 @@ class TestLeaveOneOut:
         assert report.max_rectified == max(r.rectified for r in report.rows)
 
 
+class TestPreparedRuns:
+    @staticmethod
+    def fine_values(monkeypatch):
+        """The values arrays of every fine run solved from now on."""
+        runs = []
+        solve_fine = pipeline.solve_fine
+
+        def recording(*args, **kwargs):
+            runs.append(solve_fine(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pipeline, "solve_fine", recording)
+        return runs
+
+    @staticmethod
+    def calls_per_run(runs, calls):
+        return [sum(arg is run.values for arg in calls) for run in runs]
+
+    def test_one_mass_product_per_run_and_pass(self, study, monkeypatch):
+        config, _ = study
+        runs = self.fine_values(monkeypatch)
+        calls = []
+        block_matvec = rb.block_matvec
+
+        def recording(mat, U):
+            calls.append(U)
+            return block_matvec(mat, U)
+
+        monkeypatch.setattr(rb, "block_matvec", recording)
+        pipeline.leave_one_out(config)
+        assert len(runs) == len(config.training_parameters())
+        assert self.calls_per_run(runs, calls) == [1] * len(runs)
+
+    def test_one_h1_pod_per_run_and_pass(self, small_heat_text, monkeypatch):
+        config = StudyConfig.from_text(small_heat_text + "rb_algorithm = pod\n")
+        runs = self.fine_values(monkeypatch)
+        calls = []
+        pod = rb.pod
+
+        def recording(snapshots, *args, **kwargs):
+            calls.append(snapshots)
+            return pod(snapshots, *args, **kwargs)
+
+        monkeypatch.setattr(rb, "pod", recording)
+        report = pipeline.leave_one_out(config)
+        assert len(runs) == len(report.rows) == 4
+        assert self.calls_per_run(runs, calls) == [1] * len(runs)
+        # one pooled POD per basis: the full set's and one per fold
+        assert len(calls) == len(runs) + len(runs) + 1
+
+    def test_leave_one_out_reports_its_stage_seconds(self, study, caplog):
+        config, _ = study
+        with caplog.at_level("INFO", logger="nirb.pipeline"):
+            report = pipeline.leave_one_out(config)
+        assert list(report.seconds) == ["training runs", "preparation",
+                                        "basis selections", "fits",
+                                        "scoring"]
+        assert all(s > 0.0 for s in report.seconds.values())
+        assert "leave-one-out stages: training runs " in caplog.text
+
+
 class TestOneLiftPerFit:
     @pytest.fixture
     def lifts(self, monkeypatch):
@@ -413,6 +474,78 @@ class TestRectification:
             got = apply_rectification(tensor, lifted)
             want = rb.coefficients(basis, forms, fine_trajs[p].values)
             assert np.abs(got - want).max() <= 1e-10
+
+    @staticmethod
+    def random_training_set(rng, k, N):
+        """k hand-built fine/coarse runs on 8^2/4^2 meshes, a basis of N
+        modes from them, its lift-projection operator and time weights."""
+        fine_mesh = mesh.build_structured(8, 8)
+        coarse_mesh = mesh.build_structured(4, 4)
+        forms = fem.assemble(fine_mesh, bc="neumann_natural")
+        fine_grid, coarse_grid = TimeGrid(0.0, 1.0, 8), TimeGrid(0.0, 1.0, 4)
+        fine_trajs = {float(p): FieldTrajectory(
+            mesh=fine_mesh, grid=fine_grid, parameter=float(p),
+            values=rng.standard_normal((9, fine_mesh.n_nodes)))
+            for p in range(k)}
+        coarse_trajs = {float(p): FieldTrajectory(
+            mesh=coarse_mesh, grid=coarse_grid, parameter=float(p),
+            values=rng.standard_normal((5, coarse_mesh.n_nodes)))
+            for p in range(k)}
+        snaps = np.vstack([t.values for t in fine_trajs.values()])
+        basis = rb.ReducedBasis(mesh=fine_mesh,
+                                modes=rb.pod(snaps, forms, N)[0])
+        return (fine_trajs, coarse_trajs, basis, forms,
+                lift_projection(basis, forms, coarse_mesh),
+                quadratic_weights(coarse_grid, fine_grid))
+
+    @pytest.mark.parametrize("N", [3, 10])
+    def test_batched_fit_matches_per_index_dense_solves(self, rng, N):
+        # every time index's map is the dense solve of its own regularized
+        # normal equations
+        fine_trajs, coarse_trajs, basis, forms, phi, W = \
+            self.random_training_set(rng, 2 * N, N)
+        tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
+                                     phi, W, "relative", 1e-3)
+        A = np.stack([coarse_to_fine_coefficients(t, phi, W)
+                      for t in coarse_trajs.values()], axis=1)
+        B = np.stack([rb.coefficients(basis, forms, t.values)
+                      for t in fine_trajs.values()], axis=1)
+        assert (tensor.deltas > 0.0).all()
+        for n in range(W.shape[0]):
+            want = np.linalg.solve(
+                A[n].T @ A[n] + tensor.deltas[n] * np.eye(N),
+                A[n].T @ B[n]).T
+            got = tensor.matrices[n]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_relative_delta_is_the_scaled_top_eigenvalue(self, study):
+        # on the heat study's training runs every delta is delta_value
+        # times the top eigenvalue of A^T A at its time index
+        config, artifacts = study
+        coarse = [pipeline.solve_coarse(config, artifacts.coarse, mu)
+                  for mu in config.train_mu]
+        A = np.stack([coarse_to_fine_coefficients(t, artifacts.lift,
+                                                  artifacts.time_weights)
+                      for t in coarse], axis=1)
+        top = np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)[:, -1]
+        assert artifacts.tensor.deltas == pytest.approx(
+            config.delta_value * top, rel=1e-6)
+
+    def test_a_failing_time_index_is_named(self, rng):
+        # time weights with a zero row leave that index's normal matrix
+        # zero, and a NaN row makes it non-finite
+        fine_trajs, coarse_trajs, basis, forms, phi, W = \
+            self.random_training_set(rng, 4, 3)
+        W[5] = 0.0
+        with pytest.raises(ValueError, match=r"rank deficient at delta=0 "
+                                             r"\(time index 5: "):
+            build_rectification(fine_trajs, coarse_trajs, basis, forms, phi,
+                                W, "absolute", 0.0)
+        W[5] = np.nan
+        with pytest.raises(ValueError, match=r"not positive definite "
+                                             r"\(time index 5, pivot 0"):
+            build_rectification(fine_trajs, coarse_trajs, basis, forms, phi,
+                                W, "absolute", 1.0)
 
     def test_mismatched_training_sets_rejected(self, study):
         config, artifacts = study

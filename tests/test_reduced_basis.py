@@ -172,6 +172,61 @@ class TestPodGreedy:
             rb.pod_greedy({}, setup[1], 3)
 
 
+class TestPreparedRuns:
+    @pytest.mark.parametrize("size", [1e-2, 1e-6, 1e-10, 1e-12])
+    def test_sweep_norms_match_the_explicit_residual(self, setup, rng, size):
+        # the sweep reads each residual's norm off the run's mass product;
+        # it agrees with the norm of the explicit residual to 1e-8 relative
+        # down to residuals of 1e-6 ||U||, and always to a few eps ||U||,
+        # the rounding the explicit residual itself carries, so at 1e-10
+        # and 1e-12 ||U|| (the pod_tol regime above) to about 1e-6 and 1e-4
+        m, forms = setup
+        modes, _ = rb.pod(rng.standard_normal((8, m.n_nodes)), forms, 5)
+        modes = rb._mass_mgs(modes, None, forms)
+        weighted = rb.block_matvec(forms.mass, modes)
+        noise = rng.standard_normal((25, m.n_nodes))
+        noise -= rb.mass_inner(forms, noise, modes) @ modes
+        U = rng.standard_normal((25, 5)) @ modes
+        scale = size * rb.l2_norms(forms, U) / rb.l2_norms(forms, noise)
+        U += scale[:, None] * noise
+        got = rb._residual_norms(U, rb.block_matvec(forms.mass, U), modes,
+                                 weighted)
+        want = rb.l2_norms(forms, U - rb.mass_inner(forms, U, modes) @ modes)
+        assert want == pytest.approx(size * rb.l2_norms(forms, U), rel=1e-3)
+        bound = 8 * np.finfo(float).eps * rb.l2_norms(forms, U)
+        if size >= 1e-6:
+            bound = 1e-8 * want
+        assert (np.abs(got - want) <= bound).all()
+
+    @pytest.mark.parametrize("build, prepare", [
+        (lambda t, f, p: rb.pod_greedy(t, f, 6, pod_tol=1e-8, prepared=p),
+         rb.mass_products),
+        (lambda t, f, p: rb.greedy(t, f, 1e-10, 8, prepared=p),
+         rb.mass_products),
+        (lambda t, f, p: rb.hierarchical_pod(t, f, 4, prepared=p),
+         lambda t, f: rb.h1_rows(t, f, 4))],
+        ids=["pod_greedy", "greedy", "hierarchical_pod"])
+    def test_a_subset_reads_the_prepared_set(self, setup, rng, build,
+                                             prepare):
+        # runs prepared once for the whole set give every subset the basis
+        # it builds when it prepares its own runs, bit for bit
+        m, forms = setup
+        x, y = m.nodes[:, 0], m.nodes[:, 1]
+        t = np.linspace(0.0, 1.0, 6)[:, None]
+        trajs = {mu: make_traj(m, np.exp(-mu * t) * np.sin(np.pi * x)
+                               * np.sin(np.pi * y) + 0.1 * mu * t ** 2
+                               * np.cos(np.pi * x * mu)
+                               + 1e-3 * rng.standard_normal((6, m.n_nodes)),
+                               param=mu)
+                 for mu in (0.5, 1.0, 2.0, 4.0)}
+        prepared = prepare(trajs, forms)
+        for held_out in trajs:
+            rest = {mu: tr for mu, tr in trajs.items() if mu != held_out}
+            got, want = build(rest, forms, prepared), build(rest, forms, None)
+            assert np.array_equal(got.modes, want.modes)
+            assert got.provenance == want.provenance
+
+
 class TestGreedy:
     def test_first_pick_is_max_norm(self, setup):
         m, forms = setup
