@@ -10,6 +10,10 @@ from nirb import models
 
 logger = logging.getLogger(__name__)
 
+# keys that no longer set anything but that pinned configs still carry: they
+# parse, are ignored with one warning per parse, and ``to_text`` omits them
+RETIRED_KEYS = ("greedy_tol", "h1_reorthonormalize")
+
 
 def _parse_bool(s):
     v = s.strip().lower()
@@ -76,12 +80,10 @@ class StudyConfig:
 
     # reduced basis; "pod" pools every training snapshot into one
     # H1-weighted POD, which keeps stiffness-heavy transient content that
-    # the L2-driven selection loops truncate away
+    # pod_greedy's L2-driven selection truncates away
     rb_algorithm: str = "pod_greedy"
     n_max: int = 3
     pod_tol: float = 1e-6
-    greedy_tol: float = 1e-8
-    h1_reorthonormalize: bool = True
 
     # rectification
     delta_mode: str = "relative"
@@ -117,8 +119,9 @@ class StudyConfig:
                              "quadratic time interpolation")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        if self.rb_algorithm not in ("pod_greedy", "greedy", "pod"):
-            raise ValueError(f"unknown rb_algorithm {self.rb_algorithm!r}")
+        if self.rb_algorithm not in ("pod_greedy", "pod"):
+            raise ValueError(f"unknown rb_algorithm {self.rb_algorithm!r}; "
+                             "expected pod_greedy or pod")
         if self.delta_mode not in ("relative", "absolute"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.delta_value < 0:
@@ -213,6 +216,11 @@ class StudyConfig:
         known = {f.name: f for f in fields(cls)}
         kwargs = {}
         defaults = cls()
+        retired = [key for key in values if key in RETIRED_KEYS]
+        if retired:
+            logger.warning("ignoring retired configuration keys: %s",
+                           ", ".join(retired))
+            values = {k: v for k, v in values.items() if k not in retired}
         for key, val in values.items():
             if key not in known:
                 raise ValueError(f"unknown configuration key {key!r}")

@@ -15,8 +15,8 @@ Artifact file members:
   grids and forms from it with ``pipeline.discretize``, and derives the
   lift-projection operator from them and the modes and the time weights
   from the grids, so neither is stored;
-- ``modes``: the (N, n_fields * n_nodes) basis modes on the fine mesh;
-- ``eigenvalues``: the (N,) H1 spectrum, empty when the basis has none;
+- ``modes``: the (N, n_fields * n_nodes) L2-orthonormal basis modes on
+  the fine mesh;
 - ``provenance``: the ``repr`` of the basis provenance, read back with
   ``ast.literal_eval``;
 - ``matrices``: the (n_times, N, N) rectification maps;
@@ -45,10 +45,10 @@ from nirb.rectification import RectificationTensor, lift_projection
 from nirb.reduced_basis import ReducedBasis
 from nirb.time_interp import quadratic_weights
 
-ARTIFACT_FORMAT = "nirb-artifacts 4"
+ARTIFACT_FORMAT = "nirb-artifacts 5"
 TRAJ_FORMAT = "nirb-trajectory 5"
-ARTIFACT_MEMBERS = ("format", "config", "modes", "eigenvalues", "provenance",
-                    "matrices", "deltas")
+ARTIFACT_MEMBERS = ("format", "config", "modes", "provenance", "matrices",
+                    "deltas")
 TRAJ_MEMBERS = ("format", "header", "values")
 
 # what zipfile and numpy raise on a damaged archive or member
@@ -133,10 +133,9 @@ def _provenance_text(provenance):
 
 def save_artifacts(path, artifacts):
     basis, tensor = artifacts.basis, artifacts.tensor
-    eig = np.empty(0) if basis.eigenvalues is None else basis.eigenvalues
     _save(path, ARTIFACT_FORMAT, {
         "config": artifacts.config.to_text(), "modes": basis.modes,
-        "eigenvalues": eig, "provenance": _provenance_text(basis.provenance),
+        "provenance": _provenance_text(basis.provenance),
         "matrices": tensor.matrices, "deltas": tensor.deltas})
 
 
@@ -154,11 +153,9 @@ def load_artifacts(path):
         raise _corrupt(path, "the provenance member does not parse",
                        exc) from exc
     fine, coarse = discretize(config)
-    eig = m["eigenvalues"]
     tensor = RectificationTensor(matrices=m["matrices"], deltas=m["deltas"])
     try:
         basis = ReducedBasis(mesh=fine.mesh, modes=m["modes"],
-                             eigenvalues=eig if eig.size else None,
                              provenance=provenance)
         return OfflineArtifacts(
             config=config, basis=basis, tensor=tensor, fine=fine,

@@ -1,10 +1,10 @@
 """Reduced basis construction from solution trajectories: proper orthogonal
-decomposition, two snapshot-selection loops, and the H1 re-orthogonalization
-eigenproblem.
+decomposition and two builders, POD-greedy and the hierarchical H1 POD,
+each returning L2-orthonormal modes.
 
 Each builder reads its training runs in two stages: a per-run preparation
 that does not depend on which other runs are in the set (``mass_products``
-for the greedy loops, ``h1_rows`` for the hierarchical POD), and the
+for ``pod_greedy``, ``h1_rows`` for the hierarchical POD), and the
 selection over the set.  A caller that builds many bases from one training
 set, as leave-one-out does, prepares each run once and hands the prepared
 runs to every build."""
@@ -34,13 +34,11 @@ class ReducedBasis:
 
     Multi-component fields stack their components along the mode axis, with
     all inner products taken blockwise; the field count is read off the mode
-    width and the mesh.  ``eigenvalues`` holds the ascending H1 spectrum
-    after re-orthogonalization (the squared H1 norms of the modes), and
-    ``provenance`` records how the basis was selected."""
+    width and the mesh, and ``provenance`` records how the basis was
+    selected."""
 
     mesh: object
     modes: np.ndarray                     # (N, n_fields * n_nodes)
-    eigenvalues: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -183,7 +181,7 @@ def _residual_norms(U, MU, modes, weighted):
 
 @dataclass(frozen=True)
 class MassProduct:
-    """What the greedy builders read of one training run in every fold: the
+    """What ``pod_greedy`` reads of one training run in every fold: the
     run's blockwise mass product ``values`` (M U, the shape of U) and its
     sup-in-time L2 norm ``sup_norm``."""
 
@@ -193,8 +191,7 @@ class MassProduct:
 
 def mass_products(trajectories, forms):
     """{parameter: ``MassProduct``} of training runs, one sparse product
-    per run: the fold-invariant preparation of ``pod_greedy`` and
-    ``greedy``."""
+    per run: the fold-invariant preparation of ``pod_greedy``."""
     out = {}
     for p, traj in trajectories.items():
         MU = block_matvec(forms.mass, traj.values)
@@ -275,71 +272,9 @@ def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6, prepared=None):
         picks.append((items[k][0], new.shape[0]))
 
     return ReducedBasis(
-        mesh=items[0][1].mesh, modes=modes, eigenvalues=None,
+        mesh=items[0][1].mesh, modes=modes,
         provenance={"algorithm": "pod_greedy", "selected": picks,
                     "pod_tol": pod_tol})
-
-
-def greedy(trajectories, forms, tol, n_max, prepared=None):
-    """Snapshot-greedy basis construction over (parameter, time index) pairs.
-
-    The first pick maximizes the absolute L2 norm; subsequent picks maximize
-    the L2 residual against the current basis, with ties broken toward the
-    lowest parameter position and then the lowest time index.  Stops when the
-    largest residual falls below ``tol`` (or below 1e-13 before
-    normalization), or at n_max modes.  The per-iteration maxima are
-    monotonically nonincreasing.  The snapshot norms are read off the runs'
-    ``MassProduct`` in ``prepared``, as in ``pod_greedy``."""
-    items = list(trajectories.items())
-    if not items:
-        raise ValueError("empty training set")
-    if prepared is None:
-        prepared = mass_products(trajectories, forms)
-    snaps = np.vstack([traj.values for _, traj in items])
-    counts = [traj.values.shape[0] for _, traj in items]
-    offsets = np.cumsum([0] + counts)
-
-    def pair_of(row):
-        p = int(np.searchsorted(offsets, row, side="right") - 1)
-        return items[p][0], int(row - offsets[p])
-
-    norms0 = np.concatenate([_norms(traj.values, prepared[p].values)
-                             for p, traj in items])
-    res2 = norms0 ** 2
-    chosen_rows = []
-    modes = []
-    picks = []
-    history = []
-    while len(modes) < n_max:
-        avail = res2.copy()
-        if chosen_rows:
-            avail[chosen_rows] = -1.0
-        row = int(np.argmax(avail))  # argmax takes the earliest tie
-        history.append(float(np.sqrt(max(res2.max(), 0.0))))
-        if history[-1] <= tol:
-            break
-        if modes:
-            basis = np.vstack(modes)
-            v = snaps[row] - mass_inner(forms, snaps[row], basis) @ basis
-            # second pass keeps the basis orthonormal when the picked
-            # snapshot is nearly inside the current span
-            v = v - mass_inner(forms, v, basis) @ basis
-        else:
-            v = snaps[row].copy()
-        nrm = l2_norms(forms, v)
-        if nrm < 1e-13:
-            break
-        modes.append(v / nrm)
-        chosen_rows.append(row)
-        picks.append(pair_of(row))
-        coef = mass_inner(forms, snaps, modes[-1][None, :])[:, 0]
-        res2 = np.clip(res2 - coef ** 2, 0.0, None)
-
-    modes = np.vstack(modes) if modes else np.zeros((0, snaps.shape[1]))
-    return ReducedBasis(
-        mesh=items[0][1].mesh, modes=modes, eigenvalues=None,
-        provenance={"algorithm": "greedy", "selected": picks, "tol": tol,
-                    "residual_history": history})
 
 
 def hierarchical_pod(trajectories, forms, n_max, prepared=None):
@@ -360,8 +295,7 @@ def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     that form when an initial state violates a Neumann condition, carry far
     more stiffness energy than mass energy, so they survive a truncation
     that would drop them under a pure L2 ranking.  The output is
-    re-orthonormalized in L2, so the basis invariants and the H1 rotation
-    apply unchanged."""
+    re-orthonormalized in L2, so the basis invariants apply unchanged."""
     items = list(trajectories.items())
     if not items:
         raise ValueError("empty training set")
@@ -371,30 +305,9 @@ def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     modes, _ = pod(rows, forms, n_max, inner="h1")
     modes = _mass_mgs(modes, None, forms)
     return ReducedBasis(
-        mesh=items[0][1].mesh, modes=modes, eigenvalues=None,
+        mesh=items[0][1].mesh, modes=modes,
         provenance={"algorithm": "hierarchical_pod",
                     "pooled_rows": int(rows.shape[0])})
-
-
-def h1_reorthogonalize(basis, forms):
-    """Rotate an L2-orthonormal basis to make it H1-orthogonal as well.
-
-    Solves the dense eigenproblem G c = lambda c with G_ij the stiffness
-    inner products of the modes; the rotated modes keep L2 orthonormality,
-    gain stiffness-orthogonality, and carry ascending eigenvalues equal to
-    their squared H1 seminorms."""
-    if basis.N == 0:
-        return basis
-    gram_m = mass_inner(forms, basis.modes, basis.modes)
-    if np.abs(gram_m - np.eye(basis.N)).max() > 1e-8:
-        raise ValueError("basis is not L2-orthonormal within 1e-8")
-    G = np.asarray(basis.modes) @ block_matvec(forms.stiffness, basis.modes).T
-    lam, V = sym_eig(0.5 * (G + G.T))
-    modes = V.T @ basis.modes
-    prov = dict(basis.provenance)
-    prov["h1_reorthogonalized"] = True
-    return ReducedBasis(mesh=basis.mesh, modes=modes, eigenvalues=lam,
-                        provenance=prov)
 
 
 def mass_weighted_modes(basis, forms):

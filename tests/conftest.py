@@ -58,3 +58,21 @@ def small_heat_text():
             "coarse_nx = 4\n"
             "fine_steps = 8\n"
             "coarse_steps = 4\n")
+
+
+@pytest.fixture(scope="session")
+def small_rd_text():
+    """Config text of a small reaction-diffusion study: 8^2/4^2 meshes, 8/4
+    steps, four training triples and the pooled POD with N=4."""
+    return ("problem = brusselator\n"
+            "t0 = 0.0\n"
+            "T = 1.0\n"
+            "train_a = 2.0,3.0\n"
+            "train_b = 1.0,2.0\n"
+            "train_alpha = 0.002\n"
+            "fine_nx = 8\n"
+            "coarse_nx = 4\n"
+            "fine_steps = 8\n"
+            "coarse_steps = 4\n"
+            "rb_algorithm = pod\n"
+            "n_max = 4\n")

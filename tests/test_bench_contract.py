@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from nirb import pipeline
-from nirb.config import StudyConfig
+from nirb.config import RETIRED_KEYS, StudyConfig, load_config
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
 
 
 def _load_tracer():
@@ -30,9 +31,16 @@ def _load_tracer():
 tracer_module = _load_tracer()
 
 # targets the tracer still names but the program no longer has: no heat
-# solve iterates, and every heat run starts from rest without a separate
-# start-up function
-RETIRED = ["nirb.linalg.cg_solve", "nirb.pipeline.heat_initial_fine"]
+# solve iterates, every heat run starts from rest without a separate
+# start-up function, no workload selects the snapshot greedy, and the basis
+# is not rotated to H1-orthogonal modes
+RETIRED = ["nirb.linalg.cg_solve", "nirb.pipeline.heat_initial_fine",
+           "nirb.reduced_basis.greedy",
+           "nirb.reduced_basis.h1_reorthogonalize"]
+
+# what each pinned benchmark config asks of the basis builder
+PINNED_BASES = {"heat.cfg": ("pod_greedy", 3),
+                "heat-loo.cfg": ("pod_greedy", 3), "rd.cfg": ("pod", 10)}
 
 
 @pytest.mark.parametrize("target", tracer_module.TARGETS,
@@ -116,3 +124,37 @@ def test_trace_hooks_on_the_reaction_diffusion_offline():
     runs = len(config.training_parameters())
     assert runs == 4
     assert len(counts["integrators.newton"]) == runs * config.fine_steps
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (BENCHMARKS / "configs").glob("*.cfg")))
+def test_pinned_config_loads_with_its_basis(name, caplog):
+    # the pinned configs still set the retired keys: they load, keep their
+    # builder and mode budget, warn once, and write text without them
+    with caplog.at_level("WARNING", logger="nirb.config"):
+        config = load_config(BENCHMARKS / "configs" / name)
+    assert (config.rb_algorithm, config.n_max) == PINNED_BASES[name]
+    assert len(caplog.records) == 1
+    assert all(key in caplog.records[0].getMessage() for key in RETIRED_KEYS)
+    caplog.clear()
+    text = config.to_text()
+    assert not any(line.split(" = ")[0] in RETIRED_KEYS
+                   for line in text.splitlines())
+    with caplog.at_level("WARNING", logger="nirb.config"):
+        assert StudyConfig.from_text(text) == config
+    assert not caplog.records
+
+
+def test_retired_keys_warn_once_per_parse_and_set_nothing(caplog):
+    text = "greedy_tol = 0.5\nh1_reorthonormalize = false\n"
+    with caplog.at_level("WARNING", logger="nirb.config"):
+        for _ in range(2):
+            assert StudyConfig.from_text(text) == StudyConfig()
+    assert [r.getMessage() for r in caplog.records] \
+        == ["ignoring retired configuration keys: greedy_tol, "
+            "h1_reorthonormalize"] * 2
+
+
+def test_snapshot_greedy_is_rejected():
+    with pytest.raises(ValueError, match="expected pod_greedy or pod"):
+        StudyConfig.from_text("rb_algorithm = greedy\n")

@@ -36,11 +36,9 @@ def heat_configs(draw):
         coarse_nx=draw(cells), coarse_ny=draw(cells_or_x),
         fine_steps=draw(positive),
         coarse_steps=draw(st.integers(min_value=2, max_value=512)),
-        rb_algorithm=draw(st.sampled_from(["pod_greedy", "greedy", "pod"])),
+        rb_algorithm=draw(st.sampled_from(["pod_greedy", "pod"])),
         n_max=draw(positive),
         pod_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
-        greedy_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
-        h1_reorthonormalize=draw(st.booleans()),
         delta_mode=draw(st.sampled_from(["relative", "absolute"])),
         delta_value=draw(st.floats(min_value=0.0, max_value=1.0)),
         cg_tol=draw(st.floats(min_value=1e-16, max_value=1e-2)),

@@ -13,20 +13,6 @@ from nirb.rectification import (coarse_to_fine_coefficients, lift_coarse,
 from nirb.time_interp import quadratic_weights
 from nirb.reduced_basis import coefficients
 
-SMALL_RD_TEXT = ("problem = brusselator\n"
-                 "t0 = 0.0\n"
-                 "T = 1.0\n"
-                 "train_a = 2.0,3.0\n"
-                 "train_b = 1.0,2.0\n"
-                 "train_alpha = 0.002\n"
-                 "fine_nx = 8\n"
-                 "coarse_nx = 4\n"
-                 "fine_steps = 8\n"
-                 "coarse_steps = 4\n"
-                 "rb_algorithm = pod\n"
-                 "n_max = 4\n")
-
-
 def _offline(text, outdir):
     config = StudyConfig.from_text(text + f"output_dir = {outdir}\n")
     artifacts = pipeline.offline(config, persist=True)
@@ -59,7 +45,6 @@ def _rewrite(path, tmp_path, **changes):
 
 def _assert_same_artifacts(got, want, param):
     assert np.array_equal(got.basis.modes, want.basis.modes)
-    assert np.array_equal(got.basis.eigenvalues, want.basis.eigenvalues)
     assert got.basis.provenance == want.basis.provenance
     assert np.array_equal(got.tensor.matrices, want.tensor.matrices)
     assert np.array_equal(got.tensor.deltas, want.tensor.deltas)
@@ -93,17 +78,18 @@ class TestArtifacts:
         assert artifacts.basis.provenance["algorithm"] == "pod_greedy"
         _assert_same_artifacts(loaded, artifacts, 4.5)
 
-    @pytest.mark.parametrize("algorithm", ["greedy", "pod"])
-    def test_every_basis_keeps_its_provenance(self, small_heat_text, tmp_path,
+    @pytest.mark.parametrize("algorithm", ["pod_greedy", "pod"])
+    def test_every_basis_keeps_its_provenance(self, small_heat_text,
+                                              small_rd_text, tmp_path,
                                               algorithm):
         # pod runs on reaction-diffusion, whose parameters are tuples
-        text = (small_heat_text + "rb_algorithm = greedy\n"
-                if algorithm == "greedy" else SMALL_RD_TEXT)
+        text = small_heat_text if algorithm == "pod_greedy" else small_rd_text
         config, artifacts, path = _offline(text, tmp_path)
         loaded = io.load_artifacts(str(path))
         assert loaded.config == config
         assert artifacts.basis.provenance["algorithm"] \
-            == {"greedy": "greedy", "pod": "hierarchical_pod"}[algorithm]
+            == {"pod_greedy": "pod_greedy",
+                "pod": "hierarchical_pod"}[algorithm]
         _assert_same_artifacts(loaded, artifacts, config.test_parameter())
 
     def test_provenance_that_is_not_a_literal_is_refused(self, saved,
@@ -143,7 +129,7 @@ class TestArtifacts:
             io.load_artifacts(_copy_with(path, tmp_path, downgrade))
         assert err.value.slug == "version-mismatch"
 
-    @pytest.mark.parametrize("fmt", ["nirb-artifacts 5", io.TRAJ_FORMAT, ""])
+    @pytest.mark.parametrize("fmt", ["nirb-artifacts 4", io.TRAJ_FORMAT, ""])
     def test_foreign_format_is_a_mismatch(self, saved, tmp_path, fmt):
         _, _, path = saved
         with pytest.raises(io.ArtifactError) as err:
@@ -162,7 +148,7 @@ class TestArtifacts:
         assert err.value.slug == "corrupt-artifacts"
 
     @pytest.mark.parametrize("name, raw", [
-        ("deltas", None), ("eigenvalues", b"raw bytes")])
+        ("deltas", None), ("provenance", b"raw bytes")])
     def test_missing_or_raw_member_is_corrupt(self, saved, tmp_path, name,
                                               raw):
         # numpy hands back a member without the .npy magic as raw bytes
@@ -223,15 +209,16 @@ class TestArtifacts:
 def test_artifact_members_are_unchanged():
     # the lift-projection operator and the time weights are derived on
     # load, not stored
-    assert io.ARTIFACT_FORMAT == "nirb-artifacts 4"
-    assert io.ARTIFACT_MEMBERS == ("format", "config", "modes", "eigenvalues",
-                                   "provenance", "matrices", "deltas")
+    assert io.ARTIFACT_FORMAT == "nirb-artifacts 5"
+    assert io.ARTIFACT_MEMBERS == ("format", "config", "modes", "provenance",
+                                   "matrices", "deltas")
 
 
 @pytest.mark.parametrize("problem", ["heat", "rd"])
-def test_lift_projection_is_lift_then_coefficients(small_heat_text, tmp_path,
+def test_lift_projection_is_lift_then_coefficients(small_heat_text,
+                                                   small_rd_text, tmp_path,
                                                    problem):
-    text = small_heat_text if problem == "heat" else SMALL_RD_TEXT
+    text = small_heat_text if problem == "heat" else small_rd_text
     config, artifacts, path = _offline(text, tmp_path)
     loaded = io.load_artifacts(str(path))
     param = config.test_parameter()

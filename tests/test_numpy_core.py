@@ -1,7 +1,8 @@
 """The package uses numpy core only: no module reaches numpy.linalg,
 every import is from the standard library, numpy or the package itself,
-nothing imports pickle or lets numpy unpickle, and nothing writes the
-process environment or names a BLAS thread variable."""
+nothing imports pickle or lets numpy unpickle, nothing writes the
+process environment or names a BLAS thread variable, and every name the
+package exports exists."""
 
 import ast
 import re
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import nirb
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nirb"
 
@@ -200,3 +203,9 @@ def test_package_leaves_threading_to_the_environment():
         found |= {f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
                   for m in THREAD_VARS.finditer(text)}
     assert not found, f"environment or thread variables at {sorted(found)}"
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name in __all__ would otherwise only
+    # show as a failing star import
+    assert [name for name in nirb.__all__ if not hasattr(nirb, name)] == []

@@ -171,6 +171,62 @@ class TestOneLiftPerFit:
             odd.validate()
 
 
+class TestBasis:
+    def test_modes_that_are_not_l2_orthonormal_are_rejected(self, study,
+                                                            monkeypatch):
+        config, _ = study
+        pod_greedy = pipeline.pod_greedy
+
+        @functools.wraps(pod_greedy)
+        def skewed(*args, **kwargs):
+            basis = pod_greedy(*args, **kwargs)
+            modes = basis.modes.copy()
+            modes[1] += 1e-6 * modes[0]
+            return dataclasses.replace(basis, modes=modes)
+
+        monkeypatch.setattr(pipeline, "pod_greedy", skewed)
+        with pytest.raises(RuntimeError, match="L2-orthonormal") as err:
+            pipeline.offline(config, persist=False)
+        assert "pod_greedy" in str(err.value)
+
+    @pytest.mark.parametrize("delta_value", [1e-10, 1e-6])
+    @pytest.mark.parametrize("problem", ["heat", "rd"])
+    def test_online_is_unchanged_by_a_rotation_of_the_modes(
+            self, small_heat_text, small_rd_text, rng, problem, delta_value):
+        # the plain value is a projection onto the span and the ridge fit
+        # is equivariant under an orthogonal change of basis, so rotating
+        # the modes, as the paper's H1 orthogonalization does, changes no
+        # online value beyond rounding.  The fit amplifies rounding by the
+        # condition number of its normal equations, at most about
+        # 1/delta_value for the relative delta: 1e10 at the configs' 1e-10
+        config = StudyConfig.from_text(
+            (small_heat_text if problem == "heat" else small_rd_text)
+            + f"delta_value = {delta_value}\n")
+        runs = pipeline._training_runs(config, config.training_parameters(),
+                                       {})
+        fine, coarse, fine_trajs, coarse_trajs, _ = runs
+        artifacts = pipeline.fit(config, *runs, {})
+        basis = artifacts.basis
+        Q = np.linalg.qr(rng.standard_normal((basis.N, basis.N)))[0]
+        turned = rb.ReducedBasis(mesh=basis.mesh, modes=Q.T @ basis.modes)
+        rotated = dataclasses.replace(
+            artifacts, basis=turned,
+            lift=lift_projection(turned, fine.forms, coarse.mesh))
+        rotated.tensor = build_rectification(
+            fine_trajs, coarse_trajs, turned, fine.forms, rotated.lift,
+            rotated.time_weights, config.delta_mode, config.delta_value,
+            rotated.modal_lift)
+        rotated.validate()
+        param = config.test_parameter()
+        for mode, tol in (("plain", 1e-9),
+                          ("rectified", np.finfo(float).eps / delta_value)):
+            want = pipeline.online(artifacts, param, mode=mode)
+            got = pipeline.online(rotated, param, mode=mode)
+            scale = np.abs(want.trajectory.values).max()
+            assert np.abs(got.trajectory.values
+                          - want.trajectory.values).max() <= tol * scale
+
+
 class TestCoarseOnly:
     def test_online_runs_no_fine_solve(self, study, monkeypatch):
         config, artifacts = study

@@ -201,11 +201,9 @@ class TestPreparedRuns:
     @pytest.mark.parametrize("build, prepare", [
         (lambda t, f, p: rb.pod_greedy(t, f, 6, pod_tol=1e-8, prepared=p),
          rb.mass_products),
-        (lambda t, f, p: rb.greedy(t, f, 1e-10, 8, prepared=p),
-         rb.mass_products),
         (lambda t, f, p: rb.hierarchical_pod(t, f, 4, prepared=p),
          lambda t, f: rb.h1_rows(t, f, 4))],
-        ids=["pod_greedy", "greedy", "hierarchical_pod"])
+        ids=["pod_greedy", "hierarchical_pod"])
     def test_a_subset_reads_the_prepared_set(self, setup, rng, build,
                                              prepare):
         # runs prepared once for the whole set give every subset the basis
@@ -225,49 +223,6 @@ class TestPreparedRuns:
             got, want = build(rest, forms, prepared), build(rest, forms, None)
             assert np.array_equal(got.modes, want.modes)
             assert got.provenance == want.provenance
-
-
-class TestGreedy:
-    def test_first_pick_is_max_norm(self, setup):
-        m, forms = setup
-        x = m.nodes[:, 0]
-        small = np.stack([0.1 * np.sin(np.pi * x), 0.05 * x])
-        big = np.stack([3.0 * np.cos(np.pi * x), 0.2 * x])
-        trajs = {1.0: make_traj(m, small, param=1.0),
-                 2.0: make_traj(m, big, param=2.0)}
-        basis = rb.greedy(trajs, forms, 1e-10, 3)
-        assert basis.provenance["selected"][0] == (2.0, 0)
-
-    def test_exact_span_terminates(self, setup, rng):
-        m, forms = setup
-        a = np.sin(np.pi * m.nodes[:, 0])
-        b = np.cos(np.pi * m.nodes[:, 1])
-        coeffs = rng.standard_normal((6, 2))
-        values = coeffs @ np.stack([a, b])
-        basis = rb.greedy({1.0: make_traj(m, values)}, forms, 1e-10, 10)
-        assert basis.N == 2
-        resid = values - rb.mass_inner(forms, values, basis.modes) @ basis.modes
-        assert rb.l2_norms(forms, resid).max() <= 1e-10
-
-    def test_monotone_residual_history(self, setup, rng):
-        m, forms = setup
-        trajs = {k: make_traj(m, rng.standard_normal((5, m.n_nodes)),
-                              param=float(k)) for k in range(4)}
-        basis = rb.greedy(trajs, forms, 1e-12, 15)
-        hist = basis.provenance["residual_history"]
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-        assert basis.N <= 15
-
-    def test_orthonormal_on_correlated_snapshots(self, setup, rng):
-        # Nearly dependent snapshots stress the Gram-Schmidt update; the
-        # output must stay orthonormal well within the rotation gate.
-        m, forms = setup
-        base = rng.standard_normal((3, m.n_nodes))
-        weights = rng.standard_normal((30, 3))
-        values = weights @ base + 1e-6 * rng.standard_normal((30, m.n_nodes))
-        basis = rb.greedy({1.0: make_traj(m, values)}, forms, 1e-9, 25)
-        G = l2_gram(forms, basis.modes)
-        assert np.abs(G - np.eye(basis.N)).max() <= 1e-9
 
 
 class TestHierarchicalPod:
@@ -332,58 +287,6 @@ class TestHierarchicalPod:
 
 def block_mass(forms, U):
     return np.stack([forms.mass.matvec(u) for u in U])
-
-
-class TestH1Reorthogonalize:
-    def test_single_mode_eigenvalue(self, setup):
-        m, forms = setup
-        v = np.sin(np.pi * m.nodes[:, 0])
-        v = v / rb.l2_norms(forms, v)
-        basis = rb.ReducedBasis(mesh=m, modes=v[None, :])
-        out = rb.h1_reorthogonalize(basis, forms)
-        assert np.abs(np.abs(out.modes[0]) - np.abs(v)).max() <= 1e-12
-        want = float(v @ forms.stiffness.matvec(v))
-        assert out.eigenvalues[0] == pytest.approx(want)
-
-    def test_k_orthogonal_input_preserved(self, setup):
-        # Already stiffness-orthogonal modes: the rotation only permutes
-        # and flips, and the eigenvalue set is their stiffness energies.
-        m, forms = setup
-        x = m.nodes[:, 0]
-        a = np.ones(m.n_nodes)
-        b = np.cos(np.pi * x)
-        a = a / rb.l2_norms(forms, a)
-        b = b - rb.mass_inner(forms, b, a[None, :])[0] * a
-        b = b / rb.l2_norms(forms, b)
-        basis = rb.ReducedBasis(mesh=m, modes=np.stack([b, a]))
-        out = rb.h1_reorthogonalize(basis, forms)
-        assert np.all(np.diff(out.eigenvalues) >= -1e-12)
-        K = np.stack([forms.stiffness.matvec(u) for u in basis.modes])
-        want = sorted(np.diag(basis.modes @ K.T))
-        assert out.eigenvalues == pytest.approx(want, abs=1e-10)
-
-    def test_random_basis_double_orthogonality(self, setup, rng):
-        m, forms = setup
-        snaps = rng.standard_normal((8, m.n_nodes))
-        modes, _ = rb.pod(snaps, forms, 3)
-        basis = rb.ReducedBasis(mesh=m, modes=modes)
-        out = rb.h1_reorthogonalize(basis, forms)
-        G_m = l2_gram(forms, out.modes)
-        assert np.abs(G_m - np.eye(3)).max() <= 1e-9
-        G_k = out.modes @ np.stack(
-            [forms.stiffness.matvec(u) for u in out.modes]).T
-        off = G_k - np.diag(np.diag(G_k))
-        assert np.abs(off).max() <= 1e-9 * max(np.abs(np.diag(G_k)).max(), 1.0)
-        P1 = out.modes.T @ block_mass(forms, out.modes)
-        P2 = modes.T @ block_mass(forms, modes)
-        assert np.abs(P1 - P2).max() <= 1e-9
-
-    def test_non_orthonormal_rejected(self, setup):
-        m, forms = setup
-        modes = np.stack([np.ones(m.n_nodes), m.nodes[:, 0]])
-        basis = rb.ReducedBasis(mesh=m, modes=modes)
-        with pytest.raises(ValueError, match="orthonormal"):
-            rb.h1_reorthogonalize(basis, forms)
 
 
 class TestCoefficients:
