@@ -142,6 +142,9 @@ class StudyConfig:
                 if values.count(v) > 1:
                     raise ValueError(f"repeated value {v} in {name} {values}")
         if self.problem == "heat":
+            if not self.t0 > 0.0:
+                raise ValueError(f"heat runs start from rest at t = 0, so "
+                                 f"the window needs t0 > 0, got t0={self.t0}")
             # zero Dirichlet data needs an interior node to solve for
             for which in ("fine", "coarse"):
                 for key, count in zip(("nx", "ny"), self.mesh_counts(which)):

@@ -90,48 +90,35 @@ class FieldTrajectory:
 class ModalTrajectory(FieldTrajectory):
     """The window of a ``heat_crank_nicolson`` run, kept as the rows of its
     march's modal states (``states``, shape (steps + 1, n_free)) in the
-    eigenvectors V of ``forms.free_eigenpairs``, with the run's start u0.
+    eigenvectors V of ``forms.free_eigenpairs``.
 
     It owns the choice between nodal and modal: ``values``, the nodal
     values of ``FieldTrajectory``, are derived by one product with V^T when
     first asked for and kept, while ``values_times`` reads a product of the
-    values straight off the modal states.  The first row is u0 itself when
-    ``exact_start`` (a run with no lead-in), otherwise V z_0 with u0's
-    boundary entries."""
+    values straight off the modal states."""
 
-    def __init__(self, forms, grid, states, u0, parameter, exact_start):
+    def __init__(self, forms, grid, states, parameter):
         self.mesh, self.grid, self.parameter = forms.mesh, grid, parameter
         self.forms, self.states = forms, states
-        self.u0 = np.array(u0, dtype=float)
-        self.exact_start = exact_start
 
     @functools.cached_property
     def values(self):
         _, V = self.forms.free_eigenpairs()
-        free = blocked_matmul(self.states, V.T)
-        if self.exact_start:
-            free[0] = self.u0[self.forms.free_dofs]
-        return _nodal_values(self.forms, self.grid, self.u0, free)
+        return _nodal_values(self.forms, self.grid,
+                             blocked_matmul(self.states, V.T))
 
     def values_times(self, B, modal=None):
         """values @ B without the nodal values: the states times V^T B_free,
-        with B_free the rows of B at the free dofs, and the first row
-        corrected for u0.  ``modal`` is ``modal_operand(forms, B)`` for the
-        run's forms (or for forms assembled on the same mesh, which give the
-        same V), kept by a caller that reads many runs through one B;
-        without it the run forms it, one (cols, n) by (n, n) product.  The
-        read itself is one (cols, n) by (n, steps + 1) product."""
+        with B_free the rows of B at the free dofs.  ``modal`` is
+        ``modal_operand(forms, B)`` for the run's forms (or for forms
+        assembled on the same mesh, which give the same V), kept by a caller
+        that reads many runs through one B; without it the run forms it, one
+        (cols, n) by (n, n) product.  The read itself is one (cols, n) by
+        (n, steps + 1) product."""
         B = np.asarray(B, dtype=float)
         if modal is None:
             modal = modal_operand(self.forms, B)
-        out = blocked_matmul(modal, self.states.T).T
-        if self.exact_start:
-            out[0] = self.u0 @ B
-        else:
-            rest = self.u0.copy()
-            rest[self.forms.free_dofs] = 0.0
-            out[0] += rest @ B
-        return out
+        return blocked_matmul(modal, self.states.T).T
 
 
 def modal_operand(forms, B):
@@ -142,25 +129,23 @@ def modal_operand(forms, B):
     return blocked_matmul(np.asarray(B, dtype=float)[forms.free_dofs].T, V)
 
 
-def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
-    """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data:
-    each step solves (M + dt mu K) u = M u_prev + dt b(t) on the free dofs
-    with one ``BandFactor`` of the step matrix (one batched product per
-    cyclic-reduction level and sweep), and every step's relative residual
-    must be at most ``cg_tol``.  u0 is the state at ``t_start``
-    (default ``grid.t0``).  A run from t_start < t0 first takes
-    implicit-Euler steps of dt to t0 with the window's factor; only a
-    lead-in that is not a whole number of such steps factors its own
+def heat_backward_euler(forms, mu, f, grid, cg_tol=1e-10):
+    """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data,
+    from rest at t = 0: each step solves (M + dt mu K) u = M u_prev + dt b(t)
+    on the free dofs with one ``BandFactor`` of the step matrix (one batched
+    product per cyclic-reduction level and sweep), and every step's relative
+    residual must be at most ``cg_tol``.  A window with t0 > 0 is led in
+    from t = 0 by implicit-Euler steps of dt with the window's factor; only
+    a lead-in that is not a whole number of such steps factors its own
     matrix.  M and every step matrix share one slot pattern, so each state
     is gathered once, for its residual and the next right-hand side."""
-    u0 = _start(forms, u0)
     Mff, Kff = forms.mass_free(), forms.stiffness_free()
     lhs = Mff.lincomb(Kff, 1.0, grid.dt * mu)
     factor = BandFactor(lhs)
-    states = [u0[forms.free_dofs]]
+    states = [np.zeros(forms.free_dofs.size)]
     # the state gathered at every slot's column, (r, n)
-    gathered = np.take(states[0], Mff.cols)
-    for g, _, what in _legs(grid, 1.0, t_start):
+    gathered = np.zeros(Mff.cols.shape)
+    for g, _, what in _legs(grid, 1.0):
         leg_lhs, leg_factor = lhs, factor
         if not math.isclose(g.dt, grid.dt, rel_tol=1e-12):
             leg_lhs = Mff.lincomb(Kff, 1.0, g.dt * mu)
@@ -175,15 +160,16 @@ def heat_backward_euler(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
             rnorm[k], bnorm[k] = res @ res, rhs @ rhs
         _check_residuals(g, what, np.sqrt(rnorm), np.sqrt(bnorm), cg_tol)
     return FieldTrajectory(mesh=forms.mesh, grid=grid, parameter=mu,
-                           values=_nodal_values(forms, grid, u0, states))
+                           values=_nodal_values(forms, grid, states))
 
 
-def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
+def heat_crank_nicolson(forms, mu, f, grid, cg_tol=1e-10):
     """Trapezoidal stepping with the source evaluated at the half step:
     (M + dt/2 mu K) u = (M - dt/2 mu K) u_prev + dt b(t - dt/2) on the free
-    dofs, with the arguments of ``heat_backward_euler``.  A run from
-    t_start < t0 first takes implicit-Euler steps of dt/2 to t0 (Rannacher's
-    damping half steps, Numer. Math. 43, 1984).
+    dofs, with the arguments of ``heat_backward_euler`` and, like it, from
+    rest at t = 0.  A window with t0 > 0 is led in from t = 0 by
+    implicit-Euler steps of dt/2 (Rannacher's damping half steps, Numer.
+    Math. 43, 1984).
 
     The march runs in the eigenvector coordinates z = V^T M u of the pencil
     K v = lam M v (``AssembledForms.free_eigenpairs``, built once per form
@@ -193,9 +179,9 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     y_k = (1 - (1 - theta) dt mu lam) z_{k-1} + dt V^T b_k and the projected
     loads V^T b_k cached per form set (``AssembledForms.modal_loads``).  The
     states of the whole run are the rows of one array Z, started from
-    z_0 = V^T M u0, and the run is returned as a ``ModalTrajectory`` that
-    keeps the window's rows: no state is carried back to nodal values
-    unless a caller asks for them.
+    z_0 = 0, and the run is returned as a ``ModalTrajectory`` that keeps the
+    window's rows: no state is carried back to nodal values unless a caller
+    asks for them.
 
     Every step's relative residual in the nodal system must be at most
     ``cg_tol``; it is bounded, not computed.  With u = V z, M u = M V z and
@@ -215,15 +201,11 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
     the sparse M and K, and fails only if that exceeds ``cg_tol``, so the
     check passes no step that the nodal check would fail, up to the
     rounding of ||rho_k|| and ||E||, which sits at the level of the
-    residuals they bound.  The first window row of a run with no lead-in is
-    u0 itself."""
-    u0 = _start(forms, u0)
-    lam, V = forms.free_eigenpairs()
-    legs = _legs(grid, 0.5, t_start)
+    residuals they bound."""
+    lam, _ = forms.free_eigenpairs()
+    legs = _legs(grid, 0.5)
     Z = np.empty((1 + sum(g.steps for g, _, _ in legs), lam.size))
-    start = u0[forms.free_dofs]
-    # a run from rest, as every pipeline run is, skips the product with V
-    Z[0] = forms.mass_free().matvec(start) @ V if start.any() else 0.0
+    Z[0] = 0.0
     row = 0
     for g, theta, _ in legs:
         dtmu = g.dt * mu
@@ -241,8 +223,7 @@ def heat_crank_nicolson(forms, mu, f, u0, grid, cg_tol=1e-10, t_start=None):
         _check_modal_leg(forms, mu, f, g, theta, what, Z[rows], znorm[rows],
                          cg_tol)
         row += g.steps
-    return ModalTrajectory(forms, grid, Z[-grid.steps - 1:], u0, mu,
-                           exact_start=len(legs) == 1)
+    return ModalTrajectory(forms, grid, Z[-grid.steps - 1:], mu)
 
 
 def _row_norms(a):
@@ -289,22 +270,14 @@ def _check_modal_leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol):
         _check_residuals(grid, what, rnorm, bnorm, cg_tol)
 
 
-def _start(forms, u0):
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (forms.n_dofs,):
-        raise ValueError(f"initial data has shape {u0.shape}, expected "
-                         f"({forms.n_dofs},)")
-    return u0
-
-
-def _legs(grid, theta, t_start):
-    """The legs of a heat run as (time grid, theta, step label): the window
-    at ``theta``, led in from ``t_start`` < t0 by implicit-Euler steps of
-    about theta dt."""
+def _legs(grid, theta):
+    """The legs of a heat run from rest at t = 0 as (time grid, theta, step
+    label): the window at ``theta``, led in from t = 0 to t0 > 0 by
+    implicit-Euler steps of about theta dt."""
     legs = [(grid, theta, "time step")]
-    if t_start is not None and t_start != grid.t0:
-        lead = TimeGrid(t_start, grid.t0,
-                        max(1, round((grid.t0 - t_start) / (theta * grid.dt))))
+    if grid.t0 != 0.0:
+        lead = TimeGrid(0.0, grid.t0,
+                        max(1, round(grid.t0 / (theta * grid.dt))))
         legs.insert(0, (lead, 1.0, "lead-in step"))
     return legs
 
@@ -320,11 +293,10 @@ def _check_residuals(grid, what, rnorm, bnorm, cg_tol):
             f"{rnorm[k] / bnorm[k]:.3e} exceeds {cg_tol:.1e}")
 
 
-def _nodal_values(forms, grid, u0, states):
-    """The window's nodal values from the free-dof states of a whole run:
-    its first row is u0, the boundary entries of the others zero."""
+def _nodal_values(forms, grid, states):
+    """The window's nodal values from the free-dof states of a whole run,
+    with zero boundary entries."""
     values = np.zeros((grid.steps + 1, forms.n_dofs))
-    values[0] = u0
     values[:, forms.free_dofs] = states[-grid.steps - 1:]
     return values
 

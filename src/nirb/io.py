@@ -2,19 +2,19 @@
 
 Artifact and trajectory files are zip archives of ``.npy`` members written
 by ``np.savez`` into a temporary file that is synced and renamed over the
-target; the zip CRC-32 covers every member.  Loads refuse pickled data, read
-the members one at a time and turn every failure into an ``ArtifactError``
-naming the member.  Each loader reads only its current ``format``; files of
-the earlier block format (``NIRB``/``NTRJ`` headers) fail with
+target; the zip CRC-32 covers every member.  The artifact loader refuses
+pickled data, reads the members one at a time and turns every failure into
+an ``ArtifactError`` naming the member.  It reads only the current
+``format``; files of the earlier block format (``NIRB`` header) fail with
 ``version-mismatch``.
 
 Artifact file members:
 
 - ``format``: ``ARTIFACT_FORMAT``;
 - ``config``: the study config text; loading rebuilds the meshes, time
-  grids and forms from it with ``pipeline.discretize``, and derives the
-  lift-projection operator from them and the modes and the time weights
-  from the grids, so neither is stored;
+  grids and forms from it with ``pipeline.discretize``, and the artifacts
+  derive the lift-projection operator and the time weights from them, so
+  neither is stored;
 - ``modes``: the (N, n_fields * n_nodes) L2-orthonormal basis modes on
   the fine mesh;
 - ``provenance``: the ``repr`` of the basis provenance, read back with
@@ -22,7 +22,7 @@ Artifact file members:
 - ``matrices``: the (n_times, N, N) rectification maps;
 - ``deltas``: the (n_times,) Tikhonov parameters.
 
-Trajectory file members:
+Trajectory file members (the package writes them; ``np.load`` reads them):
 
 - ``format``: ``TRAJ_FORMAT``;
 - ``header``: one record with the mesh fields ``nx``, ``ny``, ``domain``,
@@ -39,17 +39,13 @@ import zipfile
 import numpy as np
 
 from nirb.config import StudyConfig
-from nirb.integrators import FieldTrajectory, TimeGrid
-from nirb.mesh import build_structured
-from nirb.rectification import RectificationTensor, lift_projection
+from nirb.rectification import RectificationTensor
 from nirb.reduced_basis import ReducedBasis
-from nirb.time_interp import quadratic_weights
 
 ARTIFACT_FORMAT = "nirb-artifacts 5"
 TRAJ_FORMAT = "nirb-trajectory 5"
 ARTIFACT_MEMBERS = ("format", "config", "modes", "provenance", "matrices",
                     "deltas")
-TRAJ_MEMBERS = ("format", "header", "values")
 
 # what zipfile and numpy raise on a damaged archive or member
 _READ_ERRORS = (zipfile.BadZipFile, KeyError, ValueError, NotImplementedError,
@@ -84,28 +80,29 @@ def _save(path, fmt, members):
                                        **members))
 
 
-def _read(path, fmt, kind, names):
-    """The named members of the archive at ``path`` as arrays, read in
-    order; the first, ``format``, must be ``fmt``."""
+def _read(path):
+    """The ``ARTIFACT_MEMBERS`` of the archive at ``path`` as arrays, read
+    in order; the first, ``format``, must be ``ARTIFACT_FORMAT``."""
+    fmt = ARTIFACT_FORMAT
     if not os.path.exists(path):
         raise ArtifactError("missing-artifacts",
-                            f"no {kind} file at {path}; run the offline stage first")
+                            f"no artifact file at {path}; run the offline stage first")
     members, name = {}, "archive directory"
     # one handle for the head and the archive: np.load on a path leaves
     # the file open when the zip directory is corrupt
     with open(path, "rb") as fh:
         head = fh.read(4)
-        if head in (b"NIRB", b"NTRJ"):
+        if head == b"NIRB":
             raise ArtifactError("version-mismatch",
                                 f"{path} is in the earlier block format; "
                                 f"this version reads {fmt!r}")
         if head != b"PK\x03\x04":
             raise ArtifactError("corrupt-artifacts",
-                                f"{path} is not a nirb {kind} file")
+                                f"{path} is not a nirb artifact file")
         fh.seek(0)
         try:
             with np.load(fh, allow_pickle=False) as archive:
-                for name in names:
+                for name in ARTIFACT_MEMBERS:
                     members[name] = archive[name]
                     if not isinstance(members[name], np.ndarray):
                         raise ValueError("not a numpy array")
@@ -142,7 +139,7 @@ def save_artifacts(path, artifacts):
 def load_artifacts(path):
     from nirb.pipeline import OfflineArtifacts, discretize
 
-    m = _read(path, ARTIFACT_FORMAT, "artifact", ARTIFACT_MEMBERS)
+    m = _read(path)
     try:
         config = StudyConfig.from_text(str(m["config"]))
     except ValueError as exc:
@@ -157,11 +154,8 @@ def load_artifacts(path):
     try:
         basis = ReducedBasis(mesh=fine.mesh, modes=m["modes"],
                              provenance=provenance)
-        return OfflineArtifacts(
-            config=config, basis=basis, tensor=tensor, fine=fine,
-            coarse=coarse,
-            lift=lift_projection(basis, fine.forms, coarse.mesh),
-            time_weights=quadratic_weights(coarse.grid, fine.grid)).validate()
+        return OfflineArtifacts(config=config, basis=basis, tensor=tensor,
+                                fine=fine, coarse=coarse).validate()
     except ValueError as exc:
         raise _corrupt(path, "inconsistent artifact members", exc) from exc
 
@@ -176,22 +170,6 @@ def save_trajectory(path, traj):
                ("t0", "<f8"), ("T", "<f8"), ("steps", "<i8"),
                ("parameter", "<f8", param.shape)])
     _save(path, TRAJ_FORMAT, {"header": header, "values": traj.values})
-
-
-def load_trajectory(path):
-    m = _read(path, TRAJ_FORMAT, "trajectory", TRAJ_MEMBERS)
-    h = m["header"]
-    try:
-        mesh = build_structured(int(h["nx"]), int(h["ny"]),
-                                tuple(float(v) for v in h["domain"]))
-        grid = TimeGrid(t0=float(h["t0"]), T=float(h["T"]),
-                        steps=int(h["steps"]))
-        flat = tuple(float(v) for v in h["parameter"])
-        return FieldTrajectory(
-            mesh=mesh, grid=grid, values=m["values"],
-            parameter=flat[0] if len(flat) == 1 else (flat or None))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise _corrupt(path, "inconsistent trajectory members", exc) from exc
 
 
 def format_cell(value):

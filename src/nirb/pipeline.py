@@ -57,14 +57,13 @@ def discretize(config):
 
 
 def solve_fine(config, disc, param):
-    """High-fidelity trajectory at one parameter (heat: implicit Euler from
-    rest at t = 0, the march's lead-in covering [0, t0] with the window's
-    step; reaction-diffusion: Newton implicit Euler)."""
+    """High-fidelity trajectory at one parameter (heat: implicit Euler, led
+    in to t0 with the window's step; reaction-diffusion: Newton implicit
+    Euler)."""
     if config.problem == "heat":
         return heat_backward_euler(disc.forms, float(param),
-                                   models.manufactured_f,
-                                   np.zeros(disc.mesh.n_nodes), disc.grid,
-                                   cg_tol=config.cg_tol, t_start=0.0)
+                                   models.manufactured_f, disc.grid,
+                                   cg_tol=config.cg_tol)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -73,21 +72,20 @@ def solve_fine(config, disc, param):
 
 def solve_coarse(config, disc, param, fine=None):
     """Cheap trajectory at one parameter on the coarse discretization alone
-    (heat: Crank-Nicolson from rest at t = 0 like the fine run, led in to t0
-    by half steps, marched as diagonal recurrences in the eigenvectors of
-    the coarse pencil, which the first heat run on ``disc`` computes and
-    later runs reuse, and returned as an ``integrators.ModalTrajectory``
-    whose nodal values are formed only when read; reaction-diffusion:
-    explicit midpoint on the lumped system).  Training and online runs
-    start the same way at every parameter, so the rectification is fitted
-    on the same kind of coarse run it is applied to.
+    (heat: Crank-Nicolson, led in to t0 by half steps, marched as diagonal
+    recurrences in the eigenvectors of the coarse pencil, which the first
+    heat run on ``disc`` computes and later runs reuse, and returned as an
+    ``integrators.ModalTrajectory`` whose nodal values are formed only when
+    read; reaction-diffusion: explicit midpoint on the lumped system).
+    Every heat run, fine or coarse, training or query, starts from rest at
+    t = 0, so the rectification is fitted on the same kind of coarse run it
+    is applied to.
 
     ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
         return heat_crank_nicolson(disc.forms, float(param),
-                                   models.manufactured_f,
-                                   np.zeros(disc.mesh.n_nodes), disc.grid,
-                                   cg_tol=config.cg_tol, t_start=0.0)
+                                   models.manufactured_f, disc.grid,
+                                   cg_tol=config.cg_tol)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -175,26 +173,17 @@ def build_basis(config, trajectories, forms, prepared):
 @dataclass
 class OfflineArtifacts:
     """Everything the online stage needs: the study config, the reduced
-    basis, the rectification maps, the fine and coarse discretizations, the
-    lift-projection operator ``lift`` (Phi of
-    ``rectification.lift_projection``, shape (n_fields * n_coarse, N)) and
-    the time weights ``time_weights`` (W of
-    ``time_interp.quadratic_weights`` from the coarse grid to the fine one,
-    shape (fine steps + 1, coarse steps + 1)).
-
-    The discretizations are what ``discretize(config)`` builds.  Only the
-    config, the basis and the maps are persisted; loading rebuilds the
-    discretizations from the config and derives ``lift`` and
-    ``time_weights`` again, as ``fit`` does.  ``modal_lift`` is derived on
-    first use."""
+    basis, the rectification maps and the fine and coarse discretizations,
+    which are what ``discretize(config)`` builds.  Only the config, the
+    basis and the maps are persisted; loading rebuilds the discretizations
+    from the config.  The operators derived from them, ``lift``,
+    ``time_weights`` and ``modal_lift``, are built on first use and kept."""
 
     config: object
     basis: object
     tensor: object
     fine: Discretization
     coarse: Discretization
-    lift: np.ndarray
-    time_weights: np.ndarray
 
     @property
     def fine_mesh(self):
@@ -203,6 +192,19 @@ class OfflineArtifacts:
     def context(self):
         """The discretizations, as an object with ``.fine`` and ``.coarse``."""
         return self
+
+    @functools.cached_property
+    def lift(self):
+        """The lift-projection operator Phi of
+        ``rectification.lift_projection``, shape (n_fields * n_coarse, N)."""
+        return lift_projection(self.basis, self.fine.forms, self.coarse.mesh)
+
+    @functools.cached_property
+    def time_weights(self):
+        """The time weights W of ``time_interp.quadratic_weights`` from the
+        coarse grid to the fine one, shape (fine steps + 1, coarse steps
+        + 1)."""
+        return quadratic_weights(self.coarse.grid, self.fine.grid)
 
     @functools.cached_property
     def modal_lift(self):
@@ -223,37 +225,23 @@ class OfflineArtifacts:
             raise ValueError(f"rectification maps and deltas of shapes {got}, "
                              f"expected one map per fine time knot: {want} "
                              f"and {want[:1]}")
-        want = (self.basis.n_fields * self.coarse.mesh.n_nodes, self.basis.N)
-        if np.shape(self.lift) != want:
-            raise ValueError(f"lift-projection operator of shape "
-                             f"{np.shape(self.lift)}, expected {want} for "
-                             f"the coarse mesh")
-        want = (self.fine.grid.steps + 1, self.coarse.grid.steps + 1)
-        if np.shape(self.time_weights) != want:
-            raise ValueError(f"time weights of shape "
-                             f"{np.shape(self.time_weights)}, expected {want} "
-                             f"for the fine and coarse grids")
         return self
 
 
 def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
     """The validated artifacts fitted on matched training runs: the basis,
     selected from the runs' preparation ``prepared`` (``prepare_runs``, which
-    may cover more runs than the fit reads), its lift-projection operator
-    for the coarse mesh and the time weights from the coarse grid to the
-    fine one, built here once, and the rectification maps fitted with them
-    and with the artifacts' ``modal_lift``.  The wall times of the basis
-    selection and of the rest are added to ``seconds`` under "basis
-    selections" and "fits"."""
+    may cover more runs than the fit reads), and the rectification maps
+    fitted with the artifacts' ``lift``, ``time_weights`` and
+    ``modal_lift``.  The wall times of the basis selection and of the rest
+    are added to ``seconds`` under "basis selections" and "fits"."""
     with _timed(seconds, "basis selections"):
         basis = build_basis(config, fine_trajs, fine.forms, prepared)
     log.info("basis built: N=%d from %d training parameters", basis.N,
              len(fine_trajs))
     with _timed(seconds, "fits"):
         artifacts = OfflineArtifacts(
-            config=config, basis=basis, tensor=None, fine=fine, coarse=coarse,
-            lift=lift_projection(basis, fine.forms, coarse.mesh),
-            time_weights=quadratic_weights(coarse.grid, fine.grid))
+            config=config, basis=basis, tensor=None, fine=fine, coarse=coarse)
         artifacts.tensor = build_rectification(
             fine_trajs, coarse_trajs, basis, fine.forms, artifacts.lift,
             artifacts.time_weights, config.delta_mode, config.delta_value,

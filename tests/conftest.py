@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nirb import fem, mesh
+from nirb import fem, integrators, mesh
 
 
 @pytest.fixture
@@ -41,6 +41,39 @@ def dense_midpoint_rule():
         return (E.reshape(3 * n_tris, forms.n_dofs),
                 np.repeat(forms.areas / 3.0, 3))
     return rule
+
+
+@pytest.fixture(scope="session")
+def dense_heat_march():
+    """The heat march from rest at t = 0 solved by one dense solve per step:
+    ``march(forms, mu, f, grid, scheme)`` gives the nodal values of the
+    window ``grid`` under implicit Euler ('euler') or the trapezoidal rule
+    with the source at the half step ('cn'), led in from t = 0 to t0 > 0 by
+    implicit-Euler steps of theta dt (theta 1 for 'euler', 1/2 for 'cn')."""
+    def march(forms, mu, f, grid, scheme):
+        free = forms.free_dofs
+        Mff, Kff = forms.mass_free(), forms.stiffness_free()
+        theta = 1.0 if scheme == "euler" else 0.5
+        legs = [(grid, theta)]
+        if grid.t0 != 0.0:
+            lead_steps = round(grid.t0 / (theta * grid.dt))
+            legs.insert(0, (integrators.TimeGrid(0.0, grid.t0, lead_steps),
+                            1.0))
+        uf = np.zeros(free.size)
+        for g, th in legs:
+            lhs = Mff.lincomb(Kff, 1.0, th * g.dt * mu).to_dense()
+            rhs_mat = Mff.lincomb(Kff, 1.0, (th - 1.0) * g.dt * mu)
+            rows = [uf]
+            for t in g.times()[1:]:
+                t_src = t - (1.0 - th) * g.dt
+                rhs = rhs_mat.matvec(uf) \
+                    + g.dt * fem.load_vector(forms, f, t_src)[free]
+                uf = np.linalg.solve(lhs, rhs)
+                rows.append(uf)
+        values = np.zeros((grid.steps + 1, forms.n_dofs))
+        values[:, free] = rows
+        return values
+    return march
 
 
 def mass_gram(forms, U, V):

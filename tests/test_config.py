@@ -23,7 +23,7 @@ def heat_configs(draw):
     train = draw(st.lists(st.floats(min_value=mu_min, max_value=mu_max),
                           min_size=1, max_size=6, unique=True))
     x0, y0 = draw(finite), draw(finite)
-    t0 = draw(st.floats(min_value=0.0, max_value=10.0))
+    t0 = draw(st.floats(min_value=0.0, max_value=10.0, exclude_min=True))
     return StudyConfig(
         problem="heat",
         domain=(x0, x0 + draw(st.floats(min_value=1e-3, max_value=10.0)),
@@ -96,7 +96,7 @@ def test_unknown_keys_rejected(line):
     {"problem": "wave"}, {"T": 0.5}, {"coarse_steps": 1}, {"n_max": 0},
     {"rb_algorithm": "svd"}, {"delta_mode": "scaled"},
     {"delta_value": -1.0}, {"train_mu": ()}, {"train_mu": (12.0,)},
-    {"study_coupling": "3h"},
+    {"study_coupling": "3h"}, {"t0": 0.0}, {"t0": -0.5},
 ])
 def test_invalid_values_rejected(edit):
     with pytest.raises(ValueError):
@@ -104,6 +104,15 @@ def test_invalid_values_rejected(edit):
 
 
 RD = {"problem": "brusselator", "t0": 0.0}
+
+
+@pytest.mark.parametrize("t0", [0.0, -0.5])
+def test_heat_window_from_rest_needs_positive_t0(t0):
+    # at t0 = 0 every run's first knot is zero and the rectification fit is
+    # rank deficient there; at t0 < 0 the lead-in from rest runs backwards
+    with pytest.raises(ValueError, match=r"heat runs start from rest at "
+                                         r"t = 0, so the window needs t0 > 0"):
+        dataclasses.replace(StudyConfig(), t0=t0, T=2.0).validate()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -40,140 +40,110 @@ class TestTimeGrid:
             integrators.TimeGrid(1.0, 1.0, 4)
 
 
+def time_source(t, x, y):
+    return t
+
+
+def bump_source(t, x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def pulse_source(t, x, y):
+    # a unit source on [0, 0.1], off afterwards
+    return 1.0 if t <= 0.1 else 0.0
+
+
 class TestHeatSchemes:
     def test_backward_euler_single_free_dof(self, dirichlet_2x2):
-        # One interior node: M_ff = [1/8], K_ff = [4]. With dt = 1/32 the
-        # update is (M + dt K) u1 = M u0, i.e. u1 = 0.5 for u0 = 1, the same
-        # arithmetic as the unit system M = K = [1], dt = 1.
-        u0 = np.zeros(dirichlet_2x2.n_dofs)
-        u0[4] = 1.0
+        # One interior node: M_ff = [1/8], K_ff = [4], and the source t loads
+        # it with b(t) = t/4.  With dt = 1/32 the step from rest is
+        # (M + dt K) u1 = dt b(dt), i.e. u1 = 4 dt b(dt) = 1/1024.
         grid = integrators.TimeGrid(0.0, 1.0 / 32.0, 1)
         traj = integrators.heat_backward_euler(dirichlet_2x2, 1.0,
-                                               zero_source, u0, grid)
-        assert traj.values[1, 4] == pytest.approx(0.5, abs=1e-12)
+                                               time_source, grid)
+        assert traj.values[1, 4] == pytest.approx(1.0 / 1024.0, rel=1e-12)
 
     def test_crank_nicolson_single_free_dof(self, dirichlet_2x2):
-        u0 = np.zeros(dirichlet_2x2.n_dofs)
-        u0[4] = 1.0
+        # (M + dt/2 K) u1 = dt b(dt/2), i.e. u1 = (16/3) dt b(dt/2) = 1/1536
         grid = integrators.TimeGrid(0.0, 1.0 / 32.0, 1)
         traj = integrators.heat_crank_nicolson(dirichlet_2x2, 1.0,
-                                               zero_source, u0, grid)
-        assert traj.values[1, 4] == pytest.approx(1.0 / 3.0, abs=1e-12)
+                                               time_source, grid)
+        assert traj.values[1, 4] == pytest.approx(1.0 / 1536.0, rel=1e-12)
 
     def test_zero_data_stays_zero(self, dirichlet_2x2):
-        grid = integrators.TimeGrid(0.0, 1.0, 8)
-        u0 = np.zeros(dirichlet_2x2.n_dofs)
-        for march in (integrators.heat_backward_euler,
-                      integrators.heat_crank_nicolson):
-            traj = march(dirichlet_2x2, 2.0, zero_source, u0, grid)
-            assert np.abs(traj.values).max() == 0.0
+        for grid in (integrators.TimeGrid(0.0, 1.0, 8),
+                     integrators.TimeGrid(1.0, 2.0, 8)):
+            for march in (integrators.heat_backward_euler,
+                          integrators.heat_crank_nicolson):
+                traj = march(dirichlet_2x2, 2.0, zero_source, grid)
+                assert np.abs(traj.values).max() == 0.0
 
     def test_source_free_decay_monotone(self):
+        # the pulse heats the plate over the lead-in [0, 0.1]; over the
+        # window the source is off and the state decays
         m = mesh.build_structured(8, 8)
         forms = fem.assemble(m, bc="dirichlet_zero")
-        u0 = np.sin(np.pi * m.nodes[:, 0]) * np.sin(np.pi * m.nodes[:, 1])
-        u0[m.boundary_mask] = 0.0
-        grid = integrators.TimeGrid(0.0, 0.1, 10)
-        traj = integrators.heat_backward_euler(forms, 1.0, zero_source, u0,
-                                               grid)
+        grid = integrators.TimeGrid(0.1, 0.2, 10)
+        traj = integrators.heat_backward_euler(forms, 1.0, pulse_source, grid)
         sup = np.abs(traj.values).max(axis=1)
+        assert sup[0] > 0.0
         assert np.all(np.diff(sup) < 0.0)
         assert sup[-1] < 0.3 * sup[0]
 
     def test_cn_beats_be_at_equal_step(self):
         # Against a tiny-step reference, the trapezoidal march lands much
         # closer than implicit Euler at the same coarse step.
-        m = mesh.build_structured(4, 4)
-        forms = fem.assemble(m, bc="dirichlet_zero")
-        u0 = np.sin(np.pi * m.nodes[:, 0]) * np.sin(np.pi * m.nodes[:, 1])
-        u0[m.boundary_mask] = 0.0
+        forms = fem.assemble(mesh.build_structured(4, 4), bc="dirichlet_zero")
         coarse = integrators.TimeGrid(0.0, 0.2, 4)
         ref_grid = integrators.TimeGrid(0.0, 0.2, 512)
-        ref = integrators.heat_crank_nicolson(forms, 1.0, zero_source, u0,
+        ref = integrators.heat_crank_nicolson(forms, 1.0, bump_source,
                                               ref_grid, cg_tol=1e-12)
-        be = integrators.heat_backward_euler(forms, 1.0, zero_source, u0,
-                                             coarse)
-        cn = integrators.heat_crank_nicolson(forms, 1.0, zero_source, u0,
-                                             coarse)
+        be = integrators.heat_backward_euler(forms, 1.0, bump_source, coarse)
+        cn = integrators.heat_crank_nicolson(forms, 1.0, bump_source, coarse)
         err_be = np.abs(be.values[-1] - ref.values[-1]).max()
         err_cn = np.abs(cn.values[-1] - ref.values[-1]).max()
         assert err_cn < 0.2 * err_be
 
-    def test_shape_validation(self, dirichlet_2x2):
-        grid = integrators.TimeGrid(0.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            integrators.heat_backward_euler(dirichlet_2x2, 1.0, zero_source,
-                                            np.zeros(3), grid)
-
-
-def dense_reference_march(forms, mu, f, u0, grid, scheme, t_start=None):
-    """The heat march solved by one dense solve per step.  A run from
-    t_start < grid.t0 first takes implicit-Euler steps of theta dt from u0
-    to grid.t0, then marches the window."""
-    free = forms.free_dofs
-    Mff, Kff = forms.mass_free(), forms.stiffness_free()
-    theta = 1.0 if scheme == "euler" else 0.5
-    legs = [(grid, theta)]
-    if t_start is not None:
-        lead_steps = round((grid.t0 - t_start) / (theta * grid.dt))
-        legs.insert(0, (integrators.TimeGrid(t_start, grid.t0, lead_steps), 1.0))
-    uf = u0[free]
-    for g, th in legs:
-        lhs = Mff.lincomb(Kff, 1.0, th * g.dt * mu).to_dense()
-        rhs_mat = Mff.lincomb(Kff, 1.0, (th - 1.0) * g.dt * mu)
-        rows = [uf]
-        for t in g.times()[1:]:
-            t_src = t - (1.0 - th) * g.dt
-            rhs = rhs_mat.matvec(uf) \
-                + g.dt * fem.load_vector(forms, f, t_src)[free]
-            uf = np.linalg.solve(lhs, rhs)
-            rows.append(uf)
-    values = np.zeros((grid.steps + 1, forms.n_dofs))
-    values[0] = u0
-    values[:, free] = rows
-    return values
-
 
 class TestFactoredMarch:
     @pytest.fixture
-    def sourced(self):
-        m = mesh.build_structured(8, 8)
-        forms = fem.assemble(m, bc="dirichlet_zero")
-        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
-        return forms, u0, integrators.TimeGrid(1.0, 2.0, 8)
+    def forms(self):
+        return fem.assemble(mesh.build_structured(8, 8), bc="dirichlet_zero")
 
     @pytest.mark.parametrize("scheme, march", [
         ("euler", integrators.heat_backward_euler),
         ("cn", integrators.heat_crank_nicolson)])
-    def test_matches_per_step_cg(self, sourced, scheme, march):
-        # from data at t0, and from rest at t = 0 through the lead-in; the
-        # slow mu keeps the lead-in's transient alive at t0, so a lead-in of
-        # the wrong step size shows (2e-5 at mu = 0.5, 4e-10 at mu = 3)
-        forms, u0, grid = sourced
+    def test_matches_per_step_cg(self, forms, dense_heat_march, scheme,
+                                 march):
+        # with no lead-in (t0 = 0), with a lead-in of window steps (t0 = 1)
+        # and with one whose steps are not the window's (t0 = 0.5, dt = 3/14:
+        # implicit Euler leads in by two steps of 1/4 with a factor of its
+        # own); the slow mu keeps the lead-in's transient alive at t0, so a
+        # lead-in of the wrong step size shows
         f = models.manufactured_f
-        for mu, start, t_start in ((3.0, u0, None),
-                                   (0.5, np.zeros_like(u0), 0.0)):
-            got = march(forms, mu, f, start, grid, t_start=t_start).values
-            want = dense_reference_march(forms, mu, f, start, grid, scheme,
-                                         t_start)
+        for mu, grid in ((3.0, integrators.TimeGrid(0.0, 1.0, 8)),
+                         (0.5, integrators.TimeGrid(1.0, 2.0, 8)),
+                         (0.5, integrators.TimeGrid(0.5, 2.0, 7))):
+            got = march(forms, mu, f, grid).values
+            want = dense_heat_march(forms, mu, f, grid, scheme)
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
-    def test_impossible_tolerance_names_step_and_residual(self, sourced):
-        forms, u0, grid = sourced
+    def test_impossible_tolerance_names_step_and_residual(self, forms):
         f = models.manufactured_f
         with pytest.raises(RuntimeError,
-                           match=r"time step 1 \(t=1.125\): relative residual "
+                           match=r"time step 1 \(t=0.125\): relative residual "
                                  r"\S+ exceeds 1.0e-20"):
-            integrators.heat_backward_euler(forms, 3.0, f, u0, grid,
-                                            cg_tol=1e-20)
+            integrators.heat_backward_euler(
+                forms, 3.0, f, integrators.TimeGrid(0.0, 1.0, 8),
+                cg_tol=1e-20)
         with pytest.raises(RuntimeError,
                            match=r"lead-in step 1 \(t=0.125\): relative "
                                  r"residual \S+ exceeds 1.0e-20"):
-            integrators.heat_backward_euler(forms, 3.0, f, np.zeros_like(u0),
-                                            grid, cg_tol=1e-20, t_start=0.0)
+            integrators.heat_backward_euler(
+                forms, 3.0, f, integrators.TimeGrid(1.0, 2.0, 8),
+                cg_tol=1e-20)
 
-    def test_second_march_reuses_the_loads(self, sourced, monkeypatch):
-        forms, u0, grid = sourced
+    def test_second_march_reuses_the_loads(self, forms, monkeypatch):
         calls = []
 
         def counting_load_vector(*args):
@@ -183,10 +153,12 @@ class TestFactoredMarch:
         load_vector = fem.load_vector
         monkeypatch.setattr(fem, "load_vector", counting_load_vector)
         f = models.manufactured_f
-        first = integrators.heat_crank_nicolson(forms, 2.0, f, u0, grid)
-        assert len(calls) == grid.steps
-        second = integrators.heat_crank_nicolson(forms, 2.0, f, u0, grid)
-        assert len(calls) == grid.steps
+        # the window's steps and the lead-in's 16 half steps over [0, 1]
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        first = integrators.heat_crank_nicolson(forms, 2.0, f, grid)
+        assert len(calls) == 16 + grid.steps
+        second = integrators.heat_crank_nicolson(forms, 2.0, f, grid)
+        assert len(calls) == 16 + grid.steps
         assert np.array_equal(second.values, first.values)
 
 
@@ -198,36 +170,32 @@ class TestModalMarch:
     @pytest.mark.parametrize("T, steps", [(2.0, 8), (3.0, 3), (2.5, 2)],
                              ids=["dt-1/8", "T3-3-steps", "off-step"])
     @pytest.mark.parametrize("mu", [0.5, 1.0, 4.0, 9.5])
-    def test_matches_per_step_cg(self, forms, T, steps, mu):
-        # from the closed-form data at t0 (the mu = 1 start), and from rest
-        # at t = 0 through the half-step lead-in; at T = 2.5 in two steps
-        # the lead-in's three steps of 1/3 are not dt/2
-        m = forms.mesh
-        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
-        grid = integrators.TimeGrid(1.0, T, steps)
+    def test_matches_per_step_cg(self, forms, dense_heat_march, T, steps,
+                                 mu):
+        # from t0 = 1 through the half-step lead-in, and from t0 = 0 with
+        # none; at T = 2.5 in two steps the lead-in's three steps of 1/3 are
+        # not dt/2
         f = models.manufactured_f
-        for start, t_start in ((u0, None), (np.zeros_like(u0), 0.0)):
-            got = integrators.heat_crank_nicolson(forms, mu, f, start, grid,
-                                                  t_start=t_start).values
-            want = dense_reference_march(forms, mu, f, start, grid, "cn",
-                                         t_start)
+        for grid in (integrators.TimeGrid(1.0, T, steps),
+                     integrators.TimeGrid(0.0, T - 1.0, steps)):
+            got = integrators.heat_crank_nicolson(forms, mu, f, grid).values
+            want = dense_heat_march(forms, mu, f, grid, "cn")
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_impossible_tolerance_names_step_and_residual(self, forms):
-        m = forms.mesh
-        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
-        grid = integrators.TimeGrid(1.0, 2.0, 8)
         f = models.manufactured_f
         with pytest.raises(RuntimeError,
-                           match=r"^time step 1 \(t=1.125\): relative "
+                           match=r"^time step 1 \(t=0.125\): relative "
                                  r"residual \S+ exceeds 1.0e-20$"):
-            integrators.heat_crank_nicolson(forms, 3.0, f, u0, grid,
-                                            cg_tol=1e-20)
+            integrators.heat_crank_nicolson(
+                forms, 3.0, f, integrators.TimeGrid(0.0, 1.0, 8),
+                cg_tol=1e-20)
         with pytest.raises(RuntimeError,
                            match=r"^lead-in step 1 \(t=0.0625\): relative "
                                  r"residual \S+ exceeds 1.0e-20$"):
-            integrators.heat_crank_nicolson(forms, 3.0, f, np.zeros_like(u0),
-                                            grid, cg_tol=1e-20, t_start=0.0)
+            integrators.heat_crank_nicolson(
+                forms, 3.0, f, integrators.TimeGrid(1.0, 2.0, 8),
+                cg_tol=1e-20)
 
     def test_corrupted_decomposition_trips_the_guard(self, monkeypatch):
         sym_eig = linalg.sym_eig
@@ -275,12 +243,11 @@ class TestModalMarch:
         # check: the bound cannot certify the step, and its exact nodal
         # residual fails
         forms = fem.assemble(mesh.build_structured(4, 4))
-        u0 = np.zeros(forms.n_dofs)
         grid = integrators.TimeGrid(1.0, 2.0, 4)
         self.corrupt_modal_loads(forms, grid, 0.5 * grid.dt)
         with pytest.raises(RuntimeError, match=r"^time step 1 \(t=1.25\)"):
             integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
-                                            u0, grid)
+                                            grid)
 
     def test_corrupted_cache_fails_the_lead_in_residuals(self):
         # the lead-in's states are checked although they are never carried
@@ -292,16 +259,7 @@ class TestModalMarch:
         with pytest.raises(RuntimeError, match=r"^lead-in step 1 "
                                                r"\(t=0\.125\)"):
             integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
-                                            np.zeros(forms.n_dofs), grid,
-                                            t_start=0.0)
-
-    def test_first_window_row_is_the_start(self, forms):
-        m = forms.mesh
-        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
-        grid = integrators.TimeGrid(1.0, 2.0, 8)
-        values = integrators.heat_crank_nicolson(
-            forms, 3.0, models.manufactured_f, u0, grid).values
-        assert np.array_equal(values[0], u0)
+                                            grid)
 
     def test_march_makes_two_dense_products(self, forms, monkeypatch,
                                             small_heat_text, tmp_path):
@@ -319,9 +277,8 @@ class TestModalMarch:
 
         monkeypatch.setattr(integrators, "blocked_matmul", recording)
         grid = integrators.TimeGrid(1.0, 2.0, 8)
-        traj = integrators.heat_crank_nicolson(
-            forms, 2.0, models.manufactured_f, np.zeros(forms.n_dofs), grid,
-            t_start=0.0)
+        traj = integrators.heat_crank_nicolson(forms, 2.0,
+                                               models.manufactured_f, grid)
         assert shapes == []
         B = np.ones((forms.n_dofs, 3))
         want = traj.values_times(B)
@@ -377,13 +334,10 @@ class TestModalMarch:
 
         monkeypatch.setattr(integrators, "_check_modal_leg", leg)
         monkeypatch.setattr(integrators, "blocked_matmul", recording)
-        grid = integrators.TimeGrid(1.0, 2.0, nx)
-        m = forms.mesh
-        u0 = models.manufactured_u(1.0, m.nodes[:, 0], m.nodes[:, 1])
         for mu in np.linspace(0.5, 9.5, 7):
-            for start, t_start in ((np.zeros_like(u0), 0.0), (u0, None)):
-                integrators.heat_crank_nicolson(forms, mu, f, start, grid,
-                                                t_start=t_start)
+            for t0 in (1.0, 0.0):
+                grid = integrators.TimeGrid(t0, t0 + 1.0, nx)
+                integrators.heat_crank_nicolson(forms, mu, f, grid)
         assert products == []
         assert len(legs) == 21
         _, V = forms.free_eigenpairs()
@@ -408,9 +362,7 @@ class TestModalMarch:
         # residuals of every step and equals the default run
         f = models.manufactured_f
         grid = integrators.TimeGrid(1.0, 2.0, 8)
-        u0 = np.zeros(forms.n_dofs)
-        want = integrators.heat_crank_nicolson(forms, 9.5, f, u0, grid,
-                                               t_start=0.0)
+        want = integrators.heat_crank_nicolson(forms, 9.5, f, grid)
         shapes = []
         blocked_matmul = integrators.blocked_matmul
 
@@ -419,24 +371,21 @@ class TestModalMarch:
             return blocked_matmul(A, B)
 
         monkeypatch.setattr(integrators, "blocked_matmul", recording)
-        got = integrators.heat_crank_nicolson(forms, 9.5, f, u0, grid,
-                                              cg_tol=1e-13, t_start=0.0)
+        got = integrators.heat_crank_nicolson(forms, 9.5, f, grid,
+                                              cg_tol=1e-13)
         n, lead = forms.free_dofs.size, 16
         assert shapes == [((lead, n), (n, n))] * 2 \
             + [((grid.steps, n), (n, n))] * 2
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.values, want.values)
 
-    @pytest.mark.parametrize("t_start", [None, 0.0],
-                             ids=["from-t0", "lead-in"])
-    def test_values_times_matches_the_nodal_product(self, forms, t_start):
-        # a start with boundary entries: the first row's correction shows
+    @pytest.mark.parametrize("t0", [0.0, 1.0], ids=["from-t0", "lead-in"])
+    def test_values_times_matches_the_nodal_product(self, forms, t0):
         rng = np.random.default_rng(3)
-        u0 = rng.standard_normal(forms.n_dofs)
         B = rng.standard_normal((forms.n_dofs, 3))
-        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        grid = integrators.TimeGrid(t0, t0 + 1.0, 8)
         traj = integrators.heat_crank_nicolson(
-            forms, 4.3, models.manufactured_f, u0, grid, t_start=t_start)
+            forms, 4.3, models.manufactured_f, grid)
         got = traj.values_times(B)
         assert "values" not in vars(traj)
         want = traj.values @ B
@@ -466,8 +415,7 @@ class TestModalMarch:
         lam, V = forms.free_eigenpairs()
         assert forms.free_eigenpairs()[1] is V
         assert not (lam.flags.writeable or V.flags.writeable)
-        integrators.heat_crank_nicolson(forms, 2.0, f, np.zeros(forms.n_dofs),
-                                        grid)
+        integrators.heat_crank_nicolson(forms, 2.0, f, grid)
         G = forms.modal_loads(f, grid, 0.5 * grid.dt)
         assert G is forms.modal_loads(f, grid, 0.5 * grid.dt)
         F = forms.free_loads(f, grid, 0.5 * grid.dt)

@@ -207,8 +207,8 @@ class TestArtifacts:
 
 
 def test_artifact_members_are_unchanged():
-    # the lift-projection operator and the time weights are derived on
-    # load, not stored
+    # the artifacts derive the lift-projection operator and the time
+    # weights; neither is stored
     assert io.ARTIFACT_FORMAT == "nirb-artifacts 5"
     assert io.ARTIFACT_MEMBERS == ("format", "config", "modes", "provenance",
                                    "matrices", "deltas")
@@ -244,6 +244,15 @@ def test_lift_projection_is_lift_then_coefficients(small_heat_text,
             == sorted(name + ".npy" for name in io.ARTIFACT_MEMBERS)
 
 
+def _read_trajectory(path):
+    """The members of a trajectory archive, read back by name with
+    ``np.load`` through a handle that is closed also when the zip directory
+    is corrupt."""
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+        return {name: archive[name] for name in ("format", "header",
+                                                 "values")}
+
+
 class TestTrajectory:
     def test_round_trip_is_exact(self, saved, tmp_path):
         config, artifacts, _ = saved
@@ -251,59 +260,16 @@ class TestTrajectory:
         traj = pipeline.solve_coarse(config, ctx.coarse, 2.0)
         path = str(tmp_path / "t.traj")
         io.save_trajectory(path, traj)
-        back = io.load_trajectory(path)
-        assert np.array_equal(back.values, traj.values)
-        assert np.array_equal(back.mesh.nodes, traj.mesh.nodes)
-        assert np.array_equal(back.mesh.triangles, traj.mesh.triangles)
-        assert np.array_equal(back.mesh.boundary_mask, traj.mesh.boundary_mask)
-        assert back.mesh.h == traj.mesh.h
-        assert back.grid == traj.grid
-        assert back.parameter == traj.parameter
-        assert back.n_fields == traj.n_fields
-
-    @pytest.mark.parametrize("version, slug", [
-        (3, "version-mismatch"), (4, "version-mismatch"),
-        (5, "version-mismatch")])
-    def test_header_version(self, tmp_path, unit_mesh_4, version, slug):
-        # files of the block format began with 'NTRJ' and a u32 version;
-        # none of them loads any more
-        path = tmp_path / "t.traj"
-        io.save_trajectory(str(path), _small_trajectory(unit_mesh_4))
-        data = bytearray(path.read_bytes())
-        data[:8] = b"NTRJ" + struct.pack("<I", version)
-        path.write_bytes(bytes(data))
-        with pytest.raises(io.ArtifactError) as err:
-            io.load_trajectory(str(path))
-        assert err.value.slug == slug
-
-    def test_foreign_format_is_a_mismatch(self, tmp_path, unit_mesh_4):
-        path = tmp_path / "t.traj"
-        io.save_trajectory(str(path), _small_trajectory(unit_mesh_4))
-        with pytest.raises(io.ArtifactError) as err:
-            io.load_trajectory(_rewrite(path, tmp_path,
-                                        format=io.ARTIFACT_FORMAT))
-        assert err.value.slug == "version-mismatch"
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("nx", 0, "cell counts must be positive"),
-        ("width", 26, "values shape"),
-        ("width", 0, "values shape"),
-        ("steps", 2, "values shape")])
-    def test_inconsistent_members_are_corrupt(self, tmp_path, unit_mesh_4,
-                                              field, value, message):
-        # a 4x4 mesh has 25 nodes; the values member holds 2 rows of 25
-        path = tmp_path / "t.traj"
-        io.save_trajectory(str(path), _small_trajectory(unit_mesh_4))
-        if field == "width":
-            edited = _rewrite(path, tmp_path, values=np.ones((2, value)))
-        else:
-            with np.load(path, allow_pickle=False) as archive:
-                header = archive["header"].copy()
-            header[field] = value
-            edited = _rewrite(path, tmp_path, header=header)
-        with pytest.raises(io.ArtifactError, match=message) as err:
-            io.load_trajectory(edited)
-        assert err.value.slug == "corrupt-artifacts"
+        back = _read_trajectory(path)
+        assert str(back["format"]) == io.TRAJ_FORMAT
+        assert np.array_equal(back["values"], traj.values)
+        header = back["header"]
+        mesh, grid = traj.mesh, traj.grid
+        assert (int(header["nx"]), int(header["ny"])) == (mesh.nx, mesh.ny)
+        assert tuple(header["domain"]) == tuple(mesh.domain)
+        assert TimeGrid(float(header["t0"]), float(header["T"]),
+                        int(header["steps"])) == grid
+        assert tuple(header["parameter"]) == (traj.parameter,)
 
     def test_tuple_parameter_round_trip(self, tmp_path, unit_mesh_4):
         values = np.arange(3 * 2 * unit_mesh_4.n_nodes, dtype=float) / 7.0
@@ -312,23 +278,25 @@ class TestTrajectory:
                                parameter=(3.0, 2.0, 0.008))
         path = str(tmp_path / "t.traj")
         io.save_trajectory(path, traj)
-        back = io.load_trajectory(path)
-        assert np.array_equal(back.values, traj.values)
-        assert back.parameter == (3.0, 2.0, 0.008)
-        assert back.n_fields == 2
+        back = _read_trajectory(path)
+        assert np.array_equal(back["values"], traj.values)
+        assert tuple(back["header"]["parameter"]) == (3.0, 2.0, 0.008)
 
     @pytest.mark.parametrize("parameter", [None, 2.5])
     def test_scalar_and_missing_parameters_round_trip(self, tmp_path,
                                                       unit_mesh_4, parameter):
+        # no entry for no parameter, one for a scalar
         path = str(tmp_path / "t.traj")
         io.save_trajectory(path, _small_trajectory(unit_mesh_4, parameter))
-        assert io.load_trajectory(path).parameter == parameter
+        got = tuple(_read_trajectory(path)["header"]["parameter"])
+        assert got == (() if parameter is None else (parameter,))
 
     def test_every_byte_flip_loads_identically_or_fails(self, tmp_path,
                                                         unit_mesh_4):
         traj = _small_trajectory(unit_mesh_4)
         path = tmp_path / "t.traj"
         io.save_trajectory(str(path), traj)
+        want = _read_trajectory(str(path))
         data = path.read_bytes()
         out = tmp_path / "flipped.traj"
         loaded = 0
@@ -337,13 +305,11 @@ class TestTrajectory:
             flipped[i] ^= 0x01
             out.write_bytes(bytes(flipped))
             try:
-                back = io.load_trajectory(str(out))
-            except io.ArtifactError:
+                back = _read_trajectory(str(out))
+            except io._READ_ERRORS:
                 continue
             loaded += 1
-            assert np.array_equal(back.values, traj.values)
-            assert back.parameter == traj.parameter
-            assert back.grid == traj.grid
-            assert np.array_equal(back.mesh.nodes, traj.mesh.nodes)
+            for name in want:
+                assert np.array_equal(back[name], want[name])
         # the CRC-32 covers every member, so most flips fail
         assert loaded < len(data) // 2
