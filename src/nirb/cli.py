@@ -64,16 +64,24 @@ def _outdir(config):
     return config.output_dir
 
 
+def _spectrum_line(spectrum, n):
+    """The kept and the first dropped singular value of the basis's POD,
+    relative to the largest."""
+    kept = f"sigma_{n}/sigma_1 = {spectrum[n - 1] / spectrum[0]:.3e}"
+    if len(spectrum) == n:
+        return f"spectrum: {kept}, nothing dropped"
+    return (f"spectrum: {kept}, first dropped sigma_{n + 1}/sigma_1 = "
+            f"{spectrum[n] / spectrum[0]:.3e}")
+
+
 def cmd_offline(args):
     config = _read_config(args.config)
     artifacts = pipeline.offline(config, persist=True)
     path = os.path.join(config.output_dir, pipeline.ARTIFACT_FILE)
-    picks = artifacts.basis.provenance.get("selected", [])
-    print(f"offline complete: {artifacts.basis.N} modes from "
+    n = artifacts.basis.N
+    print(f"offline complete: {n} modes from "
           f"{len(config.training_parameters())} training parameters")
-    if picks:
-        print("selected: " + ", ".join(pipeline.param_label(p)
-                                       for p, _ in picks))
+    print(_spectrum_line(artifacts.basis.provenance["spectrum"], n))
     print(f"artifacts written to {path}")
     return 0
 

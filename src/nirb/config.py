@@ -12,7 +12,8 @@ logger = logging.getLogger(__name__)
 
 # keys that no longer set anything but that pinned configs still carry: they
 # parse, are ignored with one warning per parse, and ``to_text`` omits them
-RETIRED_KEYS = ("greedy_tol", "h1_reorthonormalize")
+RETIRED_KEYS = ("greedy_tol", "h1_reorthonormalize", "rb_algorithm",
+                "pod_tol")
 
 
 def _parse_bool(s):
@@ -78,12 +79,9 @@ class StudyConfig:
     fine_steps: int = 32
     coarse_steps: int = 16
 
-    # reduced basis; "pod" pools every training snapshot into one
-    # H1-weighted POD, which keeps stiffness-heavy transient content that
-    # pod_greedy's L2-driven selection truncates away
-    rb_algorithm: str = "pod_greedy"
+    # reduced basis: the mode count of the one H1 POD of every training
+    # run's own H1 POD rows (reduced_basis.hierarchical_pod)
     n_max: int = 3
-    pod_tol: float = 1e-6
 
     # rectification
     delta_mode: str = "relative"
@@ -119,9 +117,6 @@ class StudyConfig:
                              "quadratic time interpolation")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        if self.rb_algorithm not in ("pod_greedy", "pod"):
-            raise ValueError(f"unknown rb_algorithm {self.rb_algorithm!r}; "
-                             "expected pod_greedy or pod")
         if self.delta_mode not in ("relative", "absolute"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.delta_value < 0:

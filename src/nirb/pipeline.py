@@ -24,8 +24,7 @@ from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
                                 lift_projection)
 from nirb.reduced_basis import (coefficients, h1_rows, hierarchical_pod,
-                                mass_inner, mass_products, pod_greedy,
-                                reconstruct)
+                                mass_inner, reconstruct)
 from nirb.time_interp import quadratic_weights
 
 log = logging.getLogger(__name__)
@@ -109,10 +108,10 @@ def _stage_line(seconds):
 def _training_runs(config, params, seconds):
     """Discretizations, training trajectories and their preparation:
     returns (fine, coarse, fine_trajs, coarse_trajs, prepared), the runs as
-    dicts in parameter order and ``prepared`` what the configured basis
-    builder reads of each fine run in every fold (``prepare_runs``).  The
-    wall times of the runs and of the preparation are added to ``seconds``
-    under "training runs" and "preparation".
+    dicts in parameter order and ``prepared`` each fine run's own H1 POD
+    rows (``reduced_basis.h1_rows``), which ``hierarchical_pod`` reads in
+    every fold.  The wall times of the runs and of the preparation are
+    added to ``seconds`` under "training runs" and "preparation".
 
     The cheap coarse sweep runs first, so a coarse failure shows before any
     fine solve."""
@@ -129,42 +128,30 @@ def _training_runs(config, params, seconds):
                     raise RuntimeError(
                         f"{name} solve failed at parameter {p}: {exc}") from exc
     with _timed(seconds, "preparation"):
-        prepared = prepare_runs(config, runs["fine"], fine.forms)
+        prepared = h1_rows(runs["fine"], fine.forms, config.n_max)
     return fine, coarse, runs["fine"], runs["coarse"], prepared
 
 
-def prepare_runs(config, trajectories, forms):
-    """What the configured basis builder reads of each training run,
-    whatever the other runs of the set: {parameter: prepared run}, the runs'
-    H1 POD rows for 'pod' (``reduced_basis.h1_rows``), their mass products
-    and sup norms otherwise (``reduced_basis.mass_products``)."""
-    if config.rb_algorithm == "pod":
-        return h1_rows(trajectories, forms, config.n_max)
-    return mass_products(trajectories, forms)
-
-
 def build_basis(config, trajectories, forms, prepared):
-    """Run the configured builder on the training runs, reading each run's
-    preparation from ``prepared`` (``prepare_runs``, which may cover more
-    runs), and check that the modes are L2-orthonormal: a mass Gram more
-    than 1e-8 from the identity raises a ``RuntimeError`` naming the builder.
+    """The ``hierarchical_pod`` basis of the training runs with
+    ``config.n_max`` modes, reading each run's H1 POD rows from
+    ``prepared`` (``reduced_basis.h1_rows``, which may cover more runs),
+    checked to be L2-orthonormal: a mass Gram more than 1e-8 from the
+    identity raises a ``RuntimeError``.
 
     The paper follows the L2 orthonormalization with an H1
     orthogonalization of the modes.  That step serves its analysis: the
     plain NIRB value is the L2 projection onto the span of the modes and
     the rectification fit is unchanged by an orthogonal change of basis, so
     nothing computed depends on it, and it is not made."""
-    build, knobs = pod_greedy, {"pod_tol": config.pod_tol}
-    if config.rb_algorithm == "pod":
-        build, knobs = hierarchical_pod, {}
-    basis = build(trajectories, forms, config.n_max, prepared=prepared,
-                  **knobs)
+    basis = hierarchical_pod(trajectories, forms, config.n_max,
+                             prepared=prepared)
     if basis.N == 0:
         raise RuntimeError("basis construction produced no modes")
     gram = mass_inner(forms, basis.modes, basis.modes)
     defect = np.abs(gram - np.eye(basis.N)).max()
     if not defect <= 1e-8:
-        raise RuntimeError(f"{build.__name__} returned modes that are not "
+        raise RuntimeError("hierarchical_pod returned modes that are not "
                            f"L2-orthonormal: their mass Gram is {defect:.3g} "
                            f"from the identity, above 1e-8")
     return basis
@@ -230,8 +217,8 @@ class OfflineArtifacts:
 
 def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
     """The validated artifacts fitted on matched training runs: the basis,
-    selected from the runs' preparation ``prepared`` (``prepare_runs``, which
-    may cover more runs than the fit reads), and the rectification maps
+    pooled from the runs' H1 POD rows ``prepared`` (``reduced_basis.h1_rows``,
+    which may cover more runs than the fit reads), and the rectification maps
     fitted with the artifacts' ``lift``, ``time_weights`` and
     ``modal_lift``.  The wall times of the basis selection and of the rest
     are added to ``seconds`` under "basis selections" and "fits"."""
@@ -566,10 +553,10 @@ def leave_one_out(config):
     on the rest, and measure the rectified online error at the held-out
     point against its fine solve.
 
-    The training runs are solved and prepared for the basis builder once
-    (``prepare_runs``), and every fold's ``fit`` reads the prepared runs it
-    holds in; the stage wall times go into the report and are logged at
-    INFO."""
+    The training runs are solved once and each is reduced once to its own
+    H1 POD rows (``reduced_basis.h1_rows``), and every fold's ``fit`` pools
+    the rows of the runs it holds in; the stage wall times go into the
+    report and are logged at INFO."""
     config.validate()
     params = config.training_parameters()
     if len(params) < 2:

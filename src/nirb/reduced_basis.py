@@ -1,13 +1,12 @@
 """Reduced basis construction from solution trajectories: proper orthogonal
-decomposition and two builders, POD-greedy and the hierarchical H1 POD,
-each returning L2-orthonormal modes.
+decomposition and the one basis builder, the hierarchical H1 POD, which
+returns L2-orthonormal modes.
 
-Each builder reads its training runs in two stages: a per-run preparation
-that does not depend on which other runs are in the set (``mass_products``
-for ``pod_greedy``, ``h1_rows`` for the hierarchical POD), and the
-selection over the set.  A caller that builds many bases from one training
-set, as leave-one-out does, prepares each run once and hands the prepared
-runs to every build."""
+The builder reads its training runs in two stages: a per-run preparation
+that does not depend on which other runs are in the set (``h1_rows``, each
+run's own H1 POD), and one POD of the pooled prepared rows.  A caller that
+builds many bases from one training set, as leave-one-out does, prepares
+each run once and hands the prepared runs to every build."""
 
 from __future__ import annotations
 
@@ -72,30 +71,21 @@ def mass_inner(forms, U, V):
 def l2_norms(forms, U):
     """Rowwise L2 norms of (stacked) nodal fields."""
     U = np.asarray(U, dtype=float)
-    return _norms(U, block_matvec(forms.mass, U))
+    return np.sqrt(np.clip((U * block_matvec(forms.mass, U)).sum(-1), 0.0,
+                           None))
 
 
-def _norms(U, MU):
-    """Rowwise norms sqrt(u . M u) of the rows of U from their products MU
-    with the inner product's matrix."""
-    return np.sqrt(np.clip((U * MU).sum(-1), 0.0, None))
-
-
-def pod(snapshots, forms, keep, inner="l2", n_max=None):
+def pod(snapshots, forms, keep, inner="l2"):
     """Proper orthogonal decomposition in the L2 or H1 inner product.
 
-    ``keep`` is either a mode count (int), further limited by the numerical
-    rank, or a relative singular value threshold (float): directions with
-    sigma_i / sigma_1 > keep survive, at least one.  ``n_max`` caps the
-    mode count of either kind.  Gram eigenvalues at or below k eps ||G||_F
-    for k snapshots, the accuracy of ``sym_eig``, are roundoff and count as
-    zero, so sigma_i / sigma_1 is either 0 or above sqrt(k eps).  Returns
-    (modes, singular_values) with one singular value per snapshot and the
-    modes orthonormal in the chosen inner product up to eigensolver
-    accuracy; callers that need exact L2 orthonormality re-orthogonalize.
-    Eigenvectors are computed only up to the mode budget, the int ``keep``
-    or ``n_max``.  An all-zero snapshot set yields zero modes with a
-    warning."""
+    ``keep`` is a mode count, further limited by the numerical rank: Gram
+    eigenvalues at or below k eps ||G||_F for k snapshots, the accuracy of
+    ``sym_eig``, are roundoff and count as zero, so sigma_i / sigma_1 is
+    either 0 or above sqrt(k eps).  Returns (modes, singular_values) with
+    one singular value per snapshot and the modes orthonormal in the chosen
+    inner product up to eigensolver accuracy; callers that need exact L2
+    orthonormality re-orthogonalize.  Eigenvectors are computed only up to
+    ``keep``.  An all-zero snapshot set yields zero modes with a warning."""
     if inner not in ("l2", "h1"):
         raise ValueError(f"unknown inner product {inner!r}")
     S = np.asarray(snapshots, dtype=float)
@@ -104,12 +94,7 @@ def pod(snapshots, forms, keep, inner="l2", n_max=None):
     mat = forms.mass
     if inner == "h1":
         mat = mat.lincomb(forms.stiffness, 1.0, 1.0)
-    return _pod(S, block_matvec(mat, S), keep, n_max)
-
-
-def _pod(S, W, keep, n_max=None):
-    """``pod`` of the (k, d) snapshot rows S from their product W with the
-    inner product's matrix."""
+    W = block_matvec(mat, S)
     # one trajectory's Gram (a few dozen rows) runs in pieces on the calling
     # thread: as one product OpenBLAS hands it to a second thread, which
     # then spin-waits for about 0.13 s of CPU time; pooled snapshot sets
@@ -118,13 +103,7 @@ def _pod(S, W, keep, n_max=None):
         G = blocked_matmul(S, W.T)
     else:
         G = S @ W.T
-    count = isinstance(keep, (int, np.integer))
-    top = S.shape[0]
-    if count:
-        top = min(top, int(keep))
-    if n_max is not None:
-        top = min(top, int(n_max))
-    top = max(top, 0)
+    top = max(min(S.shape[0], int(keep)), 0)
     lam, V = sym_eig(0.5 * (G + G.T), top=top)
     lam = lam[::-1]
     V = V[:, ::-1]
@@ -134,69 +113,27 @@ def _pod(S, W, keep, n_max=None):
     if sig[0] == 0.0:
         log.warning("POD of an all-zero snapshot set: returning zero modes")
         return np.zeros((0, S.shape[1])), sig
-    if count:
-        k = int((sig > 0.0).sum())
-    else:
-        k = max(1, int((sig > keep * sig[0]).sum()))
-    k = min(k, top)
+    k = min(int((sig > 0.0).sum()), top)
     return (V[:, :k].T @ S) / sig[:k, None], sig
 
 
-def _mass_mgs(cands, against, forms, drop_tol=None):
-    """Modified Gram-Schmidt in the L2 inner product, two passes.
-
-    Orthogonalizes the rows of ``cands`` in place against ``against`` (may be
-    None) and against each other; with drop_tol set, rows whose norm falls
-    below drop_tol relative to their original size are removed and the kept
-    rows are returned."""
-    orig = l2_norms(forms, cands)
+def _mass_mgs(cands, forms):
+    """Modified Gram-Schmidt in the L2 inner product, two passes: the rows
+    of ``cands`` are orthonormalized in place, rows that vanish are
+    removed, and the kept rows are returned."""
     kept = []
     for i in range(cands.shape[0]):
         v = cands[i]
         for _ in range(2):
-            if against is not None and len(against):
-                coef = mass_inner(forms, v, against)
-                v = v - coef @ against
             for j in kept:
                 c = mass_inner(forms, v, cands[j:j + 1])[0]
                 v = v - c * cands[j]
         nrm = l2_norms(forms, v)
-        if drop_tol is not None and nrm <= drop_tol * max(orig[i], 1e-300):
-            continue
         if nrm == 0.0:
             continue
         cands[i] = v / nrm
         kept.append(i)
     return cands[kept]
-
-
-def _residual_norms(U, MU, modes, weighted):
-    """Rowwise L2 norms of R = U - C modes, the residual of the rows of U
-    after L2 projection onto the orthonormal ``modes``, from U's mass
-    product MU and the modes' ``weighted`` = M modes: with C = U
-    weighted^T, M R = MU - C weighted, so no sparse product is made."""
-    C = U @ weighted.T
-    return _norms(U - C @ modes, MU - C @ weighted)
-
-
-@dataclass(frozen=True)
-class MassProduct:
-    """What ``pod_greedy`` reads of one training run in every fold: the
-    run's blockwise mass product ``values`` (M U, the shape of U) and its
-    sup-in-time L2 norm ``sup_norm``."""
-
-    values: np.ndarray
-    sup_norm: float
-
-
-def mass_products(trajectories, forms):
-    """{parameter: ``MassProduct``} of training runs, one sparse product
-    per run: the fold-invariant preparation of ``pod_greedy``."""
-    out = {}
-    for p, traj in trajectories.items():
-        MU = block_matvec(forms.mass, traj.values)
-        out[p] = MassProduct(values=MU, sup_norm=_norms(traj.values, MU).max())
-    return out
 
 
 def h1_rows(trajectories, forms, n_max):
@@ -210,85 +147,21 @@ def h1_rows(trajectories, forms, n_max):
     return out
 
 
-def pod_greedy(trajectories, forms, n_max, pod_tol=1e-6, prepared=None):
-    """Greedy-in-parameter, POD-in-time basis construction.
-
-    The first parameter maximizes the sup-in-time L2 norm of its trajectory;
-    afterwards the worst relative sup-in-time projection error picks the next
-    parameter, whose projection residual is POD-compressed (directions with
-    sigma_i/sigma_1 > pod_tol) and appended after a Gram-Schmidt safeguard.
-    Stops at n_max total modes, when the worst remaining error drops below
-    pod_tol, or when the training set is exhausted.  Ties break toward the
-    earliest parameter in the given order.
-
-    ``prepared`` maps (at least) the parameters of ``trajectories`` to
-    their ``MassProduct`` (``mass_products``, formed here when None), so a
-    caller that builds many bases from one training set forms each run's
-    mass product once.  The sweep then makes no sparse product per
-    candidate: with C = U (M Phi)^T the coefficients of run U in the modes
-    Phi, the residual R = U - C Phi has the squared M-norms rowsum(R * (M U
-    - C M Phi)), one sparse product M Phi per sweep.  Their rounding is a
-    few eps ||U|| absolute, as in the explicit residual R itself."""
-    items = list(trajectories.items())
-    if not items:
-        raise ValueError("empty training set")
-    if prepared is None:
-        prepared = mass_products(trajectories, forms)
-    mass = [prepared[p] for p, _ in items]
-    norm_inf = [m.sup_norm for m in mass]
-
-    first = int(np.argmax(norm_inf))
-    selected = [first]
-    modes, _ = _pod(items[first][1].values, mass[first].values, pod_tol,
-                    n_max=n_max)
-    modes = _mass_mgs(modes, None, forms)
-    picks = [(items[first][0], modes.shape[0])]
-
-    while modes.shape[0] < n_max:
-        remaining = [k for k in range(len(items)) if k not in selected]
-        if not remaining:
-            break
-        weighted = block_matvec(forms.mass, modes)
-        errs = []
-        for k in remaining:
-            norms = _residual_norms(items[k][1].values, mass[k].values,
-                                    modes, weighted)
-            denom = norm_inf[k] if norm_inf[k] > 0 else 1.0
-            errs.append(norms.max() / denom)
-        worst = int(np.argmax(errs))
-        if errs[worst] <= pod_tol:
-            break
-        k = remaining[worst]
-        selected.append(k)
-        U = items[k][1].values
-        resid = U - (U @ weighted.T) @ modes
-        new, _ = pod(resid, forms, pod_tol, n_max=n_max - modes.shape[0])
-        new = _mass_mgs(new, modes, forms, drop_tol=1e-10)
-        if new.shape[0] == 0:
-            log.warning("residual POD at parameter %s produced no new modes",
-                        items[k][0])
-            break
-        modes = np.vstack([modes, new])
-        picks.append((items[k][0], new.shape[0]))
-
-    return ReducedBasis(
-        mesh=items[0][1].mesh, modes=modes,
-        provenance={"algorithm": "pod_greedy", "selected": picks,
-                    "pod_tol": pod_tol})
-
-
 def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     """One H1 POD over every snapshot of every training trajectory.
 
     Each trajectory is reduced by its own POD to at most ``n_max``
     directions, reweighted by their singular values, and one POD of the
-    pooled survivors, truncated at ``n_max``, is the result; the provenance
-    records the pooled row count.  The reweighted directions carry the
-    second moment of their trajectory, so this reproduces the pooled POD
-    closely, and exactly when every trajectory has rank at most ``n_max``.
-    ``prepared`` maps (at least) the parameters of ``trajectories`` to
-    those per-run rows (``h1_rows``, formed here when None), so a caller
-    that builds many bases from one training set reduces each run once.
+    pooled survivors, truncated at ``n_max``, is the result.  The
+    provenance records the pooled row count and the pooled POD's singular
+    values (``spectrum``, one per pooled row, non-increasing), so what the
+    truncation kept and dropped can be read off a saved basis.  The
+    reweighted directions carry the second moment of their trajectory, so
+    this reproduces the pooled POD closely, and exactly when every
+    trajectory has rank at most ``n_max``.  ``prepared`` maps (at least)
+    the parameters of ``trajectories`` to those per-run rows (``h1_rows``,
+    formed here when None), so a caller that builds many bases from one
+    training set reduces each run once.
 
     The H1 inner product ranks directions by mass plus stiffness energy.
     Spatially sharp, low-amplitude features, such as the boundary layers
@@ -302,12 +175,13 @@ def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     if prepared is None:
         prepared = h1_rows(trajectories, forms, n_max)
     rows = np.vstack([prepared[p] for p, _ in items])
-    modes, _ = pod(rows, forms, n_max, inner="h1")
-    modes = _mass_mgs(modes, None, forms)
+    modes, sig = pod(rows, forms, n_max, inner="h1")
+    modes = _mass_mgs(modes, forms)
     return ReducedBasis(
         mesh=items[0][1].mesh, modes=modes,
         provenance={"algorithm": "hierarchical_pod",
-                    "pooled_rows": int(rows.shape[0])})
+                    "pooled_rows": int(rows.shape[0]),
+                    "spectrum": [float(s) for s in sig]})
 
 
 def mass_weighted_modes(basis, forms):

@@ -96,7 +96,7 @@ def small_heat_text():
 @pytest.fixture(scope="session")
 def small_rd_text():
     """Config text of a small reaction-diffusion study: 8^2/4^2 meshes, 8/4
-    steps, four training triples and the pooled POD with N=4."""
+    steps, four training triples and N=4."""
     return ("problem = brusselator\n"
             "t0 = 0.0\n"
             "T = 1.0\n"
@@ -107,5 +107,4 @@ def small_rd_text():
             "coarse_nx = 4\n"
             "fine_steps = 8\n"
             "coarse_steps = 4\n"
-            "rb_algorithm = pod\n"
             "n_max = 4\n")

@@ -35,12 +35,11 @@ tracer_module = _load_tracer()
 # start-up function, no workload selects the snapshot greedy, and the basis
 # is not rotated to H1-orthogonal modes
 RETIRED = ["nirb.linalg.cg_solve", "nirb.pipeline.heat_initial_fine",
-           "nirb.reduced_basis.greedy",
+           "nirb.reduced_basis.pod_greedy", "nirb.reduced_basis.greedy",
            "nirb.reduced_basis.h1_reorthogonalize"]
 
-# what each pinned benchmark config asks of the basis builder
-PINNED_BASES = {"heat.cfg": ("pod_greedy", 3),
-                "heat-loo.cfg": ("pod_greedy", 3), "rd.cfg": ("pod", 10)}
+# the mode budget each pinned benchmark config asks of the basis builder
+PINNED_BASES = {"heat.cfg": 3, "heat-loo.cfg": 3, "rd.cfg": 10}
 
 
 @pytest.mark.parametrize("target", tracer_module.TARGETS,
@@ -130,10 +129,10 @@ def test_trace_hooks_on_the_reaction_diffusion_offline():
     path.name for path in (BENCHMARKS / "configs").glob("*.cfg")))
 def test_pinned_config_loads_with_its_basis(name, caplog):
     # the pinned configs still set the retired keys: they load, keep their
-    # builder and mode budget, warn once, and write text without them
+    # mode budget, warn once, and write text without them
     with caplog.at_level("WARNING", logger="nirb.config"):
         config = load_config(BENCHMARKS / "configs" / name)
-    assert (config.rb_algorithm, config.n_max) == PINNED_BASES[name]
+    assert config.n_max == PINNED_BASES[name]
     assert len(caplog.records) == 1
     assert all(key in caplog.records[0].getMessage() for key in RETIRED_KEYS)
     caplog.clear()
@@ -146,15 +145,21 @@ def test_pinned_config_loads_with_its_basis(name, caplog):
 
 
 def test_retired_keys_warn_once_per_parse_and_set_nothing(caplog):
-    text = "greedy_tol = 0.5\nh1_reorthonormalize = false\n"
+    text = ("greedy_tol = 0.5\nh1_reorthonormalize = false\n"
+            "rb_algorithm = pod_greedy\npod_tol = 1e-6\n")
     with caplog.at_level("WARNING", logger="nirb.config"):
         for _ in range(2):
             assert StudyConfig.from_text(text) == StudyConfig()
     assert [r.getMessage() for r in caplog.records] \
         == ["ignoring retired configuration keys: greedy_tol, "
-            "h1_reorthonormalize"] * 2
+            "h1_reorthonormalize, rb_algorithm, pod_tol"] * 2
 
 
-def test_snapshot_greedy_is_rejected():
-    with pytest.raises(ValueError, match="expected pod_greedy or pod"):
-        StudyConfig.from_text("rb_algorithm = greedy\n")
+def test_every_retired_key_is_still_set_by_a_pinned_config():
+    # the retired keys are parsed only because the pinned configs carry
+    # them: once no pinned config sets a key, the key should go
+    keys = set()
+    for path in (BENCHMARKS / "configs").glob("*.cfg"):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            keys.add(line.split("#", 1)[0].partition("=")[0].strip())
+    assert set(RETIRED_KEYS) <= keys

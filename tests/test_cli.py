@@ -38,6 +38,23 @@ def test_offline_then_online(config_path, capsys, tmp_path):
     assert out.err == ""
 
 
+def test_offline_reports_the_kept_and_first_dropped_singular_value(
+        config_path, capsys):
+    code, out = run(capsys, "offline", config_path)
+    assert code == 0, out.err
+    basis = pipeline.load_artifacts(load_config(config_path)).basis
+    n, spectrum = basis.N, basis.provenance["spectrum"]
+    line = re.search(rf"spectrum: sigma_{n}/sigma_1 = (\S+), first dropped "
+                     rf"sigma_{n + 1}/sigma_1 = (\S+)\n", out.out)
+    assert line
+    assert float(line[1]) == pytest.approx(spectrum[n - 1] / spectrum[0],
+                                           rel=1e-3)
+    assert float(line[2]) == pytest.approx(spectrum[n] / spectrum[0],
+                                           rel=1e-3)
+    assert cli._spectrum_line([2.0, 1.0], 2) \
+        == "spectrum: sigma_2/sigma_1 = 5.000e-01, nothing dropped"
+
+
 def test_unreadable_config(capsys, tmp_path):
     code, out = run(capsys, "offline", str(tmp_path / "absent.cfg"))
     assert code == 1

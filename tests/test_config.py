@@ -36,9 +36,7 @@ def heat_configs(draw):
         coarse_nx=draw(cells), coarse_ny=draw(cells_or_x),
         fine_steps=draw(positive),
         coarse_steps=draw(st.integers(min_value=2, max_value=512)),
-        rb_algorithm=draw(st.sampled_from(["pod_greedy", "pod"])),
         n_max=draw(positive),
-        pod_tol=draw(st.floats(min_value=0.0, max_value=1.0)),
         delta_mode=draw(st.sampled_from(["relative", "absolute"])),
         delta_value=draw(st.floats(min_value=0.0, max_value=1.0)),
         cg_tol=draw(st.floats(min_value=1e-16, max_value=1e-2)),
@@ -94,7 +92,7 @@ def test_unknown_keys_rejected(line):
 
 @pytest.mark.parametrize("edit", [
     {"problem": "wave"}, {"T": 0.5}, {"coarse_steps": 1}, {"n_max": 0},
-    {"rb_algorithm": "svd"}, {"delta_mode": "scaled"},
+    {"domain": (1.0, 0.0, 0.0, 1.0)}, {"delta_mode": "scaled"},
     {"delta_value": -1.0}, {"train_mu": ()}, {"train_mu": (12.0,)},
     {"study_coupling": "3h"}, {"t0": 0.0}, {"t0": -0.5},
 ])

@@ -75,21 +75,26 @@ class TestArtifacts:
                 == (b.h, b.nx, b.ny, tuple(b.domain))
             assert got.grid == want.grid
         assert loaded.basis.n_fields == artifacts.basis.n_fields
-        assert artifacts.basis.provenance["algorithm"] == "pod_greedy"
+        assert artifacts.basis.provenance["algorithm"] == "hierarchical_pod"
         _assert_same_artifacts(loaded, artifacts, 4.5)
 
-    @pytest.mark.parametrize("algorithm", ["pod_greedy", "pod"])
+    @pytest.mark.parametrize("problem", ["heat", "rd"])
     def test_every_basis_keeps_its_provenance(self, small_heat_text,
                                               small_rd_text, tmp_path,
-                                              algorithm):
-        # pod runs on reaction-diffusion, whose parameters are tuples
-        text = small_heat_text if algorithm == "pod_greedy" else small_rd_text
+                                              problem):
+        # reaction-diffusion parameters are tuples; either basis keeps the
+        # pooled POD's spectrum: non-increasing, the N kept values first
+        text = small_heat_text if problem == "heat" else small_rd_text
         config, artifacts, path = _offline(text, tmp_path)
         loaded = io.load_artifacts(str(path))
         assert loaded.config == config
-        assert artifacts.basis.provenance["algorithm"] \
-            == {"pod_greedy": "pod_greedy",
-                "pod": "hierarchical_pod"}[algorithm]
+        provenance = loaded.basis.provenance
+        assert provenance["algorithm"] == "hierarchical_pod"
+        spectrum = provenance["spectrum"]
+        assert spectrum == artifacts.basis.provenance["spectrum"]
+        assert len(spectrum) == provenance["pooled_rows"] > loaded.basis.N
+        assert all(a >= b for a, b in zip(spectrum, spectrum[1:]))
+        assert spectrum[loaded.basis.N - 1] > 0.0
         _assert_same_artifacts(loaded, artifacts, config.test_parameter())
 
     def test_provenance_that_is_not_a_literal_is_refused(self, saved,
@@ -98,7 +103,7 @@ class TestArtifacts:
         basis = artifacts.basis
         odd = dataclasses.replace(artifacts, basis=type(basis)(
             mesh=basis.mesh, modes=basis.modes,
-            provenance={"selected": [(2.0, np.int64(1))]}))
+            provenance={"pooled_rows": np.int64(16)}))
         with pytest.raises(ValueError, match="not a plain literal"):
             io.save_artifacts(str(tmp_path / "odd.nirb"), odd)
         assert not list(tmp_path.iterdir())

@@ -61,6 +61,8 @@ class TestPreparedRuns:
         return [sum(arg is run.values for arg in calls) for run in runs]
 
     def test_one_mass_product_per_run_and_pass(self, study, monkeypatch):
+        # the one sparse product of a run's values in a pass is the H1
+        # product of its own POD
         config, _ = study
         runs = self.fine_values(monkeypatch)
         calls = []
@@ -75,8 +77,8 @@ class TestPreparedRuns:
         assert len(runs) == len(config.training_parameters())
         assert self.calls_per_run(runs, calls) == [1] * len(runs)
 
-    def test_one_h1_pod_per_run_and_pass(self, small_heat_text, monkeypatch):
-        config = StudyConfig.from_text(small_heat_text + "rb_algorithm = pod\n")
+    def test_one_h1_pod_per_run_and_pass(self, study, monkeypatch):
+        config, _ = study
         runs = self.fine_values(monkeypatch)
         calls = []
         pod = rb.pod
@@ -156,19 +158,18 @@ class TestBasis:
     def test_modes_that_are_not_l2_orthonormal_are_rejected(self, study,
                                                             monkeypatch):
         config, _ = study
-        pod_greedy = pipeline.pod_greedy
+        hierarchical_pod = pipeline.hierarchical_pod
 
-        @functools.wraps(pod_greedy)
         def skewed(*args, **kwargs):
-            basis = pod_greedy(*args, **kwargs)
+            basis = hierarchical_pod(*args, **kwargs)
             modes = basis.modes.copy()
             modes[1] += 1e-6 * modes[0]
             return dataclasses.replace(basis, modes=modes)
 
-        monkeypatch.setattr(pipeline, "pod_greedy", skewed)
+        monkeypatch.setattr(pipeline, "hierarchical_pod", skewed)
         with pytest.raises(RuntimeError, match="L2-orthonormal") as err:
             pipeline.offline(config, persist=False)
-        assert "pod_greedy" in str(err.value)
+        assert "hierarchical_pod returned" in str(err.value)
 
     @pytest.mark.parametrize("delta_value", [1e-10, 1e-6])
     @pytest.mark.parametrize("problem", ["heat", "rd"])
