@@ -169,12 +169,11 @@ def cmd_loo(args):
 
 def cmd_study(args):
     config = _read_config(args.config)
-    coupling = args.coupling or config.study_coupling
-    report = pipeline.convergence_study(config, coupling)
+    report = pipeline.convergence_study(config, args.coupling)
     outdir = _outdir(config)
-    csv_path = os.path.join(outdir, f"study_{coupling}.csv")
+    csv_path = os.path.join(outdir, f"study_{args.coupling}.csv")
     io.write_csv(csv_path, report.csv_rows())
-    print(f"convergence study, coupling {coupling}, "
+    print(f"convergence study, coupling {args.coupling}, "
           f"levels {list(config.study_levels)}:")
     for m in pipeline.METHODS:
         print(f"  {m}: {report.energy_norm} slope "
@@ -200,11 +199,8 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--mu", help="parameter value (heat: one float; "
                                 "reaction-diffusion: a,b,alpha)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--plain", action="store_true",
-                       help="skip the rectification maps")
-    group.add_argument("--rectified", action="store_true",
-                       help="apply the rectification maps (default)")
+    p.add_argument("--plain", action="store_true",
+                   help="skip the rectification maps")
     p.set_defaults(handler=cmd_online)
 
     p = sub.add_parser("errors", help="error curves of every method against "
@@ -220,7 +216,7 @@ def build_parser():
 
     p = sub.add_parser("study", help="mesh-ladder convergence study")
     p.add_argument("config")
-    p.add_argument("--coupling", choices=("2h", "sqrt"))
+    p.add_argument("--coupling", choices=("2h", "sqrt"), default="2h")
     p.set_defaults(handler=cmd_study)
     return parser
 

@@ -10,10 +10,17 @@ from nirb import models
 
 logger = logging.getLogger(__name__)
 
-# keys that no longer set anything but that pinned configs still carry: they
-# parse, are ignored with one warning per parse, and ``to_text`` omits them
-RETIRED_KEYS = ("greedy_tol", "h1_reorthonormalize", "rb_algorithm",
-                "pod_tol")
+# keys that pinned configs still carry but that select nothing, each with
+# the one value it may still hold (None: any value, which is ignored).  A
+# key at its value parses and is ignored with one warning per parse, any
+# other value raises, so a changed default cannot silently change a pinned
+# study; ``to_text`` omits them
+RETIRED_KEYS = {
+    "greedy_tol": None, "h1_reorthonormalize": None, "rb_algorithm": None,
+    "pod_tol": None, "delta_mode": "relative", "cg_tol": 1e-10,
+    "newton_tol": 1e-10, "fine_ny": 0, "coarse_ny": 0,
+    "study_coupling": "2h", "strict_bounds": True,
+}
 
 
 def _parse_bool(s):
@@ -25,11 +32,22 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_tuple(s, kind):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(kind(v) for v in s.split(","))
+def _parse(text, like):
+    """``text`` parsed as a value of the type of ``like``; a tuple's
+    elements parse as its first element does (ints for study_levels)."""
+    if isinstance(like, bool):
+        return _parse_bool(text)
+    if isinstance(like, tuple):
+        parts = text.split(",") if text.strip() else []
+        return tuple(_parse(v, like[0]) for v in parts)
+    return type(like)(text)
+
+
+def _parses_to(text, value):
+    try:
+        return _parse(text, value) == value
+    except ValueError:
+        return False
 
 
 def _fmt(value):
@@ -45,8 +63,8 @@ def _fmt(value):
 @dataclass
 class StudyConfig:
     """Everything one study needs: problem choice, parameter ranges and
-    training sets, both discretizations, basis and rectification knobs,
-    solver tolerances, and output location.
+    training sets, both discretizations, basis and rectification knobs, and
+    output location.
 
     The defaults describe the heat study on the unit square over t in [1, 2].
     Multi-axis training sets (the reaction-diffusion case) are given per axis
@@ -71,11 +89,9 @@ class StudyConfig:
     test_b: float = 2.0
     test_alpha: float = 0.008
 
-    # discretization (cells per direction; 0 falls back to the x count)
+    # discretization: a mesh has *_nx cells in each direction
     fine_nx: int = 32
-    fine_ny: int = 0
     coarse_nx: int = 16
-    coarse_ny: int = 0
     fine_steps: int = 32
     coarse_steps: int = 16
 
@@ -83,22 +99,13 @@ class StudyConfig:
     # run's own H1 POD rows (reduced_basis.hierarchical_pod)
     n_max: int = 3
 
-    # rectification
-    delta_mode: str = "relative"
+    # rectification: the Tikhonov parameter of each time index's fit is
+    # delta_value times the largest eigenvalue of its normal matrix
     delta_value: float = 1e-10
-
-    # solvers: cg_tol is the relative residual every step of a heat march
-    # must meet, lead-in steps included.  No heat solve iterates: the name
-    # is kept because configs set it.  newton_tol is the reaction-diffusion
-    # Newton residual
-    cg_tol: float = 1e-10
-    newton_tol: float = 1e-10
 
     # studies
     study_levels: tuple = (8, 16, 32)
-    study_coupling: str = "2h"
 
-    strict_bounds: bool = True
     output_dir: str = "out"
 
     def validate(self):
@@ -117,16 +124,8 @@ class StudyConfig:
                              "quadratic time interpolation")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        if self.delta_mode not in ("relative", "absolute"):
-            raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.delta_value < 0:
             raise ValueError("delta_value must be nonnegative")
-        if self.study_coupling not in ("2h", "sqrt"):
-            raise ValueError(f"unknown study_coupling {self.study_coupling!r}")
-        for name in ("cg_tol", "newton_tol"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), "
-                                 f"got {getattr(self, name)}")
         # runs are keyed by parameter, so a repeated value would train once
         # but be held out twice by leave-one-out
         axes = (("train_mu",) if self.problem == "heat"
@@ -142,12 +141,12 @@ class StudyConfig:
                                  f"the window needs t0 > 0, got t0={self.t0}")
             # zero Dirichlet data needs an interior node to solve for
             for which in ("fine", "coarse"):
-                for key, count in zip(("nx", "ny"), self.mesh_counts(which)):
-                    if count < 2:
-                        raise ValueError(
-                            f"{which}_{key} = {count} leaves the heat "
-                            f"problem's {which} mesh without an interior "
-                            f"node; it needs at least 2 cells per direction")
+                count = getattr(self, f"{which}_nx")
+                if count < 2:
+                    raise ValueError(
+                        f"{which}_nx = {count} leaves the heat problem's "
+                        f"{which} mesh without an interior node; it needs "
+                        f"at least 2 cells per direction")
             if not self.train_mu:
                 raise ValueError("empty training set")
             for mu in self.train_mu:
@@ -185,11 +184,6 @@ class StudyConfig:
             return self.mu_min <= float(param) <= self.mu_max
         return models.BrusselatorProblem(*param).in_range()
 
-    def mesh_counts(self, which):
-        if which == "fine":
-            return self.fine_nx, (self.fine_ny or self.fine_nx)
-        return self.coarse_nx, (self.coarse_ny or self.coarse_nx)
-
     def to_text(self):
         lines = ["# study configuration"]
         for f in fields(self):
@@ -211,29 +205,24 @@ class StudyConfig:
 
     @classmethod
     def _from_mapping(cls, values):
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
+        known = {f.name for f in fields(cls)}
         defaults = cls()
         retired = [key for key in values if key in RETIRED_KEYS]
+        for key in retired:
+            fixed = RETIRED_KEYS[key]
+            if fixed is not None and not _parses_to(values[key], fixed):
+                raise ValueError(f"{key} is retired and fixed at "
+                                 f"{_fmt(fixed)}")
         if retired:
             logger.warning("ignoring retired configuration keys: %s",
                            ", ".join(retired))
-            values = {k: v for k, v in values.items() if k not in retired}
+        kwargs = {}
         for key, val in values.items():
+            if key in RETIRED_KEYS:
+                continue
             if key not in known:
                 raise ValueError(f"unknown configuration key {key!r}")
-            current = getattr(defaults, key)
-            if isinstance(current, bool):
-                kwargs[key] = _parse_bool(val)
-            elif isinstance(current, int):
-                kwargs[key] = int(val)
-            elif isinstance(current, float):
-                kwargs[key] = float(val)
-            elif isinstance(current, tuple):
-                # elements parse as the default's do: ints for study_levels
-                kwargs[key] = _parse_tuple(val, type(current[0]))
-            else:
-                kwargs[key] = val
+            kwargs[key] = _parse(val, getattr(defaults, key))
         return cls(**kwargs).validate()
 
 

@@ -34,6 +34,10 @@ from nirb.models import brusselator_rhs
 KRYLOV_TOL = 1e-12
 FORCING = 0.01
 
+# the largest relative residual allowed for any step of a heat march, lead-in
+# steps included
+STEP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -129,12 +133,12 @@ def modal_operand(forms, B):
     return blocked_matmul(np.asarray(B, dtype=float)[forms.free_dofs].T, V)
 
 
-def heat_backward_euler(forms, mu, f, grid, cg_tol=1e-10):
+def heat_backward_euler(forms, mu, f, grid):
     """Implicit Euler for du/dt = mu Laplace(u) + f with zero Dirichlet data,
     from rest at t = 0: each step solves (M + dt mu K) u = M u_prev + dt b(t)
     on the free dofs with one ``BandFactor`` of the step matrix (one batched
     product per cyclic-reduction level and sweep), and every step's relative
-    residual must be at most ``cg_tol``.  A window with t0 > 0 is led in
+    residual must be at most ``STEP_TOL``.  A window with t0 > 0 is led in
     from t = 0 by implicit-Euler steps of dt with the window's factor; only
     a lead-in that is not a whole number of such steps factors its own
     matrix.  M and every step matrix share one slot pattern, so each state
@@ -158,12 +162,12 @@ def heat_backward_euler(forms, mu, f, grid, cg_tol=1e-10):
             gathered = np.take(states[-1], Mff.cols)
             res = (gathered * leg_lhs.vals).sum(axis=0) - rhs
             rnorm[k], bnorm[k] = res @ res, rhs @ rhs
-        _check_residuals(g, what, np.sqrt(rnorm), np.sqrt(bnorm), cg_tol)
+        _check_residuals(g, what, np.sqrt(rnorm), np.sqrt(bnorm))
     return FieldTrajectory(mesh=forms.mesh, grid=grid, parameter=mu,
                            values=_nodal_values(forms, grid, states))
 
 
-def heat_crank_nicolson(forms, mu, f, grid, cg_tol=1e-10):
+def heat_crank_nicolson(forms, mu, f, grid):
     """Trapezoidal stepping with the source evaluated at the half step:
     (M + dt/2 mu K) u = (M - dt/2 mu K) u_prev + dt b(t - dt/2) on the free
     dofs, with the arguments of ``heat_backward_euler`` and, like it, from
@@ -184,7 +188,7 @@ def heat_crank_nicolson(forms, mu, f, grid, cg_tol=1e-10):
     asks for them.
 
     Every step's relative residual in the nodal system must be at most
-    ``cg_tol``; it is bounded, not computed.  With u = V z, M u = M V z and
+    ``STEP_TOL``; it is bounded, not computed.  With u = V z, M u = M V z and
     K u = M V lam z + E z for E = K V - M V diag(lam), the residual of the
     guard, so the nodal residual of step k is exactly
     r_k = M V rho_k + dt mu E (theta z_k + (1 - theta) z_{k-1})
@@ -196,9 +200,9 @@ def heat_crank_nicolson(forms, mu, f, grid, cg_tol=1e-10):
     ||y_k|| - (1 - theta) dt mu ||E|| ||z_{k-1}|| - dt d_k, with the
     constants of ``AssembledForms.modal_bounds`` and
     d_k = ||b_k - M V V^T b_k|| from ``AssembledForms.modal_load_defects``:
-    O(n) work per step.  A step whose upper bound is not below ``cg_tol``
+    O(n) work per step.  A step whose upper bound is not below ``STEP_TOL``
     times its lower bound gets its exact nodal residual from u = V z and
-    the sparse M and K, and fails only if that exceeds ``cg_tol``, so the
+    the sparse M and K, and fails only if that exceeds ``STEP_TOL``, so the
     check passes no step that the nodal check would fail, up to the
     rounding of ||rho_k|| and ||E||, which sits at the level of the
     residuals they bound."""
@@ -220,8 +224,7 @@ def heat_crank_nicolson(forms, mu, f, grid, cg_tol=1e-10):
     row = 0
     for g, theta, what in legs:
         rows = slice(row, row + g.steps + 1)
-        _check_modal_leg(forms, mu, f, g, theta, what, Z[rows], znorm[rows],
-                         cg_tol)
+        _check_modal_leg(forms, mu, f, g, theta, what, Z[rows], znorm[rows])
         row += g.steps
     return ModalTrajectory(forms, grid, Z[-grid.steps - 1:], mu)
 
@@ -251,12 +254,12 @@ def _step_bounds(forms, mu, f, grid, theta, Z, znorm):
     return dt * upper, dt * lower
 
 
-def _check_modal_leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol):
+def _check_modal_leg(forms, mu, f, grid, theta, what, Z, znorm):
     """The step check of ``heat_crank_nicolson`` on one leg: certify every
     step by ``_step_bounds``, take the exact nodal residual of the steps
     the bounds cannot certify, and raise naming the first failing one."""
     rnorm, bnorm = _step_bounds(forms, mu, f, grid, theta, Z, znorm)
-    exact = np.flatnonzero(~((bnorm > 0.0) & (rnorm < cg_tol * bnorm)))
+    exact = np.flatnonzero(~((bnorm > 0.0) & (rnorm < STEP_TOL * bnorm)))
     if exact.size:
         _, V = forms.free_eigenpairs()
         Mff, Kff = forms.mass_free(), forms.stiffness_free()
@@ -267,7 +270,7 @@ def _check_modal_leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol):
                + dt * forms.free_loads(f, grid, (1.0 - theta) * dt)[exact])
         res = Mff.matvec(u_new) + theta * dtmu * Kff.matvec(u_new) - rhs
         rnorm[exact], bnorm[exact] = _row_norms(res), _row_norms(rhs)
-        _check_residuals(grid, what, rnorm, bnorm, cg_tol)
+        _check_residuals(grid, what, rnorm, bnorm)
 
 
 def _legs(grid, theta):
@@ -282,15 +285,15 @@ def _legs(grid, theta):
     return legs
 
 
-def _check_residuals(grid, what, rnorm, bnorm, cg_tol):
+def _check_residuals(grid, what, rnorm, bnorm):
     """Raise naming the first step of a leg whose residual norm exceeds
-    ``cg_tol`` times the norm of its right-hand side."""
-    bad = np.flatnonzero(~(rnorm <= cg_tol * bnorm))
+    ``STEP_TOL`` times the norm of its right-hand side."""
+    bad = np.flatnonzero(~(rnorm <= STEP_TOL * bnorm))
     if bad.size:
         k = bad[0]
         raise RuntimeError(
             f"{what} {k + 1} (t={grid.times()[k + 1]:.6g}): relative residual "
-            f"{rnorm[k] / bnorm[k]:.3e} exceeds {cg_tol:.1e}")
+            f"{rnorm[k] / bnorm[k]:.3e} exceeds {STEP_TOL:.1e}")
 
 
 def _nodal_values(forms, grid, states):
@@ -448,12 +451,12 @@ def brusselator_step_rk2(forms, params, state, dt):
     return out
 
 
-def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
-                           newton_tol=1e-10):
+def brusselator_trajectory(forms, params, state0, grid, scheme="newton"):
     """March the reaction-diffusion system over a time grid.
 
     scheme is 'newton' (implicit Euler) or 'rk2' (explicit midpoint on the
-    lumped system).  Each Newton step starts from the polynomial
+    lumped system).  Each Newton step is solved to the residual tolerance
+    of ``brusselator_step_newton`` and starts from the polynomial
     extrapolation of the states already marched (``_predicted_start``).
     Failures are reported with the offending step index; overflow on the
     way to a non-finite state raises that error, not numpy warnings."""
@@ -468,7 +471,7 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton",
             try:
                 if scheme == "newton":
                     u = brusselator_step_newton(
-                        forms, params, u, grid.dt, tol=newton_tol,
+                        forms, params, u, grid.dt,
                         start=_predicted_start(values, k))
                 elif scheme == "rk2":
                     u = brusselator_step_rk2(forms, params, u, grid.dt)

@@ -47,8 +47,8 @@ def discretize(config):
     bc = "dirichlet_zero" if config.problem == "heat" else "neumann_natural"
     out = []
     for which in ("fine", "coarse"):
-        nx, ny = config.mesh_counts(which)
-        mesh = build_structured(nx, ny, domain=tuple(config.domain))
+        n = getattr(config, f"{which}_nx")
+        mesh = build_structured(n, n, domain=tuple(config.domain))
         steps = config.fine_steps if which == "fine" else config.coarse_steps
         grid = TimeGrid(config.t0, config.T, steps)
         out.append(Discretization(mesh=mesh, forms=assemble(mesh, bc), grid=grid))
@@ -61,12 +61,11 @@ def solve_fine(config, disc, param):
     Euler)."""
     if config.problem == "heat":
         return heat_backward_euler(disc.forms, float(param),
-                                   models.manufactured_f, disc.grid,
-                                   cg_tol=config.cg_tol)
+                                   models.manufactured_f, disc.grid)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
-                                  scheme="newton", newton_tol=config.newton_tol)
+                                  scheme="newton")
 
 
 def solve_coarse(config, disc, param, fine=None):
@@ -83,8 +82,7 @@ def solve_coarse(config, disc, param, fine=None):
     ``fine`` is ignored; it is accepted for callers that still pass it."""
     if config.problem == "heat":
         return heat_crank_nicolson(disc.forms, float(param),
-                                   models.manufactured_f, disc.grid,
-                                   cg_tol=config.cg_tol)
+                                   models.manufactured_f, disc.grid)
     prob = models.BrusselatorProblem(*param)
     return brusselator_trajectory(disc.forms, tuple(param),
                                   prob.initial_state(disc.mesh), disc.grid,
@@ -231,8 +229,7 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
             config=config, basis=basis, tensor=None, fine=fine, coarse=coarse)
         artifacts.tensor = build_rectification(
             fine_trajs, coarse_trajs, basis, fine.forms, artifacts.lift,
-            artifacts.time_weights, config.delta_mode, config.delta_value,
-            artifacts.modal_lift)
+            artifacts.time_weights, config.delta_value, artifacts.modal_lift)
     return artifacts.validate()
 
 
@@ -266,7 +263,8 @@ class OnlineResult:
     """Online trajectory with its coefficients and the wall-clock split:
     ``seconds_coarse`` covers the bounds check and the coarse solve (for
     heat the modal march and its step check, with no nodal coarse state
-    formed), or only the mesh and grid checks of a precomputed coarse run;
+    formed), or the bounds check and the mesh and grid checks of a
+    precomputed coarse run;
     ``seconds_reconstruct`` covers the rest: the coefficients read off the
     coarse run (for heat one product of its modal states with the
     artifacts' ``modal_lift``, which the artifacts' first query derives),
@@ -281,22 +279,17 @@ class OnlineResult:
     seconds_reconstruct: float
 
 
-def param_key(config, param):
-    if config.problem == "heat":
-        return float(param)
-    a, b, alpha = param
-    return (float(a), float(b), float(alpha))
-
-
 def check_bounds(config, param):
-    """The key of a query parameter; one outside the configured bounds
-    raises ``ValueError`` under ``strict_bounds`` and is logged otherwise."""
-    key = param_key(config, param)
+    """The key of a query parameter, a float for heat and a float triple
+    for reaction-diffusion; one outside the configured bounds raises
+    ``ValueError``."""
+    if config.problem == "heat":
+        key = float(param)
+    else:
+        a, b, alpha = param
+        key = (float(a), float(b), float(alpha))
     if not config.parameter_in_bounds(key):
-        message = f"parameter {key} is outside the configured bounds"
-        if config.strict_bounds:
-            raise ValueError(message)
-        log.warning(message)
+        raise ValueError(f"parameter {key} is outside the configured bounds")
     return key
 
 
@@ -313,22 +306,20 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     rectification, reconstruction.  Nothing but the reconstruction touches
     the fine mesh.
 
+    Every query's parameter is checked against the configured bounds first.
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
-    share then covers only its mesh and grid checks) and the bounds check,
-    which belongs to the caller that ran that coarse solve; so a command
-    that checks its parameter once and reuses the coarse run warns once.
-    Its mesh and time grid must be the artifacts' coarse ones."""
+    share then covers only the bounds check and its mesh and grid checks);
+    its mesh and time grid must be the artifacts' coarse ones."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
 
     fine = artifacts.fine
     t_start = time.perf_counter()
+    key = check_bounds(config, param)
     if coarse_traj is None:
-        key = check_bounds(config, param)
         coarse_traj = solve_coarse(config, artifacts.coarse, key)
     else:
-        key = param_key(config, param)
         got, want = (_mesh_label(m) for m in (coarse_traj.mesh,
                                               artifacts.coarse.mesh))
         if got != want:
@@ -669,19 +660,17 @@ def level_config(config, n, coupling):
         coarse_steps = max(2, round(span * math.sqrt(n)))
     else:
         raise ValueError(f"unknown coupling {coupling!r}")
-    return replace(config, fine_nx=n, fine_ny=0, coarse_nx=coarse_nx,
-                   coarse_ny=0, fine_steps=fine_steps,
-                   coarse_steps=coarse_steps)
+    return replace(config, fine_nx=n, coarse_nx=coarse_nx,
+                   fine_steps=fine_steps, coarse_steps=coarse_steps)
 
 
-def convergence_study(config, coupling=None):
+def convergence_study(config, coupling="2h"):
     """Run the mesh ladder and collect fine, coarse, plain, and rectified
     errors per level, plus their log-log slopes in h.
 
     Every rung's config and the test parameter's bounds are checked before
     the first solve, so a bad ladder fails before minutes of offline work."""
     config.validate()
-    coupling = coupling or config.study_coupling
     if len(config.study_levels) < 1:
         raise ValueError("empty mesh ladder")
     if len(set(config.study_levels)) != len(config.study_levels):

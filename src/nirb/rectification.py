@@ -6,9 +6,9 @@ The lift-projection operator Phi (``lift_projection``) is a pure function of
 the basis, the fine forms and the coarse mesh, and the time weights W
 (``time_interp.quadratic_weights``) a pure function of the coarse and fine
 time grids.
-The fitted artifacts own both: ``pipeline.fit`` and ``io.load_artifacts``
-build them once, and the fit and every online query take them as
-arguments."""
+The artifacts own both (``pipeline.OfflineArtifacts.lift`` and
+``time_weights``, derived on first use and kept), and the fit and every
+online query take them as arguments."""
 
 from __future__ import annotations
 
@@ -89,8 +89,7 @@ def coarse_to_fine_coefficients(coarse_traj, lift, weights, modal=None):
 
 
 def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
-                        weights, delta_mode="relative", delta_value=1e-10,
-                        modal=None):
+                        weights, delta_value=1e-10, modal=None):
     """Fit the rectification maps from matched fine/coarse training runs.
 
     fine_trajs and coarse_trajs map the same parameters (same order) to
@@ -105,14 +104,11 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
     plain matrix-vector product.  Every time index is fitted at once: one
     batched ``solve_regularized_normal`` over the (n_times, k, N) stack.
 
-    The Tikhonov parameter follows the config's rule: delta_mode 'relative'
-    takes delta_value * sigma_1(A^T A) at each time index, from one batched
-    power iteration (``linalg.dominant_eigenvalues``), 'absolute' takes
-    delta_value itself (zero triggers an invertibility screen and fails
-    loudly on rank deficiency); any other mode raises ``ValueError``.  A
-    failing solve names its time index."""
-    if delta_mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown delta_mode {delta_mode!r}")
+    The Tikhonov parameter at each time index is delta_value *
+    sigma_1(A^T A), from one batched power iteration
+    (``linalg.dominant_eigenvalues``); delta_value = 0 gives delta = 0,
+    which triggers an invertibility screen and fails loudly on rank
+    deficiency.  A failing solve names its time index."""
     fine_keys = list(fine_trajs.keys())
     coarse_keys = list(coarse_trajs.keys())
     if fine_keys != coarse_keys:
@@ -126,13 +122,9 @@ def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
     weighted = mass_weighted_modes(basis, forms)
     B = np.stack([fine_trajs[p].values @ weighted for p in fine_keys], axis=1)
 
-    n_times = A.shape[0]
-    if delta_mode == "relative":
-        deltas = delta_value * dominant_eigenvalues(A.transpose(0, 2, 1) @ A)
-    else:
-        deltas = np.full(n_times, float(delta_value))
+    deltas = delta_value * dominant_eigenvalues(A.transpose(0, 2, 1) @ A)
     cols = solve_regularized_normal(
-        A, B, deltas, [f"time index {n}" for n in range(n_times)])
+        A, B, deltas, [f"time index {n}" for n in range(A.shape[0])])
     return RectificationTensor(matrices=cols.transpose(0, 2, 1).copy(),
                                deltas=deltas)
 

@@ -95,22 +95,13 @@ def test_errors_out_of_bounds_fails_before_the_fine_solve(config_path, capsys,
     assert calls == []
 
 
-def test_out_of_bounds_parameter_warns_once_per_command(small_heat_text,
-                                                        tmp_path, capsys,
-                                                        caplog):
-    # errors checks --mu up front and reuses its coarse run for both online
-    # modes, so the lenient bounds warning appears once, as for online
+def test_retired_key_at_another_value(capsys, tmp_path, small_heat_text):
     path = tmp_path / "lenient.cfg"
-    path.write_text(small_heat_text + "strict_bounds = false\n"
-                    f"output_dir = {tmp_path / 'out'}\n")
-    assert run(capsys, "offline", str(path))[0] == 0
-    for command in ("errors", "online"):
-        caplog.clear()
-        code, out = run(capsys, command, str(path), "--mu", "12")
-        assert code == 0, out.err
-        warnings = [r for r in caplog.records
-                    if "outside the configured bounds" in r.getMessage()]
-        assert len(warnings) == 1, command
+    path.write_text(small_heat_text + "strict_bounds = false\n")
+    code, out = run(capsys, "offline", str(path))
+    assert code == 1
+    assert slug_of(out.err) == "bad-config"
+    assert "strict_bounds is retired and fixed at true" in out.err
 
 
 def read_csv(path):

@@ -90,14 +90,16 @@ class TestHeatSchemes:
         assert np.all(np.diff(sup) < 0.0)
         assert sup[-1] < 0.3 * sup[0]
 
-    def test_cn_beats_be_at_equal_step(self):
+    def test_cn_beats_be_at_equal_step(self, monkeypatch):
         # Against a tiny-step reference, the trapezoidal march lands much
         # closer than implicit Euler at the same coarse step.
         forms = fem.assemble(mesh.build_structured(4, 4), bc="dirichlet_zero")
         coarse = integrators.TimeGrid(0.0, 0.2, 4)
         ref_grid = integrators.TimeGrid(0.0, 0.2, 512)
-        ref = integrators.heat_crank_nicolson(forms, 1.0, bump_source,
-                                              ref_grid, cg_tol=1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "STEP_TOL", 1e-12)
+            ref = integrators.heat_crank_nicolson(forms, 1.0, bump_source,
+                                                  ref_grid)
         be = integrators.heat_backward_euler(forms, 1.0, bump_source, coarse)
         cn = integrators.heat_crank_nicolson(forms, 1.0, bump_source, coarse)
         err_be = np.abs(be.values[-1] - ref.values[-1]).max()
@@ -128,20 +130,20 @@ class TestFactoredMarch:
             want = dense_heat_march(forms, mu, f, grid, scheme)
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
-    def test_impossible_tolerance_names_step_and_residual(self, forms):
+    def test_impossible_tolerance_names_step_and_residual(self, forms,
+                                                          monkeypatch):
         f = models.manufactured_f
+        monkeypatch.setattr(integrators, "STEP_TOL", 1e-20)
         with pytest.raises(RuntimeError,
                            match=r"time step 1 \(t=0.125\): relative residual "
                                  r"\S+ exceeds 1.0e-20"):
             integrators.heat_backward_euler(
-                forms, 3.0, f, integrators.TimeGrid(0.0, 1.0, 8),
-                cg_tol=1e-20)
+                forms, 3.0, f, integrators.TimeGrid(0.0, 1.0, 8))
         with pytest.raises(RuntimeError,
                            match=r"lead-in step 1 \(t=0.125\): relative "
                                  r"residual \S+ exceeds 1.0e-20"):
             integrators.heat_backward_euler(
-                forms, 3.0, f, integrators.TimeGrid(1.0, 2.0, 8),
-                cg_tol=1e-20)
+                forms, 3.0, f, integrators.TimeGrid(1.0, 2.0, 8))
 
     def test_second_march_reuses_the_loads(self, forms, monkeypatch):
         calls = []
@@ -182,20 +184,20 @@ class TestModalMarch:
             want = dense_heat_march(forms, mu, f, grid, "cn")
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_impossible_tolerance_names_step_and_residual(self, forms):
+    def test_impossible_tolerance_names_step_and_residual(self, forms,
+                                                          monkeypatch):
         f = models.manufactured_f
+        monkeypatch.setattr(integrators, "STEP_TOL", 1e-20)
         with pytest.raises(RuntimeError,
                            match=r"^time step 1 \(t=0.125\): relative "
                                  r"residual \S+ exceeds 1.0e-20$"):
             integrators.heat_crank_nicolson(
-                forms, 3.0, f, integrators.TimeGrid(0.0, 1.0, 8),
-                cg_tol=1e-20)
+                forms, 3.0, f, integrators.TimeGrid(0.0, 1.0, 8))
         with pytest.raises(RuntimeError,
                            match=r"^lead-in step 1 \(t=0.0625\): relative "
                                  r"residual \S+ exceeds 1.0e-20$"):
             integrators.heat_crank_nicolson(
-                forms, 3.0, f, integrators.TimeGrid(1.0, 2.0, 8),
-                cg_tol=1e-20)
+                forms, 3.0, f, integrators.TimeGrid(1.0, 2.0, 8))
 
     def test_corrupted_decomposition_trips_the_guard(self, monkeypatch):
         sym_eig = linalg.sym_eig
@@ -324,9 +326,9 @@ class TestModalMarch:
         check_leg = integrators._check_modal_leg
         blocked_matmul = integrators.blocked_matmul
 
-        def leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol):
+        def leg(forms, mu, f, grid, theta, what, Z, znorm):
             legs.append((mu, grid, theta, Z.copy(), znorm.copy()))
-            check_leg(forms, mu, f, grid, theta, what, Z, znorm, cg_tol)
+            check_leg(forms, mu, f, grid, theta, what, Z, znorm)
 
         def recording(A, B):
             products.append((np.shape(A), np.shape(B)))
@@ -371,8 +373,8 @@ class TestModalMarch:
             return blocked_matmul(A, B)
 
         monkeypatch.setattr(integrators, "blocked_matmul", recording)
-        got = integrators.heat_crank_nicolson(forms, 9.5, f, grid,
-                                              cg_tol=1e-13)
+        monkeypatch.setattr(integrators, "STEP_TOL", 1e-13)
+        got = integrators.heat_crank_nicolson(forms, 9.5, f, grid)
         n, lead = forms.free_dofs.size, 16
         assert shapes == [((lead, n), (n, n))] * 2 \
             + [((grid.steps, n), (n, n))] * 2
@@ -677,14 +679,14 @@ class TestNewtonMarch:
     def test_march_matches_dense_newton(self, neumann_8x8,
                                         dense_midpoint_rule, alpha):
         # the loose linear solves and the predicted starts still leave every
-        # stored state a solution of its step within the Newton tolerance
+        # stored state a solution of its step within the Newton tolerance,
+        # the default 1e-10 of brusselator_step_newton
         forms, params, newton_tol = neumann_8x8, (3.0, 2.0, alpha), 1e-10
         n = forms.n_dofs
         grid = integrators.TimeGrid(0.0, 0.3, 6)
         state0 = models.BrusselatorProblem(*params).initial_state(forms.mesh)
         got = integrators.brusselator_trajectory(
-            forms, params, state0, grid, scheme="newton",
-            newton_tol=newton_tol).values
+            forms, params, state0, grid, scheme="newton").values
         step = dense_newton_stepper(forms, params, grid.dt,
                                     dense_midpoint_rule)
         want = [state0]

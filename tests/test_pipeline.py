@@ -180,7 +180,7 @@ class TestBasis:
         # the modes, as the paper's H1 orthogonalization does, changes no
         # online value beyond rounding.  The fit amplifies rounding by the
         # condition number of its normal equations, at most about
-        # 1/delta_value for the relative delta: 1e10 at the configs' 1e-10
+        # 1/delta_value: 1e10 at the configs' 1e-10
         config = StudyConfig.from_text(
             (small_heat_text if problem == "heat" else small_rd_text)
             + f"delta_value = {delta_value}\n")
@@ -194,8 +194,7 @@ class TestBasis:
         rotated = dataclasses.replace(artifacts, basis=turned)
         rotated.tensor = build_rectification(
             fine_trajs, coarse_trajs, turned, fine.forms, rotated.lift,
-            rotated.time_weights, config.delta_mode, config.delta_value,
-            rotated.modal_lift)
+            rotated.time_weights, config.delta_value, rotated.modal_lift)
         rotated.validate()
         param = config.test_parameter()
         for mode, tol in (("plain", 1e-9),
@@ -283,6 +282,15 @@ class TestCoarseOnly:
                 r"0\.5\), expected the coarse 4x4 mesh on \(0\.0, 1\.0, "
                 r"0\.0, 1\.0\)")):
             pipeline.online(artifacts, 4.5, coarse_traj=coarse)
+
+    def test_out_of_bounds_query_is_rejected(self, study):
+        # with a precomputed coarse run too: no query skips the check
+        config, artifacts = study
+        coarse = pipeline.solve_coarse(config, artifacts.coarse, 12.0)
+        for given in (None, coarse):
+            with pytest.raises(ValueError, match=r"parameter 12\.0 is outside "
+                                                 r"the configured bounds"):
+                pipeline.online(artifacts, 12.0, coarse_traj=given)
 
     def test_coarse_failure_shows_before_any_fine_solve(self, monkeypatch):
         # at the default 32^2/16^2 discretization the explicit coarse step
@@ -495,7 +503,7 @@ class TestRectification:
         phi = lift_projection(basis, forms, coarse_mesh)
         W = quadratic_weights(coarse_grid, fine_grid)
         tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     phi, W, "absolute", 0.0)
+                                     phi, W, delta_value=0.0)
         assert np.all(tensor.deltas == 0.0)
         for p in params:
             lifted = coarse_to_fine_coefficients(coarse_trajs[p], phi, W)
@@ -533,7 +541,7 @@ class TestRectification:
         fine_trajs, coarse_trajs, basis, forms, phi, W = \
             self.random_training_set(rng, 2 * N, N)
         tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     phi, W, "relative", 1e-3)
+                                     phi, W, delta_value=1e-3)
         A = np.stack([coarse_to_fine_coefficients(t, phi, W)
                       for t in coarse_trajs.values()], axis=1)
         B = np.stack([rb.coefficients(basis, forms, t.values)
@@ -568,12 +576,12 @@ class TestRectification:
         with pytest.raises(ValueError, match=r"rank deficient at delta=0 "
                                              r"\(time index 5: "):
             build_rectification(fine_trajs, coarse_trajs, basis, forms, phi,
-                                W, "absolute", 0.0)
+                                W, delta_value=0.0)
         W[5] = np.nan
         with pytest.raises(ValueError, match=r"not positive definite "
                                              r"\(time index 5, pivot 0"):
             build_rectification(fine_trajs, coarse_trajs, basis, forms, phi,
-                                W, "absolute", 1.0)
+                                W, delta_value=1.0)
 
     def test_mismatched_training_sets_rejected(self, study):
         config, artifacts = study
@@ -584,15 +592,12 @@ class TestRectification:
             build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
                                 artifacts.lift, artifacts.time_weights)
 
-    def test_unknown_delta_mode_rejected(self, study):
-        config, artifacts = study
-        ctx = artifacts.context()
-        fine = {2.0: pipeline.solve_fine(config, ctx.fine, 2.0)}
-        coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0)}
-        with pytest.raises(ValueError, match="unknown delta_mode 'relatve'"):
-            build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
-                                artifacts.lift, artifacts.time_weights,
-                                "relatve")
+    def test_unknown_delta_mode_rejected(self):
+        # the fit has one delta rule, scaled by the top eigenvalue; a study
+        # that asks for another is refused before any solve
+        with pytest.raises(ValueError, match="delta_mode is retired and "
+                                             "fixed at relative"):
+            StudyConfig.from_text("delta_mode = relatve\n")
 
 
 class TestEvaluateErrors:
@@ -765,16 +770,6 @@ class TestStudy:
                                              "configured bounds"):
             pipeline.convergence_study(config, "2h")
         assert calls == []
-
-    def test_out_of_bounds_test_parameter_warns_once(self, small_heat_text,
-                                                     caplog):
-        config = dataclasses.replace(
-            StudyConfig.from_text(small_heat_text), test_mu=12.0,
-            strict_bounds=False, study_levels=(4, 8)).validate()
-        pipeline.convergence_study(config, "2h")
-        warnings = [r for r in caplog.records
-                    if "outside the configured bounds" in r.getMessage()]
-        assert len(warnings) == 1
 
     def test_repeated_levels_fail_before_any_offline(self, heat_config,
                                                      monkeypatch):
