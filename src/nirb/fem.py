@@ -49,9 +49,16 @@ class AssembledForms:
     3 t + q of the at most two midpoints that lie on the edge ij, or
     3 n_tris, a zero column, where the edge has one triangle or the slot is
     padding; so a coefficient-weighted mass matrix is one gather.
-    ``_edge_nodes`` lists the vertex each midpoint load contribution
-    lands on (edge 01 of every triangle, then 12, then 20, each vertex pair
-    in turn), so a load vector is one ``bincount``."""
+    ``_midpoint_nodes`` has shape (2, 3 n_tris): the two vertices of every
+    midpoint, in the flat midpoint order 3 t + q, so the midpoint values are
+    one gather.  ``_node_midpoints`` has shape (k_max, n), k_max the most
+    midpoints any node touches (12 on the structured meshes): the flat
+    indices of the midpoints on the edges at each node, or 3 n_tris, a zero
+    column, as padding; so a load vector is one gather of the midpoint
+    values times their area/6 weights and one sum over the k_max axis.  A
+    node's midpoints are listed by edge (01, 12, 20), then by triangle,
+    then by vertex of the edge: the summation order of a scatter of the
+    contributions edge by edge, which the tests keep as the reference."""
 
     mesh: object
     mass: SparseSym
@@ -64,7 +71,8 @@ class AssembledForms:
     mid_x: np.ndarray = field(repr=False)
     mid_y: np.ndarray = field(repr=False)
     _slot_midpoints: np.ndarray = field(repr=False)   # (2, r - 1, n)
-    _edge_nodes: np.ndarray = field(repr=False)   # (6 n_tris,)
+    _midpoint_nodes: np.ndarray = field(repr=False)   # (2, 3 n_tris)
+    _node_midpoints: np.ndarray = field(repr=False)   # (k_max, n)
     _cache: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -217,8 +225,10 @@ class AssembledForms:
         """Interpolate nodal fields at the edge midpoints: shape (..., n) to
         (..., n_tris, 3), midpoint order 01, 12, 20, for any leading axes
         (a species axis, time knots)."""
-        uv = np.take(u, self.mesh.triangles, axis=-1)
-        return 0.5 * (uv + uv[..., [1, 2, 0]])
+        uv = np.take(u, self._midpoint_nodes, axis=-1)
+        mids = np.add(uv[..., 0, :], uv[..., 1, :])
+        mids *= 0.5
+        return mids.reshape(mids.shape[:-1] + self.areas.shape + (3,))
 
 
 def assemble(mesh, bc="dirichlet_zero"):
@@ -251,8 +261,19 @@ def assemble(mesh, bc="dirichlet_zero"):
         free = np.arange(mesh.n_nodes)
     p = mesh.nodes[tri]
     mids = 0.5 * (p + p[:, [1, 2, 0]])
-    edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(), tri[:, [1, 2]].ravel(),
-                                 tri[:, [2, 0]].ravel()])
+    midpoint_nodes = np.stack([tri.ravel(), tri[:, [1, 2, 0]].ravel()])
+    # every (midpoint, vertex) incidence in the load's summation order:
+    # edge q, then triangle t, then the edge's vertex; a stable sort by
+    # node keeps that order within each node's run
+    pairs = midpoint_nodes.reshape(2, n_tris, 3).transpose(2, 1, 0).ravel()
+    flat = np.repeat((3 * np.arange(n_tris) + np.arange(3)[:, None]).ravel(),
+                     2)
+    order = np.argsort(pairs, kind="stable")
+    counts = np.bincount(pairs, minlength=mesh.n_nodes)
+    rank = np.arange(pairs.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    node_midpoints = np.full((counts.max(), mesh.n_nodes), 3 * n_tris)
+    node_midpoints[rank, pairs[order]] = flat[order]
     # midpoint q of triangle t, on the edge of local vertices (i_q, j_q),
     # feeds the slots of the entries (i, j) and (j, i); sorted by slot, a
     # slot's second midpoint follows its first (a conforming mesh has at
@@ -272,7 +293,8 @@ def assemble(mesh, bc="dirichlet_zero"):
                           free_dofs=free, bc=bc, areas=areas, b=b, c=c,
                           mid_x=mids[..., 0], mid_y=mids[..., 1],
                           _slot_midpoints=slot_midpoints,
-                          _edge_nodes=edge_nodes)
+                          _midpoint_nodes=midpoint_nodes,
+                          _node_midpoints=node_midpoints)
 
 
 def load_from_midpoint_values(forms, values):
@@ -280,17 +302,18 @@ def load_from_midpoint_values(forms, values):
 
     values has shape (..., n_tris, 3) in midpoint order 01, 12, 20, and the
     result shape (..., n_dofs): every leading row (a species, a time knot)
-    gets its own load vector, all of them from one ``bincount`` with the
-    node indices of row r offset by r n_dofs.  Each midpoint carries weight
-    area/3 and the two adjacent P1 basis functions take value 1/2 there."""
-    w = (forms.areas / 6.0)[:, None] * np.asarray(values, dtype=float)
-    lead, n = w.shape[:-2], forms.n_dofs
-    rows = math.prod(lead)
-    nodes = forms._edge_nodes + n * np.arange(rows)[:, None]
-    return np.bincount(nodes.ravel(),
-                       weights=np.repeat(np.swapaxes(w, -1, -2), 2,
-                                         axis=-1).ravel(),
-                       minlength=rows * n).reshape(lead + (n,))
+    gets its own load vector, all of them from one gather of the weighted
+    values at ``_node_midpoints`` and one sum over its k_max axis.  Each
+    midpoint carries weight area/3 and the two adjacent P1 basis functions
+    take value 1/2 there."""
+    values = np.asarray(values, dtype=float)
+    lead = values.shape[:-2]
+    # the weighted values, flat, and a zero column after them
+    w = np.empty(lead + (3 * forms.areas.size + 1,))
+    np.multiply((forms.areas / 6.0)[:, None], values,
+                out=w[..., :-1].reshape(values.shape))
+    w[..., -1] = 0.0
+    return np.take(w, forms._node_midpoints, axis=-1).sum(axis=-2)
 
 
 def load_vector(forms, f, t):

@@ -10,10 +10,11 @@ that both species share, so a Krylov product is one gather and one
 ``einsum`` that multiplies by the blocks and sums over species and slots.
 
 The Newton march is an inexact Newton method (Dembo, Eisenstat & Steihaug,
-SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-1996): each linear solve is only as accurate as the Newton stop test needs,
-and each step starts from the polynomial extrapolation of the states already
-marched."""
+SIAM J. Numer. Anal. 19, 1982): each linear solve's relative residual
+follows choice 2 of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996), so
+it tightens with the observed Newton convergence, floored where the next
+Newton residual could no longer tell it apart; and each step starts from
+the polynomial extrapolation of the states already marched."""
 
 from __future__ import annotations
 
@@ -33,6 +34,11 @@ from nirb.models import brusselator_rhs
 # residual may add to the next Newton residual
 KRYLOV_TOL = 1e-12
 FORCING = 0.01
+# the Eisenstat-Walker forcing term (choice 2): the first solve's relative
+# residual and the cap of every later one, and the factor on the squared
+# ratio of the last two Newton residuals
+ETA_MAX = 1e-4
+ETA_GAMMA = 0.9
 
 # the largest relative residual allowed for any step of a heat march, lead-in
 # steps included
@@ -320,9 +326,12 @@ class _ImplicitEulerSystem:
 
     ``jacobian`` is the exact derivative of G as one 2x2 block operator in
     the slot layout of the shared mass pattern (``linalg.SparseSym``):
-    block values of shape (2, 2, r, n), the four coefficient-weighted
-    reaction mass blocks (one ``weighted_mass`` call) negated, with
-    M/dt + alpha K added to the diagonal blocks.  A product gathers both
+    block values of shape (2, 2, r, n), written into one array the system
+    keeps.  The reaction's derivative [[c11, c12], [c21, c22]] at the
+    midpoints has c21 = -c11 - 1 and c22 = -c12, so with A and B the mass
+    matrices weighted by c11 = 2 m1 m2 - (b + 1) and c12 = m1^2 (one
+    ``weighted_mass`` call on two fields) and D = M/dt + alpha K, the
+    Jacobian is [[D - A, -B], [A + M, D + B]].  A product gathers both
     species at every slot's column with one ``np.take``, giving (2, r, n),
     and one ``einsum`` multiplies by the block values and sums over the
     species and slot axes.  The preconditioner is nodal 2x2 block Jacobi:
@@ -335,29 +344,37 @@ class _ImplicitEulerSystem:
         M, K = forms.mass, forms.stiffness
         self.diff = M.lincomb(K, 1.0 / dt, params[2])  # M/dt + alpha K
         self.inertia = M.matvec(state.reshape(2, n)) / dt
+        self.blocks = np.empty((2, 2) + M.vals.shape)
 
     def residual(self, u):
         """G(u), shape (2 n,), for the stacked state u of shape (2 n,), and
         the midpoint values of both species, shape (2, n_tris, 3): one
-        ``midpoint_values`` and one ``load_from_midpoint_values`` call on
-        the (2, n) view of u."""
+        ``midpoint_values``, ``brusselator_rhs`` and
+        ``load_from_midpoint_values`` call on the (2, n) view of u."""
         forms, U = self.forms, u.reshape(2, self.n)
         m = forms.midpoint_values(U)
-        loads = load_from_midpoint_values(
-            forms, np.stack(brusselator_rhs(self.params, m[0], m[1])))
-        return (self.diff.matvec(U) - self.inertia - loads).ravel(), m
+        G = self.diff.matvec(U)
+        G -= self.inertia
+        G -= load_from_midpoint_values(forms, brusselator_rhs(self.params, m))
+        return G.ravel(), m
 
     def jacobian(self, m):
         """(product, preconditioner) of the Jacobian at the state whose
-        midpoint values are m, shape (2, n_tris, 3)."""
-        b, n, diff = self.params[1], self.n, self.diff
+        midpoint values are m, shape (2, n_tris, 3).  Both read the block
+        values that the next call overwrites."""
+        b, n, D, J = self.params[1], self.n, self.diff.vals, self.blocks
         m1, m2 = m
-        J = -self.forms.weighted_mass(np.stack([
-            2.0 * m1 * m2 - (b + 1.0), m1 ** 2, b - 2.0 * m1 * m2, -m1 ** 2,
-        ])).reshape((2, 2) + diff.vals.shape)
-        J[0, 0] += diff.vals
-        J[1, 1] += diff.vals
-        cols = diff.cols
+        c = np.empty(m.shape)
+        np.multiply(m1, m2, out=c[0])
+        c[0] *= 2.0
+        c[0] -= b + 1.0
+        np.multiply(m1, m1, out=c[1])
+        A, B = self.forms.weighted_mass(c)
+        np.subtract(D, A, out=J[0, 0])
+        np.negative(B, out=J[0, 1])
+        np.add(A, self.forms.mass.vals, out=J[1, 0])
+        np.add(D, B, out=J[1, 1])
+        cols = self.diff.cols
 
         def product(x):
             X = np.take(x.reshape(2, n), cols, axis=-1)
@@ -385,14 +402,18 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
     to the forcing floor.  Each Newton iteration assembles the Jacobian as
     one 2x2 block operator on the shared mass pattern and solves with it by
     preconditioned BiCGStab (``_ImplicitEulerSystem``) to the relative
-    residual eta = FORCING tol / ||G||, but not below KRYLOV_TOL, where
-    ||G|| is the mass-scaled residual of the stop test (Eisenstat & Walker,
-    SIAM J. Sci. Comput. 17, 1996).  The linear residual then adds a few
-    FORCING shares of ``tol`` at most to the next Newton residual, and
-    eta < FORCING since a solve runs only while ||G|| > tol.  The iteration
-    stops when the mass-scaled residual drops below ``tol`` (absolute); it
-    fails after ``max_iter`` iterations or at a non-finite residual, listing
-    the residual history with each iteration's BiCGStab count."""
+    residual eta_k of choice 2 of Eisenstat & Walker (SIAM J. Sci. Comput.
+    17, 1996): eta_0 = ETA_MAX, then
+    eta_k = min(ETA_MAX, ETA_GAMMA (||G_k|| / ||G_{k-1}||)^2), where ||G||
+    is the mass-scaled residual of the stop test.  While Newton converges
+    quadratically the squared ratio tracks the next residual, so a solve
+    is only as accurate as the next iterate can use.  eta_k is floored at
+    FORCING tol / ||G_k||, and not below KRYLOV_TOL: a tighter solve could
+    not lower the next Newton residual, to which the linear residual adds a
+    few FORCING shares of ``tol`` at most.  The iteration stops when the
+    mass-scaled residual drops below ``tol`` (absolute); it fails after
+    ``max_iter`` iterations or at a non-finite residual, listing the
+    residual history with each iteration's BiCGStab count."""
     n = forms.n_dofs
     state = np.asarray(state, dtype=float)
     u = state.copy() if start is None else np.array(start, dtype=float)
@@ -411,7 +432,9 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
         if it == max_iter or not math.isfinite(rnorm):
             break
         product, precond = system.jacobian(m)
-        eta = max(KRYLOV_TOL, FORCING * tol / rnorm)
+        eta = ETA_MAX if it == 0 else \
+            min(ETA_MAX, ETA_GAMMA * (rnorm / history[-2]) ** 2)
+        eta = max(eta, KRYLOV_TOL, FORCING * tol / rnorm)
         try:
             d, iters = bicgstab_solve(product, -G, tol=eta, precond=precond)
         except ConvergenceError as exc:
@@ -433,15 +456,16 @@ def brusselator_step_rk2(forms, params, state, dt):
     """One explicit midpoint step of the mass-lumped semi-discrete system
     u' = R(u) - alpha * M_lumped^{-1} K u.  The caller keeps dt below the
     diffusion stability bound; a non-finite result raises immediately."""
-    a, b, alpha = params
+    alpha = params[2]
     n = forms.n_dofs
     K = forms.stiffness
     lumped = forms.lumped_mass()
 
     def rhs(u):
         U = u.reshape(2, n)
-        R = np.stack(brusselator_rhs((a, b, alpha), U[0], U[1]))
-        return (R - alpha * K.matvec(U) / lumped).ravel()
+        R = brusselator_rhs(params, U)
+        R -= alpha * K.matvec(U) / lumped
+        return R.ravel()
 
     k1 = rhs(state)
     k2 = rhs(state + 0.5 * dt * k1)

@@ -62,13 +62,20 @@ class BrusselatorProblem:
         return np.concatenate([2.0 + 0.25 * y, 1.0 + 0.8 * x])
 
 
-def brusselator_rhs(params, u1, u2):
-    """Pointwise reaction terms for params = (a, b, alpha).
+def brusselator_rhs(params, U):
+    """Pointwise reaction terms for params = (a, b, alpha) of the stacked
+    species U, shape (2, ...), returned stacked in the same shape.
 
     The sum of the two rates is a - u1, which pins the total-mass budget and
     is handy as a consistency check."""
     a, b = params[0], params[1]
+    U = np.asarray(U, dtype=float)
+    u1, u2 = U[0], U[1]
     auto = u1 ** 2 * u2
-    r1 = a + auto - (b + 1.0) * u1
-    r2 = b * u1 - auto
-    return r1, r2
+    R = np.empty(U.shape)
+    r1, r2 = R[0, ...], R[1, ...]
+    np.add(a, auto, out=r1)
+    r1 -= (b + 1.0) * u1
+    np.multiply(b, u1, out=r2)
+    r2 -= auto
+    return R

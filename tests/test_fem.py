@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,93 @@ def test_stacked_midpoint_maps_are_the_rowwise_maps(unit_mesh_4,
     assert np.array_equal(fem.load_from_midpoint_values(forms, values),
                           np.stack([fem.load_from_midpoint_values(forms, v)
                                     for v in values]))
+
+
+@pytest.mark.parametrize("lead", [(2,), (5, 2)])
+def test_midpoint_kernels_are_the_dense_rule(neumann_forms_4, rng,
+                                             dense_midpoint_rule, lead):
+    # with E the midpoint interpolation and w the weights area / 3,
+    # midpoint values are E u and loads E^T (w v), for every leading row
+    forms = neumann_forms_4
+    E, w = dense_midpoint_rule(forms)
+    n, n_tris = forms.n_dofs, forms.mesh.n_triangles
+    U = rng.standard_normal(lead + (n,))
+    mids = forms.midpoint_values(U)
+    assert mids.shape == lead + (n_tris, 3)
+    assert np.abs(mids.reshape(lead + (-1,)) - U @ E.T).max() \
+        <= 1e-15 * np.abs(U).max()
+    V = rng.standard_normal(lead + (n_tris, 3))
+    loads = fem.load_from_midpoint_values(forms, V)
+    want = (w * V.reshape(lead + (-1,))) @ E
+    assert loads.shape == lead + (n,)
+    assert np.abs(loads - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _rotated_mesh(m, rng):
+    """m with its triangles shuffled and each one's vertices rotated by a
+    random turn (still counter-clockwise)."""
+    tri = m.triangles[rng.permutation(m.n_triangles)]
+    turns = rng.integers(0, 3, tri.shape[0])[:, None]
+    tri = np.take_along_axis(tri, (np.arange(3) + turns) % 3, axis=1)
+    return dataclasses.replace(m, triangles=tri)
+
+
+def _union_jack_mesh(n):
+    """An n x n grid of cells whose diagonals alternate like a chequer
+    board, so interior nodes touch four or eight triangles."""
+    m = mesh.build_structured(n, n)
+    tri = m.triangles.copy()
+    n00, n11 = tri[0::2, 0], tri[0::2, 1] + (n + 1)
+    n10, n01 = n00 + 1, n00 + (n + 1)
+    i, j = np.meshgrid(np.arange(n), np.arange(n))
+    flip = ((i + j).ravel() % 2 == 1)
+    tri[0::2][flip] = np.column_stack([n00, n10, n01])[flip]
+    tri[1::2][flip] = np.column_stack([n10, n11, n01])[flip]
+    return dataclasses.replace(m, triangles=tri)
+
+
+def _bincount_loads(forms, values):
+    """The former load kernel, kept as the reference: one ``bincount`` over
+    the vertex each midpoint contribution lands on (edge 01 of every
+    triangle, then 12, then 20, each vertex pair in turn), with the node
+    indices of leading row r offset by r n_dofs."""
+    tri = forms.mesh.triangles
+    edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(),
+                                 tri[:, [1, 2]].ravel(),
+                                 tri[:, [2, 0]].ravel()])
+    w = (forms.areas / 6.0)[:, None] * np.asarray(values, dtype=float)
+    lead, n = w.shape[:-2], forms.n_dofs
+    rows = math.prod(lead)
+    nodes = edge_nodes + n * np.arange(rows)[:, None]
+    return np.bincount(nodes.ravel(),
+                       weights=np.repeat(np.swapaxes(w, -1, -2), 2,
+                                         axis=-1).ravel(),
+                       minlength=rows * n).reshape(lead + (n,))
+
+
+@pytest.mark.parametrize("kind, k_max", [("structured", 12), ("rotated", 12),
+                                         ("union jack", 16)])
+def test_midpoint_kernels_are_the_former_formulas(kind, k_max, rng):
+    # the gathers reproduce the former take-and-roll midpoint values and
+    # bincount loads bit for bit, for any triangle and vertex order and a
+    # node valence above six
+    m = mesh.build_structured(7, 5)
+    if kind == "rotated":
+        m = _rotated_mesh(m, rng)
+    elif kind == "union jack":
+        m = _union_jack_mesh(6)
+    forms = fem.assemble(m, bc="neumann_natural")
+    assert forms._node_midpoints.shape == (k_max, m.n_nodes)
+    for lead in [(), (2,), (4, 2)]:
+        U = rng.standard_normal(lead + (m.n_nodes,))
+        uv = np.take(U, m.triangles, axis=-1)
+        mids = forms.midpoint_values(U)
+        assert np.array_equal(mids.view(np.int64),
+                              (0.5 * (uv + uv[..., [1, 2, 0]])).view(np.int64))
+        V = rng.standard_normal(lead + (m.n_triangles, 3))
+        assert np.array_equal(
+            fem.load_from_midpoint_values(forms, V).view(np.int64),
+            _bincount_loads(forms, V).view(np.int64))
 
 
 def test_load_from_midpoint_values_consistent(unit_mesh_4, neumann_forms_4):

@@ -430,8 +430,7 @@ def scalar_implicit_euler(params, state, dt, iters=30):
     u = np.array(state, dtype=float)
     s = np.array(state, dtype=float)
     for _ in range(iters):
-        r1, r2 = models.brusselator_rhs((a, b, 0.0), u[0], u[1])
-        g = u - s - dt * np.array([r1, r2])
+        g = u - s - dt * models.brusselator_rhs((a, b, 0.0), u)
         J = np.eye(2) - dt * np.array(
             [[2 * u[0] * u[1] - (b + 1), u[0] ** 2],
              [b - 2 * u[0] * u[1], -u[0] ** 2]])
@@ -483,19 +482,46 @@ class TestBrusselatorNewton:
             integrators.brusselator_step_newton(neumann_8x8, (3.0, 2.0, 0.01),
                                                 state, 0.05, tol=1e-15,
                                                 max_iter=1)
-        # a failed inner solve names the relative tolerance in force, here
-        # the forcing term rather than its floor
+        # a failed inner solve names its Newton iteration and the relative
+        # tolerance in force: ETA_MAX at iteration 0, and at iteration 2
+        # the Eisenstat-Walker ratio term rather than its cap or floor
+        norms = []
+        scaled = integrators._scaled_residual_norm
+
+        def recording(*args):
+            norms.append(scaled(*args))
+            return norms[-1]
+
+        monkeypatch.setattr(integrators, "_scaled_residual_norm", recording)
         bicgstab = linalg.bicgstab_solve
-        monkeypatch.setattr(integrators, "bicgstab_solve",
-                            lambda *a, **k: bicgstab(*a, max_iter=1, **k))
-        with pytest.raises(ConvergenceError) as info:
-            integrators.brusselator_step_newton(neumann_8x8, (3.0, 2.0, 0.01),
-                                                state, 0.05, tol=1e-6)
-        eta = integrators.FORCING * 1e-6 / info.value.residual
-        assert eta > integrators.KRYLOV_TOL
-        assert str(info.value).startswith(
-            f"Newton linear solve failed at iteration 0 (relative tolerance "
-            f"{eta:.1e}): BiCGStab did not reach {eta:.1e} relative residual")
+        for failing in (0, 2):
+            norms.clear()
+            calls = []
+
+            def starved(*args, **kwargs):
+                calls.append(None)
+                if len(calls) > failing:
+                    kwargs["max_iter"] = 1
+                return bicgstab(*args, **kwargs)
+
+            monkeypatch.setattr(integrators, "bicgstab_solve", starved)
+            with pytest.raises(ConvergenceError) as info:
+                integrators.brusselator_step_newton(
+                    neumann_8x8, (3.0, 2.0, 0.01), state, 0.05)
+            assert len(norms) == failing + 1
+            assert info.value.iterations == failing
+            assert info.value.residual == norms[-1]
+            floor = integrators.FORCING * 1e-10 / norms[-1]
+            if failing == 0:
+                eta = integrators.ETA_MAX
+            else:
+                eta = integrators.ETA_GAMMA * (norms[-1] / norms[-2]) ** 2
+                assert eta < integrators.ETA_MAX
+            assert eta > max(floor, integrators.KRYLOV_TOL)
+            assert str(info.value).startswith(
+                f"Newton linear solve failed at iteration {failing} (relative "
+                f"tolerance {eta:.1e}): BiCGStab did not reach {eta:.1e} "
+                "relative residual")
 
     def test_solving_start_returns_after_one_residual(self, neumann_8x8,
                                                       monkeypatch):
@@ -660,10 +686,9 @@ def dense_newton_stepper(forms, params, dt, rule):
     def step(state):
         def newton_update(u):
             J, A = dense_jacobian(forms, params, dt, rule, u)
-            m1, m2 = E @ u[:n], E @ u[n:]
-            r1, r2 = models.brusselator_rhs(params, m1, m2)
-            G = np.concatenate([A @ u[:n] - M @ state[:n] / dt - E.T @ (w * r1),
-                                A @ u[n:] - M @ state[n:] / dt - E.T @ (w * r2)])
+            U, S = u.reshape(2, n), state.reshape(2, n)
+            R = models.brusselator_rhs(params, U @ E.T)
+            G = (U @ A.T - S @ M.T / dt - (w * R) @ E).ravel()
             return np.linalg.solve(J, G)
 
         u = state.copy()

@@ -72,28 +72,40 @@ class TestBrusselatorRhs:
     def test_steady_state_for_all_parameters(self):
         for a in (2.0, 2.5, 3.0, 4.0):
             for b in (1.0, 2.0, 3.0, 4.0):
-                r1, r2 = models.brusselator_rhs((a, b, 0.01), a, b / a)
+                r1, r2 = models.brusselator_rhs((a, b, 0.01), [a, b / a])
                 assert abs(r1) <= 1e-13 and abs(r2) <= 1e-13
 
     def test_species_one_extinct(self):
-        r1, r2 = models.brusselator_rhs((3.0, 2.0, 0.01), 0.0, 1.5)
+        r1, r2 = models.brusselator_rhs((3.0, 2.0, 0.01), [0.0, 1.5])
         assert (r1, r2) == (3.0, 0.0)
 
     def test_hand_value(self):
-        r1, r2 = models.brusselator_rhs((3.0, 2.0, 0.01), 1.0, 1.0)
+        r1, r2 = models.brusselator_rhs((3.0, 2.0, 0.01), [1.0, 1.0])
         assert (r1, r2) == pytest.approx((1.0, 1.0))
 
     def test_autocatalysis_is_quadratic_in_species_one(self):
         # At (1, 2) the correct rates are (2, 0); swapping the exponents onto
         # species two would give (4, -2) instead.
-        r1, r2 = models.brusselator_rhs((3.0, 2.0, 0.01), 1.0, 2.0)
+        r1, r2 = models.brusselator_rhs((3.0, 2.0, 0.01), [1.0, 2.0])
         assert (r1, r2) == pytest.approx((2.0, 0.0))
 
     def test_mass_budget(self, rng):
         u1 = rng.uniform(0.0, 4.0, 25)
         u2 = rng.uniform(0.0, 4.0, 25)
-        r1, r2 = models.brusselator_rhs((2.5, 3.0, 0.02), u1, u2)
+        r1, r2 = models.brusselator_rhs((2.5, 3.0, 0.02), [u1, u2])
         assert r1 + r2 == pytest.approx(2.5 - u1, abs=1e-12)
+
+    def test_stacked_species_keep_their_shape(self, rng):
+        # a species stack with any trailing axes gives rates of its shape,
+        # each point's rates those of its own species pair
+        params = (2.5, 3.0, 0.02)
+        U = rng.uniform(0.0, 4.0, (2, 5, 3))
+        R = models.brusselator_rhs(params, U)
+        assert R.shape == U.shape
+        for k in np.ndindex(5, 3):
+            assert np.array_equal(R[(slice(None),) + k],
+                                  models.brusselator_rhs(params,
+                                                         U[(slice(None),) + k]))
 
     def test_ode_attracts_to_fixed_point(self):
         # Midpoint integration of the pure reaction system from a perturbed
@@ -102,8 +114,7 @@ class TestBrusselatorRhs:
         state = np.array([2.0, 1.0])
         dt = 0.01
         for _ in range(4000):
-            r = np.array(models.brusselator_rhs((3.0, 2.0, 0.0), *state))
+            r = models.brusselator_rhs((3.0, 2.0, 0.0), state)
             mid = state + 0.5 * dt * r
-            state = state + dt * np.array(
-                models.brusselator_rhs((3.0, 2.0, 0.0), *mid))
+            state = state + dt * models.brusselator_rhs((3.0, 2.0, 0.0), mid)
         assert state == pytest.approx([3.0, 2.0 / 3.0], abs=1e-3)
