@@ -49,6 +49,8 @@ class AssembledForms:
     3 t + q of the at most two midpoints that lie on the edge ij, or
     3 n_tris, a zero column, where the edge has one triangle or the slot is
     padding; so a coefficient-weighted mass matrix is one gather.
+    ``_midpoint_weights`` has shape (3 n_tris,): area/12 at every midpoint,
+    in the flat midpoint order 3 t + q, the weight of ``weighted_mass``.
     ``_midpoint_nodes`` has shape (2, 3 n_tris): the two vertices of every
     midpoint, in the flat midpoint order 3 t + q, so the midpoint values are
     one gather.  ``_node_midpoints`` has shape (k_max, n), k_max the most
@@ -71,6 +73,7 @@ class AssembledForms:
     mid_x: np.ndarray = field(repr=False)
     mid_y: np.ndarray = field(repr=False)
     _slot_midpoints: np.ndarray = field(repr=False)   # (2, r - 1, n)
+    _midpoint_weights: np.ndarray = field(repr=False)  # (3 n_tris,)
     _midpoint_nodes: np.ndarray = field(repr=False)   # (2, 3 n_tris)
     _node_midpoints: np.ndarray = field(repr=False)   # (k_max, n)
     _cache: dict = field(repr=False, default_factory=dict)
@@ -183,6 +186,24 @@ class AssembledForms:
             self._cache[key] = defects
         return self._cache[key]
 
+    def modal_operand(self, B):
+        """V^T B_free, shape (B's columns, n_free), with B_free the rows of B
+        at the free dofs and V of ``free_eigenpairs``: what a
+        ``integrators.ModalTrajectory`` multiplies its states by to read
+        values @ B.  The product of the last read-only B is kept, matched by
+        identity, so the runs read through one lift share it; a writable B
+        could change under the cache and is never kept."""
+        B = np.asarray(B, dtype=float)
+        kept = self._cache.get("modal operand")
+        if kept is not None and kept[0] is B:
+            return kept[1]
+        _, V = self.free_eigenpairs()
+        operand = blocked_matmul(B[self.free_dofs].T, V)
+        if not B.flags.writeable:
+            operand.flags.writeable = False
+            self._cache["modal operand"] = B, operand
+        return operand
+
     def lumped_mass(self):
         """Row sums of the mass matrix (the nodal area shares)."""
         if "lumped" not in self._cache:
@@ -212,8 +233,7 @@ class AssembledForms:
         k = cw.shape[0]
         # the scaled coefficients, flat, and a zero column after them
         w = np.empty((k, cw[0].size + 1))
-        np.multiply(cw.reshape(k, -1), np.repeat(self.areas / 12.0, 3),
-                    out=w[:, :-1])
+        np.multiply(cw.reshape(k, -1), self._midpoint_weights, out=w[:, :-1])
         w[:, -1] = 0.0
         g = np.take(w, self._slot_midpoints, axis=-1)
         vals = np.empty((k,) + self.mass.vals.shape)
@@ -293,6 +313,7 @@ def assemble(mesh, bc="dirichlet_zero"):
                           free_dofs=free, bc=bc, areas=areas, b=b, c=c,
                           mid_x=mids[..., 0], mid_y=mids[..., 1],
                           _slot_midpoints=slot_midpoints,
+                          _midpoint_weights=np.repeat(areas / 12.0, 3),
                           _midpoint_nodes=midpoint_nodes,
                           _node_midpoints=node_midpoints)
 

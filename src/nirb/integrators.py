@@ -91,9 +91,8 @@ class FieldTrajectory:
     def n_fields(self):
         return self.values.shape[1] // self.mesh.n_nodes
 
-    def values_times(self, B, modal=None):
-        """values @ B, shape (steps + 1, B's columns).  ``modal`` is read
-        only by a run kept in modal states (``ModalTrajectory``)."""
+    def values_times(self, B):
+        """values @ B, shape (steps + 1, B's columns)."""
         return self.values @ B
 
 
@@ -117,26 +116,11 @@ class ModalTrajectory(FieldTrajectory):
         return _nodal_values(self.forms, self.grid,
                              blocked_matmul(self.states, V.T))
 
-    def values_times(self, B, modal=None):
-        """values @ B without the nodal values: the states times V^T B_free,
-        with B_free the rows of B at the free dofs.  ``modal`` is
-        ``modal_operand(forms, B)`` for the run's forms (or for forms
-        assembled on the same mesh, which give the same V), kept by a caller
-        that reads many runs through one B; without it the run forms it, one
-        (cols, n) by (n, n) product.  The read itself is one (cols, n) by
-        (n, steps + 1) product."""
-        B = np.asarray(B, dtype=float)
-        if modal is None:
-            modal = modal_operand(self.forms, B)
-        return blocked_matmul(modal, self.states.T).T
-
-
-def modal_operand(forms, B):
-    """V^T B_free, shape (B's columns, n_free): the rows of B at the free
-    dofs in the eigenvectors V of ``forms.free_eigenpairs``, which is what a
-    ``ModalTrajectory`` multiplies its states by to read values @ B."""
-    _, V = forms.free_eigenpairs()
-    return blocked_matmul(np.asarray(B, dtype=float)[forms.free_dofs].T, V)
+    def values_times(self, B):
+        """values @ B without the nodal values: the states times
+        ``forms.modal_operand(B)``, one (cols, n) by (n, steps + 1)
+        product."""
+        return blocked_matmul(self.forms.modal_operand(B), self.states.T).T
 
 
 def heat_backward_euler(forms, mu, f, grid):

@@ -17,14 +17,13 @@ import numpy as np
 from nirb import io, models
 from nirb.fem import assemble, difference_norms, norms
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
-                              heat_backward_euler, heat_crank_nicolson,
-                              modal_operand)
+                              heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import build_structured
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
                                 lift_projection)
 from nirb.reduced_basis import (coefficients, h1_rows, hierarchical_pod,
-                                mass_inner, reconstruct)
+                                mass_inner, mass_weighted_modes, reconstruct)
 from nirb.time_interp import quadratic_weights
 
 log = logging.getLogger(__name__)
@@ -161,8 +160,8 @@ class OfflineArtifacts:
     basis, the rectification maps and the fine and coarse discretizations,
     which are what ``discretize(config)`` builds.  Only the config, the
     basis and the maps are persisted; loading rebuilds the discretizations
-    from the config.  The operators derived from them, ``lift``,
-    ``time_weights`` and ``modal_lift``, are built on first use and kept."""
+    from the config.  The operators derived from them, ``lift`` and
+    ``time_weights``, are built on first use and kept."""
 
     config: object
     basis: object
@@ -181,8 +180,12 @@ class OfflineArtifacts:
     @functools.cached_property
     def lift(self):
         """The lift-projection operator Phi of
-        ``rectification.lift_projection``, shape (n_fields * n_coarse, N)."""
-        return lift_projection(self.basis, self.fine.forms, self.coarse.mesh)
+        ``rectification.lift_projection``, shape (n_fields * n_coarse, N),
+        read-only, so the coarse forms keep its modal product for the heat
+        runs read through it (``AssembledForms.modal_operand``)."""
+        lift = lift_projection(self.basis, self.fine.forms, self.coarse.mesh)
+        lift.flags.writeable = False
+        return lift
 
     @functools.cached_property
     def time_weights(self):
@@ -190,18 +193,6 @@ class OfflineArtifacts:
         coarse grid to the fine one, shape (fine steps + 1, coarse steps
         + 1)."""
         return quadratic_weights(self.coarse.grid, self.fine.grid)
-
-    @functools.cached_property
-    def modal_lift(self):
-        """``lift`` read through the modal states of a heat coarse run,
-        V^T Phi_free (``integrators.modal_operand``), or None for
-        reaction-diffusion, whose coarse runs are nodal.  Derived on first
-        use and kept, so the fit and every query of these artifacts share
-        one product; never at load, which would pull the coarse modal setup
-        into loading."""
-        if self.config.problem != "heat":
-            return None
-        return modal_operand(self.coarse.forms, self.lift)
 
     def validate(self):
         want = (self.fine.grid.steps + 1, self.basis.N, self.basis.N)
@@ -217,9 +208,11 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
     """The validated artifacts fitted on matched training runs: the basis,
     pooled from the runs' H1 POD rows ``prepared`` (``reduced_basis.h1_rows``,
     which may cover more runs than the fit reads), and the rectification maps
-    fitted with the artifacts' ``lift``, ``time_weights`` and
-    ``modal_lift``.  The wall times of the basis selection and of the rest
-    are added to ``seconds`` under "basis selections" and "fits"."""
+    fitted on two (n_times, k, N) stacks in the order of ``fine_trajs``:
+    each coarse run's coefficients through the artifacts' ``lift`` and
+    ``time_weights``, and each fine run's coefficients.  The wall times of
+    the basis selection and of the rest are added to ``seconds`` under
+    "basis selections" and "fits"."""
     with _timed(seconds, "basis selections"):
         basis = build_basis(config, fine_trajs, fine.forms, prepared)
     log.info("basis built: N=%d from %d training parameters", basis.N,
@@ -227,9 +220,13 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
     with _timed(seconds, "fits"):
         artifacts = OfflineArtifacts(
             config=config, basis=basis, tensor=None, fine=fine, coarse=coarse)
-        artifacts.tensor = build_rectification(
-            fine_trajs, coarse_trajs, basis, fine.forms, artifacts.lift,
-            artifacts.time_weights, config.delta_value, artifacts.modal_lift)
+        lifted = np.stack([coarse_to_fine_coefficients(
+            coarse_trajs[p], artifacts.lift, artifacts.time_weights)
+            for p in fine_trajs], axis=1)
+        weighted = mass_weighted_modes(basis, fine.forms)
+        artifacts.tensor = build_rectification(lifted, np.stack(
+            [run.values @ weighted for run in fine_trajs.values()], axis=1),
+            config.delta_value)
     return artifacts.validate()
 
 
@@ -263,13 +260,12 @@ class OnlineResult:
     """Online trajectory with its coefficients and the wall-clock split:
     ``seconds_coarse`` covers the bounds check and the coarse solve (for
     heat the modal march and its step check, with no nodal coarse state
-    formed), or the bounds check and the mesh and grid checks of a
-    precomputed coarse run;
+    formed), or the bounds check and the parameter, mesh and grid checks of
+    a precomputed coarse run;
     ``seconds_reconstruct`` covers the rest: the coefficients read off the
-    coarse run (for heat one product of its modal states with the
-    artifacts' ``modal_lift``, which the artifacts' first query derives),
-    the time interpolation, the rectification and the fine
-    reconstruction."""
+    coarse run (for heat one product of its modal states with the coarse
+    forms' kept modal product of the ``lift``), the time interpolation, the
+    rectification and the fine reconstruction."""
 
     parameter: object
     mode: str
@@ -281,13 +277,18 @@ class OnlineResult:
 
 def check_bounds(config, param):
     """The key of a query parameter, a float for heat and a float triple
-    for reaction-diffusion; one outside the configured bounds raises
-    ``ValueError``."""
-    if config.problem == "heat":
-        key = float(param)
-    else:
-        a, b, alpha = param
-        key = (float(a), float(b), float(alpha))
+    for reaction-diffusion; one of another form, or outside the configured
+    bounds, raises ``ValueError``."""
+    try:
+        if config.problem == "heat":
+            key = float(param)
+        else:
+            a, b, alpha = param
+            key = (float(a), float(b), float(alpha))
+    except (TypeError, ValueError) as exc:
+        form = ("one number" if config.problem == "heat"
+                else "a triple (a, b, alpha) of numbers")
+        raise ValueError(f"parameter {param!r} is not {form}") from exc
     if not config.parameter_in_bounds(key):
         raise ValueError(f"parameter {key} is outside the configured bounds")
     return key
@@ -300,16 +301,16 @@ def _mesh_label(m):
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, one product with the
     artifacts' lift-projection operator (the space lift and the projection
-    onto the modes in one, read off the modal states of a heat run through
-    the artifacts' ``modal_lift`` without its nodal values), time
-    interpolation of the N coefficients, optional
+    onto the modes in one, read off the modal states of a heat run without
+    its nodal values), time interpolation of the N coefficients, optional
     rectification, reconstruction.  Nothing but the reconstruction touches
     the fine mesh.
 
     Every query's parameter is checked against the configured bounds first.
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
-    share then covers only the bounds check and its mesh and grid checks);
-    its mesh and time grid must be the artifacts' coarse ones."""
+    share then covers only the bounds check and its parameter, mesh and
+    grid checks); its parameter must be the query's key, and its mesh and
+    time grid the artifacts' coarse ones."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
@@ -320,6 +321,10 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     if coarse_traj is None:
         coarse_traj = solve_coarse(config, artifacts.coarse, key)
     else:
+        if coarse_traj.parameter != key:
+            raise ValueError(f"coarse trajectory at parameter "
+                             f"{coarse_traj.parameter}, expected the query's "
+                             f"{key}")
         got, want = (_mesh_label(m) for m in (coarse_traj.mesh,
                                               artifacts.coarse.mesh))
         if got != want:
@@ -333,8 +338,7 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
 
     t_start = time.perf_counter()
     coeffs = coarse_to_fine_coefficients(coarse_traj, artifacts.lift,
-                                         artifacts.time_weights,
-                                         artifacts.modal_lift)
+                                         artifacts.time_weights)
     if mode == "rectified":
         coeffs = apply_rectification(artifacts.tensor, coeffs)
     values = reconstruct(artifacts.basis, coeffs)

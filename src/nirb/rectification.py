@@ -7,8 +7,8 @@ the basis, the fine forms and the coarse mesh, and the time weights W
 (``time_interp.quadratic_weights``) a pure function of the coarse and fine
 time grids.
 The artifacts own both (``pipeline.OfflineArtifacts.lift`` and
-``time_weights``, derived on first use and kept), and the fit and every
-online query take them as arguments."""
+``time_weights``, derived on first use and kept): every online query takes
+them as arguments, and the fit takes coefficient stacks made with them."""
 
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ def lift_projection(basis, forms, coarse_mesh):
                        minlength=F * n * N).reshape(F * n, N)
 
 
-def coarse_to_fine_coefficients(coarse_traj, lift, weights, modal=None):
+def coarse_to_fine_coefficients(coarse_traj, lift, weights):
     """Coefficients of a coarse trajectory after lifting it to the basis
     mesh and the fine grid, by L2 projection onto the modes: W (U Phi) for
     the coarse values U, the lift-projection operator ``lift`` (Phi) of the
@@ -82,46 +82,32 @@ def coarse_to_fine_coefficients(coarse_traj, lift, weights, modal=None):
     onto the N modes at the coarse knots before the time interpolation, so
     W multiplies N columns, not n_fields n_coarse.  The coarse run forms
     U Phi (``FieldTrajectory.values_times``): a heat run reads it off its
-    modal states as Z (V^T Phi_free) without forming U, taking V^T Phi_free
-    from ``modal`` (``integrators.modal_operand``) when the caller keeps it,
-    any other run as its values times Phi."""
-    return weights @ coarse_traj.values_times(lift, modal)
+    modal states without forming U, any other run as its values times
+    Phi."""
+    return weights @ coarse_traj.values_times(lift)
 
 
-def build_rectification(fine_trajs, coarse_trajs, basis, forms, lift,
-                        weights, delta_value=1e-10, modal=None):
-    """Fit the rectification maps from matched fine/coarse training runs.
-
-    fine_trajs and coarse_trajs map the same parameters (same order) to
-    trajectories, ``lift`` is the basis's lift-projection operator for the
-    coarse mesh and ``weights`` the time weights from the coarse grid to the
-    fine one (see ``coarse_to_fine_coefficients``); ``modal``, the lift read
-    through the coarse runs' modal states, serves every coarse run (formed
-    by each modal run when None).  At every fine time index n the rows of A
-    hold the lifted coarse coefficients and the rows of B the fine
-    coefficients; column i of the normal-equation solve gives the map
-    weights for mode i, and the transpose is stored so application is a
-    plain matrix-vector product.  Every time index is fitted at once: one
-    batched ``solve_regularized_normal`` over the (n_times, k, N) stack.
+def build_rectification(lifted, fine, delta_value=1e-10):
+    """Fit the rectification maps on matched coefficient stacks of shape
+    (n_times, k, N), one column per training run: ``lifted`` holds each
+    run's lifted coarse coefficients (``coarse_to_fine_coefficients``) and
+    ``fine`` its fine coefficients, in the same run order.  At every fine
+    time index n the rows of A = lifted[n] and B = fine[n] pair up; column
+    i of the normal-equation solve gives the map weights for mode i, and
+    the transpose is stored so application is a plain matrix-vector
+    product.  Every time index is fitted at once: one batched
+    ``solve_regularized_normal`` over the stack.
 
     The Tikhonov parameter at each time index is delta_value *
     sigma_1(A^T A), from one batched power iteration
     (``linalg.dominant_eigenvalues``); delta_value = 0 gives delta = 0,
     which triggers an invertibility screen and fails loudly on rank
     deficiency.  A failing solve names its time index."""
-    fine_keys = list(fine_trajs.keys())
-    coarse_keys = list(coarse_trajs.keys())
-    if fine_keys != coarse_keys:
-        raise ValueError("fine and coarse training parameter sets differ")
-    if basis.N == 0:
-        raise ValueError("cannot rectify with an empty basis")
-
-    A = np.stack([coarse_to_fine_coefficients(coarse_trajs[p], lift, weights,
-                                              modal)
-                  for p in fine_keys], axis=1)  # (n_times, k, N)
-    weighted = mass_weighted_modes(basis, forms)
-    B = np.stack([fine_trajs[p].values @ weighted for p in fine_keys], axis=1)
-
+    A, B = np.asarray(lifted, dtype=float), np.asarray(fine, dtype=float)
+    if A.ndim != 3 or A.shape != B.shape or 0 in A.shape:
+        raise ValueError(f"lifted and fine coefficient stacks of shapes "
+                         f"{A.shape} and {B.shape}, expected one nonempty "
+                         f"(n_times, k, N) shape")
     deltas = delta_value * dominant_eigenvalues(A.transpose(0, 2, 1) @ A)
     cols = solve_regularized_normal(
         A, B, deltas, [f"time index {n}" for n in range(A.shape[0])])

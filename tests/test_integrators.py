@@ -263,13 +263,12 @@ class TestModalMarch:
             integrators.heat_crank_nicolson(forms, 2.0, models.manufactured_f,
                                             grid)
 
-    def test_march_makes_two_dense_products(self, forms, monkeypatch,
-                                            small_heat_text, tmp_path):
-        # the march and its step check make no dense product; reading a
-        # product of the values off the modal states makes two, of the
-        # (cols, n) operand with V (``modal_operand``) and with the window's
-        # states, and only the second when the caller keeps the first; a
-        # return to nodal states or a nodal residual product fails here
+    @staticmethod
+    def record_products(forms, monkeypatch):
+        """The shapes of the dense products made from now on by the march
+        and by the forms, after the form set's modal setup, whose own
+        products are made once per form set."""
+        forms.free_eigenpairs()
         shapes = []
         blocked_matmul = integrators.blocked_matmul
 
@@ -278,22 +277,35 @@ class TestModalMarch:
             return blocked_matmul(A, B)
 
         monkeypatch.setattr(integrators, "blocked_matmul", recording)
+        monkeypatch.setattr(fem, "blocked_matmul", recording)
+        return shapes
+
+    def test_march_makes_two_dense_products(self, forms, monkeypatch,
+                                            small_heat_text, tmp_path):
+        # the march and its step check make no dense product; reading a
+        # product of the values off the modal states makes two, of the
+        # (cols, n) operand with V (``AssembledForms.modal_operand``) and
+        # with the window's states, and only the second once the forms keep
+        # the first for a read-only operand; a return to nodal states or a
+        # nodal residual product fails here
+        shapes = self.record_products(forms, monkeypatch)
         grid = integrators.TimeGrid(1.0, 2.0, 8)
         traj = integrators.heat_crank_nicolson(forms, 2.0,
                                                models.manufactured_f, grid)
         assert shapes == []
         B = np.ones((forms.n_dofs, 3))
+        B.flags.writeable = False
         want = traj.values_times(B)
         n = forms.free_dofs.size
         assert shapes == [((3, n), (n, n)), ((3, n), (n, grid.steps + 1))]
-        modal = integrators.modal_operand(forms, B)
         shapes.clear()
-        assert np.array_equal(traj.values_times(B, modal), want)
+        assert np.array_equal(traj.values_times(B), want)
         assert shapes == [((3, n), (n, grid.steps + 1))]
 
-        # the artifacts keep the lift's modal operand: one (N, n) by (n, n)
-        # product per artifacts, made by the fit and read by every query,
-        # and by the first query of loaded artifacts, not by the load
+        # the coarse forms keep the modal operand of the artifacts'
+        # read-only lift: one (N, n) by (n, n) product per artifacts, made
+        # by the fit and read by every query, and by the first query of
+        # loaded artifacts, not by the load
         config = StudyConfig.from_text(small_heat_text
                                        + f"output_dir = {tmp_path}\n")
         shapes.clear()
@@ -312,6 +324,43 @@ class TestModalMarch:
             assert np.array_equal(pipeline.online(loaded, mu).coefficients,
                                   pipeline.online(artifacts, mu).coefficients)
         assert operand_products() == 2
+
+    def test_a_writable_operand_is_never_kept(self, forms, monkeypatch):
+        # a writable B could change under a kept product, so every read
+        # forms V^T B_free afresh and sees the change
+        shapes = self.record_products(forms, monkeypatch)
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        traj = integrators.heat_crank_nicolson(forms, 2.0,
+                                               models.manufactured_f, grid)
+        B = np.ones((forms.n_dofs, 2))
+        first = traj.values_times(B)
+        B[:, 1] = 2.0
+        second = traj.values_times(B)
+        n = forms.free_dofs.size
+        assert shapes.count(((2, n), (n, n))) == 2
+        assert not np.array_equal(second, first)
+        want = traj.values @ B
+        assert np.abs(second - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_a_second_read_only_lift_replaces_the_first(self, forms,
+                                                        monkeypatch):
+        # the forms keep the product of the last read-only B only, matched
+        # by identity: an equal copy is another operand
+        shapes = self.record_products(forms, monkeypatch)
+        grid = integrators.TimeGrid(1.0, 2.0, 8)
+        traj = integrators.heat_crank_nicolson(forms, 2.0,
+                                               models.manufactured_f, grid)
+        n = forms.free_dofs.size
+        first, second = np.ones((forms.n_dofs, 2)), np.ones((forms.n_dofs, 2))
+        first.flags.writeable = second.flags.writeable = False
+
+        def operand_products(B):
+            shapes.clear()
+            traj.values_times(B)
+            return shapes.count(((2, n), (n, n)))
+
+        assert [operand_products(B) for B in
+                (first, first, second, second, first)] == [1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("nx", [4, 8, 16])
     def test_bound_covers_the_nodal_residual(self, nx, monkeypatch):

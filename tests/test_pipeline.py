@@ -138,6 +138,33 @@ class TestOneLiftPerFit:
         pipeline.leave_one_out(config)
         assert len(lifts) == len(config.training_parameters())
 
+    def test_one_operand_product_per_leave_one_out_fold(self, study,
+                                                        monkeypatch):
+        # each fold's lift is read-only, so the coarse forms make its modal
+        # operand once, for the fit, and the held-out query reads it; the
+        # training runs make the forms' modal setup before the first fold
+        config, _ = study
+        shapes, free = [], []
+        training_runs = pipeline._training_runs
+        blocked_matmul = fem.blocked_matmul
+
+        def recording(A, B):
+            shapes.append((np.shape(A), np.shape(B)))
+            return blocked_matmul(A, B)
+
+        def recording_after_the_runs(*args):
+            runs = training_runs(*args)
+            free.append(runs[1].forms.free_dofs.size)
+            monkeypatch.setattr(fem, "blocked_matmul", recording)
+            return runs
+
+        monkeypatch.setattr(pipeline, "_training_runs",
+                            recording_after_the_runs)
+        pipeline.leave_one_out(config)
+        n = free[0]
+        assert len(shapes) == len(config.training_parameters())
+        assert all(A[1] == n and B == (n, n) for A, B in shapes)
+
     def test_leave_one_out_takes_four_norms_per_held_out_value(
             self, study, monkeypatch):
         # the held-out fine run's curves once, then one per candidate:
@@ -174,7 +201,8 @@ class TestBasis:
     @pytest.mark.parametrize("delta_value", [1e-10, 1e-6])
     @pytest.mark.parametrize("problem", ["heat", "rd"])
     def test_online_is_unchanged_by_a_rotation_of_the_modes(
-            self, small_heat_text, small_rd_text, rng, problem, delta_value):
+            self, small_heat_text, small_rd_text, rng, monkeypatch, problem,
+            delta_value):
         # the plain value is a projection onto the span and the ridge fit
         # is equivariant under an orthogonal change of basis, so rotating
         # the modes, as the paper's H1 orthogonalization does, changes no
@@ -186,16 +214,12 @@ class TestBasis:
             + f"delta_value = {delta_value}\n")
         runs = pipeline._training_runs(config, config.training_parameters(),
                                        {})
-        fine, coarse, fine_trajs, coarse_trajs, _ = runs
         artifacts = pipeline.fit(config, *runs, {})
         basis = artifacts.basis
         Q = np.linalg.qr(rng.standard_normal((basis.N, basis.N)))[0]
         turned = rb.ReducedBasis(mesh=basis.mesh, modes=Q.T @ basis.modes)
-        rotated = dataclasses.replace(artifacts, basis=turned)
-        rotated.tensor = build_rectification(
-            fine_trajs, coarse_trajs, turned, fine.forms, rotated.lift,
-            rotated.time_weights, config.delta_value, rotated.modal_lift)
-        rotated.validate()
+        monkeypatch.setattr(pipeline, "build_basis", lambda *args: turned)
+        rotated = pipeline.fit(config, *runs, {})
         param = config.test_parameter()
         for mode, tol in (("plain", 1e-9),
                           ("rectified", np.finfo(float).eps / delta_value)):
@@ -291,6 +315,38 @@ class TestCoarseOnly:
             with pytest.raises(ValueError, match=r"parameter 12\.0 is outside "
                                                  r"the configured bounds"):
                 pipeline.online(artifacts, 12.0, coarse_traj=given)
+
+    def test_coarse_run_at_another_parameter_is_rejected(self, study,
+                                                         small_rd_text):
+        # its coefficients would be labelled with the query's parameter
+        config, artifacts = study
+        coarse = pipeline.solve_coarse(config, artifacts.coarse, 5.0)
+        with pytest.raises(ValueError, match=r"coarse trajectory at parameter "
+                                             r"5\.0, expected the query's "
+                                             r"2\.0"):
+            pipeline.online(artifacts, 2.0, coarse_traj=coarse)
+        rd = pipeline.offline(StudyConfig.from_text(small_rd_text),
+                              persist=False)
+        coarse = pipeline.solve_coarse(rd.config, rd.coarse, (3.0, 2.0, 0.002))
+        with pytest.raises(ValueError, match=r"coarse trajectory at parameter "
+                                             r"\(3\.0, 2\.0, 0\.002\), "
+                                             r"expected the query's "
+                                             r"\(2\.5, 1\.5, 0\.002\)"):
+            pipeline.online(rd, (2.5, 1.5, 0.002), coarse_traj=coarse)
+
+    @pytest.mark.parametrize("problem, param, form", [
+        ("heat", (4.5, 1.0), "one number"),
+        ("rd", 3.0, r"a triple \(a, b, alpha\) of numbers"),
+        ("rd", (3.0, 2.0), r"a triple \(a, b, alpha\) of numbers")],
+        ids=["heat-pair", "rd-number", "rd-pair"])
+    def test_misshapen_parameter_is_rejected(self, small_heat_text,
+                                             small_rd_text, problem, param,
+                                             form):
+        # a ValueError, the error of every other bad query parameter
+        config = StudyConfig.from_text(
+            small_heat_text if problem == "heat" else small_rd_text)
+        with pytest.raises(ValueError, match=rf"^parameter .* is not {form}$"):
+            pipeline.check_bounds(config, param)
 
     def test_coarse_failure_shows_before_any_fine_solve(self, monkeypatch):
         # at the default 32^2/16^2 discretization the explicit coarse step
@@ -478,76 +534,53 @@ class TestLift:
 
 
 class TestRectification:
-    def test_exact_reproduction_with_square_training_set(self, rng):
-        # With k = N training runs and delta = 0 every per-time-index system
-        # is square and nonsingular, so the maps send the lifted coarse
-        # coefficients of each run exactly to its fine coefficients.
-        fine_mesh = mesh.build_structured(8, 8)
-        coarse_mesh = mesh.build_structured(4, 4)
-        forms = fem.assemble(fine_mesh, bc="neumann_natural")
-        fine_grid = TimeGrid(0.0, 1.0, 8)
-        coarse_grid = TimeGrid(0.0, 1.0, 4)
-        params = [1.0, 2.0, 3.0]
-        fine_trajs = {p: FieldTrajectory(
-            mesh=fine_mesh, grid=fine_grid, parameter=p,
-            values=rng.standard_normal((9, fine_mesh.n_nodes)))
-            for p in params}
-        coarse_trajs = {p: FieldTrajectory(
-            mesh=coarse_mesh, grid=coarse_grid, parameter=p,
-            values=rng.standard_normal((5, coarse_mesh.n_nodes)))
-            for p in params}
-        snaps = np.vstack([t.values for t in fine_trajs.values()])
-        modes, _ = rb.pod(snaps, forms, 3)
-        basis = rb.ReducedBasis(mesh=fine_mesh, modes=modes)
-
-        phi = lift_projection(basis, forms, coarse_mesh)
-        W = quadratic_weights(coarse_grid, fine_grid)
-        tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     phi, W, delta_value=0.0)
-        assert np.all(tensor.deltas == 0.0)
-        for p in params:
-            lifted = coarse_to_fine_coefficients(coarse_trajs[p], phi, W)
-            got = apply_rectification(tensor, lifted)
-            want = rb.coefficients(basis, forms, fine_trajs[p].values)
-            assert np.abs(got - want).max() <= 1e-10
-
     @staticmethod
     def random_training_set(rng, k, N):
-        """k hand-built fine/coarse runs on 8^2/4^2 meshes, a basis of N
-        modes from them, its lift-projection operator and time weights."""
+        """The (n_times, k, N) lifted coarse and fine coefficient stacks of
+        k hand-built fine/coarse runs on 8^2/4^2 meshes in a basis of N
+        modes from them."""
         fine_mesh = mesh.build_structured(8, 8)
         coarse_mesh = mesh.build_structured(4, 4)
         forms = fem.assemble(fine_mesh, bc="neumann_natural")
         fine_grid, coarse_grid = TimeGrid(0.0, 1.0, 8), TimeGrid(0.0, 1.0, 4)
-        fine_trajs = {float(p): FieldTrajectory(
+        fine_trajs = [FieldTrajectory(
             mesh=fine_mesh, grid=fine_grid, parameter=float(p),
             values=rng.standard_normal((9, fine_mesh.n_nodes)))
-            for p in range(k)}
-        coarse_trajs = {float(p): FieldTrajectory(
+            for p in range(k)]
+        coarse_trajs = [FieldTrajectory(
             mesh=coarse_mesh, grid=coarse_grid, parameter=float(p),
             values=rng.standard_normal((5, coarse_mesh.n_nodes)))
-            for p in range(k)}
-        snaps = np.vstack([t.values for t in fine_trajs.values()])
+            for p in range(k)]
+        snaps = np.vstack([t.values for t in fine_trajs])
         basis = rb.ReducedBasis(mesh=fine_mesh,
                                 modes=rb.pod(snaps, forms, N)[0])
-        return (fine_trajs, coarse_trajs, basis, forms,
-                lift_projection(basis, forms, coarse_mesh),
-                quadratic_weights(coarse_grid, fine_grid))
+        phi = lift_projection(basis, forms, coarse_mesh)
+        W = quadratic_weights(coarse_grid, fine_grid)
+        lifted = np.stack([coarse_to_fine_coefficients(t, phi, W)
+                           for t in coarse_trajs], axis=1)
+        fine = np.stack([rb.coefficients(basis, forms, t.values)
+                         for t in fine_trajs], axis=1)
+        return lifted, fine
+
+    def test_exact_reproduction_with_square_training_set(self, rng):
+        # With k = N training runs and delta = 0 every per-time-index system
+        # is square and nonsingular, so the maps send the lifted coarse
+        # coefficients of each run exactly to its fine coefficients.
+        lifted, fine = self.random_training_set(rng, 3, 3)
+        tensor = build_rectification(lifted, fine, delta_value=0.0)
+        assert np.all(tensor.deltas == 0.0)
+        for k in range(3):
+            got = apply_rectification(tensor, lifted[:, k])
+            assert np.abs(got - fine[:, k]).max() <= 1e-10
 
     @pytest.mark.parametrize("N", [3, 10])
     def test_batched_fit_matches_per_index_dense_solves(self, rng, N):
         # every time index's map is the dense solve of its own regularized
         # normal equations
-        fine_trajs, coarse_trajs, basis, forms, phi, W = \
-            self.random_training_set(rng, 2 * N, N)
-        tensor = build_rectification(fine_trajs, coarse_trajs, basis, forms,
-                                     phi, W, delta_value=1e-3)
-        A = np.stack([coarse_to_fine_coefficients(t, phi, W)
-                      for t in coarse_trajs.values()], axis=1)
-        B = np.stack([rb.coefficients(basis, forms, t.values)
-                      for t in fine_trajs.values()], axis=1)
+        A, B = self.random_training_set(rng, 2 * N, N)
+        tensor = build_rectification(A, B, delta_value=1e-3)
         assert (tensor.deltas > 0.0).all()
-        for n in range(W.shape[0]):
+        for n in range(A.shape[0]):
             want = np.linalg.solve(
                 A[n].T @ A[n] + tensor.deltas[n] * np.eye(N),
                 A[n].T @ B[n]).T
@@ -568,29 +601,28 @@ class TestRectification:
             config.delta_value * top, rel=1e-6)
 
     def test_a_failing_time_index_is_named(self, rng):
-        # time weights with a zero row leave that index's normal matrix
-        # zero, and a NaN row makes it non-finite
-        fine_trajs, coarse_trajs, basis, forms, phi, W = \
-            self.random_training_set(rng, 4, 3)
-        W[5] = 0.0
+        # a zero lifted row leaves that index's normal matrix zero, and a
+        # NaN row makes it non-finite
+        lifted, fine = self.random_training_set(rng, 4, 3)
+        lifted[5] = 0.0
         with pytest.raises(ValueError, match=r"rank deficient at delta=0 "
                                              r"\(time index 5: "):
-            build_rectification(fine_trajs, coarse_trajs, basis, forms, phi,
-                                W, delta_value=0.0)
-        W[5] = np.nan
+            build_rectification(lifted, fine, delta_value=0.0)
+        lifted[5] = np.nan
         with pytest.raises(ValueError, match=r"not positive definite "
                                              r"\(time index 5, pivot 0"):
-            build_rectification(fine_trajs, coarse_trajs, basis, forms, phi,
-                                W, delta_value=1.0)
+            build_rectification(lifted, fine, delta_value=1.0)
 
-    def test_mismatched_training_sets_rejected(self, study):
-        config, artifacts = study
-        ctx = artifacts.context()
-        fine = {1.0: pipeline.solve_fine(config, ctx.fine, 1.0)}
-        coarse = {2.0: pipeline.solve_coarse(config, ctx.coarse, 2.0)}
-        with pytest.raises(ValueError, match="differ"):
-            build_rectification(fine, coarse, artifacts.basis, ctx.fine.forms,
-                                artifacts.lift, artifacts.time_weights)
+    def test_mismatched_stacks_rejected(self, rng):
+        # the two stacks pair run with run and mode with mode at every time
+        # index, so they must share one nonempty (n_times, k, N) shape
+        lifted, fine = self.random_training_set(rng, 4, 3)
+        for A, B in ((lifted[:, :-1], fine), (lifted, fine[..., :-1]),
+                     (lifted[0], fine[0]), (lifted[..., :0], fine[..., :0])):
+            with pytest.raises(ValueError, match=r"coefficient stacks of "
+                                                 r"shapes .*, expected one "
+                                                 r"nonempty"):
+                build_rectification(A, B)
 
     def test_unknown_delta_mode_rejected(self):
         # the fit has one delta rule, scaled by the top eigenvalue; a study
