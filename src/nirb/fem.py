@@ -41,26 +41,25 @@ class AssembledForms:
     """Assembled bilinear forms for one mesh plus its quadrature geometry.
 
     ``areas``, ``b`` and ``c`` are the element areas and P1 gradient
-    coefficients of ``triangle_geometry``; ``mid_x`` and ``mid_y`` are the
-    edge-midpoint coordinates, shape (n_tris, 3) in midpoint order 01, 12,
-    20.  ``mass`` and ``stiffness`` share one slot pattern (``SparseSym``,
-    r slots a row).  ``_slot_midpoints`` has shape (2, r - 1, n): for every
-    off-diagonal slot (s, i), holding the entry (i, j), the flat indices
-    3 t + q of the at most two midpoints that lie on the edge ij, or
-    3 n_tris, a zero column, where the edge has one triangle or the slot is
-    padding; so a coefficient-weighted mass matrix is one gather.
-    ``_midpoint_weights`` has shape (3 n_tris,): area/12 at every midpoint,
-    in the flat midpoint order 3 t + q, the weight of ``weighted_mass``.
-    ``_midpoint_nodes`` has shape (2, 3 n_tris): the two vertices of every
-    midpoint, in the flat midpoint order 3 t + q, so the midpoint values are
-    one gather.  ``_node_midpoints`` has shape (k_max, n), k_max the most
-    midpoints any node touches (12 on the structured meshes): the flat
-    indices of the midpoints on the edges at each node, or 3 n_tris, a zero
-    column, as padding; so a load vector is one gather of the midpoint
-    values times their area/6 weights and one sum over the k_max axis.  A
-    node's midpoints are listed by edge (01, 12, 20), then by triangle,
-    then by vertex of the edge: the summation order of a scatter of the
-    contributions edge by edge, which the tests keep as the reference."""
+    coefficients of ``triangle_geometry``.  ``mass`` and ``stiffness``
+    share one slot pattern (``SparseSym``, r slots a row).
+
+    The three-midpoint rule is kept in one layout, the mesh's unique edges,
+    sorted by their (lower, higher) node pair: an interior edge's midpoint
+    is shared by its two triangles, so every integrand is interpolated and
+    evaluated once per edge.  ``midpoints`` has shape (2, n_edges): the
+    (x, y) of every edge midpoint.  ``_edge_nodes`` has shape
+    (2, n_edges): the two nodes of every edge, lower first, so midpoint
+    values are one gather.  ``_edge_weights`` has shape (n_edges,): area/6
+    summed over the edge's triangles, the rule's weight area/3 times the
+    value 1/2 of either end's hat function there.  ``_node_edges`` has
+    shape (k_max, n), k_max the most edges at any node (6 on the structured
+    meshes): the edges at each node in ascending order, padded with
+    n_edges, a zero column; so a load vector is one gather of the weighted
+    values and one sum over the k_max axis, in the order of a ``bincount``
+    of the contributions edge by edge.  ``_triangle_edges`` has shape
+    (n_tris, 3): edge q of triangle t, from its vertex q to vertex q + 1,
+    for the integrands that are not continuous across edges."""
 
     mesh: object
     mass: SparseSym
@@ -70,17 +69,20 @@ class AssembledForms:
     areas: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
-    mid_x: np.ndarray = field(repr=False)
-    mid_y: np.ndarray = field(repr=False)
-    _slot_midpoints: np.ndarray = field(repr=False)   # (2, r - 1, n)
-    _midpoint_weights: np.ndarray = field(repr=False)  # (3 n_tris,)
-    _midpoint_nodes: np.ndarray = field(repr=False)   # (2, 3 n_tris)
-    _node_midpoints: np.ndarray = field(repr=False)   # (k_max, n)
+    midpoints: np.ndarray = field(repr=False)        # (2, n_edges)
+    _edge_nodes: np.ndarray = field(repr=False)      # (2, n_edges)
+    _edge_weights: np.ndarray = field(repr=False)    # (n_edges,)
+    _node_edges: np.ndarray = field(repr=False)      # (k_max, n)
+    _triangle_edges: np.ndarray = field(repr=False)  # (n_tris, 3)
     _cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_dofs(self):
         return self.mesh.n_nodes
+
+    @property
+    def n_edges(self):
+        return self._edge_nodes.shape[1]
 
     def mass_free(self):
         if "Mff" not in self._cache:
@@ -210,45 +212,54 @@ class AssembledForms:
             self._cache["lumped"] = self.mass.vals.sum(axis=0)
         return self._cache["lumped"]
 
-    def weighted_mass(self, midpoint_coeffs):
+    def weighted_mass(self, edge_coeffs):
         """Values of mass matrices weighted by coefficients given at the
-        three edge midpoints of every triangle, in the slot layout of
-        ``mass``.
+        edge midpoints, in the slot layout of ``mass``.
 
-        midpoint_coeffs has shape (k, n_tris, 3), midpoint order 01, 12,
-        20, one coefficient field per matrix; the result has shape
-        (k, r, n), the values of all k matrices on the pattern ``mass.cols``.
+        edge_coeffs has shape (k, n_edges), one coefficient field per
+        matrix; the result has shape (k, r, n), the values of all k
+        matrices on the pattern ``mass.cols``.
 
         Only phi_i and phi_j are nonzero at the midpoint of edge ij, both
-        1/2 there, so the midpoint rule (weight area/3) puts area/12 times
-        the coefficient there on the entries (i, j) and (j, i): each
-        off-diagonal slot gathers its at most two midpoints
-        (``_slot_midpoints``), and the diagonal slot 0 is the sum of its
-        row's other slots.  The rule integrates quadratics exactly, so unit
-        coefficients give ``mass``."""
-        cw = np.asarray(midpoint_coeffs, dtype=float)
-        if cw.ndim != 3 or cw.shape[1:] != self.areas.shape + (3,):
+        1/2 there, so the midpoint rule (weight area/3) puts area/12,
+        summed over the edge's triangles, times the coefficient there on
+        the entries (i, j) and (j, i): each off-diagonal slot reads its one
+        edge, and the diagonal slot 0 is the sum of its row's other slots.
+        The rule integrates quadratics exactly, so unit coefficients give
+        ``mass``.  The slot-to-edge table, shape (r - 1, n) with padding
+        slots at the zero column n_edges, and the area/12 weights are built
+        at the first call and kept."""
+        cw = np.asarray(edge_coeffs, dtype=float)
+        if cw.ndim != 2 or cw.shape[1] != self.n_edges:
             raise ValueError(f"coefficients have shape {cw.shape}, expected "
-                             f"(k, {self.areas.size}, 3)")
-        k = cw.shape[0]
-        # the scaled coefficients, flat, and a zero column after them
-        w = np.empty((k, cw[0].size + 1))
-        np.multiply(cw.reshape(k, -1), self._midpoint_weights, out=w[:, :-1])
+                             f"(k, {self.n_edges})")
+        if "slot edges" not in self._cache:
+            # the edge of every off-diagonal slot, n_edges at padding
+            n, cols = self.n_dofs, self.mass.cols[1:]
+            rows = np.broadcast_to(np.arange(n), cols.shape)
+            table = np.searchsorted(
+                self._edge_nodes[0] * n + self._edge_nodes[1],
+                np.minimum(rows, cols) * n + np.maximum(rows, cols))
+            table[cols == rows] = self.n_edges
+            self._cache["slot edges"] = table, 0.5 * self._edge_weights
+        slot_edges, weights = self._cache["slot edges"]
+        # the scaled coefficients and a zero column after them
+        w = np.empty((cw.shape[0], self.n_edges + 1))
+        np.multiply(cw, weights, out=w[:, :-1])
         w[:, -1] = 0.0
-        g = np.take(w, self._slot_midpoints, axis=-1)
-        vals = np.empty((k,) + self.mass.vals.shape)
-        np.add(g[:, 0], g[:, 1], out=vals[:, 1:])
+        vals = np.empty(cw.shape[:1] + self.mass.vals.shape)
+        vals[:, 1:] = np.take(w, slot_edges, axis=-1)
         vals[:, 0] = vals[:, 1:].sum(axis=1)
         return vals
 
     def midpoint_values(self, u):
         """Interpolate nodal fields at the edge midpoints: shape (..., n) to
-        (..., n_tris, 3), midpoint order 01, 12, 20, for any leading axes
-        (a species axis, time knots)."""
-        uv = np.take(u, self._midpoint_nodes, axis=-1)
+        (..., n_edges), for any leading axes (a species axis, time
+        knots)."""
+        uv = np.take(u, self._edge_nodes, axis=-1)
         mids = np.add(uv[..., 0, :], uv[..., 1, :])
         mids *= 0.5
-        return mids.reshape(mids.shape[:-1] + self.areas.shape + (3,))
+        return mids
 
 
 def assemble(mesh, bc="dirichlet_zero"):
@@ -279,73 +290,62 @@ def assemble(mesh, bc="dirichlet_zero"):
         free = np.flatnonzero(~mesh.boundary_mask)
     else:
         free = np.arange(mesh.n_nodes)
-    p = mesh.nodes[tri]
-    mids = 0.5 * (p + p[:, [1, 2, 0]])
-    midpoint_nodes = np.stack([tri.ravel(), tri[:, [1, 2, 0]].ravel()])
-    # every (midpoint, vertex) incidence in the load's summation order:
-    # edge q, then triangle t, then the edge's vertex; a stable sort by
-    # node keeps that order within each node's run
-    pairs = midpoint_nodes.reshape(2, n_tris, 3).transpose(2, 1, 0).ravel()
-    flat = np.repeat((3 * np.arange(n_tris) + np.arange(3)[:, None]).ravel(),
-                     2)
+    # the unique edges by (lower, higher) node, and edge q of every
+    # triangle, from its vertex q to vertex q + 1
+    n = mesh.n_nodes
+    ends = np.stack([tri, tri[:, [1, 2, 0]]])
+    keys, tri_edges = np.unique(ends.min(axis=0) * n + ends.max(axis=0),
+                                return_inverse=True)
+    tri_edges = tri_edges.reshape(n_tris, 3)
+    edge_nodes = np.stack(np.divmod(keys, n))
+    n_edges = keys.size
+    xy = mesh.nodes.T[:, edge_nodes]
+    # every (edge, node) incidence edge by edge; a stable sort by node
+    # keeps each node's edges ascending
+    pairs = edge_nodes.T.ravel()
     order = np.argsort(pairs, kind="stable")
-    counts = np.bincount(pairs, minlength=mesh.n_nodes)
+    counts = np.bincount(pairs, minlength=n)
     rank = np.arange(pairs.size) - np.repeat(np.cumsum(counts) - counts,
                                              counts)
-    node_midpoints = np.full((counts.max(), mesh.n_nodes), 3 * n_tris)
-    node_midpoints[rank, pairs[order]] = flat[order]
-    # midpoint q of triangle t, on the edge of local vertices (i_q, j_q),
-    # feeds the slots of the entries (i, j) and (j, i); sorted by slot, a
-    # slot's second midpoint follows its first (a conforming mesh has at
-    # most two triangles on an edge, and their order does not matter)
-    scatter = scatter.reshape(n_tris, 3, 3)
-    i, j = np.arange(3), np.array([1, 2, 0])
-    slots = np.concatenate([scatter[:, i, j].ravel(),
-                            scatter[:, j, i].ravel()])
-    order = np.argsort(slots)
-    slots = slots[order]
-    second = np.zeros(slots.size, dtype=np.int64)
-    second[1:] = slots[1:] == slots[:-1]
-    table = np.full((2, mass.vals.size), 3 * n_tris)
-    table[second, slots] = order % (3 * n_tris)
-    slot_midpoints = table[:, mass.n:].reshape((2,) + mass.vals[1:].shape)
+    node_edges = np.full((counts.max(), n), n_edges)
+    node_edges[rank, pairs[order]] = order // 2
     return AssembledForms(mesh=mesh, mass=mass, stiffness=stiffness,
                           free_dofs=free, bc=bc, areas=areas, b=b, c=c,
-                          mid_x=mids[..., 0], mid_y=mids[..., 1],
-                          _slot_midpoints=slot_midpoints,
-                          _midpoint_weights=np.repeat(areas / 12.0, 3),
-                          _midpoint_nodes=midpoint_nodes,
-                          _node_midpoints=node_midpoints)
+                          midpoints=0.5 * (xy[:, 0] + xy[:, 1]),
+                          _edge_nodes=edge_nodes,
+                          _edge_weights=np.bincount(
+                              tri_edges.ravel(),
+                              weights=np.repeat(areas / 6.0, 3),
+                              minlength=n_edges),
+                          _node_edges=node_edges,
+                          _triangle_edges=tri_edges)
 
 
 def load_from_midpoint_values(forms, values):
     """Weak load vectors from integrand values at the edge midpoints.
 
-    values has shape (..., n_tris, 3) in midpoint order 01, 12, 20, and the
-    result shape (..., n_dofs): every leading row (a species, a time knot)
-    gets its own load vector, all of them from one gather of the weighted
-    values at ``_node_midpoints`` and one sum over its k_max axis.  Each
-    midpoint carries weight area/3 and the two adjacent P1 basis functions
-    take value 1/2 there."""
+    values has shape (..., n_edges) and the result shape (..., n_dofs):
+    every leading row (a species, a time knot) gets its own load vector,
+    all of them from one gather of the values times ``_edge_weights`` at
+    ``_node_edges`` and one sum over its k_max axis."""
     values = np.asarray(values, dtype=float)
-    lead = values.shape[:-2]
-    # the weighted values, flat, and a zero column after them
-    w = np.empty(lead + (3 * forms.areas.size + 1,))
-    np.multiply((forms.areas / 6.0)[:, None], values,
-                out=w[..., :-1].reshape(values.shape))
+    # the weighted values and a zero column after them
+    w = np.empty(values.shape[:-1] + (forms.n_edges + 1,))
+    np.multiply(values, forms._edge_weights, out=w[..., :-1])
     w[..., -1] = 0.0
-    return np.take(w, forms._node_midpoints, axis=-1).sum(axis=-2)
+    return np.take(w, forms._node_edges, axis=-1).sum(axis=-2)
 
 
 def load_vector(forms, f, t):
     """Assemble b_i = integral of f(t, x, y) * phi_i with the three-midpoint
-    rule (exact for quadratic integrands)."""
-    mx, my = forms.mid_x, forms.mid_y
+    rule (exact for quadratic integrands), f evaluated once per edge
+    midpoint."""
+    mx, my = forms.midpoints
     fv = np.broadcast_to(np.asarray(f(t, mx, my), dtype=float), mx.shape)
     if not np.isfinite(fv).all():
-        k, q = np.argwhere(~np.isfinite(fv))[0]
+        e = np.flatnonzero(~np.isfinite(fv))[0]
         raise ValueError(
-            f"source term is not finite at t={t}, (x, y)=({mx[k, q]}, {my[k, q]})")
+            f"source term is not finite at t={t}, (x, y)=({mx[e]}, {my[e]})")
     return load_from_midpoint_values(forms, fv)
 
 
@@ -371,26 +371,29 @@ def difference_norms(forms, u_nodal, u_fn, grad_fn, t):
     O(h) gradient error on structured meshes (the discrete field is
     supercloser to the interpolant than to the function), so the comparison
     is made under quadrature.  Returns (err_l2, err_h1) of shape (..., K)
-    and (ref_l2, ref_h1) of shape (K,)."""
+    and (ref_l2, ref_h1) of shape (K,).  The function and its gradient are
+    evaluated once per edge midpoint; the gradient is gathered per triangle
+    only where it is compared with the field's, which jumps across edges."""
     areas, b, c = forms.areas, forms.b, forms.c
-    t = np.asarray(t, dtype=float)[..., None, None]
-    mx, my = forms.mid_x, forms.mid_y
-    shape = t.shape[:-2] + mx.shape
-    w = areas[:, None] / 3.0
-
-    def integral(v):
-        return np.sqrt((w * v).sum(axis=(-2, -1)))
+    t = np.asarray(t, dtype=float)[..., None]
+    mx, my = forms.midpoints
+    shape = t.shape[:-1] + mx.shape
+    # area/3 summed over each edge's triangles
+    w = 2.0 * forms._edge_weights
 
     u_nodal = np.asarray(u_nodal, dtype=float)
     u_mid = np.broadcast_to(np.asarray(u_fn(t, mx, my), dtype=float), shape)
-    err_l2 = integral((forms.midpoint_values(u_nodal) - u_mid) ** 2)
-    ref_l2 = integral(u_mid ** 2)
+    err_l2 = np.sqrt(((forms.midpoint_values(u_nodal) - u_mid) ** 2
+                      * w).sum(axis=-1))
+    ref_l2 = np.sqrt((u_mid ** 2 * w).sum(axis=-1))
 
+    gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), shape)
+              for g in grad_fn(t, mx, my))
+    ref_h1 = np.sqrt(((gx ** 2 + gy ** 2) * w).sum(axis=-1))
     ue = np.take(u_nodal, forms.mesh.triangles, axis=-1)
     gxh = ((ue * b).sum(-1) / (2.0 * areas))[..., None]
     gyh = ((ue * c).sum(-1) / (2.0 * areas))[..., None]
-    gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), shape)
-              for g in grad_fn(t, mx, my))
-    err_h1 = integral((gxh - gx) ** 2 + (gyh - gy) ** 2)
-    ref_h1 = integral(gx ** 2 + gy ** 2)
+    gap = (gxh - np.take(gx, forms._triangle_edges, axis=-1)) ** 2
+    gap += (gyh - np.take(gy, forms._triangle_edges, axis=-1)) ** 2
+    err_h1 = np.sqrt((areas[:, None] / 3.0 * gap).sum(axis=(-2, -1)))
     return err_l2, err_h1, ref_l2, ref_h1

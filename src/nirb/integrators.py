@@ -320,19 +320,27 @@ class _ImplicitEulerSystem:
     and one ``einsum`` multiplies by the block values and sums over the
     species and slot axes.  The preconditioner is nodal 2x2 block Jacobi:
     each node's species block of the Jacobian diagonal, read off slot 0 of
-    the block values and inverted in closed form."""
+    the block values and inverted in closed form.  D and the block array
+    depend on the forms, parameters and dt only, so a march builds one
+    system and ``restart``s it at every step."""
 
     def __init__(self, forms, params, state, dt):
-        self.forms, self.params = forms, params
-        n = self.n = forms.n_dofs
+        self.forms, self.params, self.dt = forms, params, dt
+        self.n = forms.n_dofs
         M, K = forms.mass, forms.stiffness
         self.diff = M.lincomb(K, 1.0 / dt, params[2])  # M/dt + alpha K
-        self.inertia = M.matvec(state.reshape(2, n)) / dt
         self.blocks = np.empty((2, 2) + M.vals.shape)
+        self.restart(state)
+
+    def restart(self, state):
+        """Make this the system of the step from ``state``, with the same
+        forms, parameters and dt: only the term M state / dt changes."""
+        self.inertia = self.forms.mass.matvec(state.reshape(2, self.n)) \
+            / self.dt
 
     def residual(self, u):
         """G(u), shape (2 n,), for the stacked state u of shape (2 n,), and
-        the midpoint values of both species, shape (2, n_tris, 3): one
+        the midpoint values of both species, shape (2, n_edges): one
         ``midpoint_values``, ``brusselator_rhs`` and
         ``load_from_midpoint_values`` call on the (2, n) view of u."""
         forms, U = self.forms, u.reshape(2, self.n)
@@ -344,7 +352,7 @@ class _ImplicitEulerSystem:
 
     def jacobian(self, m):
         """(product, preconditioner) of the Jacobian at the state whose
-        midpoint values are m, shape (2, n_tris, 3).  Both read the block
+        midpoint values are m, shape (2, n_edges).  Both read the block
         values that the next call overwrites."""
         b, n, D, J = self.params[1], self.n, self.diff.vals, self.blocks
         m1, m2 = m
@@ -375,10 +383,12 @@ class _ImplicitEulerSystem:
 
 
 def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
-                            start=None):
+                            start=None, system=None):
     """One implicit-Euler step of the stacked two-species system from
     ``state``, solved by an inexact Newton method from ``start`` (default
-    ``state``).
+    ``state``).  ``system`` is the ``_ImplicitEulerSystem`` of an earlier
+    step with the same forms, params and dt, restarted from ``state``;
+    by default the step builds its own.
 
     Reaction terms are integrated with the same three-midpoint rule as the
     loads, with the state interpolated at the midpoints, and the Jacobian is
@@ -405,7 +415,10 @@ def brusselator_step_newton(forms, params, state, dt, tol=1e-10, max_iter=20,
         if v.shape != (2 * n,):
             raise ValueError(f"{name} has shape {v.shape}, expected "
                              f"({2 * n},)")
-    system = _ImplicitEulerSystem(forms, params, state, dt)
+    if system is None:
+        system = _ImplicitEulerSystem(forms, params, state, dt)
+    else:
+        system.restart(state)
     history, krylov = [], []
     for it in range(max_iter + 1):
         G, m = system.residual(u)
@@ -465,22 +478,25 @@ def brusselator_trajectory(forms, params, state0, grid, scheme="newton"):
     scheme is 'newton' (implicit Euler) or 'rk2' (explicit midpoint on the
     lumped system).  Each Newton step is solved to the residual tolerance
     of ``brusselator_step_newton`` and starts from the polynomial
-    extrapolation of the states already marched (``_predicted_start``).
-    Failures are reported with the offending step index; overflow on the
-    way to a non-finite state raises that error, not numpy warnings."""
+    extrapolation of the states already marched (``_predicted_start``); all
+    steps share one ``_ImplicitEulerSystem``.  Failures are reported with
+    the offending step index; overflow on the way to a non-finite state
+    raises that error, not numpy warnings."""
     n = forms.n_dofs
     state0 = np.asarray(state0, dtype=float)
     values = np.zeros((grid.steps + 1, 2 * n))
     values[0] = state0
     u = state0.copy()
     times = grid.times()
+    system = _ImplicitEulerSystem(forms, params, values[0], grid.dt) \
+        if scheme == "newton" else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, grid.steps + 1):
             try:
                 if scheme == "newton":
                     u = brusselator_step_newton(
                         forms, params, u, grid.dt,
-                        start=_predicted_start(values, k))
+                        start=_predicted_start(values, k), system=system)
                 elif scheme == "rk2":
                     u = brusselator_step_rk2(forms, params, u, grid.dt)
                 else:

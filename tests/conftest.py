@@ -26,10 +26,11 @@ def dirichlet_forms_4(unit_mesh_4):
 
 @pytest.fixture(scope="session")
 def dense_midpoint_rule():
-    """The three-midpoint rule in dense form: for a form set, E, the midpoint
-    interpolation as a (3 n_tris, n) matrix with rows in the (n_tris, 3)
-    order of ``midpoint_values``, and w, the weights area / 3 in the same
-    order, so the weighted mass matrix of coefficients c is
+    """The three-midpoint rule in dense form, one point per (triangle,
+    edge) pair: for a form set, E, the midpoint interpolation as a
+    (3 n_tris, n) matrix with rows in (n_tris, 3) order, edge q of a
+    triangle from its vertex q to vertex q + 1, and w, the weights area / 3
+    in the same order, so the weighted mass matrix of coefficients c is
     E^T diag(w c) E."""
     def rule(forms):
         tri = forms.mesh.triangles

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,29 +95,36 @@ def test_load_vector_affine_matches_mass(unit_mesh_4, neumann_forms_4):
 
 
 def test_weighted_mass_unit_weight_is_mass(neumann_forms_4):
+    # the off-diagonal slots are area/12 summed over the edge's triangles,
+    # as in the assembled mass; only the diagonal sums in another order
     M = neumann_forms_4.mass
-    n_mid = neumann_forms_4.mesh.n_triangles
-    W = neumann_forms_4.weighted_mass(np.ones((1, n_mid, 3)))
+    W = neumann_forms_4.weighted_mass(np.ones((1, neumann_forms_4.n_edges)))
     assert W.shape == (1,) + M.vals.shape
-    assert W[0] == pytest.approx(M.vals, abs=1e-13)
+    assert np.array_equal(W[0, 1:], M.vals[1:])
+    assert np.abs(W[0, 0] - M.vals[0]).max() <= 1e-15 * M.vals[0].max()
 
 
-def test_weighted_mass_matches_dense_quadrature(neumann_forms_4, rng,
-                                                dense_midpoint_rule):
+def test_weighted_mass_matches_dense_quadrature(rng, dense_midpoint_rule):
     # each stacked coefficient field gets its own matrix, in the slot layout
-    # of the mass matrix (the constructor checks its invariants)
-    forms, M = neumann_forms_4, neumann_forms_4.mass
-    C = rng.standard_normal((3, forms.mesh.n_triangles, 3))
-    W = forms.weighted_mass(C)
-    assert W.shape == (3,) + M.vals.shape
-    E, w = dense_midpoint_rule(forms)
-    for k in range(3):
-        want = E.T @ ((w * C[k].ravel())[:, None] * E)
-        got = SparseSym(M.n, M.cols, W[k]).to_dense()
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(forms.weighted_mass(C[k:k + 1])[0], W[k])
-    with pytest.raises(ValueError):
-        forms.weighted_mass(C[0])
+    # of the mass matrix (the constructor checks its invariants); the
+    # fixture's (triangle, edge) midpoints read the coefficient of their edge
+    for kind in ("structured", "rotated", "union jack"):
+        forms = _edge_forms(kind, rng)
+        M = forms.mass
+        C = rng.standard_normal((3, forms.n_edges))
+        W = forms.weighted_mass(C)
+        assert W.shape == (3,) + M.vals.shape
+        E, w = dense_midpoint_rule(forms)
+        for k in range(3):
+            want = E.T @ ((w * C[k, forms._triangle_edges].ravel())[:, None]
+                          * E)
+            got = SparseSym(M.n, M.cols, W[k]).to_dense()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.array_equal(forms.weighted_mass(C[k:k + 1])[0], W[k])
+        with pytest.raises(ValueError):
+            forms.weighted_mass(C[0])
+        with pytest.raises(ValueError):
+            forms.weighted_mass(C[:, :-1])
 
 
 @pytest.mark.parametrize("nx, bc", [(4, "neumann_natural"),
@@ -151,53 +159,6 @@ def test_forms_share_one_slot_layout(nx, bc):
         and (K.vals[1:][pad] == 0.0).all()
 
 
-def test_midpoint_values_linear_exact(unit_mesh_4, neumann_forms_4):
-    v = 3.0 * unit_mesh_4.nodes[:, 0] - unit_mesh_4.nodes[:, 1]
-    mids = neumann_forms_4.midpoint_values(v)
-    p = unit_mesh_4.nodes[unit_mesh_4.triangles]
-    mx = 0.5 * (p[:, :, 0] + np.roll(p[:, :, 0], -1, axis=1))
-    my = 0.5 * (p[:, :, 1] + np.roll(p[:, :, 1], -1, axis=1))
-    assert mids == pytest.approx(3.0 * mx - my, abs=1e-13)
-
-
-def test_stacked_midpoint_maps_are_the_rowwise_maps(unit_mesh_4,
-                                                   neumann_forms_4, rng):
-    # a (2, n) species stack goes through one call of each map, bit for bit
-    # the per-species calls; the 1-D call is the rolled vertex average
-    forms = neumann_forms_4
-    U = rng.standard_normal((2, forms.n_dofs))
-    uv = U[0][unit_mesh_4.triangles]
-    assert np.array_equal(forms.midpoint_values(U[0]),
-                          0.5 * (uv + np.roll(uv, -1, axis=1)))
-    mids = forms.midpoint_values(U)
-    assert np.array_equal(mids, np.stack([forms.midpoint_values(u)
-                                          for u in U]))
-    values = rng.standard_normal(mids.shape)
-    assert np.array_equal(fem.load_from_midpoint_values(forms, values),
-                          np.stack([fem.load_from_midpoint_values(forms, v)
-                                    for v in values]))
-
-
-@pytest.mark.parametrize("lead", [(2,), (5, 2)])
-def test_midpoint_kernels_are_the_dense_rule(neumann_forms_4, rng,
-                                             dense_midpoint_rule, lead):
-    # with E the midpoint interpolation and w the weights area / 3,
-    # midpoint values are E u and loads E^T (w v), for every leading row
-    forms = neumann_forms_4
-    E, w = dense_midpoint_rule(forms)
-    n, n_tris = forms.n_dofs, forms.mesh.n_triangles
-    U = rng.standard_normal(lead + (n,))
-    mids = forms.midpoint_values(U)
-    assert mids.shape == lead + (n_tris, 3)
-    assert np.abs(mids.reshape(lead + (-1,)) - U @ E.T).max() \
-        <= 1e-15 * np.abs(U).max()
-    V = rng.standard_normal(lead + (n_tris, 3))
-    loads = fem.load_from_midpoint_values(forms, V)
-    want = (w * V.reshape(lead + (-1,))) @ E
-    assert loads.shape == lead + (n,)
-    assert np.abs(loads - want).max() <= 1e-14 * np.abs(want).max()
-
-
 def _rotated_mesh(m, rng):
     """m with its triangles shuffled and each one's vertices rotated by a
     random turn (still counter-clockwise)."""
@@ -221,48 +182,140 @@ def _union_jack_mesh(n):
     return dataclasses.replace(m, triangles=tri)
 
 
-def _bincount_loads(forms, values):
-    """The former load kernel, kept as the reference: one ``bincount`` over
-    the vertex each midpoint contribution lands on (edge 01 of every
-    triangle, then 12, then 20, each vertex pair in turn), with the node
-    indices of leading row r offset by r n_dofs."""
-    tri = forms.mesh.triangles
-    edge_nodes = np.concatenate([tri[:, [0, 1]].ravel(),
-                                 tri[:, [1, 2]].ravel(),
-                                 tri[:, [2, 0]].ravel()])
-    w = (forms.areas / 6.0)[:, None] * np.asarray(values, dtype=float)
-    lead, n = w.shape[:-2], forms.n_dofs
-    rows = math.prod(lead)
-    nodes = edge_nodes + n * np.arange(rows)[:, None]
-    return np.bincount(nodes.ravel(),
-                       weights=np.repeat(np.swapaxes(w, -1, -2), 2,
-                                         axis=-1).ravel(),
-                       minlength=rows * n).reshape(lead + (n,))
-
-
-@pytest.mark.parametrize("kind, k_max", [("structured", 12), ("rotated", 12),
-                                         ("union jack", 16)])
-def test_midpoint_kernels_are_the_former_formulas(kind, k_max, rng):
-    # the gathers reproduce the former take-and-roll midpoint values and
-    # bincount loads bit for bit, for any triangle and vertex order and a
-    # node valence above six
+def _edge_forms(kind, rng):
+    """Neumann forms on a 7 x 5 structured mesh, on that mesh with its
+    triangles shuffled and rotated, or on a 6 x 6 chequer-board mesh of
+    node valence up to eight."""
     m = mesh.build_structured(7, 5)
     if kind == "rotated":
         m = _rotated_mesh(m, rng)
     elif kind == "union jack":
         m = _union_jack_mesh(6)
-    forms = fem.assemble(m, bc="neumann_natural")
-    assert forms._node_midpoints.shape == (k_max, m.n_nodes)
+    return fem.assemble(m, bc="neumann_natural")
+
+
+def test_midpoint_values_linear_exact(unit_mesh_4, neumann_forms_4):
+    # edge q of every triangle runs from its vertex q to vertex q + 1, and
+    # its midpoint value is the field's value at the geometric midpoint
+    forms = neumann_forms_4
+    v = 3.0 * unit_mesh_4.nodes[:, 0] - unit_mesh_4.nodes[:, 1]
+    mids = forms.midpoint_values(v)
+    p = unit_mesh_4.nodes[unit_mesh_4.triangles]
+    mx = 0.5 * (p[:, :, 0] + np.roll(p[:, :, 0], -1, axis=1))
+    my = 0.5 * (p[:, :, 1] + np.roll(p[:, :, 1], -1, axis=1))
+    edges = forms._triangle_edges
+    assert np.array_equal(forms.midpoints[0, edges], mx)
+    assert np.array_equal(forms.midpoints[1, edges], my)
+    assert mids[edges] == pytest.approx(3.0 * mx - my, abs=1e-13)
+
+
+def test_stacked_midpoint_maps_are_the_rowwise_maps(unit_mesh_4,
+                                                   neumann_forms_4, rng):
+    # a (2, n) species stack goes through one call of each map, bit for bit
+    # the per-species calls; the 1-D call read per triangle is the rolled
+    # vertex average
+    forms = neumann_forms_4
+    U = rng.standard_normal((2, forms.n_dofs))
+    uv = U[0][unit_mesh_4.triangles]
+    assert np.array_equal(forms.midpoint_values(U[0])[forms._triangle_edges],
+                          0.5 * (uv + np.roll(uv, -1, axis=1)))
+    mids = forms.midpoint_values(U)
+    assert np.array_equal(mids, np.stack([forms.midpoint_values(u)
+                                          for u in U]))
+    values = rng.standard_normal(mids.shape)
+    assert np.array_equal(fem.load_from_midpoint_values(forms, values),
+                          np.stack([fem.load_from_midpoint_values(forms, v)
+                                    for v in values]))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (4, 2)])
+def test_midpoint_kernels_are_the_dense_rule(rng, dense_midpoint_rule, lead):
+    # with E the midpoint interpolation and w the weights area / 3 of the
+    # (triangle, edge) midpoints, midpoint values read per triangle are E u
+    # and loads E^T (w v) for v read per triangle, for every leading row
+    for kind in ("structured", "rotated", "union jack"):
+        forms = _edge_forms(kind, rng)
+        E, w = dense_midpoint_rule(forms)
+        edges = forms._triangle_edges.ravel()
+        U = rng.standard_normal(lead + (forms.n_dofs,))
+        mids = forms.midpoint_values(U)
+        assert mids.shape == lead + (forms.n_edges,)
+        assert np.abs(mids[..., edges] - U @ E.T).max() \
+            <= 1e-15 * np.abs(U).max()
+        V = rng.standard_normal(lead + (forms.n_edges,))
+        loads = fem.load_from_midpoint_values(forms, V)
+        want = (w * V[..., edges]) @ E
+        assert loads.shape == lead + (forms.n_dofs,)
+        assert np.abs(loads - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _bincount_loads(forms, values):
+    """The load kernel as a ``bincount`` over the nodes the edge midpoints'
+    contributions land on, edge by edge and each edge's lower node first,
+    with the node indices of leading row r offset by r n_dofs; the edge
+    weights are area/6 summed over the edge's triangles."""
+    tri_edges = forms._triangle_edges.ravel()
+    weights = np.bincount(tri_edges, weights=np.repeat(forms.areas / 6.0, 3),
+                          minlength=forms.n_edges)
+    w = weights * np.asarray(values, dtype=float)
+    lead, n = w.shape[:-1], forms.n_dofs
+    rows = math.prod(lead)
+    nodes = forms._edge_nodes.T.ravel() + n * np.arange(rows)[:, None]
+    return np.bincount(nodes.ravel(), weights=np.repeat(w, 2, axis=-1).ravel(),
+                       minlength=rows * n).reshape(lead + (n,))
+
+
+@pytest.mark.parametrize("kind, degree", [("structured", 6), ("rotated", 6),
+                                          ("union jack", 8)])
+def test_midpoint_kernels_are_the_edgewise_bincount(kind, degree, rng):
+    # the gathers reproduce the edge average and the edge-wise bincount
+    # loads bit for bit, for any triangle and vertex order and a node
+    # valence above six; every edge is listed once, with its lower node
+    # first
+    forms = _edge_forms(kind, rng)
+    m = forms.mesh
+    assert forms._node_edges.shape == (degree, m.n_nodes)
+    e0, e1 = forms._edge_nodes
+    assert (e0 < e1).all()
+    keys = e0 * m.n_nodes + e1
+    assert (np.diff(keys) > 0).all()
     for lead in [(), (2,), (4, 2)]:
         U = rng.standard_normal(lead + (m.n_nodes,))
-        uv = np.take(U, m.triangles, axis=-1)
         mids = forms.midpoint_values(U)
         assert np.array_equal(mids.view(np.int64),
-                              (0.5 * (uv + uv[..., [1, 2, 0]])).view(np.int64))
-        V = rng.standard_normal(lead + (m.n_triangles, 3))
+                              (0.5 * (U[..., e0] + U[..., e1])).view(np.int64))
+        V = rng.standard_normal(lead + (forms.n_edges,))
         assert np.array_equal(
             fem.load_from_midpoint_values(forms, V).view(np.int64),
             _bincount_loads(forms, V).view(np.int64))
+
+
+@pytest.mark.parametrize("nx", [4, 24])
+def test_structured_mesh_has_one_midpoint_per_edge(nx):
+    # nx^2 cells of two triangles have 3 nx^2 + 2 nx edges, against the
+    # 6 nx^2 (triangle, edge) pairs, and at most six edges meet at a node
+    forms = fem.assemble(mesh.build_structured(nx, nx))
+    assert forms.midpoint_values(np.zeros(forms.n_dofs)).shape \
+        == (3 * nx * nx + 2 * nx,)
+    assert forms._node_edges.shape == (6, forms.n_dofs)
+
+
+def test_load_vector_names_the_first_bad_midpoint(neumann_forms_4):
+    # a non-finite source names t and the (x, y) of the first edge midpoint,
+    # in edge order, where it is not finite
+    def f(t, x, y):
+        return np.where(x + y > 1.2, np.nan, 1.0)
+
+    forms = neumann_forms_4
+    mx, my = forms.midpoints
+    bad = np.flatnonzero(mx + my > 1.2)
+    assert bad.size > 1
+    x, y = mx[bad[0]], my[bad[0]]
+    ends = forms.mesh.nodes[forms._edge_nodes[:, bad[0]]]
+    assert (x, y) == tuple(0.5 * (ends[0] + ends[1]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"source term is not finite at t=0.25, (x, y)=({x}, {y})")):
+        fem.load_vector(forms, f, 0.25)
 
 
 def test_load_from_midpoint_values_consistent(unit_mesh_4, neumann_forms_4):

@@ -778,6 +778,30 @@ class TestNewtonMarch:
             assert integrators._scaled_residual_norm(
                 G.reshape(2, n), forms.lumped_mass()) <= newton_tol
 
+    def test_march_builds_one_step_matrix(self, neumann_8x8, monkeypatch):
+        # M/dt + alpha K is built once per march, and the system restarted
+        # at every step steps bit for bit like a fresh one per step
+        forms, params = neumann_8x8, (3.0, 2.0, 0.02)
+        grid = integrators.TimeGrid(0.0, 0.3, 6)
+        state0 = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        lincomb, calls = linalg.SparseSym.lincomb, []
+
+        def counting(self, *args):
+            calls.append(None)
+            return lincomb(self, *args)
+
+        monkeypatch.setattr(linalg.SparseSym, "lincomb", counting)
+        got = integrators.brusselator_trajectory(forms, params, state0,
+                                                 grid).values
+        assert len(calls) == 1
+        want = [state0]
+        for k in range(1, grid.steps + 1):
+            want.append(integrators.brusselator_step_newton(
+                forms, params, want[-1], grid.dt,
+                start=integrators._predicted_start(np.array(want), k)))
+        assert len(calls) == 1 + grid.steps
+        assert np.array_equal(got, np.array(want))
+
     def test_predicted_start_extrapolates_polynomials(self):
         # the start of step k reproduces a polynomial of degree min(k, 3) - 1
         # in time through the marched states
