@@ -19,7 +19,6 @@ from nirb.pipeline import (AnalyticReference, Discretization, ErrorReport,
 from nirb.rectification import (RectificationTensor, apply_rectification,
                                 build_rectification)
 from nirb.reduced_basis import ReducedBasis, pod
-from nirb.time_interp import quadratic_time_interp
 
 __version__ = "0.1.0"
 
@@ -33,5 +32,5 @@ __all__ = [
     "discretize", "evaluate_errors", "heat_backward_euler",
     "heat_crank_nicolson", "interpolate_field", "leave_one_out",
     "load_config", "manufactured_f", "manufactured_u", "norms", "offline",
-    "online", "pod", "quadratic_time_interp", "solve_coarse", "solve_fine",
+    "online", "pod", "solve_coarse", "solve_fine",
 ]

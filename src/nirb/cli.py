@@ -34,6 +34,8 @@ def _read_config(path):
 
 
 def _parse_param(config, text):
+    """The query parameter of ``--mu``: a float for one value, a tuple for
+    several; ``pipeline.check_bounds`` judges its form."""
     if text is None:
         return config.test_parameter()
     parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -41,15 +43,7 @@ def _parse_param(config, text):
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise CliError("bad-parameter", f"cannot parse parameter {text!r}") from exc
-    if config.problem == "heat":
-        if len(values) != 1:
-            raise CliError("bad-parameter",
-                           "the heat problem takes a single diffusivity value")
-        return values[0]
-    if len(values) != 3:
-        raise CliError("bad-parameter",
-                       "the reaction-diffusion problem takes a,b,alpha")
-    return tuple(values)
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _param_tag(config, param):

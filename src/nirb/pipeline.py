@@ -1,6 +1,11 @@
 """Two-grid reduced-order pipeline: offline snapshot/basis/rectification
 construction, the cheap online stage, error evaluation, leave-one-out tables,
-and mesh-ladder convergence studies."""
+and mesh-ladder convergence studies.
+
+Every lift of a coarse run, online or lifted-coarse, reads its time weights
+from the artifacts (``OfflineArtifacts.time_weights``), and ``online`` and
+``compare`` accept a given run by one rule: the expected mesh by size and
+domain, the expected time grid by ``TimeGrid`` equality."""
 
 from __future__ import annotations
 
@@ -21,10 +26,9 @@ from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
 from nirb.mesh import build_structured
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
-                                lift_projection)
+                                lift_projection, quadratic_weights)
 from nirb.reduced_basis import (coefficients, h1_rows, hierarchical_pod,
                                 mass_inner, mass_weighted_modes, reconstruct)
-from nirb.time_interp import quadratic_weights
 
 log = logging.getLogger(__name__)
 
@@ -106,8 +110,8 @@ def _training_runs(config, params, seconds):
     """Discretizations, training trajectories and their preparation:
     returns (fine, coarse, fine_trajs, coarse_trajs, prepared), the runs as
     dicts in parameter order and ``prepared`` each fine run's own H1 POD
-    rows (``reduced_basis.h1_rows``), which ``hierarchical_pod`` reads in
-    every fold.  The wall times of the runs and of the preparation are
+    rows (``reduced_basis.h1_rows``), from which every fold's basis is
+    pooled.  The wall times of the runs and of the preparation are
     added to ``seconds`` under "training runs" and "preparation".
 
     The cheap coarse sweep runs first, so a coarse failure shows before any
@@ -129,20 +133,18 @@ def _training_runs(config, params, seconds):
     return fine, coarse, runs["fine"], runs["coarse"], prepared
 
 
-def build_basis(config, trajectories, forms, prepared):
-    """The ``hierarchical_pod`` basis of the training runs with
-    ``config.n_max`` modes, reading each run's H1 POD rows from
-    ``prepared`` (``reduced_basis.h1_rows``, which may cover more runs),
-    checked to be L2-orthonormal: a mass Gram more than 1e-8 from the
-    identity raises a ``RuntimeError``.
+def build_basis(config, rows, forms):
+    """The ``hierarchical_pod`` basis with ``config.n_max`` modes pooled
+    from the training runs' H1 POD ``rows`` (``reduced_basis.h1_rows``
+    arrays, in run order), checked to be L2-orthonormal: a mass Gram more
+    than 1e-8 from the identity raises a ``RuntimeError``.
 
     The paper follows the L2 orthonormalization with an H1
     orthogonalization of the modes.  That step serves its analysis: the
     plain NIRB value is the L2 projection onto the span of the modes and
     the rectification fit is unchanged by an orthogonal change of basis, so
     nothing computed depends on it, and it is not made."""
-    basis = hierarchical_pod(trajectories, forms, config.n_max,
-                             prepared=prepared)
+    basis = hierarchical_pod(rows, forms, config.n_max)
     if basis.N == 0:
         raise RuntimeError("basis construction produced no modes")
     gram = mass_inner(forms, basis.modes, basis.modes)
@@ -189,7 +191,7 @@ class OfflineArtifacts:
 
     @functools.cached_property
     def time_weights(self):
-        """The time weights W of ``time_interp.quadratic_weights`` from the
+        """The time weights W of ``rectification.quadratic_weights`` from the
         coarse grid to the fine one, shape (fine steps + 1, coarse steps
         + 1)."""
         return quadratic_weights(self.coarse.grid, self.fine.grid)
@@ -214,7 +216,8 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
     the basis selection and of the rest are added to ``seconds`` under
     "basis selections" and "fits"."""
     with _timed(seconds, "basis selections"):
-        basis = build_basis(config, fine_trajs, fine.forms, prepared)
+        basis = build_basis(config, [prepared[p] for p in fine_trajs],
+                            fine.forms)
     log.info("basis built: N=%d from %d training parameters", basis.N,
              len(fine_trajs))
     with _timed(seconds, "fits"):
@@ -298,6 +301,20 @@ def _mesh_label(m):
     return f"{m.nx}x{m.ny} mesh on {tuple(float(v) for v in m.domain)}"
 
 
+def _check_run(run, reference, what, against):
+    """Raise ``ValueError`` unless the trajectory ``run`` lies on the mesh
+    and the time grid of ``reference``, a trajectory or a
+    ``Discretization``: meshes compared by size and domain, grids by
+    ``TimeGrid`` equality.  The message names ``run`` by ``what`` and the
+    reference by ``against``."""
+    got, want = _mesh_label(run.mesh), _mesh_label(reference.mesh)
+    if got != want:
+        raise ValueError(f"{what} on the {got}, {against} {want}")
+    if run.grid != reference.grid:
+        raise ValueError(f"{what} on {run.grid}, {against} grid "
+                         f"{reference.grid}")
+
+
 def online(artifacts, param, mode="rectified", coarse_traj=None):
     """Online stage at one parameter: coarse solve, one product with the
     artifacts' lift-projection operator (the space lift and the projection
@@ -310,7 +327,8 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     A precomputed coarse trajectory short-circuits the solve (its wall-clock
     share then covers only the bounds check and its parameter, mesh and
     grid checks); its parameter must be the query's key, and its mesh and
-    time grid the artifacts' coarse ones."""
+    time grid the artifacts' coarse ones, checked as ``compare`` checks a
+    candidate: meshes by size and domain, grids by ``TimeGrid`` equality."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
     config = artifacts.config
@@ -325,15 +343,8 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
             raise ValueError(f"coarse trajectory at parameter "
                              f"{coarse_traj.parameter}, expected the query's "
                              f"{key}")
-        got, want = (_mesh_label(m) for m in (coarse_traj.mesh,
-                                              artifacts.coarse.mesh))
-        if got != want:
-            raise ValueError(f"coarse trajectory on the {got}, expected the "
-                             f"coarse {want}")
-        if coarse_traj.grid != artifacts.coarse.grid:
-            raise ValueError(f"coarse trajectory on {coarse_traj.grid}, "
-                             f"expected the coarse grid "
-                             f"{artifacts.coarse.grid}")
+        _check_run(coarse_traj, artifacts.coarse, "coarse trajectory",
+                   "expected the coarse")
     seconds_coarse = time.perf_counter() - t_start
 
     t_start = time.perf_counter()
@@ -402,18 +413,6 @@ def _rel(err_sup, ref_sup):
     return 0.0 if err_sup == 0.0 else math.inf
 
 
-def _check_comparable(candidate, reference):
-    got, want = (_mesh_label(c.mesh) for c in (candidate, reference))
-    if got != want:
-        raise ValueError(f"candidate on the {got}, reference on the {want}")
-    if (reference.grid.steps != candidate.grid.steps
-            or abs(reference.grid.t0 - candidate.grid.t0) > 1e-12
-            or abs(reference.grid.T - candidate.grid.T) > 1e-12):
-        raise ValueError("candidate and reference time grids differ")
-    if reference.n_fields != candidate.n_fields:
-        raise ValueError("candidate and reference field counts differ")
-
-
 def _analytic_curves(forms, candidates, reference, energy):
     """Per-knot (error L2, error energy, reference L2, reference energy)
     curves of single-field candidates on one grid against a closed form,
@@ -423,7 +422,7 @@ def _analytic_curves(forms, candidates, reference, energy):
     if any(c.n_fields != 1 for c in runs):
         raise ValueError("analytic references support single fields only")
     for c in runs[1:]:
-        _check_comparable(c, runs[0])
+        _check_run(c, runs[0], "candidate", "reference on the")
     err_l2, err_h1, ref_l2, ref_h1 = difference_norms(
         forms, np.stack([c.values for c in runs]), reference.u,
         reference.grad, runs[0].grid.times())
@@ -438,8 +437,9 @@ def compare(candidates, reference, forms):
     """Relative sup-in-time errors of named candidate trajectories against
     one reference: {name: ErrorReport}.
 
-    The reference is another trajectory on the candidates' mesh and grid,
-    whose norm curves are taken once for all candidates, or an
+    The reference is another trajectory with the candidates' mesh, time
+    grid (``TimeGrid`` equality) and field count, whose norm curves are
+    taken once for all candidates, or an
     ``AnalyticReference`` (single-component candidates on one grid only),
     evaluated once per knot for all candidates.  Relative errors divide the
     sup-in-time error by the sup-in-time reference norm, so a uniformly
@@ -451,7 +451,10 @@ def compare(candidates, reference, forms):
     else:
         ref_param = reference.parameter
         for c in candidates.values():
-            _check_comparable(c, reference)
+            _check_run(c, reference, "candidate", "reference on the")
+            if c.n_fields != reference.n_fields:
+                raise ValueError(f"candidate of {c.n_fields} fields, "
+                                 f"reference of {reference.n_fields}")
         ref = _norm_curves(forms, reference.values, energy)
         curves = {name: _norm_curves(forms, c.values - reference.values,
                                      energy) + ref
@@ -476,8 +479,10 @@ def evaluate_errors(candidate, reference, forms):
 
 def analytic_reference(config, key):
     """The closed-form solution as an error reference where it applies (the
-    heat problem at mu = 1), otherwise None."""
-    if config.problem == "heat" and float(key) == 1.0:
+    heat problem at mu = 1 on the unit square, the only domain on whose
+    boundary it vanishes), otherwise None."""
+    if (config.problem == "heat" and float(key) == 1.0
+            and tuple(config.domain) == (0.0, 1.0, 0.0, 1.0)):
         return AnalyticReference(models.manufactured_u, models.manufactured_grad)
     return None
 
@@ -488,7 +493,8 @@ def two_grid_runs(artifacts, key):
     and rectified ('rect') online runs."""
     fine = artifacts.fine
     coarse_traj = solve_coarse(artifacts.config, artifacts.coarse, key)
-    runs = {"coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
+    runs = {"coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid,
+                                  artifacts.time_weights)}
     for mode, name in (("plain", "nirb"), ("rectified", "rect")):
         runs[name] = online(artifacts, key, mode=mode,
                             coarse_traj=coarse_traj).trajectory
@@ -560,7 +566,8 @@ def leave_one_out(config):
     fine, coarse, fine_trajs, coarse_trajs, prepared = _training_runs(
         config, params, seconds)
     with _timed(seconds, "basis selections"):
-        basis_full = build_basis(config, fine_trajs, fine.forms, prepared)
+        basis_full = build_basis(config, [prepared[p] for p in params],
+                                 fine.forms)
 
     rows = []
     for p in params:
@@ -575,7 +582,8 @@ def leave_one_out(config):
                 "rectified": online(fold, p,
                                     coarse_traj=coarse_traj).trajectory,
                 "projection": replace(held_out, values=projected),
-                "coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid)}
+                "coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid,
+                                      fold.time_weights)}
             reports = compare(candidates, held_out, fine.forms)
         rows.append(LooRow(parameter=p, **{
             name: report.rel_energy for name, report in reports.items()}))

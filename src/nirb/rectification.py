@@ -2,13 +2,13 @@
 per-time-index rectification: small regularized least-squares maps that send
 lifted coarse coefficients to fine-solution coefficients.
 
-The lift-projection operator Phi (``lift_projection``) is a pure function of
-the basis, the fine forms and the coarse mesh, and the time weights W
-(``time_interp.quadratic_weights``) a pure function of the coarse and fine
-time grids.
-The artifacts own both (``pipeline.OfflineArtifacts.lift`` and
-``time_weights``, derived on first use and kept): every online query takes
-them as arguments, and the fit takes coefficient stacks made with them."""
+The lift has two operators: the time weights W (``quadratic_weights``), a
+pure function of the coarse and fine time grids, and the lift-projection
+operator Phi (``lift_projection``), a pure function of the basis, the fine
+forms and the coarse mesh.
+The artifacts own both (``pipeline.OfflineArtifacts.time_weights`` and
+``lift``, derived on first use and kept): every lift, online query and fit
+takes them as arguments, so W is built in one place."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from nirb.integrators import FieldTrajectory
 from nirb.linalg import dominant_eigenvalues, solve_regularized_normal
 from nirb.mesh import interpolate_field, transfer_operator
 from nirb.reduced_basis import mass_weighted_modes
-from nirb.time_interp import quadratic_time_interp
 
 
 @dataclass
@@ -43,13 +42,50 @@ class RectificationTensor:
         return self.matrices.shape[0]
 
 
-def lift_coarse(coarse_traj, fine_mesh, fine_grid):
-    """Coarse trajectory carried to the fine discretization: quadratic time
-    interpolation, then P1 interpolation in space of the values viewed as
-    (knots, n_fields, n_coarse), every species in one call."""
-    lifted = quadratic_time_interp(coarse_traj, fine_grid)
-    knots = lifted.values.reshape(len(lifted.values), -1, lifted.mesh.n_nodes)
-    values = interpolate_field(lifted.mesh, knots, fine_mesh)
+def quadratic_weights(source, target):
+    """The matrix W, shape (target.steps + 1, source.steps + 1), of
+    piecewise-parabolic resampling from the uniform grid ``source`` onto
+    ``target``: values at the source knots become W times them.
+
+    For a target time in the source interval (t_{m-1}, t_m] row i holds the
+    Lagrange weights of the parabola through the source knots m-2, m-1, m;
+    the first interval borrows the parabola through knots 0, 1, 2.  Targets
+    are binned half-open on the left with the final time closed, and values
+    at shared knots are reproduced exactly.  The source grid needs at least
+    two steps and both grids must span the same window."""
+    if source.steps < 2:
+        raise ValueError("quadratic interpolation needs at least two source steps")
+    span = source.T - source.t0
+    if (abs(target.t0 - source.t0) > 1e-12 * span
+            or abs(target.T - source.T) > 1e-12 * span):
+        raise ValueError(
+            f"time windows differ: source [{source.t0}, {source.T}], "
+            f"target [{target.t0}, {target.T}]")
+
+    tt = source.times()
+    tf = target.times()
+    w = (tf - source.t0) / source.dt
+    m = np.clip(np.floor(w).astype(np.int64) + 1, 1, source.steps)
+    mp = np.maximum(m, 2)
+
+    ta, tb, tc = tt[mp - 2], tt[mp - 1], tt[mp]
+    W = np.zeros((tf.size, tt.size))
+    rows = np.arange(tf.size)
+    W[rows, mp - 2] = (tf - tb) * (tf - tc) / ((ta - tb) * (ta - tc))
+    W[rows, mp - 1] = (tf - ta) * (tf - tc) / ((tb - ta) * (tb - tc))
+    W[rows, mp] = (tf - ta) * (tf - tb) / ((tc - ta) * (tc - tb))
+    return W
+
+
+def lift_coarse(coarse_traj, fine_mesh, fine_grid, weights):
+    """Coarse trajectory carried to the fine discretization: the time
+    weights ``weights`` (W of ``quadratic_weights`` from its grid to
+    ``fine_grid``) times its values, then P1 interpolation in space of the
+    result viewed as (knots, n_fields, n_coarse), every species in one
+    call."""
+    knots = (weights @ coarse_traj.values).reshape(
+        len(weights), -1, coarse_traj.mesh.n_nodes)
+    values = interpolate_field(coarse_traj.mesh, knots, fine_mesh)
     return FieldTrajectory(mesh=fine_mesh, grid=fine_grid,
                            values=values.reshape(len(values), -1),
                            parameter=coarse_traj.parameter)

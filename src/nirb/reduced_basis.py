@@ -1,12 +1,13 @@
-"""Reduced basis construction from solution trajectories: proper orthogonal
-decomposition and the one basis builder, the hierarchical H1 POD, which
-returns L2-orthonormal modes.
+"""Reduced basis construction from solution trajectories: the H1 proper
+orthogonal decomposition and the one basis builder, the hierarchical H1
+POD, which returns L2-orthonormal modes.
 
-The builder reads its training runs in two stages: a per-run preparation
-that does not depend on which other runs are in the set (``h1_rows``, each
-run's own H1 POD), and one POD of the pooled prepared rows.  A caller that
-builds many bases from one training set, as leave-one-out does, prepares
-each run once and hands the prepared runs to every build."""
+A basis is built in two stages: a per-run preparation that does not depend
+on which other runs are in the set (``h1_rows``, each run's own H1 POD),
+and one POD of the pooled prepared rows (``hierarchical_pod``), which reads
+only those rows.  A caller that builds many bases from one training set, as
+leave-one-out does, prepares each run once and hands the prepared rows of
+the runs it holds in to every build."""
 
 from __future__ import annotations
 
@@ -75,26 +76,21 @@ def l2_norms(forms, U):
                            None))
 
 
-def pod(snapshots, forms, keep, inner="l2"):
-    """Proper orthogonal decomposition in the L2 or H1 inner product.
+def pod(snapshots, forms, keep):
+    """Proper orthogonal decomposition in the H1 inner product, the
+    blockwise mass plus stiffness form.
 
     ``keep`` is a mode count, further limited by the numerical rank: Gram
     eigenvalues at or below k eps ||G||_F for k snapshots, the accuracy of
     ``sym_eig``, are roundoff and count as zero, so sigma_i / sigma_1 is
     either 0 or above sqrt(k eps).  Returns (modes, singular_values) with
-    one singular value per snapshot and the modes orthonormal in the chosen
-    inner product up to eigensolver accuracy; callers that need exact L2
-    orthonormality re-orthogonalize.  Eigenvectors are computed only up to
-    ``keep``.  An all-zero snapshot set yields zero modes with a warning."""
-    if inner not in ("l2", "h1"):
-        raise ValueError(f"unknown inner product {inner!r}")
+    one singular value per snapshot and the modes H1-orthonormal up to
+    eigensolver accuracy; callers that need exact L2 orthonormality
+    re-orthogonalize.  Eigenvectors are computed only up to ``keep``.  An all-zero snapshot set yields zero modes with a warning."""
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ValueError(f"need a (k, d) snapshot array, got shape {S.shape}")
-    mat = forms.mass
-    if inner == "h1":
-        mat = mat.lincomb(forms.stiffness, 1.0, 1.0)
-    W = block_matvec(mat, S)
+    W = block_matvec(forms.mass.lincomb(forms.stiffness, 1.0, 1.0), S)
     # one trajectory's Gram (a few dozen rows) runs in pieces on the calling
     # thread: as one product OpenBLAS hands it to a second thread, which
     # then spin-waits for about 0.13 s of CPU time; pooled snapshot sets
@@ -142,13 +138,15 @@ def h1_rows(trajectories, forms, n_max):
     fold-invariant preparation of ``hierarchical_pod``."""
     out = {}
     for p, traj in trajectories.items():
-        modes, sig = pod(traj.values, forms, n_max, inner="h1")
+        modes, sig = pod(traj.values, forms, n_max)
         out[p] = modes * sig[:modes.shape[0], None]
     return out
 
 
-def hierarchical_pod(trajectories, forms, n_max, prepared=None):
-    """One H1 POD over every snapshot of every training trajectory.
+def hierarchical_pod(rows, forms, n_max):
+    """One H1 POD over every snapshot of every training trajectory, read
+    from the trajectories' prepared rows: ``rows`` holds each run's
+    ``h1_rows`` array, in run order, and the basis lives on ``forms.mesh``.
 
     Each trajectory is reduced by its own POD to at most ``n_max``
     directions, reweighted by their singular values, and one POD of the
@@ -158,10 +156,7 @@ def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     truncation kept and dropped can be read off a saved basis.  The
     reweighted directions carry the second moment of their trajectory, so
     this reproduces the pooled POD closely, and exactly when every
-    trajectory has rank at most ``n_max``.  ``prepared`` maps (at least)
-    the parameters of ``trajectories`` to those per-run rows (``h1_rows``,
-    formed here when None), so a caller that builds many bases from one
-    training set reduces each run once.
+    trajectory has rank at most ``n_max``.
 
     The H1 inner product ranks directions by mass plus stiffness energy.
     Spatially sharp, low-amplitude features, such as the boundary layers
@@ -169,18 +164,15 @@ def hierarchical_pod(trajectories, forms, n_max, prepared=None):
     more stiffness energy than mass energy, so they survive a truncation
     that would drop them under a pure L2 ranking.  The output is
     re-orthonormalized in L2, so the basis invariants apply unchanged."""
-    items = list(trajectories.items())
-    if not items:
+    if not rows:
         raise ValueError("empty training set")
-    if prepared is None:
-        prepared = h1_rows(trajectories, forms, n_max)
-    rows = np.vstack([prepared[p] for p, _ in items])
-    modes, sig = pod(rows, forms, n_max, inner="h1")
+    pooled = np.vstack(rows)
+    modes, sig = pod(pooled, forms, n_max)
     modes = _mass_mgs(modes, forms)
     return ReducedBasis(
-        mesh=items[0][1].mesh, modes=modes,
+        mesh=forms.mesh, modes=modes,
         provenance={"algorithm": "hierarchical_pod",
-                    "pooled_rows": int(rows.shape[0]),
+                    "pooled_rows": int(pooled.shape[0]),
                     "spectrum": [float(s) for s in sig]})
 
 

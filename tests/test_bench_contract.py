@@ -32,11 +32,13 @@ tracer_module = _load_tracer()
 
 # targets the tracer still names but the program no longer has: no heat
 # solve iterates, every heat run starts from rest without a separate
-# start-up function, no workload selects the snapshot greedy, and the basis
-# is not rotated to H1-orthogonal modes
+# start-up function, no workload selects the snapshot greedy, the basis
+# is not rotated to H1-orthogonal modes, and time interpolation is the
+# artifacts' weights times the values, with no module of its own
 RETIRED = ["nirb.linalg.cg_solve", "nirb.pipeline.heat_initial_fine",
            "nirb.reduced_basis.pod_greedy", "nirb.reduced_basis.greedy",
-           "nirb.reduced_basis.h1_reorthogonalize"]
+           "nirb.reduced_basis.h1_reorthogonalize",
+           "nirb.time_interp.quadratic_time_interp"]
 
 # the mode budget each pinned benchmark config asks of the basis builder
 PINNED_BASES = {"heat.cfg": 3, "heat-loo.cfg": 3, "rd.cfg": 10}
@@ -45,7 +47,11 @@ PINNED_BASES = {"heat.cfg": 3, "heat-loo.cfg": 3, "rd.cfg": 10}
 @pytest.mark.parametrize("target", tracer_module.TARGETS,
                          ids=lambda t: f"{t.module}.{t.attr}")
 def test_trace_target_resolves(target):
-    module = importlib.import_module(target.module)
+    # a deleted module counts as absent, as the tracer counts it
+    try:
+        module = importlib.import_module(target.module)
+    except ImportError:
+        module = None
     found = callable(getattr(module, target.attr, None))
     assert found == (f"{target.module}.{target.attr}" not in RETIRED)
 

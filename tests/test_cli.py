@@ -77,6 +77,18 @@ def test_two_values_on_heat(config_path, capsys):
     assert slug_of(out.err) == "bad-parameter"
 
 
+def test_two_values_on_rd(capsys, tmp_path, small_rd_text):
+    # the parameter's form is judged by the pipeline, not counted here
+    path = tmp_path / "rd.cfg"
+    path.write_text(small_rd_text + f"output_dir = {tmp_path / 'out'}\n")
+    assert run(capsys, "offline", str(path))[0] == 0
+    for command in ("online", "errors"):
+        code, out = run(capsys, command, str(path), "--mu", "1,2")
+        assert code == 1
+        assert slug_of(out.err) == "bad-parameter"
+        assert "is not a triple (a, b, alpha) of numbers" in out.err
+
+
 def test_online_before_offline(config_path, capsys):
     code, out = run(capsys, "online", config_path)
     assert code == 1
@@ -133,7 +145,8 @@ def test_errors_writes_the_pipeline_curves(config_path, capsys, tmp_path):
     fine, coarse = artifacts.fine, artifacts.coarse
     reference = pipeline.solve_fine(config, fine, 4.5)
     coarse_traj = pipeline.solve_coarse(config, coarse, 4.5)
-    candidates = [lift_coarse(coarse_traj, fine.mesh, fine.grid)]
+    candidates = [lift_coarse(coarse_traj, fine.mesh, fine.grid,
+                              artifacts.time_weights)]
     candidates += [pipeline.online(artifacts, 4.5, mode=mode,
                                    coarse_traj=coarse_traj).trajectory
                    for mode in ("plain", "rectified")]

@@ -9,8 +9,7 @@ from nirb import io, pipeline
 from nirb.config import StudyConfig
 from nirb.integrators import FieldTrajectory, TimeGrid
 from nirb.rectification import (coarse_to_fine_coefficients, lift_coarse,
-                                lift_projection)
-from nirb.time_interp import quadratic_weights
+                                lift_projection, quadratic_weights)
 from nirb.reduced_basis import coefficients
 
 def _offline(text, outdir):
@@ -233,7 +232,8 @@ def test_lift_projection_is_lift_then_coefficients(small_heat_text,
         traj = pipeline.solve_coarse(config, coarse, param)
         got = coarse_to_fine_coefficients(traj, arts.lift, arts.time_weights)
         want = coefficients(arts.basis, fine.forms,
-                            lift_coarse(traj, fine.mesh, fine.grid).values)
+                            lift_coarse(traj, fine.mesh, fine.grid,
+                                        arts.time_weights).values)
         assert got.shape == (fine.grid.steps + 1, arts.basis.N)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert arts.lift.shape == (traj.values.shape[1], arts.basis.N)

@@ -2,7 +2,7 @@
 every import is from the standard library, numpy or the package itself,
 nothing imports pickle or lets numpy unpickle, nothing writes the
 process environment or names a BLAS thread variable, and every name the
-package exports exists."""
+package exports exists and is on a pinned list."""
 
 import ast
 import re
@@ -209,3 +209,23 @@ def test_every_exported_name_resolves():
     # a deletion that leaves its name in __all__ would otherwise only
     # show as a failing star import
     assert [name for name in nirb.__all__ if not hasattr(nirb, name)] == []
+
+
+# the public names, sorted: removing or adding one changes this list, so a
+# change to the package's surface is made here on purpose
+PUBLIC = [
+    "AnalyticReference", "BrusselatorProblem", "Discretization",
+    "ErrorReport", "FieldTrajectory", "OfflineArtifacts", "OnlineResult",
+    "RectificationTensor", "ReducedBasis", "StudyConfig", "TimeGrid",
+    "TriMesh", "apply_rectification", "assemble", "brusselator_trajectory",
+    "build_rectification", "build_structured", "convergence_study",
+    "discretize", "evaluate_errors", "heat_backward_euler",
+    "heat_crank_nicolson", "interpolate_field", "leave_one_out",
+    "load_config", "manufactured_f", "manufactured_u", "norms", "offline",
+    "online", "pod", "solve_coarse", "solve_fine",
+]
+
+
+def test_exported_names_are_pinned():
+    assert sorted(nirb.__all__) == PUBLIC
+    assert len(set(nirb.__all__)) == len(nirb.__all__)

@@ -11,8 +11,7 @@ from nirb.integrators import FieldTrajectory, TimeGrid
 from nirb.mesh import interpolate_field
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
-                                lift_projection)
-from nirb.time_interp import quadratic_time_interp, quadratic_weights
+                                lift_projection, quadratic_weights)
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +284,9 @@ class TestCoarseOnly:
                               pipeline.online(artifacts, 4.5).coefficients)
         finer = TimeGrid(grid.t0, grid.T, 2 * grid.steps)
         shifted = TimeGrid(grid.t0 + 0.25, grid.T + 0.25, grid.steps)
-        for traj in (quadratic_time_interp(coarse, finer),
+        resampled = quadratic_weights(grid, finer) @ coarse.values
+        for traj in (FieldTrajectory(mesh=coarse.mesh, grid=finer,
+                                     values=resampled, parameter=4.5),
                      FieldTrajectory(mesh=coarse.mesh, grid=shifted,
                                      values=coarse.values, parameter=4.5)):
             with pytest.raises(ValueError, match=r"coarse trajectory on "
@@ -440,7 +441,8 @@ class TestHeldOutOrdering:
         assert mu not in config.training_parameters()
         fine = pipeline.solve_fine(config, ctx.fine, mu)
         coarse = pipeline.solve_coarse(config, ctx.coarse, mu)
-        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid)
+        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid,
+                             artifacts.time_weights)
 
         def err(traj):
             return pipeline.evaluate_errors(traj, fine, ctx.fine.forms).rel_energy
@@ -477,8 +479,9 @@ class TestLift:
     def test_two_fields_lift_field_by_field(self, two_fields):
         forms, coarse, traj = two_fields
         grid = TimeGrid(0.0, 1.0, 6)
-        lifted = lift_coarse(traj, forms.mesh, grid)
-        timed = quadratic_time_interp(traj, grid).values
+        W = quadratic_weights(traj.grid, grid)
+        lifted = lift_coarse(traj, forms.mesh, grid, W)
+        timed = W @ traj.values
         n = coarse.n_nodes
         want = np.concatenate([interpolate_field(coarse, part, forms.mesh)
                                for part in (timed[:, :n], timed[:, n:])],
@@ -507,7 +510,8 @@ class TestLift:
         config, artifacts = study
         ctx = artifacts.context()
         coarse = pipeline.solve_coarse(config, ctx.coarse, 2.0)
-        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid)
+        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid,
+                             artifacts.time_weights)
         assert lifted.values.shape == (ctx.fine.grid.steps + 1,
                                        ctx.fine.mesh.n_nodes)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
@@ -525,10 +529,10 @@ class TestLift:
         coarse_in_time = FieldTrajectory(
             mesh=ctx.fine.mesh, grid=TimeGrid(config.t0, config.T, 4),
             values=fine.values[::2], parameter=2.0)
-        lifted = lift_coarse(coarse_in_time, ctx.fine.mesh, ctx.fine.grid)
+        W = quadratic_weights(coarse_in_time.grid, ctx.fine.grid)
+        lifted = lift_coarse(coarse_in_time, ctx.fine.mesh, ctx.fine.grid, W)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
         phi = lift_projection(artifacts.basis, ctx.fine.forms, ctx.fine.mesh)
-        W = quadratic_weights(coarse_in_time.grid, ctx.fine.grid)
         got = coarse_to_fine_coefficients(coarse_in_time, phi, W)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -552,8 +556,8 @@ class TestRectification:
             values=rng.standard_normal((5, coarse_mesh.n_nodes)))
             for p in range(k)]
         snaps = np.vstack([t.values for t in fine_trajs])
-        basis = rb.ReducedBasis(mesh=fine_mesh,
-                                modes=rb.pod(snaps, forms, N)[0])
+        basis = rb.ReducedBasis(mesh=fine_mesh, modes=rb._mass_mgs(
+            rb.pod(snaps, forms, N)[0], forms))
         phi = lift_projection(basis, forms, coarse_mesh)
         W = quadratic_weights(coarse_grid, fine_grid)
         lifted = np.stack([coarse_to_fine_coefficients(t, phi, W)
@@ -667,6 +671,48 @@ class TestEvaluateErrors:
                 r"candidate on the 8x8 mesh on \(0\.0, 2\.0, 0\.0, 0\.5\), "
                 r"reference on the 8x8 mesh on \(0\.0, 1\.0, 0\.0, 1\.0\)")):
             pipeline.evaluate_errors(candidate, reference, fine.forms)
+
+    @pytest.fixture
+    def fine_run(self, small_heat_text):
+        config = StudyConfig.from_text(small_heat_text)
+        fine, _ = pipeline.discretize(config)
+        return fine, pipeline.solve_fine(config, fine, 4.5)
+
+    def test_run_on_another_grid_is_rejected(self, fine_run):
+        # same mesh and window, twice the steps: its knots are other times
+        fine, reference = fine_run
+        grid = reference.grid
+        finer = TimeGrid(grid.t0, grid.T, 2 * grid.steps)
+        candidate = FieldTrajectory(
+            mesh=reference.mesh, grid=finer, parameter=4.5,
+            values=quadratic_weights(grid, finer) @ reference.values)
+        with pytest.raises(ValueError, match=(
+                r"candidate on TimeGrid\(.*steps=16\), reference on the "
+                r"grid TimeGrid\(.*steps=8\)")):
+            pipeline.evaluate_errors(candidate, reference, fine.forms)
+
+    def test_run_with_another_field_count_is_rejected(self, fine_run):
+        fine, reference = fine_run
+        candidate = dataclasses.replace(
+            reference, values=np.hstack([reference.values] * 2))
+        assert candidate.n_fields == 2
+        with pytest.raises(ValueError, match=r"candidate of 2 fields, "
+                                             r"reference of 1"):
+            pipeline.evaluate_errors(candidate, reference, fine.forms)
+
+    def test_closed_form_only_on_the_unit_square(self, small_heat_text,
+                                                 small_rd_text):
+        # the closed form vanishes on the unit square's boundary, not on
+        # another domain's, so it is no reference there
+        config = StudyConfig.from_text(small_heat_text)
+        reference = pipeline.analytic_reference(config, 1.0)
+        assert reference.u is models.manufactured_u
+        assert pipeline.analytic_reference(config, 4.5) is None
+        for domain in ((0.0, 2.0, 0.0, 0.5), (0.0, 1.0, 0.0, 2.0)):
+            other = dataclasses.replace(config, domain=domain)
+            assert pipeline.analytic_reference(other, 1.0) is None
+        rd = StudyConfig.from_text(small_rd_text)
+        assert pipeline.analytic_reference(rd, (2.0, 1.0, 0.002)) is None
 
     def test_analytic_reference_rejects_two_fields(self, unit_mesh_4,
                                                    neumann_forms_4):

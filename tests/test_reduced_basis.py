@@ -22,6 +22,29 @@ def l2_gram(forms, U):
     return rb.mass_inner(forms, U, U)
 
 
+def h1_matvec(forms, U):
+    """The blockwise H1 (mass plus stiffness) form of ``pod`` applied."""
+    h1 = forms.mass.lincomb(forms.stiffness, 1.0, 1.0)
+    return rb.block_matvec(h1, U)
+
+
+def h1_inner(forms, U, V):
+    """Blockwise H1 inner products; U (..., d) against V (k, d) -> (..., k)."""
+    return np.asarray(U) @ h1_matvec(forms, V).T
+
+
+def h1_norms(forms, U):
+    """Rowwise H1 norms of (stacked) nodal fields."""
+    U = np.atleast_2d(U)
+    return np.sqrt((U * h1_matvec(forms, U)).sum(-1))
+
+
+def build(trajs, forms, n_max):
+    """The hierarchical POD basis of ``trajs``, each run prepared here."""
+    return rb.hierarchical_pod(list(rb.h1_rows(trajs, forms, n_max).values()),
+                               forms, n_max)
+
+
 class TestPod:
     def test_collinear_snapshots_single_mode(self, setup):
         m, forms = setup
@@ -29,27 +52,27 @@ class TestPod:
         modes, sig = rb.pod(np.stack([v, 2.0 * v]), forms, 2)
         assert modes.shape[0] == 1
         assert sig[1] / sig[0] <= 1e-14
-        nrm = rb.l2_norms(forms, v)
+        nrm = h1_norms(forms, v)[0]
         assert np.abs(np.abs(modes[0]) - np.abs(v) / nrm).max() <= 1e-12
 
     def test_orthonormal_pair_spans_plane(self, setup):
         m, forms = setup
         a = np.ones(m.n_nodes)
         b = m.nodes[:, 0] - 0.5
-        a = a / rb.l2_norms(forms, a)
-        b = b - rb.mass_inner(forms, b, a[None, :])[0] * a
-        b = b / rb.l2_norms(forms, b)
+        a = a / h1_norms(forms, a)[0]
+        b = b - h1_inner(forms, b, a[None, :])[0] * a
+        b = b / h1_norms(forms, b)[0]
         snaps = np.stack([a, b])
         modes, _ = rb.pod(snaps, forms, 2)
         assert modes.shape[0] == 2
-        resid = snaps - rb.mass_inner(forms, snaps, modes) @ modes
-        assert rb.l2_norms(forms, resid).max() <= 1e-12
+        resid = snaps - h1_inner(forms, snaps, modes) @ modes
+        assert h1_norms(forms, resid).max() <= 1e-12
 
     def test_modes_orthonormal(self, setup, rng):
         m, forms = setup
         snaps = rng.standard_normal((12, m.n_nodes))
         modes, _ = rb.pod(snaps, forms, 8)
-        G = l2_gram(forms, modes)
+        G = h1_inner(forms, modes, modes)
         assert np.abs(G - np.eye(modes.shape[0])).max() <= 1e-10
 
     def test_integer_keep_caps_count(self, setup, rng):
@@ -80,8 +103,8 @@ class TestPod:
         assert modes.shape[0] == 3
         assert sig.shape == (33,)
         assert (sig[3:] == 0.0).all() and (sig[:3] > 0.0).all()
-        resid = snaps - rb.mass_inner(forms, snaps, modes) @ modes
-        assert rb.l2_norms(forms, resid).max() <= 1e-10 * sig[0]
+        resid = snaps - h1_inner(forms, snaps, modes) @ modes
+        assert h1_norms(forms, resid).max() <= 1e-10 * sig[0]
         modes, sig = rb.pod(snaps, forms, 2)
         assert modes.shape[0] == 2 and sig.shape == (33,)
 
@@ -104,10 +127,11 @@ class TestPod:
             modes, sig = rb.pod(snaps, forms, 5)
             assert calls == ([(k, m.n_nodes)]
                              if k <= rb._BLOCKED_GRAM_ROWS else [])
-            G = snaps @ rb.block_matvec(forms.mass, snaps).T
+            G = h1_inner(forms, snaps, snaps)
             want = np.sqrt(np.linalg.eigvalsh(G)[::-1])
             assert np.abs(sig - want).max() <= 1e-12 * want[0]
-            assert np.abs(l2_gram(forms, modes) - np.eye(5)).max() <= 1e-10
+            assert np.abs(h1_inner(forms, modes, modes)
+                          - np.eye(5)).max() <= 1e-10
 
 
 class TestPreparedRuns:
@@ -126,8 +150,8 @@ class TestPreparedRuns:
         prepared = rb.h1_rows(trajs, forms, 4)
         for held_out in trajs:
             rest = {mu: tr for mu, tr in trajs.items() if mu != held_out}
-            got = rb.hierarchical_pod(rest, forms, 4, prepared=prepared)
-            want = rb.hierarchical_pod(rest, forms, 4)
+            got = rb.hierarchical_pod([prepared[mu] for mu in rest], forms, 4)
+            want = build(rest, forms, 4)
             assert np.array_equal(got.modes, want.modes)
             assert got.provenance == want.provenance
 
@@ -136,8 +160,8 @@ class TestHierarchicalPod:
     def test_matches_direct_pod_on_single_block(self, setup, rng):
         m, forms = setup
         values = rng.standard_normal((8, m.n_nodes))
-        basis = rb.hierarchical_pod({1.0: make_traj(m, values)}, forms, 4)
-        direct, _ = rb.pod(values, forms, 4, inner="h1")
+        basis = build({1.0: make_traj(m, values)}, forms, 4)
+        direct, _ = rb.pod(values, forms, 4)
         direct = rb._mass_mgs(direct, forms)
         P1 = basis.modes.T @ block_mass(forms, basis.modes)
         P2 = direct.T @ block_mass(forms, direct)
@@ -151,9 +175,9 @@ class TestHierarchicalPod:
         base = rng.standard_normal((3, m.n_nodes))
         trajs = {float(k): make_traj(m, rng.standard_normal((10, 3)) @ base,
                                      param=float(k)) for k in range(3)}
-        basis = rb.hierarchical_pod(trajs, forms, 3)
+        basis = build(trajs, forms, 3)
         pooled, sig = rb.pod(np.vstack([t.values for t in trajs.values()]),
-                             forms, 3, inner="h1")
+                             forms, 3)
         pooled = rb._mass_mgs(pooled, forms)
         P1 = basis.modes.T @ block_mass(forms, basis.modes)
         P2 = pooled.T @ block_mass(forms, pooled)
@@ -173,8 +197,10 @@ class TestHierarchicalPod:
         spike[m.n_nodes // 2] = 2.0
         values = np.stack([smooth + spike, smooth - spike])
         trajs = {1.0: make_traj(m, values)}
-        l2_modes, _ = rb.pod(values, forms, 1, inner="l2")
-        h1_modes = rb.hierarchical_pod(trajs, forms, 1).modes
+        # the top L2 POD mode: the leading eigenvector of the mass Gram
+        lam, V = np.linalg.eigh(l2_gram(forms, values))
+        l2_modes = (V[:, -1] @ values)[None, :] / np.sqrt(lam[-1])
+        h1_modes = build(trajs, forms, 1).modes
         # under l2 the kept mode is nearly constant; under h1 it is nearly
         # the spike, measured by the stiffness energy it retains
         def stiff_energy(modes):
@@ -186,7 +212,7 @@ class TestHierarchicalPod:
         m, forms = setup
         trajs = {k: make_traj(m, rng.standard_normal((6, m.n_nodes)),
                               param=float(k)) for k in range(3)}
-        basis = rb.hierarchical_pod(trajs, forms, 8)
+        basis = build(trajs, forms, 8)
         G = l2_gram(forms, basis.modes)
         assert np.abs(G - np.eye(basis.N)).max() <= 1e-10
 
@@ -194,18 +220,13 @@ class TestHierarchicalPod:
         m, forms = setup
         trajs = {k: make_traj(m, rng.standard_normal((4, m.n_nodes)),
                               param=float(k)) for k in range(5)}
-        basis = rb.hierarchical_pod(trajs, forms, 3)
+        basis = build(trajs, forms, 3)
         assert basis.N == 3
         assert basis.provenance["pooled_rows"] == 15
 
     def test_empty_training_set(self, setup):
         with pytest.raises(ValueError, match="empty training set"):
-            rb.hierarchical_pod({}, setup[1], 3)
-
-    def test_unknown_inner_rejected(self, setup):
-        m, forms = setup
-        with pytest.raises(ValueError):
-            rb.pod(np.ones((2, m.n_nodes)), forms, 2, inner="h2")
+            rb.hierarchical_pod([], setup[1], 3)
 
 
 def block_mass(forms, U):
@@ -216,7 +237,7 @@ class TestCoefficients:
     def test_roundtrip_in_span(self, setup, rng):
         m, forms = setup
         snaps = rng.standard_normal((6, m.n_nodes))
-        modes, _ = rb.pod(snaps, forms, 4)
+        modes = rb._mass_mgs(rb.pod(snaps, forms, 4)[0], forms)
         basis = rb.ReducedBasis(mesh=m, modes=modes)
         want = rng.standard_normal((3, 4))
         fields = rb.reconstruct(basis, want)
@@ -226,7 +247,7 @@ class TestCoefficients:
     def test_two_field_blocks(self, setup, rng):
         m, forms = setup
         snaps = rng.standard_normal((6, 2 * m.n_nodes))
-        modes, _ = rb.pod(snaps, forms, 3)
+        modes = rb._mass_mgs(rb.pod(snaps, forms, 3)[0], forms)
         basis = rb.ReducedBasis(mesh=m, modes=modes)
         assert basis.n_fields == 2
         G = rb.mass_inner(forms, modes, modes)

@@ -1,41 +1,44 @@
+"""The time weights W of the quadratic time interpolation: values at the
+source knots resampled onto a target grid are W times them."""
+
 import numpy as np
 import pytest
 
-from nirb import mesh
-from nirb.integrators import FieldTrajectory, TimeGrid
-from nirb.time_interp import quadratic_time_interp, quadratic_weights
+from nirb.integrators import TimeGrid
+from nirb.rectification import quadratic_weights
 
 
-def make_traj(fn, grid, n_nodes=5, n_fields=1):
-    m = mesh.build_structured(1, 1)
-    t = grid.times()
-    values = np.stack([np.full(4 * n_fields, fn(tk)) for tk in t])
-    return FieldTrajectory(mesh=m, grid=grid, values=values, parameter=1.0)
+def knot_values(fn, grid, n_fields=1):
+    """fn at every knot of ``grid``, repeated over four nodes per field."""
+    return np.stack([np.full(4 * n_fields, fn(tk)) for tk in grid.times()])
+
+
+def resample(values, src, dst):
+    return quadratic_weights(src, dst) @ values
 
 
 def test_quadratic_polynomial_exact():
     src = TimeGrid(0.0, 1.0, 5)
     dst = TimeGrid(0.0, 1.0, 17)
-    traj = make_traj(lambda t: 3.0 * t ** 2 - 2.0 * t + 0.25, src)
-    out = quadratic_time_interp(traj, dst)
+    out = resample(knot_values(lambda t: 3.0 * t ** 2 - 2.0 * t + 0.25, src),
+                   src, dst)
     want = 3.0 * dst.times() ** 2 - 2.0 * dst.times() + 0.25
-    assert np.abs(out.values - want[:, None]).max() <= 1e-12
+    assert np.abs(out - want[:, None]).max() <= 1e-12
 
 
 def test_constant_trajectory():
     src = TimeGrid(1.0, 2.0, 4)
     dst = TimeGrid(1.0, 2.0, 11)
-    traj = make_traj(lambda t: 4.5, src)
-    out = quadratic_time_interp(traj, dst)
-    assert np.abs(out.values - 4.5).max() <= 1e-13
+    out = resample(knot_values(lambda t: 4.5, src), src, dst)
+    assert np.abs(out - 4.5).max() <= 1e-13
 
 
 def test_shared_knots_reproduced():
     src = TimeGrid(0.0, 2.0, 4)
     dst = TimeGrid(0.0, 2.0, 8)
-    traj = make_traj(lambda t: np.sin(t), src)
-    out = quadratic_time_interp(traj, dst)
-    assert out.values[::2] == pytest.approx(traj.values, abs=1e-13)
+    values = knot_values(np.sin, src)
+    out = resample(values, src, dst)
+    assert out[::2] == pytest.approx(values, abs=1e-13)
 
 
 def test_first_interval_borrows_forward_parabola():
@@ -43,10 +46,9 @@ def test_first_interval_borrows_forward_parabola():
     # first three knots, so a quadratic stays exact there too.
     src = TimeGrid(0.0, 1.0, 2)
     dst = TimeGrid(0.0, 1.0, 10)
-    traj = make_traj(lambda t: (t - 0.3) ** 2, src)
-    out = quadratic_time_interp(traj, dst)
+    out = resample(knot_values(lambda t: (t - 0.3) ** 2, src), src, dst)
     want = (dst.times() - 0.3) ** 2
-    assert np.abs(out.values - want[:, None]).max() <= 1e-13
+    assert np.abs(out - want[:, None]).max() <= 1e-13
 
 
 def test_cubic_error_third_order():
@@ -55,33 +57,30 @@ def test_cubic_error_third_order():
     for n in steps:
         src = TimeGrid(0.0, 1.0, n)
         dst = TimeGrid(0.0, 1.0, 4 * n)
-        traj = make_traj(lambda t: t ** 3, src)
-        out = quadratic_time_interp(traj, dst)
-        errs.append(np.abs(out.values[:, 0] - dst.times() ** 3).max())
+        out = resample(knot_values(lambda t: t ** 3, src), src, dst)
+        errs.append(np.abs(out[:, 0] - dst.times() ** 3).max())
     slope = np.polyfit(np.log([1.0 / n for n in steps]), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.3)
 
 
 def test_window_mismatch_rejected():
-    traj = make_traj(lambda t: t, TimeGrid(0.0, 1.0, 4))
+    src = TimeGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="window"):
-        quadratic_time_interp(traj, TimeGrid(0.0, 2.0, 4))
+        resample(knot_values(lambda t: t, src), src, TimeGrid(0.0, 2.0, 4))
 
 
 def test_single_step_source_rejected():
-    traj = make_traj(lambda t: t, TimeGrid(0.0, 1.0, 1))
-    with pytest.raises(ValueError):
-        quadratic_time_interp(traj, TimeGrid(0.0, 1.0, 4))
+    src = TimeGrid(0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="two source steps"):
+        resample(knot_values(lambda t: t, src), src, TimeGrid(0.0, 1.0, 4))
 
 
 def test_two_field_trajectory_resampled():
     src = TimeGrid(0.0, 1.0, 4)
     dst = TimeGrid(0.0, 1.0, 6)
-    traj = make_traj(lambda t: t ** 2, src, n_fields=2)
-    out = quadratic_time_interp(traj, dst)
-    assert out.n_fields == 2
-    assert out.values.shape == (7, 8)
-    assert np.abs(out.values - dst.times()[:, None] ** 2).max() <= 1e-13
+    out = resample(knot_values(lambda t: t ** 2, src, n_fields=2), src, dst)
+    assert out.shape == (7, 8)
+    assert np.abs(out - dst.times()[:, None] ** 2).max() <= 1e-13
 
 
 def pointwise_lagrange(src, dst, values):
@@ -122,12 +121,8 @@ def test_weights_reproduce_quadratics_and_sum_to_one(src, dst):
 def test_weights_match_the_pointwise_formula(rng, src, dst):
     values = rng.standard_normal((src.steps + 1, 40))
     want = pointwise_lagrange(src, dst, values)
-    got = quadratic_weights(src, dst) @ values
+    got = resample(values, src, dst)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    traj = FieldTrajectory(mesh=mesh.build_structured(1, 1), grid=src,
-                           values=values[:, :4])
-    assert np.array_equal(quadratic_time_interp(traj, dst).values,
-                          quadratic_weights(src, dst) @ values[:, :4])
 
 
 def test_weights_reject_mismatched_windows_and_short_sources():
