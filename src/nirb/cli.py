@@ -46,6 +46,16 @@ def _parse_param(config, text):
     return values[0] if len(values) == 1 else tuple(values)
 
 
+def _load(path):
+    """The study config of the artifacts that the config file at ``path``
+    locates, the artifacts, and the file's output directory: the file only
+    locates the artifacts, and every study value is read from the config
+    saved with them."""
+    located = _read_config(path)
+    artifacts = pipeline.load_artifacts(located)
+    return artifacts.config, artifacts, _outdir(located)
+
+
 def _param_tag(config, param):
     if config.problem == "heat":
         return f"mu{param:g}"
@@ -81,8 +91,7 @@ def cmd_offline(args):
 
 
 def cmd_online(args):
-    config = _read_config(args.config)
-    artifacts = pipeline.load_artifacts(config)
+    config, artifacts, outdir = _load(args.config)
     param = _parse_param(config, args.mu)
     mode = "plain" if args.plain else "rectified"
     try:
@@ -90,7 +99,6 @@ def cmd_online(args):
     except ValueError as exc:
         raise CliError("bad-parameter", str(exc)) from exc
 
-    outdir = _outdir(config)
     tag = _param_tag(config, result.parameter)
     traj_path = os.path.join(outdir, f"online_{mode}_{tag}.traj")
     io.save_trajectory(traj_path, result.trajectory)
@@ -119,8 +127,7 @@ def cmd_online(args):
 
 
 def cmd_errors(args):
-    config = _read_config(args.config)
-    artifacts = pipeline.load_artifacts(config)
+    config, artifacts, outdir = _load(args.config)
     param = _parse_param(config, args.mu)
     try:
         key = pipeline.check_bounds(config, param)
@@ -133,7 +140,6 @@ def cmd_errors(args):
     for k, t in enumerate(artifacts.fine.grid.times()):
         rows.append([t] + [curve[k] for r in reports.values()
                            for curve in (r.l2_curve, r.energy_curve)])
-    outdir = _outdir(config)
     tag = _param_tag(config, key)
     csv_path = os.path.join(outdir, f"errors_{tag}.csv")
     io.write_csv(csv_path, rows)

@@ -100,7 +100,7 @@ class StudyConfig:
     n_max: int = 3
 
     # rectification: the Tikhonov parameter of each time index's fit is
-    # delta_value times the largest eigenvalue of its normal matrix
+    # delta_value times the trace of its normal matrix A^T A, ||A||_F^2
     delta_value: float = 1e-10
 
     # studies

@@ -4,7 +4,9 @@ Artifact and trajectory files are zip archives of ``.npy`` members written
 by ``np.savez`` into a temporary file that is synced and renamed over the
 target; the zip CRC-32 covers every member.  The artifact loader refuses
 pickled data, reads the members one at a time and turns every failure into
-an ``ArtifactError`` naming the member.  It reads only the current
+an ``ArtifactError`` naming the member; ``modes``, ``matrices`` and
+``deltas`` must be real floating arrays with finite entries, and
+``deltas`` nonnegative.  It reads only the current
 ``format``; files of the earlier block format (``NIRB`` header) fail with
 ``version-mismatch``.
 
@@ -149,6 +151,15 @@ def load_artifacts(path):
     except (ValueError, SyntaxError) as exc:
         raise _corrupt(path, "the provenance member does not parse",
                        exc) from exc
+    for name in ("modes", "matrices", "deltas"):
+        a = m[name]
+        if a.dtype.kind != "f" or not np.isfinite(a).all():
+            raise ArtifactError("corrupt-artifacts", f"{path}: the {name} "
+                                f"member is not a finite real floating "
+                                f"array (dtype {a.dtype})")
+    if (m["deltas"] < 0.0).any():
+        raise ArtifactError("corrupt-artifacts",
+                            f"{path}: the deltas member has a negative entry")
     fine, coarse = discretize(config)
     tensor = RectificationTensor(matrices=m["matrices"], deltas=m["deltas"])
     try:

@@ -805,34 +805,6 @@ def _start_vectors(n, k):
     return u.reshape(k, n)[::-1].T.copy()
 
 
-def dominant_eigenvalues(G, tol=1e-6, max_iter=500):
-    """Largest eigenvalue of each symmetric PSD matrix of G (..., n, n) by
-    power iteration, all matrices in lockstep.  Each matrix keeps its own
-    stop rule: its estimate is the Rayleigh quotient of the first iteration
-    that changes it by at most ``tol`` relative, or 0 once G v vanishes, or
-    the last one after ``max_iter`` iterations.  One product with G per
-    iteration serves both the next vector and the quotient."""
-    G = np.asarray(G, dtype=float)
-    n = G.shape[-1]
-    Gv = G @ np.full(n, 1.0 / np.sqrt(n))
-    lam = np.zeros(G.shape[:-2])
-    done = np.zeros(G.shape[:-2], dtype=bool)
-    for _ in range(max_iter):
-        nrm = np.sqrt((Gv * Gv).sum(-1))
-        zero = nrm == 0.0
-        lam[zero & ~done] = 0.0
-        done |= zero
-        v = Gv / np.where(zero, 1.0, nrm)[..., None]
-        Gv = (G @ v[..., None])[..., 0]
-        new = (v * Gv).sum(-1)
-        converged = np.abs(new - lam) <= tol * np.maximum(np.abs(new), 1e-300)
-        lam = np.where(done, lam, new)
-        done |= converged
-        if done.all():
-            break
-    return lam
-
-
 def solve_regularized_normal(A, B, delta, labels="system"):
     """Tikhonov-regularized normal-equation solves, columnwise, over any
     leading axes of A (..., k, N) and B (..., k, m).

@@ -32,10 +32,6 @@ class TriMesh:
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    @property
-    def n_triangles(self):
-        return self.triangles.shape[0]
-
     def cell_sizes(self):
         xmin, xmax, ymin, ymax = self.domain
         return (xmax - xmin) / self.nx, (ymax - ymin) / self.ny

@@ -136,8 +136,9 @@ def _training_runs(config, params, seconds):
 def build_basis(config, rows, forms):
     """The ``hierarchical_pod`` basis with ``config.n_max`` modes pooled
     from the training runs' H1 POD ``rows`` (``reduced_basis.h1_rows``
-    arrays, in run order), checked to be L2-orthonormal: a mass Gram more
-    than 1e-8 from the identity raises a ``RuntimeError``.
+    arrays, in run order), checked to be L2-orthonormal: pooled modes
+    whose mass Gram is not positive definite, or a result whose mass Gram
+    is more than 1e-8 from the identity, raise a ``RuntimeError``.
 
     The paper follows the L2 orthonormalization with an H1
     orthogonalization of the modes.  That step serves its analysis: the
@@ -655,7 +656,9 @@ def loglog_slope(h, err):
 
 
 def level_config(config, n, coupling):
-    """Derive one ladder rung: fine counts n, coarse counts per coupling.
+    """Derive one ladder rung: fine counts n, coarse counts per coupling,
+    checked by ``validate()`` (a rung can leave a mesh without an interior
+    node that the base config has).
 
     '2h' halves the mesh count and the step count; 'sqrt' couples the coarse
     width and step to the square root of the fine ones, so halving h in
@@ -673,7 +676,7 @@ def level_config(config, n, coupling):
     else:
         raise ValueError(f"unknown coupling {coupling!r}")
     return replace(config, fine_nx=n, coarse_nx=coarse_nx,
-                   fine_steps=fine_steps, coarse_steps=coarse_steps)
+                   fine_steps=fine_steps, coarse_steps=coarse_steps).validate()
 
 
 def convergence_study(config, coupling="2h"):

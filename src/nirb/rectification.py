@@ -8,7 +8,11 @@ operator Phi (``lift_projection``), a pure function of the basis, the fine
 forms and the coarse mesh.
 The artifacts own both (``pipeline.OfflineArtifacts.time_weights`` and
 ``lift``, derived on first use and kept): every lift, online query and fit
-takes them as arguments, so W is built in one place."""
+takes them as arguments, so W is built in one place.
+
+The maps are fitted at every fine time index at once
+(``build_rectification``), each with the Tikhonov parameter delta_value
+times ||A_n||_F^2, the trace of its normal matrix, in closed form."""
 
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nirb.integrators import FieldTrajectory
-from nirb.linalg import dominant_eigenvalues, solve_regularized_normal
+from nirb.linalg import solve_regularized_normal
 from nirb.mesh import interpolate_field, transfer_operator
 from nirb.reduced_basis import mass_weighted_modes
 
@@ -135,16 +139,17 @@ def build_rectification(lifted, fine, delta_value=1e-10):
     ``solve_regularized_normal`` over the stack.
 
     The Tikhonov parameter at each time index is delta_value *
-    sigma_1(A^T A), from one batched power iteration
-    (``linalg.dominant_eigenvalues``); delta_value = 0 gives delta = 0,
-    which triggers an invertibility screen and fails loudly on rank
-    deficiency.  A failing solve names its time index."""
+    ||A||_F^2, the trace of A^T A, which lies between its largest
+    eigenvalue and N times it, so the regularization is relative to the
+    scale of the normal matrix without an eigensolve; delta_value = 0
+    gives delta = 0, which triggers an invertibility screen and fails
+    loudly on rank deficiency.  A failing solve names its time index."""
     A, B = np.asarray(lifted, dtype=float), np.asarray(fine, dtype=float)
     if A.ndim != 3 or A.shape != B.shape or 0 in A.shape:
         raise ValueError(f"lifted and fine coefficient stacks of shapes "
                          f"{A.shape} and {B.shape}, expected one nonempty "
                          f"(n_times, k, N) shape")
-    deltas = delta_value * dominant_eigenvalues(A.transpose(0, 2, 1) @ A)
+    deltas = delta_value * (A * A).sum(axis=(1, 2))
     cols = solve_regularized_normal(
         A, B, deltas, [f"time index {n}" for n in range(A.shape[0])])
     return RectificationTensor(matrices=cols.transpose(0, 2, 1).copy(),

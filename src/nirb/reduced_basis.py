@@ -1,6 +1,7 @@
 """Reduced basis construction from solution trajectories: the H1 proper
 orthogonal decomposition and the one basis builder, the hierarchical H1
-POD, which returns L2-orthonormal modes.
+POD, which returns L2-orthonormal modes, orthonormalized against their mass
+Gram by Cholesky QR applied twice (``mass_orthonormalize``).
 
 A basis is built in two stages: a per-run preparation that does not depend
 on which other runs are in the set (``h1_rows``, each run's own H1 POD),
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nirb.linalg import blocked_matmul, sym_eig
+from nirb.linalg import _lower_inverse, blocked_matmul, cholesky, sym_eig
 
 log = logging.getLogger(__name__)
 
@@ -69,13 +70,6 @@ def mass_inner(forms, U, V):
     return np.asarray(U) @ block_matvec(forms.mass, np.asarray(V)).T
 
 
-def l2_norms(forms, U):
-    """Rowwise L2 norms of (stacked) nodal fields."""
-    U = np.asarray(U, dtype=float)
-    return np.sqrt(np.clip((U * block_matvec(forms.mass, U)).sum(-1), 0.0,
-                           None))
-
-
 def pod(snapshots, forms, keep):
     """Proper orthogonal decomposition in the H1 inner product, the
     blockwise mass plus stiffness form.
@@ -113,23 +107,22 @@ def pod(snapshots, forms, keep):
     return (V[:, :k].T @ S) / sig[:k, None], sig
 
 
-def _mass_mgs(cands, forms):
-    """Modified Gram-Schmidt in the L2 inner product, two passes: the rows
-    of ``cands`` are orthonormalized in place, rows that vanish are
-    removed, and the kept rows are returned."""
-    kept = []
-    for i in range(cands.shape[0]):
-        v = cands[i]
-        for _ in range(2):
-            for j in kept:
-                c = mass_inner(forms, v, cands[j:j + 1])[0]
-                v = v - c * cands[j]
-        nrm = l2_norms(forms, v)
-        if nrm == 0.0:
-            continue
-        cands[i] = v / nrm
-        kept.append(i)
-    return cands[kept]
+def mass_orthonormalize(rows, forms):
+    """The rows of ``rows`` made L2-orthonormal by Cholesky QR in the
+    blockwise mass inner product, applied twice (CholeskyQR2, Yamamoto,
+    Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015): each pass forms the
+    rows' mass Gram G = L L^T (``linalg.cholesky``) and replaces the rows
+    by L^{-1} times them.  The result spans the same space with the same
+    leading subspaces as row-by-row Gram-Schmidt, which it equals in exact
+    arithmetic; the second pass brings the Gram to the identity up to
+    rounding when the first Gram's condition number is below about
+    1/sqrt(eps).  A Gram that is not positive definite raises the
+    ``ValueError`` of ``linalg.cholesky``."""
+    Q = np.asarray(rows, dtype=float)
+    for _ in range(2):
+        G = mass_inner(forms, Q, Q)
+        Q = _lower_inverse(cholesky(G)) @ Q
+    return Q
 
 
 def h1_rows(trajectories, forms, n_max):
@@ -163,12 +156,18 @@ def hierarchical_pod(rows, forms, n_max):
     that form when an initial state violates a Neumann condition, carry far
     more stiffness energy than mass energy, so they survive a truncation
     that would drop them under a pure L2 ranking.  The output is
-    re-orthonormalized in L2, so the basis invariants apply unchanged."""
+    re-orthonormalized in L2 by ``mass_orthonormalize`` (Cholesky QR of
+    the modes' mass Gram, twice), so the basis invariants apply unchanged;
+    a mass Gram that is not positive definite raises a ``RuntimeError``."""
     if not rows:
         raise ValueError("empty training set")
     pooled = np.vstack(rows)
     modes, sig = pod(pooled, forms, n_max)
-    modes = _mass_mgs(modes, forms)
+    try:
+        modes = mass_orthonormalize(modes, forms)
+    except ValueError as exc:
+        raise RuntimeError(f"hierarchical_pod could not L2-orthonormalize "
+                           f"its {len(modes)} modes: {exc}") from exc
     return ReducedBasis(
         mesh=forms.mesh, modes=modes,
         provenance={"algorithm": "hierarchical_pod",

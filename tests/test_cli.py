@@ -107,6 +107,30 @@ def test_errors_out_of_bounds_fails_before_the_fine_solve(config_path, capsys,
     assert calls == []
 
 
+def test_study_values_come_from_the_artifacts(capsys, tmp_path,
+                                             small_heat_text):
+    # the file only locates the artifacts: after its domain, bounds and
+    # test parameter are edited, online and errors still read the study the
+    # artifacts were built for, which has no closed form on (0, 2) x (0, 0.5)
+    path = tmp_path / "study.cfg"
+    tail = f"output_dir = {tmp_path / 'out'}\n"
+    path.write_text(small_heat_text + "domain = 0,2,0,0.5\n" + tail)
+    assert run(capsys, "offline", str(path))[0] == 0
+    path.write_text(small_heat_text + "mu_max = 20\ntest_mu = 4.5\n" + tail)
+    code, out = run(capsys, "online", str(path), "--mu", "1")
+    assert code == 0, out.err
+    assert "relative errors vs closed form" not in out.out
+    assert "no closed-form reference" in out.out
+    code, out = run(capsys, "online", str(path))
+    assert code == 0, out.err
+    assert (tmp_path / "out" / "online_rectified_mu1.traj").exists()
+    assert not (tmp_path / "out" / "online_rectified_mu4.5.traj").exists()
+    code, out = run(capsys, "errors", str(path), "--mu", "12")
+    assert code == 1
+    assert slug_of(out.err) == "bad-parameter"
+    assert "outside the configured bounds" in out.err
+
+
 def test_retired_key_at_another_value(capsys, tmp_path, small_heat_text):
     path = tmp_path / "lenient.cfg"
     path.write_text(small_heat_text + "strict_bounds = false\n")

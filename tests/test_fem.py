@@ -162,7 +162,7 @@ def test_forms_share_one_slot_layout(nx, bc):
 def _rotated_mesh(m, rng):
     """m with its triangles shuffled and each one's vertices rotated by a
     random turn (still counter-clockwise)."""
-    tri = m.triangles[rng.permutation(m.n_triangles)]
+    tri = m.triangles[rng.permutation(m.triangles.shape[0])]
     turns = rng.integers(0, 3, tri.shape[0])[:, None]
     tri = np.take_along_axis(tri, (np.arange(3) + turns) % 3, axis=1)
     return dataclasses.replace(m, triangles=tri)

@@ -152,17 +152,29 @@ class TestArtifacts:
         assert err.value.slug == "corrupt-artifacts"
 
     @pytest.mark.parametrize("name, raw", [
-        ("deltas", None), ("provenance", b"raw bytes")])
+        ("deltas", None), ("provenance", b"raw bytes"),
+        pytest.param("modes", lambda a: a.astype(complex), id="modes-complex"),
+        pytest.param("modes", lambda a: a.astype(int), id="modes-integer"),
+        pytest.param("matrices", lambda a: np.where(a == a.max(), np.nan, a),
+                     id="matrices-nan"),
+        pytest.param("matrices", lambda a: np.full_like(a, np.inf),
+                     id="matrices-inf"),
+        pytest.param("deltas", lambda a: a.astype(complex) + 1j,
+                     id="deltas-complex"),
+        pytest.param("deltas", lambda a: -a, id="deltas-negative")])
     def test_missing_or_raw_member_is_corrupt(self, saved, tmp_path, name,
                                               raw):
-        # numpy hands back a member without the .npy magic as raw bytes
+        # numpy hands back a member without the .npy magic as raw bytes; a
+        # callable raw rewrites the member's array instead
         _, _, path = saved
         with np.load(path, allow_pickle=False) as archive:
             members = {n: archive[n] for n in archive.files if n != name}
+            if callable(raw):
+                members[name] = raw(archive[name])
         out = tmp_path / "edited"
         with open(out, "wb") as fh:
             np.savez(fh, **members)
-        if raw is not None:
+        if isinstance(raw, bytes):
             with zipfile.ZipFile(out, "a") as zf:
                 zf.writestr(f"{name}.npy", raw)
         with pytest.raises(io.ArtifactError, match=f"{name} member") as err:

@@ -2,14 +2,18 @@
 and sums over a short slot axis (``linalg.SparseSym``): nothing in it calls
 ``reduceat``, whose scalar loop over every short row those kernels replace.
 And every module-level function and class is reached from the package
-itself or exported in ``nirb.__all__``, not only from the tests."""
+itself or exported in ``nirb.__all__``, not only from the tests; every
+method and property of those classes is too, or is reached from the
+benchmark scripts (``benchmarks/*.py``, read and not changed)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nirb"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nirb"
+BENCH = ROOT / "benchmarks"
 
 
 def reduceat_uses(tree):
@@ -45,38 +49,61 @@ def test_package_never_calls_reduceat():
     assert not found, f"reduceat used at {sorted(found)}"
 
 
+def names_in(node, owners=()):
+    """The names that ``node`` refers to, loaded names, attribute names and
+    imported names, except those in ``owners``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.alias):
+            name = sub.name
+        else:
+            continue
+        if name not in owners:
+            yield name
+
+
 def definitions_and_references(trees):
-    """Module-level functions and classes of parsed modules, {name: "module:
-    line"}, and the set of names the modules refer to: loaded names,
-    attribute names and imported names.  A definition's own body does not
-    count as a reference to it, so a function that only calls itself is
-    still unreferenced."""
-    defined, referred = {}, set()
+    """Module-level functions and classes of parsed modules and the methods
+    and properties of those classes, {"module:line": name} each, and the
+    set of names the modules refer to.  A definition's own body does not
+    count as a reference to it, so a function or method that only calls
+    itself is still unreferenced.  Dunder methods are called by Python, not
+    by name, and are not listed."""
+    defined, members, referred = {}, {}, set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, tree in trees.items():
         for top in tree.body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)):
-                owner = top.name
-                defined[owner] = f"{module}:{top.lineno}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if name != owner:
-                    referred.add(name)
-    return defined, referred
+            if not isinstance(top, defs + (ast.ClassDef,)):
+                referred.update(names_in(top))
+                continue
+            defined[f"{module}:{top.lineno}"] = top.name
+            parts = [top]
+            if isinstance(top, ast.ClassDef):
+                parts = ast.iter_child_nodes(top)
+            for node in parts:
+                owners = {top.name}
+                if node is not top and isinstance(node, defs):
+                    owners.add(node.name)
+                    if not (node.name.startswith("__")
+                            and node.name.endswith("__")):
+                        members[f"{module}:{node.lineno}"] = node.name
+                referred.update(names_in(node, owners))
+    return defined, members, referred
 
 
-def orphans(trees, exported):
-    defined, referred = definitions_and_references(trees)
-    return sorted(where for name, where in defined.items()
-                  if name not in referred and name not in exported)
+def orphans(trees, exported, outside=frozenset()):
+    """Where the unreferenced, unexported definitions of ``trees`` are; a
+    method or property also counts as referenced when a name in
+    ``outside`` (the names another code base refers to) is its own."""
+    defined, members, referred = definitions_and_references(trees)
+    found = [where for where, name in defined.items()
+             if name not in referred and name not in exported]
+    found += [where for where, name in members.items()
+              if name not in referred | outside and name not in exported]
+    return sorted(found)
 
 
 @pytest.mark.parametrize("sources, exported, found", [
@@ -87,18 +114,35 @@ def orphans(trees, exported):
     ({"a": "def f():\n    pass\n", "b": "import a\ng = a.f\n"}, (), []),
     ({"a": "class C:\n    pass\n\n\ndef g():\n    return C()\n"}, (),
      ["a:5"]),
+    ({"a": "class C:\n    def m(self):\n        return self.m()\n\n\n"
+           "x = C()\n"}, (), ["a:2"]),
+    ({"a": "class C:\n    @property\n    def m(self):\n        pass\n"
+           "\n\nx = C().m\n"}, (), []),
+    ({"a": "class C:\n    def __init__(self):\n        pass\n\n\n"
+           "x = C()\n"}, (), []),
 ])
 def test_orphan_scan_catches(sources, exported, found):
     trees = {name: ast.parse(text) for name, text in sources.items()}
     assert orphans(trees, exported) == found
 
 
+def test_a_member_reached_from_outside_is_kept():
+    trees = {"a": ast.parse("class C:\n    def m(self):\n        pass\n\n\n"
+                            "x = C()\n")}
+    assert orphans(trees, (), {"m"}) == []
+
+
 def test_every_function_is_reached_from_the_package():
-    # a function or class that only tests reach is dead code
+    # a function, class, method or property that only tests reach is dead
+    # code; a method or property may also be reached from the benchmark
     import nirb
 
     trees = {path.stem: ast.parse(path.read_text("utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert trees
-    found = orphans(trees, nirb.__all__)
+    bench = set()
+    for path in sorted(BENCH.glob("*.py")):
+        bench.update(names_in(ast.parse(path.read_text("utf-8"))))
+    assert bench
+    found = orphans(trees, nirb.__all__, bench)
     assert not found, f"defined but never referenced in the package: {found}"

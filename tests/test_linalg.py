@@ -580,39 +580,6 @@ class TestInverseIterationBlocks:
         assert_eigenpairs(G, lam, V)
 
 
-def power_iteration(G, tol, max_iter=500):
-    """One matrix's power iteration with the stop rule of
-    ``dominant_eigenvalues``, as a reference."""
-    v = np.ones(len(G)) / np.sqrt(len(G))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        if not w.any():
-            return 0.0
-        v = w / np.linalg.norm(w)
-        new = v @ (G @ v)
-        if abs(new - lam) <= tol * abs(new):
-            return new
-        lam = new
-    return lam
-
-
-def test_dominant_eigenvalues_per_matrix(rng):
-    # a stack of matrices that converge at different iterations, and a zero
-    # one: each stops by its own rule, as a loop over the matrices would
-    G = np.stack([random_spd(rng, 12, cond=50.0), rotated(rng, [1.0, 0.9, 0.1]
-                  + [0.0] * 9), np.zeros((12, 12)), random_spd(rng, 12)])
-    for tol in (1e-6, 1e-10):
-        lam = linalg.dominant_eigenvalues(G, tol=tol)
-        want = [power_iteration(g, tol) for g in G]
-        assert lam.shape == (4,)
-        assert lam == pytest.approx(want, rel=1e-12)
-        assert lam[2] == 0.0
-    top = np.linalg.eigvalsh(G[[0, 3]])[:, -1]
-    assert linalg.dominant_eigenvalues(G[[0, 3]], tol=1e-10) \
-        == pytest.approx(top, rel=1e-6)
-
-
 class TestRegularizedNormal:
     def test_square_invertible_zero_delta(self, rng):
         A = random_spd(rng, 4)

@@ -13,21 +13,21 @@ def signed_areas(m):
 def test_single_cell_counts():
     m = mesh.build_structured(1, 1)
     assert m.n_nodes == 4
-    assert m.n_triangles == 2
+    assert m.triangles.shape[0] == 2
     assert m.h == pytest.approx(np.sqrt(2.0))
 
 
 def test_two_by_two_counts():
     m = mesh.build_structured(2, 2)
     assert m.n_nodes == 9
-    assert m.n_triangles == 8
+    assert m.triangles.shape[0] == 8
     assert m.h == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
 def test_rectangle_counts():
     m = mesh.build_structured(4, 2, domain=(0.0, 2.0, 0.0, 1.0))
     assert m.n_nodes == 15
-    assert m.n_triangles == 16
+    assert m.triangles.shape[0] == 16
     assert m.h == pytest.approx(np.sqrt(0.5))
     assert m.cell_sizes() == pytest.approx((0.5, 0.5))
 

@@ -556,7 +556,7 @@ class TestRectification:
             values=rng.standard_normal((5, coarse_mesh.n_nodes)))
             for p in range(k)]
         snaps = np.vstack([t.values for t in fine_trajs])
-        basis = rb.ReducedBasis(mesh=fine_mesh, modes=rb._mass_mgs(
+        basis = rb.ReducedBasis(mesh=fine_mesh, modes=rb.mass_orthonormalize(
             rb.pod(snaps, forms, N)[0], forms))
         phi = lift_projection(basis, forms, coarse_mesh)
         W = quadratic_weights(coarse_grid, fine_grid)
@@ -591,18 +591,18 @@ class TestRectification:
             got = tensor.matrices[n]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_relative_delta_is_the_scaled_top_eigenvalue(self, study):
+    def test_relative_delta_is_the_scaled_frobenius_norm(self, study):
         # on the heat study's training runs every delta is delta_value
-        # times the top eigenvalue of A^T A at its time index
+        # times ||A||_F^2, the trace of A^T A, at its time index
         config, artifacts = study
         coarse = [pipeline.solve_coarse(config, artifacts.coarse, mu)
                   for mu in config.train_mu]
         A = np.stack([coarse_to_fine_coefficients(t, artifacts.lift,
                                                   artifacts.time_weights)
                       for t in coarse], axis=1)
-        top = np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)[:, -1]
+        trace = np.trace(A.transpose(0, 2, 1) @ A, axis1=1, axis2=2)
         assert artifacts.tensor.deltas == pytest.approx(
-            config.delta_value * top, rel=1e-6)
+            config.delta_value * trace, rel=1e-12)
 
     def test_a_failing_time_index_is_named(self, rng):
         # a zero lifted row leaves that index's normal matrix zero, and a
@@ -629,7 +629,7 @@ class TestRectification:
                 build_rectification(A, B)
 
     def test_unknown_delta_mode_rejected(self):
-        # the fit has one delta rule, scaled by the top eigenvalue; a study
+        # the fit has one delta rule, scaled by ||A||_F^2; a study
         # that asks for another is refused before any solve
         with pytest.raises(ValueError, match="delta_mode is retired and "
                                              "fixed at relative"):
@@ -845,6 +845,20 @@ class TestStudy:
                             lambda *a, **k: calls.append(a))
         config = dataclasses.replace(heat_config, study_levels=(8, 15))
         with pytest.raises(ValueError, match="even mesh counts"):
+            pipeline.convergence_study(config, "2h")
+        assert calls == []
+
+    def test_invalid_last_rung_fails_before_any_offline(self, heat_config,
+                                                        monkeypatch):
+        # rung 2 of the 2h coupling has a one-cell coarse mesh, without an
+        # interior node; it is refused before rung 16's offline runs
+        calls = []
+        monkeypatch.setattr(pipeline, "offline",
+                            lambda *a, **k: calls.append(a))
+        config = dataclasses.replace(heat_config, study_levels=(16, 2))
+        with pytest.raises(ValueError, match="coarse_nx = 1 leaves the heat "
+                                             "problem's coarse mesh without "
+                                             "an interior node"):
             pipeline.convergence_study(config, "2h")
         assert calls == []
 

@@ -162,7 +162,7 @@ class TestHierarchicalPod:
         values = rng.standard_normal((8, m.n_nodes))
         basis = build({1.0: make_traj(m, values)}, forms, 4)
         direct, _ = rb.pod(values, forms, 4)
-        direct = rb._mass_mgs(direct, forms)
+        direct = rb.mass_orthonormalize(direct, forms)
         P1 = basis.modes.T @ block_mass(forms, basis.modes)
         P2 = direct.T @ block_mass(forms, direct)
         assert np.abs(P1 - P2).max() <= 1e-9
@@ -178,7 +178,7 @@ class TestHierarchicalPod:
         basis = build(trajs, forms, 3)
         pooled, sig = rb.pod(np.vstack([t.values for t in trajs.values()]),
                              forms, 3)
-        pooled = rb._mass_mgs(pooled, forms)
+        pooled = rb.mass_orthonormalize(pooled, forms)
         P1 = basis.modes.T @ block_mass(forms, basis.modes)
         P2 = pooled.T @ block_mass(forms, pooled)
         assert np.abs(P1 - P2).max() <= 1e-8
@@ -228,6 +228,59 @@ class TestHierarchicalPod:
         with pytest.raises(ValueError, match="empty training set"):
             rb.hierarchical_pod([], setup[1], 3)
 
+    def test_a_vanishing_mode_raises_naming_the_builder(self, setup, rng,
+                                                      monkeypatch):
+        # pooled modes with a vanishing one have a singular mass Gram and
+        # cannot be orthonormalized
+        m, forms = setup
+        values = rng.standard_normal((8, m.n_nodes))
+        prepared = rb.h1_rows({1.0: make_traj(m, values)}, forms, 3)
+        pod = rb.pod
+
+        def vanishing(*args, **kwargs):
+            modes, sig = pod(*args, **kwargs)
+            modes[2] = 0.0
+            return modes, sig
+
+        monkeypatch.setattr(rb, "pod", vanishing)
+        with pytest.raises(RuntimeError, match="hierarchical_pod could not "
+                                               "L2-orthonormalize its 3 "
+                                               "modes: .*not positive "
+                                               "definite"):
+            rb.hierarchical_pod(list(prepared.values()), forms, 3)
+
+
+def gram_schmidt(rows, forms):
+    """Two-pass modified Gram-Schmidt in the mass inner product, row by
+    row, as a reference."""
+    Q = np.array(rows, dtype=float)
+    for i in range(len(Q)):
+        for _ in range(2):
+            for j in range(i):
+                Q[i] -= rb.mass_inner(forms, Q[i], Q[j:j + 1])[0] * Q[j]
+        Q[i] /= np.sqrt(rb.mass_inner(forms, Q[i], Q[i:i + 1])[0])
+    return Q
+
+
+class TestMassOrthonormalize:
+    @pytest.mark.parametrize("n_fields", [1, 2])
+    def test_matches_gram_schmidt(self, setup, rng, n_fields):
+        # the same rows as Gram-Schmidt, and a mass Gram at the identity
+        m, forms = setup
+        rows = rng.standard_normal((6, n_fields * m.n_nodes))
+        rows[1] += 3.0 * rows[0]
+        got = rb.mass_orthonormalize(rows, forms)
+        want = gram_schmidt(rows, forms)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(l2_gram(forms, got) - np.eye(6)).max() <= 1e-14
+
+    def test_a_vanishing_row_is_rejected(self, setup, rng):
+        m, forms = setup
+        rows = rng.standard_normal((3, m.n_nodes))
+        rows[1] = 0.0
+        with pytest.raises(ValueError, match="not positive definite"):
+            rb.mass_orthonormalize(rows, forms)
+
 
 def block_mass(forms, U):
     return np.stack([forms.mass.matvec(u) for u in U])
@@ -237,7 +290,7 @@ class TestCoefficients:
     def test_roundtrip_in_span(self, setup, rng):
         m, forms = setup
         snaps = rng.standard_normal((6, m.n_nodes))
-        modes = rb._mass_mgs(rb.pod(snaps, forms, 4)[0], forms)
+        modes = rb.mass_orthonormalize(rb.pod(snaps, forms, 4)[0], forms)
         basis = rb.ReducedBasis(mesh=m, modes=modes)
         want = rng.standard_normal((3, 4))
         fields = rb.reconstruct(basis, want)
@@ -247,7 +300,7 @@ class TestCoefficients:
     def test_two_field_blocks(self, setup, rng):
         m, forms = setup
         snaps = rng.standard_normal((6, 2 * m.n_nodes))
-        modes = rb._mass_mgs(rb.pod(snaps, forms, 3)[0], forms)
+        modes = rb.mass_orthonormalize(rb.pod(snaps, forms, 3)[0], forms)
         basis = rb.ReducedBasis(mesh=m, modes=modes)
         assert basis.n_fields == 2
         G = rb.mass_inner(forms, modes, modes)
