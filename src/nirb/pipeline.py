@@ -13,7 +13,9 @@ import contextlib
 import functools
 import logging
 import math
+import mmap
 import os
+import signal
 import time
 from dataclasses import dataclass, replace
 
@@ -102,8 +104,96 @@ def _timed(seconds, stage):
         seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
-def _stage_line(seconds):
-    return ", ".join(f"{stage} {s:.3f}s" for stage, s in seconds.items())
+def _stage_line(seconds, n_runs):
+    """The stage wall times and the worker count of a fine sweep of
+    ``n_runs`` runs."""
+    return (", ".join(f"{stage} {s:.3f}s" for stage, s in seconds.items())
+            + f"; fine sweep workers: {_fine_workers(n_runs)}")
+
+
+def _solved(name, solve, config, disc, p):
+    """``solve(config, disc, p)``, a failure raised as the ``RuntimeError``
+    naming the sweep and the parameter."""
+    try:
+        return solve(config, disc, p)
+    except (RuntimeError, ValueError) as exc:
+        raise RuntimeError(
+            f"{name} solve failed at parameter {p}: {exc}") from exc
+
+
+def _fine_workers(n_runs):
+    """Worker count of the fine sweep: the CPUs this process may run on,
+    at most one per run, and 1 where ``os.fork`` or the affinity query is
+    missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
+
+
+def _solve_share(config, disc, params, values, done, first, step):
+    """Fine runs first, first + step, ... into their rows of ``values``,
+    each marked in ``done`` once its row is written; the first failure
+    ends the share."""
+    for i in range(first, len(params), step):
+        values[i] = solve_fine(config, disc, params[i]).values
+        done[i] = 1
+
+
+def _fine_sweep(config, disc, params):
+    """The fine runs at ``params`` on ``_fine_workers`` workers, as
+    trajectories in parameter order whose values view one shared buffer.
+
+    Worker w solves runs i = w mod W; the calling process is worker 0 and
+    forks the others.  Every worker writes into one anonymous shared
+    ``mmap`` of shape (runs, steps + 1, width) and marks a run's status
+    byte only when it succeeded.  After every child is reaped the runs are
+    walked in parameter order and any unmarked one is solved here, so the
+    first failing parameter in order raises its "fine solve failed" error,
+    and a child that crashed or was killed costs a re-solve of the runs it
+    left.  A child always ends in ``os._exit``, never returning into the
+    caller or flushing its buffers, and an exception here (an interrupt
+    included) kills and reaps the children before it propagates.  With one
+    worker no process is forked.
+
+    From Python 3.12 ``os.fork`` warns when the process runs other threads,
+    OpenBLAS's pool among them; under warnings-as-errors that fails."""
+    workers = _fine_workers(len(params))
+    fields = 1 if config.problem == "heat" else 2
+    shape = (len(params), disc.grid.steps + 1, fields * disc.mesh.n_nodes)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, 8 * count + len(params))
+    values = np.frombuffer(buffer, dtype=float, count=count).reshape(shape)
+    done = np.frombuffer(buffer, dtype=np.uint8, offset=8 * count)
+    children = []
+    try:
+        for w in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _solve_share(config, disc, params, values, done, w,
+                                 workers)
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        # a failure here is raised, in parameter order, by the walk below
+        with contextlib.suppress(RuntimeError, ValueError):
+            _solve_share(config, disc, params, values, done, 0, workers)
+        while children:
+            os.waitpid(children[-1], 0)
+            children.pop()
+    finally:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    for i, p in enumerate(params):
+        if not done[i]:
+            values[i] = _solved("fine", solve_fine, config, disc, p).values
+    return {p: FieldTrajectory(mesh=disc.mesh, grid=disc.grid,
+                               values=values[i], parameter=p)
+            for i, p in enumerate(params)}
 
 
 def _training_runs(config, params, seconds):
@@ -111,26 +201,27 @@ def _training_runs(config, params, seconds):
     returns (fine, coarse, fine_trajs, coarse_trajs, prepared), the runs as
     dicts in parameter order and ``prepared`` each fine run's own H1 POD
     rows (``reduced_basis.h1_rows``), from which every fold's basis is
-    pooled.  The wall times of the runs and of the preparation are
-    added to ``seconds`` under "training runs" and "preparation".
+    pooled.  The wall times are added to ``seconds`` under "coarse runs"
+    (the discretizations and the coarse sweep), "fine runs" and
+    "preparation".
 
-    The cheap coarse sweep runs first, so a coarse failure shows before any
-    fine solve."""
-    with _timed(seconds, "training runs"):
+    The cheap coarse sweep runs first and in this process, so a coarse
+    failure shows before any fine solve.  The fine sweep (``_fine_sweep``)
+    runs on one worker per CPU this process may use, at most one per run:
+    this process and forked children, worker w solving the runs w, w + W,
+    ... of parameter order into one shared buffer that the fine
+    trajectories view.  A failure raises the "fine solve failed at
+    parameter p" error of the first failing parameter in order, as a
+    sweep in this process would, and no child outlives the sweep."""
+    with _timed(seconds, "coarse runs"):
         fine, coarse = discretize(config)
-        runs = {}
-        for name, solve, disc in (("coarse", solve_coarse, coarse),
-                                  ("fine", solve_fine, fine)):
-            runs[name] = out = {}
-            for p in params:
-                try:
-                    out[p] = solve(config, disc, p)
-                except (RuntimeError, ValueError) as exc:
-                    raise RuntimeError(
-                        f"{name} solve failed at parameter {p}: {exc}") from exc
+        coarse_trajs = {p: _solved("coarse", solve_coarse, config, coarse, p)
+                        for p in params}
+    with _timed(seconds, "fine runs"):
+        fine_trajs = _fine_sweep(config, fine, params)
     with _timed(seconds, "preparation"):
-        prepared = h1_rows(runs["fine"], fine.forms, config.n_max)
-    return fine, coarse, runs["fine"], runs["coarse"], prepared
+        prepared = h1_rows(fine_trajs, fine.forms, config.n_max)
+    return fine, coarse, fine_trajs, coarse_trajs, prepared
 
 
 def build_basis(config, rows, forms):
@@ -236,8 +327,13 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
 
 def offline(config, persist=True):
     """Offline stage: fine snapshots, coarse snapshots, basis, rectification,
-    with the stage wall times logged at INFO.  The prepared training runs
-    are dropped once the fit returns.
+    with the stage wall times and the fine sweep's worker count logged at
+    INFO.  The coarse runs are solved in this process; the fine runs on one
+    worker per usable CPU (at most one per run), worker w taking the runs
+    w, w + W, ... in parameter order, with the failure of the first failing
+    parameter in that order raised as it would be in one process
+    (``_training_runs``).  The prepared training runs are dropped once the
+    fit returns.
 
     With persist=True the artifact file lands in config.output_dir."""
     config.validate()
@@ -246,7 +342,7 @@ def offline(config, persist=True):
         raise ValueError("empty training set")
     seconds = {}
     artifacts = fit(config, *_training_runs(config, params, seconds), seconds)
-    log.info("offline stages: %s", _stage_line(seconds))
+    log.info("offline stages: %s", _stage_line(seconds, len(params)))
     if persist:
         os.makedirs(config.output_dir, exist_ok=True)
         io.save_artifacts(os.path.join(config.output_dir, ARTIFACT_FILE),
@@ -523,8 +619,11 @@ class LooReport:
     """Leave-one-out table: held-out rectified error, in-sample projection
     error of the full-set basis, and lifted-coarse error, all relative
     sup-in-time energy-norm values, with column maxima, and the pass's wall
-    seconds per stage: "training runs", "preparation", "basis selections",
-    "fits" and "scoring"."""
+    seconds per stage: "coarse runs" (the discretizations and the coarse
+    sweep, in this process), "fine runs" (the fine sweep, on one worker per
+    usable CPU, at most one per run, worker w solving the runs w, w + W,
+    ... of parameter order), "preparation", "basis selections", "fits" and
+    "scoring"."""
 
     energy_norm: str
     rows: list
@@ -555,10 +654,13 @@ def leave_one_out(config):
     on the rest, and measure the rectified online error at the held-out
     point against its fine solve.
 
-    The training runs are solved once and each is reduced once to its own
-    H1 POD rows (``reduced_basis.h1_rows``), and every fold's ``fit`` pools
-    the rows of the runs it holds in; the stage wall times go into the
-    report and are logged at INFO."""
+    The training runs are solved once, the fine ones on one worker per
+    usable CPU as in ``offline`` (``_training_runs``: parameter order split
+    round-robin, the first failing parameter in order named), and each is
+    reduced once to its own H1 POD rows (``reduced_basis.h1_rows``), and
+    every fold's ``fit`` pools the rows of the runs it holds in; the stage
+    wall times go into the report and are logged at INFO with the fine
+    sweep's worker count."""
     config.validate()
     params = config.training_parameters()
     if len(params) < 2:
@@ -589,7 +691,7 @@ def leave_one_out(config):
         rows.append(LooRow(parameter=p, **{
             name: report.rel_energy for name, report in reports.items()}))
 
-    log.info("leave-one-out stages: %s", _stage_line(seconds))
+    log.info("leave-one-out stages: %s", _stage_line(seconds, len(params)))
     return LooReport(energy_norm=energy_norm(fine.forms), rows=rows,
                      max_rectified=max(r.rectified for r in rows),
                      max_projection=max(r.projection for r in rows),

@@ -158,16 +158,20 @@ def hierarchical_pod(rows, forms, n_max):
     that would drop them under a pure L2 ranking.  The output is
     re-orthonormalized in L2 by ``mass_orthonormalize`` (Cholesky QR of
     the modes' mass Gram, twice), so the basis invariants apply unchanged;
-    a mass Gram that is not positive definite raises a ``RuntimeError``."""
+    a mass Gram that is not positive definite raises a ``RuntimeError``.
+    All-zero runs have no prepared rows, and with nothing pooled, or
+    nothing above roundoff in the pooled rows, the basis has no modes."""
     if not rows:
         raise ValueError("empty training set")
     pooled = np.vstack(rows)
-    modes, sig = pod(pooled, forms, n_max)
-    try:
-        modes = mass_orthonormalize(modes, forms)
-    except ValueError as exc:
-        raise RuntimeError(f"hierarchical_pod could not L2-orthonormalize "
-                           f"its {len(modes)} modes: {exc}") from exc
+    modes, sig = (pod(pooled, forms, n_max) if len(pooled)
+                  else (pooled, np.zeros(0)))
+    if len(modes):
+        try:
+            modes = mass_orthonormalize(modes, forms)
+        except ValueError as exc:
+            raise RuntimeError(f"hierarchical_pod could not L2-orthonormalize "
+                               f"its {len(modes)} modes: {exc}") from exc
     return ReducedBasis(
         mesh=forms.mesh, modes=modes,
         provenance={"algorithm": "hierarchical_pod",

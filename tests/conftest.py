@@ -1,7 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 
 from nirb import fem, integrators, mesh
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child process is still running or was
+    never reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process outlived the test"
+                + (f": pid {pid}, reaped here" if pid else ", still running"))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ as a changed ``trace.absent``; these tests make it fail here instead."""
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -56,9 +57,16 @@ def test_trace_target_resolves(target):
     assert found == (f"{target.module}.{target.attr}" not in RETIRED)
 
 
-def test_trace_hooks_read_the_traced_arguments(small_heat_text):
+def one_cpu(monkeypatch):
+    """Run the fine sweep in this process, where the tracer sees every
+    span: on one CPU it forks no worker and runs the same loop."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def test_trace_hooks_read_the_traced_arguments(small_heat_text, monkeypatch):
     # the hooks read arguments by name (A, G, grid); a renamed argument
     # would only show as a hook error in a traced benchmark run
+    one_cpu(monkeypatch)
     config = StudyConfig.from_text(small_heat_text)
     tracer = tracer_module.Tracer().install()
     try:
@@ -99,9 +107,10 @@ def test_solve_coarse_accepts_the_fine_keyword(small_heat_text):
     assert np.array_equal(got.values, want.values)
 
 
-def test_trace_hooks_on_the_reaction_diffusion_offline():
+def test_trace_hooks_on_the_reaction_diffusion_offline(monkeypatch):
     # the rd workload's spans: every Newton step of every fine training run
     # is one span, and every linear solve inside it counts its iterations
+    one_cpu(monkeypatch)
     config = StudyConfig.from_text("problem = brusselator\n"
                                    "t0 = 0.0\n"
                                    "T = 0.5\n"

@@ -1,5 +1,9 @@
 import dataclasses
 import functools
+import os
+import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -44,15 +48,18 @@ class TestLeaveOneOut:
 class TestPreparedRuns:
     @staticmethod
     def fine_values(monkeypatch):
-        """The values arrays of every fine run solved from now on."""
+        """The fine training runs of every pass from now on, as
+        ``_training_runs`` returns them (some are solved in a worker
+        process, where no call is seen)."""
         runs = []
-        solve_fine = pipeline.solve_fine
+        training_runs = pipeline._training_runs
 
         def recording(*args, **kwargs):
-            runs.append(solve_fine(*args, **kwargs))
-            return runs[-1]
+            out = training_runs(*args, **kwargs)
+            runs.extend(out[2].values())
+            return out
 
-        monkeypatch.setattr(pipeline, "solve_fine", recording)
+        monkeypatch.setattr(pipeline, "_training_runs", recording)
         return runs
 
     @staticmethod
@@ -97,11 +104,12 @@ class TestPreparedRuns:
         config, _ = study
         with caplog.at_level("INFO", logger="nirb.pipeline"):
             report = pipeline.leave_one_out(config)
-        assert list(report.seconds) == ["training runs", "preparation",
-                                        "basis selections", "fits",
-                                        "scoring"]
+        assert list(report.seconds) == ["coarse runs", "fine runs",
+                                        "preparation", "basis selections",
+                                        "fits", "scoring"]
         assert all(s > 0.0 for s in report.seconds.values())
-        assert "leave-one-out stages: training runs " in caplog.text
+        assert "leave-one-out stages: coarse runs " in caplog.text
+        assert "; fine sweep workers: " in caplog.text
 
 
 class TestOneLiftPerFit:
@@ -227,6 +235,159 @@ class TestBasis:
             scale = np.abs(want.trajectory.values).max()
             assert np.abs(got.trajectory.values
                           - want.trajectory.values).max() <= tol * scale
+
+    def test_an_all_zero_training_set_has_no_modes(self):
+        # an all-zero run prepares no rows, so the pooled POD has nothing
+        # to read and the basis check names the empty basis
+        config = StudyConfig.from_text("problem = heat\nfine_nx = 6\n"
+                                       "coarse_nx = 3\n")
+        fine, _ = pipeline.discretize(config)
+        zero = FieldTrajectory(mesh=fine.mesh, grid=fine.grid, parameter=1.0,
+                               values=np.zeros((fine.grid.steps + 1,
+                                                fine.mesh.n_nodes)))
+        rows = list(rb.h1_rows({1.0: zero}, fine.forms, 3).values())
+        basis = rb.hierarchical_pod(rows, fine.forms, 3)
+        assert basis.modes.shape == (0, fine.mesh.n_nodes)
+        assert basis.provenance["pooled_rows"] == 0
+        assert basis.provenance["spectrum"] == []
+        with pytest.raises(RuntimeError, match="basis construction produced "
+                                               "no modes"):
+            pipeline.build_basis(config, rows, fine.forms)
+
+
+SWEEP_CONFIGS = {
+    "heat": ("problem = heat\ntrain_mu = 0.5,3.0,6.0,9.5\nfine_nx = 6\n"
+             "coarse_nx = 3\nfine_steps = 4\ncoarse_steps = 2\n"),
+    "rd": ("problem = brusselator\nt0 = 0.0\nT = 0.5\ntrain_a = 2.0,3.0\n"
+           "train_b = 1.0,2.0\ntrain_alpha = 0.002\nfine_nx = 6\n"
+           "coarse_nx = 3\nfine_steps = 4\ncoarse_steps = 2\nn_max = 3\n"),
+}
+
+
+def cpus(monkeypatch, n):
+    """Let the fine sweep see ``n`` CPUs (never more than 2 here)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def recorded_forks(monkeypatch):
+    """The pids ``os.fork`` returned to this process from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+class TestFineSweep:
+    @staticmethod
+    def sweep(config):
+        seconds = {}
+        fine, _, fine_trajs, _, _ = pipeline._training_runs(
+            config, config.training_parameters(), seconds)
+        assert list(seconds) == ["coarse runs", "fine runs", "preparation"]
+        return fine, fine_trajs
+
+    @staticmethod
+    def assert_solved_here(config, fine, fine_trajs):
+        params = config.training_parameters()
+        assert list(fine_trajs) == params
+        for p in params:
+            want = pipeline.solve_fine(config, fine, p)
+            got = fine_trajs[p]
+            assert np.array_equal(got.values, want.values)
+            assert got.parameter == want.parameter
+            assert got.mesh is fine.mesh and got.grid == want.grid
+
+    @pytest.mark.parametrize("problem", ["heat", "rd"])
+    def test_two_workers_match_solves_in_this_process(self, problem,
+                                                      monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS[problem])
+        cpus(monkeypatch, 2)
+        forks = recorded_forks(monkeypatch)
+        fine, fine_trajs = self.sweep(config)
+        assert len(forks) == 1
+        self.assert_solved_here(config, fine, fine_trajs)
+
+    @pytest.mark.parametrize("how", ["one cpu", "no fork"])
+    def test_one_worker_forks_nothing(self, how, monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        if how == "one cpu":
+            cpus(monkeypatch, 1)
+            forks = recorded_forks(monkeypatch)
+        else:
+            cpus(monkeypatch, 2)
+            monkeypatch.delattr(os, "fork")
+            forks = []
+        fine, fine_trajs = self.sweep(config)
+        assert forks == []
+        self.assert_solved_here(config, fine, fine_trajs)
+
+    @pytest.mark.parametrize("failing, named", [([1], 1), ([2, 1], 1),
+                                                ([3, 2], 2)])
+    def test_the_first_failing_parameter_is_named(self, failing, named,
+                                                  monkeypatch):
+        # with two workers the child owns the odd-numbered runs
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        params = config.training_parameters()
+        cpus(monkeypatch, 2)
+        solve_fine = pipeline.solve_fine
+
+        def failing_at(config, disc, p):
+            if p in [params[i] for i in failing]:
+                raise RuntimeError(f"planted at {p}")
+            return solve_fine(config, disc, p)
+
+        monkeypatch.setattr(pipeline, "solve_fine", failing_at)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"fine solve failed at parameter {params[named]}: planted "
+                f"at {params[named]}")) as err:
+            self.sweep(config)
+        assert str(err.value.__cause__) == f"planted at {params[named]}"
+
+    def test_a_killed_child_costs_the_runs_it_left(self, monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS["rd"])
+        params = config.training_parameters()
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+        solved_here = []
+        solve_fine = pipeline.solve_fine
+
+        def killed_in_the_child(config, disc, p):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            solved_here.append(p)
+            return solve_fine(config, disc, p)
+
+        monkeypatch.setattr(pipeline, "solve_fine", killed_in_the_child)
+        fine, fine_trajs = self.sweep(config)
+        assert solved_here == [params[0], params[2], params[1], params[3]]
+        monkeypatch.setattr(pipeline, "solve_fine", solve_fine)
+        self.assert_solved_here(config, fine, fine_trajs)
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        cpus(monkeypatch, 2)
+        forks = recorded_forks(monkeypatch)
+        parent = os.getpid()
+
+        def interrupted(config, disc, p):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30.0)
+
+        monkeypatch.setattr(pipeline, "solve_fine", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self.sweep(config)
+        assert time.perf_counter() - start < 10.0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
 
 class TestCoarseOnly:
