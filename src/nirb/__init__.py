@@ -11,11 +11,12 @@ from nirb.fem import assemble, norms
 from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
                               heat_backward_euler, heat_crank_nicolson)
 from nirb.mesh import TriMesh, build_structured, interpolate_field
-from nirb.models import BrusselatorProblem, manufactured_f, manufactured_u
-from nirb.pipeline import (AnalyticReference, Discretization, ErrorReport,
-                           OfflineArtifacts, OnlineResult, convergence_study,
-                           discretize, evaluate_errors, leave_one_out,
-                           offline, online, solve_coarse, solve_fine)
+from nirb.models import (AnalyticReference, BrusselatorProblem, manufactured_f,
+                         manufactured_u)
+from nirb.pipeline import (Discretization, ErrorReport, OfflineArtifacts,
+                           OnlineResult, convergence_study, discretize,
+                           evaluate_errors, leave_one_out, offline, online,
+                           solve_coarse, solve_fine)
 from nirb.rectification import (RectificationTensor, apply_rectification,
                                 build_rectification)
 from nirb.reduced_basis import ReducedBasis, pod

@@ -7,7 +7,7 @@ import argparse
 import os
 import sys
 
-from nirb import io, pipeline
+from nirb import io, models, pipeline
 from nirb.config import load_config
 
 
@@ -56,13 +56,6 @@ def _load(path):
     return artifacts.config, artifacts, _outdir(located)
 
 
-def _param_tag(config, param):
-    if config.problem == "heat":
-        return f"mu{param:g}"
-    a, b, alpha = param
-    return f"a{a:g}_b{b:g}_alpha{alpha:g}"
-
-
 def _outdir(config):
     os.makedirs(config.output_dir, exist_ok=True)
     return config.output_dir
@@ -99,10 +92,11 @@ def cmd_online(args):
     except ValueError as exc:
         raise CliError("bad-parameter", str(exc)) from exc
 
-    tag = _param_tag(config, result.parameter)
+    problem = models.problem_of(config)
+    tag = problem.tag(result.parameter)
     traj_path = os.path.join(outdir, f"online_{mode}_{tag}.traj")
     io.save_trajectory(traj_path, result.trajectory)
-    print(f"online {mode} at {pipeline.param_label(result.parameter)}: "
+    print(f"online {mode} at {problem.label(result.parameter)}: "
           f"coarse solve {result.seconds_coarse:.3f}s, "
           f"reconstruction {result.seconds_reconstruct:.3f}s")
     print(f"trajectory written to {traj_path}")
@@ -140,7 +134,7 @@ def cmd_errors(args):
     for k, t in enumerate(artifacts.fine.grid.times()):
         rows.append([t] + [curve[k] for r in reports.values()
                            for curve in (r.l2_curve, r.energy_curve)])
-    tag = _param_tag(config, key)
+    tag = models.problem_of(config).tag(key)
     csv_path = os.path.join(outdir, f"errors_{tag}.csv")
     io.write_csv(csv_path, rows)
     for m, r in reports.items():
@@ -197,8 +191,9 @@ def build_parser():
     p = sub.add_parser("online", help="cheap solve at one parameter using "
                                       "stored artifacts")
     p.add_argument("config")
-    p.add_argument("--mu", help="parameter value (heat: one float; "
-                                "reaction-diffusion: a,b,alpha)")
+    forms = "; ".join(f"{name}: {problem.form}"
+                      for name, problem in models.PROBLEMS.items())
+    p.add_argument("--mu", help=f"parameter value, comma-separated ({forms})")
     p.add_argument("--plain", action="store_true",
                    help="skip the rectification maps")
     p.set_defaults(handler=cmd_online)

@@ -1,5 +1,7 @@
 """Flat key = value study configuration: parsing, validation, and a canonical
-text form that round-trips."""
+text form that round-trips.  It holds every problem's fields; the study's
+problem object (``models.problem_of``) reads its own and owns the
+validation rules and the training and test parameters of its problem."""
 
 from __future__ import annotations
 
@@ -66,9 +68,7 @@ class StudyConfig:
     training sets, both discretizations, basis and rectification knobs, and
     output location.
 
-    The defaults describe the heat study on the unit square over t in [1, 2].
-    Multi-axis training sets (the reaction-diffusion case) are given per axis
-    and expanded as a full grid, a-major."""
+    The defaults describe the heat study on the unit square over t in [1, 2]."""
 
     problem: str = "heat"
     domain: tuple = (0.0, 1.0, 0.0, 1.0)
@@ -109,8 +109,7 @@ class StudyConfig:
     output_dir: str = "out"
 
     def validate(self):
-        if self.problem not in ("heat", "brusselator"):
-            raise ValueError(f"unknown problem {self.problem!r}")
+        problem = models.problem_of(self)
         if len(self.domain) != 4 or not (self.domain[1] > self.domain[0]
                                          and self.domain[3] > self.domain[2]):
             raise ValueError(f"bad domain {self.domain}")
@@ -128,61 +127,19 @@ class StudyConfig:
             raise ValueError("delta_value must be nonnegative")
         # runs are keyed by parameter, so a repeated value would train once
         # but be held out twice by leave-one-out
-        axes = (("train_mu",) if self.problem == "heat"
-                else ("train_a", "train_b", "train_alpha"))
-        for name in axes:
+        for name in problem.axes:
             values = list(getattr(self, name))
             for v in values:
                 if values.count(v) > 1:
                     raise ValueError(f"repeated value {v} in {name} {values}")
-        if self.problem == "heat":
-            if not self.t0 > 0.0:
-                raise ValueError(f"heat runs start from rest at t = 0, so "
-                                 f"the window needs t0 > 0, got t0={self.t0}")
-            # zero Dirichlet data needs an interior node to solve for
-            for which in ("fine", "coarse"):
-                count = getattr(self, f"{which}_nx")
-                if count < 2:
-                    raise ValueError(
-                        f"{which}_nx = {count} leaves the heat problem's "
-                        f"{which} mesh without an interior node; it needs "
-                        f"at least 2 cells per direction")
-            if not self.train_mu:
-                raise ValueError("empty training set")
-            for mu in self.train_mu:
-                if not (self.mu_min <= mu <= self.mu_max):
-                    raise ValueError(f"training mu={mu} outside "
-                                     f"[{self.mu_min}, {self.mu_max}]")
-        else:
-            if self.t0 != 0.0:
-                raise ValueError("the reaction-diffusion study starts at t0=0")
-            if not (self.train_a and self.train_b and self.train_alpha):
-                raise ValueError("empty training grid")
-            for p in self.training_parameters():
-                prob = models.BrusselatorProblem(*p)
-                if not prob.in_range():
-                    raise ValueError(f"training parameter {p} out of range")
-                if not prob.stable:
-                    logger.warning("training parameter %s is linearly "
-                                   "unstable", p)
+        problem.validate(self)
         return self
 
     def training_parameters(self):
-        if self.problem == "heat":
-            return [float(mu) for mu in self.train_mu]
-        return [(float(a), float(b), float(al))
-                for a in self.train_a for b in self.train_b
-                for al in self.train_alpha]
+        return models.problem_of(self).training_parameters(self)
 
     def test_parameter(self):
-        if self.problem == "heat":
-            return float(self.test_mu)
-        return (float(self.test_a), float(self.test_b), float(self.test_alpha))
-
-    def parameter_in_bounds(self, param):
-        if self.problem == "heat":
-            return self.mu_min <= float(param) <= self.mu_max
-        return models.BrusselatorProblem(*param).in_range()
+        return models.problem_of(self).test_parameter(self)
 
     def to_text(self):
         lines = ["# study configuration"]

@@ -27,7 +27,6 @@ import numpy as np
 from nirb.fem import load_from_midpoint_values
 from nirb.linalg import (BandFactor, ConvergenceError, bicgstab_solve,
                           blocked_matmul)
-from nirb.models import brusselator_rhs
 
 # floor of the relative residual of the BiCGStab solve inside each Newton
 # iteration, and the share of the Newton tolerance that a solve's linear
@@ -301,6 +300,25 @@ def _scaled_residual_norm(res, lumped):
     return np.sqrt((res * res / lumped).sum())
 
 
+def brusselator_rhs(params, U):
+    """Pointwise reaction terms for params = (a, b, alpha) of the stacked
+    species U, shape (2, ...), returned stacked in the same shape.
+
+    The sum of the two rates is a - u1, which pins the total-mass budget and
+    is handy as a consistency check."""
+    a, b = params[0], params[1]
+    U = np.asarray(U, dtype=float)
+    u1, u2 = U[0], U[1]
+    auto = u1 ** 2 * u2
+    R = np.empty(U.shape)
+    r1, r2 = R[0, ...], R[1, ...]
+    np.add(a, auto, out=r1)
+    r1 -= (b + 1.0) * u1
+    np.multiply(b, u1, out=r2)
+    r2 -= auto
+    return R
+
+
 class _ImplicitEulerSystem:
     """The nonlinear system of one implicit-Euler step of the stacked
     two-species system from ``state``,
@@ -472,38 +490,32 @@ def brusselator_step_rk2(forms, params, state, dt):
     return out
 
 
-def brusselator_trajectory(forms, params, state0, grid, scheme="newton"):
-    """March the reaction-diffusion system over a time grid.
-
-    scheme is 'newton' (implicit Euler) or 'rk2' (explicit midpoint on the
-    lumped system).  Each Newton step is solved to the residual tolerance
-    of ``brusselator_step_newton`` and starts from the polynomial
-    extrapolation of the states already marched (``_predicted_start``); all
-    steps share one ``_ImplicitEulerSystem``.  Failures are reported with
-    the offending step index; overflow on the way to a non-finite state
-    raises that error, not numpy warnings."""
+def brusselator_trajectory(forms, params, state0, grid, step):
+    """March the reaction-diffusion system over a time grid by ``step``:
+    ``brusselator_step_newton`` (implicit Euler), each step started from
+    ``_predicted_start`` and all sharing one ``_ImplicitEulerSystem``, or
+    ``brusselator_step_rk2`` (explicit midpoint on the lumped system).  A
+    failure names the step index and the march (its step's name suffix);
+    overflow on the way to a non-finite state raises it, not numpy
+    warnings."""
     n = forms.n_dofs
     state0 = np.asarray(state0, dtype=float)
     values = np.zeros((grid.steps + 1, 2 * n))
     values[0] = state0
     u = state0.copy()
     times = grid.times()
+    march = step.__name__.removeprefix("brusselator_step_")
     system = _ImplicitEulerSystem(forms, params, values[0], grid.dt) \
-        if scheme == "newton" else None
+        if step is brusselator_step_newton else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, grid.steps + 1):
             try:
-                if scheme == "newton":
-                    u = brusselator_step_newton(
-                        forms, params, u, grid.dt,
-                        start=_predicted_start(values, k), system=system)
-                elif scheme == "rk2":
-                    u = brusselator_step_rk2(forms, params, u, grid.dt)
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
+                u = step(forms, params, u, grid.dt) if system is None else \
+                    step(forms, params, u, grid.dt,
+                         start=_predicted_start(values, k), system=system)
             except (ConvergenceError, FloatingPointError) as exc:
                 raise RuntimeError(
-                    f"step {k} (t={times[k]:.6g}) of the {scheme} march "
+                    f"step {k} (t={times[k]:.6g}) of the {march} march "
                     f"failed: {exc}") from exc
             values[k] = u
     return FieldTrajectory(mesh=forms.mesh, grid=grid, values=values,

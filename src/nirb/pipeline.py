@@ -2,10 +2,12 @@
 construction, the cheap online stage, error evaluation, leave-one-out tables,
 and mesh-ladder convergence studies.
 
-Every lift of a coarse run, online or lifted-coarse, reads its time weights
-from the artifacts (``OfflineArtifacts.time_weights``), and ``online`` and
-``compare`` accept a given run by one rule: the expected mesh by size and
-domain, the expected time grid by ``TimeGrid`` equality."""
+Nothing here tells the problems apart: the boundary condition, the fine and
+coarse runs, the field count, the key form and bounds and the closed-form
+reference are the study's problem object's (``models.problem_of``).  Every
+lift of a coarse run reads its time weights from the artifacts
+(``OfflineArtifacts.time_weights``), and ``online`` and ``compare`` accept a
+given run by one rule (``_check_run``)."""
 
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ import numpy as np
 
 from nirb import io, models
 from nirb.fem import assemble, difference_norms, norms
-from nirb.integrators import (FieldTrajectory, TimeGrid, brusselator_trajectory,
-                              heat_backward_euler, heat_crank_nicolson)
+from nirb.integrators import FieldTrajectory, TimeGrid
 from nirb.mesh import build_structured
+from nirb.models import AnalyticReference
 from nirb.rectification import (apply_rectification, build_rectification,
                                 coarse_to_fine_coefficients, lift_coarse,
                                 lift_projection, quadratic_weights)
@@ -48,50 +50,29 @@ class Discretization:
 
 def discretize(config):
     """Build the fine and coarse discretizations of a study: the only code
-    that builds meshes, grids and forms and picks the boundary condition."""
-    bc = "dirichlet_zero" if config.problem == "heat" else "neumann_natural"
+    that builds meshes, grids and forms, under the boundary condition of
+    the study's problem."""
+    bc = models.problem_of(config).bc
     out = []
-    for which in ("fine", "coarse"):
-        n = getattr(config, f"{which}_nx")
+    for n, steps in ((config.fine_nx, config.fine_steps),
+                     (config.coarse_nx, config.coarse_steps)):
         mesh = build_structured(n, n, domain=tuple(config.domain))
-        steps = config.fine_steps if which == "fine" else config.coarse_steps
-        grid = TimeGrid(config.t0, config.T, steps)
-        out.append(Discretization(mesh=mesh, forms=assemble(mesh, bc), grid=grid))
+        out.append(Discretization(mesh=mesh, forms=assemble(mesh, bc),
+                                  grid=TimeGrid(config.t0, config.T, steps)))
     return out[0], out[1]
 
 
 def solve_fine(config, disc, param):
-    """High-fidelity trajectory at one parameter (heat: implicit Euler, led
-    in to t0 with the window's step; reaction-diffusion: Newton implicit
-    Euler)."""
-    if config.problem == "heat":
-        return heat_backward_euler(disc.forms, float(param),
-                                   models.manufactured_f, disc.grid)
-    prob = models.BrusselatorProblem(*param)
-    return brusselator_trajectory(disc.forms, tuple(param),
-                                  prob.initial_state(disc.mesh), disc.grid,
-                                  scheme="newton")
+    """High-fidelity trajectory at one parameter: the fine run of the
+    study's problem object (``models``)."""
+    return models.problem_of(config).solve_fine(disc, param)
 
 
 def solve_coarse(config, disc, param, fine=None):
-    """Cheap trajectory at one parameter on the coarse discretization alone
-    (heat: Crank-Nicolson, led in to t0 by half steps, marched as diagonal
-    recurrences in the eigenvectors of the coarse pencil, which the first
-    heat run on ``disc`` computes and later runs reuse, and returned as an
-    ``integrators.ModalTrajectory`` whose nodal values are formed only when
-    read; reaction-diffusion: explicit midpoint on the lumped system).
-    Every heat run, fine or coarse, training or query, starts from rest at
-    t = 0, so the rectification is fitted on the same kind of coarse run it
-    is applied to.
-
-    ``fine`` is ignored; it is accepted for callers that still pass it."""
-    if config.problem == "heat":
-        return heat_crank_nicolson(disc.forms, float(param),
-                                   models.manufactured_f, disc.grid)
-    prob = models.BrusselatorProblem(*param)
-    return brusselator_trajectory(disc.forms, tuple(param),
-                                  prob.initial_state(disc.mesh), disc.grid,
-                                  scheme="rk2")
+    """Cheap trajectory at one parameter on the coarse discretization alone:
+    the coarse run of the study's problem object (``models``).  ``fine`` is
+    ignored; it is accepted for callers that still pass it."""
+    return models.problem_of(config).solve_coarse(disc, param)
 
 
 @contextlib.contextmanager
@@ -158,7 +139,7 @@ def _fine_sweep(config, disc, params):
     From Python 3.12 ``os.fork`` warns when the process runs other threads,
     OpenBLAS's pool among them; under warnings-as-errors that fails."""
     workers = _fine_workers(len(params))
-    fields = 1 if config.problem == "heat" else 2
+    fields = models.problem_of(config).fields
     shape = (len(params), disc.grid.steps + 1, fields * disc.mesh.n_nodes)
     count = math.prod(shape)
     buffer = mmap.mmap(-1, 8 * count + len(params))
@@ -203,16 +184,8 @@ def _training_runs(config, params, seconds):
     rows (``reduced_basis.h1_rows``), from which every fold's basis is
     pooled.  The wall times are added to ``seconds`` under "coarse runs"
     (the discretizations and the coarse sweep), "fine runs" and
-    "preparation".
-
-    The cheap coarse sweep runs first and in this process, so a coarse
-    failure shows before any fine solve.  The fine sweep (``_fine_sweep``)
-    runs on one worker per CPU this process may use, at most one per run:
-    this process and forked children, worker w solving the runs w, w + W,
-    ... of parameter order into one shared buffer that the fine
-    trajectories view.  A failure raises the "fine solve failed at
-    parameter p" error of the first failing parameter in order, as a
-    sweep in this process would, and no child outlives the sweep."""
+    "preparation".  The cheap coarse sweep runs first and in this process,
+    so a coarse failure shows before any fine solve; then ``_fine_sweep``."""
     with _timed(seconds, "coarse runs"):
         fine, coarse = discretize(config)
         coarse_trajs = {p: _solved("coarse", solve_coarse, config, coarse, p)
@@ -326,20 +299,12 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
 
 
 def offline(config, persist=True):
-    """Offline stage: fine snapshots, coarse snapshots, basis, rectification,
-    with the stage wall times and the fine sweep's worker count logged at
-    INFO.  The coarse runs are solved in this process; the fine runs on one
-    worker per usable CPU (at most one per run), worker w taking the runs
-    w, w + W, ... in parameter order, with the failure of the first failing
-    parameter in that order raised as it would be in one process
-    (``_training_runs``).  The prepared training runs are dropped once the
-    fit returns.
-
-    With persist=True the artifact file lands in config.output_dir."""
+    """Offline stage: training runs (``_training_runs``), basis and
+    rectification (``fit``), with the stage wall times and the fine sweep's
+    worker count logged at INFO.  With persist=True the artifact file lands
+    in config.output_dir."""
     config.validate()
     params = config.training_parameters()
-    if not params:
-        raise ValueError("empty training set")
     seconds = {}
     artifacts = fit(config, *_training_runs(config, params, seconds), seconds)
     log.info("offline stages: %s", _stage_line(seconds, len(params)))
@@ -358,13 +323,9 @@ def load_artifacts(config):
 @dataclass
 class OnlineResult:
     """Online trajectory with its coefficients and the wall-clock split:
-    ``seconds_coarse`` covers the bounds check and the coarse solve (for
-    heat the modal march and its step check, with no nodal coarse state
-    formed), or the bounds check and the parameter, mesh and grid checks of
-    a precomputed coarse run;
-    ``seconds_reconstruct`` covers the rest: the coefficients read off the
-    coarse run (for heat one product of its modal states with the coarse
-    forms' kept modal product of the ``lift``), the time interpolation, the
+    ``seconds_coarse`` covers the bounds check and the coarse solve, or the
+    checks of a precomputed coarse run; ``seconds_reconstruct`` the rest:
+    the coefficients read off the coarse run, the time interpolation, the
     rectification and the fine reconstruction."""
 
     parameter: object
@@ -376,20 +337,15 @@ class OnlineResult:
 
 
 def check_bounds(config, param):
-    """The key of a query parameter, a float for heat and a float triple
-    for reaction-diffusion; one of another form, or outside the configured
-    bounds, raises ``ValueError``."""
+    """The key of a query parameter in the form of the study's problem, a
+    float for heat and a float triple for reaction-diffusion; one of
+    another form, or outside the configured bounds, raises ``ValueError``."""
+    problem = models.problem_of(config)
     try:
-        if config.problem == "heat":
-            key = float(param)
-        else:
-            a, b, alpha = param
-            key = (float(a), float(b), float(alpha))
+        key = problem.key(param)
     except (TypeError, ValueError) as exc:
-        form = ("one number" if config.problem == "heat"
-                else "a triple (a, b, alpha) of numbers")
-        raise ValueError(f"parameter {param!r} is not {form}") from exc
-    if not config.parameter_in_bounds(key):
+        raise ValueError(f"parameter {param!r} is not {problem.form}") from exc
+    if not problem.in_bounds(config, key):
         raise ValueError(f"parameter {key} is outside the configured bounds")
     return key
 
@@ -420,17 +376,13 @@ def online(artifacts, param, mode="rectified", coarse_traj=None):
     rectification, reconstruction.  Nothing but the reconstruction touches
     the fine mesh.
 
-    Every query's parameter is checked against the configured bounds first.
-    A precomputed coarse trajectory short-circuits the solve (its wall-clock
-    share then covers only the bounds check and its parameter, mesh and
-    grid checks); its parameter must be the query's key, and its mesh and
-    time grid the artifacts' coarse ones, checked as ``compare`` checks a
-    candidate: meshes by size and domain, grids by ``TimeGrid`` equality."""
+    Every query's parameter is checked first (``check_bounds``).  A
+    precomputed coarse trajectory short-circuits the solve; its parameter
+    must be the query's key, and its mesh and time grid the artifacts'
+    coarse ones (``_check_run``)."""
     if mode not in ("plain", "rectified"):
         raise ValueError(f"unknown online mode {mode!r}")
-    config = artifacts.config
-
-    fine = artifacts.fine
+    config, fine = artifacts.config, artifacts.fine
     t_start = time.perf_counter()
     key = check_bounds(config, param)
     if coarse_traj is None:
@@ -474,18 +426,6 @@ class ErrorReport:
     rel_energy: float
     l2_curve: np.ndarray
     energy_curve: np.ndarray
-
-
-@dataclass(frozen=True)
-class AnalyticReference:
-    """Closed-form reference u(t, x, y) with its gradient grad(t, x, y).
-
-    Error norms integrate the continuous difference by the midpoint rule;
-    sampling the reference at the nodes would measure the superconvergent
-    distance to the interpolant instead of the O(h) energy error."""
-
-    u: object
-    grad: object
 
 
 def energy_norm(forms):
@@ -535,12 +475,12 @@ def compare(candidates, reference, forms):
     one reference: {name: ErrorReport}.
 
     The reference is another trajectory with the candidates' mesh, time
-    grid (``TimeGrid`` equality) and field count, whose norm curves are
-    taken once for all candidates, or an
-    ``AnalyticReference`` (single-component candidates on one grid only),
-    evaluated once per knot for all candidates.  Relative errors divide the
-    sup-in-time error by the sup-in-time reference norm, so a uniformly
-    scaled candidate c = (1+s) u reports s exactly in every norm."""
+    grid (``_check_run``) and field count, whose norm curves are taken once
+    for all candidates, or an ``AnalyticReference`` (single-component
+    candidates on one grid only), evaluated once per knot for all
+    candidates.  Relative errors divide the sup-in-time error by the
+    sup-in-time reference norm, so a uniformly scaled candidate c = (1+s) u
+    reports s exactly in every norm."""
     energy = energy_norm(forms)
     if isinstance(reference, AnalyticReference):
         ref_param = "analytic"
@@ -575,13 +515,9 @@ def evaluate_errors(candidate, reference, forms):
 
 
 def analytic_reference(config, key):
-    """The closed-form solution as an error reference where it applies (the
-    heat problem at mu = 1 on the unit square, the only domain on whose
-    boundary it vanishes), otherwise None."""
-    if (config.problem == "heat" and float(key) == 1.0
-            and tuple(config.domain) == (0.0, 1.0, 0.0, 1.0)):
-        return AnalyticReference(models.manufactured_u, models.manufactured_grad)
-    return None
+    """The closed-form solution as an error reference where the study's
+    problem has one (heat at mu = 1 on the unit square), otherwise None."""
+    return models.problem_of(config).analytic_reference(config, key)
 
 
 def two_grid_runs(artifacts, key):
@@ -619,11 +555,8 @@ class LooReport:
     """Leave-one-out table: held-out rectified error, in-sample projection
     error of the full-set basis, and lifted-coarse error, all relative
     sup-in-time energy-norm values, with column maxima, and the pass's wall
-    seconds per stage: "coarse runs" (the discretizations and the coarse
-    sweep, in this process), "fine runs" (the fine sweep, on one worker per
-    usable CPU, at most one per run, worker w solving the runs w, w + W,
-    ... of parameter order), "preparation", "basis selections", "fits" and
-    "scoring"."""
+    seconds per stage (those of ``_training_runs`` and ``fit``, and
+    "scoring").  ``label`` is the study problem's, for the table."""
 
     energy_norm: str
     rows: list
@@ -631,22 +564,15 @@ class LooReport:
     max_projection: float
     max_coarse: float
     seconds: dict
+    label: object
 
     def csv_rows(self):
-        head = ["parameter", "err_rectified", "err_projection", "err_coarse"]
-        out = [head]
-        for r in self.rows:
-            out.append([param_label(r.parameter), r.rectified, r.projection,
-                        r.coarse])
-        out.append(["max", self.max_rectified, self.max_projection,
-                    self.max_coarse])
-        return out
-
-
-def param_label(param):
-    if isinstance(param, tuple):
-        return "(" + ", ".join(f"{v:g}" for v in param) + ")"
-    return f"{param:g}"
+        return ([["parameter", "err_rectified", "err_projection",
+                  "err_coarse"]]
+                + [[self.label(r.parameter), r.rectified, r.projection,
+                    r.coarse] for r in self.rows]
+                + [["max", self.max_rectified, self.max_projection,
+                    self.max_coarse]])
 
 
 def leave_one_out(config):
@@ -654,13 +580,10 @@ def leave_one_out(config):
     on the rest, and measure the rectified online error at the held-out
     point against its fine solve.
 
-    The training runs are solved once, the fine ones on one worker per
-    usable CPU as in ``offline`` (``_training_runs``: parameter order split
-    round-robin, the first failing parameter in order named), and each is
-    reduced once to its own H1 POD rows (``reduced_basis.h1_rows``), and
-    every fold's ``fit`` pools the rows of the runs it holds in; the stage
-    wall times go into the report and are logged at INFO with the fine
-    sweep's worker count."""
+    The training runs are solved and prepared once (``_training_runs``),
+    and every fold's ``fit`` pools the rows of the runs it holds in; the
+    stage wall times go into the report and are logged at INFO with the
+    fine sweep's worker count."""
     config.validate()
     params = config.training_parameters()
     if len(params) < 2:
@@ -695,7 +618,8 @@ def leave_one_out(config):
     return LooReport(energy_norm=energy_norm(fine.forms), rows=rows,
                      max_rectified=max(r.rectified for r in rows),
                      max_projection=max(r.projection for r in rows),
-                     max_coarse=max(r.coarse for r in rows), seconds=seconds)
+                     max_coarse=max(r.coarse for r in rows), seconds=seconds,
+                     label=models.problem_of(config).label)
 
 
 @dataclass
@@ -724,37 +648,27 @@ class StudyReport:
     slopes: dict
 
     def csv_rows(self):
-        head = ["level", "h", "H", "dtF", "dtG"]
-        head += [f"err_{m}_h1" for m in METHODS]
-        head += [f"err_{m}_l2" for m in METHODS]
-        out = [head]
-        for lv in self.levels:
-            row = [lv.n, lv.h, lv.H, lv.dt_fine, lv.dt_coarse]
-            row += [lv.errors[m, "energy"] for m in METHODS]
-            row += [lv.errors[m, "l2"] for m in METHODS]
-            out.append(row)
-        slope_row = ["slope", "", "", "", ""]
-        slope_row += [self.slopes[m, "energy"] for m in METHODS]
-        slope_row += [self.slopes[m, "l2"] for m in METHODS]
-        out.append(slope_row)
-        return out
+        def columns(table):
+            return [table[m, nm] for nm in ("energy", "l2") for m in METHODS]
+
+        out = [["level", "h", "H", "dtF", "dtG"]
+               + [f"err_{m}_{nm}" for nm in ("h1", "l2") for m in METHODS]]
+        out += [[lv.n, lv.h, lv.H, lv.dt_fine, lv.dt_coarse]
+                + columns(lv.errors) for lv in self.levels]
+        return out + [["slope", "", "", "", ""] + columns(self.slopes)]
 
 
 def loglog_slope(h, err):
     """Least-squares slope of log(err) against log(h) over all usable levels."""
-    x, y = [], []
-    for hi, ei in zip(h, err):
-        if math.isfinite(ei) and ei > 0.0:
-            x.append(math.log(hi))
-            y.append(math.log(ei))
-    n = len(x)
+    points = [(math.log(hi), math.log(ei)) for hi, ei in zip(h, err)
+              if math.isfinite(ei) and ei > 0.0]
+    n = len(points)
     if n < 2:
         return math.nan
-    sx, sy = sum(x), sum(y)
-    sxx = sum(v * v for v in x)
-    sxy = sum(u * v for u, v in zip(x, y))
-    denom = n * sxx - sx * sx
-    return (n * sxy - sx * sy) / denom
+    x, y = zip(*points)
+    sx, sy, sxx = sum(x), sum(y), sum(v * v for v in x)
+    sxy = sum(u * v for u, v in points)
+    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
 def level_config(config, n, coupling):
@@ -819,9 +733,7 @@ def convergence_study(config, coupling="2h"):
                  errors["rect", "energy"])
 
     hs = [lv.h for lv in levels]
-    slopes = {}
-    for m in METHODS:
-        for nm in ("l2", "energy"):
-            slopes[m, nm] = loglog_slope(hs, [lv.errors[m, nm] for lv in levels])
+    slopes = {(m, nm): loglog_slope(hs, [lv.errors[m, nm] for lv in levels])
+              for m in METHODS for nm in ("l2", "energy")}
     return StudyReport(coupling=coupling, parameter=test_param,
                        energy_norm=energy, levels=levels, slopes=slopes)

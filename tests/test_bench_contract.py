@@ -109,7 +109,9 @@ def test_solve_coarse_accepts_the_fine_keyword(small_heat_text):
 
 def test_trace_hooks_on_the_reaction_diffusion_offline(monkeypatch):
     # the rd workload's spans: every Newton step of every fine training run
-    # is one span, and every linear solve inside it counts its iterations
+    # is one span, and every linear solve inside it counts its iterations;
+    # every explicit step of every coarse run is one span, and each run is
+    # reached through the pipeline's two solve functions
     one_cpu(monkeypatch)
     config = StudyConfig.from_text("problem = brusselator\n"
                                    "t0 = 0.0\n"
@@ -138,6 +140,10 @@ def test_trace_hooks_on_the_reaction_diffusion_offline(monkeypatch):
     runs = len(config.training_parameters())
     assert runs == 4
     assert len(counts["integrators.newton"]) == runs * config.fine_steps
+    assert len(counts.get("integrators.rk2", ())) \
+        == runs * config.coarse_steps
+    assert len(counts["pipeline.solve_fine"]) == runs
+    assert len(counts["pipeline.solve_coarse"]) == runs
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -88,6 +88,8 @@ def test_unknown_keys_rejected(line):
     {"domain": (1.0, 0.0, 0.0, 1.0)}, {"fine_steps": 0},
     {"delta_value": -1.0}, {"train_mu": ()}, {"train_mu": (12.0,)},
     {"problem": "brusselator"}, {"t0": 0.0}, {"t0": -0.5},
+    {"mu_min": 0.0, "train_mu": (0.0, 1.0)},
+    {"mu_min": -1.0, "train_mu": (-1.0, 1.0)},
 ])
 def test_invalid_values_rejected(edit):
     with pytest.raises(ValueError):

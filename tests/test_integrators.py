@@ -479,7 +479,7 @@ def scalar_implicit_euler(params, state, dt, iters=30):
     u = np.array(state, dtype=float)
     s = np.array(state, dtype=float)
     for _ in range(iters):
-        g = u - s - dt * models.brusselator_rhs((a, b, 0.0), u)
+        g = u - s - dt * integrators.brusselator_rhs((a, b, 0.0), u)
         J = np.eye(2) - dt * np.array(
             [[2 * u[0] * u[1] - (b + 1), u[0] ** 2],
              [b - 2 * u[0] * u[1], -u[0] ** 2]])
@@ -509,7 +509,7 @@ class TestBrusselatorNewton:
         assert out[n:] == pytest.approx(np.full(n, want[1]), abs=1e-9)
 
     def test_step_is_first_order_consistent(self, neumann_8x8):
-        p = models.BrusselatorProblem(3.0, 2.0, 0.01)
+        p = models.PROBLEMS["brusselator"]
         state = p.initial_state(neumann_8x8.mesh)
         moves = []
         for dt in (0.02, 0.01):
@@ -521,7 +521,7 @@ class TestBrusselatorNewton:
 
     def test_exhausted_newton_raises(self, neumann_8x8, monkeypatch):
         from nirb.linalg import ConvergenceError
-        p = models.BrusselatorProblem(3.0, 2.0, 0.01)
+        p = models.PROBLEMS["brusselator"]
         state = p.initial_state(neumann_8x8.mesh)
         with pytest.raises(ConvergenceError,
                            match=r"^Newton did not reach the residual "
@@ -649,7 +649,7 @@ class TestNewtonSystem:
         # a wrong block or sign is off at order one
         forms, params, dt = neumann_8x8, (3.0, 2.0, 0.02), 0.05
         n = forms.n_dofs
-        state = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        state = models.PROBLEMS["brusselator"].initial_state(forms.mesh)
         system = integrators._ImplicitEulerSystem(forms, params, state, dt)
         u = _wavy_state(forms)
         _, m = system.residual(u)
@@ -674,7 +674,7 @@ class TestNewtonSystem:
                                                  dense_midpoint_rule):
         forms, params, dt = neumann_8x8, (3.0, 2.0, 0.02), 0.05
         n = forms.n_dofs
-        state = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        state = models.PROBLEMS["brusselator"].initial_state(forms.mesh)
         system = integrators._ImplicitEulerSystem(forms, params, state, dt)
         u = _wavy_state(forms)
         product, _ = system.jacobian(system.residual(u)[1])
@@ -736,7 +736,7 @@ def dense_newton_stepper(forms, params, dt, rule):
         def newton_update(u):
             J, A = dense_jacobian(forms, params, dt, rule, u)
             U, S = u.reshape(2, n), state.reshape(2, n)
-            R = models.brusselator_rhs(params, U @ E.T)
+            R = integrators.brusselator_rhs(params, U @ E.T)
             G = (U @ A.T - S @ M.T / dt - (w * R) @ E).ravel()
             return np.linalg.solve(J, G)
 
@@ -758,9 +758,10 @@ class TestNewtonMarch:
         forms, params, newton_tol = neumann_8x8, (3.0, 2.0, alpha), 1e-10
         n = forms.n_dofs
         grid = integrators.TimeGrid(0.0, 0.3, 6)
-        state0 = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        state0 = models.PROBLEMS["brusselator"].initial_state(forms.mesh)
         got = integrators.brusselator_trajectory(
-            forms, params, state0, grid, scheme="newton").values
+            forms, params, state0, grid,
+            integrators.brusselator_step_newton).values
         step = dense_newton_stepper(forms, params, grid.dt,
                                     dense_midpoint_rule)
         want = [state0]
@@ -783,7 +784,7 @@ class TestNewtonMarch:
         # at every step steps bit for bit like a fresh one per step
         forms, params = neumann_8x8, (3.0, 2.0, 0.02)
         grid = integrators.TimeGrid(0.0, 0.3, 6)
-        state0 = models.BrusselatorProblem(*params).initial_state(forms.mesh)
+        state0 = models.PROBLEMS["brusselator"].initial_state(forms.mesh)
         lincomb, calls = linalg.SparseSym.lincomb, []
 
         def counting(self, *args):
@@ -791,8 +792,9 @@ class TestNewtonMarch:
             return lincomb(self, *args)
 
         monkeypatch.setattr(linalg.SparseSym, "lincomb", counting)
-        got = integrators.brusselator_trajectory(forms, params, state0,
-                                                 grid).values
+        got = integrators.brusselator_trajectory(
+            forms, params, state0, grid,
+            integrators.brusselator_step_newton).values
         assert len(calls) == 1
         want = [state0]
         for k in range(1, grid.steps + 1):
@@ -838,14 +840,16 @@ class TestBrusselatorRk2:
         # The explicit march lumps the mass matrix, so the two schemes agree
         # only up to the spatial lumping gap (about h^2); a wrong reaction
         # term or coupling sign would separate them at order one.
-        p = models.BrusselatorProblem(3.0, 2.0, 0.01)
+        p = models.PROBLEMS["brusselator"]
         state0 = p.initial_state(neumann_8x8.mesh)
         explicit = integrators.brusselator_trajectory(
             neumann_8x8, (3.0, 2.0, 0.01), state0,
-            integrators.TimeGrid(0.0, 0.5, 100), scheme="rk2")
+            integrators.TimeGrid(0.0, 0.5, 100),
+            integrators.brusselator_step_rk2)
         implicit = integrators.brusselator_trajectory(
             neumann_8x8, (3.0, 2.0, 0.01), state0,
-            integrators.TimeGrid(0.0, 0.5, 100), scheme="newton")
+            integrators.TimeGrid(0.0, 0.5, 100),
+            integrators.brusselator_step_newton)
         diff = np.abs(explicit.values[-1] - implicit.values[-1]).max()
         assert diff <= 5e-2
 
@@ -853,7 +857,7 @@ class TestBrusselatorRk2:
         # dt far above the diffusion stability bound blows up the explicit
         # march; the failure must name the offending step, and the overflow
         # on the way must not surface as numpy warnings ahead of it.
-        p = models.BrusselatorProblem(3.0, 2.0, 1.0)
+        p = models.PROBLEMS["brusselator"]
         state0 = p.initial_state(neumann_8x8.mesh)
         grid = integrators.TimeGrid(0.0, 7.5, 30)
         before = np.geterr()
@@ -863,30 +867,23 @@ class TestBrusselatorRk2:
                                match=r"^step \d+ \(t=[0-9.]+\) of the rk2 "
                                      r"march failed: explicit step produced "
                                      r"non-finite values$"):
-                integrators.brusselator_trajectory(neumann_8x8,
-                                                   (3.0, 2.0, 1.0),
-                                                   state0, grid, scheme="rk2")
+                integrators.brusselator_trajectory(
+                    neumann_8x8, (3.0, 2.0, 1.0), state0, grid,
+                    integrators.brusselator_step_rk2)
         assert np.geterr() == before
 
 
 class TestTrajectory:
     def test_split_fields(self, neumann_8x8):
-        p = models.BrusselatorProblem(3.0, 2.0, 0.01)
+        p = models.PROBLEMS["brusselator"]
         state0 = p.initial_state(neumann_8x8.mesh)
         traj = integrators.brusselator_trajectory(
             neumann_8x8, (3.0, 2.0, 0.01), state0,
-            integrators.TimeGrid(0.0, 0.1, 2), scheme="rk2")
+            integrators.TimeGrid(0.0, 0.1, 2),
+            integrators.brusselator_step_rk2)
         n = neumann_8x8.n_dofs
         u1, u2 = traj.values.reshape(3, 2, n).transpose(1, 0, 2)
         assert u1.shape == (3, n) and u2.shape == (3, n)
         assert np.array_equal(u2, traj.values[:, n:])
         assert traj.parameter == (3.0, 2.0, 0.01)
         assert traj.n_fields == 2
-
-    def test_unknown_scheme(self, neumann_8x8):
-        p = models.BrusselatorProblem(3.0, 2.0, 0.01)
-        state0 = p.initial_state(neumann_8x8.mesh)
-        with pytest.raises(ValueError):
-            integrators.brusselator_trajectory(
-                neumann_8x8, (3.0, 2.0, 0.01), state0,
-                integrators.TimeGrid(0.0, 0.1, 1), scheme="leapfrog")

@@ -4,7 +4,9 @@ and sums over a short slot axis (``linalg.SparseSym``): nothing in it calls
 And every module-level function and class is reached from the package
 itself or exported in ``nirb.__all__``, not only from the tests; every
 method and property of those classes is too, or is reached from the
-benchmark scripts (``benchmarks/*.py``, read and not changed)."""
+benchmark scripts (``benchmarks/*.py``, read and not changed).  The
+problem of a study is read in one place, the registry
+``models.problem_of``, and no march is chosen by a ``scheme`` name."""
 
 import ast
 from pathlib import Path
@@ -146,3 +148,77 @@ def test_every_function_is_reached_from_the_package():
     assert bench
     found = orphans(trees, nirb.__all__, bench)
     assert not found, f"defined but never referenced in the package: {found}"
+
+
+def problem_readers(tree, module):
+    """Where a parsed module reads the attribute ``problem`` (or names it
+    as a string, as ``getattr`` would take it): "module.function" of the
+    innermost function around each read, or "module" for a read outside
+    any function."""
+    found = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "problem"
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Constant)
+                    and child.value == "problem"):
+                found.add(where)
+            inner = where
+            if isinstance(child, defs):
+                inner = f"{module}.{getattr(child, 'name', '<lambda>')}"
+            visit(child, inner)
+
+    visit(tree, module)
+    return found
+
+
+def scheme_parameters(tree):
+    """Line numbers of the parameters named ``scheme`` in a parsed
+    module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.arg) and node.arg == "scheme"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(config):\n    return config.problem\n", {"m.f"}),
+    ("def f(config):\n    return config.problem == 'heat'\n", {"m.f"}),
+    ("def f(config):\n    return getattr(config, 'problem')\n", {"m.f"}),
+    ("class C:\n    def g(self):\n        return self.problem\n",
+     {"m.g"}),
+    ("def f(c):\n    return [lambda: c.problem]\n", {"m.<lambda>"}),
+    ("x = config.problem\n", {"m"}),
+    ("def f(config):\n    config.problem = 'heat'\n", set()),
+    ("def f(config):\n    return models.problem_of(config)\n", set()),
+    ('def f():\n    """The problem."""\n    problem = 1\n', set()),
+])
+def test_problem_scan_catches(source, found):
+    assert problem_readers(ast.parse(source), "m") == found
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("def f(forms, scheme='newton'):\n    pass\n", True),
+    ("def f(*, scheme):\n    pass\n", True),
+    ("g = lambda scheme: scheme\n", True),
+    ("def f(step):\n    scheme = step\n", False),
+])
+def test_scheme_scan_catches(source, caught):
+    assert bool(scheme_parameters(ast.parse(source))) == caught
+
+
+def test_one_function_reads_the_problem_name():
+    # every choice between the problems goes through the registry, so a
+    # new problem or a changed one touches ``models`` alone
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= problem_readers(ast.parse(path.read_text("utf-8")),
+                                 path.stem)
+    assert found == {"models.problem_of"}
+
+
+def test_no_function_takes_a_scheme():
+    # a march takes its step function, not the name of one
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in scheme_parameters(ast.parse(path.read_text("utf-8")))]
+    assert not found, f"scheme parameters at {found}"

@@ -397,7 +397,7 @@ class TestCoarseOnly:
         def fine_solve(*args, **kwargs):
             raise AssertionError("the online stage ran a fine solve")
 
-        monkeypatch.setattr(pipeline, "heat_backward_euler", fine_solve)
+        monkeypatch.setattr(integrators, "heat_backward_euler", fine_solve)
         monkeypatch.setattr(pipeline, "solve_fine", fine_solve)
         for mu in (4.5, 1.0):
             values = pipeline.online(artifacts, mu).trajectory.values
