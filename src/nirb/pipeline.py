@@ -18,6 +18,7 @@ import math
 import mmap
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -111,89 +112,157 @@ def _fine_workers(n_runs):
     return max(1, min(len(os.sched_getaffinity(0)), n_runs))
 
 
-def _solve_share(config, disc, params, values, done, first, step):
-    """Fine runs first, first + step, ... into their rows of ``values``,
-    each marked in ``done`` once its row is written; the first failure
-    ends the share."""
-    for i in range(first, len(params), step):
-        values[i] = solve_fine(config, disc, params[i]).values
-        done[i] = 1
+def _store_run(config, disc, runs, i, trajectory):
+    """Fine run i, ``trajectory``, and its preparation into its record of
+    ``runs``: the values, the H1 POD rows of ``reduced_basis.h1_rows`` and
+    their count, and last the status byte."""
+    runs["values"][i] = trajectory.values
+    rows = h1_rows(runs["values"][i], disc.forms, config.n_max)
+    runs["rows"][i, :len(rows)] = rows
+    runs["count"][i] = len(rows)
+    runs["done"][i] = 1
 
 
+def _take_runs(config, disc, params, runs, queue):
+    """Solve and store (``_store_run``) the runs whose 4-byte indices are
+    read from the pipe ``queue``, until it ends; the first failure ends
+    the loop."""
+    while index := os.read(queue, 4):
+        i = int.from_bytes(index, sys.byteorder)
+        _store_run(config, disc, runs, i, solve_fine(config, disc, params[i]))
+
+
+def _feed(queue, first, end):
+    """Write the run indices first, first + 1, ... before ``end`` into the
+    non-blocking pipe ``queue`` until it is full, four bytes a write, which
+    a pipe takes whole or not at all; returns the first index not
+    written."""
+    for i in range(first, end):
+        try:
+            os.write(queue, i.to_bytes(4, sys.byteorder))
+        except BlockingIOError:
+            return i
+    return end
+
+
+@contextlib.contextmanager
 def _fine_sweep(config, disc, params):
-    """The fine runs at ``params`` on ``_fine_workers`` workers, as
-    trajectories in parameter order whose values view one shared buffer.
+    """The fine runs at ``params`` on ``_fine_workers`` workers, each run
+    solved and prepared (``reduced_basis.h1_rows``) by the worker that
+    takes it.  Entering forks the workers; the body does the caller's own
+    work and then calls the yielded ``join``, which returns (fine_trajs,
+    prepared): the trajectories in parameter order, whose values view one
+    shared buffer, and each run's H1 POD rows, views of the same buffer.
 
-    Worker w solves runs i = w mod W; the calling process is worker 0 and
-    forks the others.  Every worker writes into one anonymous shared
-    ``mmap`` of shape (runs, steps + 1, width) and marks a run's status
-    byte only when it succeeded.  After every child is reaped the runs are
-    walked in parameter order and any unmarked one is solved here, so the
-    first failing parameter in order raises its "fine solve failed" error,
-    and a child that crashed or was killed costs a re-solve of the runs it
-    left.  A child always ends in ``os._exit``, never returning into the
-    caller or flushing its buffers, and an exception here (an interrupt
-    included) kills and reaps the children before it propagates.  With one
-    worker no process is forked.
+    Every worker writes into one anonymous shared ``mmap`` of one record
+    per run: its values (steps + 1, width), its rows (at most n_max,
+    width) with their count, and a status byte marked only when both are
+    written.  The W - 1 forked children take run indices from one queue,
+    a pipe of 4-byte indices in parameter order, which is fed after the
+    fork, so no training-set size can block the caller; ``join`` makes the
+    caller a worker too.  When the pipe cannot hold every index the caller
+    takes runs from the end of those not yet fed, feeding more after each,
+    and closes the write end once every index is fed or taken.  After
+    every child is reaped the runs are walked in parameter order and any
+    unmarked one is solved and prepared here, so the first failing
+    parameter in order raises its "fine solve failed" error, and a child
+    that crashed or was killed costs a re-solve of the run it held.  A
+    child always ends in ``os._exit``, never returning into the caller or
+    flushing its buffers.  An exception in the body or in ``join`` (a
+    coarse failure, a fine failure or an interrupt) kills and reaps the
+    children, and both pipe ends are closed on every path.  With one
+    worker no pipe is opened and no process is forked: ``join`` is the
+    walk.
 
     From Python 3.12 ``os.fork`` warns when the process runs other threads,
     OpenBLAS's pool among them; under warnings-as-errors that fails."""
     workers = _fine_workers(len(params))
-    fields = models.problem_of(config).fields
-    shape = (len(params), disc.grid.steps + 1, fields * disc.mesh.n_nodes)
-    count = math.prod(shape)
-    buffer = mmap.mmap(-1, 8 * count + len(params))
-    values = np.frombuffer(buffer, dtype=float, count=count).reshape(shape)
-    done = np.frombuffer(buffer, dtype=np.uint8, offset=8 * count)
-    children = []
-    try:
-        for w in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    _solve_share(config, disc, params, values, done, w,
-                                 workers)
-                finally:
-                    os._exit(0)
-            children.append(pid)
+    width = models.problem_of(config).fields * disc.mesh.n_nodes
+    record = np.dtype([
+        ("values", float, (disc.grid.steps + 1, width)),
+        ("rows", float, (min(config.n_max, disc.grid.steps + 1), width)),
+        ("count", np.int64), ("done", np.uint8)], align=True)
+    runs = np.frombuffer(mmap.mmap(-1, record.itemsize * len(params)),
+                         dtype=record)
+    queue, children = [], []    # the queue's open ends: read, write
+
+    def walk():
+        for i, p in enumerate(params):
+            if not runs["done"][i]:
+                _store_run(config, disc, runs, i,
+                           _solved("fine", solve_fine, config, disc, p))
+        return ({p: FieldTrajectory(mesh=disc.mesh, grid=disc.grid,
+                                    values=runs["values"][i], parameter=p)
+                 for i, p in enumerate(params)},
+                {p: runs["rows"][i, :runs["count"][i]]
+                 for i, p in enumerate(params)})
+
+    def join():
+        read, write = queue
+        fed, end = feed, len(params)
         # a failure here is raised, in parameter order, by the walk below
         with contextlib.suppress(RuntimeError, ValueError):
-            _solve_share(config, disc, params, values, done, 0, workers)
+            try:
+                while fed < end:
+                    end -= 1
+                    _store_run(config, disc, runs, end,
+                               solve_fine(config, disc, params[end]))
+                    fed = _feed(write, fed, end)
+            finally:
+                os.close(queue.pop())
+            _take_runs(config, disc, params, runs, read)
         while children:
             os.waitpid(children[-1], 0)
             children.pop()
+        return walk()
+
+    if workers == 1:
+        yield walk
+        return
+    try:
+        queue.extend(os.pipe())
+        for _ in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(queue[1])
+                    _take_runs(config, disc, params, runs, queue[0])
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        os.set_blocking(queue[1], False)
+        feed = _feed(queue[1], 0, len(params))
+        yield join
     finally:
+        for fd in queue:
+            os.close(fd)
         for pid in children:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
         for pid in children:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    for i, p in enumerate(params):
-        if not done[i]:
-            values[i] = _solved("fine", solve_fine, config, disc, p).values
-    return {p: FieldTrajectory(mesh=disc.mesh, grid=disc.grid,
-                               values=values[i], parameter=p)
-            for i, p in enumerate(params)}
 
 
 def _training_runs(config, params, seconds):
-    """Discretizations, training trajectories and their preparation:
-    returns (fine, coarse, fine_trajs, coarse_trajs, prepared), the runs as
-    dicts in parameter order and ``prepared`` each fine run's own H1 POD
-    rows (``reduced_basis.h1_rows``), from which every fold's basis is
-    pooled.  The wall times are added to ``seconds`` under "coarse runs"
-    (the discretizations and the coarse sweep), "fine runs" and
-    "preparation".  The cheap coarse sweep runs first and in this process,
-    so a coarse failure shows before any fine solve; then ``_fine_sweep``."""
+    """Discretizations, training runs and their preparation: returns
+    (fine, coarse, fine_trajs, coarse_trajs, prepared), the runs as dicts
+    in parameter order and ``prepared`` each fine run's own H1 POD rows
+    (``reduced_basis.h1_rows``), from which every fold's basis is pooled.
+    The fine workers (``_fine_sweep``) are forked right after the
+    discretizations, so the coarse sweep runs in this process while they
+    solve fine runs, and a coarse failure stops them; this process then
+    joins the fine sweep.  The wall times are added to ``seconds`` under
+    "coarse runs" (the discretizations and the coarse sweep) and "fine
+    runs" (until every fine run is solved and prepared)."""
     with _timed(seconds, "coarse runs"):
         fine, coarse = discretize(config)
-        coarse_trajs = {p: _solved("coarse", solve_coarse, config, coarse, p)
-                        for p in params}
-    with _timed(seconds, "fine runs"):
-        fine_trajs = _fine_sweep(config, fine, params)
-    with _timed(seconds, "preparation"):
-        prepared = h1_rows(fine_trajs, fine.forms, config.n_max)
+    with _fine_sweep(config, fine, params) as join:
+        with _timed(seconds, "coarse runs"):
+            coarse_trajs = {p: _solved("coarse", solve_coarse, config,
+                                       coarse, p) for p in params}
+        with _timed(seconds, "fine runs"):
+            fine_trajs, prepared = join()
     return fine, coarse, fine_trajs, coarse_trajs, prepared
 
 
@@ -299,10 +368,12 @@ def fit(config, fine, coarse, fine_trajs, coarse_trajs, prepared, seconds):
 
 
 def offline(config, persist=True):
-    """Offline stage: training runs (``_training_runs``), basis and
-    rectification (``fit``), with the stage wall times and the fine sweep's
-    worker count logged at INFO.  With persist=True the artifact file lands
-    in config.output_dir."""
+    """Offline stage: training runs (``_training_runs``: the coarse sweep
+    here while the fine workers solve and prepare the fine runs), basis
+    and rectification (``fit``), with the stage wall times ("coarse runs",
+    "fine runs", "basis selections", "fits") and the fine sweep's worker
+    count logged at INFO.  With persist=True the artifact file lands in
+    config.output_dir."""
     config.validate()
     params = config.training_parameters()
     seconds = {}
@@ -555,8 +626,9 @@ class LooReport:
     """Leave-one-out table: held-out rectified error, in-sample projection
     error of the full-set basis, and lifted-coarse error, all relative
     sup-in-time energy-norm values, with column maxima, and the pass's wall
-    seconds per stage (those of ``_training_runs`` and ``fit``, and
-    "scoring").  ``label`` is the study problem's, for the table."""
+    seconds per stage: "coarse runs" and "fine runs" (``_training_runs``),
+    "basis selections" and "fits" (``fit``) and "scoring".  ``label`` is
+    the study problem's, for the table."""
 
     energy_norm: str
     rows: list
@@ -580,10 +652,11 @@ def leave_one_out(config):
     on the rest, and measure the rectified online error at the held-out
     point against its fine solve.
 
-    The training runs are solved and prepared once (``_training_runs``),
-    and every fold's ``fit`` pools the rows of the runs it holds in; the
-    stage wall times go into the report and are logged at INFO with the
-    fine sweep's worker count."""
+    The training runs are solved once (``_training_runs``), each fine run
+    prepared by the worker that solved it, and every fold's ``fit`` pools
+    the prepared rows of the runs it holds in; the stage wall times go into
+    the report and are logged at INFO with the fine sweep's worker
+    count."""
     config.validate()
     params = config.training_parameters()
     if len(params) < 2:

@@ -6,9 +6,10 @@ Gram by Cholesky QR applied twice (``mass_orthonormalize``).
 A basis is built in two stages: a per-run preparation that does not depend
 on which other runs are in the set (``h1_rows``, each run's own H1 POD),
 and one POD of the pooled prepared rows (``hierarchical_pod``), which reads
-only those rows.  A caller that builds many bases from one training set, as
-leave-one-out does, prepares each run once and hands the prepared rows of
-the runs it holds in to every build."""
+only those rows.  The offline sweep prepares each fine run in the worker
+that solved it, and a caller that builds many bases from one training set,
+as leave-one-out does, hands the prepared rows of the runs it holds in to
+every build."""
 
 from __future__ import annotations
 
@@ -125,15 +126,12 @@ def mass_orthonormalize(rows, forms):
     return Q
 
 
-def h1_rows(trajectories, forms, n_max):
-    """{parameter: rows} of training runs: each run's own H1 POD, at most
-    ``n_max`` directions weighted by their singular values, the
-    fold-invariant preparation of ``hierarchical_pod``."""
-    out = {}
-    for p, traj in trajectories.items():
-        modes, sig = pod(traj.values, forms, n_max)
-        out[p] = modes * sig[:modes.shape[0], None]
-    return out
+def h1_rows(values, forms, n_max):
+    """One training run's preparation for ``hierarchical_pod``: the H1 POD
+    of its ``values``, at most ``n_max`` directions weighted by their
+    singular values, as rows; an all-zero run has none."""
+    modes, sig = pod(values, forms, n_max)
+    return modes * sig[:len(modes), None]
 
 
 def hierarchical_pod(rows, forms, n_max):

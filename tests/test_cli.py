@@ -189,7 +189,6 @@ def test_loo_writes_the_pipeline_table(config_path, capsys, tmp_path):
     code, out = run(capsys, "loo", config_path)
     assert code == 0, out.err
     assert re.search(r"stage seconds: coarse runs \d+\.\d{3}, fine runs "
-                     r"\d+\.\d{3}, preparation "
                      r"\d+\.\d{3}, basis selections \d+\.\d{3}, fits "
                      r"\d+\.\d{3}, scoring \d+\.\d{3}\n", out.out)
     rows = read_csv(tmp_path / "out" / "loo.csv")

@@ -1,5 +1,9 @@
+import collections
+import contextlib
 import dataclasses
+import fcntl
 import functools
+import hashlib
 import os
 import re
 import signal
@@ -45,6 +49,10 @@ class TestLeaveOneOut:
         assert report.max_rectified == max(r.rectified for r in report.rows)
 
 
+def digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
 class TestPreparedRuns:
     @staticmethod
     def fine_values(monkeypatch):
@@ -64,12 +72,18 @@ class TestPreparedRuns:
 
     @staticmethod
     def calls_per_run(runs, calls):
-        return [sum(arg is run.values for arg in calls) for run in runs]
+        """Per run, the calls whose argument is its values: an array of
+        their shape on their memory, as the sweep's buffer hands out a new
+        view of a run each time."""
+        return [sum(np.shape(arg) == run.values.shape
+                    and np.shares_memory(arg, run.values) for arg in calls)
+                for run in runs]
 
     def test_one_mass_product_per_run_and_pass(self, study, monkeypatch):
         # the one sparse product of a run's values in a pass is the H1
-        # product of its own POD
+        # product of its own POD; on one CPU every call is seen here
         config, _ = study
+        cpus(monkeypatch, 1)
         runs = self.fine_values(monkeypatch)
         calls = []
         block_matvec = rb.block_matvec
@@ -85,6 +99,7 @@ class TestPreparedRuns:
 
     def test_one_h1_pod_per_run_and_pass(self, study, monkeypatch):
         config, _ = study
+        cpus(monkeypatch, 1)
         runs = self.fine_values(monkeypatch)
         calls = []
         pod = rb.pod
@@ -100,13 +115,35 @@ class TestPreparedRuns:
         # one pooled POD per basis: the full set's and one per fold
         assert len(calls) == len(runs) + len(runs) + 1
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_each_run_is_prepared_once_across_workers(self, study, tmp_path,
+                                                      monkeypatch, workers):
+        # every process appends the digest of each run it prepares to one
+        # file, in one write, which O_APPEND keeps whole; four workers are
+        # more than the cores of a small host
+        config, _ = study
+        cpus(monkeypatch, workers)
+        runs = self.fine_values(monkeypatch)
+        prepared = tmp_path / "prepared"
+        h1_rows = pipeline.h1_rows
+
+        def recording(values, *args):
+            with open(prepared, "a") as out:
+                out.write(digest(values) + "\n")
+            return h1_rows(values, *args)
+
+        monkeypatch.setattr(pipeline, "h1_rows", recording)
+        pipeline.leave_one_out(config)
+        assert len(runs) == len(config.training_parameters())
+        assert (sorted(prepared.read_text().split())
+                == sorted(digest(run.values) for run in runs))
+
     def test_leave_one_out_reports_its_stage_seconds(self, study, caplog):
         config, _ = study
         with caplog.at_level("INFO", logger="nirb.pipeline"):
             report = pipeline.leave_one_out(config)
         assert list(report.seconds) == ["coarse runs", "fine runs",
-                                        "preparation", "basis selections",
-                                        "fits", "scoring"]
+                                        "basis selections", "fits", "scoring"]
         assert all(s > 0.0 for s in report.seconds.values())
         assert "leave-one-out stages: coarse runs " in caplog.text
         assert "; fine sweep workers: " in caplog.text
@@ -245,7 +282,7 @@ class TestBasis:
         zero = FieldTrajectory(mesh=fine.mesh, grid=fine.grid, parameter=1.0,
                                values=np.zeros((fine.grid.steps + 1,
                                                 fine.mesh.n_nodes)))
-        rows = list(rb.h1_rows({1.0: zero}, fine.forms, 3).values())
+        rows = [rb.h1_rows(zero.values, fine.forms, 3)]
         basis = rb.hierarchical_pod(rows, fine.forms, 3)
         assert basis.modes.shape == (0, fine.mesh.n_nodes)
         assert basis.provenance["pooled_rows"] == 0
@@ -265,7 +302,7 @@ SWEEP_CONFIGS = {
 
 
 def cpus(monkeypatch, n):
-    """Let the fine sweep see ``n`` CPUs (never more than 2 here)."""
+    """Let the fine sweep see ``n`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -283,21 +320,73 @@ def recorded_forks(monkeypatch):
     return pids
 
 
+def recorded_pipes(monkeypatch):
+    """The fd pairs ``os.pipe`` returned from now on."""
+    pipes = []
+    pipe = os.pipe
+
+    def recording():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(os, "pipe", recording)
+    return pipes
+
+
+def in_child(monkeypatch, act):
+    """Call ``act(p)`` before every fine solve at p made in a forked
+    worker."""
+    parent = os.getpid()
+    solve_fine = pipeline.solve_fine
+
+    def acting(config, disc, p):
+        if os.getpid() != parent:
+            act(p)
+        return solve_fine(config, disc, p)
+
+    monkeypatch.setattr(pipeline, "solve_fine", acting)
+
+
+def wait_for(path, timeout=20.0):
+    """Whether ``path`` exists within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def coarse_waits_for(monkeypatch, marker):
+    """Hold the first coarse solve until ``marker`` exists, at most 20 s;
+    the returned list records whether it came."""
+    seen = []
+    solve_coarse = pipeline.solve_coarse
+
+    def waiting(config, disc, p):
+        if not seen:
+            seen.append(wait_for(marker))
+        return solve_coarse(config, disc, p)
+
+    monkeypatch.setattr(pipeline, "solve_coarse", waiting)
+    return seen
+
+
 class TestFineSweep:
     @staticmethod
     def sweep(config):
         seconds = {}
-        fine, _, fine_trajs, _, _ = pipeline._training_runs(
+        fine, _, fine_trajs, _, prepared = pipeline._training_runs(
             config, config.training_parameters(), seconds)
-        assert list(seconds) == ["coarse runs", "fine runs", "preparation"]
-        return fine, fine_trajs
+        assert list(seconds) == ["coarse runs", "fine runs"]
+        return fine, fine_trajs, prepared
 
     @staticmethod
-    def assert_solved_here(config, fine, fine_trajs):
+    def assert_solved_here(config, fine, fine_trajs, solve_fine):
         params = config.training_parameters()
         assert list(fine_trajs) == params
         for p in params:
-            want = pipeline.solve_fine(config, fine, p)
+            want = solve_fine(config, fine, p)
             got = fine_trajs[p]
             assert np.array_equal(got.values, want.values)
             assert got.parameter == want.parameter
@@ -309,13 +398,14 @@ class TestFineSweep:
         config = StudyConfig.from_text(SWEEP_CONFIGS[problem])
         cpus(monkeypatch, 2)
         forks = recorded_forks(monkeypatch)
-        fine, fine_trajs = self.sweep(config)
+        fine, fine_trajs, _ = self.sweep(config)
         assert len(forks) == 1
-        self.assert_solved_here(config, fine, fine_trajs)
+        self.assert_solved_here(config, fine, fine_trajs, pipeline.solve_fine)
 
     @pytest.mark.parametrize("how", ["one cpu", "no fork"])
     def test_one_worker_forks_nothing(self, how, monkeypatch):
         config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        pipes = recorded_pipes(monkeypatch)
         if how == "one cpu":
             cpus(monkeypatch, 1)
             forks = recorded_forks(monkeypatch)
@@ -323,15 +413,63 @@ class TestFineSweep:
             cpus(monkeypatch, 2)
             monkeypatch.delattr(os, "fork")
             forks = []
-        fine, fine_trajs = self.sweep(config)
-        assert forks == []
-        self.assert_solved_here(config, fine, fine_trajs)
+        fine, fine_trajs, _ = self.sweep(config)
+        assert forks == [] and pipes == []
+        self.assert_solved_here(config, fine, fine_trajs, pipeline.solve_fine)
+
+    def test_a_child_solves_while_the_coarse_sweep_runs(self, tmp_path,
+                                                         monkeypatch):
+        # the first coarse solve waits for a fine run the child finished
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+        finished = tmp_path / "finished"
+        solve_fine = pipeline.solve_fine
+
+        def marking(config, disc, p):
+            run = solve_fine(config, disc, p)
+            if os.getpid() != parent:
+                finished.touch()
+            return run
+
+        monkeypatch.setattr(pipeline, "solve_fine", marking)
+        seen = coarse_waits_for(monkeypatch, finished)
+        fine, fine_trajs, _ = self.sweep(config)
+        assert seen == [True]
+        self.assert_solved_here(config, fine, fine_trajs, solve_fine)
+
+    def test_a_coarse_failure_stops_the_children(self, tmp_path, monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        params = config.training_parameters()
+        cpus(monkeypatch, 2)
+        forks = recorded_forks(monkeypatch)
+        started = tmp_path / "started"
+
+        def sleeping(config, disc, p):
+            started.touch()
+            time.sleep(30.0)
+
+        def failing(config, disc, p):
+            assert wait_for(started)
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(pipeline, "solve_fine", sleeping)
+        monkeypatch.setattr(pipeline, "solve_coarse", failing)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"coarse solve failed at parameter {params[0]}: planted")):
+            self.sweep(config)
+        assert time.perf_counter() - start < 10.0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
     @pytest.mark.parametrize("failing, named", [([1], 1), ([2, 1], 1),
                                                 ([3, 2], 2)])
     def test_the_first_failing_parameter_is_named(self, failing, named,
                                                   monkeypatch):
-        # with two workers the child owns the odd-numbered runs
+        # whichever worker takes a failing run from the queue, the walk
+        # in parameter order names the first one
         config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
         params = config.training_parameters()
         cpus(monkeypatch, 2)
@@ -349,25 +487,126 @@ class TestFineSweep:
             self.sweep(config)
         assert str(err.value.__cause__) == f"planted at {params[named]}"
 
-    def test_a_killed_child_costs_the_runs_it_left(self, monkeypatch):
+    def test_a_killed_child_costs_the_runs_it_left(self, tmp_path,
+                                                   monkeypatch):
+        # the child takes a run while the coarse sweep waits for it and is
+        # killed; this process solves the rest from the queue and the
+        # killed child's run in the walk, last
         config = StudyConfig.from_text(SWEEP_CONFIGS["rd"])
         params = config.training_parameters()
         cpus(monkeypatch, 2)
-        parent = os.getpid()
+        held = tmp_path / "held"
         solved_here = []
         solve_fine = pipeline.solve_fine
 
-        def killed_in_the_child(config, disc, p):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+        def killed(p):
+            held.write_text(repr(p))
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def recording(config, disc, p):
             solved_here.append(p)
             return solve_fine(config, disc, p)
 
-        monkeypatch.setattr(pipeline, "solve_fine", killed_in_the_child)
-        fine, fine_trajs = self.sweep(config)
-        assert solved_here == [params[0], params[2], params[1], params[3]]
-        monkeypatch.setattr(pipeline, "solve_fine", solve_fine)
-        self.assert_solved_here(config, fine, fine_trajs)
+        monkeypatch.setattr(pipeline, "solve_fine", recording)
+        in_child(monkeypatch, killed)
+        seen = coarse_waits_for(monkeypatch, held)
+        fine, fine_trajs, _ = self.sweep(config)
+        assert seen == [True]
+        assert collections.Counter(solved_here) == collections.Counter(params)
+        assert repr(solved_here[-1]) == held.read_text()
+        self.assert_solved_here(config, fine, fine_trajs, solve_fine)
+
+    @pytest.mark.parametrize("killed", [False, True])
+    @pytest.mark.parametrize("problem", ["heat", "rd"])
+    def test_prepared_rows_match_rows_made_here(self, problem, killed,
+                                                tmp_path, monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS[problem])
+        cpus(monkeypatch, 2)
+        took = tmp_path / "took"
+        solve_fine = pipeline.solve_fine
+
+        def taking(p):
+            took.touch()
+            if killed:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        in_child(monkeypatch, taking)
+        seen = coarse_waits_for(monkeypatch, took)
+        fine, _, prepared = self.sweep(config)
+        assert seen == [True]
+        assert list(prepared) == config.training_parameters()
+        for p, rows in prepared.items():
+            values = solve_fine(config, fine, p).values
+            assert np.array_equal(rows, rb.h1_rows(values, fine.forms,
+                                                   config.n_max))
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                        reason="shrinks the queue with F_SETPIPE_SZ")
+    def test_a_queue_too_small_for_every_index(self, monkeypatch):
+        # a one-page pipe holds a page of 4-byte indices, 76 fewer than
+        # the runs: this process takes runs from the end of those not yet
+        # fed until every index is fed
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        page = os.sysconf("SC_PAGE_SIZE")
+        params = [1.0 + k / 1024 for k in range(page // 4 + 76)]
+        cpus(monkeypatch, 2)
+        pipes = recorded_pipes(monkeypatch)
+        pipe = os.pipe
+        parent = os.getpid()
+        solved_here = []
+
+        def one_page():
+            read, write = pipe()
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, page)
+            return read, write
+
+        def ramp(config, disc, p):
+            if os.getpid() == parent:
+                solved_here.append(p)
+            values = p * np.linspace(0.0, 1.0, disc.grid.steps + 1)[:, None]
+            return FieldTrajectory(mesh=disc.mesh, grid=disc.grid,
+                                   values=values + disc.mesh.nodes[:, 0],
+                                   parameter=p)
+
+        def last_row(values, forms, n_max):
+            return values[-1:]
+
+        monkeypatch.setattr(os, "pipe", one_page)
+        monkeypatch.setattr(pipeline, "solve_fine", ramp)
+        monkeypatch.setattr(pipeline, "solve_coarse", lambda *args: None)
+        monkeypatch.setattr(pipeline, "h1_rows", last_row)
+        fine, _, fine_trajs, _, prepared = pipeline._training_runs(
+            config, params, {})
+        assert len(pipes) == 1 and solved_here[0] == params[-1]
+        for p in params:
+            want = ramp(config, fine, p).values
+            assert np.array_equal(fine_trajs[p].values, want)
+            assert np.array_equal(prepared[p], want[-1:])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("ending", ["success", "coarse failure",
+                                        "fine failure", "interrupt"])
+    def test_the_queue_closes_its_pipe(self, ending, monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        cpus(monkeypatch, 2)
+        pipes = recorded_pipes(monkeypatch)
+        raised = {"success": None, "coarse failure": RuntimeError,
+                  "fine failure": RuntimeError,
+                  "interrupt": KeyboardInterrupt}[ending]
+
+        def planted(*args):
+            raise raised("planted")
+
+        if ending == "coarse failure":
+            monkeypatch.setattr(pipeline, "solve_coarse", planted)
+        elif raised:
+            monkeypatch.setattr(pipeline, "solve_fine", planted)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            self.sweep(config)
+        assert len(pipes) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch):
         config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])

@@ -41,8 +41,8 @@ def h1_norms(forms, U):
 
 def build(trajs, forms, n_max):
     """The hierarchical POD basis of ``trajs``, each run prepared here."""
-    return rb.hierarchical_pod(list(rb.h1_rows(trajs, forms, n_max).values()),
-                               forms, n_max)
+    return rb.hierarchical_pod([rb.h1_rows(traj.values, forms, n_max)
+                                for traj in trajs.values()], forms, n_max)
 
 
 class TestPod:
@@ -147,7 +147,8 @@ class TestPreparedRuns:
                                + 1e-3 * rng.standard_normal((6, m.n_nodes)),
                                param=mu)
                  for mu in (0.5, 1.0, 2.0, 4.0)}
-        prepared = rb.h1_rows(trajs, forms, 4)
+        prepared = {mu: rb.h1_rows(traj.values, forms, 4)
+                    for mu, traj in trajs.items()}
         for held_out in trajs:
             rest = {mu: tr for mu, tr in trajs.items() if mu != held_out}
             got = rb.hierarchical_pod([prepared[mu] for mu in rest], forms, 4)
@@ -234,7 +235,7 @@ class TestHierarchicalPod:
         # cannot be orthonormalized
         m, forms = setup
         values = rng.standard_normal((8, m.n_nodes))
-        prepared = rb.h1_rows({1.0: make_traj(m, values)}, forms, 3)
+        prepared = rb.h1_rows(values, forms, 3)
         pod = rb.pod
 
         def vanishing(*args, **kwargs):
@@ -247,7 +248,7 @@ class TestHierarchicalPod:
                                                "L2-orthonormalize its 3 "
                                                "modes: .*not positive "
                                                "definite"):
-            rb.hierarchical_pod(list(prepared.values()), forms, 3)
+            rb.hierarchical_pod([prepared], forms, 3)
 
 
 def gram_schmidt(rows, forms):
