@@ -13,6 +13,7 @@ import numpy as np
 
 from nirb.linalg import (SparseSym, blocked_matmul, pencil_eig,
                          pencil_residuals, sparse_with_scatter)
+from nirb.mesh import transfer_operator
 
 log = logging.getLogger(__name__)
 
@@ -205,6 +206,20 @@ class AssembledForms:
             operand.flags.writeable = False
             self._cache["modal operand"] = B, operand
         return operand
+
+    def transfer_to(self, mesh):
+        """(vertex indices, P1 weights) of ``mesh.transfer_operator`` from
+        this form set's mesh to the nodes of ``mesh``, both read-only: the
+        interpolation that lifts a run on these forms to ``mesh``.  The
+        pair of the last target is kept, matched by identity, so every
+        lift of a study's coarse runs to its fine mesh locates the fine
+        nodes once."""
+        kept = self._cache.get("transfer")
+        if kept is None or kept[0] is not mesh:
+            idx, w = transfer_operator(self.mesh, mesh.nodes)
+            idx.flags.writeable = w.flags.writeable = False
+            kept = self._cache["transfer"] = mesh, (idx, w)
+        return kept[1]
 
     def lumped_mass(self):
         """Row sums of the mass matrix (the nodal area shares)."""

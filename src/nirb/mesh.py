@@ -131,13 +131,17 @@ def transfer_operator(src, points):
     return idx, w
 
 
-def interpolate_field(src_mesh, src_field, dst_mesh):
+def interpolate_field(src_mesh, src_field, dst_mesh, transfer=None):
     """Evaluate a P1 field given by nodal values on ``src_mesh`` at the nodes
     of ``dst_mesh``.  Works on any array whose last axis is the source node
-    axis, e.g. a whole trajectory at once."""
+    axis, e.g. a whole trajectory at once.  ``transfer`` is the (vertex
+    indices, weights) pair of ``transfer_operator(src_mesh,
+    dst_mesh.nodes)`` where the caller keeps one; without it the nodes are
+    located here."""
     field = np.asarray(src_field, dtype=float)
     if field.shape[-1] != src_mesh.n_nodes:
         raise ValueError(
             f"field has {field.shape[-1]} values, mesh has {src_mesh.n_nodes} nodes")
-    idx, w = transfer_operator(src_mesh, dst_mesh.nodes)
+    idx, w = (transfer_operator(src_mesh, dst_mesh.nodes) if transfer is None
+              else transfer)
     return np.einsum("...nk,nk->...n", field[..., idx], w)

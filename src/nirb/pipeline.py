@@ -86,11 +86,12 @@ def _timed(seconds, stage):
         seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
-def _stage_line(seconds, n_runs):
-    """The stage wall times and the worker count of a fine sweep of
-    ``n_runs`` runs."""
+def _stage_line(seconds, workers):
+    """The stage wall times and the worker count of each sweep, from
+    ``workers``, {sweep name: count}."""
     return (", ".join(f"{stage} {s:.3f}s" for stage, s in seconds.items())
-            + f"; fine sweep workers: {_fine_workers(n_runs)}")
+            + "; " + ", ".join(f"{name} workers: {count}"
+                               for name, count in workers.items()))
 
 
 def _solved(name, solve, config, disc, p):
@@ -103,37 +104,24 @@ def _solved(name, solve, config, disc, p):
             f"{name} solve failed at parameter {p}: {exc}") from exc
 
 
-def _fine_workers(n_runs):
-    """Worker count of the fine sweep: the CPUs this process may run on,
-    at most one per run, and 1 where ``os.fork`` or the affinity query is
-    missing."""
+def _workers(n):
+    """Worker count of a sweep of ``n`` items: the CPUs this process may
+    run on, at most one per item, and 1 where ``os.fork`` or the affinity
+    query is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
+    return max(1, min(len(os.sched_getaffinity(0)), n))
 
 
-def _store_run(config, disc, runs, i, trajectory):
-    """Fine run i, ``trajectory``, and its preparation into its record of
-    ``runs``: the values, the H1 POD rows of ``reduced_basis.h1_rows`` and
-    their count, and last the status byte."""
-    runs["values"][i] = trajectory.values
-    rows = h1_rows(runs["values"][i], disc.forms, config.n_max)
-    runs["rows"][i, :len(rows)] = rows
-    runs["count"][i] = len(rows)
-    runs["done"][i] = 1
-
-
-def _take_runs(config, disc, params, runs, queue):
-    """Solve and store (``_store_run``) the runs whose 4-byte indices are
-    read from the pipe ``queue``, until it ends; the first failure ends
-    the loop."""
+def _take(do, queue):
+    """``do(i)`` for the 4-byte indices i read from the pipe ``queue``,
+    until it ends; the first failure ends the loop."""
     while index := os.read(queue, 4):
-        i = int.from_bytes(index, sys.byteorder)
-        _store_run(config, disc, runs, i, solve_fine(config, disc, params[i]))
+        do(int.from_bytes(index, sys.byteorder))
 
 
 def _feed(queue, first, end):
-    """Write the run indices first, first + 1, ... before ``end`` into the
+    """Write the indices first, first + 1, ... before ``end`` into the
     non-blocking pipe ``queue`` until it is full, four bytes a write, which
     a pipe takes whole or not at all; returns the first index not
     written."""
@@ -146,71 +134,63 @@ def _feed(queue, first, end):
 
 
 @contextlib.contextmanager
-def _fine_sweep(config, disc, params):
-    """The fine runs at ``params`` on ``_fine_workers`` workers, each run
-    solved and prepared (``reduced_basis.h1_rows``) by the worker that
-    takes it.  Entering forks the workers; the body does the caller's own
-    work and then calls the yielded ``join``, which returns (fine_trajs,
-    prepared): the trajectories in parameter order, whose values view one
-    shared buffer, and each run's H1 POD rows, views of the same buffer.
+def _sweep(record, n, work):
+    """Items 0, ..., n - 1 done on ``_workers(n)`` workers, the one function
+    that calls ``os.fork``.  ``work(records, i)`` writes item i into its
+    record of ``records``, an array of n records of the structured dtype
+    ``record``, whose "done" status byte is set here once ``work``
+    returns.  Entering forks the workers; the body does the caller's own
+    work and then calls the yielded ``join``, which returns ``records``
+    with every item done.
 
-    Every worker writes into one anonymous shared ``mmap`` of one record
-    per run: its values (steps + 1, width), its rows (at most n_max,
-    width) with their count, and a status byte marked only when both are
-    written.  The W - 1 forked children take run indices from one queue,
-    a pipe of 4-byte indices in parameter order, which is fed after the
-    fork, so no training-set size can block the caller; ``join`` makes the
-    caller a worker too.  When the pipe cannot hold every index the caller
-    takes runs from the end of those not yet fed, feeding more after each,
-    and closes the write end once every index is fed or taken.  After
-    every child is reaped the runs are walked in parameter order and any
-    unmarked one is solved and prepared here, so the first failing
-    parameter in order raises its "fine solve failed" error, and a child
-    that crashed or was killed costs a re-solve of the run it held.  A
-    child always ends in ``os._exit``, never returning into the caller or
-    flushing its buffers.  An exception in the body or in ``join`` (a
-    coarse failure, a fine failure or an interrupt) kills and reaps the
-    children, and both pipe ends are closed on every path.  With one
-    worker no pipe is opened and no process is forked: ``join`` is the
-    walk.
+    ``records`` lies in one anonymous shared ``mmap``, so what a forked
+    worker writes is read here without a copy.  The W - 1 forked children
+    take indices from one queue, a pipe of 4-byte indices in ascending
+    order, which is fed after the fork, so no item count can block the
+    caller; ``join`` makes the caller a worker too.  When the pipe cannot
+    hold every index the caller takes items from the end of those not yet
+    fed, feeding more after each, and closes the write end once every
+    index is fed or taken.  A worker stops at its first failing item.
+    After every child is reaped the items are walked in order and any
+    unmarked one is done here, so the first failing item in order raises
+    its error as it would on one worker, and a child that crashed or was
+    killed costs a redo of the item it held.  A child always ends in
+    ``os._exit``, never returning into the caller or flushing its buffers.
+    An exception that leaves the body or ``join`` (a failure of the
+    caller's own work in the body, a failing item in the walk, an
+    interrupt) kills and reaps the children left, and both pipe ends are
+    closed on every path.  With one worker no pipe is opened and no
+    process is forked: ``join`` is the walk.
 
     From Python 3.12 ``os.fork`` warns when the process runs other threads,
     OpenBLAS's pool among them; under warnings-as-errors that fails."""
-    workers = _fine_workers(len(params))
-    width = models.problem_of(config).fields * disc.mesh.n_nodes
-    record = np.dtype([
-        ("values", float, (disc.grid.steps + 1, width)),
-        ("rows", float, (min(config.n_max, disc.grid.steps + 1), width)),
-        ("count", np.int64), ("done", np.uint8)], align=True)
-    runs = np.frombuffer(mmap.mmap(-1, record.itemsize * len(params)),
-                         dtype=record)
+    workers = _workers(n)
+    records = np.frombuffer(mmap.mmap(-1, record.itemsize * n), dtype=record)
     queue, children = [], []    # the queue's open ends: read, write
 
+    def do(i):
+        work(records, i)
+        records["done"][i] = 1
+
     def walk():
-        for i, p in enumerate(params):
-            if not runs["done"][i]:
-                _store_run(config, disc, runs, i,
-                           _solved("fine", solve_fine, config, disc, p))
-        return ({p: FieldTrajectory(mesh=disc.mesh, grid=disc.grid,
-                                    values=runs["values"][i], parameter=p)
-                 for i, p in enumerate(params)},
-                {p: runs["rows"][i, :runs["count"][i]]
-                 for i, p in enumerate(params)})
+        for i in range(n):
+            if not records["done"][i]:
+                do(i)
+        return records
 
     def join():
         read, write = queue
-        fed, end = feed, len(params)
-        # a failure here is raised, in parameter order, by the walk below
-        with contextlib.suppress(RuntimeError, ValueError):
+        fed, end = feed, n
+        # a failure here is raised, in order, by the walk below
+        with contextlib.suppress(Exception):
             try:
                 while fed < end:
                     end -= 1
-                    _store_run(config, disc, runs, end,
-                               solve_fine(config, disc, params[end]))
+                    do(end)
                     fed = _feed(write, fed, end)
             finally:
                 os.close(queue.pop())
-            _take_runs(config, disc, params, runs, read)
+            _take(do, read)
         while children:
             os.waitpid(children[-1], 0)
             children.pop()
@@ -226,12 +206,12 @@ def _fine_sweep(config, disc, params):
             if pid == 0:
                 try:
                     os.close(queue[1])
-                    _take_runs(config, disc, params, runs, queue[0])
+                    _take(do, queue[0])
                 finally:
                     os._exit(0)
             children.append(pid)
         os.set_blocking(queue[1], False)
-        feed = _feed(queue[1], 0, len(params))
+        feed = _feed(queue[1], 0, n)
         yield join
     finally:
         for fd in queue:
@@ -242,6 +222,43 @@ def _fine_sweep(config, disc, params):
         for pid in children:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
+
+
+@contextlib.contextmanager
+def _fine_sweep(config, disc, params):
+    """The fine runs at ``params`` through one ``_sweep``, each run solved
+    and prepared (``reduced_basis.h1_rows``) by the worker that takes it.
+    The body does the caller's own work and then calls the yielded
+    ``join``, which returns (fine_trajs, prepared): the trajectories in
+    parameter order, whose values view the sweep's shared buffer, and each
+    run's H1 POD rows, views of the same buffer.
+
+    A run's record holds its values (steps + 1, width), its rows (at most
+    n_max, width) with their count, and the status byte, so a run counts
+    as done only once both are written.  The first failing parameter in
+    order raises its "fine solve failed" error."""
+    width = models.problem_of(config).fields * disc.mesh.n_nodes
+    record = np.dtype([
+        ("values", float, (disc.grid.steps + 1, width)),
+        ("rows", float, (min(config.n_max, disc.grid.steps + 1), width)),
+        ("count", np.int64), ("done", np.uint8)], align=True)
+
+    def solve(runs, i):
+        runs["values"][i] = _solved("fine", solve_fine, config, disc,
+                                    params[i]).values
+        rows = h1_rows(runs["values"][i], disc.forms, config.n_max)
+        runs["rows"][i, :len(rows)] = rows
+        runs["count"][i] = len(rows)
+
+    def trajectories(runs):
+        return ({p: FieldTrajectory(mesh=disc.mesh, grid=disc.grid,
+                                    values=runs["values"][i], parameter=p)
+                 for i, p in enumerate(params)},
+                {p: runs["rows"][i, :runs["count"][i]]
+                 for i, p in enumerate(params)})
+
+    with _sweep(record, len(params), solve) as join:
+        yield lambda: trajectories(join())
 
 
 def _training_runs(config, params, seconds):
@@ -319,7 +336,7 @@ class OfflineArtifacts:
         ``rectification.lift_projection``, shape (n_fields * n_coarse, N),
         read-only, so the coarse forms keep its modal product for the heat
         runs read through it (``AssembledForms.modal_operand``)."""
-        lift = lift_projection(self.basis, self.fine.forms, self.coarse.mesh)
+        lift = lift_projection(self.basis, self.fine.forms, self.coarse.forms)
         lift.flags.writeable = False
         return lift
 
@@ -378,7 +395,8 @@ def offline(config, persist=True):
     params = config.training_parameters()
     seconds = {}
     artifacts = fit(config, *_training_runs(config, params, seconds), seconds)
-    log.info("offline stages: %s", _stage_line(seconds, len(params)))
+    log.info("offline stages: %s",
+             _stage_line(seconds, {"fine sweep": _workers(len(params))}))
     if persist:
         os.makedirs(config.output_dir, exist_ok=True)
         io.save_artifacts(os.path.join(config.output_dir, ARTIFACT_FILE),
@@ -597,7 +615,7 @@ def two_grid_runs(artifacts, key):
     and rectified ('rect') online runs."""
     fine = artifacts.fine
     coarse_traj = solve_coarse(artifacts.config, artifacts.coarse, key)
-    runs = {"coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid,
+    runs = {"coarse": lift_coarse(coarse_traj, artifacts.coarse.forms, fine,
                                   artifacts.time_weights)}
     for mode, name in (("plain", "nirb"), ("rectified", "rect")):
         runs[name] = online(artifacts, key, mode=mode,
@@ -613,6 +631,14 @@ def two_grid_errors(artifacts, key):
     return compare(two_grid_runs(artifacts, key), reference, fine.forms)
 
 
+# the stages of one leave-one-out fold, and its record in the fold sweep:
+# the rectified, projection and coarse errors (``LooRow``'s order) and the
+# stages' seconds
+_FOLD_STAGES = ("basis selections", "fits", "scoring")
+_FOLD_RECORD = np.dtype([("errors", float, (3,)), ("seconds", float, (3,)),
+                         ("done", np.uint8)])
+
+
 @dataclass
 class LooRow:
     parameter: object
@@ -625,10 +651,13 @@ class LooRow:
 class LooReport:
     """Leave-one-out table: held-out rectified error, in-sample projection
     error of the full-set basis, and lifted-coarse error, all relative
-    sup-in-time energy-norm values, with column maxima, and the pass's wall
-    seconds per stage: "coarse runs" and "fine runs" (``_training_runs``),
-    "basis selections" and "fits" (``fit``) and "scoring".  ``label`` is
-    the study problem's, for the table."""
+    sup-in-time energy-norm values, with column maxima, and the pass's
+    seconds per stage: the wall times of "coarse runs" and "fine runs"
+    (``_training_runs``), and of the three fold stages, "basis selections"
+    and "fits" (``fit``) and "scoring", summed over the fold workers, so
+    on more than one worker these three can add up to more than the wall
+    time of the folds; "basis selections" also holds the full-set basis.
+    ``label`` is the study problem's, for the table."""
 
     energy_norm: str
     rows: list
@@ -654,9 +683,15 @@ def leave_one_out(config):
 
     The training runs are solved once (``_training_runs``), each fine run
     prepared by the worker that solved it, and every fold's ``fit`` pools
-    the prepared rows of the runs it holds in; the stage wall times go into
-    the report and are logged at INFO with the fine sweep's worker
-    count."""
+    the prepared rows of the runs it holds in.  The folds run through one
+    ``_sweep``, forked after the training runs, the full-set basis and the
+    coarse-to-fine transfer (``AssembledForms.transfer_to``), so the
+    workers inherit them and the coarse forms' modal setup; a fold's
+    record holds its three errors and its stage seconds, and the rows are
+    those of one worker, bit for bit, as is the error of the first
+    failing fold in parameter order.  The stage times go into the report
+    (``LooReport.seconds``) and are logged at INFO with the worker counts
+    of the fine sweep and the fold sweep."""
     config.validate()
     params = config.training_parameters()
     if len(params) < 2:
@@ -667,13 +702,15 @@ def leave_one_out(config):
     with _timed(seconds, "basis selections"):
         basis_full = build_basis(config, [prepared[p] for p in params],
                                  fine.forms)
+    # located here, before the fold workers fork, so that they inherit it
+    coarse.forms.transfer_to(fine.mesh)
 
-    rows = []
-    for p in params:
+    def hold_out(folds, i):
+        p, spent = params[i], {}
         rest = [q for q in params if q != p]
         fold = fit(config, fine, coarse, {q: fine_trajs[q] for q in rest},
-                   {q: coarse_trajs[q] for q in rest}, prepared, seconds)
-        with _timed(seconds, "scoring"):
+                   {q: coarse_trajs[q] for q in rest}, prepared, spent)
+        with _timed(spent, "scoring"):
             held_out, coarse_traj = fine_trajs[p], coarse_trajs[p]
             projected = reconstruct(basis_full, coefficients(
                 basis_full, fine.forms, held_out.values))
@@ -681,13 +718,22 @@ def leave_one_out(config):
                 "rectified": online(fold, p,
                                     coarse_traj=coarse_traj).trajectory,
                 "projection": replace(held_out, values=projected),
-                "coarse": lift_coarse(coarse_traj, fine.mesh, fine.grid,
+                "coarse": lift_coarse(coarse_traj, coarse.forms, fine,
                                       fold.time_weights)}
             reports = compare(candidates, held_out, fine.forms)
-        rows.append(LooRow(parameter=p, **{
-            name: report.rel_energy for name, report in reports.items()}))
+        folds["errors"][i] = [reports[name].rel_energy for name in candidates]
+        folds["seconds"][i] = [spent[stage] for stage in _FOLD_STAGES]
 
-    log.info("leave-one-out stages: %s", _stage_line(seconds, len(params)))
+    with _sweep(_FOLD_RECORD, len(params), hold_out) as join:
+        folds = join()
+    for stage, s in zip(_FOLD_STAGES, folds["seconds"].sum(axis=0)):
+        seconds[stage] = seconds.get(stage, 0.0) + float(s)
+    rows = [LooRow(p, *map(float, folds["errors"][i]))
+            for i, p in enumerate(params)]
+
+    workers = _workers(len(params))
+    log.info("leave-one-out stages: %s", _stage_line(
+        seconds, {"fine sweep": workers, "fold": workers}))
     return LooReport(energy_norm=energy_norm(fine.forms), rows=rows,
                      max_rectified=max(r.rectified for r in rows),
                      max_projection=max(r.projection for r in rows),

@@ -22,7 +22,7 @@ import numpy as np
 
 from nirb.integrators import FieldTrajectory
 from nirb.linalg import solve_regularized_normal
-from nirb.mesh import interpolate_field, transfer_operator
+from nirb.mesh import interpolate_field
 from nirb.reduced_basis import mass_weighted_modes
 
 
@@ -81,29 +81,34 @@ def quadratic_weights(source, target):
     return W
 
 
-def lift_coarse(coarse_traj, fine_mesh, fine_grid, weights):
-    """Coarse trajectory carried to the fine discretization: the time
-    weights ``weights`` (W of ``quadratic_weights`` from its grid to
-    ``fine_grid``) times its values, then P1 interpolation in space of the
-    result viewed as (knots, n_fields, n_coarse), every species in one
-    call."""
+def lift_coarse(coarse_traj, coarse_forms, fine, weights):
+    """Coarse trajectory carried to the fine discretization ``fine`` (its
+    mesh and grid): the time weights ``weights`` (W of
+    ``quadratic_weights`` from its grid to the fine one) times its values,
+    then P1 interpolation in space of the result viewed as (knots,
+    n_fields, n_coarse), every species in one call, through the transfer
+    that the forms of its mesh, ``coarse_forms``, keep for the fine mesh
+    (``AssembledForms.transfer_to``)."""
+    coarse_mesh = coarse_forms.mesh
     knots = (weights @ coarse_traj.values).reshape(
-        len(weights), -1, coarse_traj.mesh.n_nodes)
-    values = interpolate_field(coarse_traj.mesh, knots, fine_mesh)
-    return FieldTrajectory(mesh=fine_mesh, grid=fine_grid,
+        len(weights), -1, coarse_mesh.n_nodes)
+    values = interpolate_field(coarse_mesh, knots, fine.mesh,
+                               coarse_forms.transfer_to(fine.mesh))
+    return FieldTrajectory(mesh=fine.mesh, grid=fine.grid,
                            values=values.reshape(len(values), -1),
                            parameter=coarse_traj.parameter)
 
 
-def lift_projection(basis, forms, coarse_mesh):
+def lift_projection(basis, forms, coarse_forms):
     """The operator Phi, shape (n_fields * n_coarse, N), that sends coarse
     nodal values to the L2 coefficients of their P1 lift in the basis:
-    Phi = P^T M modes^T per field, with P the P1 interpolation from
-    ``coarse_mesh`` to the basis mesh (``mesh.transfer_operator``) and M the
-    mass matrix of ``forms``, every field's block in one ``bincount`` with
-    the coarse node indices of field f offset by f n_coarse."""
-    idx, w = transfer_operator(coarse_mesh, basis.mesh.nodes)
-    n, N, F = coarse_mesh.n_nodes, basis.N, basis.n_fields
+    Phi = P^T M modes^T per field, with P the P1 interpolation from the
+    mesh of ``coarse_forms`` to the basis mesh (the transfer those forms
+    keep, ``AssembledForms.transfer_to``) and M the mass matrix of
+    ``forms``, every field's block in one ``bincount`` with the coarse
+    node indices of field f offset by f n_coarse."""
+    idx, w = coarse_forms.transfer_to(basis.mesh)
+    n, N, F = coarse_forms.n_dofs, basis.N, basis.n_fields
     rows = idx + n * np.arange(F)[:, None, None]  # (F, n_fine, 3)
     slots = (rows[..., None] * N + np.arange(N)).ravel()
     modes = mass_weighted_modes(basis, forms).reshape(F, -1, 1, N)

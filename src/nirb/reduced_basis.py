@@ -22,12 +22,6 @@ from nirb.linalg import _lower_inverse, blocked_matmul, cholesky, sym_eig
 
 log = logging.getLogger(__name__)
 
-# largest snapshot count whose Gram matrix ``pod`` forms by
-# ``blocked_matmul``: at 1100-1250 columns the pieces take less wall time
-# than one product up to about 40 rows, and twice as much from 64 on
-_BLOCKED_GRAM_ROWS = 40
-
-
 @dataclass
 class ReducedBasis:
     """L2-orthonormal modes stored as rows of ``modes``: plain data, checked
@@ -81,19 +75,18 @@ def pod(snapshots, forms, keep):
     either 0 or above sqrt(k eps).  Returns (modes, singular_values) with
     one singular value per snapshot and the modes H1-orthonormal up to
     eigensolver accuracy; callers that need exact L2 orthonormality
-    re-orthogonalize.  Eigenvectors are computed only up to ``keep``.  An all-zero snapshot set yields zero modes with a warning."""
+    re-orthogonalize.  Eigenvectors are computed only up to ``keep``.  An
+    all-zero snapshot set yields zero modes with a warning.
+
+    The Gram matrix and the mode product are formed by ``blocked_matmul``
+    at every snapshot count, one trajectory's or a pooled set's: as one
+    product OpenBLAS may hand either to a second thread, which then
+    spin-waits for about 0.13 s of CPU time after the call."""
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[0] == 0:
         raise ValueError(f"need a (k, d) snapshot array, got shape {S.shape}")
     W = block_matvec(forms.mass.lincomb(forms.stiffness, 1.0, 1.0), S)
-    # one trajectory's Gram (a few dozen rows) runs in pieces on the calling
-    # thread: as one product OpenBLAS hands it to a second thread, which
-    # then spin-waits for about 0.13 s of CPU time; pooled snapshot sets
-    # keep the one product, whose pieces would cost more wall time
-    if S.shape[0] <= _BLOCKED_GRAM_ROWS:
-        G = blocked_matmul(S, W.T)
-    else:
-        G = S @ W.T
+    G = blocked_matmul(S, W.T)
     top = max(min(S.shape[0], int(keep)), 0)
     lam, V = sym_eig(0.5 * (G + G.T), top=top)
     lam = lam[::-1]
@@ -105,7 +98,7 @@ def pod(snapshots, forms, keep):
         log.warning("POD of an all-zero snapshot set: returning zero modes")
         return np.zeros((0, S.shape[1])), sig
     k = min(int((sig > 0.0).sum()), top)
-    return (V[:, :k].T @ S) / sig[:k, None], sig
+    return blocked_matmul(V[:, :k].T, S) / sig[:k, None], sig
 
 
 def mass_orthonormalize(rows, forms):

@@ -169,7 +169,7 @@ def test_errors_writes_the_pipeline_curves(config_path, capsys, tmp_path):
     fine, coarse = artifacts.fine, artifacts.coarse
     reference = pipeline.solve_fine(config, fine, 4.5)
     coarse_traj = pipeline.solve_coarse(config, coarse, 4.5)
-    candidates = [lift_coarse(coarse_traj, fine.mesh, fine.grid,
+    candidates = [lift_coarse(coarse_traj, coarse.forms, fine,
                               artifacts.time_weights)]
     candidates += [pipeline.online(artifacts, 4.5, mode=mode,
                                    coarse_traj=coarse_traj).trajectory

@@ -244,13 +244,13 @@ def test_lift_projection_is_lift_then_coefficients(small_heat_text,
         traj = pipeline.solve_coarse(config, coarse, param)
         got = coarse_to_fine_coefficients(traj, arts.lift, arts.time_weights)
         want = coefficients(arts.basis, fine.forms,
-                            lift_coarse(traj, fine.mesh, fine.grid,
+                            lift_coarse(traj, coarse.forms, fine,
                                         arts.time_weights).values)
         assert got.shape == (fine.grid.steps + 1, arts.basis.N)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert arts.lift.shape == (traj.values.shape[1], arts.basis.N)
         assert np.array_equal(
-            arts.lift, lift_projection(arts.basis, fine.forms, coarse.mesh))
+            arts.lift, lift_projection(arts.basis, fine.forms, coarse.forms))
         assert np.array_equal(arts.time_weights,
                               quadratic_weights(coarse.grid, fine.grid))
         phis.append(arts.lift)

@@ -6,7 +6,8 @@ itself or exported in ``nirb.__all__``, not only from the tests; every
 method and property of those classes is too, or is reached from the
 benchmark scripts (``benchmarks/*.py``, read and not changed).  The
 problem of a study is read in one place, the registry
-``models.problem_of``, and no march is chosen by a ``scheme`` name."""
+``models.problem_of``, no march is chosen by a ``scheme`` name, and one
+function, ``pipeline._sweep``, forks worker processes."""
 
 import ast
 from pathlib import Path
@@ -150,20 +151,16 @@ def test_every_function_is_reached_from_the_package():
     assert not found, f"defined but never referenced in the package: {found}"
 
 
-def problem_readers(tree, module):
-    """Where a parsed module reads the attribute ``problem`` (or names it
-    as a string, as ``getattr`` would take it): "module.function" of the
-    innermost function around each read, or "module" for a read outside
-    any function."""
+def sites(tree, module, hit):
+    """Where in a parsed module the nodes lie for which ``hit(node)``
+    holds: "module.function" of the innermost function around each, or
+    "module" for one outside any function."""
     found = set()
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "problem"
-                    and isinstance(child.ctx, ast.Load)
-                    or isinstance(child, ast.Constant)
-                    and child.value == "problem"):
+            if hit(child):
                 found.add(where)
             inner = where
             if isinstance(child, defs):
@@ -172,6 +169,25 @@ def problem_readers(tree, module):
 
     visit(tree, module)
     return found
+
+
+def problem_readers(tree, module):
+    """Where a parsed module reads the attribute ``problem`` (or names it
+    as a string, as ``getattr`` would take it), by ``sites``."""
+    return sites(tree, module, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "problem"
+        and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and node.value == "problem"))
+
+
+def fork_callers(tree, module):
+    """Where a parsed module calls ``fork``, as ``os.fork()`` or, imported
+    by name, ``fork()``, by ``sites``; naming it otherwise, as
+    ``hasattr(os, "fork")`` does, is not a call."""
+    return sites(tree, module, lambda node: (
+        isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Attribute) and node.func.attr == "fork"
+             or isinstance(node.func, ast.Name) and node.func.id == "fork")))
 
 
 def scheme_parameters(tree):
@@ -205,6 +221,30 @@ def test_problem_scan_catches(source, found):
 ])
 def test_scheme_scan_catches(source, caught):
     assert bool(scheme_parameters(ast.parse(source))) == caught
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import os\ndef f():\n    return os.fork()\n", {"m.f"}),
+    ("from os import fork\ndef f():\n    pid = fork()\n", {"m.f"}),
+    ("import os\ndef f():\n    os.fork()\n\n\ndef g():\n    os.fork()\n",
+     {"m.f", "m.g"}),
+    ("import os\ndef f():\n    def child():\n        os.fork()\n",
+     {"m.child"}),
+    ("import os\npid = os.fork()\n", {"m"}),
+    ("import os\ndef f():\n    return hasattr(os, 'fork')\n", set()),
+    ('def f():\n    """Calls os.fork()."""\n', set()),
+])
+def test_fork_scan_catches(source, found):
+    assert fork_callers(ast.parse(source), "m") == found
+
+
+def test_one_function_forks():
+    # every worker process comes from one sweep, which owns the queue,
+    # the shared records, the reaping and the cleanup on every path
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= fork_callers(ast.parse(path.read_text("utf-8")), path.stem)
+    assert found == {"pipeline._sweep"}
 
 
 def test_one_function_reads_the_problem_name():

@@ -155,9 +155,9 @@ class TestOneLiftPerFit:
         """Coarse node counts of every lift-projection operator built."""
         built = []
 
-        def counting(basis, forms, coarse_mesh):
-            built.append(coarse_mesh.n_nodes)
-            return lift_projection(basis, forms, coarse_mesh)
+        def counting(basis, forms, coarse_forms):
+            built.append(coarse_forms.n_dofs)
+            return lift_projection(basis, forms, coarse_forms)
 
         monkeypatch.setattr(pipeline, "lift_projection", counting)
         return built
@@ -177,8 +177,12 @@ class TestOneLiftPerFit:
                     pipeline.online(arts, mu, mode=mode)
         assert len(lifts) == 2
 
-    def test_one_per_leave_one_out_fold(self, study, lifts):
+    # the per-fold counts are taken in this process, so these passes run
+    # on one CPU, where every fold is scored here
+
+    def test_one_per_leave_one_out_fold(self, study, lifts, monkeypatch):
         config, _ = study
+        cpus(monkeypatch, 1)
         pipeline.leave_one_out(config)
         assert len(lifts) == len(config.training_parameters())
 
@@ -188,6 +192,7 @@ class TestOneLiftPerFit:
         # operand once, for the fit, and the held-out query reads it; the
         # training runs make the forms' modal setup before the first fold
         config, _ = study
+        cpus(monkeypatch, 1)
         shapes, free = [], []
         training_runs = pipeline._training_runs
         blocked_matmul = fem.blocked_matmul
@@ -214,6 +219,7 @@ class TestOneLiftPerFit:
         # the held-out fine run's curves once, then one per candidate:
         # rectified, projection and lifted coarse
         config, _ = study
+        cpus(monkeypatch, 1)
         calls = []
 
         def counting(*args):
@@ -629,6 +635,155 @@ class TestFineSweep:
             os.waitpid(forks[0], os.WNOHANG)
 
 
+def failing_folds(monkeypatch, held_out, raised=RuntimeError):
+    """Make the fold that holds out a parameter of ``held_out`` raise
+    ``raised`` naming that parameter, in whichever process scores it."""
+    fit = pipeline.fit
+
+    def failing(config, fine, coarse, fine_trajs, *args):
+        for p in config.training_parameters():
+            if p not in fine_trajs and p in held_out:
+                raise raised(f"planted at {p}")
+        return fit(config, fine, coarse, fine_trajs, *args)
+
+    monkeypatch.setattr(pipeline, "fit", failing)
+
+
+class TestFoldSweep:
+    @pytest.fixture(scope="class")
+    def one_worker(self):
+        """The leave-one-out reports of the sweep configs on one CPU."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cpus(monkeypatch, 1)
+            return {problem: pipeline.leave_one_out(
+                StudyConfig.from_text(text))
+                for problem, text in SWEEP_CONFIGS.items()}
+
+    @pytest.mark.parametrize("workers", ["no fork", 2, 4])
+    @pytest.mark.parametrize("problem", ["heat", "rd"])
+    def test_rows_match_one_worker(self, one_worker, problem, workers,
+                                   monkeypatch, caplog):
+        # four workers are more than the cores of a small host; without
+        # os.fork the pass forks nothing and opens no pipe
+        config = StudyConfig.from_text(SWEEP_CONFIGS[problem])
+        n = len(config.training_parameters())
+        pipes = recorded_pipes(monkeypatch)
+        if workers == "no fork":
+            cpus(monkeypatch, 2)
+            monkeypatch.delattr(os, "fork")
+            forks, count = [], 1
+        else:
+            cpus(monkeypatch, workers)
+            forks, count = recorded_forks(monkeypatch), min(workers, n)
+        with caplog.at_level("INFO", logger="nirb.pipeline"):
+            report = pipeline.leave_one_out(config)
+        want = one_worker[problem]
+        assert report.rows == want.rows
+        assert list(report.seconds) == list(want.seconds)
+        assert ((report.max_rectified, report.max_projection,
+                 report.max_coarse)
+                == (want.max_rectified, want.max_projection,
+                    want.max_coarse))
+        # one fine sweep and one fold sweep, W - 1 children each
+        assert len(forks) == 2 * (count - 1)
+        assert len(pipes) == (2 if count > 1 else 0)
+        assert (f"fine sweep workers: {count}, fold workers: {count}"
+                in caplog.text)
+
+    @pytest.mark.parametrize("raised", [RuntimeError, ValueError])
+    @pytest.mark.parametrize("held_out", [[1], [2, 1], [3, 2], [0, 3]])
+    def test_a_fold_failure_is_raised_as_on_one_worker(self, held_out,
+                                                       raised, monkeypatch):
+        # whichever worker scores a failing fold, the walk in parameter
+        # order raises the first one's error
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        params = config.training_parameters()
+        failing_folds(monkeypatch, [params[i] for i in held_out], raised)
+        errors = []
+        for n in (1, 2, 4):
+            cpus(monkeypatch, n)
+            with pytest.raises(raised) as err:
+                pipeline.leave_one_out(config)
+            errors.append(str(err.value))
+        assert errors == [f"planted at {params[min(held_out)]}"] * 3
+
+    def test_a_killed_fold_worker_costs_the_folds_it_held(self, tmp_path,
+                                                          monkeypatch):
+        config = StudyConfig.from_text(SWEEP_CONFIGS["rd"])
+        cpus(monkeypatch, 1)
+        want = pipeline.leave_one_out(config)
+        # the child takes a fold while this process waits for it and is
+        # killed; the walk scores the fold it held here
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+        held = tmp_path / "held"
+        fit = pipeline.fit
+
+        def killed(*args):
+            if os.getpid() != parent:
+                held.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            assert wait_for(held)
+            return fit(*args)
+
+        monkeypatch.setattr(pipeline, "fit", killed)
+        assert pipeline.leave_one_out(config).rows == want.rows
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("ending", ["success", "fold failure",
+                                        "interrupt"])
+    def test_the_fold_sweep_leaves_nothing_open(self, ending, monkeypatch):
+        # the conftest fails a test after which a child is left
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        params = config.training_parameters()
+        cpus(monkeypatch, 2)
+        forks = recorded_forks(monkeypatch)
+        parent = os.getpid()
+        fit = pipeline.fit
+        raised = {"success": None, "fold failure": RuntimeError,
+                  "interrupt": KeyboardInterrupt}[ending]
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30.0)
+
+        if ending == "fold failure":
+            failing_folds(monkeypatch, params)
+        elif raised:
+            monkeypatch.setattr(pipeline, "fit", interrupted)
+        before = sorted(os.listdir("/proc/self/fd"))
+        start = time.perf_counter()
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            pipeline.leave_one_out(config)
+        assert time.perf_counter() - start < 10.0
+        assert len(forks) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_fine_nodes_are_located_once_per_pass(self, workers,
+                                                      tmp_path, monkeypatch):
+        # every process appends one line per location to one file; the
+        # fold workers inherit the parent's
+        config = StudyConfig.from_text(SWEEP_CONFIGS["heat"])
+        cpus(monkeypatch, workers)
+        located = tmp_path / "located"
+        transfer_operator = fem.transfer_operator
+
+        def recording(*args):
+            with open(located, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return transfer_operator(*args)
+
+        monkeypatch.setattr(fem, "transfer_operator", recording)
+        pipeline.leave_one_out(config)
+        assert located.read_text().split() == [str(os.getpid())]
+
+
 class TestCoarseOnly:
     def test_online_runs_no_fine_solve(self, study, monkeypatch):
         config, artifacts = study
@@ -841,7 +996,7 @@ class TestHeldOutOrdering:
         assert mu not in config.training_parameters()
         fine = pipeline.solve_fine(config, ctx.fine, mu)
         coarse = pipeline.solve_coarse(config, ctx.coarse, mu)
-        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid,
+        lifted = lift_coarse(coarse, ctx.coarse.forms, ctx.fine,
                              artifacts.time_weights)
 
         def err(traj):
@@ -871,16 +1026,18 @@ class TestLift:
     @pytest.fixture
     def two_fields(self, rng):
         forms = fem.assemble(mesh.build_structured(6, 6), bc="neumann_natural")
-        coarse = mesh.build_structured(3, 3)
-        traj = FieldTrajectory(mesh=coarse, grid=TimeGrid(0.0, 1.0, 3),
-                               values=rng.random((4, 2 * coarse.n_nodes)))
+        coarse = fem.assemble(mesh.build_structured(3, 3), bc="neumann_natural")
+        traj = FieldTrajectory(mesh=coarse.mesh, grid=TimeGrid(0.0, 1.0, 3),
+                               values=rng.random((4, 2 * coarse.n_dofs)))
         return forms, coarse, traj
 
     def test_two_fields_lift_field_by_field(self, two_fields):
-        forms, coarse, traj = two_fields
+        forms, coarse_forms, traj = two_fields
+        coarse = coarse_forms.mesh
         grid = TimeGrid(0.0, 1.0, 6)
         W = quadratic_weights(traj.grid, grid)
-        lifted = lift_coarse(traj, forms.mesh, grid, W)
+        fine = pipeline.Discretization(mesh=forms.mesh, forms=forms, grid=grid)
+        lifted = lift_coarse(traj, coarse_forms, fine, W)
         timed = W @ traj.values
         n = coarse.n_nodes
         want = np.concatenate([interpolate_field(coarse, part, forms.mesh)
@@ -892,11 +1049,11 @@ class TestLift:
     def test_two_field_lift_projection_is_the_per_field_build(self,
                                                              two_fields, rng):
         forms, coarse, _ = two_fields
-        n_fine, n, N = forms.n_dofs, coarse.n_nodes, 3
+        n_fine, n, N = forms.n_dofs, coarse.n_dofs, 3
         basis = rb.ReducedBasis(mesh=forms.mesh,
                                 modes=rng.standard_normal((N, 2 * n_fine)))
         phi = lift_projection(basis, forms, coarse)
-        idx, w = mesh.transfer_operator(coarse, forms.mesh.nodes)
+        idx, w = mesh.transfer_operator(coarse.mesh, forms.mesh.nodes)
         slots = (idx[:, :, None] * N + np.arange(N)).ravel()
         weighted = rb.mass_weighted_modes(basis, forms)
         want = np.concatenate([
@@ -910,7 +1067,7 @@ class TestLift:
         config, artifacts = study
         ctx = artifacts.context()
         coarse = pipeline.solve_coarse(config, ctx.coarse, 2.0)
-        lifted = lift_coarse(coarse, ctx.fine.mesh, ctx.fine.grid,
+        lifted = lift_coarse(coarse, ctx.coarse.forms, ctx.fine,
                              artifacts.time_weights)
         assert lifted.values.shape == (ctx.fine.grid.steps + 1,
                                        ctx.fine.mesh.n_nodes)
@@ -930,9 +1087,9 @@ class TestLift:
             mesh=ctx.fine.mesh, grid=TimeGrid(config.t0, config.T, 4),
             values=fine.values[::2], parameter=2.0)
         W = quadratic_weights(coarse_in_time.grid, ctx.fine.grid)
-        lifted = lift_coarse(coarse_in_time, ctx.fine.mesh, ctx.fine.grid, W)
+        lifted = lift_coarse(coarse_in_time, ctx.fine.forms, ctx.fine, W)
         want = rb.coefficients(artifacts.basis, ctx.fine.forms, lifted.values)
-        phi = lift_projection(artifacts.basis, ctx.fine.forms, ctx.fine.mesh)
+        phi = lift_projection(artifacts.basis, ctx.fine.forms, ctx.fine.forms)
         got = coarse_to_fine_coefficients(coarse_in_time, phi, W)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -958,7 +1115,7 @@ class TestRectification:
         snaps = np.vstack([t.values for t in fine_trajs])
         basis = rb.ReducedBasis(mesh=fine_mesh, modes=rb.mass_orthonormalize(
             rb.pod(snaps, forms, N)[0], forms))
-        phi = lift_projection(basis, forms, coarse_mesh)
+        phi = lift_projection(basis, forms, fem.assemble(coarse_mesh, forms.bc))
         W = quadratic_weights(coarse_grid, fine_grid)
         lifted = np.stack([coarse_to_fine_coefficients(t, phi, W)
                            for t in coarse_trajs], axis=1)
