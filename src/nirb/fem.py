@@ -117,15 +117,16 @@ class AssembledForms:
         The decomposition is checked once, when it is built: its relative
         residual ||K V - M V diag(lam)||_F / ||K V||_F and its
         M-orthogonality defect max |V^T M V - I| must both be within
-        ``MODAL_TOL``.  The cache keeps (lam, V) and the constants of
-        ``modal_bounds``; the dense M and K the setup works on, and the
-        check's products M V and K V, are not kept."""
+        ``MODAL_TOL``.  The check's products M V and K V are sparse ones,
+        one gather per column of V.  The cache keeps (lam, V) and the
+        constants of ``modal_bounds``; the dense M and K the setup works
+        on, and M V and K V, are not kept."""
         if "eig" not in self._cache:
             start = time.perf_counter()
-            M = self.mass_free().to_dense()
-            K = self.stiffness_free().to_dense()
-            lam, V = pencil_eig(K, M)
-            MV, KV = blocked_matmul(M, V), blocked_matmul(K, V)
+            lam, V = pencil_eig(self.stiffness_free().to_dense(),
+                                self.mass_free().to_dense())
+            MV = self.mass_free().matvec(V.T).T
+            KV = self.stiffness_free().matvec(V.T).T
             residual, orthogonality = pencil_residuals(KV, MV, lam, V)
             if not (residual <= MODAL_TOL and orthogonality <= MODAL_TOL):
                 raise RuntimeError(

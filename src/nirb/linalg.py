@@ -1,10 +1,21 @@
 """Self-contained linear algebra kernels: symmetric padded-row sparse
 storage, a block cyclic reduction factor for banded SPD matrices, a dense
-Cholesky factor, a dense symmetric eigensolver (Householder
-tridiagonalization, Sturm multisection and inverse iteration) and the
-generalized symmetric-definite eigenproblem built on the two, regularized
-normal-equation solves, and BiCGStab, the one Krylov solver, for the
-nonsymmetric Newton systems.  Dense matrices are plain numpy arrays."""
+Cholesky factor and its blocked triangular inverse, a dense symmetric
+eigensolver and the generalized symmetric-definite eigenproblem built on
+the two, regularized normal-equation solves, and BiCGStab, the one Krylov
+solver, for the nonsymmetric Newton systems.  Dense matrices are plain
+numpy arrays.
+
+The eigensolver ``sym_eig`` reduces to tridiagonal form by Householder
+reflections and solves the tridiagonal by Cuppen's divide and conquer
+(Numer. Math. 36, 1981): every merge of one tree level is one set of array
+operations over all its nodes, with LAPACK's deflation (``dlaed2``),
+secular roots as offsets from the nearer pole (``dlaed4``) and the
+eigenvectors of Gu & Eisenstat (SIAM J. Matrix Anal. Appl. 16, 1995); the
+wanted vectors go back through the reflectors in compact-WY blocks
+(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).  Dense
+products go through ``blocked_matmul``, so OpenBLAS never hands one to a
+second thread."""
 
 from __future__ import annotations
 
@@ -21,18 +32,20 @@ def _norm2(v):
 
 
 _EPS = np.finfo(float).eps
-# Sturm-count points per multisection round, shared among the open brackets:
-# an order-n matrix gets this times (1 + 8 / n), since a round costs one
-# Python step per pivot, so small matrices afford more points and fewer rounds.
-_MULTISECTION_POINTS = 256
-# Inverse-iteration shifts sit this many eps ||T|| above their eigenvalues
-# (see _inverse_iteration).
-_SHIFT_OFFSET = 10.0
-# Entries of one (n, shifts) work array of inverse iteration: an order-n
-# tridiagonal's shifts are factored in blocks of about this over n, so the
-# work arrays (about 50 n bytes per shift) stay near 1.3 MB whatever the
-# number of shifts.  At n = 225 a full spectrum takes two blocks of 115.
-_INVERSE_ITERATION_ENTRIES = 26_000
+# Entries of one (nodes, roots, poles) work array of a divide-and-conquer
+# merge's secular stage (128 kB; the root iteration holds a few, one of
+# three planes): the roots, weights and vectors of a level are computed in
+# chunks of about this over nodes times poles, which keeps a full
+# 225-dof spectrum under 2 MB of work arrays.
+_SECULAR_ENTRIES = 16_384
+# Steps after which a secular root stops, converged or not; the fixed-weight
+# step with its bisection fallback takes 5-8 per merge level on the pencils
+# and POD Grams, and at most 18 on every matrix tested (glued Wilkinson).
+_SECULAR_STEPS = 40
+# Householder reflectors per compact-WY block of the back-transform.
+_WY_BLOCK = 32
+# Rows per diagonal block of ``_lower_inverse``.
+_TRIANGLE_BLOCK = 32
 # Row count of the pieces ``blocked_matmul`` multiplies: OpenBLAS runs a
 # product of this size against a few-hundred-square matrix on the calling
 # thread, while a larger one may wake a second thread, which then spin-waits
@@ -370,12 +383,28 @@ def _spd_inverse(S, labels):
 
 
 def blocked_matmul(A, B):
-    """A @ B for dense A and B, computed ``_BLAS_ROWS`` rows of A at a time
-    so that every product stays on the calling thread."""
+    """A @ B for dense A and B, over any leading axes as ``np.matmul``
+    takes them, computed ``_BLAS_ROWS`` rows of A at a time so that every
+    product stays on the calling thread."""
     A = np.asarray(A, dtype=float)
-    out = np.empty((A.shape[0], B.shape[1]))
-    for i in range(0, A.shape[0], _BLAS_ROWS):
-        np.matmul(A[i:i + _BLAS_ROWS], B, out=out[i:i + _BLAS_ROWS])
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                   + (A.shape[-2], B.shape[-1]))
+    for i in range(0, A.shape[-2], _BLAS_ROWS):
+        np.matmul(A[..., i:i + _BLAS_ROWS, :], B,
+                  out=out[..., i:i + _BLAS_ROWS, :])
+    return out
+
+
+def _triangular_matmul(T, B, lower):
+    """T @ B for a lower (``lower``) or upper triangular T, ``_BLAS_ROWS``
+    rows of T at a time as in ``blocked_matmul``, each piece reading only
+    the columns of T its rows can have entries in: half the work."""
+    n = T.shape[0]
+    out = np.empty((n, B.shape[1]))
+    for i in range(0, n, _BLAS_ROWS):
+        end = min(i + _BLAS_ROWS, n)
+        cols = slice(0, end) if lower else slice(i, n)
+        np.matmul(T[i:end, cols], B[cols], out=out[i:end])
     return out
 
 
@@ -404,13 +433,27 @@ def cholesky(A):
 
 
 def _lower_inverse(L):
-    """Inverse of a nonsingular lower-triangular matrix, row by row by
-    forward substitution; it is lower triangular too."""
+    """Inverse of a nonsingular lower-triangular matrix, lower triangular
+    too, by blocks of ``_TRIANGLE_BLOCK`` rows.  Each diagonal block X_ii
+    is the inverse of L_ii, row by row by forward substitution; the block
+    row left of it is -X_ii L[i, :a] X[:a, :a] (block forward
+    substitution), both products by ``blocked_matmul`` and the first over
+    the columns where that block row of L has entries only, so a banded
+    Cholesky factor costs O(n^2 (w + b)) for bandwidth w and block b.  A
+    matrix of at most one block is the row loop alone."""
     n = L.shape[0]
     X = np.zeros((n, n))
-    for j in range(n):
-        X[j, :j] = -(L[j, :j] @ X[:j, :j]) / L[j, j]
-        X[j, j] = 1.0 / L[j, j]
+    for a in range(0, n, _TRIANGLE_BLOCK):
+        end = min(a + _TRIANGLE_BLOCK, n)
+        D, Xd = L[a:end, a:end], X[a:end, a:end]
+        for j in range(end - a):
+            Xd[j, :j] = -(D[j, :j] @ Xd[:j, :j]) / D[j, j]
+            Xd[j, j] = 1.0 / D[j, j]
+        used = np.flatnonzero(L[a:end, :a].any(axis=0))
+        if used.size:
+            lo = used[0]
+            X[a:end, :a] = -blocked_matmul(
+                Xd, blocked_matmul(L[a:end, lo:a], X[lo:a, :a]))
     return X
 
 
@@ -420,14 +463,18 @@ def pencil_eig(K, M):
     K V = M V diag(lambda) and V^T M V = I.
 
     With M = L L^T (``cholesky``), the pencil is the symmetric eigenproblem
-    of C = L^{-1} K L^{-T}, solved by ``sym_eig``, and V = L^{-T} W for its
-    eigenvectors W (Golub & Van Loan, Matrix Computations, section 8.7).
-    Dense, O(n^3), with every dense product blocked (``blocked_matmul``).
-    Check the result with ``pencil_residuals``."""
+    of C = L^{-1} K L^{-T}, and V = L^{-T} W for its eigenvectors W (Golub &
+    Van Loan, Matrix Computations, section 8.7).  L^{-1} comes from the
+    blocked ``_lower_inverse``, which reads only the band of a banded M,
+    and C's full spectrum from ``sym_eig``'s divide and conquer.  Dense,
+    O(n^3), with every dense product blocked, the three with L^{-1} or
+    L^{-T} reading only its triangle (``_triangular_matmul``).  Check the
+    result with ``pencil_residuals``."""
     Linv = _lower_inverse(cholesky(M))
-    C = blocked_matmul(blocked_matmul(Linv, K), Linv.T)
+    # C = L^{-1} (L^{-1} K)^T, as K is symmetric: both products lower
+    C = _triangular_matmul(Linv, _triangular_matmul(Linv, K, True).T, True)
     lam, W = sym_eig(0.5 * (C + C.T))
-    return lam, blocked_matmul(Linv.T, W)
+    return lam, _triangular_matmul(Linv.T, W, False)
 
 
 def pencil_residuals(KV, MV, lam, V):
@@ -518,14 +565,17 @@ def sym_eig(G, top=None):
     the output is deterministic.  Input asymmetry beyond 1e-12 relative is
     rejected.
 
-    The matrix is reduced to tridiagonal form T by Householder reflections.
-    Every eigenvalue is bracketed by Sturm counts, the negative LDL^T pivots
-    of T - x I, and refined by multisection until its bracket is a few ulp
-    of ||T|| wide (LAPACK ``dstebz``).  The wanted eigenvectors of T come
-    from inverse iteration at those shifts, orthogonalized only within
-    clusters closer than 1e-3 ||T|| (LAPACK ``dstein``), and are carried
-    back through the reflectors (Golub & Van Loan, Matrix Computations,
-    sections 8.4-8.5).  Eigenvalues are accurate to about n eps ||G||_F,
+    The matrix is reduced to tridiagonal form T by Householder reflections
+    (``_householder_tridiagonal``), and T is solved by Cuppen's divide and
+    conquer (Numer. Math. 36, 1981) from leaves of one or two rows, merged
+    one tree level at a time (``_merge``): deflation as in LAPACK
+    ``dlaed2``, the
+    secular roots as in ``dlaed4`` (``_secular_roots``) and the
+    eigenvectors from the recomputed weights of Gu & Eisenstat (SIAM J.
+    Matrix Anal. Appl. 16, 1995), which keep them orthogonal however close
+    the roots.  Only the wanted columns of the last merge are formed, and
+    they are carried back through the reflectors in compact-WY blocks
+    (``_back_transform``).  Eigenvalues are accurate to about n eps ||G||_F,
     absolutely: parts of T below that level, the reduction's own backward
     error, are dropped, so T splits into independent blocks where repeated
     eigenvalues or a numerically low-rank G make it nearly reducible."""
@@ -547,262 +597,469 @@ def sym_eig(G, top=None):
         return np.zeros(n), np.eye(n)[:, n - k:]
     A = (0.5 / gmax) * (G + G.T)
     tol = n * _EPS * math.sqrt(float((A * A).sum()))
-    d, e, reflectors = _householder_tridiagonal(A, tol)
+    d, e, blocks = _householder_tridiagonal(A, tol)
     del A  # overwritten by the reduction
-    # split T at off-diagonals below tol, as LAPACK does: exactly repeated
-    # eigenvalues then sit in different blocks, which inverse iteration
-    # could not separate to full accuracy within one block
+    # split T at off-diagonals below tol, as LAPACK does: the merge across
+    # such a split deflates every weight and leaves its halves independent
     e[np.abs(e) <= tol] = 0.0
     radius = np.zeros(n)  # Gershgorin radii
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
-    tnorm = (np.abs(d) + radius).max()
-    cuts = ((e == 0.0).nonzero()[0] + 1).tolist()
-    blocks = [(a, b) for a, b in zip([0] + cuts, cuts + [n]) if b - a > 1]
-    lam = d.copy()  # a one-row block's eigenvalue is its diagonal entry
-    for a, b in blocks:
-        lam[a:b] = _sturm_eigenvalues(d[a:b], e[a:b - 1], radius[a:b], tnorm)
-    order = np.argsort(lam, kind="stable")
-    column = np.full(n, -1)
-    column[order[n - k:]] = np.arange(k)
-    one_row = np.ones(n, dtype=bool)
-    parts = []
-    for a, b in blocks:
-        one_row[a:b] = False
-        sel = (column[a:b] >= 0).nonzero()[0] + a
-        parts.append((a, b, column[sel], _inverse_iteration(
-            d[a:b], e[a:b - 1], lam[sel], tnorm)))
-    # V is allocated only after inverse iteration, and the blocks' vectors
-    # are dropped before the carry-back, so neither is held beside V longer
-    # than the copy
-    V = np.zeros((n, k))
-    for a, b, cols, X in parts:
-        V[a:b, cols] = X
-    parts = X = None
-    sel = (one_row & (column >= 0)).nonzero()[0]
-    V[sel, column[sel]] = 1.0
-    for j, v, beta in reversed(reflectors):
-        Y = V[j + 1:]
-        Y -= np.multiply.outer(beta * v, v @ Y)
+    tnorm = float((np.abs(d) + radius).max())
+    lam, V = _tridiagonal_eig(d, e, k, tnorm)
+    _back_transform(V, blocks)
     flip = V[np.abs(V).argmax(axis=0), np.arange(k)] < 0.0
     V[:, flip] *= -1.0
-    return gmax * lam[order], V
+    return gmax * lam, V
 
 
 def _householder_tridiagonal(A, tol):
     """Householder reduction Q^T A Q = T of a symmetric matrix, which is
-    overwritten: one rank-2 update of the trailing block per column.
+    overwritten, in panels of ``_WY_BLOCK`` columns (LAPACK ``dlatrd``).
 
-    Returns the diagonal d and off-diagonal e of T and the reflectors
-    (j, v, beta) with Q = H_0 H_1 ..., H_j = I - beta v v^T acting on rows
-    j+1 onward.  Once the unreduced column and the trailing block together
-    have a Frobenius norm within ``tol``, the reduction stops and that block
-    keeps only its diagonal (its off-diagonals in e stay 0), which makes the
-    numerically low-rank Gram matrices of POD cheap."""
+    Within a panel the trailing block is left as it was at the panel's
+    start, A - Y W^T - W Y^T for the panel's reflectors Y and their
+    updates W so far: each column is brought up to date before it is
+    reduced, and each product with the trailing block takes the two
+    corrections; the panel's rank-2 updates then go in at once, in pieces
+    of ``_BLAS_ROWS`` rows.  Returns the diagonal d and off-diagonal e of T
+    and the reflectors in blocks (j0, Y, beta): Q = H_0 H_1 ..., where
+    H_j = I - beta_i y_i y_i^T acts on rows j+1 onward, j = j0 + i, and y_i
+    is column i of Y, whose row 0 is row j0 + 1 (a column that needs no
+    reflection keeps y_i = 0 and beta_i = 0).  Once the unreduced column
+    and the trailing block together have a Frobenius norm within ``tol``,
+    the reduction stops and that block keeps only its diagonal (its
+    off-diagonals in e stay 0), which makes the numerically low-rank Gram
+    matrices of POD cheap."""
     n = A.shape[0]
     e = np.zeros(max(n - 1, 0))
-    reflectors = []
-    vw = np.empty((n, 2))
-    wv = np.empty((2, n))
+    blocks = []
     tol2 = tol * tol
     for j in range(n - 2):
+        i = j % _WY_BLOCK
+        if i == 0:
+            j0, nb = j, min(_WY_BLOCK, n - 2 - j)
+            Y = np.zeros((n - j - 1, nb))
+            W = np.zeros(Y.shape)
+            betas = np.zeros(nb)
+            blocks.append((j0, Y, betas))
+        if i:
+            A[j:, j] -= (Y[i - 1:, :i] @ W[i - 1, :i]
+                         + W[i - 1:, :i] @ Y[i - 1, :i])
         x = A[j + 1:, j]
         A22 = A[j + 1:, j + 1:]
         x0 = float(x[0])
         xx = float(x @ x)
-        if xx <= tol2 and xx + float((A22 * A22).sum()) <= tol2:
-            return np.diag(A).copy(), e, reflectors
+        if xx <= tol2:
+            rest = A22 - blocked_matmul(np.hstack([Y[i:, :i], W[i:, :i]]),
+                                        np.hstack([W[i:, :i], Y[i:, :i]]).T)
+            if xx + float((rest * rest).sum()) <= tol2:
+                A22[...] = rest
+                blocks.pop()
+                if i:
+                    blocks.append((j0, Y[:, :i], betas[:i]))
+                return np.diag(A).copy(), e, blocks
         alpha = -math.copysign(math.sqrt(xx), x0)
         e[j] = alpha
-        if xx == 0.0:  # the column is already reduced
-            continue
-        v = x.copy()
-        v[0] = x0 - alpha
-        beta = 1.0 / (xx - x0 * alpha)  # 2 / v^T v
-        p = A22 @ v
-        p *= beta
-        w = p - (0.5 * beta * float(p @ v)) * v
-        m = n - j - 1
-        vw[:m, 0] = wv[1, :m] = v
-        vw[:m, 1] = wv[0, :m] = w
-        A22 -= vw[:m] @ wv[:, :m]
-        reflectors.append((j, v, beta))
+        if xx != 0.0:  # else the column is already reduced
+            v = x.copy()
+            v[0] = x0 - alpha
+            beta = 1.0 / (xx - x0 * alpha)  # 2 / v^T v
+            p = A22 @ v
+            if i:
+                p -= (Y[i:, :i] @ (W[i:, :i].T @ v)
+                      + W[i:, :i] @ (Y[i:, :i].T @ v))
+            p *= beta
+            Y[i:, i] = v
+            W[i:, i] = p - (0.5 * beta * float(p @ v)) * v
+            betas[i] = beta
+        if i == nb - 1:
+            left = np.hstack([Y[i:], W[i:]])
+            right = np.hstack([W[i:], Y[i:]]).T
+            trailing = A[j + 1:, j + 1:]
+            for r in range(0, left.shape[0], _BLAS_ROWS):
+                trailing[r:r + _BLAS_ROWS] -= left[r:r + _BLAS_ROWS] @ right
     if n >= 2:
         e[n - 2] = A[n - 1, n - 2]
-    return np.diag(A).copy(), e, reflectors
+    return np.diag(A).copy(), e, blocks
 
 
-def _sturm_eigenvalues(d, e, radius, tnorm):
-    """Every eigenvalue of the symmetric tridiagonal (d, e), ascending;
-    ``radius`` holds the Gershgorin radii |e_{i-1}| + |e_i| and ``tnorm``
-    their bound max |d_i| + radius_i on ||T||.
+def _back_transform(X, blocks):
+    """X <- Q X in place for the reflectors Q = H_0 H_1 ... of
+    ``_householder_tridiagonal``, one compact-WY block at a time, last block
+    first: a block's product is I - Y T Y^T with T upper triangular,
+    T_ii = beta_i and T[:i, i] = -beta_i T[:i, :i] Y[:, :i]^T y_i
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), so each
+    block costs three products, all by ``blocked_matmul``."""
+    for j0, Y, beta in reversed(blocks):
+        S = blocked_matmul(Y.T, Y)
+        T = np.zeros(S.shape)
+        for i in range(beta.size):
+            T[:i, i] = -beta[i] * (T[:i, :i] @ S[:i, i])
+            T[i, i] = beta[i]
+        Z = X[j0 + 1:]
+        Z -= blocked_matmul(Y, blocked_matmul(T, blocked_matmul(Y.T, Z)))
 
-    Each eigenvalue index keeps a bracket [lo, hi] with count(lo) <= i <
-    count(hi), where count(x) is the number of negative LDL^T pivots of
-    T - x I.  A round places m points in each distinct open bracket, so
-    every bracket shrinks by m + 1; indices sharing a bracket share its
-    points.  The off-diagonals are nonzero (the matrix is one unreduced
-    block), so a zero pivot makes the next one infinite instead of 0/0;
-    counting sign bits (-0 and -inf are negative) keeps the count right in
-    IEEE arithmetic (Kahan).  Every round writes its pivots into one table
-    of max(budget, 3 n) columns: L brackets get m points each, and L m
-    exceeds the budget only when m is raised to 3."""
+
+def _tridiagonal_eig(d, e, k, tnorm):
+    """Every eigenvalue of the symmetric tridiagonal (d, e), ascending, and
+    the eigenvectors of its k largest; ``tnorm`` bounds ||T||.  The rows
+    after the last nonzero off-diagonal, where the reduction of a
+    numerically low-rank matrix stopped, are one-row blocks with their
+    own eigenpairs (d_i, e_i), so only the leading block goes through
+    ``_divide_and_conquer``, for at most min(k, its size) vectors."""
     n = d.size
-    e2 = (e * e).tolist()
-    pad = 2.0 * n * _EPS * tnorm
-    lo = np.full(n, (d - radius).min() - pad)
-    hi = np.full(n, (d + radius).max() + pad)
-    width = 4.0 * _EPS * tnorm
-    budget = _MULTISECTION_POINTS + _MULTISECTION_POINTS * 8 // n
-    table = np.empty((n, max(budget, 3 * n)))
-    with np.errstate(divide="ignore", over="ignore"):
-        while True:
-            act = (hi - lo > width).nonzero()[0]
-            if act.size == 0:
-                return 0.5 * (lo + hi)
-            la = lo[act]
-            # active brackets are distinct exactly where their lower ends are
-            first = np.empty(act.size, dtype=bool)
-            first[0] = True
-            np.not_equal(la[1:], la[:-1], out=first[1:])
-            group = np.cumsum(first) - 1
-            L, H = la[first], hi[act][first]
-            m = min(255, max(3, budget // L.size))
-            X = L[:, None] + np.multiply.outer(H - L,
-                                               np.arange(m + 2) / (m + 1))
-            X[:, -1] = H
-            P = table[:, :L.size * m]
-            np.subtract(d[:, None], X[:, 1:-1].ravel(), out=P)
-            rows = list(P)
-            for prev, row, c in zip(rows, rows[1:], e2):
-                row -= c / prev
-            count = np.maximum.accumulate(
-                np.signbit(P).sum(axis=0).reshape(L.size, m), axis=1)
-            # below = how many of its bracket's counts are <= each index:
-            # with bracket g's counts raised by g (n + 1) they are sorted
-            # overall, so one search answers every index without an
-            # (indices, points) table
-            count += (n + 1) * np.arange(L.size)[:, None]
-            below = np.searchsorted(count.ravel(), act + (n + 1) * group,
-                                    side="right") - m * group
-            lo[act] = X[group, below]
-            hi[act] = X[group, below + 1]
+    coupled = np.flatnonzero(e)
+    m = int(coupled[-1]) + 2 if coupled.size else 1
+    km = min(k, m)
+    lam, Q = _divide_and_conquer(d[:m], e[:m - 1], km, tnorm)
+    if m == n:
+        return lam, Q
+    values = np.concatenate([lam, d[m:]])
+    order = np.argsort(values, kind="stable")
+    top = order[n - k:]
+    tree = top < m
+    V = np.zeros((n, k))
+    V[:m, tree] = Q[:, top[tree] - (m - km)]
+    V[top[~tree], (~tree).nonzero()[0]] = 1.0
+    return values[order], V
 
 
-def _inverse_iteration(d, e, shifts, tnorm):
-    """Eigenvectors of the tridiagonal (d, e) at ascending ``shifts``.
+def _divide_and_conquer(d, e, k, tnorm):
+    """Every eigenvalue of the unreduced symmetric tridiagonal (d, e),
+    ascending, and the eigenvectors of its k largest, by Cuppen's tree.
 
-    Each of two steps solves (T - s I) x = x_old for all shifts at once, by
-    a tridiagonal LU with partial pivoting per shift (LAPACK ``dgttrf``, as
-    ``dstein`` pivots; unpivoted solves lost digits to element growth in
-    degenerate clusters).  The off-diagonals are nonzero, so only the last
-    pivot can vanish; it is kept at least eps ||T||.  Every shift sits
-    ``_SHIFT_OFFSET`` eps ||T|| above its eigenvalue, clear of the bisection
-    error, so the solves amplify a group of unresolved equal eigenvalues
-    evenly; a shift on one of them would amplify it alone and leave
-    Gram-Schmidt only the roundoff of the others.  The vectors of a cluster
-    (neighbouring shifts within 1e-3 ||T||) are Gram-Schmidt orthogonalized
-    after each step, as in ``dstein``, from the largest shift down, so a
-    vector does not depend on how many smaller shifts were requested.  The
-    start vectors are fixed pseudo-random ones (``_start_vectors``).
-
-    The shifts are factored in blocks of about
-    ``_INVERSE_ITERATION_ENTRIES`` / n that end between clusters, each
-    working in place on its columns of the one start-vector array, so the
-    factors take memory for one block, not for every shift.  Each column's
-    arithmetic is the same whatever the blocks: a block is never a single
-    column unless there is only one shift, since numpy would sum a lone
-    column's norm pairwise rather than row by row."""
-    n, k = d.size, shifts.size
-    if k == 0:
-        return np.zeros((n, 0))
-    cuts = ((np.diff(shifts) > 1e-3 * tnorm).nonzero()[0] + 1).tolist()
-    X = _start_vectors(n, k)
-    e = e.tolist() + [0.0]
-    width = _INVERSE_ITERATION_ENTRIES // n
-    blocks, a, end = [], 0, 0
-    for c in cuts + [k]:
-        if c - a > width and end - a > 1:
-            blocks.append((a, end))
-            a = end
-        end = c
-    if blocks and k - a == 1:
-        a = blocks.pop()[0]
-    blocks.append((a, k))
-    for a, b in blocks:
-        clusters = [(i - a, j - a) for i, j in zip([0] + cuts, cuts + [k])
-                    if a <= i and j <= b and j - i > 1]
-        _inverse_iteration_block(d, e, shifts[a:b], X[:, a:b], clusters,
-                                 tnorm)
-    return X
+    The 2^L nodes of depth L, L = ceil(log2 n) - 1, are the rows
+    [floor(i n / 2^L), floor((i + 1) n / 2^L)), one or two each, and node
+    i of depth t joins its children 2i and 2i + 1, so the nodes of one
+    depth differ in size by at most one row.  Splitting at row p writes T
+    as the two children, each with |e_{p-1}| taken off the diagonal entry
+    beside the cut, plus the rank-one |e_{p-1}| u u^T, u = e_{p-1} +
+    sign(e_{p-1}) e_p.  The leaves are solved in closed form
+    (``_leaf_pairs``), and each of the L levels above them is one call of
+    ``_merge`` for all nodes of a depth, so the Python work grows with
+    log n, not with n."""
+    n = d.size
+    levels = max(0, (n - 1).bit_length() - 1)
+    big = 8.0 * tnorm  # eigenvalue of a padding slot, above every real one
+    tol = 8.0 * _EPS * tnorm  # LAPACK dlaed2's deflation level
+    starts = (np.arange(2 ** levels + 1) * n) >> levels
+    cut = starts[1:-1]
+    shifted = d.copy()
+    shifted[cut - 1] -= np.abs(e[cut - 1])
+    shifted[cut] -= np.abs(e[cut - 1])
+    lam, Q = _leaf_pairs(shifted, e, starts, big)
+    sizes = np.diff(starts)
+    for t in range(levels - 1, -1, -1):
+        starts = (np.arange(2 ** (t + 1) + 1) * n) >> (t + 1)
+        lam, Q, sizes = _merge(lam, Q, sizes, e[starts[1:-1:2] - 1], tol,
+                               big, k if t == 0 else None)
+    if levels == 0:
+        return lam[0, :n], Q[0, :n, n - k:n]
+    return lam[0], Q[0]
 
 
-def _inverse_iteration_block(d, e, shifts, X, clusters, tnorm):
-    """Two steps of ``_inverse_iteration`` for the ``shifts`` of one block
-    from the start vectors X, overwritten with the eigenvectors; e is the
-    off-diagonal list padded with a zero and ``clusters`` the (start, stop)
-    columns of the block's clusters."""
-    n, k = X.shape
-    s = shifts + _SHIFT_OFFSET * _EPS * tnorm
-    floor = _EPS * tnorm
-    # row i of U holds the pivot row's entries in columns i, i+1 and i+2;
-    # w0, w1 are the entries of the row still to be eliminated
-    U = np.zeros((n, 3, k))
-    swaps = np.empty((n - 1, k), dtype=bool)
-    mults = np.empty((n - 1, k))
-    w0, w1 = d[0] - s, np.full(k, e[0])
-    for i, swap, f in zip(range(n - 1), swaps, mults):
-        below = d[i + 1] - s
-        np.less(np.abs(w0), abs(e[i]), out=swap)
-        U[i, 0] = np.where(swap, e[i], w0)
-        U[i, 1] = np.where(swap, below, w1)
-        U[i, 2] = swap * e[i + 1]
-        np.divide(np.where(swap, w0, e[i]), U[i, 0], out=f)
-        w0 = np.where(swap, w1, below) - f * U[i, 1]
-        w1 = (e[i + 1] - U[i, 2]) - f * U[i, 2]
-    U[n - 1, 0] = np.where(np.abs(w0) < floor, floor, w0)
-    # U becomes the inverse pivots and the scaled upper entries in place
-    inv = np.divide(1.0, U[:, 0], out=U[:, 0])
-    U[:, 1] *= inv
-    U[:, 2] *= inv
-    rows = list(X) + [np.zeros(k)]
-    for _ in range(2):
-        for row, nxt, swap, f in zip(rows, rows[1:], swaps, mults):
-            top = np.where(swap, nxt, row)
-            nxt[:] = np.where(swap, row, nxt) - f * top
-            row[:] = top
-        X *= inv
-        for row, nxt, nxt2, c1, c2 in zip(rows[n - 2::-1], rows[n - 1:0:-1],
-                                          rows[n:1:-1], U[n - 2::-1, 1],
-                                          U[n - 2::-1, 2]):
-            row -= c1 * nxt + c2 * nxt2
-        X /= np.abs(X).max(axis=0)
-        X /= np.sqrt((X * X).sum(axis=0))
-        for a, b in clusters:
-            for j in range(b - 2, a - 1, -1):
-                x, Q = X[:, j], X[:, j + 1:b]
-                x -= Q @ (x @ Q)
-                x -= Q @ (x @ Q)
-                x /= math.sqrt(x @ x)
+def _leaf_pairs(d, e, starts, big):
+    """Eigenpairs of the one- and two-row leaves [starts[i], starts[i +
+    1]) of the tridiagonal (d, e), as (eigenvalues (leaves, 2) ascending,
+    eigenvectors (leaves, 2, 2)), a one-row leaf padded with ``big`` and
+    zeros.  A two-row leaf [[a, b], [b, c]] has the eigenvalues
+    (a + c -+ r) / 2, r = hypot(a - c, 2 b), and the upper one's vector
+    along (a - c + r, 2 b) or (2 b, c - a + r), whichever sum has no
+    cancellation (LAPACK ``dlaev2``)."""
+    i = starts[:-1]
+    pair = np.diff(starts) == 2
+    a = d[i]
+    c = np.where(pair, d[np.minimum(i + 1, d.size - 1)], 0.0)
+    b = np.where(pair, e[np.minimum(i, e.size - 1)] if e.size else 0.0, 0.0)
+    df = a - c
+    r = np.hypot(df, 2.0 * b)
+    x = np.where(df >= 0.0, df + r, 2.0 * b)
+    y = np.where(df >= 0.0, 2.0 * b, r - df)
+    norm = np.hypot(x, y)
+    split = norm > 0.0  # b = 0 and a = c: the unit vectors
+    x = np.where(split, x / np.where(split, norm, 1.0), 0.0)
+    y = np.where(split, y / np.where(split, norm, 1.0), 1.0)
+    lam = np.stack([np.where(pair, 0.5 * (a + c - r), a),
+                    np.where(pair, 0.5 * (a + c + r), big)], axis=1)
+    Q = np.zeros((i.size, 2, 2))
+    Q[:, 0, 0] = np.where(pair, -y, 1.0)
+    Q[:, 1, 0] = np.where(pair, x, 0.0)
+    Q[:, 0, 1] = np.where(pair, x, 0.0)
+    Q[:, 1, 1] = np.where(pair, y, 0.0)
+    return lam, Q
 
 
-def _start_vectors(n, k):
-    """Fixed pseudo-random (n, k) start vectors with entries in [-1, 1):
-    the splitmix64 outputs 1, 2, ... in blocks of n, the first block
-    starting the last column, so the largest shifts get the same vectors
-    whatever k is (the generator of Steele, Lea & Flood, OOPSLA 2014)."""
-    z = np.arange(1, n * k + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> np.uint64(shift)
-        z *= np.uint64(factor)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    u = z.astype(float)
-    del z  # every array above is updated in place, to keep the peak low
-    u *= 2.0 ** -52
-    u -= 1.0
-    return u.reshape(k, n)[::-1].T.copy()
+def _merge(lam, Q, sizes, beta, tol, big, top):
+    """One level of the divide-and-conquer tree: the eigendecompositions of
+    S nodes from those of their 2 S children, all at once.
+
+    Child c has ``sizes[c]`` rows, eigenvalues lam[c] ascending (padding
+    slots ``big``) and eigenvectors Q[c] (rows and columns past its size
+    zero); node s joins children 2s and 2s + 1 with coupling beta[s].  In
+    the children's basis the node's matrix is D + u u^T, D the children's
+    eigenvalues and u = sqrt|beta| (last row of Q[2s], sign(beta) first row
+    of Q[2s + 1]).  As in LAPACK ``dlaed2``, a weight with |u_i| ||u|| <=
+    tol deflates its pole, and of two neighbouring live poles whose Givens
+    rotation (c, s) zeroing the first weight leaves an off-diagonal
+    |t c s| <= tol (t their gap) the first deflates; every non-overlapping
+    pair that qualifies is rotated in one pass (``_deflate_pairs``), and
+    passes repeat until none qualifies.  The live poles' roots come from
+    ``_secular_roots``, their eigenvectors from the recomputed weights of
+    ``_secular_weights``, and the deflated poles keep unit vectors; the
+    rotations and the sort are then undone on the rows, and one blocked
+    product with the children's vectors gives the node's.  Returns
+    (eigenvalues, eigenvectors, sizes) of the nodes, with only the ``top``
+    largest eigenvectors when ``top`` is not None (the root)."""
+    S = beta.size
+    Mc = lam.shape[1]
+    W = 2 * Mc
+    rows = np.arange(S)[:, None]
+    left, right = sizes[0::2], sizes[1::2]
+    sizes = left + right
+    Mt = int(sizes.max())
+    u = np.concatenate([Q[0::2][rows[:, 0], np.maximum(left - 1, 0)],
+                        np.sign(beta)[:, None] * Q[1::2, 0]], axis=1)
+    u *= np.sqrt(np.abs(beta))[:, None]
+    order = np.argsort(lam.reshape(S, W), axis=1, kind="stable")
+    D = lam.reshape(S, W)[rows, order]
+    u = u[rows, order]
+    live = np.abs(u) * np.sqrt(2.0 * np.abs(beta))[:, None] > tol
+    rotations = _deflate_pairs(D.ravel(), u.ravel(), live.ravel(), W, tol)
+    K = live.sum(axis=1)
+    Kmax = max(1, int(K.max()))  # a padding column when all deflate
+    # the live poles first, ascending, then the deflated slots
+    pos = np.argsort(~live, axis=1, kind="stable")[:, :Kmax]
+    valid = np.arange(Kmax) < K[:, None]
+    delta = np.where(valid, D[rows, pos], big)
+    uk = np.where(valid, u[rows, pos], 0.0)
+    origin, tau = _secular_roots(delta, uk * uk, K)
+    base = delta[rows, origin]
+    D[rows, pos] = np.where(valid, base + tau, D[rows, pos])
+    final = np.argsort(D, axis=1, kind="stable")[:, :Mt]
+    lam = D[rows, final]
+    if top is not None:
+        final = final[:, Mt - top:]
+        if top == 0:
+            return lam, np.zeros((S, Mt, 0)), sizes
+    root = live[rows, final]
+    index = np.where(root, (np.cumsum(live, axis=1) - 1)[rows, final], 0)
+    zhat = _secular_weights(delta, base, tau, K, np.sign(uk))
+    # the node's eigenvectors in its children's basis, each sorted slot r
+    # written to its children's row order[r], which undoes the sort
+    U = np.zeros((S, W, final.shape[1]))
+    _secular_vectors(U, order[rows, pos], delta, zhat, base[rows, index],
+                     tau[rows, index], root)
+    node, col = (~root).nonzero()
+    U[node, order[node, final[node, col]], col] = 1.0
+    flat = U.reshape(S * W, -1)
+    slot = (order + W * rows).ravel()
+    for p, q, cos, sin in reversed(rotations):
+        p, q = slot[p], slot[q]
+        xp, xq = flat[p], flat[q]
+        flat[p] = cos[:, None] * xp - sin[:, None] * xq
+        flat[q] = sin[:, None] * xp + cos[:, None] * xq
+    P = blocked_matmul(Q, U.reshape(2 * S, Mc, -1)).reshape(S, W, -1)
+    del U, flat
+    # compact rows: the left child's, then the right child's, then a zero
+    # row of either child's padding
+    r = np.arange(Mt)
+    rowmap = np.where(r < left[:, None], r, Mc + r - left[:, None])
+    pad = np.where(left < Mc, left, Mc + right)
+    rowmap = np.where(r < sizes[:, None], rowmap, pad[:, None])
+    return lam, P[rows, rowmap], sizes
+
+
+def _deflate_pairs(D, u, live, W, tol):
+    """The close-pole deflation of ``_merge`` on the flat poles D, weights
+    u and live mask of all nodes (W slots each), in place.  Returns the
+    rotations (p, q, c, s), pass by pass: pole p deflates and q takes the
+    weight sqrt(u_p^2 + u_q^2), the basis vectors becoming c e_p + s e_q
+    and c e_q - s e_p."""
+    rotations = []
+    while True:
+        idx = live.nonzero()[0]
+        p, q = idx[:-1], idx[1:]
+        r = np.hypot(u[p], u[q])
+        c, s = u[q] / r, -u[p] / r
+        ok = (p // W == q // W) & (np.abs((D[q] - D[p]) * c * s) <= tol)
+        if not ok.any():
+            return rotations
+        at = np.arange(ok.size)
+        first = ok.copy()
+        first[1:] &= ~ok[:-1]
+        run = np.maximum.accumulate(np.where(first, at, 0))
+        sel = ok & ((at - run) % 2 == 0)
+        p, q, c, s = p[sel], q[sel], c[sel], s[sel]
+        dp, dq = D[p], D[q]
+        D[p] = dp * c * c + dq * s * s
+        D[q] = dp * s * s + dq * c * c
+        u[q] = r[sel]
+        u[p] = 0.0
+        live[p] = False
+        rotations.append((p, q, c, s))
+
+
+def _chunks(count, S, Kmax):
+    """Consecutive ranges of ``count`` indices, about
+    ``_SECULAR_ENTRIES`` / (S Kmax) each, so that every (S, chunk, Kmax)
+    work array of the secular stage stays near that many entries."""
+    width = max(1, _SECULAR_ENTRIES // max(1, S * Kmax))
+    return [slice(a, a + width) for a in range(0, count, width)]
+
+
+def _secular_roots(delta, w, K):
+    """Roots of the secular equations f(x) = 1 + sum_i w_i / (delta_i - x)
+    of S nodes: node s has K[s] live poles delta[s, :K[s]], strictly
+    ascending, with weights w > 0 (padding past K[s]: weight 0, pole far
+    above).  Its root j lies in (delta_j, delta_{j+1}), or above the last
+    pole by at most sum w.  Returns (origin, tau): root j is delta[s,
+    origin] + tau, the offset from the nearer pole, which is what the
+    eigenvectors need to full relative accuracy (LAPACK ``dlaed4``).
+
+    The sign of f at the midpoint of the interval picks the origin, and a
+    two-pole model with the other poles frozen at the midpoint gives the
+    start.  Each step takes the root of Gragg's fixed-weight model: the
+    origin pole with its own weight, the other pole of the interval (for
+    the last root the pole below) with the rest of f', matching f and f'
+    (``dlaed4``'s first scheme; its middle way, which lumps the poles on
+    the origin's side into the origin's weight, takes twice the steps on
+    the near-equal poles of glued matrices).  Steps stay inside a bracket,
+    the whole interval narrowed by the sign of f, bisecting when the model
+    root falls outside.  A root stops once |f| <= 8 eps (1 + |psi| + phi),
+    psi and phi the sums of the negative and positive terms of f, the
+    rounding level of f, after which steps only oscillate in the last
+    bits.  The roots go in chunks (``_chunks``); every root's arithmetic is
+    elementwise or a sum over its own row of poles, so the chunks do not
+    change it."""
+    S, Kmax = delta.shape
+    origin = np.zeros((S, Kmax), dtype=np.int64)
+    tau = np.zeros((S, Kmax))
+    total = w.sum(axis=1)
+    for chunk in _chunks(Kmax, S, Kmax):
+        origin[:, chunk], tau[:, chunk] = _secular_chunk(
+            delta, w, K, total, np.arange(Kmax)[chunk])
+    return origin, tau
+
+
+def _secular_chunk(delta, w, K, total, j):
+    """``_secular_roots`` for the roots j of every node."""
+    S, Kmax = delta.shape
+    node = np.arange(S)[:, None]
+    root = j < K[:, None]
+    last = j == K[:, None] - 1
+    interior = root & ~last
+    nxt = np.minimum(j + 1, Kmax - 1)
+    # the interval: (delta_j, delta_{j+1}) for an interior root, (delta_j,
+    # delta_j + sum w] for the last one, whose end is its root when it has
+    # one pole, so the bracket reaches just past it
+    gap = np.where(interior, delta[:, nxt] - delta[:, j],
+                   np.where(last, (1.0 + 4.0 * _EPS) * total[:, None], 1.0))
+    mid = 0.5 * gap
+    weights = w[:, None, :]
+    offsets = delta[:, None, :] - delta[:, j, None]
+    f_mid = 1.0 + (weights / (offsets - mid[:, :, None])).sum(axis=-1)
+    right = interior & (f_mid < 0.0)
+    o = np.where(right, nxt, j)
+    if right.any():
+        offsets = delta[:, None, :] - delta[node, o][:, :, None]
+    # the model's other pole, as an offset from the origin: the interval's
+    # other end, or the pole below the last root (a virtual one of weight 0
+    # at -1 when that root has one pole)
+    other = np.where(last, np.maximum(j - 1, 0), np.where(right, j, nxt))
+    alone = last & (j == 0)
+    p_x = np.where(alone, -1.0, delta[node, other] - delta[node, o])
+    w_o = w[node, o]
+    w_x = np.where(alone, 0.0, w[node, other])
+    lo = np.where(right, -gap, 0.0)
+    hi = np.where(right, 0.0, gap)
+    # the start: the model with the other poles frozen at the midpoint
+    at = np.where(right, -mid, mid)
+    c = f_mid + w_o / at - w_x / (p_x - at)
+    tau = _model_step(np.zeros_like(gap), c * p_x + w_o + w_x, w_o * p_x, c,
+                      last, lo, hi)
+    tau = np.where(root, tau, 1.0)  # padding roots stay clear of the poles
+    done = ~root
+    # planes: the terms w_i / (delta_i - x) of f, their magnitudes, whose
+    # sum is |psi| + phi, and the terms of f'
+    X = np.empty((S, j.size, 3, Kmax))
+    terms, size, slope = X[:, :, 0], X[:, :, 1], X[:, :, 2]
+    pw = p_x * w_o
+    for _ in range(_SECULAR_STEPS):
+        dist = offsets - tau[:, :, None]
+        np.divide(weights, dist, out=terms)
+        np.abs(terms, out=size)
+        np.divide(terms, dist, out=slope)
+        sums = X.sum(axis=-1)
+        f, dw = sums[..., 0] + 1.0, sums[..., 2]
+        done |= np.abs(f) <= 8.0 * _EPS * (1.0 + sums[..., 1])
+        if done.all():
+            break
+        below = f < 0.0
+        lo = np.where(below, tau, lo)
+        hi = np.where(below, hi, tau)
+        ex = p_x - tau
+        tex = tau * ex
+        step = _model_step(tau, (ex - tau) * f + tex * dw, -tex * f,
+                           f - ex * dw + pw / (tau * tau), last, lo, hi)
+        tau = np.where(done, tau, step)
+    return o, tau
+
+
+def _model_step(tau, a, b, c, last, lo, hi):
+    """tau + eta for the root eta of a model's quadratic c eta^2 - a eta +
+    b = 0 that the secular root follows, as LAPACK ``dlaed4`` picks it:
+    (a - sqrt(a^2 - 4 b c)) / (2 c), the root between the model's poles,
+    or for the last root, with both poles below it, (a + sqrt(a^2 -
+    4 b c)) / (2 c), each in the form without cancellation; the bracket's
+    midpoint when that is not inside (lo, hi); a division by zero or an
+    overflow only makes a candidate that is not."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = a + np.copysign(np.sqrt(np.abs(a * a - 4.0 * b * c)), a)
+        new = tau + np.where(np.signbit(a) == last, 2.0 * b / q, 0.5 * q / c)
+        inside = (lo < new) & (new < hi)
+    return np.where(inside, new, 0.5 * (lo + hi))
+
+
+def _secular_weights(delta, base, tau, K, sign):
+    """Gu & Eisenstat's weights: the u_i for which the live poles delta_i
+    and the computed roots base_j + tau_j are exact eigenvalues of
+    diag(delta) + u u^T,
+    u_i^2 = prod_j (root_j - delta_i) / prod_{j != i} (delta_j - delta_i),
+    each factor paired as (delta_i - root_j) / (delta_i - delta_j) as in
+    LAPACK ``dlaed3``, with the sign of the original weight.  Chunked over
+    the poles i; a product runs over its own row of roots."""
+    S, Kmax = delta.shape
+    out = np.zeros((S, Kmax))
+    j = np.arange(Kmax)
+    real = j < K[:, None, None]
+    for chunk in _chunks(Kmax, S, Kmax):
+        i = j[chunk]
+        di = delta[:, i, None]
+        num = (di - base[:, None, :]) - tau[:, None, :]
+        den = np.where((i[:, None] == j) | ~real, -1.0,
+                       di - delta[:, None, :])
+        factor = np.where(real, num / den, 1.0)
+        out[:, chunk] = factor.prod(axis=-1)
+    out[np.arange(Kmax) >= K[:, None]] = 0.0
+    return sign * np.sqrt(np.maximum(out, 0.0))
+
+
+def _secular_vectors(out, slots, delta, zhat, base, tau, root):
+    """Unit eigenvectors zhat_i / (delta_i - root_c) of diag(delta) +
+    zhat zhat^T for the roots base_c + tau_c of each node, written into
+    out[s, slots[s, i], c]; columns where ``root`` is False are written
+    zero.  Chunked over the columns; a norm runs over its own row."""
+    S, cols = base.shape
+    node = np.arange(S)[:, None]
+    for chunk in _chunks(cols, S, delta.shape[1]):
+        dist = (delta[:, None, :] - base[:, chunk, None]) - tau[:, chunk,
+                                                                None]
+        v = zhat[:, None, :] / dist
+        norm = np.sqrt((v * v).sum(axis=-1))
+        v /= np.where(root[:, chunk], norm, 1.0)[:, :, None]
+        v[~root[:, chunk]] = 0.0
+        out[node, slots, chunk] = v.transpose(0, 2, 1)
 
 
 def solve_regularized_normal(A, B, delta, labels="system"):

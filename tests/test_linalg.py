@@ -371,6 +371,40 @@ class TestCholesky:
             linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def lower_inverse_by_rows(L):
+    """The row-by-row forward substitution that ``linalg._lower_inverse``
+    runs on each diagonal block, here on the whole matrix."""
+    n = L.shape[0]
+    X = np.zeros((n, n))
+    for j in range(n):
+        X[j, :j] = -(L[j, :j] @ X[:j, :j]) / L[j, j]
+        X[j, j] = 1.0 / L[j, j]
+    return X
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("n", [1, 10, 32])
+    def test_one_block_is_the_row_loop_bit_for_bit(self, rng, n):
+        L = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+        assert np.array_equal(linalg._lower_inverse(L),
+                              lower_inverse_by_rows(L))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: linalg.cholesky(fem.assemble(mesh.build_structured(
+            8, 8)).mass_free().to_dense()),
+        lambda rng: linalg.cholesky(fem.assemble(mesh.build_structured(
+            16, 16)).mass_free().to_dense()),
+        lambda rng: np.tril(rng.standard_normal((70, 70))) + 70 * np.eye(70),
+    ], ids=["banded-49", "banded-225", "dense-70"])
+    def test_blocks_match_the_row_loop(self, make, rng):
+        L = make(rng)
+        X = linalg._lower_inverse(L)
+        ref = lower_inverse_by_rows(L)
+        assert np.abs(X - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert not np.triu(X, 1).any()
+        assert np.abs(X @ L - np.eye(len(L))).max() <= 1e-13
+
+
 class TestPencilEig:
     @pytest.mark.parametrize("nx, bc", [(2, "dirichlet_zero"),
                                         (6, "dirichlet_zero"),
@@ -409,6 +443,25 @@ def test_blocked_matmul(rng, rows):
     assert np.abs(got - A @ B).max(initial=0.0) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_triangular_matmul(rng, n):
+    B = rng.standard_normal((n, 7))
+    for T, lower in ((np.tril(rng.standard_normal((n, n))), True),
+                     (np.triu(rng.standard_normal((n, n))), False)):
+        got = linalg._triangular_matmul(T, B, lower)
+        assert np.abs(got - T @ B).max(initial=0.0) <= 1e-13
+
+
+def test_blocked_matmul_over_leading_axes(rng):
+    A, B = rng.standard_normal((3, 9, 5)), rng.standard_normal((3, 5, 4))
+    got = linalg.blocked_matmul(A, B)
+    assert got.shape == (3, 9, 4)
+    assert np.abs(got - A @ B).max() <= 1e-13
+    # a shared right operand broadcasts over the left one's leading axes
+    assert np.array_equal(linalg.blocked_matmul(A, B[0]),
+                          linalg.blocked_matmul(A, np.stack([B[0]] * 3)))
+
+
 class TestBiCGStab:
     def test_nonsymmetric_matches_oracle(self, rng):
         A = random_spd(rng, 15) + 0.3 * rng.standard_normal((15, 15))
@@ -421,6 +474,67 @@ class TestBiCGStab:
         b = np.array([3.0, -1.0])
         x, _ = linalg.bicgstab_solve(lambda v: v, b, lambda v: v)
         assert x == pytest.approx(b)
+
+
+def dirichlet_pencil_matrix(nx):
+    """L^-1 K L^-T for the free-dof mass M = L L^T and stiffness K of the
+    nx-by-nx Dirichlet square, whose spectrum has close pairs (relative
+    gaps down to 3e-6 at nx = 16)."""
+    forms = fem.assemble(mesh.build_structured(nx, nx))
+    M = forms.mass_free().to_dense()
+    K = forms.stiffness_free().to_dense()
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    C = Linv @ K @ Linv.T
+    return 0.5 * (C + C.T)
+
+
+def wilkinson_plus(m):
+    """Wilkinson's W+ of order 2m + 1: diagonal |i| for i = -m..m and unit
+    off-diagonals; its largest eigenvalues come in pairs that agree to
+    many digits (to about 1e-14 relative at m = 10)."""
+    n = 2 * m + 1
+    return (np.diag(np.abs(np.arange(-m, m + 1)).astype(float))
+            + np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def glued_wilkinson(m, copies, glue):
+    """``copies`` W+ of order 2m + 1 along the diagonal, each joined to the
+    next by off-diagonal ``glue``: clusters of ``copies`` nearly equal
+    eigenvalues."""
+    W = wilkinson_plus(m)
+    n = W.shape[0]
+    G = np.kron(np.eye(copies), W)
+    for c in range(1, copies):
+        G[c * n - 1, c * n] = G[c * n, c * n - 1] = glue
+    return G
+
+
+def toeplitz_121(n):
+    """The 1-2-1 tridiagonal of order n: distinct eigenvalues
+    2 - 2 cos(k pi / (n + 1)) and no deflation."""
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
+# the divide and conquer's hard cases: near-equal pairs (W+), clusters
+# across weak glue, uneven splits without deflation (odd-order 1-2-1) and
+# close pairs (the Dirichlet pencils)
+HARD_SPECTRA = {
+    "wilkinson-21": lambda: wilkinson_plus(10),
+    "wilkinson-201": lambda: wilkinson_plus(100),
+    "glued-wilkinson-5x21": lambda: glued_wilkinson(10, 5, 1e-14),
+    "glued-wilkinson-10x21": lambda: glued_wilkinson(10, 10, 1e-7),
+    "toeplitz-255": lambda: toeplitz_121(255),
+    "dirichlet-pencil-12": lambda: dirichlet_pencil_matrix(12),
+    "dirichlet-pencil-16": lambda: dirichlet_pencil_matrix(16),
+}
+
+
+def sym_eig_in_chunks(G, top, width):
+    """``sym_eig`` with the secular stage of every merge in chunks of at
+    least ``width`` roots, poles or vectors (``width`` at the last merge
+    when none of its poles deflates)."""
+    with mock.patch.object(linalg, "_SECULAR_ENTRIES", width * G.shape[0]):
+        return linalg.sym_eig(G, top=top)
 
 
 class TestSymEig:
@@ -461,7 +575,8 @@ class TestSymEig:
             linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_exact_degeneracy(self, rng):
-        for G in (np.eye(4), rotated(rng, [1.0, 1.0, 1.0, 2.0, 2.0])):
+        hard = [make() for make in HARD_SPECTRA.values()]
+        for G in [np.eye(4), rotated(rng, [1.0, 1.0, 1.0, 2.0, 2.0])] + hard:
             lam, V = linalg.sym_eig(G)
             assert np.isfinite(V).all()
             assert_eigenpairs(G, lam, V)
@@ -483,6 +598,9 @@ class TestSymEig:
         lam, V = linalg.sym_eig(G, top=10)
         assert V.shape == (180, 10)
         assert_eigenpairs(G, lam, V)
+        for make in HARD_SPECTRA.values():
+            G = make()
+            assert_eigenpairs(G, *linalg.sym_eig(G, top=10))
 
     def test_wishart_full_spectrum(self, rng):
         W = rng.standard_normal((60, 90))
@@ -521,32 +639,11 @@ class TestSymEig:
         lam, V = linalg.sym_eig(G, top=min(top, G.shape[0]))
         assert_eigenpairs(G, lam, V)
 
-
-def sym_eig_in_blocks(G, top, width):
-    """``sym_eig`` with inverse iteration run in blocks of ``width`` shifts
-    (the tridiagonal of G is unreduced)."""
-    with mock.patch.object(linalg, "_INVERSE_ITERATION_ENTRIES",
-                           width * G.shape[0]):
-        return linalg.sym_eig(G, top=top)
-
-
-def dirichlet_pencil_matrix(nx):
-    """L^-1 K L^-T for the free-dof mass M = L L^T and stiffness K of the
-    nx-by-nx Dirichlet square, whose spectrum has exactly repeated pairs."""
-    forms = fem.assemble(mesh.build_structured(nx, nx))
-    M = forms.mass_free().to_dense()
-    K = forms.stiffness_free().to_dense()
-    Linv = np.linalg.inv(np.linalg.cholesky(M))
-    C = Linv @ K @ Linv.T
-    return 0.5 * (C + C.T)
-
-
-class TestInverseIterationBlocks:
     @pytest.mark.parametrize("width", [1, 2, 7, 64])
-    def test_blocks_are_bit_identical_to_one_block(self, width):
+    def test_chunks_are_bit_identical_to_one_chunk(self, width):
         G = dirichlet_pencil_matrix(12)
-        one = sym_eig_in_blocks(G, None, 10 ** 6)
-        lam, V = sym_eig_in_blocks(G, None, width)
+        one = sym_eig_in_chunks(G, None, 10 ** 6)
+        lam, V = sym_eig_in_chunks(G, None, width)
         assert np.array_equal(lam, one[0]) and np.array_equal(V, one[1])
         assert_eigenpairs(G, lam, V)
 
@@ -556,15 +653,15 @@ class TestInverseIterationBlocks:
            repeats=st.integers(min_value=1, max_value=4),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            width=st.integers(min_value=1, max_value=5))
-    def test_clustered_spectra_in_blocks(self, values, repeats, seed, width):
+    def test_clustered_spectra_in_chunks(self, values, repeats, seed, width):
         G = rotated(np.random.default_rng(seed), values * repeats)
-        one = sym_eig_in_blocks(G, None, 10 ** 6)
-        lam, V = sym_eig_in_blocks(G, None, width)
+        one = sym_eig_in_chunks(G, None, 10 ** 6)
+        lam, V = sym_eig_in_chunks(G, None, width)
         assert np.array_equal(lam, one[0]) and np.array_equal(V, one[1])
 
     def test_work_memory_is_bounded(self):
-        # the (n, 3, k) pivot rows, the multipliers and the Sturm table of
-        # a full 225-dof spectrum once took about 5 MB above the input
+        # the secular stage's chunks and the blocked back-transform keep a
+        # full 225-dof spectrum near 1.5 MB above the input
         G = dirichlet_pencil_matrix(16)
         assert G.shape == (225, 225)
         tracemalloc.start()
@@ -575,8 +672,34 @@ class TestInverseIterationBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2e6
-        one = sym_eig_in_blocks(G, None, 10 ** 6)
-        assert np.array_equal(lam, one[0]) and np.array_equal(V, one[1])
+        assert_eigenpairs(G, lam, V)
+
+    @pytest.mark.parametrize("top, steps", [(None, 72), (10, 48)])
+    def test_merge_work_stays_locked(self, top, steps, monkeypatch):
+        # a full 225-dof pencil spectrum and a POD-like top-10 solve of
+        # order 180 each take ceil(log2 n) - 1 = 7 batched merges above
+        # the two-row leaves, with 72 and 48 batched secular steps (model
+        # roots, one per chunk and iteration) in all.  Allow 10 % above
+        # the steps, so that a per-row or per-eigenvalue loop, or a root
+        # iteration that converges more slowly, fails
+        G = (dirichlet_pencil_matrix(16) if top is None else rotated(
+            np.random.default_rng(1234), np.logspace(0, -14, 180)))
+        work = {"merges": 0, "steps": 0}
+        merge, model_step = linalg._merge, linalg._model_step
+
+        def counting_merge(*args):
+            work["merges"] += 1
+            return merge(*args)
+
+        def counting_step(*args):
+            work["steps"] += 1
+            return model_step(*args)
+
+        monkeypatch.setattr(linalg, "_merge", counting_merge)
+        monkeypatch.setattr(linalg, "_model_step", counting_step)
+        lam, V = linalg.sym_eig(G, top=top)
+        assert work["merges"] == int(np.ceil(np.log2(G.shape[0]))) - 1
+        assert work["steps"] <= 1.1 * steps
         assert_eigenpairs(G, lam, V)
 
 
